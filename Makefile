@@ -1,6 +1,6 @@
 # Convenience targets; see README.md.
 
-.PHONY: install test lint bench engine-bench experiments examples serve-quick cob recovery e21-quick all
+.PHONY: install test lint bench perf-smoke engine-bench experiments examples serve-quick cob recovery e21-quick all
 
 install:
 	pip install -e .
@@ -18,6 +18,13 @@ lint:
 bench:
 	pytest benchmarks/ --benchmark-only
 
+# The benchmark harness at smoke size, then its self-tests (tier-1 collects
+# neither).  Gates on exit status only: every workload's dict-model oracle
+# and the traced-vs-untraced sim_digest equality; no timing gate.
+perf-smoke:
+	python3 benchmarks/perf/run.py --scale 0.05
+	python -m pytest benchmarks/perf/tests -q
+
 # Vectorized-engine gates: batch/serial byte-identity + speedup (smoke).
 engine-bench:
 	PYTHONPATH=src python benchmarks/bench_engine_vector.py --smoke
@@ -32,7 +39,7 @@ serve-quick:
 
 # The cache-oblivious tier: its tests, its lint, and the E20 quick sweep.
 cob:
-	PYTHONPATH=src python -m pytest tests/trees/test_cob.py tests/trees/test_veb.py tests/trees/test_put_many.py -q
+	PYTHONPATH=src python -m pytest tests/trees/test_cob.py tests/trees/test_cob_accounting.py tests/trees/test_veb.py tests/trees/test_put_many.py -q
 	PYTHONPATH=src python -m repro.lint src/repro/trees/cob
 	PYTHONPATH=src python -m repro.experiments cob --quick --no-cache
 

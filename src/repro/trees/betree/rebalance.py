@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import TreeError
 from repro.trees.betree.node import BeNode, SegmentBuffer
+from repro.trees.sizing import KEY_MAX, KEY_MIN
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.trees.betree.tree import BeTree
@@ -111,10 +112,9 @@ def _parent_of(tree: "BeTree", target: int) -> int | None:
 
 def _collect_subtree(tree: "BeTree", nid: int) -> list[tuple[int, object]]:
     """All live entries below ``nid`` with pending messages applied."""
-    lo, hi = -(1 << 62), (1 << 62)
     entries: dict[int, object] = {}
     msgs: list = []
-    tree._collect_range(nid, lo, hi, entries, msgs)
+    tree._collect_range(nid, KEY_MIN, KEY_MAX, entries, msgs)
     msgs.sort()
     from repro.trees.betree.messages import MessageOp
 

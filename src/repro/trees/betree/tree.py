@@ -27,7 +27,7 @@ from repro.obs import OBS
 from repro.storage.stack import StorageStack
 from repro.trees.betree.messages import Message, MessageOp, apply_messages
 from repro.trees.betree.node import BeNode, SegmentBuffer
-from repro.trees.sizing import EntryFormat
+from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
 
 
 @dataclass(frozen=True)
@@ -539,8 +539,7 @@ class BeTree:
 
     def items(self) -> Iterator[tuple[int, Any]]:
         """All pairs in key order (applies buffered messages logically)."""
-        lo, hi = -(1 << 62), 1 << 62
-        yield from self.range(lo, hi)
+        yield from self.range(KEY_MIN, KEY_MAX)
 
     def __len__(self) -> int:
         return len(list(self.items()))

@@ -43,11 +43,7 @@ from repro.storage.allocator import ExtentAllocator
 from repro.storage.device import BlockDevice
 from repro.trees.btree.veb import VEBLayout
 from repro.trees.cob.pma import EMPTY, PackedMemoryArray
-from repro.trees.sizing import EntryFormat
-
-#: The key domain: any int64 except the PMA's blank sentinel (INT64_MIN).
-KEY_MIN = -(1 << 63) + 1
-KEY_MAX = (1 << 63) - 1
+from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,6 @@ class COBTree:
         self.values: dict[int, Any] = {}
         self.user_bytes_modified = 0
         self.index_rebuilds = 0
-        self._layout_cache: tuple[int, VEBLayout] | None = None
         self._index_offset = -1
         self._index_nbytes = 0
         # Nodes per vEB index block: 2^levels - 1, so the recursion's
@@ -142,35 +137,25 @@ class COBTree:
 
     # -- index layout --------------------------------------------------------
 
-    @property
-    def _height(self) -> int:
-        return int(math.log2(self.pma.capacity)) + 1
-
-    @property
-    def _first_leaf(self) -> int:
-        return self.pma.capacity - 1
-
-    def _layout(self) -> VEBLayout:
-        if self._layout_cache is None or self._layout_cache[0] != self._height:
-            self._layout_cache = (self._height, VEBLayout(self._height))
-        return self._layout_cache[1]
-
-    @property
-    def _pinned_below(self) -> int:
-        """Heap indices ``< _pinned_below`` are RAM-pinned (free to read).
-
-        The top ``L`` complete levels fit the RAM budget when
-        ``(2^L - 1) * pivot_bytes <= ram_bytes``; pinning whole levels
-        keeps residency independent of the vEB permutation.
-        """
-        budget = self.config.ram_bytes // self.config.fmt.pivot_bytes
-        levels = min(self._height, max(0, (budget + 1).bit_length() - 1))
-        return (1 << levels) - 1
-
     def _build_index(self, *, charge: bool) -> None:
-        """(Re)compute the whole max-heap and rewrite the index extent."""
+        """(Re)compute the whole max-heap and rewrite the index extent.
+
+        Runs at construction, on a bulk load and on every capacity
+        doubling — the only places the tree height changes — so the state
+        that depends on the height alone is (re)derived here once instead
+        of per operation: the leaf offset, the pinned depth, and (dropped
+        here, rebuilt on first use) the vEB block table.
+        """
         capacity = self.pma.capacity
         n_nodes = 2 * capacity - 1
+        self._first_leaf = capacity - 1
+        self._height = capacity.bit_length()  # capacity is a power of two
+        # The top ``L`` complete levels are RAM-pinned (free to read) when
+        # ``(2^L - 1) * pivot_bytes <= ram_bytes``; pinning whole levels
+        # keeps residency independent of the vEB permutation.
+        budget = self.config.ram_bytes // self.config.fmt.pivot_bytes
+        self._pinned_levels = min(self._height, max(0, (budget + 1).bit_length() - 1))
+        self._block_of: np.ndarray | None = None
         node_max = np.empty(n_nodes, dtype=np.int64)
         node_max[self._first_leaf :] = self.pma.keys
         for lvl in range(self._height - 2, -1, -1):
@@ -188,20 +173,30 @@ class COBTree:
             self.index_rebuilds += 1
             self.device.write(self._index_offset, self._index_nbytes)
 
+    def _block_table(self) -> np.ndarray:
+        """``block_of[heap_index]``: the vEB index block storing each node.
+
+        A function of the height only, so it is built once per height (a
+        tree whose index is fully pinned never builds it) and every path
+        charge and index repair is a table lookup.  ``int32`` on purpose:
+        the table lives as long as the tree does, at half the footprint of
+        the ``int64`` vEB positions it is derived from.
+        """
+        if self._block_of is None:
+            position = VEBLayout(self._height).position
+            position //= self._nodes_per_block
+            self._block_of = position.astype(np.int32)
+        return self._block_of
+
     def _charge_index_path(self, path: list[int]) -> None:
         """Charge reads of the distinct unpinned vEB blocks on a root-to-leaf
         path, in ascending block order (deterministic)."""
-        pinned_below = self._pinned_below
-        unpinned = [i for i in path if i >= pinned_below]
+        unpinned = path[self._pinned_levels :]  # path[d] is the depth-d node
         if not unpinned:
             return
-        position = self._layout().position
-        blocks = np.unique(position[unpinned] // self._nodes_per_block)
-        for blk in blocks:
-            self.device.read(
-                self._index_offset + int(blk) * self.config.block_bytes,
-                self.config.block_bytes,
-            )
+        block_bytes = self.config.block_bytes
+        for blk in sorted(set(map(self._block_table().item, unpinned))):
+            self.device.read(self._index_offset + blk * block_bytes, block_bytes)
 
     def _update_index(self, slot_lo: int, slot_hi: int, resized: bool) -> None:
         """Repair the heap over slots ``[slot_lo, slot_hi)`` after the PMA
@@ -212,25 +207,55 @@ class COBTree:
         node_max = self._node_max
         lo, hi = self._first_leaf + slot_lo, self._first_leaf + slot_hi
         node_max[lo:hi] = self.pma.keys[slot_lo:slot_hi]
-        touched = [np.arange(lo, hi, dtype=np.int64)]
-        while lo > 0:
-            lo, hi = (lo - 1) >> 1, (((hi - 1) - 1) >> 1) + 1
-            node_max[lo:hi] = np.maximum(
-                node_max[2 * lo + 1 : 2 * hi : 2], node_max[2 * lo + 2 : 2 * hi + 1 : 2]
-            )
-            touched.append(np.arange(lo, hi, dtype=np.int64))
-        nodes = np.concatenate(touched)
-        nodes = nodes[nodes >= self._pinned_below]
-        if nodes.size == 0:
+        # The ancestor cone, level by level, is the heap-index range
+        # ``[a, b)`` halved until it reaches the root.  Maxima are recomputed
+        # with numpy while the range is wide and node by node once it is
+        # one or two nodes — and not at all above a level none of whose
+        # maxima moved, since nothing higher can move then (the usual case:
+        # a rebalance that leaves its window's largest key alone).
+        item = node_max.item
+        a, b = lo, hi
+        while a > 0:
+            a, b = (a - 1) >> 1, ((b - 2) >> 1) + 1
+            if b - a > 2:
+                node_max[a:b] = np.maximum(
+                    node_max[2 * a + 1 : 2 * b : 2], node_max[2 * a + 2 : 2 * b + 1 : 2]
+                )
+                continue
+            moved = False
+            for i in range(a, b):
+                largest = max(item(2 * i + 1), item(2 * i + 2))
+                if largest != item(i):
+                    node_max[i] = largest
+                    moved = True
+            if not moved:
+                break
+        # Every node of the cone is rewritten on the device, moved or not,
+        # so every unpinned one dirties its block; pinned levels are whole
+        # levels, so the walk stops at the first pinned one.
+        pinned_below = (1 << self._pinned_levels) - 1
+        if lo < pinned_below:
             return
-        blocks = np.unique(self._layout().position[nodes] // self._nodes_per_block)
-        # Coalesce adjacent dirty blocks into sequential writes.
-        runs = np.split(blocks, np.flatnonzero(np.diff(blocks) > 1) + 1)
-        for run in runs:
-            self.device.write(
-                self._index_offset + int(run[0]) * self.config.block_bytes,
-                run.size * self.config.block_bytes,
-            )
+        block_of = self._block_table()
+        dirty: set[int] = set()
+        while lo >= pinned_below:
+            dirty.update(block_of[lo:hi].tolist())
+            if lo == 0:
+                break
+            lo, hi = (lo - 1) >> 1, ((hi - 2) >> 1) + 1
+        # Coalesce adjacent dirty blocks into sequential writes; the -1
+        # sentinel (adjacent to no block) closes the last run.
+        block_bytes = self.config.block_bytes
+        blocks = sorted(dirty)
+        start = prev = blocks[0]
+        for blk in blocks[1:] + [-1]:
+            if blk != prev + 1:
+                self.device.write(
+                    self._index_offset + start * block_bytes,
+                    (prev - start + 1) * block_bytes,
+                )
+                start = blk
+            prev = blk
 
     # -- search --------------------------------------------------------------
 

@@ -38,8 +38,8 @@ from typing import Any, Iterator
 from repro.errors import ConfigurationError, TreeError
 from repro.storage.allocator import ExtentAllocator
 from repro.storage.device import BlockDevice
-from repro.trees.lsm.sstable import TOMBSTONE
-from repro.trees.sizing import EntryFormat
+from repro.trees.merge import TOMBSTONE, merge_runs
+from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
 
 
 @dataclass(frozen=True)
@@ -128,55 +128,36 @@ class COLA:
 
     def _push(self, key: int, value: Any) -> None:
         self.user_bytes_modified += self.config.fmt.entry_bytes
-        carry = _Level([key], [value])
+        levels = self.levels
+        # Binomial-counter carry: the new entry and every full level below
+        # the first empty one collapse into that slot.  The intermediate
+        # carries of the level-by-level formulation never reach the device,
+        # so the whole cascade is one k-way merge, newest run first; the
+        # result has <= 2^k logical entries (duplicates collapse, which is
+        # fine: a level only needs to be *at most* its capacity here).
+        runs: list[tuple[list[int], list[Any]]] = [([key], [value])]
         k = 0
-        while True:
-            if k == len(self.levels):
-                self.levels.append(None)
-            resident = self.levels[k]
-            if resident is None:
-                self.levels[k] = carry
-                self._write_level(carry, k)
-                return
-            # Merge the carry with the resident level; result has <= 2^(k+1)
-            # logical entries (duplicates collapse, which is fine: a level
-            # only needs to be *at most* its capacity in this variant).
-            self.levels[k] = None
-            carry = self._merge(resident, carry, k)
+        while k < len(levels) and levels[k] is not None:
+            resident = levels[k]
+            # Charge the read of the input (RAM-pinned levels were never written).
+            if resident.offset >= 0:
+                self.device.read(resident.offset, resident.nbytes)
+                self._free_level(resident)
+            runs.append((resident.keys, resident.values))
+            levels[k] = None
             k += 1
+        if k == len(levels):
+            levels.append(None)
+        carry = self._merge(runs, k) if k else _Level(*runs[0])
+        levels[k] = carry
+        self._write_level(carry, k)
 
-    def _merge(self, older: _Level, newer: _Level, k: int) -> _Level:
-        """Sequentially merge two level-``k`` runs; newer wins per key."""
-        self.merges += 1
-        # Charge reads of both inputs (level 0 carries were never written).
-        for lvl in (older, newer):
-            if lvl.offset >= 0:
-                self.device.read(lvl.offset, lvl.nbytes)
-                self._free_level(lvl)
-        drop_tombstones = all(
-            self.levels[j] is None for j in range(k + 1, len(self.levels))
-        )
-        keys: list[int] = []
-        values: list[Any] = []
-        i = j = 0
-        ok, ov = older.keys, older.values
-        nk, nv = newer.keys, newer.values
-        while i < len(ok) or j < len(nk):
-            if j >= len(nk) or (i < len(ok) and ok[i] < nk[j]):
-                key, val = ok[i], ov[i]
-                i += 1
-            elif i >= len(ok) or nk[j] < ok[i]:
-                key, val = nk[j], nv[j]
-                j += 1
-            else:  # equal keys: newer shadows older
-                key, val = nk[j], nv[j]
-                i += 1
-                j += 1
-            if drop_tombstones and val is TOMBSTONE:
-                continue
-            keys.append(key)
-            values.append(val)
-        return _Level(keys, values)
+    def _merge(self, runs: list[tuple[list[int], list[Any]]], k: int) -> _Level:
+        """Merge a carry cascade (newest run first) into the run for level ``k``."""
+        self.merges += k
+        # Tombstones die when the result becomes the largest level.
+        drop_tombstones = all(lvl is None for lvl in self.levels[k + 1 :])
+        return _Level(*merge_runs(runs, drop_tombstones=drop_tombstones))
 
     def _level_bytes(self, level: _Level) -> int:
         return self.config.fmt.node_header_bytes + len(level.keys) * self.config.fmt.entry_bytes
@@ -294,8 +275,7 @@ class COLA:
 
     def items(self) -> Iterator[tuple[int, Any]]:
         """All pairs in key order."""
-        lo, hi = -(1 << 62), 1 << 62
-        yield from self.range(lo, hi)
+        yield from self.range(KEY_MIN, KEY_MAX)
 
     def __len__(self) -> int:
         return len(list(self.items()))

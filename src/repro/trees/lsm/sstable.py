@@ -1,7 +1,8 @@
 """Immutable sorted string tables (SSTables).
 
 An SSTable is a sorted, immutable run of key-value pairs (with tombstones
-encoded as a sentinel).  Its byte footprint is priced with the shared
+encoded as the :data:`repro.trees.merge.TOMBSTONE` sentinel).  Its byte
+footprint is priced with the shared
 :class:`~repro.trees.sizing.EntryFormat`; point lookups charge one
 *data-block* read (the per-table index is assumed memory-resident, as in
 LevelDB).
@@ -10,13 +11,12 @@ LevelDB).
 from __future__ import annotations
 
 import bisect
+from itertools import islice
+from operator import lt
 from typing import Any
 
 from repro.errors import TreeError
 from repro.trees.sizing import EntryFormat
-
-#: Sentinel value marking a deletion (tombstone) inside a run.
-TOMBSTONE = object()
 
 
 class SSTable:
@@ -29,9 +29,8 @@ class SSTable:
             raise TreeError("an SSTable cannot be empty")
         if len(keys) != len(values):
             raise TreeError("keys/values length mismatch")
-        for a, b in zip(keys, keys[1:]):
-            if a >= b:
-                raise TreeError("SSTable keys must be strictly increasing")
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            raise TreeError("SSTable keys must be strictly increasing")
         self.table_id = table_id
         self.keys = keys
         self.values = values
@@ -60,7 +59,7 @@ class SSTable:
         return not (hi < self.min_key or lo > self.max_key)
 
     def lookup(self, key: int) -> tuple[Any, bool]:
-        """``(value, found)`` — value may be the TOMBSTONE sentinel."""
+        """``(value, found)`` — value may be :data:`~repro.trees.merge.TOMBSTONE`."""
         i = bisect.bisect_left(self.keys, key)
         if i < len(self.keys) and self.keys[i] == key:
             return self.values[i], True

@@ -21,15 +21,15 @@ IO pricing:
 from __future__ import annotations
 
 import bisect
-import heapq
 from dataclasses import dataclass
 from typing import Any, Iterator
 
 from repro.errors import ConfigurationError, TreeError
 from repro.storage.device import BlockDevice
 from repro.storage.allocator import ExtentAllocator
-from repro.trees.lsm.sstable import SSTable, TOMBSTONE
-from repro.trees.sizing import EntryFormat
+from repro.trees.lsm.sstable import SSTable
+from repro.trees.merge import TOMBSTONE, merge_runs
+from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,10 @@ class LSMTree:
         self.allocator = allocator or ExtentAllocator(device.capacity_bytes, alignment=512)
         self.memtable: dict[int, Any] = {}
         self.levels: list[list[SSTable]] = [[]]   # levels[0] newest-first
+        #: ``_fences[i]`` lists the ``min_key`` of every run of level ``i >= 1``
+        #: in run order (``get`` bisects it; index 0 is unused, L0 runs
+        #: overlap).  ``_compact`` is the only place a deeper level changes.
+        self._fences: list[list[int]] = [[]]
         self._next_table_id = 0
         self.user_bytes_modified = 0
         self.compactions = 0
@@ -120,19 +124,21 @@ class LSMTree:
         """Write the memtable as L0 run(s) and trigger compactions."""
         if not self.memtable:
             return
-        pairs = sorted(self.memtable.items())
+        memtable = self.memtable
+        keys = sorted(memtable)
+        values = list(map(memtable.__getitem__, keys))
         self.memtable = {}
-        for run in self._cut_runs(pairs):
+        for run in self._cut_runs(keys, values):
             self.levels[0].insert(0, run)  # newest first
             self._write_table(run)
         self._compact_as_needed()
 
-    def _cut_runs(self, pairs: list[tuple[int, Any]]) -> list[SSTable]:
+    def _cut_runs(self, keys: list[int], values: list[Any]) -> list[SSTable]:
         per = self.config.entries_per_sstable
         runs = []
-        for start in range(0, len(pairs), per):
-            chunk = pairs[start : start + per]
-            t = SSTable(self._next_table_id, [k for k, _ in chunk], [v for _, v in chunk])
+        for start in range(0, len(keys), per):
+            end = start + per
+            t = SSTable(self._next_table_id, keys[start:end], values[start:end])
             self._next_table_id += 1
             runs.append(t)
         return runs
@@ -171,6 +177,7 @@ class LSMTree:
         self.compactions += 1
         while len(self.levels) <= level + 1:
             self.levels.append([])
+            self._fences.append([])
         if level == 0:
             sources = list(self.levels[0])
             self.levels[0] = []
@@ -186,49 +193,27 @@ class LSMTree:
             self.levels[level + 1].remove(t)
 
         # Charge reads of every input run.
-        for t in sources + below:
+        inputs = sources + below  # newest first: L0 order, then the level below
+        for t in inputs:
             self.device.read(t.offset, t.nbytes)
 
         # Tombstones can be dropped when the output lands in the deepest
         # level: runs there are key-disjoint, so every older version of any
-        # merged key was necessarily in `sources + below`.
-        merged = self._merge_runs(
-            sources, below, drop_tombstones=(level + 1 == len(self.levels) - 1)
+        # merged key was necessarily in `inputs`.
+        keys, values = merge_runs(
+            [(t.keys, t.values) for t in inputs],
+            drop_tombstones=(level + 1 == len(self.levels) - 1),
         )
-        for t in sources + below:
+        for t in inputs:
             self._drop_table(t)
-        out_runs = self._cut_runs(merged)
+        out_runs = self._cut_runs(keys, values)
         for run in out_runs:
             self._write_table(run)
         # Deeper levels hold key-disjoint runs in key order.
         self.levels[level + 1].extend(out_runs)
         self.levels[level + 1].sort(key=lambda t: t.min_key)
-
-    def _merge_runs(
-        self, newer: list[SSTable], older: list[SSTable], *, drop_tombstones: bool
-    ) -> list[tuple[int, Any]]:
-        """K-way merge; newer runs shadow older ones per key."""
-        # Precedence: position in `newer` (earlier = newer), then `older`.
-        streams: list[tuple[int, SSTable]] = [(i, t) for i, t in enumerate(newer)]
-        streams += [(len(newer) + i, t) for i, t in enumerate(older)]
-        heap: list[tuple[int, int, int]] = []  # (key, precedence, stream_idx)
-        pos = [0] * len(streams)
-        for si, (prec, t) in enumerate(streams):
-            heapq.heappush(heap, (t.keys[0], prec, si))
-        out: list[tuple[int, Any]] = []
-        while heap:
-            key, prec, si = heapq.heappop(heap)
-            _, t = streams[si]
-            value = t.values[pos[si]]
-            pos[si] += 1
-            if pos[si] < len(t.keys):
-                heapq.heappush(heap, (t.keys[pos[si]], streams[si][0], si))
-            if out and out[-1][0] == key:
-                continue  # a higher-precedence stream already emitted this key
-            out.append((key, value))
-        if drop_tombstones:
-            out = [(k, v) for k, v in out if v is not TOMBSTONE]
-        return out
+        for lvl in range(max(1, level), level + 2):
+            self._fences[lvl] = [t.min_key for t in self.levels[lvl]]
 
     # -- read path ------------------------------------------------------------------
 
@@ -255,7 +240,7 @@ class LSMTree:
                     return None if v is TOMBSTONE else v
         for lvl in range(1, len(self.levels)):
             runs = self.levels[lvl]
-            idx = bisect.bisect_right([t.min_key for t in runs], key) - 1
+            idx = bisect.bisect_right(self._fences[lvl], key) - 1
             if 0 <= idx < len(runs) and runs[idx].overlaps(key, key):
                 v, found = self._probe(runs[idx], key)
                 if found:
@@ -303,8 +288,7 @@ class LSMTree:
 
     def items(self) -> Iterator[tuple[int, Any]]:
         """All pairs in key order."""
-        lo, hi = -(1 << 62), 1 << 62
-        yield from self.range(lo, hi)
+        yield from self.range(KEY_MIN, KEY_MAX)
 
     def __len__(self) -> int:
         return len(list(self.items()))
@@ -322,6 +306,8 @@ class LSMTree:
                         f"[{b.min_key},{b.max_key}]"
                     )
         for lvl, runs in enumerate(self.levels):
+            if lvl and self._fences[lvl] != [t.min_key for t in runs]:
+                raise TreeError(f"level {lvl} fence keys are stale")
             for t in runs:
                 if t.offset < 0 or t.nbytes <= 0:
                     raise TreeError(f"run {t.table_id} in level {lvl} was never written")

@@ -20,6 +20,12 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
+#: The key domain every dictionary shares: any int64 except the minimum,
+#: which the packed-memory array reserves as its blank-slot sentinel.
+#: ``items()`` of every tree scans exactly ``[KEY_MIN, KEY_MAX]``.
+KEY_MIN = -(1 << 63) + 1
+KEY_MAX = (1 << 63) - 1
+
 
 @dataclass(frozen=True)
 class EntryFormat:

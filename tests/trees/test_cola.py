@@ -121,7 +121,7 @@ class TestCRUD:
             cola.delete(k)
         for k in range(1000, 1000 + 512):  # force full-depth merges
             cola.insert(k, k)
-        from repro.trees.lsm.sstable import TOMBSTONE
+        from repro.trees.merge import TOMBSTONE
 
         live = [
             v for lvl in cola.levels if lvl is not None for v in lvl.values

@@ -6,7 +6,8 @@ import pytest
 from repro.errors import ConfigurationError, TreeError
 from repro.storage.ram import NullDevice
 from repro.trees.lsm import LSMConfig, LSMTree
-from repro.trees.lsm.sstable import SSTable, TOMBSTONE
+from repro.trees.lsm.sstable import SSTable
+from repro.trees.merge import TOMBSTONE
 from repro.trees.sizing import EntryFormat
 
 
@@ -143,6 +144,26 @@ class TestCompaction:
             tree.insert(k, k * 2)
             ref[k] = k * 2
         assert dict(tree.items()) == ref
+
+    def test_fence_keys_follow_every_compaction(self):
+        # get() bisects a per-level fence list that only _compact refreshes:
+        # it must equal the runs' min keys after every single compaction,
+        # including the level a victim run was taken out of.
+        tree, _ = make(l0_trigger=2, level1_bytes=2 << 13, growth_factor=2)
+        ref = {}
+        seen = 0
+        rng = np.random.default_rng(4)
+        for k in rng.integers(0, 10**6, size=12_000):
+            k = int(k)
+            tree.insert(k, k + 1)
+            ref[k] = k + 1
+            if tree.compactions != seen:
+                seen = tree.compactions
+                tree.check_invariants()
+        assert len(tree.levels) >= 4
+        assert tree._fences[1:] == [[t.min_key for t in lvl] for lvl in tree.levels[1:]]
+        assert all(tree.get(k) == v for k, v in list(ref.items())[::7])
+        assert tree.get(-1) is None and tree.get(10**6 + 1) is None
 
     def test_tombstones_dropped_at_last_level(self):
         tree, _ = make(l0_trigger=2)
