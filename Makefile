@@ -39,7 +39,7 @@ serve-quick:
 
 # The cache-oblivious tier: its tests, its lint, and the E20 quick sweep.
 cob:
-	PYTHONPATH=src python -m pytest tests/trees/test_cob.py tests/trees/test_cob_accounting.py tests/trees/test_veb.py tests/trees/test_put_many.py -q
+	PYTHONPATH=src python -m pytest tests/trees/test_cob.py tests/trees/test_cob_accounting.py tests/trees/test_veb.py tests/trees/test_conformance.py tests/trees/test_put_many.py -q
 	PYTHONPATH=src python -m repro.lint src/repro/trees/cob
 	PYTHONPATH=src python -m repro.experiments cob --quick --no-cache
 

@@ -10,13 +10,12 @@ figure of the evaluation (:mod:`repro.experiments`).
 Quick start::
 
     from repro.experiments.devices import default_hdd
-    from repro.storage.stack import StorageStack
-    from repro.trees import OptimizedBeTree, BeTreeConfig
+    from repro.trees import build
 
-    storage = StorageStack(default_hdd(), cache_bytes=16 << 20)
-    tree = OptimizedBeTree(storage, BeTreeConfig(node_bytes=1 << 20, fanout=16))
+    tree = build("betree", default_hdd(), node_bytes=1 << 20, cache_bytes=16 << 20)
     tree.insert(1, "hello")
-    print(storage.io_seconds)   # simulated device time — the metric
+    tree.settle()
+    print(tree.io_seconds)   # simulated device time — the metric
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for
 paper-vs-measured results.

@@ -47,8 +47,7 @@ def measure_tree_ops(
 ) -> OpTimes:
     """Measure per-op simulated time for random queries then random inserts.
 
-    ``tree`` must expose ``get``/``insert`` and a ``storage`` stack (both
-    :class:`~repro.trees.btree.tree.BTree` and Bε variants do).
+    ``tree`` is any loaded :class:`~repro.trees.api.KVTree`.
 
     Every phase derives its stream from ``seed`` with a fixed offset
     (warm-up: ``seed+1``, queries: ``seed+2``, inserts: ``seed+3``), so the
@@ -60,31 +59,25 @@ def measure_tree_ops(
         raise ConfigurationError("need positive op counts")
     if warmup_queries < 0:
         raise ConfigurationError("warmup_queries must be non-negative")
-    storage = tree.storage
-    storage.drop_cache()
+    tree.drop_cache()
 
     for key in point_query_stream(loaded_keys, warmup_queries, seed=seed + 1):
         tree.get(key)
     # Hit rates reported after this call should describe the measured ops,
     # not the warm-up traffic that primed the cache.
-    storage.cache.stats.reset()
+    tree.reset_cache_stats()
 
-    t0 = storage.io_seconds
+    t0 = tree.io_seconds
     for key in point_query_stream(loaded_keys, n_queries, seed=seed + 2):
         tree.get(key)
-    query_per_op = (storage.io_seconds - t0) / n_queries
+    query_per_op = (tree.io_seconds - t0) / n_queries
 
-    t0 = storage.io_seconds
-    put_many = getattr(tree, "put_many", None)
-    if put_many is not None:
-        # Batched entry point: accounting-identical to the serial loop
-        # (see the trees' put_many contracts), minus per-call overhead.
-        put_many(insert_stream(universe, n_inserts, seed=seed + 3))
-    else:
-        for key, value in insert_stream(universe, n_inserts, seed=seed + 3):
-            tree.insert(key, value)
-    storage.flush()
-    insert_per_op = (storage.io_seconds - t0) / n_inserts
+    t0 = tree.io_seconds
+    # Batched entry point: accounting-identical to the serial loop (the
+    # trees' put_many contract), minus per-call overhead.
+    tree.put_many(insert_stream(universe, n_inserts, seed=seed + 3))
+    tree.settle()
+    insert_per_op = (tree.io_seconds - t0) / n_inserts
 
     return OpTimes(
         query_seconds_per_op=query_per_op,

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from repro.experiments import report
 from repro.experiments.common import build_load
 from repro.experiments.devices import default_hdd
-from repro.storage.stack import StorageStack
-from repro.trees.btree import BTree, BTreeConfig
+from repro.trees import KVTree, build
+from repro.trees.sizing import EntryFormat
 from repro.workloads.generators import range_query_stream
 
 DEFAULT_NODE_SIZES = (16 << 10, 64 << 10, 256 << 10, 1 << 20)
@@ -69,13 +69,13 @@ class AgingResult:
         )
 
 
-def _scan_bandwidth(tree: BTree, stack: StorageStack, keys, span, n_scans, seed) -> float:
-    stack.drop_cache()
-    t0 = stack.io_seconds
+def _scan_bandwidth(tree: KVTree, keys, span, n_scans, seed) -> float:
+    tree.drop_cache()
+    t0 = tree.io_seconds
     rows = 0
     for lo, hi in range_query_stream(keys, n_scans, span_keys=span, seed=seed):
         rows += len(tree.range(lo, hi))
-    elapsed = stack.io_seconds - t0
+    elapsed = tree.io_seconds - t0
     return rows * tree.config.fmt.entry_bytes / 2**20 / elapsed
 
 
@@ -98,18 +98,18 @@ def run(
     # nearly track-to-track plus half a rotation.
     s_local = geometry.track_to_track_seek_seconds + geometry.rotation_seconds / 2
     t = geometry.seconds_per_byte
-    fmt = BTreeConfig().fmt
+    fmt = EntryFormat()
     span_bytes = span_keys * fmt.entry_bytes
     for node_bytes in node_sizes:
         for policy, out in (("first_fit", result.fresh_mibps), ("random", result.aged_mibps)):
             device = default_hdd(seed=seed + 1)
-            stack = StorageStack(
-                device, cache_bytes, allocator_policy=policy, allocator_seed=13
+            tree = build(
+                "btree", device, node_bytes=node_bytes, cache_bytes=cache_bytes,
+                placement=policy, placement_seed=13,
             )
-            tree = BTree(stack, BTreeConfig(node_bytes=node_bytes))
-            tree.bulk_load(pairs)
-            stack.flush()
-            out.append(_scan_bandwidth(tree, stack, keys, span_keys, n_scans, seed + 2))
+            tree.load(pairs)
+            tree.settle()
+            out.append(_scan_bandwidth(tree, keys, span_keys, n_scans, seed + 2))
         # Expected leaves touched: span over ~90%-full nodes, plus one for
         # boundary straddle.
         n_nodes = span_bytes / (0.9 * node_bytes) + 1.0

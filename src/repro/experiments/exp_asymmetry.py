@@ -19,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments import report
-from repro.experiments.common import build_load
+from repro.experiments.common import build_load, measure_tree_ops
 from repro.models.affine import AffineModel
 from repro.models.analysis import optimal_fanout_asymmetric
 from repro.storage.ideal import AffineDevice
-from repro.storage.stack import StorageStack
-from repro.trees.betree import BeTreeConfig, OptimizedBeTree
-from repro.workloads.generators import insert_stream, point_query_stream
+from repro.trees import build
+from repro.trees.sizing import EntryFormat
+from repro.workloads.generators import insert_stream
 
 DEFAULT_MULTIPLIERS = (1.0, 2.0, 5.0, 10.0)
 DEFAULT_FANOUTS = (2, 4, 8, 16, 32, 64)
@@ -87,7 +87,7 @@ def run(
         fanouts=tuple(fanouts),
         node_bytes=node_bytes,
     )
-    fmt = BeTreeConfig().fmt
+    fmt = EntryFormat()
     alpha_entry = alpha_per_byte * fmt.entry_bytes
     b_entries = fmt.leaf_capacity(node_bytes)
     m_entries = cache_bytes // fmt.entry_bytes
@@ -106,25 +106,24 @@ def run(
                 capacity_bytes=1 << 31,
                 write_multiplier=w,
             )
-            storage = StorageStack(device, cache_bytes)
-            config = BeTreeConfig(node_bytes=node_bytes, fanout=fanout)
-            tree = OptimizedBeTree(storage, config)
-            tree.bulk_load(pairs)
+            tree = build(
+                "betree", device, node_bytes=node_bytes, cache_bytes=cache_bytes,
+                fanout=fanout,
+            )
+            tree.load(pairs)
+            config = tree.config
             buffer_msgs = max(1, config.buffer_budget_bytes // config.fmt.message_bytes)
-            for k, v in insert_stream(universe, buffer_msgs, seed=seed + 7):
-                tree.insert(k, v)
-            storage.drop_cache()
-            n_inserts = min(30_000, max(3000, 2 * buffer_msgs))
-            t0 = storage.io_seconds
-            for k in point_query_stream(keys, n_queries, seed=seed + 2):
-                tree.get(k)
-            q = (storage.io_seconds - t0) / n_queries
-            t0 = storage.io_seconds
-            for k, v in insert_stream(universe, n_inserts, seed=seed + 3):
-                tree.insert(k, v)
-            storage.flush()
-            i = (storage.io_seconds - t0) / n_inserts
-            costs[fanout] = (0.5 * q + 0.5 * i) * 1e3
+            tree.put_many(insert_stream(universe, buffer_msgs, seed=seed + 7))
+            times = measure_tree_ops(
+                tree, keys, universe,
+                n_queries=n_queries,
+                n_inserts=min(30_000, max(3000, 2 * buffer_msgs)),
+                warmup_queries=0,
+                seed=seed,
+            )
+            costs[fanout] = (
+                0.5 * times.query_seconds_per_op + 0.5 * times.insert_seconds_per_op
+            ) * 1e3
         result.measured_cost_ms.append(costs)
         result.measured_best_fanout.append(min(costs, key=costs.__getitem__))
     return result

@@ -41,8 +41,7 @@ from repro.experiments.common import build_load, measure_tree_ops
 from repro.experiments.devices import tuning_zoo
 from repro.models.analysis import btree_op_cost
 from repro.runner import ResultCache, SweepPoint, SweepSpec, run_sweep
-from repro.storage.stack import StorageStack
-from repro.trees.btree import BTree, BTreeConfig
+from repro.trees import build
 from repro.trees.sizing import EntryFormat
 from repro.tuning import AutoTuner, DeviceProfile
 
@@ -141,9 +140,8 @@ class AutotuneResult:
 def _measure_query_ms(device, node_bytes, pairs, keys, universe, *,
                       cache_bytes, n_queries, warmup_queries, seed):
     """Bulk-load a fresh B-tree at ``node_bytes`` and time warm queries."""
-    storage = StorageStack(device, cache_bytes)
-    tree = BTree(storage, BTreeConfig(node_bytes=node_bytes))
-    tree.bulk_load(pairs)
+    tree = build("btree", device, node_bytes=node_bytes, cache_bytes=cache_bytes)
+    tree.load(pairs)
     times = measure_tree_ops(
         tree, keys, universe, n_queries=n_queries, n_inserts=1,
         warmup_queries=warmup_queries, seed=seed,
@@ -240,9 +238,8 @@ def measure_device(
     outcome = tuner.apply(
         bad_tree,
         rec,
-        lambda: BTree(
-            StorageStack(device, cache_bytes),
-            BTreeConfig(node_bytes=rec.node_bytes),
+        lambda: build(
+            "btree", device, node_bytes=rec.node_bytes, cache_bytes=cache_bytes
         ),
         current_node_bytes=start_bytes,
         current_per_op_seconds=start_ms / 1e3,

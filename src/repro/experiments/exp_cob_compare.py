@@ -102,24 +102,18 @@ def measure_point(
 
     device = make_model_device(model, parallelism=parallelism)
     pairs, keys = build_load(n_entries, universe, seed=seed)
-    instance, settle = _build_and_load(tree, device, node_bytes, cache_bytes, pairs, seed)
+    instance = _build_and_load(tree, device, node_bytes, cache_bytes, pairs, seed)
 
     for key in point_query_stream(keys, warmup_queries, seed=seed + 1):
         instance.get(key)
 
     t0 = device.clock
-    query_keys = list(point_query_stream(keys, n_queries, seed=seed + 2))
-    get_many = getattr(instance, "get_many", None)
-    if get_many is not None:
-        get_many(query_keys)  # accounting-identical to the loop (contract)
-    else:
-        for key in query_keys:
-            instance.get(key)
+    instance.lookup_many(list(point_query_stream(keys, n_queries, seed=seed + 2)))
     query_per_op = (device.clock - t0) / n_queries
 
     t0 = device.clock
     instance.put_many(insert_stream(universe, n_inserts, seed=seed + 3))
-    settle()
+    instance.settle()  # deferred write-backs belong to the insert phase
     insert_per_op = (device.clock - t0) / n_inserts
 
     return {
@@ -129,57 +123,30 @@ def measure_point(
 
 
 def _build_and_load(tree, device, node_bytes, cache_bytes, pairs, seed):
-    """Build + load one tree; return (instance, settle) where ``settle``
-    charges whatever the tree defers (cache write-backs) inside the
-    measured insert phase."""
+    """Build one tree of kind ``tree``, load it and start it cold."""
+    from repro.trees import build
     from repro.trees.sizing import EntryFormat
 
-    fmt = EntryFormat(value_bytes=20)
-    if tree in ("btree", "betree"):
-        from repro.storage.stack import StorageStack
-
-        storage = StorageStack(device, cache_bytes)
-        if tree == "btree":
-            from repro.trees.btree import BTree, BTreeConfig
-
-            instance = BTree(storage, BTreeConfig(node_bytes=node_bytes, fmt=fmt))
-        else:
-            from repro.trees.betree import BeTreeConfig, OptimizedBeTree
-
-            instance = OptimizedBeTree(
-                storage, BeTreeConfig(node_bytes=node_bytes, fanout=16, fmt=fmt)
-            )
-        instance.bulk_load(pairs)
-        storage.drop_cache()
-        return instance, storage.flush
-    if tree == "cola":
-        from repro.trees.cola import COLA, COLAConfig
-
-        instance = COLA(
-            device,
-            COLAConfig(fmt=fmt, block_bytes=node_bytes, ram_bytes=cache_bytes),
-        )
-        instance.put_many(pairs)  # the COLA loads through its merge path
-        return instance, lambda: None
-    if tree in ("cob", "cob-buffered"):
-        from repro.trees.cob import BufferedCOBTree, COBConfig, COBTree
+    instance = build(
+        tree,
+        device,
+        node_bytes=node_bytes,
+        cache_bytes=cache_bytes,
+        fmt=EntryFormat(value_bytes=20),
+    )
+    instance.load(pairs)
+    instance.drop_cache()
+    if tree == "cob-buffered":
+        # Reach buffer steady state before measuring, the exact
+        # analogue of the Bε-tree kernel's root-buffer prefill.
         from repro.workloads.generators import insert_stream
 
-        config = COBConfig(fmt=fmt, block_bytes=node_bytes, ram_bytes=cache_bytes)
-        cls = COBTree if tree == "cob" else BufferedCOBTree
-        instance = cls(device, config)
-        instance.bulk_load(pairs)
-        if tree == "cob-buffered":
-            # Reach buffer steady state before measuring, the exact
-            # analogue of the Bε-tree kernel's root-buffer prefill.
-            capacity = (
-                config.fanout * config.buffer_bytes // config.fmt.message_bytes
-            )
-            prefill = min(len(pairs), capacity // 2)
-            universe = max(k for k, _ in pairs) + 1 if pairs else 1 << 20
-            instance.put_many(insert_stream(universe, prefill, seed=seed + 7))
-        return instance, lambda: None
-    raise ConfigurationError(f"unknown tree {tree!r}")
+        config = instance.config
+        capacity = config.fanout * config.buffer_bytes // config.fmt.message_bytes
+        prefill = min(len(pairs), capacity // 2)
+        universe = max(k for k, _ in pairs) + 1 if pairs else 1 << 20
+        instance.put_many(insert_stream(universe, prefill, seed=seed + 7))
+    return instance
 
 
 @dataclass

@@ -21,14 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments import report
-from repro.experiments.common import build_load
+from repro.experiments.common import build_load, measure_tree_ops
 from repro.experiments.devices import default_hdd
-from repro.storage.stack import StorageStack
-from repro.trees.betree import BeTreeConfig, OptimizedBeTree
-from repro.trees.btree import BTree, BTreeConfig
-from repro.trees.cola import COLA, COLAConfig
-from repro.trees.lsm import LSMConfig, LSMTree
-from repro.workloads.generators import insert_stream, point_query_stream
+from repro.trees import build
+from repro.workloads.generators import insert_stream
 
 
 @dataclass
@@ -72,20 +68,14 @@ class EpsilonTradeoffResult:
         return [p for p in self.points if p.label.startswith("betree")]
 
 
-def _measure(tree, storage, keys, universe, n_queries, n_inserts, seed):
-    storage.drop_cache()
-    for k in point_query_stream(keys, 100, seed=seed + 1):
-        tree.get(k)
-    t0 = storage.io_seconds
-    for k in point_query_stream(keys, n_queries, seed=seed + 2):
-        tree.get(k)
-    query = (storage.io_seconds - t0) / n_queries
-    t0 = storage.io_seconds
-    for k, v in insert_stream(universe, n_inserts, seed=seed + 3):
-        tree.insert(k, v)
-    storage.flush()
-    insert = (storage.io_seconds - t0) / n_inserts
-    return insert * 1e3, query * 1e3
+def _point(label, tree, keys, universe, n_queries, n_inserts, seed, *, warmup=100):
+    times = measure_tree_ops(
+        tree, keys, universe,
+        n_queries=n_queries, n_inserts=n_inserts, warmup_queries=warmup, seed=seed,
+    )
+    return TradeoffPoint(
+        label, times.insert_seconds_per_op * 1e3, times.query_seconds_per_op * 1e3
+    )
 
 
 def run(
@@ -105,58 +95,36 @@ def run(
     )
 
     for fanout in fanouts:
-        device = default_hdd(seed=seed)
-        storage = StorageStack(device, cache_bytes)
-        config = BeTreeConfig(node_bytes=node_bytes, fanout=fanout)
-        tree = OptimizedBeTree(storage, config)
-        tree.bulk_load(pairs)
+        tree = build(
+            "betree",
+            default_hdd(seed=seed),
+            node_bytes=node_bytes,
+            cache_bytes=cache_bytes,
+            fanout=fanout,
+        )
+        tree.load(pairs)
+        config = tree.config
         buffer_msgs = max(1, config.buffer_budget_bytes // config.fmt.message_bytes)
-        for k, v in insert_stream(universe, buffer_msgs, seed=seed + 7):
-            tree.insert(k, v)
+        tree.put_many(insert_stream(universe, buffer_msgs, seed=seed + 7))
         n_inserts = min(40_000, max(4000, 3 * buffer_msgs))
-        ins, qry = _measure(tree, storage, keys, universe, n_queries, n_inserts, seed)
-        result.points.append(TradeoffPoint(f"betree F={fanout}", ins, qry))
+        result.points.append(
+            _point(f"betree F={fanout}", tree, keys, universe, n_queries, n_inserts, seed)
+        )
 
-    # B-tree reference (ε = 1 endpoint, at its own favourable node size).
-    device = default_hdd(seed=seed)
-    storage = StorageStack(device, cache_bytes)
-    btree = BTree(storage, BTreeConfig(node_bytes=64 << 10))
-    btree.bulk_load(pairs)
-    ins, qry = _measure(btree, storage, keys, universe, n_queries, 1000, seed)
-    result.points.append(TradeoffPoint("btree 64KiB", ins, qry))
-
-    # LSM reference.
-    device = default_hdd(seed=seed)
-    lsm = LSMTree(device, LSMConfig(l0_trigger=2))
-    for k, v in pairs:
-        lsm.insert(k, v)
-    lsm.flush_memtable()
-    t0 = device.stats.busy_seconds
-    for k in point_query_stream(keys, n_queries, seed=seed + 2):
-        lsm.get(k)
-    lsm_q = (device.stats.busy_seconds - t0) * 1e3 / n_queries
-    n_ins = 40_000
-    t0 = device.stats.busy_seconds
-    for k, v in insert_stream(universe, n_ins, seed=seed + 3):
-        lsm.insert(k, v)
-    lsm.flush_memtable()
-    lsm_i = (device.stats.busy_seconds - t0) * 1e3 / n_ins
-    result.points.append(TradeoffPoint("lsm 2MiB", lsm_i, lsm_q))
-
-    # COLA reference (no node-size knob at all).
-    device = default_hdd(seed=seed)
-    cola = COLA(device, COLAConfig(ram_bytes=cache_bytes))
-    for k, v in pairs:
-        cola.insert(k, v)
-    t0 = device.stats.busy_seconds
-    for k in point_query_stream(keys, n_queries, seed=seed + 2):
-        cola.get(k)
-    cola_q = (device.stats.busy_seconds - t0) * 1e3 / n_queries
-    t0 = device.stats.busy_seconds
-    for k, v in insert_stream(universe, n_ins, seed=seed + 3):
-        cola.insert(k, v)
-    cola_i = (device.stats.busy_seconds - t0) * 1e3 / n_ins
-    result.points.append(TradeoffPoint("cola", cola_i, cola_q))
+    # The references: the ε = 1 endpoint (a B-tree at its own favourable
+    # node size), an LSM at its 2 MiB defaults, and the COLA, which has no
+    # node-size knob at all.  The two device-backed ones have no cache to
+    # re-warm (warm-up reads would only move the disk head).
+    for label, kind, fields, n_inserts, warmup in (
+        ("btree 64KiB", "btree", dict(node_bytes=64 << 10), 1000, 100),
+        ("lsm 2MiB", "lsm", dict(l0_trigger=2), 40_000, 0),
+        ("cola", "cola", {}, 40_000, 0),
+    ):
+        tree = build(kind, default_hdd(seed=seed), cache_bytes=cache_bytes, **fields)
+        tree.load(pairs)
+        result.points.append(
+            _point(label, tree, keys, universe, n_queries, n_inserts, seed, warmup=warmup)
+        )
 
     return result
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.experiments import report
 from repro.experiments.devices import default_hdd
-from repro.trees.lsm import LSMConfig, LSMTree
+from repro.trees import build
 from repro.workloads.generators import insert_stream, point_query_stream, random_load_pairs
 
 DEFAULT_SSTABLE_SIZES = (256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20)
@@ -78,21 +78,21 @@ def run(
     result = LSMNodeSizeResult(sstable_sizes=tuple(sstable_sizes), n_loaded=n_loaded)
     for sstable_bytes in sstable_sizes:
         device = default_hdd(seed=seed)
-        config = LSMConfig(
+        tree = build(
+            "lsm",
+            device,
             sstable_bytes=sstable_bytes,
             memtable_bytes=sstable_bytes,
             level1_bytes=max(4 * sstable_bytes, 8 << 20),
             l0_trigger=2,
         )
+        config = tree.config
         n_inserts = min(
             max_inserts,
             max(min_inserts, int(2.5 * config.l0_trigger * config.entries_per_sstable)),
         )
         result.n_inserts.append(n_inserts)
-        tree = LSMTree(device, config)
-        for k, v in pairs:
-            tree.insert(k, v)
-        tree.flush_memtable()
+        tree.load(pairs)
 
         t0 = device.stats.busy_seconds
         for key in point_query_stream(keys, n_queries, seed=seed + 2):
@@ -102,7 +102,7 @@ def run(
         base = device.stats.snapshot()
         for key, value in insert_stream(universe, n_inserts, seed=seed + 3):
             tree.insert(key, value)
-        tree.flush_memtable()
+        tree.settle()
         delta = device.stats.delta(base)
         result.insert_ms.append(delta.busy_seconds * 1e3 / n_inserts)
         result.write_amp.append(

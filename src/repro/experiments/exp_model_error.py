@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 from repro.experiments import report
 from repro.experiments.common import build_load
 from repro.experiments.devices import default_hdd
-from repro.storage.stack import StorageStack
-from repro.trees.btree import BTree, BTreeConfig
+from repro.trees import build
 from repro.workloads.generators import point_query_stream
 
 DEFAULT_NODE_SIZES = (4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20)
@@ -114,18 +113,20 @@ def run(
         # workload's seek-distance distribution matches the one the model
         # parameter ``s`` (mean full-range setup) describes.  A fresh
         # short-stroked tree would need a locally-fitted ``s`` instead.
-        stack = StorageStack(device, cache_bytes, allocator_policy="random")
-        tree = BTree(stack, BTreeConfig(node_bytes=node_bytes))
-        tree.bulk_load(pairs)
-        stack.drop_cache()
+        tree = build(
+            "btree", device, node_bytes=node_bytes, cache_bytes=cache_bytes,
+            placement="random",
+        )
+        tree.load(pairs)
+        tree.drop_cache()
         for k in point_query_stream(keys, 150, seed=seed + 2):  # warm internals
             tree.get(k)
         io0 = device.stats.ios
-        t0 = stack.io_seconds
+        t0 = tree.io_seconds
         for k in point_query_stream(keys, n_queries, seed=seed + 3):
             tree.get(k)
         ios = device.stats.ios - io0
-        measured = (stack.io_seconds - t0) / n_queries
+        measured = (tree.io_seconds - t0) / n_queries
         result.measured_ms.append(measured * 1e3)
         result.affine_ms.append(ios * (s + t * node_bytes) / n_queries * 1e3)
         result.dam_ms.append(ios * 2 * s / n_queries * 1e3)

@@ -94,7 +94,7 @@ def measure_tree(
     """
     from repro.experiments.common import build_load
     from repro.experiments.devices import default_hdd
-    from repro.storage.stack import StorageStack
+    from repro.trees import build
     from repro.workloads.generators import point_query_stream
 
     base = FaultPlan.from_json(plan_json)
@@ -103,19 +103,9 @@ def measure_tree(
 
     pairs, keys = build_load(n_entries, universe, seed=seed)
     device = FaultyDevice(default_hdd(seed=seed), FaultPlan(seed=base.seed), policy=pol)
-    storage = StorageStack(device, cache_bytes)
-    if tree == "btree":
-        from repro.trees.btree import BTree, BTreeConfig
-
-        t = BTree(storage, BTreeConfig())
-    elif tree == "betree":
-        from repro.trees.betree import BeTreeConfig, OptimizedBeTree
-
-        t = OptimizedBeTree(storage, BeTreeConfig())
-    else:
-        raise ConfigurationError(f"unknown tree {tree!r}; expected one of {DEFAULT_TREES}")
-    t.bulk_load(pairs)
-    storage.drop_cache()
+    t = build(tree, device, cache_bytes=cache_bytes)  # each kind's default node size
+    t.load(pairs)
+    t.drop_cache()
     device.plan = armed  # faults apply to warm-up and measurement only
 
     for key in point_query_stream(keys, warmup_queries, seed=seed + 1):
@@ -123,18 +113,18 @@ def measure_tree(
             t.get(key)
         except TransientIOError:
             pass
-    storage.cache.stats.reset()
+    t.reset_cache_stats()
 
     latencies: list[float] = []
     failed = 0
     for key in point_query_stream(keys, n_queries, seed=seed + 2):
-        t0 = storage.io_seconds
+        t0 = t.io_seconds
         try:
             t.get(key)
         except TransientIOError:
             failed += 1
             continue
-        latencies.append(storage.io_seconds - t0)
+        latencies.append(t.io_seconds - t0)
 
     arr = np.asarray(latencies) if latencies else np.zeros(1)
     fs = device.fault_stats

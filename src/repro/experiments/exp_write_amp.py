@@ -19,8 +19,11 @@ from dataclasses import dataclass, field
 from repro.experiments import report
 from repro.storage.ram import NullDevice
 from repro.storage.stack import StorageStack
+from repro.trees import KVTree, build
+
+# The naive whole-node-IO Bε-tree is the ablation this experiment exists
+# for; the registry's "betree" is the Theorem 9 tree.
 from repro.trees.betree import BeTree, BeTreeConfig
-from repro.trees.btree import BTree, BTreeConfig
 from repro.workloads.generators import insert_stream, random_load_pairs
 
 # Starts at 16 KiB: a 4 KiB node cannot hold a fanout-16 buffer at all.
@@ -55,15 +58,15 @@ class WriteAmpResult:
         )
 
 
-def _measure(tree, storage: StorageStack, universe: int, n_inserts: int, seed: int) -> float:
-    storage.drop_cache()
+def _measure(tree: KVTree, universe: int, n_inserts: int, seed: int) -> float:
+    tree.drop_cache()
     fmt = tree.config.fmt
-    base = storage.device.stats.snapshot()
+    base = tree.device.stats.snapshot()
     tree.user_bytes_modified = 0
     for key, value in insert_stream(universe, n_inserts, seed=seed):
         tree.insert(key, value)
-    storage.flush()
-    delta = storage.device.stats.delta(base)
+    tree.settle()
+    delta = tree.device.stats.delta(base)
     return delta.write_amplification(n_inserts * fmt.entry_bytes)
 
 
@@ -91,15 +94,16 @@ def run(
         fanout=fanout,
     )
     for node_bytes in node_sizes:
-        storage = StorageStack(NullDevice(), cache_bytes)
-        btree = BTree(storage, BTreeConfig(node_bytes=node_bytes))
-        btree.bulk_load(pairs)
-        result.btree.append(_measure(btree, storage, universe, n_inserts, seed + 1))
+        btree = build("btree", NullDevice(), node_bytes=node_bytes, cache_bytes=cache_bytes)
+        btree.load(pairs)
+        result.btree.append(_measure(btree, universe, n_inserts, seed + 1))
 
-        storage = StorageStack(NullDevice(), cache_bytes)
-        betree = BeTree(storage, BeTreeConfig(node_bytes=node_bytes, fanout=fanout))
-        betree.bulk_load(pairs)
-        result.betree.append(_measure(betree, storage, universe, n_inserts, seed + 1))
+        betree = BeTree(
+            StorageStack(NullDevice(), cache_bytes),
+            BeTreeConfig(node_bytes=node_bytes, fanout=fanout),
+        )
+        betree.load(pairs)
+        result.betree.append(_measure(betree, universe, n_inserts, seed + 1))
     return result
 
 

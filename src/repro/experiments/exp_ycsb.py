@@ -30,10 +30,7 @@ from dataclasses import dataclass, field
 from repro.experiments import report
 from repro.experiments.common import build_load
 from repro.experiments.devices import default_hdd
-from repro.storage.stack import StorageStack
-from repro.trees.betree import BeTreeConfig, OptimizedBeTree
-from repro.trees.btree import BTree, BTreeConfig
-from repro.trees.lsm import LSMConfig, LSMTree
+from repro.trees import build
 from repro.workloads.generators import (
     mixed_stream,
     OpKind,
@@ -47,7 +44,13 @@ WORKLOADS: dict[str, dict] = {
     "F (100 rmw)": dict(rmw=True),
 }
 
-STRUCTURES = ("btree", "betree", "lsm")
+#: Structure -> how it is built: a point-query-tuned B-tree, the Bε-tree
+#: at its 1 MiB / F=16 defaults, and an LSM that compacts L0 early.
+STRUCTURES: dict[str, dict] = {
+    "btree": dict(node_bytes=64 << 10),
+    "betree": dict(node_bytes=1 << 20, fanout=16),
+    "lsm": dict(l0_trigger=2),
+}
 
 
 @dataclass
@@ -82,33 +85,10 @@ class YCSBResult:
         return min(per, key=per.__getitem__)
 
 
-def _build(structure: str, pairs, cache_bytes: int, seed: int):
-    if structure == "btree":
-        device = default_hdd(seed=seed)
-        stack = StorageStack(device, cache_bytes)
-        tree = BTree(stack, BTreeConfig(node_bytes=64 << 10))
-        tree.bulk_load(pairs)
-        return tree, device
-    if structure == "betree":
-        device = default_hdd(seed=seed)
-        stack = StorageStack(device, cache_bytes)
-        tree = OptimizedBeTree(stack, BeTreeConfig(node_bytes=1 << 20, fanout=16))
-        tree.bulk_load(pairs)
-        return tree, device
-    if structure == "lsm":
-        device = default_hdd(seed=seed)
-        tree = LSMTree(device, LSMConfig(l0_trigger=2))
-        for k, v in pairs:
-            tree.insert(k, v)
-        tree.flush_memtable()
-        return tree, device
-    raise ValueError(structure)
-
-
-def _run_mix(tree, device, keys, universe, n_ops, spec: dict, seed: int) -> float:
+def _run_mix(tree, keys, universe, n_ops, spec: dict, seed: int) -> float:
     if spec.get("rmw"):
         # Read-modify-write: Bε-trees use a blind upsert; others must read.
-        t0 = device.stats.busy_seconds
+        t0 = tree.io_seconds
         import numpy as np
 
         rng = np.random.default_rng(seed)
@@ -120,13 +100,10 @@ def _run_mix(tree, device, keys, universe, n_ops, spec: dict, seed: int) -> floa
             else:
                 v = tree.get(k)
                 tree.insert(k, (v or 0) if isinstance(v, int) else 0)
-        if hasattr(tree, "storage"):
-            tree.storage.flush()
-        elif hasattr(tree, "flush_memtable"):
-            tree.flush_memtable()
-        return (device.stats.busy_seconds - t0) * 1e3 / n_ops
+        tree.settle()
+        return (tree.io_seconds - t0) * 1e3 / n_ops
 
-    t0 = device.stats.busy_seconds
+    t0 = tree.io_seconds
     for op in mixed_stream(keys, universe, n_ops, seed=seed, **spec):
         if op.kind is OpKind.INSERT:
             tree.insert(op.key, op.value)
@@ -134,11 +111,8 @@ def _run_mix(tree, device, keys, universe, n_ops, spec: dict, seed: int) -> floa
             tree.range(op.key, op.hi)
         else:
             tree.get(op.key)
-    if hasattr(tree, "storage"):
-        tree.storage.flush()
-    elif hasattr(tree, "flush_memtable"):
-        tree.flush_memtable()
-    return (device.stats.busy_seconds - t0) * 1e3 / n_ops
+    tree.settle()
+    return (tree.io_seconds - t0) * 1e3 / n_ops
 
 
 def run(
@@ -154,13 +128,16 @@ def run(
     result = YCSBResult(n_entries=n_entries, n_ops=n_ops, cache_bytes=cache_bytes)
     for wl, spec in WORKLOADS.items():
         result.cost_ms[wl] = {}
-        for structure in STRUCTURES:
-            tree, device = _build(structure, pairs, cache_bytes, seed)
+        for structure, fields in STRUCTURES.items():
+            tree = build(
+                structure, default_hdd(seed=seed), cache_bytes=cache_bytes, **fields
+            )
+            tree.load(pairs)
             # Warm the cache a little so each structure starts comparable.
             for k in keys[:: max(1, len(keys) // 200)]:
                 tree.get(k)
             result.cost_ms[wl][structure] = _run_mix(
-                tree, device, keys, universe, n_ops, dict(spec), seed + 1
+                tree, keys, universe, n_ops, dict(spec), seed + 1
             )
     return result
 

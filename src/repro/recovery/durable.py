@@ -33,15 +33,21 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Iterator
 
-from repro.errors import ConfigurationError, TreeError, WALError
+from repro.errors import ConfigurationError, WALError
 from repro.faults.crash import CrashState
 from repro.faults.device import FaultyDevice
 from repro.obs import OBS
 from repro.recovery.wal import WriteAheadLog
 from repro.storage.device import BlockDevice
+from repro.trees import build
 
 #: Tree kinds a DurableTree can wrap.
 RECOVERY_TREES = ("btree", "betree", "lsm", "cob")
+
+#: Config fields a durable tree sets beyond the registry's sizing rule.
+#: ``fanout=None`` derives the Bε fanout from epsilon, so small WAL-friendly
+#: node sizes still leave buffer room (the fixed default F=16 does not).
+_TREE_FIELDS: dict[str, dict[str, Any]] = {"betree": {"fanout": None}}
 
 #: Bytes of the superblock that names the active checkpoint region.
 SUPERBLOCK_BYTES = 512
@@ -58,7 +64,8 @@ class DurableConfig:
     node_bytes:
         Tree node size (B-tree/Bε-tree), LSM block size, or COB block size.
     cache_bytes:
-        Buffer-cache budget (stack-backed kinds only).
+        RAM budget: the buffer cache (B-tree/Bε-tree) or the pinned top
+        of the index (COB); the LSM has none beyond its memtable.
     wal_bytes:
         The log extent.  Must hold every record between two checkpoints.
     group_commit:
@@ -159,46 +166,20 @@ class DurableTree:
     def _build_tree(self) -> None:
         """(Re-)create the wrapped tree, with the durability extents reserved."""
         cfg = self.config
-        if cfg.tree in ("btree", "betree"):
-            from repro.storage.stack import StorageStack
+        self.tree = build(
+            cfg.tree,
+            self.device,
+            node_bytes=cfg.node_bytes,
+            cache_bytes=cfg.cache_bytes,
+            reserve_bytes=self._reserved,
+            **_TREE_FIELDS.get(cfg.tree, {}),
+        )
+        self._entry_bytes = self.tree.config.fmt.entry_bytes
 
-            stack = StorageStack(self.device, cfg.cache_bytes)
-            stack.allocator.alloc(self._reserved)  # extent 0: ours, not a node's
-            if cfg.tree == "btree":
-                from repro.trees.btree import BTree, BTreeConfig
-
-                tree_cfg: Any = BTreeConfig(node_bytes=cfg.node_bytes)
-                self.tree = BTree(stack, tree_cfg)
-            else:
-                from repro.trees.betree import BeTreeConfig, OptimizedBeTree
-
-                # fanout=None derives F from epsilon, so small WAL-friendly
-                # node sizes still leave buffer room (fixed F=16 does not).
-                tree_cfg = BeTreeConfig(node_bytes=cfg.node_bytes, fanout=None)
-                self.tree = OptimizedBeTree(stack, tree_cfg)
-            self.stack: Any = stack
-        else:
-            from repro.storage.allocator import ExtentAllocator
-
-            allocator = ExtentAllocator(self.device.capacity_bytes, alignment=512)
-            allocator.alloc(self._reserved)
-            if cfg.tree == "lsm":
-                from repro.trees.lsm import LSMConfig, LSMTree
-
-                tree_cfg = LSMConfig(
-                    sstable_bytes=max(16 * cfg.node_bytes, 64 << 10),
-                    memtable_bytes=max(16 * cfg.node_bytes, 64 << 10),
-                    level1_bytes=max(64 * cfg.node_bytes, 256 << 10),
-                    block_bytes=cfg.node_bytes,
-                )
-                self.tree = LSMTree(self.device, tree_cfg, allocator=allocator)
-            else:
-                from repro.trees.cob import COBConfig, COBTree
-
-                tree_cfg = COBConfig(block_bytes=cfg.node_bytes)
-                self.tree = COBTree(self.device, tree_cfg, allocator=allocator)
-            self.stack = None
-        self._entry_bytes = tree_cfg.fmt.entry_bytes
+    @property
+    def stack(self) -> Any:
+        """The wrapped tree's storage stack (``None`` for device-backed kinds)."""
+        return self.tree.storage
 
     # -- write path ----------------------------------------------------------
 
@@ -219,13 +200,9 @@ class DurableTree:
     def delete(self, key: int) -> int:
         """Log and apply a delete; returns the op's LSN.
 
-        Inherits the wrapped tree's semantics for absent keys (the COB
-        tier raises; the checker only deletes present keys).  For the COB
-        kind the presence check runs *before* logging, so a refused
-        delete never leaves a record that would poison replay.
+        Deleting an absent key is a logged no-op in every kind, so its
+        record replays harmlessly.
         """
-        if self.config.tree == "cob" and int(key) not in self.tree.values:
-            raise TreeError(f"key {int(key)} not present")
         lsn = self.wal.append("d", int(key))
         self.tree.delete(int(key))
         self._after_write()
@@ -253,12 +230,7 @@ class DurableTree:
         The load itself is not logged — it is construction, not traffic —
         so durability starts at the checkpoint this method takes.
         """
-        pairs = sorted((int(k), v) for k, v in pairs)
-        if self.config.tree == "lsm":
-            self.tree.put_many(pairs)
-            self.tree.flush_memtable()
-        else:
-            self.tree.bulk_load(pairs)
+        self.tree.load(sorted((int(k), v) for k, v in pairs))
         self.checkpoint()
 
     # -- read path -----------------------------------------------------------
@@ -269,10 +241,7 @@ class DurableTree:
 
     def get_many(self, keys: list[int]) -> list[Any | None]:
         """Batched point queries (batched descent where the tree has one)."""
-        get_many = getattr(self.tree, "get_many", None)
-        if get_many is not None:
-            return get_many(keys)
-        return [self.tree.get(int(k)) for k in keys]
+        return self.tree.lookup_many(keys)
 
     def range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
         """Range query (delegates)."""
@@ -352,11 +321,7 @@ class DurableTree:
             )
         self._build_tree()
         if pairs:
-            if self.config.tree == "lsm":
-                self.tree.put_many(list(pairs))
-                self.tree.flush_memtable()
-            else:
-                self.tree.bulk_load(list(pairs))
+            self.tree.load(list(pairs))
         records = self.wal.recover(base_lsn=ckpt_lsn)
         replayed = 0
         for lsn, op, key, value in records:

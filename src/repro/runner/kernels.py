@@ -95,14 +95,12 @@ def btree_nodesize_point(
     """Load a fresh B-tree at one node size on the default HDD; measure."""
     from repro.experiments.common import build_load, measure_tree_ops
     from repro.experiments.devices import default_hdd
-    from repro.storage.stack import StorageStack
-    from repro.trees.btree import BTree, BTreeConfig
+    from repro.trees import build
 
     pairs, keys = build_load(n_entries, universe, seed=seed)
     device = default_hdd(seed=seed + node_bytes % 97)
-    storage = StorageStack(device, cache_bytes)
-    tree = BTree(storage, BTreeConfig(node_bytes=node_bytes))
-    tree.bulk_load(pairs)
+    tree = build("btree", device, node_bytes=node_bytes, cache_bytes=cache_bytes)
+    tree.load(pairs)
     times = measure_tree_ops(
         tree,
         keys,
@@ -138,19 +136,19 @@ def betree_nodesize_point(
     """Load a fresh Bε-tree at one node size; prefill the root buffer, measure."""
     from repro.experiments.common import build_load, measure_tree_ops
     from repro.experiments.devices import default_hdd
-    from repro.storage.stack import StorageStack
-    from repro.trees.betree import BeTreeConfig, OptimizedBeTree
+    from repro.trees import build
     from repro.workloads.generators import insert_stream
 
     pairs, keys = build_load(n_entries, universe, seed=seed)
     device = default_hdd(seed=seed + node_bytes % 97)
-    storage = StorageStack(device, cache_bytes)
-    config = BeTreeConfig(node_bytes=node_bytes, fanout=fanout)
-    tree = OptimizedBeTree(storage, config)
-    tree.bulk_load(pairs)
+    tree = build(
+        "betree", device, node_bytes=node_bytes, cache_bytes=cache_bytes, fanout=fanout
+    )
+    tree.load(pairs)
     # Pre-fill the (empty-after-load) root buffer with unmeasured inserts,
     # then measure over enough further inserts to cover flush cascades —
     # Bε insert cost only exists as an amortized quantity.
+    config = tree.config
     buffer_msgs = config.buffer_budget_bytes // config.fmt.message_bytes
     tree.put_many(insert_stream(universe, min(buffer_msgs, max_inserts), seed=seed + 7))
     n_inserts = min(max_inserts, max(3000, int(inserts_per_buffer_fill * buffer_msgs)))

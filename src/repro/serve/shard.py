@@ -1,20 +1,20 @@
 """Shards and replicas: the storage side of the serving layer.
 
 A *shard* owns a slice of the key space and some number of *replicas*;
-each replica is a full copy of the shard's data on its own
-:class:`~repro.storage.stack.StorageStack` (own device, own cache, own
-fault stream).  The replica is the unit of service: one replica runs one
-service round (a batch of point lookups) at a time, and the shard's
+each replica is a full copy of the shard's data in its own tree from
+:func:`repro.trees.build` (own device, own cache, own fault stream).  The
+replica is the unit of service: one replica runs one service round (a
+batch of point lookups) at a time, and the shard's
 :class:`~repro.storage.engine.ResourcePool` of replica timelines is where
 "is there a spare slot to hedge on?" gets answered — via the pool's
 ``free_slots``/``first_free`` occupancy accessors, never by poking its
 private state.
 
 Service cost is measured, not modeled: a round calls the replica's tree
-and reads the simulated device seconds it charged.  B-trees use the
-batched :meth:`~repro.trees.btree.tree.BTree.get_many` descent (one
-:meth:`~repro.storage.stack.StorageStack.read_many` per level); Bε-trees
-and LSMs fall back to a per-key loop.
+(:meth:`~repro.trees.api.KVTree.lookup_many`: the B-tree's batched
+descent, one :meth:`~repro.storage.stack.StorageStack.read_many` per
+level; a per-key loop on the other kinds) and reads the simulated device
+seconds it charged.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.errors import ConfigurationError
 from repro.faults import CrashPlan, FaultPlan, FaultyDevice, ResiliencePolicy
 from repro.serve.tenants import derive_seed
 from repro.storage.engine import ResourcePool
-from repro.storage.stack import StorageStack
+from repro.trees import KVTree, build
 
 #: Tree kinds a shard replica can run.
 SERVE_TREES = ("btree", "betree", "lsm")
@@ -129,12 +129,8 @@ class Replica:
     the shard's pool.
     """
 
-    def __init__(
-        self, tree_kind: str, tree: Any, io_source: Any, *, durable: Any = None
-    ) -> None:
-        self.tree_kind = tree_kind
+    def __init__(self, tree: KVTree, *, durable: Any = None) -> None:
         self.tree = tree
-        self._io_source = io_source  # StorageStack or BlockDevice (LSM)
         self.durable = durable  # DurableTree | None
         self.rounds = 0
         self.lookups = 0
@@ -144,11 +140,7 @@ class Replica:
     @property
     def io_seconds(self) -> float:
         """Simulated device seconds this replica has charged so far."""
-        if self.durable is not None:
-            return self.durable.io_seconds
-        if isinstance(self._io_source, StorageStack):
-            return self._io_source.io_seconds
-        return self._io_source.stats.busy_seconds
+        return self.tree.io_seconds
 
     def lookup_many(self, keys: list[int]) -> float:
         """Serve one round of point lookups; returns its device seconds.
@@ -157,17 +149,12 @@ class Replica:
         :class:`~repro.errors.DeviceCrashed` propagates — the engine is
         the failover layer, not this method.
         """
-        start = self.io_seconds
-        if self.durable is not None:
-            self.durable.get_many(keys)
-        elif self.tree_kind == "btree":
-            self.tree.get_many(keys)
-        else:
-            for key in keys:
-                self.tree.get(key)
+        tree = self.tree
+        start = tree.io_seconds
+        tree.lookup_many(keys)
         self.rounds += 1
         self.lookups += len(keys)
-        return self.io_seconds - start
+        return tree.io_seconds - start
 
     def recover(self) -> float:
         """Recover a crashed durable replica; returns the recovery seconds.
@@ -283,6 +270,7 @@ def _build_replica(
     else:
         armed = None
 
+    durable = None
     if config.durable:
         from repro.recovery.durable import DurableConfig, DurableTree
 
@@ -302,52 +290,17 @@ def _build_replica(
             ),
         )
         durable.load(list(pairs))
-        if durable.stack is not None:
-            durable.stack.drop_cache()
-        replica = Replica(config.tree, durable.tree, device, durable=durable)
-        _warm(replica, pairs, device_seed, config.warm_queries)
-        device.reset()
-        if durable.stack is not None:
-            durable.stack.cache.stats.reset()
-        if armed is not None:
-            device.plan = armed  # faults start with measured traffic
-        return replica
-
-    if config.tree == "lsm":
-        from repro.trees.lsm import LSMConfig, LSMTree
-
-        lsm_cfg = LSMConfig(
-            sstable_bytes=max(16 * config.node_bytes, 64 << 10),
-            memtable_bytes=max(16 * config.node_bytes, 64 << 10),
-            level1_bytes=max(64 * config.node_bytes, 256 << 10),
-            block_bytes=config.node_bytes,
-        )
-        tree = LSMTree(device, lsm_cfg)
-        tree.put_many(pairs)
-        tree.flush_memtable()
-        replica = Replica("lsm", tree, device)
-        _warm(replica, pairs, device_seed, config.warm_queries)
-        device.reset()
-        if armed is not None:
-            assert isinstance(device, FaultyDevice)
-            device.plan = armed  # faults start with measured traffic
-        return replica
-
-    stack = StorageStack(device, config.cache_bytes)
-    if config.tree == "btree":
-        from repro.trees.btree import BTree, BTreeConfig
-
-        tree = BTree(stack, BTreeConfig(node_bytes=config.node_bytes))
+        tree = durable.tree
     else:
-        from repro.trees.betree import BeTreeConfig, OptimizedBeTree
-
-        tree = OptimizedBeTree(stack, BeTreeConfig(node_bytes=config.node_bytes))
-    tree.bulk_load(pairs)
-    stack.drop_cache()
-    replica = Replica(config.tree, tree, stack)
+        tree = build(
+            config.tree, device, node_bytes=config.node_bytes, cache_bytes=config.cache_bytes
+        )
+        tree.load(pairs)
+    tree.drop_cache()
+    replica = Replica(tree, durable=durable)
     _warm(replica, pairs, device_seed, config.warm_queries)
     device.reset()
-    stack.cache.stats.reset()
+    tree.reset_cache_stats()
     if armed is not None:
         assert isinstance(device, FaultyDevice)
         device.plan = armed  # faults start with measured traffic

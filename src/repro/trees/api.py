@@ -1,0 +1,134 @@
+"""The one interface every dictionary in :mod:`repro.trees` sits behind.
+
+:class:`KVTree` is the concrete base of the seven tree classes.  Each kind
+implements the dictionary surface and sets ``device``, ``allocator`` and
+``config``; the base supplies the method bodies derived from that surface
+and the lifecycle callers drive: load, settle, cool down, read the clock.
+:class:`TreeKind` is one entry of :mod:`repro.trees.registry`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator
+
+from repro.storage.allocator import ExtentAllocator
+from repro.storage.device import BlockDevice
+from repro.storage.stack import StorageStack
+from repro.trees.sizing import KEY_MAX, KEY_MIN
+
+
+class KVTree:
+    """An external-memory dictionary storing ``int -> value`` pairs.
+
+    The only observable cost of any method is simulated device time,
+    read from :attr:`io_seconds` before and after.
+    """
+
+    #: The buffer-cached stack of a stack-backed kind (B-tree, Bε-trees);
+    #: ``None`` on the kinds that place their own extents on a bare device.
+    storage: StorageStack | None = None
+    device: BlockDevice
+    allocator: ExtentAllocator
+    config: Any
+
+    # -- the dictionary surface each kind implements -------------------------
+
+    def get(self, key: int) -> Any | None:
+        """Point query; the value or ``None``."""
+        raise NotImplementedError
+
+    def insert(self, key: int, value: Any) -> None:
+        """Insert or overwrite ``key``."""
+        raise NotImplementedError
+
+    def delete(self, key: int) -> Any:
+        """Remove ``key``; deleting an absent key changes nothing."""
+        raise NotImplementedError
+
+    def range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
+        """All pairs with ``lo <= key <= hi`` in key order."""
+        raise NotImplementedError
+
+    def check_invariants(self) -> None:
+        """Raise :class:`~repro.errors.TreeError` if the structure is broken."""
+        raise NotImplementedError
+
+    # -- derived from the surface --------------------------------------------
+
+    def __contains__(self, key: int) -> bool:
+        return self.get(key) is not None
+
+    def items(self) -> Iterator[tuple[int, Any]]:
+        """All pairs in key order (a scan of the whole key domain)."""
+        yield from self.range(KEY_MIN, KEY_MAX)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self.items())
+
+    def put_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
+        """Insert every pair in order, accounting-identical to an insert loop.
+
+        The contract every override keeps (``tests/trees/test_put_many.py``):
+        device clock, stats and structural state equal calling
+        :meth:`insert` once per pair — a batch removes Python overhead,
+        never semantics.
+        """
+        insert = self.insert
+        for key, value in pairs:
+            insert(key, value)
+
+    def lookup_many(self, keys: Iterable[int]) -> list[Any | None]:
+        """Point queries in input order, by the kind's batched descent if
+        it has one (the B-tree's level-synchronized ``get_many``), else by
+        a :meth:`get` loop."""
+        get = self.get
+        return [get(key) for key in keys]
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def load(self, pairs: list[tuple[int, Any]]) -> None:
+        """Fill an empty tree from key-sorted ``pairs`` the way the kind
+        loads: a sequential ``bulk_load`` where it has one, its own write
+        path (LSM, COLA) otherwise."""
+        self.bulk_load(pairs)
+
+    def settle(self) -> None:
+        """Charge whatever the tree still defers (dirty cached nodes; the
+        LSM's memtable), so a measured write phase pays for its writes."""
+        if self.storage is not None:
+            self.storage.flush()
+
+    def drop_cache(self) -> None:
+        """Write back and forget cached nodes: start the next phase cold."""
+        if self.storage is not None:
+            self.storage.drop_cache()
+
+    def reset_cache_stats(self) -> None:
+        """Zero the buffer cache's hit/miss counters (after a warm-up)."""
+        if self.storage is not None:
+            self.storage.cache.stats.reset()
+
+    @property
+    def io_seconds(self) -> float:
+        """Total simulated device seconds charged so far."""
+        return self.device.stats.busy_seconds
+
+
+@dataclass(frozen=True)
+class TreeKind:
+    """One registry entry: how to size and place one kind of tree.
+
+    ``sizing(node_bytes, cache_bytes)`` maps the two knobs every caller
+    has to fields of ``config``; either argument may be ``None``, and a
+    field that comes out ``None`` keeps its ``config`` default.  A
+    ``stacked`` kind runs on a :class:`~repro.storage.stack.StorageStack`
+    (``cache_bytes`` is its buffer cache); the others take the bare device
+    plus an allocator.
+    """
+
+    name: str
+    tree: type[KVTree]
+    config: type
+    sizing: Callable[[int | None, int | None], dict[str, Any]]
+    stacked: bool = False

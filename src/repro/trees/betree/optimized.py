@@ -61,6 +61,7 @@ from typing import Hashable
 
 from repro.errors import CacheError, ConfigurationError
 from repro.storage.stack import StorageStack
+from repro.trees.api import TreeKind
 from repro.trees.betree.messages import Message, MessageOp
 from repro.trees.betree.node import BeNode
 from repro.trees.betree.tree import BeTree, BeTreeConfig
@@ -501,3 +502,12 @@ class OptimizedBeTree(BeTree):
             if not cache.contains(cid):
                 cache.admit(cid, None, offset, _round_grain(nb), dirty=False)
         return node
+
+
+#: Registry entry (:mod:`repro.trees.registry`): the Theorem 9 tree is *the*
+#: Bε-tree everywhere but the ablations; ``node_bytes`` is the node size.
+KIND = TreeKind(
+    "betree", OptimizedBeTree, BeTreeConfig,
+    lambda node_bytes, _cache: {"node_bytes": node_bytes},
+    stacked=True,
+)

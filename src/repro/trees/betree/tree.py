@@ -20,14 +20,15 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro.errors import ConfigurationError, TreeError
 from repro.obs import OBS
 from repro.storage.stack import StorageStack
+from repro.trees.api import KVTree
 from repro.trees.betree.messages import Message, MessageOp, apply_messages
 from repro.trees.betree.node import BeNode, SegmentBuffer
-from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
+from repro.trees.sizing import EntryFormat
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,13 @@ class BeTreeConfig:
         return budget
 
 
-class BeTree:
+class BeTree(KVTree):
     """A Bε-tree dictionary storing ``int -> value`` pairs."""
 
     def __init__(self, storage: StorageStack, config: BeTreeConfig | None = None) -> None:
         self.storage = storage
+        self.device = storage.device
+        self.allocator = storage.allocator
         self.config = config or BeTreeConfig()
         # Byte thresholds inverted to message-count thresholds:
         # buffer_bytes(n) = n * message_bytes is linear and monotonic, so
@@ -500,9 +503,6 @@ class BeTree:
         value, exists = apply_messages(base, present, msgs)
         return value if exists else None
 
-    def __contains__(self, key: int) -> bool:
-        return self.get(key) is not None
-
     def range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
         """All pairs with ``lo <= key <= hi`` in key order."""
         if lo > hi:
@@ -537,13 +537,6 @@ class BeTree:
                     msgs.extend(key_msgs)
             self._collect_range(node.children[ci], lo, hi, entries, msgs)
 
-    def items(self) -> Iterator[tuple[int, Any]]:
-        """All pairs in key order (applies buffered messages logically)."""
-        yield from self.range(KEY_MIN, KEY_MAX)
-
-    def __len__(self) -> int:
-        return len(list(self.items()))
-
     # -- maintenance ---------------------------------------------------------------
 
     def flush_all(self) -> None:
@@ -567,7 +560,7 @@ class BeTree:
 
     def bulk_load(self, pairs: list[tuple[int, Any]]) -> None:
         """Replace the tree's contents with sorted ``pairs`` (empty tree only)."""
-        if self._next_seq or len(list(self.items())):
+        if self._next_seq or len(self):
             raise TreeError("bulk_load requires a pristine tree")
         for i in range(1, len(pairs)):
             if pairs[i - 1][0] >= pairs[i][0]:

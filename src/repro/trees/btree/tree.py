@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro.errors import ConfigurationError, TreeError
 from repro.obs import OBS
 from repro.storage.stack import StorageStack
+from repro.trees.api import KVTree, TreeKind
 from repro.trees.btree.node import BTreeNode
 from repro.trees.sizing import EntryFormat
 
@@ -63,15 +64,17 @@ class BTreeConfig:
         return self.fmt.internal_capacity(self.node_bytes)
 
 
-class BTree:
+class BTree(KVTree):
     """A B-tree dictionary storing ``int -> value`` pairs.
 
     All methods charge simulated device time through ``storage``; read the
-    elapsed time from ``storage.io_seconds`` before/after an operation.
+    elapsed time from ``io_seconds`` before/after an operation.
     """
 
     def __init__(self, storage: StorageStack, config: BTreeConfig | None = None) -> None:
         self.storage = storage
+        self.device = storage.device
+        self.allocator = storage.allocator
         self.config = config or BTreeConfig()
         self._next_id = 0
         self._count = 0
@@ -183,8 +186,8 @@ class BTree:
                 results[i] = leaf.values[j]
         return results
 
-    def __contains__(self, key: int) -> bool:
-        return self.get(key) is not None
+    #: :meth:`KVTree.lookup_many` is the batched descent.
+    lookup_many = get_many
 
     # -- insert ---------------------------------------------------------------------
 
@@ -213,18 +216,6 @@ class BTree:
             self._count += 1
         self.user_bytes_modified += self.config.fmt.entry_bytes
         self._dirty(node)
-
-    def put_many(self, pairs: list[tuple[int, Any]]) -> None:
-        """Batched inserts: identical to a serial loop of :meth:`insert`.
-
-        A B-tree insert is structural top to bottom (splits happen on the
-        way down), so there is no per-message work to batch away; this
-        entry point exists so batch-aware callers can treat all trees
-        uniformly, and hoists only the method lookup.
-        """
-        insert = self.insert
-        for key, value in pairs:
-            insert(key, value)
 
     def _is_full(self, node: BTreeNode) -> bool:
         if node.is_leaf:
@@ -410,18 +401,6 @@ class BTree:
         for idx in range(first, last + 1):
             self._range_into(node.children[idx], lo, hi, out)
 
-    def items(self) -> Iterator[tuple[int, Any]]:
-        """All pairs in key order."""
-        yield from self._items_of(self.root_id)
-
-    def _items_of(self, node_id: int) -> Iterator[tuple[int, Any]]:
-        node = self._get(node_id)
-        if node.is_leaf:
-            yield from zip(node.keys, node.values)
-            return
-        for child in node.children:
-            yield from self._items_of(child)
-
     # -- bulk load -----------------------------------------------------------------
 
     def bulk_load(self, pairs: list[tuple[int, Any]]) -> None:
@@ -518,3 +497,10 @@ class BTree:
         for i, child in enumerate(node.children):
             total += self._check_node(child, bounds[i], bounds[i + 1], depth + 1, leaf_depths)
         return total
+
+
+#: Registry entry (:mod:`repro.trees.registry`): ``node_bytes`` is the node size.
+KIND = TreeKind(
+    "btree", BTree, BTreeConfig, lambda node_bytes, _cache: {"node_bytes": node_bytes},
+    stacked=True,
+)

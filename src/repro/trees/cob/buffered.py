@@ -33,11 +33,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro.errors import TreeError
 from repro.storage.allocator import ExtentAllocator
 from repro.storage.device import BlockDevice
+from repro.trees.api import KVTree, TreeKind
+from repro.trees.cob.tree import KIND as _COB
 from repro.trees.cob.tree import COBConfig, COBTree
 from repro.trees.merge import TOMBSTONE
 from repro.trees.sizing import KEY_MAX, KEY_MIN
@@ -54,7 +56,7 @@ class _Bucket:
         self.nbytes = 0  # buffered message bytes (tail may be unwritten)
 
 
-class BufferedCOBTree:
+class BufferedCOBTree(KVTree):
     """Cache-oblivious tree with per-child buffer segments (Theorem 9)."""
 
     def __init__(
@@ -250,13 +252,8 @@ class BufferedCOBTree:
                 return None if v is TOMBSTONE else v
         return self.base.get(key)
 
-    def get_many(self, keys: Iterable[int]) -> list[Any | None]:
-        """Batched point queries, accounting-identical to a ``get`` loop."""
-        get = self.get
-        return [get(key) for key in keys]
-
-    def __contains__(self, key: int) -> bool:
-        return self.get(key) is not None
+    #: Batched point queries, accounting-identical to a ``get`` loop.
+    get_many = KVTree.lookup_many
 
     def range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
         """All pairs with ``lo <= key <= hi``, merging unflushed buffers."""
@@ -278,13 +275,6 @@ class BufferedCOBTree:
                     else:
                         result[k] = v
         return sorted(result.items())
-
-    def items(self) -> Iterator[tuple[int, Any]]:
-        """All pairs in key order."""
-        yield from self.range(KEY_MIN, KEY_MAX)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.items())
 
     # -- invariants ----------------------------------------------------------
 
@@ -308,3 +298,7 @@ class BufferedCOBTree:
             for k, _ in bucket.messages:
                 if not b_lo <= k <= b_hi:
                     raise TreeError(f"bucket {b}: key {k} outside its range")
+
+
+#: Registry entry (:mod:`repro.trees.registry`): sized like the plain cob tree.
+KIND = TreeKind("cob-buffered", BufferedCOBTree, COBConfig, _COB.sizing)

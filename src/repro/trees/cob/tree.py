@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -41,9 +41,10 @@ from repro.errors import ConfigurationError, KeyOrderError, TreeError
 from repro.obs import OBS
 from repro.storage.allocator import ExtentAllocator
 from repro.storage.device import BlockDevice
+from repro.trees.api import KVTree, TreeKind
 from repro.trees.btree.veb import VEBLayout
 from repro.trees.cob.pma import EMPTY, PackedMemoryArray
-from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
+from repro.trees.sizing import EntryFormat
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class COBConfig:
             )
 
 
-class COBTree:
+class COBTree(KVTree):
     """A cache-oblivious B-tree storing ``int -> value`` pairs."""
 
     def __init__(
@@ -297,26 +298,17 @@ class COBTree:
 
     put = insert
 
-    def put_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
-        """Insert many pairs, identical in accounting to an insert loop.
-
-        Contract (as for the other trees, ``tests/trees/test_put_many.py``):
-        device clock, stats, and structural state must match calling
-        :meth:`insert` once per pair exactly — the batch only removes
-        Python-level overhead.
-        """
-        insert = self.insert
-        for key, value in pairs:
-            insert(key, value)
-
     def delete(self, key: int) -> None:
-        """Remove ``key``; raises ``TreeError`` if absent."""
+        """Remove ``key``; an absent key costs its index search and nothing
+        else, as in every other kind."""
         key = int(key)
         path = self._search_path(key)
         self._charge_index_path(path)
         slot = self._slot_of(path)
-        if key not in self.values or bool(self.pma.keys[slot] != key):
-            raise TreeError(f"key {key} not present")
+        if key not in self.values:
+            return
+        if self.pma.keys[slot] != key:
+            raise TreeError(f"index search missed stored key {key}")
         self.user_bytes_modified += self.config.fmt.entry_bytes
         del self.values[key]
         self.pma.delete(slot)
@@ -401,13 +393,8 @@ class COBTree:
             OBS.op_event("cob.query", start, self.device.clock, key=key)
         return self.values.get(key) if hit else None
 
-    def get_many(self, keys: Iterable[int]) -> list[Any | None]:
-        """Batched point queries, accounting-identical to a ``get`` loop."""
-        get = self.get
-        return [get(key) for key in keys]
-
-    def __contains__(self, key: int) -> bool:
-        return self.get(key) is not None
+    #: Batched point queries, accounting-identical to a ``get`` loop.
+    get_many = KVTree.lookup_many
 
     def range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
         """All pairs with ``lo <= key <= hi`` in key order.
@@ -427,10 +414,6 @@ class COBTree:
             return []
         self.pma._charge_span(int(slots[0]), int(slots[-1]) + 1, read=True, write=False)
         return [(int(k), self.values[int(k)]) for k in pk[slots]]
-
-    def items(self) -> Iterator[tuple[int, Any]]:
-        """All pairs in key order."""
-        yield from self.range(KEY_MIN, KEY_MAX)
 
     def __len__(self) -> int:
         return self.pma.n
@@ -459,3 +442,11 @@ class COBTree:
         )
         if not np.array_equal(internal, recomputed):
             raise TreeError("index heap max-augmentation broken")
+
+
+#: Registry entry (:mod:`repro.trees.registry`): ``node_bytes`` only prices
+#: IO; ``cache_bytes`` is the RAM the top of the index may pin.
+KIND = TreeKind(
+    "cob", COBTree, COBConfig,
+    lambda node_bytes, cache_bytes: {"block_bytes": node_bytes, "ram_bytes": cache_bytes},
+)

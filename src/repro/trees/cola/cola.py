@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro.errors import ConfigurationError, TreeError
 from repro.storage.allocator import ExtentAllocator
 from repro.storage.device import BlockDevice
+from repro.trees.api import KVTree, TreeKind
 from repro.trees.merge import TOMBSTONE, merge_runs
-from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
+from repro.trees.sizing import EntryFormat
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class _Level:
         self.nbytes = 0
 
 
-class COLA:
+class COLA(KVTree):
     """A cache-oblivious lookahead array storing ``int -> value`` pairs."""
 
     def __init__(
@@ -125,6 +126,10 @@ class COLA:
         push = self._push
         for key, value in pairs:
             push(key, value)
+
+    def load(self, pairs: list[tuple[int, Any]]) -> None:
+        """Load through the merge path (a COLA has no bulk load)."""
+        self.put_many(pairs)
 
     def _push(self, key: int, value: Any) -> None:
         self.user_bytes_modified += self.config.fmt.entry_bytes
@@ -237,13 +242,8 @@ class COLA:
                 return None if value is TOMBSTONE else value
         return None
 
-    def get_many(self, keys) -> list[Any | None]:
-        """Batched point queries, accounting-identical to a ``get`` loop."""
-        get = self.get
-        return [get(key) for key in keys]
-
-    def __contains__(self, key: int) -> bool:
-        return self.get(key) is not None
+    #: Batched point queries, accounting-identical to a ``get`` loop.
+    get_many = KVTree.lookup_many
 
     def range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
         """All pairs with ``lo <= key <= hi`` in key order."""
@@ -273,13 +273,6 @@ class COLA:
                 result[key] = val
         return sorted((k, v) for k, v in result.items() if v is not TOMBSTONE)
 
-    def items(self) -> Iterator[tuple[int, Any]]:
-        """All pairs in key order."""
-        yield from self.range(KEY_MIN, KEY_MAX)
-
-    def __len__(self) -> int:
-        return len(list(self.items()))
-
     # -- invariants --------------------------------------------------------------
 
     def check_invariants(self) -> None:
@@ -304,3 +297,11 @@ class COLA:
                 raise TreeError(f"level {k}: too large for RAM but never written")
             if written and lvl.nbytes <= 0:
                 raise TreeError(f"level {k}: written with a bad extent")
+
+
+#: Registry entry (:mod:`repro.trees.registry`): ``node_bytes`` only prices
+#: search probes; ``cache_bytes`` is the RAM the top levels may pin.
+KIND = TreeKind(
+    "cola", COLA, COLAConfig,
+    lambda node_bytes, cache_bytes: {"block_bytes": node_bytes, "ram_bytes": cache_bytes},
+)

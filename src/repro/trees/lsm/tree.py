@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro.errors import ConfigurationError, TreeError
 from repro.storage.device import BlockDevice
 from repro.storage.allocator import ExtentAllocator
+from repro.trees.api import KVTree, TreeKind
 from repro.trees.lsm.sstable import SSTable
 from repro.trees.merge import TOMBSTONE, merge_runs
-from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
+from repro.trees.sizing import EntryFormat
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class LSMConfig:
         return max(1, self.memtable_bytes // self.fmt.entry_bytes)
 
 
-class LSMTree:
+class LSMTree(KVTree):
     """A leveled LSM dictionary storing ``int -> value`` pairs."""
 
     def __init__(self, device: BlockDevice, config: LSMConfig | None = None, *,
@@ -119,6 +120,15 @@ class LSMTree:
     def _maybe_flush(self) -> None:
         if len(self.memtable) >= self.config.entries_per_memtable:
             self.flush_memtable()
+
+    def load(self, pairs: list[tuple[int, Any]]) -> None:
+        """Load through the write path (an LSM has no bulk load)."""
+        self.put_many(pairs)
+        self.flush_memtable()
+
+    def settle(self) -> None:
+        """Flush the memtable: the LSM's only deferred writes."""
+        self.flush_memtable()
 
     def flush_memtable(self) -> None:
         """Write the memtable as L0 run(s) and trigger compactions."""
@@ -247,9 +257,6 @@ class LSMTree:
                     return None if v is TOMBSTONE else v
         return None
 
-    def __contains__(self, key: int) -> bool:
-        return self.get(key) is not None
-
     def range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
         """All pairs with ``lo <= key <= hi`` in key order."""
         if lo > hi:
@@ -286,13 +293,6 @@ class LSMTree:
         offset = min(table.offset + i * fmt.entry_bytes, table.offset + table.nbytes - nbytes)
         self.device.read(offset, nbytes)
 
-    def items(self) -> Iterator[tuple[int, Any]]:
-        """All pairs in key order."""
-        yield from self.range(KEY_MIN, KEY_MAX)
-
-    def __len__(self) -> int:
-        return len(list(self.items()))
-
     # -- invariants ---------------------------------------------------------------------
 
     def check_invariants(self) -> None:
@@ -311,3 +311,20 @@ class LSMTree:
             for t in runs:
                 if t.offset < 0 or t.nbytes <= 0:
                     raise TreeError(f"run {t.table_id} in level {lvl} was never written")
+
+
+def _sizing(node_bytes: int | None, _cache_bytes: int | None) -> dict[str, int]:
+    """``node_bytes`` is the data-block size; runs and the memtable hold 16
+    blocks, level 1 holds 64, with floors that keep tiny blocks workable."""
+    if node_bytes is None:
+        return {}
+    return {
+        "sstable_bytes": max(16 * node_bytes, 64 << 10),
+        "memtable_bytes": max(16 * node_bytes, 64 << 10),
+        "level1_bytes": max(64 * node_bytes, 256 << 10),
+        "block_bytes": node_bytes,
+    }
+
+
+#: Registry entry (:mod:`repro.trees.registry`).
+KIND = TreeKind("lsm", LSMTree, LSMConfig, _sizing)

@@ -36,7 +36,6 @@ from repro.tuning.probe import (
 from repro.tuning.reconfigure import (
     IncrementalMigrator,
     MigrationReport,
-    TreeLike,
     migration_pays_off,
     rebuild_tree,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "supports_parallel_probe",
     "IncrementalMigrator",
     "MigrationReport",
-    "TreeLike",
     "migration_pays_off",
     "rebuild_tree",
     "Recommendation",

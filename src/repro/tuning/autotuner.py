@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.storage.device import BlockDevice
+from repro.trees import KVTree
 from repro.trees.sizing import EntryFormat
 from repro.tuning.calibrate import (
     DeviceProfile,
@@ -33,7 +34,6 @@ from repro.tuning.probe import DEFAULT_IO_SIZES, DEFAULT_THREAD_RAMP
 from repro.tuning.reconfigure import (
     IncrementalMigrator,
     MigrationReport,
-    TreeLike,
     rebuild_tree,
 )
 from repro.tuning.solve import Recommendation, solve
@@ -102,7 +102,7 @@ class TuningOutcome:
     profile: DeviceProfile
     recommendation: Recommendation
     migrated: bool
-    tree: TreeLike                      # the live tree after the pass
+    tree: KVTree                      # the live tree after the pass
     report: MigrationReport | None      # None when migration was skipped
     predicted_migration_seconds: float
     predicted_payback_ops: float
@@ -253,7 +253,7 @@ class AutoTuner:
 
     def apply(
         self,
-        old_tree: TreeLike,
+        old_tree: KVTree,
         recommendation: Recommendation,
         make_new,
         *,

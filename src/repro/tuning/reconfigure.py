@@ -22,22 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol
+from typing import Any, Callable
 
 from repro.errors import ConfigurationError
-
-
-class TreeLike(Protocol):
-    """The dictionary surface the migrator needs (B-tree and Bε both fit)."""
-
-    storage: Any
-
-    def get(self, key: int) -> Any | None: ...
-    def insert(self, key: int, value: Any) -> None: ...
-    def range(self, lo: int, hi: int) -> list[tuple[int, Any]]: ...
-    def items(self): ...
-    def bulk_load(self, pairs: list[tuple[int, Any]]) -> None: ...
-    def __len__(self) -> int: ...
+from repro.trees import KVTree
 
 
 @dataclass
@@ -87,33 +75,33 @@ def migration_pays_off(
     return report.pays_off_within(horizon_ops)
 
 
-def _busy_seconds(tree: TreeLike) -> float:
-    return float(tree.storage.device.stats.busy_seconds)
+def _busy_seconds(tree: KVTree) -> float:
+    return float(tree.io_seconds)
 
 
 def rebuild_tree(
-    old_tree: TreeLike,
-    make_new: Callable[[], TreeLike],
+    old_tree: KVTree,
+    make_new: Callable[[], KVTree],
     *,
     old_per_op_seconds: float | None = None,
     new_per_op_seconds: float | None = None,
-) -> tuple[TreeLike, MigrationReport]:
+) -> tuple[KVTree, MigrationReport]:
     """Offline bulk rebuild of ``old_tree`` into ``make_new()``.
 
-    The scan of the old tree and the bulk load + flush of the new one are
-    both charged to their storage stacks; the report sums whatever device
-    time the migration consumed (the trees may share a device).
+    The scan of the old tree and the load + settle of the new one are
+    both charged to their devices; the report sums whatever device time
+    the migration consumed (the trees may share a device).
     """
     new_tree = make_new()
     if len(new_tree):
         raise ConfigurationError("make_new() must return an empty tree")
-    shared = new_tree.storage.device is old_tree.storage.device
+    shared = new_tree.device is old_tree.device
     before_old = _busy_seconds(old_tree)
     before_new = _busy_seconds(new_tree) if not shared else 0.0
 
     pairs = list(old_tree.items())
-    new_tree.bulk_load(pairs)
-    new_tree.storage.flush()
+    new_tree.load(pairs)
+    new_tree.settle()
 
     spent = _busy_seconds(old_tree) - before_old
     if not shared:
@@ -151,8 +139,8 @@ class IncrementalMigrator:
 
     def __init__(
         self,
-        old_tree: TreeLike,
-        new_tree: TreeLike,
+        old_tree: KVTree,
+        new_tree: KVTree,
         *,
         universe: int,
         n_slabs: int = 64,
@@ -175,7 +163,7 @@ class IncrementalMigrator:
         self.writes_per_step = int(writes_per_step)
         self._next_slab = 0
         self._writes_since_step = 0
-        self._shared = new_tree.storage.device is old_tree.storage.device
+        self._shared = new_tree.device is old_tree.device
         self.report = MigrationReport(
             migration_seconds=0.0, entries_moved=0, mode="incremental"
         )
@@ -225,7 +213,7 @@ class IncrementalMigrator:
         while not self.done:
             self.migrate_next_slab()
         before = self._spent()
-        self.new.storage.flush()
+        self.new.settle()
         self.report.migration_seconds += self._spent() - before
         return self.report
 

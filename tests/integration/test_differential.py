@@ -1,11 +1,11 @@
 """Differential testing: every dictionary implementation must agree.
 
-The same operation stream is applied to the B-tree, both Bε-trees, the
-LSM-tree, the COLA, and a plain dict oracle; all six must end with
-identical contents and answer identical point/range queries.  This is the
-strongest cross-implementation correctness check in the suite — any
-divergence in message resolution, tombstone handling, split logic or merge
-precedence shows up here.
+The same operation stream is applied to every registry kind
+(:data:`repro.trees.KINDS`), the naive Bε-tree and a plain dict oracle;
+all must end with identical contents and answer identical point/range
+queries.  This is the strongest cross-implementation correctness check in
+the suite — any divergence in message resolution, tombstone handling,
+split logic or merge precedence shows up here.
 """
 
 import numpy as np
@@ -15,29 +15,33 @@ from hypothesis import strategies as st
 
 from repro.storage.ram import NullDevice
 from repro.storage.stack import StorageStack
-from repro.trees.betree import BeTree, BeTreeConfig, OptimizedBeTree
-from repro.trees.btree import BTree, BTreeConfig
-from repro.trees.cola import COLA, COLAConfig
-from repro.trees.lsm import LSMConfig, LSMTree
+from repro.trees import build
+from repro.trees.betree import BeTree, BeTreeConfig
 from repro.trees.sizing import EntryFormat
 
 FMT = EntryFormat(value_bytes=8)
+BETREE = dict(node_bytes=2048, fanout=3, fmt=FMT)
+
+#: Small nodes, runs and buckets, to force structure out of short streams.
+SMALL = {
+    "btree": dict(node_bytes=1024, cache_bytes=1 << 20, fmt=FMT),
+    "betree": dict(cache_bytes=1 << 20, **BETREE),
+    "lsm": dict(sstable_bytes=2048, memtable_bytes=2048, level1_bytes=8192, fmt=FMT),
+    "cola": dict(fmt=FMT),
+    "cob": dict(fmt=FMT, initial_slots=64),
+    "cob-buffered": dict(fmt=FMT, initial_slots=64, fanout=4, buffer_bytes=512, rebuild_factor=2.0),
+}
 
 
 def build_all():
     """One instance of every dictionary, small nodes to force structure."""
-    trees = {}
-    trees["btree"] = BTree(
-        StorageStack(NullDevice(), 1 << 20), BTreeConfig(node_bytes=1024, fmt=FMT)
+    trees = {
+        kind: build(kind, NullDevice(capacity_bytes=1 << 30), **fields)
+        for kind, fields in SMALL.items()
+    }
+    trees["betree-naive"] = BeTree(
+        StorageStack(NullDevice(), 1 << 20), BeTreeConfig(**BETREE)
     )
-    be_cfg = BeTreeConfig(node_bytes=2048, fanout=3, fmt=FMT)
-    trees["betree"] = BeTree(StorageStack(NullDevice(), 1 << 20), be_cfg)
-    trees["optimized"] = OptimizedBeTree(StorageStack(NullDevice(), 1 << 20), be_cfg)
-    trees["lsm"] = LSMTree(
-        NullDevice(capacity_bytes=1 << 30),
-        LSMConfig(sstable_bytes=2048, memtable_bytes=2048, level1_bytes=8192, fmt=FMT),
-    )
-    trees["cola"] = COLA(NullDevice(capacity_bytes=1 << 30), COLAConfig(fmt=FMT))
     return trees
 
 

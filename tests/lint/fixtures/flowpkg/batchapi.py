@@ -45,3 +45,26 @@ class SymChild(Sym):
     def put_many(self, pairs) -> None:
         for key, value in pairs:
             self.insert(key, value)
+
+
+class LoopBase:
+    """The shared-base shape: the batch op lives on the base as a loop over
+    a scalar op that only subclasses implement."""
+
+    def insert(self, key, value) -> None:
+        raise NotImplementedError
+
+    def put_many(self, pairs) -> None:
+        insert = self.insert
+        for key, value in pairs:
+            insert(key, value)
+
+
+class InheritsBatch(LoopBase):
+    """Inheriting the batch op and defining only the scalar twin is fine."""
+
+    def __init__(self) -> None:
+        self.data = {}
+
+    def insert(self, key, value) -> None:
+        self.data[key] = value

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, DeviceCrashed, TreeError, WALError
+from repro.errors import ConfigurationError, DeviceCrashed, WALError
 from repro.faults import CrashPlan, FaultPlan, FaultyDevice
 from repro.recovery import (
     DurableConfig,
@@ -77,12 +77,19 @@ class TestWritePath:
         assert durable.checkpoints_taken == 1
         assert durable.contents() == {1: "a", 2: "b"}
 
-    def test_cob_delete_of_absent_key_leaves_no_record(self):
-        _, durable = build("cob")
+    @pytest.mark.parametrize("tree", RECOVERY_TREES)
+    def test_delete_of_absent_key_is_logged_and_replays_harmlessly(self, tree):
+        _, durable = build(tree)
         durable.load([(1, "a")])
-        with pytest.raises(TreeError):
-            durable.delete(99)
-        assert durable.wal.next_lsn == 1  # refused delete logged nothing
+        durable.put(2, "b")
+        lsn = durable.delete(99)  # a no-op in every kind, cob included
+        assert durable.contents() == {1: "a", 2: "b"}
+        durable.sync()
+        assert durable.acked(lsn)
+        report = durable.recover()
+        assert report.replayed_records == 2
+        assert durable.contents() == {1: "a", 2: "b"}
+        durable.check_invariants()
 
 
 class TestCheckpoint:

@@ -213,11 +213,18 @@ class TestCOBTree:
         assert len(tree) == 399
         tree.check_invariants()
 
-    def test_delete_missing_raises(self):
-        tree, _ = make_tree()
-        tree.put(1, 1)
-        with pytest.raises(TreeError):
-            tree.delete(2)
+    def test_delete_missing_charges_its_search_and_changes_nothing(self):
+        # Unpinned index: the search of an absent key costs reads, like a get.
+        tree, dev = make_tree(ram_bytes=0)
+        tree.put_many([(k, k) for k in range(0, 400, 2)])
+        before = list(tree.items())
+        reads, writes = dev.stats.reads, dev.stats.writes
+        for absent in (-5, 101, 10_000):
+            tree.delete(absent)
+        assert dev.stats.reads > reads and dev.stats.writes == writes
+        assert list(tree.items()) == before
+        assert tree.user_bytes_modified == 200 * tree.config.fmt.entry_bytes
+        tree.check_invariants()
 
     def test_range_and_items(self):
         tree, _ = make_tree()

@@ -1,0 +1,201 @@
+"""One conformance suite over the tree registry.
+
+Every kind in :data:`repro.trees.KINDS` must honour the same
+:class:`~repro.trees.api.KVTree` contract: dictionary semantics against a
+dict model, the full int64 key domain, batch entry points that are
+accounting-identical to their scalar loops, and the load / settle /
+drop_cache / io_seconds lifecycle the callers drive.  Structure-specific
+behaviour (splits, compactions, PMA windows, fences) is tested beside each
+kind; a new kind passes this file by adding one registry entry.
+"""
+
+import numpy as np
+import pytest
+
+from repro.storage.hdd import HDDGeometry, SimulatedHDD
+from repro.trees import KINDS, KVTree, build
+from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
+
+FMT = EntryFormat(value_bytes=20)
+
+#: Small structures on a small RAM budget, so a few thousand operations
+#: split nodes, compact runs, merge levels and rebalance PMA windows.
+SMALL = {
+    "btree": dict(node_bytes=4096, cache_bytes=1 << 18, fmt=FMT),
+    "betree": dict(node_bytes=16384, cache_bytes=1 << 18, fanout=4, fmt=FMT),
+    "lsm": dict(memtable_bytes=1 << 12, sstable_bytes=1 << 14, level1_bytes=1 << 16, fmt=FMT),
+    "cola": dict(cache_bytes=1 << 14, fmt=FMT),
+    "cob": dict(cache_bytes=1 << 10, initial_slots=64, fmt=FMT),
+    "cob-buffered": dict(
+        cache_bytes=1 << 10, initial_slots=64, fanout=4, buffer_bytes=2048,
+        rebuild_factor=2.0, fmt=FMT,
+    ),
+}
+
+
+def make(kind: str) -> KVTree:
+    device = SimulatedHDD(HDDGeometry(capacity_bytes=1 << 30), seed=1)
+    return build(kind, device, **SMALL[kind])
+
+
+def accounting(tree: KVTree) -> dict:
+    return {
+        "clock": tree.device.clock,
+        "stats": vars(tree.device.stats).copy(),
+        "user_bytes": tree.user_bytes_modified,
+        "used_bytes": tree.allocator.used_bytes,
+    }
+
+
+def sorted_pairs(n: int, seed: int = 5) -> list[tuple[int, int]]:
+    rng = np.random.default_rng(seed)
+    keys = rng.choice(1 << 20, size=n, replace=False)
+    return [(int(k), int(k) * 3 + 1) for k in sorted(keys)]
+
+
+def test_small_configs_cover_the_registry():
+    assert set(SMALL) == set(KINDS)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_random_ops_match_a_dict(kind):
+    rng = np.random.default_rng(11)
+    tree, model = make(kind), {}
+    for step in range(3000):
+        key = int(rng.integers(0, 700))
+        draw = rng.random()
+        if draw < 0.55:
+            value = int(rng.integers(0, 10**6))
+            tree.insert(key, value)
+            model[key] = value
+        elif draw < 0.8:
+            tree.delete(key)  # absent about half the time
+            model.pop(key, None)
+        elif draw < 0.95:
+            assert tree.get(key) == model.get(key)
+            assert (key in tree) == (key in model)
+        else:
+            hi = key + int(rng.integers(0, 60))
+            assert tree.range(key, hi) == sorted(
+                (k, v) for k, v in model.items() if key <= k <= hi
+            )
+        if step % 500 == 499:
+            tree.check_invariants()
+    assert list(tree.items()) == sorted(model.items())
+    assert len(tree) == len(model)
+    assert tree.range(5, 4) == []
+    tree.check_invariants()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_items_span_the_int64_key_domain(kind):
+    tree = make(kind)
+    extremes = [KEY_MIN, -(1 << 62) - 1, (1 << 62) + 5, KEY_MAX]
+    want = {k * 7: k for k in range(1, 1200)}
+    tree.put_many(list(want.items())[:600])
+    for key in extremes:
+        tree.insert(key, "x")
+        want[key] = "x"
+    tree.put_many(list(want.items())[600:1199])
+    assert [(int(k), v) for k, v in tree.items()] == sorted(want.items())
+    assert len(tree) == len(want)
+    assert all(tree.get(key) == "x" for key in extremes)
+    tree.check_invariants()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_put_many_is_an_insert_loop(kind):
+    rng = np.random.default_rng(13)
+    keys = rng.integers(0, 60_000, size=3000).tolist()
+    pairs = [(k, k * 5 + 1) for k in keys]
+    serial, batch = make(kind), make(kind)
+    for key, value in pairs:
+        serial.insert(key, value)
+    batch.put_many(iter(pairs))
+    assert accounting(batch) == accounting(serial)
+    assert list(batch.items()) == list(serial.items())
+    batch.check_invariants()
+
+
+#: What ``load`` replaced: each kind's hand-written load path.
+OLD_LOAD = {
+    "btree": lambda tree, pairs: tree.bulk_load(pairs),
+    "betree": lambda tree, pairs: tree.bulk_load(pairs),
+    "lsm": lambda tree, pairs: (tree.put_many(pairs), tree.flush_memtable()),
+    "cola": lambda tree, pairs: tree.put_many(pairs),
+    "cob": lambda tree, pairs: tree.bulk_load(pairs),
+    "cob-buffered": lambda tree, pairs: tree.bulk_load(pairs),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_load_is_the_kinds_own_load_path(kind):
+    pairs = sorted_pairs(2500)
+    old, new = make(kind), make(kind)
+    OLD_LOAD[kind](old, pairs)
+    new.load(pairs)
+    assert accounting(new) == accounting(old)
+    assert list(new.items()) == pairs
+    new.check_invariants()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lifecycle(kind):
+    tree = make(kind)
+    pairs = sorted_pairs(2000)
+    tree.load(pairs)
+
+    # settle() pays for every deferred write; a second one finds nothing.
+    tree.put_many((k + 1, v) for k, v in pairs[:300])
+    tree.settle()
+    assert tree.io_seconds == tree.device.stats.busy_seconds > 0.0
+    settled = accounting(tree)
+    tree.settle()
+    assert accounting(tree) == settled
+
+    # drop_cache() costs nothing once settled, loses nothing, and leaves a
+    # buffer-cached kind cold: its next read goes to the device.
+    tree.drop_cache()
+    assert accounting(tree) == settled
+    if tree.storage is not None:
+        assert tree.storage.cache.cached_bytes == 0
+        before = tree.io_seconds
+        assert tree.get(pairs[0][0]) == pairs[0][1]
+        assert tree.io_seconds > before
+        tree.reset_cache_stats()
+        assert tree.storage.cache.stats.misses == 0
+    assert tree.get(pairs[7][0]) == pairs[7][1]
+    assert dict(tree.items())[pairs[0][0] + 1] == pairs[0][1]
+    tree.check_invariants()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lookup_many_answers_like_a_get_loop(kind):
+    pairs = sorted_pairs(2000)
+    looped, batched = make(kind), make(kind)
+    for tree in (looped, batched):
+        tree.load(pairs)
+        tree.drop_cache()
+    keys = [pairs[i][0] + (i % 3 == 0) for i in range(0, 2000, 17)]
+    assert batched.lookup_many(keys) == [looped.get(key) for key in keys]
+    if kind != "btree":  # the B-tree's batched descent is a different IO schedule
+        assert accounting(batched) == accounting(looped)
+
+
+def test_get_many_is_exposed_by_exactly_these_kinds():
+    # benchmarks/perf's tree_read branches on the attribute: adding or
+    # removing one changes that workload's op mix.
+    exposing = {kind for kind in KINDS if hasattr(make(kind), "get_many")}
+    assert exposing == {"btree", "cola", "cob", "cob-buffered"}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_deleting_an_absent_key_changes_nothing(kind):
+    tree = make(kind)
+    pairs = sorted_pairs(1500)
+    tree.load(pairs)
+    for absent in (pairs[0][0] - 1, pairs[700][0] + 1, pairs[-1][0] + 1, KEY_MAX):
+        assert not tree.delete(absent)  # False (B-tree) or None (the rest)
+    assert list(tree.items()) == pairs
+    assert len(tree) == len(pairs)
+    tree.check_invariants()

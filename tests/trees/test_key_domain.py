@@ -18,7 +18,7 @@ EXTREMES = [KEY_MIN, -(1 << 62) - 1, (1 << 62) + 5, KEY_MAX]
 
 @pytest.mark.parametrize("name", TREES)
 def test_extreme_keys_round_trip(name):
-    tree, _ = TREES[name]()
+    tree = TREES[name]()
     # Enough filler to push the extremes out of memtables, buffers and the
     # root, whichever the kind has; extremes first, last and in between.
     filler = [(k * 7, k) for k in range(1, 1500)]
@@ -46,7 +46,7 @@ def test_extreme_keys_round_trip(name):
 def test_subtree_rebuild_collects_extreme_keys(name):
     # What a Theorem 9 weight-balance rebuild re-inserts: a key it fails
     # to collect is a key the rebuild loses.
-    tree, _ = TREES[name]()
+    tree = TREES[name]()
     tree.put_many([(k, k) for k in range(2000)])
     for key in EXTREMES:
         tree.insert(key, "x")

@@ -14,12 +14,12 @@ import pytest
 from repro.obs import OBS
 from repro.storage.hdd import HDDGeometry, SimulatedHDD
 from repro.storage.stack import StorageStack
-from repro.trees.betree import BeTree, BeTreeConfig, OptimizedBeTree
-from repro.trees.btree import BTree, BTreeConfig
-from repro.trees.cob import BufferedCOBTree, COBConfig, COBTree
-from repro.trees.cola import COLA, COLAConfig
-from repro.trees.lsm import LSMConfig, LSMTree
+from repro.trees import build
+from repro.trees.betree import BeTree, BeTreeConfig
 from repro.trees.sizing import EntryFormat
+
+FMT = EntryFormat(value_bytes=20)
+BETREE = dict(node_bytes=16384, fanout=4, fmt=FMT)
 
 
 def _pairs(n=4000, universe=60_000, seed=13):
@@ -32,84 +32,52 @@ def _hdd():
     return SimulatedHDD(HDDGeometry(capacity_bytes=1 << 30), seed=1)
 
 
-def _make_btree():
-    stack = StorageStack(_hdd(), cache_bytes=1 << 18)
-    return BTree(stack, BTreeConfig(node_bytes=4096)), stack
+def _registered(kind, **fields):
+    return lambda: build(kind, _hdd(), **fields)
 
 
-def _make_betree():
-    stack = StorageStack(_hdd(), cache_bytes=1 << 18)
-    cfg = BeTreeConfig(node_bytes=16384, fanout=4, fmt=EntryFormat(value_bytes=20))
-    return BeTree(stack, cfg), stack
-
-
-def _make_opt_betree():
-    stack = StorageStack(_hdd(), cache_bytes=1 << 18)
-    cfg = BeTreeConfig(node_bytes=16384, fanout=4, fmt=EntryFormat(value_bytes=20))
-    return OptimizedBeTree(stack, cfg), stack
-
-
-def _make_lsm():
-    dev = _hdd()
-    return LSMTree(dev, LSMConfig(memtable_bytes=1 << 12, sstable_bytes=1 << 14)), dev
-
-
-def _make_cola():
-    dev = _hdd()
-    return COLA(dev, COLAConfig(fmt=EntryFormat(value_bytes=20))), dev
-
-
-def _make_cob():
-    dev = _hdd()
-    return COBTree(dev, COBConfig(fmt=EntryFormat(value_bytes=20))), dev
-
-
-def _make_buffered_cob():
-    dev = _hdd()
-    return BufferedCOBTree(dev, COBConfig(fmt=EntryFormat(value_bytes=20))), dev
+def _make_naive_betree():
+    # The whole-node-IO ablation variant is not a registry kind.
+    return BeTree(StorageStack(_hdd(), cache_bytes=1 << 18), BeTreeConfig(**BETREE))
 
 
 TREES = {
-    "btree": _make_btree,
-    "betree": _make_betree,
-    "betree-optimized": _make_opt_betree,
-    "lsm": _make_lsm,
+    "btree": _registered("btree", node_bytes=4096, cache_bytes=1 << 18),
+    "betree": _make_naive_betree,
+    "betree-optimized": _registered("betree", cache_bytes=1 << 18, **BETREE),
+    "lsm": _registered("lsm", memtable_bytes=1 << 12, sstable_bytes=1 << 14),
     # PR 7 left COLA out of the batched fast path; it and the cob tier
     # now carry the same serial-identity contract as every other tree.
-    "cola": _make_cola,
-    "cob": _make_cob,
-    "cob-buffered": _make_buffered_cob,
+    "cola": _registered("cola", fmt=FMT),
+    "cob": _registered("cob", fmt=FMT),
+    "cob-buffered": _registered("cob-buffered", fmt=FMT),
 }
 
 
-def _accounting(tree, backing):
-    device = backing.device if isinstance(backing, StorageStack) else backing
+def _accounting(tree):
     acct = {
-        "clock": device.clock,
-        "stats": vars(device.stats).copy(),
+        "clock": tree.device.clock,
+        "stats": vars(tree.device.stats).copy(),
         "user_bytes": tree.user_bytes_modified,
+        "io_seconds": tree.io_seconds,
     }
-    if isinstance(backing, StorageStack):
-        acct["io_seconds"] = backing.io_seconds
-        acct["cache"] = (backing.cache.stats.hits, backing.cache.stats.misses)
+    if tree.storage is not None:
+        cache = tree.storage.cache.stats
+        acct["cache"] = (cache.hits, cache.misses)
     return acct
 
 
 @pytest.mark.parametrize("name", TREES)
 def test_put_many_identical_to_insert_loop(name):
     pairs = _pairs()
-    serial_tree, serial_backing = TREES[name]()
+    serial_tree = TREES[name]()
     for k, v in pairs:
         serial_tree.insert(k, v)
-    batch_tree, batch_backing = TREES[name]()
+    batch_tree = TREES[name]()
     batch_tree.put_many(pairs)
-    assert _accounting(batch_tree, batch_backing) == _accounting(
-        serial_tree, serial_backing
-    )
-    if hasattr(batch_tree, "check_invariants"):
-        batch_tree.check_invariants()
-    if hasattr(batch_tree, "items"):
-        assert list(batch_tree.items()) == list(serial_tree.items())
+    assert _accounting(batch_tree) == _accounting(serial_tree)
+    batch_tree.check_invariants()
+    assert list(batch_tree.items()) == list(serial_tree.items())
 
 
 @pytest.mark.parametrize("name", ["betree", "betree-optimized"])
@@ -117,17 +85,17 @@ def test_put_many_preserves_sequence_numbers(name):
     # Later deletes/upserts must see exactly the sequence counter a serial
     # loop leaves behind, or message ordering would diverge downstream.
     pairs = _pairs(n=1500)
-    serial_tree, _ = TREES[name]()
+    serial_tree = TREES[name]()
     for k, v in pairs:
         serial_tree.insert(k, v)
-    batch_tree, _ = TREES[name]()
+    batch_tree = TREES[name]()
     batch_tree.put_many(pairs)
     assert batch_tree._next_seq == serial_tree._next_seq
 
 
 @pytest.mark.parametrize("name", TREES)
 def test_put_many_empty_and_iterator_inputs(name):
-    tree, backing = TREES[name]()
+    tree = TREES[name]()
     tree.put_many([])
     tree.put_many(iter([(1, 2), (3, 4)]))
     assert tree.get(1) == 2 and tree.get(3) == 4
@@ -143,25 +111,25 @@ def test_batched_ops_identical_with_obs_on_off(name, obs_on, monkeypatch):
     pairs = _pairs(n=1200, universe=20_000)
     query_keys = [k for k, _ in _pairs(n=400, universe=25_000, seed=29)]
 
-    serial_tree, serial_dev = TREES[name]()
+    serial_tree = TREES[name]()
     for k, v in pairs:
         serial_tree.insert(k, v)
     serial_hits = [serial_tree.get(k) for k in query_keys]
 
-    batch_tree, batch_dev = TREES[name]()
+    batch_tree = TREES[name]()
     batch_tree.put_many(pairs)
     batch_hits = batch_tree.get_many(query_keys)
 
     assert batch_hits == serial_hits
-    assert batch_dev.clock == serial_dev.clock  # exact float equality
-    assert vars(batch_dev.stats) == vars(serial_dev.stats)
+    assert batch_tree.device.clock == serial_tree.device.clock  # exact float equality
+    assert vars(batch_tree.device.stats) == vars(serial_tree.device.stats)
 
 
 def test_put_many_interleaves_with_serial_ops():
     # Mixing batched and serial mutations must match an all-serial run.
     pairs = _pairs(n=2000)
-    serial_tree, serial_stack = _make_opt_betree()
-    batch_tree, batch_stack = _make_opt_betree()
+    serial_tree = TREES["betree-optimized"]()
+    batch_tree = TREES["betree-optimized"]()
     for k, v in pairs[:500]:
         serial_tree.insert(k, v)
         batch_tree.insert(k, v)
@@ -173,7 +141,5 @@ def test_put_many_interleaves_with_serial_ops():
     for k, v in pairs[1500:]:
         serial_tree.insert(k, v)
     batch_tree.put_many(pairs[1500:])
-    assert _accounting(batch_tree, batch_stack) == _accounting(
-        serial_tree, serial_stack
-    )
+    assert _accounting(batch_tree) == _accounting(serial_tree)
     assert list(batch_tree.items()) == list(serial_tree.items())
