@@ -1,6 +1,6 @@
 # Convenience targets; see README.md.
 
-.PHONY: install test lint bench perf-smoke engine-bench experiments examples serve-quick cob recovery e21-quick all
+.PHONY: install test lint bench perf-smoke perf-pairs engine-bench experiments examples serve-quick cob recovery e21-quick all
 
 install:
 	pip install -e .
@@ -24,6 +24,16 @@ bench:
 perf-smoke:
 	python3 benchmarks/perf/run.py --scale 0.05
 	python -m pytest benchmarks/perf/tests -q
+
+# N alternating parent/change pairs of one benchmark workload, then
+# compare.py over both sets (the procedure a claimed gain is shown by):
+#   make perf-pairs WORKLOAD=device_engine BASE=<sha> N=10 SEED=0
+WORKLOAD ?= device_engine
+BASE ?= HEAD
+N ?= 10
+SEED ?= 0
+perf-pairs:
+	python3 tools/perf_pairs.py --workload $(WORKLOAD) --base $(BASE) --n $(N) --seed $(SEED)
 
 # Vectorized-engine gates: batch/serial byte-identity + speedup (smoke).
 engine-bench:

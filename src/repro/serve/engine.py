@@ -235,8 +235,11 @@ class RequestEngine:
             raise ConfigurationError(
                 f"duration_seconds must be positive, got {duration_seconds}"
             )
-        times, tenant_idx, key_vals = self._draw_traffic(duration_seconds, seed)
-        owners = self.shard_map.shards_of(key_vals)
+        time_col, tenant_col, key_col = self._draw_traffic(duration_seconds, seed)
+        # The arrival loop reads one element of each column per request:
+        # converted to native lists once, no numpy scalar enters it.
+        times, tenant_idx, key_vals = time_col.tolist(), tenant_col.tolist(), key_col.tolist()
+        owners = self.shard_map.shards_of(key_col).tolist()
 
         queues = [WeightedFairQueue(self.tenants) for _ in self.shards]
         stats = {t.name: TenantStats() for t in self.tenants}
@@ -334,10 +337,10 @@ class RequestEngine:
                 pending[s] = None
                 dispatch(s, when)
                 continue
-            now = float(times[i])
-            tenant = self.tenants[int(tenant_idx[i])].name
-            key = int(key_vals[i])
-            s = int(owners[i])
+            now = times[i]
+            tenant = self.tenants[tenant_idx[i]].name
+            key = key_vals[i]
+            s = owners[i]
             i += 1
             st = stats[tenant]
             st.offered += 1

@@ -235,10 +235,11 @@ class BlockDevice(ABC):
 
         Semantically identical to calling :meth:`read` once per offset, in
         order — same clock advance, same counters, same trace, same RNG
-        stream on stochastic devices.  Subclasses override it to vectorize
-        the homogeneous-size timing math (the probe and E3 hot path) while
-        preserving that bit-for-bit equivalence.  Offsets are validated up
-        front, so an invalid batch raises before any IO is charged.
+        stream on stochastic devices.  Subclasses override it to hoist the
+        homogeneous-size timing math out of the loop (the probe and E3 hot
+        path) while preserving that bit-for-bit equivalence.  Offsets are
+        validated up front, so an invalid batch raises before any IO is
+        charged.
         """
         for offset in offsets:
             self._check(offset, nbytes)

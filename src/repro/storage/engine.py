@@ -11,15 +11,14 @@ Two primitives power every timing simulation in this package:
   issue-time order (earliest first), which with forward-only Resource
   reservations yields a consistent FCFS discrete-event schedule.
 
-:class:`ResourcePool` stores its timelines as preallocated numpy arrays
-(``available_at`` / ``busy_seconds``, one float64 per slot) so occupancy
-queries (``free_slots``, ``first_free``, ``next_available_at``) are single
-array operations instead of Python loops, and batch services can update
-many slots without per-slot attribute traffic.  ``pool[i]`` still returns
-a scalar :class:`Resource`-compatible view, so existing per-slot callers
-(the serve layer's hedging pokes, the SSD's die/channel chains) are
-unchanged.  All scalar arithmetic runs on float64 values, so timings are
-bit-identical to the previous list-of-objects layout.
+:class:`ResourcePool` is a fixed list of :class:`Resource` — ``pool[i]``
+*is* the slot's timeline.  Pools here have 2-32 slots (SSD dies and
+channels, a shard's replicas), so the occupancy queries (``free_slots``,
+``first_free``, ``next_available_at``) are short left-to-right scans over
+native floats: at that size a scan costs less than one numpy call, and the
+SSD's per-page max/add chains and the serve layer's per-dispatch queries
+stay out of numpy-scalar arithmetic altogether (measured; see "The batched
+engine, and where numpy stops" in docs/architecture.md).
 
 This replaces the paper's "spawn p OS threads" methodology: the threads
 exist only to keep ``p`` IOs outstanding, and a closed-loop simulation does
@@ -31,8 +30,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
-
-import numpy as np
 
 from repro.errors import ConfigurationError, TransientIOError
 from repro.obs import OBS
@@ -61,7 +58,9 @@ class Resource:
         """
         if duration < 0:
             raise ConfigurationError(f"duration must be non-negative, got {duration}")
-        start = max(at, self.available_at)
+        start = self.available_at
+        if at > start:
+            start = at
         end = start + duration
         self.available_at = end
         self.busy_seconds += duration
@@ -81,132 +80,52 @@ class Resource:
         self.busy_seconds = 0.0
 
 
-class _PoolSlot:
-    """Scalar :class:`Resource`-compatible view of one pool slot.
-
-    Reads and writes go straight to the pool's arrays; the float64
-    arithmetic is identical to a standalone :class:`Resource`.
-    """
-
-    __slots__ = ("_pool", "_index")
-
-    def __init__(self, pool: "ResourcePool", index: int) -> None:
-        self._pool = pool
-        self._index = index
-
-    @property
-    def available_at(self) -> float:
-        return float(self._pool._available_at[self._index])
-
-    @available_at.setter
-    def available_at(self, value: float) -> None:
-        self._pool._available_at[self._index] = value
-
-    @property
-    def busy_seconds(self) -> float:
-        return float(self._pool._busy_seconds[self._index])
-
-    @busy_seconds.setter
-    def busy_seconds(self, value: float) -> None:
-        self._pool._busy_seconds[self._index] = value
-
-    def acquire(self, at: float, duration: float) -> float:
-        return self._pool.acquire(self._index, at, duration)
-
-    def peek_start(self, at: float) -> float:
-        avail = self._pool._available_at[self._index]
-        return float(avail) if avail > at else at
-
-    def is_free(self, at: float) -> bool:
-        return bool(self._pool._available_at[self._index] <= at)
-
-    def reset(self) -> None:
-        self._pool._available_at[self._index] = 0.0
-        self._pool._busy_seconds[self._index] = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"_PoolSlot(index={self._index}, available_at={self.available_at}, "
-            f"busy_seconds={self.busy_seconds})"
-        )
-
-
 class ResourcePool:
-    """A fixed array of FIFO timelines (e.g. all dies of an SSD).
+    """A fixed list of FIFO timelines (e.g. all dies of an SSD).
 
-    Timelines live in two preallocated float64 arrays; ``pool[i]`` returns
-    a scalar view object with the :class:`Resource` interface.  Occupancy
-    queries are array reductions, so they cost O(1) Python operations
-    regardless of pool size.
+    ``pool[i]`` is slot ``i``'s :class:`Resource`; the pool adds the
+    whole-pool occupancy queries.
     """
 
     def __init__(self, count: int) -> None:
         if count <= 0:
             raise ConfigurationError(f"resource count must be positive, got {count}")
-        self._available_at = np.zeros(count, dtype=np.float64)
-        self._busy_seconds = np.zeros(count, dtype=np.float64)
-        self._slots = [_PoolSlot(self, i) for i in range(count)]
+        self._slots = [Resource() for _ in range(count)]
 
     def __len__(self) -> int:
         return len(self._slots)
 
-    def __getitem__(self, index: int) -> _PoolSlot:
+    def __getitem__(self, index: int) -> Resource:
         return self._slots[index]
 
     def acquire(self, index: int, at: float, duration: float) -> float:
         """Serve a job on slot ``index``; same semantics as Resource.acquire."""
-        if duration < 0:
-            raise ConfigurationError(f"duration must be non-negative, got {duration}")
-        avail = self._available_at
-        start = avail[index]
-        if at > start:
-            start = at
-        end = start + duration
-        avail[index] = end
-        self._busy_seconds[index] += duration
-        return float(end)
+        return self._slots[index].acquire(at, duration)
 
     def reset(self) -> None:
-        self._available_at.fill(0.0)
-        self._busy_seconds.fill(0.0)
-
-    # -- array access for vectorized device models ---------------------------
-
-    @property
-    def available_at_array(self) -> np.ndarray:
-        """The raw ``available_at`` timeline array (mutated by batch services)."""
-        return self._available_at
-
-    @property
-    def busy_seconds_array(self) -> np.ndarray:
-        """The raw ``busy_seconds`` accounting array."""
-        return self._busy_seconds
+        for slot in self._slots:
+            slot.reset()
 
     @property
     def busy_seconds(self) -> float:
-        """Total busy time summed over the pool.
-
-        Summed left-to-right exactly like the previous per-object loop
-        (``math.fsum``/pairwise would round differently).
-        """
-        return sum(self._busy_seconds.tolist())
+        """Total busy time over the pool, summed in slot order."""
+        return sum(slot.busy_seconds for slot in self._slots)
 
     @property
     def max_available_at(self) -> float:
         """The time the last resource in the pool frees up."""
-        return float(self._available_at.max())
+        return max(slot.available_at for slot in self._slots)
 
-    # -- occupancy queries (the public alternative to poking _slots) -----
+    # -- occupancy queries ---------------------------------------------------
 
     def free_slots(self, at: float = 0.0) -> int:
         """How many resources would serve a job arriving at ``at`` immediately.
 
         This is the pool's *spare capacity* at an instant — the quantity
         hedging policies budget against (a duplicate IO is free only when
-        a slot would otherwise idle).  Callers must use this instead of
-        reaching into the pool's private arrays.
+        a slot would otherwise idle).
         """
-        return int(np.count_nonzero(self._available_at <= at))
+        return sum(1 for slot in self._slots if slot.available_at <= at)
 
     def first_free(self, at: float, *, exclude: int | None = None) -> int | None:
         """Lowest index of a resource free at ``at``, or ``None`` if all busy.
@@ -214,15 +133,14 @@ class ResourcePool:
         ``exclude`` skips one index — a hedger looking for a *second*
         server must not pick the one already serving the primary.
         """
-        free = np.flatnonzero(self._available_at <= at)
-        for i in free.tolist():
-            if i != exclude:
+        for i, slot in enumerate(self._slots):
+            if slot.available_at <= at and i != exclude:
                 return i
         return None
 
     def next_available_at(self) -> float:
         """The earliest time any resource in the pool frees up."""
-        return float(self._available_at.min())
+        return min(slot.available_at for slot in self._slots)
 
 
 class ClosedLoopRunner:

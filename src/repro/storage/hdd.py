@@ -31,6 +31,13 @@ from repro.errors import ConfigurationError
 from repro.obs import OBS
 from repro.storage.device import BlockDevice, IORecord
 
+#: Rotation-stream variates drawn per refill (see :class:`SimulatedHDD`).
+#: Large enough that the array draw and ``tolist`` amortise to ~20 ns per
+#: IO (a scalar ``Generator.uniform`` call is ~1.5 us), small enough (a
+#: 22 us draw, 32 KiB of floats) that a device which serves a handful of
+#: IOs does not notice it.
+ROTATION_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class HDDGeometry:
@@ -91,6 +98,15 @@ class HDDGeometry:
 class SimulatedHDD(BlockDevice):
     """Event-level hard disk: seek curve + rotational latency + transfer.
 
+    Rotational latencies come from a *rotation stream*: the ``k``-th
+    non-sequential IO since construction or :meth:`reset` is charged the
+    ``k``-th variate of ``default_rng(seed).uniform(0, rotation_seconds)``,
+    whether it arrives through :meth:`read`/:meth:`write` or inside a
+    batch.  The stream is drawn :data:`ROTATION_BLOCK` variates at a time
+    into a list of native floats that the scalar and batch paths consume
+    through one cursor (an array draw is the same bit-stream as that many
+    scalar draws), so no per-IO arithmetic touches numpy.
+
     Parameters
     ----------
     geometry:
@@ -112,33 +128,60 @@ class SimulatedHDD(BlockDevice):
     ) -> None:
         self.geometry = geometry or HDDGeometry()
         super().__init__(self.geometry.capacity_bytes, trace=trace)
-        self._rng = np.random.default_rng(seed)
+        g = self.geometry
+        # The geometry is frozen, so the per-IO constants are bound once.
+        self._seek_floor = g.track_to_track_seek_seconds
+        self._seek_span = g.full_stroke_seek_seconds - g.track_to_track_seek_seconds
+        self._seconds_per_byte = g.seconds_per_byte
         self._seed = seed
         self.sequential_detection = sequential_detection
+        self._rewind()
+
+    def _rewind(self) -> None:
+        """Head to offset 0 and the rotation stream back to variate 0."""
         self.head_position = 0
+        self._rng = np.random.default_rng(self._seed)
+        self._rotations: list[float] = []  # filled on the first draw
+        self._rotation_cursor = 0  # next unconsumed index of _rotations
+        self._rotation_base = 0  # variates consumed from earlier blocks
+
+    def _refill(self) -> list[float]:
+        """Draw the next block of the rotation stream; cursor to its start."""
+        self._rotation_base += len(self._rotations)
+        self._rotations = self._rng.uniform(
+            0.0, self.geometry.rotation_seconds, size=ROTATION_BLOCK
+        ).tolist()
+        self._rotation_cursor = 0
+        return self._rotations
+
+    @property
+    def rotations_drawn(self) -> int:
+        """Rotation-stream variates consumed since :meth:`reset`.
+
+        Equal to the number of non-sequential IOs charged so far; the next
+        one gets variate number ``rotations_drawn`` of the seeded stream.
+        """
+        return self._rotation_base + self._rotation_cursor
 
     # -- timing ------------------------------------------------------------
 
-    def _seek_seconds(self, offset: int) -> float:
-        """Setup time to reposition the head at ``offset``."""
-        g = self.geometry
-        if self.sequential_detection and offset == self.head_position:
-            return 0.0
-        distance = abs(offset - self.head_position)
-        frac = distance / g.capacity_bytes
-        seek = g.track_to_track_seek_seconds + (
-            g.full_stroke_seek_seconds - g.track_to_track_seek_seconds
-        ) * math.sqrt(frac)
-        rotation = float(self._rng.uniform(0.0, g.rotation_seconds))
-        return seek + rotation
-
     def _service(self, offset: int, nbytes: int, at: float) -> float:
-        setup = self._seek_seconds(offset)
-        transfer = nbytes * self.geometry.seconds_per_byte
+        head = self.head_position
+        if offset == head and self.sequential_detection:
+            setup = 0.0
+        else:
+            cursor = self._rotation_cursor
+            rotations = self._rotations
+            if cursor == len(rotations):
+                rotations = self._refill()
+                cursor = 0
+            self._rotation_cursor = cursor + 1
+            frac = abs(offset - head) / self.capacity_bytes
+            setup = (self._seek_floor + self._seek_span * math.sqrt(frac)) + rotations[cursor]
         self.head_position = offset + nbytes
         if OBS.enabled:
             self._obs_setup = setup  # seek/bandwidth split for the obs layer
-        return at + setup + transfer
+        return at + setup + nbytes * self._seconds_per_byte
 
     def _service_read(self, offset: int, nbytes: int, at: float) -> float:
         return self._service(offset, nbytes, at)
@@ -147,123 +190,85 @@ class SimulatedHDD(BlockDevice):
         # Writes pay the same mechanical costs as reads on a hard disk.
         return self._service(offset, nbytes, at)
 
-    def read_batch(self, offsets, nbytes: int) -> list[float]:
-        """Vectorized homogeneous read batch, bit-identical to serial reads.
+    def _batch(self, offsets, nbytes: int, kind: str) -> list[float]:
+        """Homogeneous batch: the serial step with its state held in locals.
 
-        The mechanical math (seek distances, square-root curve, rotational
-        draws) is evaluated with numpy across the whole batch; only the
-        per-IO clock/stat/trace bookkeeping stays in Python, in the exact
-        float-operation order of :meth:`BlockDevice.read`, so the returned
-        timings — and the RNG stream position afterwards — match a serial
-        loop bit for bit.  Rotational delays are drawn only for the
-        non-sequential IOs, mirroring :meth:`_seek_seconds` which does not
-        touch the RNG on a sequential hit.
+        Offsets are validated up front, so an invalid batch charges
+        nothing; then every IO runs the float operations of
+        :meth:`_service` and :meth:`BlockDevice.read`/``write`` in the same
+        order — same seek curve, same rotation-stream cursor, same
+        ``read_seconds``/``write_seconds`` accumulation — so timings,
+        counters, trace, sampler, OBS events, head position and
+        :attr:`rotations_drawn` match a serial loop bit for bit at every
+        batch length.
         """
         offs = [int(o) for o in offsets]
         if not offs:
             return []
         for off in offs:
             self._check(off, nbytes)
-        g = self.geometry
-        arr = np.asarray(offs, dtype=np.int64)
-        # Head position each IO sees: the entry position for the first,
-        # then the end of the preceding IO.
-        prev = np.empty(len(offs), dtype=np.int64)
-        prev[0] = self.head_position
-        if len(offs) > 1:
-            prev[1:] = arr[:-1] + nbytes
-        if self.sequential_detection:
-            nonseq = arr != prev
-        else:
-            nonseq = np.ones(len(offs), dtype=bool)
-        setup = np.zeros(len(offs), dtype=np.float64)
-        n_nonseq = int(np.count_nonzero(nonseq))
-        if n_nonseq:
-            frac = np.abs(arr[nonseq] - prev[nonseq]) / g.capacity_bytes
-            seek = g.track_to_track_seek_seconds + (
-                g.full_stroke_seek_seconds - g.track_to_track_seek_seconds
-            ) * np.sqrt(frac)
-            rotation = self._rng.uniform(0.0, g.rotation_seconds, size=n_nonseq)
-            setup[nonseq] = seek + rotation
-        transfer = nbytes * g.seconds_per_byte
+        capacity = self.capacity_bytes
+        seek_floor = self._seek_floor
+        seek_span = self._seek_span
+        sqrt = math.sqrt
+        detect = self.sequential_detection
+        transfer = nbytes * self._seconds_per_byte
+        rotations = self._rotations
+        cursor = self._rotation_cursor
+        block = len(rotations)
+        head = self.head_position
+        clock = self.clock
         stats = self.stats
+        reading = kind == "read"
+        seconds = stats.read_seconds if reading else stats.write_seconds
+        trace = self.trace if self._trace_enabled else None
+        sampler = self.sampler
+        obs_on = OBS.enabled
+        name = type(self).__name__
         out: list[float] = []
-        for i, off in enumerate(offs):
-            start = self.clock
-            end = start + float(setup[i]) + transfer
-            elapsed = end - start
-            self.clock = end
-            stats.reads += 1
-            stats.bytes_read += nbytes
-            stats.read_seconds += elapsed
-            if self._trace_enabled:
-                self.trace.append(IORecord("read", off, nbytes, start, end))
-            if self.sampler is not None:
-                self.sampler.record(nbytes, elapsed, "read")
-            if OBS.enabled:
-                OBS.io_event(
-                    type(self).__name__, "read", off, nbytes, start, end,
-                    float(setup[i]),
-                )
-            out.append(elapsed)
-        self.head_position = offs[-1] + nbytes
+        append = out.append
+        for off in offs:
+            if off == head and detect:
+                setup = 0.0
+            else:
+                if cursor == block:
+                    rotations = self._refill()
+                    cursor = 0
+                    block = len(rotations)
+                setup = (seek_floor + seek_span * sqrt(abs(off - head) / capacity)) + rotations[cursor]
+                cursor += 1
+            head = off + nbytes
+            start = clock
+            clock = start + setup + transfer
+            elapsed = clock - start
+            seconds += elapsed
+            if trace is not None:
+                trace.append(IORecord(kind, off, nbytes, start, clock))
+            if sampler is not None:
+                sampler.record(nbytes, elapsed, kind)
+            if obs_on:
+                OBS.io_event(name, kind, off, nbytes, start, clock, setup)
+            append(elapsed)
+        self._rotation_cursor = cursor
+        self.head_position = head
+        self.clock = clock
+        if reading:
+            stats.reads += len(offs)
+            stats.bytes_read += nbytes * len(offs)
+            stats.read_seconds = seconds
+        else:
+            stats.writes += len(offs)
+            stats.bytes_written += nbytes * len(offs)
+            stats.write_seconds = seconds
         return out
+
+    def read_batch(self, offsets, nbytes: int) -> list[float]:
+        """Batched reads; bit-identical to a serial :meth:`read` loop."""
+        return self._batch(offsets, nbytes, "read")
 
     def write_batch(self, offsets, nbytes: int) -> list[float]:
-        """Vectorized homogeneous write batch; twin of :meth:`read_batch`.
-
-        Writes pay the same mechanical costs as reads on a hard disk, so
-        the timing math is identical — only the counters and trace records
-        differ.  The RNG stream position afterwards matches a serial loop
-        of :meth:`BlockDevice.write` exactly.
-        """
-        offs = [int(o) for o in offsets]
-        if not offs:
-            return []
-        for off in offs:
-            self._check(off, nbytes)
-        g = self.geometry
-        arr = np.asarray(offs, dtype=np.int64)
-        prev = np.empty(len(offs), dtype=np.int64)
-        prev[0] = self.head_position
-        if len(offs) > 1:
-            prev[1:] = arr[:-1] + nbytes
-        if self.sequential_detection:
-            nonseq = arr != prev
-        else:
-            nonseq = np.ones(len(offs), dtype=bool)
-        setup = np.zeros(len(offs), dtype=np.float64)
-        n_nonseq = int(np.count_nonzero(nonseq))
-        if n_nonseq:
-            frac = np.abs(arr[nonseq] - prev[nonseq]) / g.capacity_bytes
-            seek = g.track_to_track_seek_seconds + (
-                g.full_stroke_seek_seconds - g.track_to_track_seek_seconds
-            ) * np.sqrt(frac)
-            rotation = self._rng.uniform(0.0, g.rotation_seconds, size=n_nonseq)
-            setup[nonseq] = seek + rotation
-        transfer = nbytes * g.seconds_per_byte
-        stats = self.stats
-        out: list[float] = []
-        for i, off in enumerate(offs):
-            start = self.clock
-            end = start + float(setup[i]) + transfer
-            elapsed = end - start
-            self.clock = end
-            stats.writes += 1
-            stats.bytes_written += nbytes
-            stats.write_seconds += elapsed
-            if self._trace_enabled:
-                self.trace.append(IORecord("write", off, nbytes, start, end))
-            if self.sampler is not None:
-                self.sampler.record(nbytes, elapsed, "write")
-            if OBS.enabled:
-                OBS.io_event(
-                    type(self).__name__, "write", off, nbytes, start, end,
-                    float(setup[i]),
-                )
-            out.append(elapsed)
-        self.head_position = offs[-1] + nbytes
-        return out
+        """Batched writes; bit-identical to a serial :meth:`write` loop."""
+        return self._batch(offsets, nbytes, "write")
 
     def describe(self) -> dict[str, object]:
         d = super().describe()
@@ -278,7 +283,6 @@ class SimulatedHDD(BlockDevice):
         return d
 
     def reset(self) -> None:
-        """Reset clock, counters, head position and the RNG stream."""
+        """Reset clock, counters, head position and the rotation stream."""
         super().reset()
-        self.head_position = 0
-        self._rng = np.random.default_rng(self._seed)
+        self._rewind()

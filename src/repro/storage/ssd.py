@@ -145,26 +145,24 @@ class SimulatedSSD(BlockDevice):
     # -- timing -------------------------------------------------------------
 
     def _read_completion(self, offset: int, nbytes: int, at: float) -> float:
-        # The die/channel acquire chains, run directly on the pool's
-        # timeline arrays with the slot state held in locals: same float64
-        # operations in the same order as per-slot ``acquire`` calls
-        # (max-then-add, busy accumulated one duration at a time), without
-        # a method dispatch per page.
+        # The die/channel acquire chains with the slot state held in
+        # locals: same float operations in the same order as per-slot
+        # ``acquire`` calls (max-then-add, busy accumulated one duration at
+        # a time), without a method dispatch per page.
         g = self.geometry
         t_read = g.page_read_seconds
         t_xfer = g.channel_transfer_seconds
         n_ch = g.channels
-        dies_av = self._dies.available_at_array
-        dies_busy = self._dies.busy_seconds_array
-        ch_av = self._channels.available_at_array
-        ch_busy = self._channels.busy_seconds_array
+        dies = self._dies
+        channels = self._channels
         done = at
         for die_idx, pages in self._page_plan(offset, nbytes):
-            ch_idx = die_idx % n_ch
-            d_av = dies_av[die_idx]
-            d_busy = dies_busy[die_idx]
-            c_av = ch_av[ch_idx]
-            c_busy = ch_busy[ch_idx]
+            die = dies[die_idx]
+            channel = channels[die_idx % n_ch]
+            d_av = die.available_at
+            d_busy = die.busy_seconds
+            c_av = channel.available_at
+            c_busy = channel.busy_seconds
             arrival = at
             for _ in range(pages):
                 read_end = (d_av if d_av > arrival else arrival) + t_read
@@ -176,28 +174,27 @@ class SimulatedSSD(BlockDevice):
                 arrival = read_end  # die proceeds to the next page immediately
                 if xfer_end > done:
                     done = xfer_end
-            dies_av[die_idx] = d_av
-            dies_busy[die_idx] = d_busy
-            ch_av[ch_idx] = c_av
-            ch_busy[ch_idx] = c_busy
-        return float(done)
+            die.available_at = d_av
+            die.busy_seconds = d_busy
+            channel.available_at = c_av
+            channel.busy_seconds = c_busy
+        return done
 
     def _write_completion(self, offset: int, nbytes: int, at: float) -> float:
         g = self.geometry
         t_prog = g.page_program_seconds
         t_xfer = g.channel_transfer_seconds
         n_ch = g.channels
-        dies_av = self._dies.available_at_array
-        dies_busy = self._dies.busy_seconds_array
-        ch_av = self._channels.available_at_array
-        ch_busy = self._channels.busy_seconds_array
+        dies = self._dies
+        channels = self._channels
         done = at
         for die_idx, pages in self._page_plan(offset, nbytes):
-            ch_idx = die_idx % n_ch
-            d_av = dies_av[die_idx]
-            d_busy = dies_busy[die_idx]
-            c_av = ch_av[ch_idx]
-            c_busy = ch_busy[ch_idx]
+            die = dies[die_idx]
+            channel = channels[die_idx % n_ch]
+            d_av = die.available_at
+            d_busy = die.busy_seconds
+            c_av = channel.available_at
+            c_busy = channel.busy_seconds
             arrival = at
             for _ in range(pages):
                 xfer_end = (c_av if c_av > arrival else arrival) + t_xfer
@@ -209,11 +206,11 @@ class SimulatedSSD(BlockDevice):
                 arrival = xfer_end  # bus frees up for the next page
                 if prog_end > done:
                     done = prog_end
-            dies_av[die_idx] = d_av
-            dies_busy[die_idx] = d_busy
-            ch_av[ch_idx] = c_av
-            ch_busy[ch_idx] = c_busy
-        return float(done)
+            die.available_at = d_av
+            die.busy_seconds = d_busy
+            channel.available_at = c_av
+            channel.busy_seconds = c_busy
+        return done
 
     def _service_read(self, offset: int, nbytes: int, at: float) -> float:
         return self._read_completion(offset, nbytes, at)

@@ -2,13 +2,19 @@
 
 The batched IO contract (docs/architecture.md): ``read_batch`` /
 ``write_batch`` are *semantically invisible* — clock, stats, trace,
-sampler, and RNG stream position must match a serial loop of ``read`` /
-``write`` bit for bit.  These tests enforce that with exact float
-equality (no ``approx``) on every device the experiments use, plus the
-fault wrapper in both its transparent and perturbed configurations, and
-with observability both off and on.
+sampler, and the HDD's rotation-stream cursor must match a serial loop of
+``read`` / ``write`` bit for bit.  These tests enforce that with exact
+float equality (no ``approx``) on every device the experiments use, plus
+the fault wrapper in both its transparent and perturbed configurations,
+and with observability both off and on.
 """
 
+import copy
+import math
+import pickle
+import random
+
+import numpy as np
 import pytest
 
 from repro.errors import InvalidIOError
@@ -19,8 +25,8 @@ from repro.models.affine import AffineModel
 from repro.models.pdam import PDAMModel
 from repro.obs import OBS
 from repro.storage.device import ReadRequest
-from repro.storage.engine import ClosedLoopRunner, ResourcePool
-from repro.storage.hdd import HDDGeometry, SimulatedHDD
+from repro.storage.engine import ClosedLoopRunner, Resource, ResourcePool
+from repro.storage.hdd import ROTATION_BLOCK, HDDGeometry, SimulatedHDD
 from repro.storage.ideal import AffineDevice, PDAMDevice
 from repro.storage.ram import ConstantLatencyDevice
 from repro.storage.ssd import SimulatedSSD, SSDGeometry
@@ -81,14 +87,17 @@ def _state(dev):
     state = {"clock": dev.clock, "stats": vars(dev.stats).copy()}
     if isinstance(dev, SimulatedHDD):
         state["head"] = dev.head_position
-        # One more draw exposes any RNG stream divergence.
-        state["next_draw"] = float(dev._rng.random())
+        state["rotations_drawn"] = dev.rotations_drawn
+        # One more non-sequential read exposes any rotation-stream divergence.
+        state["next_read"] = dev.read((dev.head_position + 8192) % (1 << 29), 512)
     if isinstance(dev, PDAMDevice):
         state["steps"] = dev.steps_elapsed
         state["slots"] = (dev.slots_used, dev.slots_wasted)
     if isinstance(dev, SimulatedSSD):
-        state["dies"] = dev._dies.available_at_array.tolist()
-        state["channels"] = dev._channels.available_at_array.tolist()
+        for name, pool in (("dies", dev._dies), ("channels", dev._channels)):
+            state[name] = [
+                (pool[i].available_at, pool[i].busy_seconds) for i in range(len(pool))
+            ]
     if isinstance(dev, FaultyDevice):
         state["inner"] = _state(dev.inner)
         state["faults"] = vars(dev.fault_stats).copy()
@@ -206,30 +215,160 @@ class TestCrashInBatch:
         assert _state(dev) == _state(ref)
 
 
-class TestResourcePoolArrays:
-    def _loop_reference(self, jobs):
-        """Occupancy computed with per-slot Python objects (the old layout)."""
-        from repro.storage.engine import Resource
+def _scalar_draw_reference(offsets, nbytes, *, seed, detect=True):
+    """Per-IO seconds from the pre-reservoir model: one scalar draw per seek.
 
-        slots = [Resource() for _ in range(4)]
-        for idx, at, dur in jobs:
-            slots[idx].acquire(at, dur)
-        return slots
+    The oracle for the rotation-stream contract — the ``k``-th
+    non-sequential IO gets the ``k``-th scalar ``uniform`` of a fresh
+    ``default_rng(seed)`` — written without the device's reservoir, in the
+    float-operation order of a serial ``read`` loop from ``reset()`` state.
+    """
+    g = HDDGeometry(capacity_bytes=1 << 30)
+    rng = np.random.default_rng(seed)
+    span = g.full_stroke_seek_seconds - g.track_to_track_seek_seconds
+    head, clock, out = 0, 0.0, []
+    for off in offsets:
+        setup = 0.0
+        if not (detect and off == head):
+            frac = abs(off - head) / g.capacity_bytes
+            seek = g.track_to_track_seek_seconds + span * math.sqrt(frac)
+            setup = seek + float(rng.uniform(0.0, g.rotation_seconds))
+        head = off + nbytes
+        end = clock + setup + nbytes * g.seconds_per_byte
+        out.append(end - clock)
+        clock = end
+    return out
 
-    def test_occupancy_matches_loop_reference(self):
-        jobs = [(0, 0.0, 1.0), (1, 0.5, 2.0), (0, 1.0, 0.5), (3, 0.2, 0.1)]
-        ref = self._loop_reference(jobs)
-        pool = ResourcePool(4)
-        for idx, at, dur in jobs:
-            pool.acquire(idx, at, dur)
-        for i in range(4):
+
+class TestRotationReservoir:
+    """The HDD's block-drawn rotation stream, at and across refills.
+
+    Every device here starts from ``reset()`` state, so the elapsed time
+    of its ``k``-th non-sequential IO is ``seek + variate k`` whichever
+    path (scalar, batch, or a mix) consumed variates ``0..k-1``.
+    """
+
+    @staticmethod
+    def _scattered(n, seed=0):
+        rnd = random.Random(seed)
+        return [rnd.randrange(0, (1 << 30) // 4096 - 1) * 4096 for _ in range(n)]
+
+    def test_kth_seek_gets_kth_variate_of_the_seeded_stream(self):
+        offsets = self._scattered(ROTATION_BLOCK + 40)
+        dev = hdd(seed=21)
+        got = [dev.read(off, NBYTES) for off in offsets]
+        assert got == _scalar_draw_reference(offsets, NBYTES, seed=21)
+
+    @pytest.mark.parametrize(
+        "n_before, n_batch",
+        [
+            (ROTATION_BLOCK - 3, 8),  # straddles the first refill boundary
+            (ROTATION_BLOCK, 5),  # starts exactly on the boundary
+            (7, 2 * ROTATION_BLOCK + 11),  # longer than one block
+        ],
+    )
+    @pytest.mark.parametrize("direction", ["read", "write"])
+    def test_batch_across_refill_boundary(self, n_before, n_batch, direction):
+        offsets = self._scattered(n_before + n_batch + 4)
+        lead, body, tail = (
+            offsets[:n_before],
+            offsets[n_before : n_before + n_batch],
+            offsets[n_before + n_batch :],
+        )
+        ref, dev = hdd(), hdd()
+        op = getattr(ref, direction)
+        expected = [op(off, NBYTES) for off in offsets]
+        scalar, batch = getattr(dev, direction), getattr(dev, f"{direction}_batch")
+        got = [scalar(off, NBYTES) for off in lead]
+        got += batch(body, NBYTES)
+        got += [scalar(off, NBYTES) for off in tail]  # scalar/batch/scalar
+        assert got == expected
+        assert dev.rotations_drawn == ref.rotations_drawn == len(offsets)
+        assert _state(dev) == _state(ref)
+
+    def test_sequential_hits_consume_no_variate(self):
+        dev = hdd()
+        dev.read(1 << 20, NBYTES)
+        assert dev.rotations_drawn == 1
+        run = [(1 << 20) + (i + 1) * NBYTES for i in range(5)]
+        for off in run[:2]:
+            dev.read(off, NBYTES)
+        dev.read_batch(run[2:], NBYTES)
+        assert dev.rotations_drawn == 1
+        # A mixed batch draws only for its seeks.
+        dev.write_batch([0, NBYTES, 2 * NBYTES, 1 << 24], NBYTES)
+        assert dev.rotations_drawn == 3
+
+    def test_sequential_detection_off_draws_for_every_io(self):
+        def make():
+            return SimulatedHDD(
+                HDDGeometry(capacity_bytes=1 << 30), seed=3, sequential_detection=False
+            )
+
+        offsets = [0, NBYTES, 2 * NBYTES, 1 << 20, (1 << 20) + NBYTES]
+        ref, dev = make(), make()
+        expected = [ref.read(off, NBYTES) for off in offsets]
+        assert dev.read_batch(offsets, NBYTES) == expected
+        assert dev.rotations_drawn == ref.rotations_drawn == len(offsets)
+        assert expected == _scalar_draw_reference(offsets, NBYTES, seed=3, detect=False)
+
+    def test_reset_mid_block_rewinds_to_variate_zero(self):
+        offsets = self._scattered(ROTATION_BLOCK + 9)
+        dev = hdd()
+        first = dev.read_batch(offsets, NBYTES)
+        assert dev.rotations_drawn == len(offsets)
+        dev.reset()
+        assert dev.rotations_drawn == 0 and dev.head_position == 0
+        assert [dev.read(off, NBYTES) for off in offsets] == first
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))]
+    )
+    @pytest.mark.parametrize("n_before", [5, ROTATION_BLOCK - 2])
+    def test_copy_mid_block_continues_the_same_stream(self, clone, n_before):
+        offsets = self._scattered(n_before + 12)
+        ref = hdd()
+        expected = ref.read_batch(offsets, NBYTES)
+        dev = hdd()
+        dev.read_batch(offsets[:n_before], NBYTES)
+        twin = clone(dev)
+        assert twin.rotations_drawn == n_before
+        assert twin.read_batch(offsets[n_before:], NBYTES) == expected[n_before:]
+        # The original is untouched by what its copy consumed.
+        assert [dev.read(off, NBYTES) for off in offsets[n_before:]] == expected[n_before:]
+        assert _state(twin) == _state(dev) == _state(ref)
+
+
+class TestResourcePoolContract:
+    """``ResourcePool`` == a hand-rolled list of ``Resource``, exactly."""
+
+    def _check_against_resources(self, count):
+        rnd = random.Random(count)
+        ref = [Resource() for _ in range(count)]
+        pool = ResourcePool(count)
+        now = 0.0
+        for _ in range(200):
+            now += rnd.random()
+            idx, dur = rnd.randrange(count), rnd.choice([0.0, rnd.random() * count])
+            assert pool.acquire(idx, now, dur) == ref[idx].acquire(now, dur)
+            free = [i for i, r in enumerate(ref) if r.is_free(now)]
+            assert pool.free_slots(now) == len(free)
+            assert pool.first_free(now) == (free[0] if free else None)
+            for exclude in free[:2] + [rnd.randrange(count)]:
+                rest = [i for i in free if i != exclude]
+                assert pool.first_free(now, exclude=exclude) == (rest[0] if rest else None)
+            assert pool.next_available_at() == min(r.available_at for r in ref)
+            assert pool.max_available_at == max(r.available_at for r in ref)
+            assert pool.busy_seconds == sum(r.busy_seconds for r in ref)
+        for i in range(count):
             assert pool[i].available_at == ref[i].available_at
             assert pool[i].busy_seconds == ref[i].busy_seconds
-        assert pool.busy_seconds == sum(r.busy_seconds for r in ref)
-        for t in (0.0, 0.3, 1.0, 2.5, 10.0):
-            assert pool.free_slots(t) == sum(r.is_free(t) for r in ref)
-        assert pool.next_available_at() == min(r.available_at for r in ref)
-        assert pool.max_available_at == max(r.available_at for r in ref)
+
+    def test_occupancy_matches_loop_reference(self):
+        # Random acquires; the small pools spend much of the run all-busy
+        # or with a single free slot for ``exclude`` to knock out.
+        for count in (1, 2, 3, 4, 8, 32):
+            self._check_against_resources(count)
 
     def test_first_free_prefers_lowest_index(self):
         pool = ResourcePool(3)
@@ -237,8 +376,10 @@ class TestResourcePoolArrays:
         assert pool.first_free(1.0) == 1
         assert pool.first_free(1.0, exclude=1) == 2
         pool.acquire(1, 0.0, 5.0)
+        assert pool.first_free(1.0, exclude=2) is None  # the only free slot
         pool.acquire(2, 0.0, 5.0)
-        assert pool.first_free(1.0) is None
+        assert pool.first_free(1.0) is None  # all busy
+        assert pool.free_slots(1.0) == 0
 
 
 class TestWriteMany:

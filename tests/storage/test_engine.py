@@ -57,6 +57,19 @@ class TestResourcePool:
         with pytest.raises(ConfigurationError):
             ResourcePool(0)
 
+    def test_slots_are_the_resources(self):
+        pool = ResourcePool(3)
+        slots = [pool[i] for i in range(3)]
+        assert all(isinstance(r, Resource) for r in slots)
+        assert len({id(r) for r in slots}) == 3 and pool[2] is slots[2]
+        assert pool.acquire(1, 0.0, 2.0) == 2.0
+        assert slots[1].acquire(0.0, 1.0) == 3.0  # one timeline, two spellings
+        with pytest.raises(ConfigurationError):
+            pool.acquire(0, 0.0, -1.0)
+        pool.reset()
+        assert pool[1] is slots[1]  # reset in place: held references stay live
+        assert slots[1].available_at == 0.0 and pool.busy_seconds == 0.0
+
 
 class TestClosedLoopRunner:
     def test_single_client_serial(self):
@@ -346,6 +359,33 @@ class TestPoolOccupancy:
         pool[0].acquire(0.0, 3.0)
         pool[1].acquire(0.0, 1.0)
         assert pool.next_available_at() == 1.0
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 8, 32])
+    def test_query_driven_dispatch_matches_resource_list(self, count):
+        # The serve layer's loop: take the first free slot, else wait for
+        # the earliest one — against a hand-rolled list of Resource.
+        import random
+
+        rnd = random.Random(count)
+        pool, ref = ResourcePool(count), [Resource() for _ in range(count)]
+        now = 0.0
+        for _ in range(300):
+            now += rnd.random() / count
+            free = [i for i, r in enumerate(ref) if r.available_at <= now]
+            assert pool.free_slots(now) == len(free)
+            idx = pool.first_free(now)
+            assert idx == (free[0] if free else None)
+            if idx is None:  # all busy
+                now = pool.next_available_at()
+                assert now == min(r.available_at for r in ref)
+                idx = pool.first_free(now)
+                assert idx == min(range(count), key=lambda i: ref[i].available_at)
+            if len(free) == 1:  # ``exclude`` = the only free slot
+                assert pool.first_free(now, exclude=free[0]) is None
+            dur = rnd.random()
+            assert pool[idx].acquire(now, dur) == ref[idx].acquire(now, dur)
+            assert pool.max_available_at == max(r.available_at for r in ref)
+            assert pool.busy_seconds == sum(r.busy_seconds for r in ref)
 
     def test_accessors_do_not_reserve(self):
         pool = ResourcePool(1)
