@@ -28,6 +28,8 @@ perf-smoke:
 # N alternating parent/change pairs of one benchmark workload, then
 # compare.py over both sets (the procedure a claimed gain is shown by):
 #   make perf-pairs WORKLOAD=device_engine BASE=<sha> N=10 SEED=0
+# WORKLOAD=all runs every workload of BENCHMARK.json in turn and fails if
+# any of them does (the check a no-gain change needs).
 WORKLOAD ?= device_engine
 BASE ?= HEAD
 N ?= 10

@@ -39,7 +39,7 @@ from repro.faults.crash import CrashPlan, CrashState
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import FaultStats, ResiliencePolicy
 from repro.obs import OBS
-from repro.storage.device import BlockDevice, IORecord
+from repro.storage.device import BlockDevice
 
 
 class FaultyDevice(BlockDevice):
@@ -264,102 +264,6 @@ class FaultyDevice(BlockDevice):
                 if OBS.enabled:
                     OBS.counter("io.hedge_wins").inc()
         return at + spent + service
-
-    def _service_read(self, offset: int, nbytes: int, at: float) -> float:
-        return self._service("read", offset, nbytes, at)
-
-    def _service_write(self, offset: int, nbytes: int, at: float) -> float:
-        return self._service("write", offset, nbytes, at)
-
-    # -- batched IO ----------------------------------------------------------
-
-    def _batch_is_transparent(self, kind: str) -> bool:
-        """Whether the fault pipeline is a no-op for IOs of ``kind``.
-
-        With no spikes, no errors and no degraded phases, :meth:`_service`
-        never touches the plan RNG or the fault counters, and its pricing
-        collapses to ``at + 0.0 + (base * 1.0 + 0.0)`` — exactly
-        ``at + base``.  Hedging can still fire without faults (a slow clean
-        read past the deadline), so reads additionally require it off;
-        writes are never hedged.  An armed (unspent) crash plan — or an
-        already-crashed device — also disables the fast path: every IO of
-        the batch must run the per-IO pipeline so the crash lands on the
-        same ordinal, with the same torn-write draw, as a serial loop.
-        """
-        plan = self.plan
-        if self._crashed is not None or (
-            self.crash is not None and not self._crash_spent
-        ):
-            return False
-        return (
-            plan.spike_prob <= 0.0
-            and plan.error_prob <= 0.0
-            and not plan.degraded
-            and (kind == "write" or not self.policy.hedge_enabled)
-        )
-
-    def read_batch(self, offsets, nbytes: int) -> list[float]:
-        """Batched reads; bit-identical to a serial loop of :meth:`read`.
-
-        When the fault pipeline is transparent (see
-        :meth:`_batch_is_transparent`), the inner device's own batch path
-        services the run and this wrapper does only its bookkeeping;
-        otherwise each IO runs the full per-IO pipeline so the plan's RNG
-        stream advances exactly as a serial loop would.
-        """
-        if not self._batch_is_transparent("read"):
-            return super().read_batch(offsets, nbytes)
-        offs = [int(o) for o in offsets]
-        for off in offs:
-            self._check(off, nbytes)
-        bases = self.inner.read_batch(offs, nbytes)
-        stats = self.stats
-        out: list[float] = []
-        for off, base in zip(offs, bases):
-            self._io_ordinal += 1
-            start = self.clock
-            end = start + base
-            elapsed = end - start
-            self.clock = end
-            stats.reads += 1
-            stats.bytes_read += nbytes
-            stats.read_seconds += elapsed
-            if self._trace_enabled:
-                self.trace.append(IORecord("read", off, nbytes, start, end))
-            if self.sampler is not None:
-                self.sampler.record(nbytes, elapsed, "read")
-            if OBS.enabled:
-                self._obs_io("read", off, nbytes, start, end)
-            out.append(elapsed)
-        return out
-
-    def write_batch(self, offsets, nbytes: int) -> list[float]:
-        """Batched writes; bit-identical to a serial loop of :meth:`write`."""
-        if not self._batch_is_transparent("write"):
-            return super().write_batch(offsets, nbytes)
-        offs = [int(o) for o in offsets]
-        for off in offs:
-            self._check(off, nbytes)
-        bases = self.inner.write_batch(offs, nbytes)
-        stats = self.stats
-        out: list[float] = []
-        for off, base in zip(offs, bases):
-            self._io_ordinal += 1
-            start = self.clock
-            end = start + base
-            elapsed = end - start
-            self.clock = end
-            stats.writes += 1
-            stats.bytes_written += nbytes
-            stats.write_seconds += elapsed
-            if self._trace_enabled:
-                self.trace.append(IORecord("write", off, nbytes, start, end))
-            if self.sampler is not None:
-                self.sampler.record(nbytes, elapsed, "write")
-            if OBS.enabled:
-                self._obs_io("write", off, nbytes, start, end)
-            out.append(elapsed)
-        return out
 
     # -- identity and lifecycle ----------------------------------------------
 

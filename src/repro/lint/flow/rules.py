@@ -296,21 +296,36 @@ class BatchSerialSymmetryRule(FlowRule):
         for cls_qname in sorted(index.classes):
             cls = index.classes[cls_qname]
             family = {c.qname for c in index.mro(cls_qname)}
-            for batch_name in sorted(cls.methods):
-                scalar_name = pairs.get(batch_name)
-                if scalar_name is None:
+            for batch_name in sorted(pairs):
+                scalar_name = pairs[batch_name]
+                batch = index.resolve_method(cls_qname, batch_name)
+                if batch is None:
                     continue
-                batch = index.functions[cls.methods[batch_name]]
-                mod = index.modules[batch.module]
-                suppressed = is_suppressed(mod.suppressions, batch.node, self.code)
+                # An inherited batch method is checked again on this
+                # class: the hooks it dispatches to (a device's
+                # ``_batch``) resolve to this class's overrides.  Such a
+                # finding is anchored on the class statement.
+                inherited = batch.owner != cls_qname
+                if inherited:
+                    path, line, col = cls.path, cls.lineno, 0
+                    suppressed = _line_suppressed(
+                        index.modules[cls.module].suppressions, cls.lineno, self.code
+                    )
+                else:
+                    path, line, col = batch.path, batch.lineno, batch.col
+                    suppressed = is_suppressed(
+                        index.modules[batch.module].suppressions, batch.node, self.code
+                    )
                 scalar = index.resolve_method(cls_qname, scalar_name)
                 if scalar is None:
+                    if inherited:
+                        continue  # reported where the batch method is defined
                     self._emit(
                         out,
                         project,
-                        path=batch.path,
-                        line=batch.lineno,
-                        col=batch.col,
+                        path=path,
+                        line=line,
+                        col=col,
                         message=(
                             f"`{cls.name}.{batch_name}` has no scalar twin "
                             f"`{scalar_name}` — batch APIs must be an "
@@ -333,9 +348,9 @@ class BatchSerialSymmetryRule(FlowRule):
                     self._emit(
                         out,
                         project,
-                        path=batch.path,
-                        line=batch.lineno,
-                        col=batch.col,
+                        path=path,
+                        line=line,
+                        col=col,
                         message=(
                             f"`{cls.name}.{batch_name}` touches state its scalar "
                             f"twin `{scalar.qname}` never does: {names}"
@@ -361,8 +376,8 @@ class BatchSerialSymmetryRule(FlowRule):
 
         ``self.method`` dispatches (calls *and* bound references like
         ``get = self.get``) resolve through the concrete class's MRO —
-        a base-class scalar that delegates to ``self._service_read``
-        lands on the subclass override actually running — and their
+        a base-class ``read`` that delegates to ``self._service`` lands
+        on the subclass override actually running — and their
         closures are merged in.  Cycles contribute nothing extra.
         """
         key = (concrete, fn.qname)

@@ -140,9 +140,12 @@ class DeviceStats:
 class BlockDevice(ABC):
     """A device that prices IOs in simulated seconds.
 
-    Subclasses implement :meth:`_service_read` and :meth:`_service_write`
-    (pure timing); this base class validates requests, keeps the clock and
-    the counters, and optionally records a trace.
+    Subclasses implement one hook, :meth:`_service` (pure timing of one
+    IO); this base class owns the rest of the IO protocol — it validates
+    requests, keeps the clock and the counters, records the trace, feeds
+    the sampler and the observability layer — for scalar
+    :meth:`read`/:meth:`write` and, through the one loop in
+    :meth:`_batch`, for :meth:`read_batch`/:meth:`write_batch`.
     """
 
     def __init__(self, capacity_bytes: int, *, trace: bool = False) -> None:
@@ -164,12 +167,14 @@ class BlockDevice(ABC):
     # -- subclass API ------------------------------------------------------
 
     @abstractmethod
-    def _service_read(self, offset: int, nbytes: int, at: float) -> float:
-        """Completion time of a read issued at ``at``."""
+    def _service(self, kind: str, offset: int, nbytes: int, at: float) -> float:
+        """Completion time of a ``kind`` ("read"/"write") IO issued at ``at``.
 
-    @abstractmethod
-    def _service_write(self, offset: int, nbytes: int, at: float) -> float:
-        """Completion time of a write issued at ``at``."""
+        May raise (a fault wrapper's injected error or crash): the IO is
+        then not charged, and a batch stops there with the IOs before it
+        charged — exactly a serial loop's partial state.  Must not read
+        ``self.clock`` (a batch holds it in a local; ``at`` is the clock).
+        """
 
     # -- public API --------------------------------------------------------
 
@@ -187,7 +192,7 @@ class BlockDevice(ABC):
         """Serially read ``nbytes`` at ``offset``; returns elapsed seconds."""
         self._check(offset, nbytes)
         start = self.clock
-        end = self._service_read(offset, nbytes, start)
+        end = self._service("read", offset, nbytes, start)
         elapsed = end - start
         self.clock = end
         self.stats.reads += 1
@@ -205,7 +210,7 @@ class BlockDevice(ABC):
         """Serially write ``nbytes`` at ``offset``; returns elapsed seconds."""
         self._check(offset, nbytes)
         start = self.clock
-        end = self._service_write(offset, nbytes, start)
+        end = self._service("write", offset, nbytes, start)
         elapsed = end - start
         self.clock = end
         self.stats.writes += 1
@@ -222,10 +227,11 @@ class BlockDevice(ABC):
     def _obs_io(self, kind: str, offset: int, nbytes: int, start: float, end: float) -> None:
         """Publish one completed IO to the observability layer.
 
-        Only called under the ``if OBS.enabled:`` guards in :meth:`read`
-        and :meth:`write`, so the call below needs no guard of its own.
+        Only called under the ``if OBS.enabled:`` guards in :meth:`read`,
+        :meth:`write` and :meth:`_batch`, so the call below needs no guard
+        of its own.
         """
-        OBS.io_event(  # repro-lint: ignore[OBS001] (guarded at both call sites)
+        OBS.io_event(  # repro-lint: ignore[OBS001] (guarded at every call site)
             type(self).__name__, kind, offset, nbytes, start, end, self._obs_setup
         )
         self._obs_setup = None
@@ -234,28 +240,76 @@ class BlockDevice(ABC):
         """Serially read ``nbytes`` at each offset; per-IO elapsed seconds.
 
         Semantically identical to calling :meth:`read` once per offset, in
-        order — same clock advance, same counters, same trace, same RNG
-        stream on stochastic devices.  Subclasses override it to hoist the
-        homogeneous-size timing math out of the loop (the probe and E3 hot
-        path) while preserving that bit-for-bit equivalence.  Offsets are
-        validated up front, so an invalid batch raises before any IO is
-        charged.
+        order — same clock advance, same counters, same trace and sampler,
+        same RNG streams on stochastic and faulty devices, the same partial
+        state when an IO raises mid-batch.  Offsets (any integer sequence,
+        numpy arrays included) are validated up front, so an invalid batch
+        raises before any IO is charged.
         """
-        for offset in offsets:
-            self._check(offset, nbytes)
-        return [self.read(offset, nbytes) for offset in offsets]
+        return self._batch("read", self._checked(offsets, nbytes), nbytes)
 
     def write_batch(self, offsets: "Sequence[int]", nbytes: int) -> list[float]:
         """Serially write ``nbytes`` at each offset; per-IO elapsed seconds.
 
-        The write-side twin of :meth:`read_batch`: bit-identical to a
-        serial loop of :meth:`write` — same clock advance, counters,
-        trace, and RNG stream — with offsets validated up front so an
-        invalid batch raises before any IO is charged.
+        The write-side twin of :meth:`read_batch`, under the same contract.
         """
-        for offset in offsets:
-            self._check(offset, nbytes)
-        return [self.write(offset, nbytes) for offset in offsets]
+        return self._batch("write", self._checked(offsets, nbytes), nbytes)
+
+    def _checked(self, offsets: "Sequence[int]", nbytes: int) -> list[int]:
+        """``offsets`` as a list of validated plain ``int``."""
+        offs = [int(o) for o in offsets]
+        for off in offs:
+            self._check(off, nbytes)
+        return offs
+
+    def _batch(self, kind: str, offsets: list[int], nbytes: int) -> list[float]:
+        """The batch loop: the scalar step of :meth:`read`/:meth:`write`.
+
+        ``offsets`` come validated from :meth:`_checked`.  Each IO runs
+        :meth:`_service` and the same float operations, in the same order,
+        as the scalar methods, with clock, direction seconds, trace and
+        sampler held in locals; the ``finally`` writes them back, so when
+        :meth:`_service` raises at IO ``k`` the device is left as ``k``
+        scalar calls would leave it.  It calls the private step, never the
+        public ``self.read``/``self.write``.  A subclass overrides this
+        only where the end-to-end benchmark shows its own loop pays
+        (today: :class:`~repro.storage.hdd.SimulatedHDD`).
+        """
+        service = self._service
+        stats = self.stats
+        reading = kind == "read"
+        seconds = stats.read_seconds if reading else stats.write_seconds
+        clock = self.clock
+        trace = self.trace if self._trace_enabled else None
+        sampler = self.sampler
+        out: list[float] = []
+        append = out.append
+        try:
+            for off in offsets:
+                start = clock
+                end = service(kind, off, nbytes, start)
+                elapsed = end - start
+                seconds += elapsed
+                clock = end
+                if trace is not None:
+                    trace.append(IORecord(kind, off, nbytes, start, end))
+                if sampler is not None:
+                    sampler.record(nbytes, elapsed, kind)
+                if OBS.enabled:
+                    self._obs_io(kind, off, nbytes, start, end)
+                append(elapsed)
+        finally:
+            done = len(out)
+            self.clock = clock
+            if reading:
+                stats.reads += done
+                stats.bytes_read += done * nbytes
+                stats.read_seconds = seconds
+            else:
+                stats.writes += done
+                stats.bytes_written += done * nbytes
+                stats.write_seconds = seconds
+        return out
 
     def describe(self) -> dict[str, object]:
         """Stable, JSON-able identity of this device's timing behavior.

@@ -18,7 +18,7 @@ from repro.errors import ConfigurationError, InvalidIOError
 from repro.models.affine import AffineModel
 from repro.obs import OBS
 from repro.models.pdam import PDAMModel
-from repro.storage.device import BlockDevice, IORecord
+from repro.storage.device import BlockDevice
 
 
 class AffineDevice(BlockDevice):
@@ -57,7 +57,8 @@ class AffineDevice(BlockDevice):
         self.write_multiplier = float(write_multiplier)
         self._next_sequential_offset: int | None = None
 
-    def _service(self, offset: int, nbytes: int, at: float, scale: float) -> float:
+    def _service(self, kind: str, offset: int, nbytes: int, at: float) -> float:
+        scale = 1.0 if kind == "read" else self.write_multiplier
         sequential = (
             self.sequential_detection and offset == self._next_sequential_offset
         )
@@ -66,98 +67,6 @@ class AffineDevice(BlockDevice):
         if OBS.enabled:
             self._obs_setup = scale * setup  # setup/bandwidth split for obs
         return at + scale * (setup + self.model.seconds_per_byte * nbytes)
-
-    def _service_read(self, offset: int, nbytes: int, at: float) -> float:
-        return self._service(offset, nbytes, at, 1.0)
-
-    def _service_write(self, offset: int, nbytes: int, at: float) -> float:
-        return self._service(offset, nbytes, at, self.write_multiplier)
-
-    def read_batch(self, offsets, nbytes: int) -> list[float]:
-        """Homogeneous read batch with the per-IO model math hoisted out.
-
-        An affine IO of fixed size costs the same every time (modulo the
-        sequential-setup waiver), so the batch path computes the two
-        possible costs once and runs only the clock/stat bookkeeping per
-        IO — in the same float-operation order as :meth:`BlockDevice.read`,
-        keeping results bit-identical to a serial loop.
-        """
-        offs = [int(o) for o in offsets]
-        if not offs:
-            return []
-        for off in offs:
-            self._check(off, nbytes)
-        transfer = self.model.seconds_per_byte * nbytes
-        cost_nonseq = 1.0 * (self.model.setup_seconds + transfer)
-        cost_seq = 1.0 * (0.0 + transfer)
-        stats = self.stats
-        expected = self._next_sequential_offset
-        out: list[float] = []
-        for off in offs:
-            sequential = self.sequential_detection and off == expected
-            start = self.clock
-            end = start + (cost_seq if sequential else cost_nonseq)
-            elapsed = end - start
-            self.clock = end
-            stats.reads += 1
-            stats.bytes_read += nbytes
-            stats.read_seconds += elapsed
-            if self._trace_enabled:
-                self.trace.append(IORecord("read", off, nbytes, start, end))
-            if self.sampler is not None:
-                self.sampler.record(nbytes, elapsed, "read")
-            if OBS.enabled:
-                OBS.io_event(
-                    type(self).__name__, "read", off, nbytes, start, end,
-                    0.0 if sequential else self.model.setup_seconds,
-                )
-            out.append(elapsed)
-            expected = off + nbytes
-        self._next_sequential_offset = expected
-        return out
-
-    def write_batch(self, offsets, nbytes: int) -> list[float]:
-        """Homogeneous write batch; the write-side twin of :meth:`read_batch`.
-
-        Identical hoisting, with the two candidate costs scaled by
-        ``write_multiplier`` in the same float-operation order as
-        :meth:`_service_write` — results stay bit-identical to a serial
-        loop of :meth:`BlockDevice.write`.
-        """
-        offs = [int(o) for o in offsets]
-        if not offs:
-            return []
-        for off in offs:
-            self._check(off, nbytes)
-        scale = self.write_multiplier
-        transfer = self.model.seconds_per_byte * nbytes
-        cost_nonseq = scale * (self.model.setup_seconds + transfer)
-        cost_seq = scale * (0.0 + transfer)
-        stats = self.stats
-        expected = self._next_sequential_offset
-        out: list[float] = []
-        for off in offs:
-            sequential = self.sequential_detection and off == expected
-            start = self.clock
-            end = start + (cost_seq if sequential else cost_nonseq)
-            elapsed = end - start
-            self.clock = end
-            stats.writes += 1
-            stats.bytes_written += nbytes
-            stats.write_seconds += elapsed
-            if self._trace_enabled:
-                self.trace.append(IORecord("write", off, nbytes, start, end))
-            if self.sampler is not None:
-                self.sampler.record(nbytes, elapsed, "write")
-            if OBS.enabled:
-                OBS.io_event(
-                    type(self).__name__, "write", off, nbytes, start, end,
-                    0.0 if sequential else scale * self.model.setup_seconds,
-                )
-            out.append(elapsed)
-            expected = off + nbytes
-        self._next_sequential_offset = expected
-        return out
 
     def describe(self) -> dict[str, object]:
         d = super().describe()
@@ -205,77 +114,13 @@ class PDAMDevice(BlockDevice):
         """Block size ``B`` of the underlying model."""
         return self.model.block_bytes
 
-    def _serial(self, nbytes: int, at: float) -> float:
+    def _service(self, kind: str, offset: int, nbytes: int, at: float) -> float:
         steps = self.model.cost(nbytes)
         self.steps_elapsed += int(steps)
         blocks = self.model.blocks(nbytes)
         self.slots_used += blocks
         self.slots_wasted += int(steps) * self.parallelism - blocks
         return at + steps * self.model.step_seconds
-
-    def _service_read(self, offset: int, nbytes: int, at: float) -> float:
-        return self._serial(nbytes, at)
-
-    def _service_write(self, offset: int, nbytes: int, at: float) -> float:
-        return self._serial(nbytes, at)
-
-    def _batch(self, offsets, nbytes: int, kind: str) -> list[float]:
-        """Homogeneous batch with the PDAM step math hoisted out of the loop.
-
-        Every IO of the same size costs the same whole number of steps, so
-        the batch path computes ``cost``/``blocks`` once and runs only the
-        per-IO clock and counter updates — in the same operation order as
-        the serial :meth:`read`/:meth:`write` path, so results and stats
-        stay bit-identical to a serial loop.
-        """
-        offs = [int(o) for o in offsets]
-        if not offs:
-            return []
-        for off in offs:
-            self._check(off, nbytes)
-        steps = self.model.cost(nbytes)
-        isteps = int(steps)
-        blocks = self.model.blocks(nbytes)
-        wasted = isteps * self.parallelism - blocks
-        dt = steps * self.model.step_seconds
-        stats = self.stats
-        reading = kind == "read"
-        out: list[float] = []
-        for off in offs:
-            start = self.clock
-            end = start + dt
-            # elapsed is recomputed as end - start (not reused as dt): the
-            # serial path subtracts, and (start + dt) - start can differ
-            # from dt in the last ulp.
-            elapsed = end - start
-            self.steps_elapsed += isteps
-            self.slots_used += blocks
-            self.slots_wasted += wasted
-            self.clock = end
-            if reading:
-                stats.reads += 1
-                stats.bytes_read += nbytes
-                stats.read_seconds += elapsed
-            else:
-                stats.writes += 1
-                stats.bytes_written += nbytes
-                stats.write_seconds += elapsed
-            if self._trace_enabled:
-                self.trace.append(IORecord(kind, off, nbytes, start, end))
-            if self.sampler is not None:
-                self.sampler.record(nbytes, elapsed, kind)
-            if OBS.enabled:
-                OBS.io_event(type(self).__name__, kind, off, nbytes, start, end, None)
-            out.append(elapsed)
-        return out
-
-    def read_batch(self, offsets, nbytes: int) -> list[float]:
-        """Batched reads; bit-identical to a serial :meth:`read` loop."""
-        return self._batch(offsets, nbytes, "read")
-
-    def write_batch(self, offsets, nbytes: int) -> list[float]:
-        """Batched writes; bit-identical to a serial :meth:`write` loop."""
-        return self._batch(offsets, nbytes, "write")
 
     # -- native step interface ----------------------------------------------
 

@@ -20,10 +20,7 @@ class NullDevice(BlockDevice):
     def __init__(self, capacity_bytes: int = 2**40, *, trace: bool = False) -> None:
         super().__init__(capacity_bytes, trace=trace)
 
-    def _service_read(self, offset: int, nbytes: int, at: float) -> float:
-        return at
-
-    def _service_write(self, offset: int, nbytes: int, at: float) -> float:
+    def _service(self, kind: str, offset: int, nbytes: int, at: float) -> float:
         return at
 
 
@@ -42,8 +39,5 @@ class ConstantLatencyDevice(BlockDevice):
         super().__init__(capacity_bytes, trace=trace)
         self.latency_seconds = float(latency_seconds)
 
-    def _service_read(self, offset: int, nbytes: int, at: float) -> float:
-        return at + self.latency_seconds
-
-    def _service_write(self, offset: int, nbytes: int, at: float) -> float:
+    def _service(self, kind: str, offset: int, nbytes: int, at: float) -> float:
         return at + self.latency_seconds

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.obs import OBS
-from repro.storage.device import BlockDevice, IORecord, ReadRequest, WriteRequest
+from repro.storage.device import BlockDevice, ReadRequest, WriteRequest
 from repro.storage.engine import ClosedLoopRunner, ResourcePool
 
 
@@ -144,79 +144,47 @@ class SimulatedSSD(BlockDevice):
 
     # -- timing -------------------------------------------------------------
 
-    def _read_completion(self, offset: int, nbytes: int, at: float) -> float:
-        # The die/channel acquire chains with the slot state held in
-        # locals: same float operations in the same order as per-slot
-        # ``acquire`` calls (max-then-add, busy accumulated one duration at
-        # a time), without a method dispatch per page.
+    def _service(self, kind: str, offset: int, nbytes: int, at: float) -> float:
+        # Each page crosses two FIFO resources in turn: a read occupies
+        # its die (page read) and then the channel bus (transfer out); a
+        # write occupies the bus (transfer in) and then the die (program).
+        # Either way the first resource moves on to the next page as soon
+        # as it is done with this one.  Slot state is held in locals: the
+        # same float operations in the same order as per-slot ``acquire``
+        # calls (max-then-add, busy accumulated one duration at a time),
+        # without a method dispatch per page.
         g = self.geometry
-        t_read = g.page_read_seconds
-        t_xfer = g.channel_transfer_seconds
         n_ch = g.channels
         dies = self._dies
         channels = self._channels
+        reading = kind == "read"
+        if reading:
+            t_first, t_second = g.page_read_seconds, g.channel_transfer_seconds
+        else:
+            t_first, t_second = g.channel_transfer_seconds, g.page_program_seconds
         done = at
         for die_idx, pages in self._page_plan(offset, nbytes):
             die = dies[die_idx]
             channel = channels[die_idx % n_ch]
-            d_av = die.available_at
-            d_busy = die.busy_seconds
-            c_av = channel.available_at
-            c_busy = channel.busy_seconds
+            first, second = (die, channel) if reading else (channel, die)
+            f_av = first.available_at
+            f_busy = first.busy_seconds
+            s_av = second.available_at
+            s_busy = second.busy_seconds
             arrival = at
             for _ in range(pages):
-                read_end = (d_av if d_av > arrival else arrival) + t_read
-                d_av = read_end
-                d_busy = d_busy + t_read
-                xfer_end = (c_av if c_av > read_end else read_end) + t_xfer
-                c_av = xfer_end
-                c_busy = c_busy + t_xfer
-                arrival = read_end  # die proceeds to the next page immediately
-                if xfer_end > done:
-                    done = xfer_end
-            die.available_at = d_av
-            die.busy_seconds = d_busy
-            channel.available_at = c_av
-            channel.busy_seconds = c_busy
+                f_av = (f_av if f_av > arrival else arrival) + t_first
+                f_busy = f_busy + t_first
+                s_av = (s_av if s_av > f_av else f_av) + t_second
+                s_busy = s_busy + t_second
+                arrival = f_av
+                if s_av > done:
+                    done = s_av
+            first.available_at = f_av
+            first.busy_seconds = f_busy
+            second.available_at = s_av
+            second.busy_seconds = s_busy
         return done
-
-    def _write_completion(self, offset: int, nbytes: int, at: float) -> float:
-        g = self.geometry
-        t_prog = g.page_program_seconds
-        t_xfer = g.channel_transfer_seconds
-        n_ch = g.channels
-        dies = self._dies
-        channels = self._channels
-        done = at
-        for die_idx, pages in self._page_plan(offset, nbytes):
-            die = dies[die_idx]
-            channel = channels[die_idx % n_ch]
-            d_av = die.available_at
-            d_busy = die.busy_seconds
-            c_av = channel.available_at
-            c_busy = channel.busy_seconds
-            arrival = at
-            for _ in range(pages):
-                xfer_end = (c_av if c_av > arrival else arrival) + t_xfer
-                c_av = xfer_end
-                c_busy = c_busy + t_xfer
-                prog_end = (d_av if d_av > xfer_end else xfer_end) + t_prog
-                d_av = prog_end
-                d_busy = d_busy + t_prog
-                arrival = xfer_end  # bus frees up for the next page
-                if prog_end > done:
-                    done = prog_end
-            die.available_at = d_av
-            die.busy_seconds = d_busy
-            channel.available_at = c_av
-            channel.busy_seconds = c_busy
-        return done
-
-    def _service_read(self, offset: int, nbytes: int, at: float) -> float:
-        return self._read_completion(offset, nbytes, at)
-
-    def _service_write(self, offset: int, nbytes: int, at: float) -> float:
-        return self._write_completion(offset, nbytes, at)
 
     # -- parallel (closed-loop) API ------------------------------------------
 
@@ -226,79 +194,41 @@ class SimulatedSSD(BlockDevice):
         Counters are updated here too, so parallel experiments report the
         same statistics as serial ones.
         """
-        if not isinstance(request, (ReadRequest, WriteRequest)):
-            raise ConfigurationError(f"unknown request type: {type(request).__name__}")
-        self._check(request.offset, request.nbytes)
         if isinstance(request, ReadRequest):
-            end = self._read_completion(request.offset, request.nbytes, at)
-            self.stats.reads += 1
-            self.stats.bytes_read += request.nbytes
-            self.stats.read_seconds += end - at
             kind = "read"
         elif isinstance(request, WriteRequest):
-            end = self._write_completion(request.offset, request.nbytes, at)
-            self.stats.writes += 1
-            self.stats.bytes_written += request.nbytes
-            self.stats.write_seconds += end - at
             kind = "write"
-        self.clock = max(self.clock, end)
+        else:
+            raise ConfigurationError(f"unknown request type: {type(request).__name__}")
+        offset, nbytes = request.offset, request.nbytes
+        self._check(offset, nbytes)
+        end = self._service(kind, offset, nbytes, at)
+        stats = self.stats
+        if kind == "read":
+            stats.reads += 1
+            stats.bytes_read += nbytes
+            stats.read_seconds += end - at
+        else:
+            stats.writes += 1
+            stats.bytes_written += nbytes
+            stats.write_seconds += end - at
+        if end > self.clock:
+            self.clock = end
         if OBS.enabled:
-            OBS.io_event(
-                type(self).__name__, kind, request.offset, request.nbytes, at, end
-            )
+            OBS.io_event(type(self).__name__, kind, offset, nbytes, at, end)
         return end
 
     def service_request_batch(self, requests, at: float) -> list[float]:
-        """Service a run of requests all issued at ``at``, in list order.
+        """:meth:`service_request` for each of ``requests``, all issued at ``at``.
 
-        Bit-identical to calling :meth:`service_request` once per request —
-        the same dispatch, counters and clock updates run per request, with
-        the attribute lookups hoisted out of the loop.  This is the
-        ``service_batch`` hook :class:`ClosedLoopRunner` dispatches runs of
-        tied events through.
+        The ``service_batch`` hook :class:`ClosedLoopRunner` hands runs of
+        tied events to.  The class's function is called rather than
+        ``self.service_request`` so that a benchmark tracer shadowing the
+        public methods on the instance sees one batch call, not a nested
+        scalar call per request.
         """
-        stats = self.stats
-        check = self._check
-        read_completion = self._read_completion
-        write_completion = self._write_completion
-        clock = self.clock
-        obs_on = OBS.enabled
-        out: list[float] = []
-        append = out.append
-        # The clock runs in a local and is written back on every exit path
-        # (including a mid-batch validation error), so an aborted batch
-        # leaves exactly the state a serial loop's partial progress would.
-        try:
-            for request in requests:
-                if isinstance(request, ReadRequest):
-                    check(request.offset, request.nbytes)
-                    end = read_completion(request.offset, request.nbytes, at)
-                    stats.reads += 1
-                    stats.bytes_read += request.nbytes
-                    stats.read_seconds += end - at
-                    kind = "read"
-                elif isinstance(request, WriteRequest):
-                    check(request.offset, request.nbytes)
-                    end = write_completion(request.offset, request.nbytes, at)
-                    stats.writes += 1
-                    stats.bytes_written += request.nbytes
-                    stats.write_seconds += end - at
-                    kind = "write"
-                else:
-                    raise ConfigurationError(
-                        f"unknown request type: {type(request).__name__}"
-                    )
-                if end > clock:
-                    clock = end
-                if obs_on:
-                    OBS.io_event(
-                        type(self).__name__, kind,
-                        request.offset, request.nbytes, at, end,
-                    )
-                append(end)
-        finally:
-            self.clock = clock
-        return out
+        serve = type(self).service_request
+        return [serve(self, request, at) for request in requests]
 
     def run_closed_loop(self, client_streams) -> float:
         """Run concurrent closed-loop clients; returns the makespan.
@@ -315,60 +245,6 @@ class SimulatedSSD(BlockDevice):
             service_batch=self.service_request_batch,
         )
         return runner.run_makespan(client_streams)
-
-    def read_batch(self, offsets, nbytes: int) -> list[float]:
-        """Batched serial reads; bit-identical to a loop of :meth:`read`.
-
-        Offsets are validated up front, then the per-IO bookkeeping runs in
-        one loop frame with the completion method bound once.
-        """
-        offs = [int(o) for o in offsets]
-        for off in offs:
-            self._check(off, nbytes)
-        stats = self.stats
-        completion = self._read_completion
-        out: list[float] = []
-        for off in offs:
-            start = self.clock
-            end = completion(off, nbytes, start)
-            elapsed = end - start
-            self.clock = end
-            stats.reads += 1
-            stats.bytes_read += nbytes
-            stats.read_seconds += elapsed
-            if self._trace_enabled:
-                self.trace.append(IORecord("read", off, nbytes, start, end))
-            if self.sampler is not None:
-                self.sampler.record(nbytes, elapsed, "read")
-            if OBS.enabled:
-                self._obs_io("read", off, nbytes, start, end)
-            out.append(elapsed)
-        return out
-
-    def write_batch(self, offsets, nbytes: int) -> list[float]:
-        """Batched serial writes; bit-identical to a loop of :meth:`write`."""
-        offs = [int(o) for o in offsets]
-        for off in offs:
-            self._check(off, nbytes)
-        stats = self.stats
-        completion = self._write_completion
-        out: list[float] = []
-        for off in offs:
-            start = self.clock
-            end = completion(off, nbytes, start)
-            elapsed = end - start
-            self.clock = end
-            stats.writes += 1
-            stats.bytes_written += nbytes
-            stats.write_seconds += elapsed
-            if self._trace_enabled:
-                self.trace.append(IORecord("write", off, nbytes, start, end))
-            if self.sampler is not None:
-                self.sampler.record(nbytes, elapsed, "write")
-            if OBS.enabled:
-                self._obs_io("write", off, nbytes, start, end)
-            out.append(elapsed)
-        return out
 
     def describe(self) -> dict[str, object]:
         d = super().describe()

@@ -68,3 +68,51 @@ class InheritsBatch(LoopBase):
 
     def insert(self, key, value) -> None:
         self.data[key] = value
+
+
+class HookBase:
+    """The device shape: scalar and batch ops live on the base, both built
+    on hooks (``_service``, ``_batch``) that subclasses override."""
+
+    clock = 0.0
+
+    def _service(self, offset) -> float:
+        raise NotImplementedError
+
+    def read(self, offset) -> float:
+        self.clock = self._service(offset)
+        return self.clock
+
+    def read_batch(self, offsets):
+        return self._batch(offsets)
+
+    def _batch(self, offsets):
+        return [self.read(offset) for offset in offsets]
+
+
+class HookOverrideDrifts(HookBase):
+    """Inherits ``read_batch``, but its ``_batch`` override counts batches —
+    state the scalar path of this class never touches."""
+
+    batches = 0
+
+    def _service(self, offset) -> float:
+        return self.clock + 1.0
+
+    def _batch(self, offsets):
+        self.batches += 1
+        return [self.read(offset) for offset in offsets]
+
+
+class HookOverrideFaithful(HookBase):
+    """An inlined ``_batch`` inside the scalar path's footprint is fine."""
+
+    def _service(self, offset) -> float:
+        return self.clock + 1.0
+
+    def _batch(self, offsets):
+        out = []
+        for _ in offsets:
+            self.clock = self.clock + 1.0
+            out.append(self.clock)
+        return out

@@ -83,6 +83,7 @@ class TestFixtureFindings:
         ("FLOW002", "rngflow.py", 21),
         ("FLOW003", "batchapi.py", 7),
         ("FLOW003", "batchapi.py", 21),
+        ("FLOW003", "batchapi.py", 93),  # inherited read_batch, drifting _batch hook
         ("FLOW004", "obsflow.py", 20),
     }
 

@@ -6,25 +6,31 @@ sampler, and the HDD's rotation-stream cursor must match a serial loop of
 ``read`` / ``write`` bit for bit.  These tests enforce that with exact
 float equality (no ``approx``) on every device the experiments use, plus
 the fault wrapper in both its transparent and perturbed configurations,
-and with observability both off and on.
+and with observability both off and on.  Every device is built tracing
+and sampling, so both are part of what is compared.
 """
 
 import copy
+import importlib
+import json
 import math
+import pkgutil
 import pickle
 import random
 
 import numpy as np
 import pytest
 
-from repro.errors import InvalidIOError
+import repro
+from repro.errors import DeviceCrashed, InvalidIOError, TransientIOError
+from repro.faults.crash import CrashPlan
 from repro.faults.device import FaultyDevice
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import ResiliencePolicy
 from repro.models.affine import AffineModel
 from repro.models.pdam import PDAMModel
 from repro.obs import OBS
-from repro.storage.device import ReadRequest
+from repro.storage.device import BlockDevice, ReadRequest
 from repro.storage.engine import ClosedLoopRunner, Resource, ResourcePool
 from repro.storage.hdd import ROTATION_BLOCK, HDDGeometry, SimulatedHDD
 from repro.storage.ideal import AffineDevice, PDAMDevice
@@ -35,44 +41,63 @@ OFFSETS = [512, 1 << 20, 4096, 2 << 20, 4096 + 65536, 1 << 24]
 NBYTES = 4096
 
 
+def _observed(dev):
+    """``dev`` with its passive sampler on (every factory also traces)."""
+    dev.enable_sampling()
+    return dev
+
+
 def affine():
-    return AffineDevice(
-        AffineModel(alpha=2.5e-6, setup_seconds=0.004),
-        capacity_bytes=1 << 30,
-        sequential_detection=True,
-        write_multiplier=2.5,
+    return _observed(
+        AffineDevice(
+            AffineModel(alpha=2.5e-6, setup_seconds=0.004),
+            capacity_bytes=1 << 30,
+            sequential_detection=True,
+            write_multiplier=2.5,
+            trace=True,
+        )
     )
 
 
 def pdam():
-    return PDAMDevice(
-        PDAMModel(block_bytes=4096, parallelism=4, step_seconds=1e-4),
-        capacity_bytes=1 << 30,
+    return _observed(
+        PDAMDevice(
+            PDAMModel(block_bytes=4096, parallelism=4, step_seconds=1e-4),
+            capacity_bytes=1 << 30,
+            trace=True,
+        )
     )
 
 
 def hdd(seed=3):
-    return SimulatedHDD(HDDGeometry(capacity_bytes=1 << 30), seed=seed)
+    return _observed(
+        SimulatedHDD(HDDGeometry(capacity_bytes=1 << 30), seed=seed, trace=True)
+    )
 
 
 def ssd():
-    return SimulatedSSD(SSDGeometry(capacity_bytes=1 << 30))
+    return _observed(SimulatedSSD(SSDGeometry(capacity_bytes=1 << 30), trace=True))
 
 
 def faulty_transparent():
-    return FaultyDevice(hdd(seed=7), FaultPlan(seed=11))
+    return _observed(FaultyDevice(hdd(seed=7), FaultPlan(seed=11), trace=True))
 
 
 def faulty_perturbed():
-    return FaultyDevice(
-        hdd(seed=7),
-        FaultPlan(seed=11, spike_prob=0.5, spike_seconds=0.01, error_prob=0.2),
-        policy=ResiliencePolicy.retry(max_retries=4, timeout_seconds=10.0),
+    return _observed(
+        FaultyDevice(
+            hdd(seed=7),
+            FaultPlan(seed=11, spike_prob=0.5, spike_seconds=0.01, error_prob=0.2),
+            policy=ResiliencePolicy.retry(max_retries=4, timeout_seconds=10.0),
+            trace=True,
+        )
     )
 
 
 DEVICES = {
-    "constant": lambda: ConstantLatencyDevice(0.002, capacity_bytes=1 << 30),
+    "constant": lambda: _observed(
+        ConstantLatencyDevice(0.002, capacity_bytes=1 << 30, trace=True)
+    ),
     "affine": affine,
     "pdam": pdam,
     "hdd": hdd,
@@ -84,7 +109,12 @@ DEVICES = {
 
 def _state(dev):
     """Everything a batch must leave bit-identical to the serial loop."""
-    state = {"clock": dev.clock, "stats": vars(dev.stats).copy()}
+    state = {
+        "clock": dev.clock,
+        "stats": vars(dev.stats).copy(),
+        "trace": list(dev.trace),
+        "samples": dev.sampler.samples(),
+    }
     if isinstance(dev, SimulatedHDD):
         state["head"] = dev.head_position
         state["rotations_drawn"] = dev.rotations_drawn
@@ -101,6 +131,10 @@ def _state(dev):
     if isinstance(dev, FaultyDevice):
         state["inner"] = _state(dev.inner)
         state["faults"] = vars(dev.fault_stats).copy()
+        # Where the plan's RNG stream stands: untouched by a transparent
+        # plan, advanced draw for draw with the serial loop by any other.
+        state["plan_rng"] = dev._rng.bit_generator.state
+        state["io_ordinal"] = dev.io_ordinal
     return state
 
 
@@ -140,14 +174,17 @@ def test_empty_batch_is_noop(name):
     assert dev.stats.ios == 0
 
 
-def test_faulty_fast_path_rng_stream_untouched():
-    # A transparent batch must leave the plan RNG exactly where a serial
-    # loop leaves it (untouched), so later perturbed runs are unaffected.
-    ref, dev = faulty_transparent(), faulty_transparent()
-    for off in OFFSETS:
-        ref.read(off, NBYTES)
-    dev.read_batch(OFFSETS, NBYTES)
-    assert float(dev._rng.random()) == float(ref._rng.random())
+@pytest.mark.parametrize("name", DEVICES)
+def test_array_offsets_are_traced_as_plain_ints(name):
+    # Handed a numpy array, a batch records what a serial loop over the
+    # list records: ``int`` offsets, which ``json.dumps`` can write.
+    ref, dev = DEVICES[name](), DEVICES[name]()
+    expected = ref.read_batch(OFFSETS, NBYTES)
+    assert dev.read_batch(np.array(OFFSETS), NBYTES) == expected
+    for device in (dev, getattr(dev, "inner", dev)):
+        assert all(type(rec.offset) is int for rec in device.trace)
+        json.dumps([vars(rec) for rec in device.trace])
+    assert _state(dev) == _state(ref)
 
 
 def test_faulty_perturbed_falls_back_to_full_pipeline():
@@ -159,32 +196,71 @@ def test_faulty_perturbed_falls_back_to_full_pipeline():
     assert _state(dev) == _state(ref)
 
 
+def test_transient_error_mid_batch_identical_to_serial_loop():
+    # No retry policy: the first injected error propagates.  The batch
+    # must raise at the IO the serial loop raises at, with the IOs before
+    # it charged and nothing after it touched.
+    def make():
+        return _observed(
+            FaultyDevice(hdd(seed=7), FaultPlan(seed=4, error_prob=0.3), trace=True)
+        )
+
+    ref, dev = make(), make()
+    with pytest.raises(TransientIOError):
+        for off in OFFSETS:
+            ref.read(off, NBYTES)
+    assert ref.stats.reads == 3  # IO 3 of 6 fails: mid-batch
+    with pytest.raises(TransientIOError):
+        dev.read_batch(OFFSETS, NBYTES)
+    assert _state(dev) == _state(ref)
+
+
+def test_block_device_owns_the_batch_protocol():
+    # One IO step per device model (``_service``), one batch loop in the
+    # base class; the HDD's inlined loop is the only override.
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith("__main__"):
+            importlib.import_module(module.name)
+
+    def family(cls):
+        yield cls
+        for sub in cls.__subclasses__():
+            yield from family(sub)
+
+    devices = {c for c in family(BlockDevice) if c.__module__.startswith("repro.")}
+    assert len(devices) >= 8
+    batch_hooks = ("_batch", "read_batch", "write_batch")
+    assert {c for c in devices if any(h in vars(c) for h in batch_hooks)} == {
+        BlockDevice,
+        SimulatedHDD,
+    }
+    retired = ("_service_read", "_service_write")
+    assert not [c for c in devices if any(h in vars(c) for h in retired)]
+    assert all("_service" in vars(c) for c in devices)
+
+
 class TestCrashInBatch:
     """An armed crash plan inside ``write_batch`` == the serial loop.
 
-    Arming a crash disables the transparent batch fast path; the per-IO
-    fallback must then consume the fault and torn-write RNG streams in
-    exactly the order a serial loop does, die at the same ordinal with
-    the same torn prefix, and leave clock/stats/inner state bit-equal.
+    Every IO of a batch runs the wrapper's per-IO pipeline, so the fault
+    and torn-write RNG streams are consumed in exactly the order a serial
+    loop consumes them: the device dies at the same ordinal with the same
+    torn prefix, and clock/stats/inner state stay bit-equal.
     """
 
     def _armed(self, at_io, *, perturbed=True):
-        from repro.faults.crash import CrashPlan
-
         plan = (
             FaultPlan(seed=11, spike_prob=0.5, spike_seconds=0.01)
             if perturbed
             else FaultPlan(seed=11)
         )
-        dev = FaultyDevice(hdd(seed=7), plan)
+        dev = _observed(FaultyDevice(hdd(seed=7), plan, trace=True))
         dev.arm_crash(CrashPlan(seed=5, at_io=at_io, torn=True))
         return dev
 
     @pytest.mark.parametrize("at_io", [0, 2, len(OFFSETS) - 1])
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_batch_crash_identical_to_serial_loop(self, at_io, perturbed):
-        from repro.errors import DeviceCrashed
-
         ref, dev = (
             self._armed(at_io, perturbed=perturbed),
             self._armed(at_io, perturbed=perturbed),
@@ -195,14 +271,9 @@ class TestCrashInBatch:
         with pytest.raises(DeviceCrashed):
             dev.write_batch(OFFSETS, NBYTES)
         assert dev.crash_state == ref.crash_state  # ordinal + torn prefix
-        assert dev.io_ordinal == ref.io_ordinal
-        assert _state(dev) == _state(ref)
-        # And the fault RNG sits at the same position afterwards.
-        assert float(dev._rng.random()) == float(ref._rng.random())
+        assert _state(dev) == _state(ref)  # plan RNG position included
 
     def test_batch_after_recover_matches_serial(self):
-        from repro.errors import DeviceCrashed
-
         ref, dev = self._armed(3), self._armed(3)
         with pytest.raises(DeviceCrashed):
             for off in OFFSETS:

@@ -142,26 +142,18 @@ class TestPDAMCrew:
 
 
 class TestAffineReadBatch:
+    """Affine-specific batch state; the batch == serial-loop identity for
+    every device model is ``tests/storage/test_batch_identity.py``."""
+
     def _pair(self, **kwargs):
         m = AffineModel(alpha=1e-6, setup_seconds=0.01)
         return AffineDevice(m, **kwargs), AffineDevice(m, **kwargs)
-
-    def test_bit_identical_to_serial_reads(self):
-        dev, ref = self._pair()
-        offsets = [0, 1 << 20, 4096, 3 << 20, 4096 + 4096]
-        assert dev.read_batch(offsets, 4096) == [ref.read(o, 4096) for o in offsets]
-        assert dev.clock == ref.clock
-        assert vars(dev.stats) == vars(ref.stats)
 
     def test_sequential_detection_matches_serial(self):
         dev, ref = self._pair(sequential_detection=True)
         offsets = [0, 4096, 8192, 1 << 20, (1 << 20) + 4096]
         assert dev.read_batch(offsets, 4096) == [ref.read(o, 4096) for o in offsets]
         assert dev._next_sequential_offset == ref._next_sequential_offset
-
-    def test_empty_batch(self):
-        dev, _ = self._pair()
-        assert dev.read_batch([], 4096) == []
 
     def test_describe_distinguishes_models(self):
         a = AffineDevice(AffineModel(alpha=1e-6, setup_seconds=0.01))
