@@ -1,6 +1,6 @@
 # Convenience targets; see README.md.
 
-.PHONY: install test lint bench perf-smoke perf-pairs engine-bench experiments examples serve-quick cob recovery e21-quick all
+.PHONY: install test lint bench perf-smoke perf-pairs tree-split engine-bench experiments examples serve-quick cob recovery e21-quick all
 
 install:
 	pip install -e .
@@ -24,6 +24,7 @@ bench:
 perf-smoke:
 	python3 benchmarks/perf/run.py --scale 0.05
 	python -m pytest benchmarks/perf/tests -q
+	python3 tools/tree_split.py --workload tree_write --scale 0.05
 
 # N alternating parent/change pairs of one benchmark workload, then
 # compare.py over both sets (the procedure a claimed gain is shown by):
@@ -36,6 +37,12 @@ N ?= 10
 SEED ?= 0
 perf-pairs:
 	python3 tools/perf_pairs.py --workload $(WORKLOAD) --base $(BASE) --n $(N) --seed $(SEED)
+
+# Which of the six tree kinds a tree workload's host time goes to (median
+# seconds per iteration, each kind alone; sizing, not a claim):
+#   make tree-split WORKLOAD=tree_write   (or tree_read; SEED as above)
+tree-split:
+	python3 tools/tree_split.py --workload $(WORKLOAD) --seed $(SEED)
 
 # Vectorized-engine gates: batch/serial byte-identity + speedup (smoke).
 engine-bench:

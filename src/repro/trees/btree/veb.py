@@ -130,36 +130,29 @@ class VEBLayout:
             raise ConfigurationError(f"height must be >= 1, got {height}")
         self.height = height
         self.n_nodes = (1 << height) - 1
-        self.position = np.empty(self.n_nodes, dtype=np.int64)
-        self._next = 0
-        self._assign(0, height)
-        assert self._next == self.n_nodes
-        del self._next
+        self.position = self._positions(height)
 
-    def _assign(self, root: int, h: int) -> None:
+    @classmethod
+    def _positions(cls, h: int) -> np.ndarray:
+        """``position[heap_index]`` of a height-``h`` tree, built level by
+        level from the layouts of its top tree and of one bottom subtree
+        (all bottom subtrees are laid out alike, one after the other)."""
         if h == 1:
-            self.position[root] = self._next
-            self._next += 1
-            return
+            return np.zeros(1, dtype=np.int64)
         top_h = (h + 1) // 2
-        bottom_h = h - top_h
-        self._assign_top(root, top_h)
-        first = ((root + 1) << top_h) - 1
-        for sub_root in range(first, first + (1 << top_h)):
-            self._assign(sub_root, bottom_h)
-
-    def _assign_top(self, root: int, h: int) -> None:
-        """Lay out the height-``h`` top tree rooted at ``root`` recursively."""
-        if h == 1:
-            self.position[root] = self._next
-            self._next += 1
-            return
-        top_h = (h + 1) // 2
-        bottom_h = h - top_h
-        self._assign_top(root, top_h)
-        first = ((root + 1) << top_h) - 1
-        for sub_root in range(first, first + (1 << top_h)):
-            self._assign_top(sub_root, bottom_h)
+        top, bottom = cls._positions(top_h), cls._positions(h - top_h)
+        position = np.empty((1 << h) - 1, dtype=np.int64)
+        # The top tree shares its heap indices with the whole tree.
+        position[: top.size] = top
+        # Rank of each bottom subtree's first node, left to right.
+        starts = top.size + np.arange(1 << top_h, dtype=np.int64) * bottom.size
+        for depth in range(h - top_h):
+            # Level ``depth`` of every bottom subtree, side by side, is level
+            # ``top_h + depth`` of the whole tree in heap order.
+            level = bottom[(1 << depth) - 1 : (2 << depth) - 1]
+            first = (1 << (top_h + depth)) - 1
+            position[first : 2 * first + 1] = (starts[:, None] + level).ravel()
+        return position
 
 
 @dataclass(frozen=True)

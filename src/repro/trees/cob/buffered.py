@@ -46,13 +46,18 @@ from repro.trees.sizing import KEY_MAX, KEY_MIN
 
 
 class _Bucket:
-    """One key-range buffer segment: a device extent + in-order messages."""
+    """One key-range buffer segment: a device extent + its messages.
+
+    Only a key's newest message matters to a flush or a query, so
+    ``messages`` maps key to newest value; every message still occupies
+    the extent, and ``nbytes`` — what all charges derive from — counts it.
+    """
 
     __slots__ = ("offset", "messages", "nbytes")
 
     def __init__(self, offset: int) -> None:
         self.offset = offset
-        self.messages: list[tuple[int, Any]] = []
+        self.messages: dict[int, Any] = {}
         self.nbytes = 0  # buffered message bytes (tail may be unwritten)
 
 
@@ -119,7 +124,7 @@ class BufferedCOBTree(KVTree):
             b = self._bucket_of(key)
             bucket = self.buckets[b]
         before_blocks = self._occupied_blocks(bucket)
-        bucket.messages.append((key, value))
+        bucket.messages[key] = value
         bucket.nbytes += self.config.fmt.message_bytes
         after_blocks = self._occupied_blocks(bucket)
         if after_blocks > before_blocks and after_blocks > 1:
@@ -186,18 +191,13 @@ class BufferedCOBTree(KVTree):
                 self.config.block_bytes,
             )
         self.device.read(bucket.offset, blocks * self.config.block_bytes)
-        final: dict[int, Any] = {}
-        for key, value in bucket.messages:  # arrival order: newest wins
-            final[key] = value
-        puts = sorted(
-            (k, v) for k, v in final.items() if v is not TOMBSTONE
-        )
+        puts = sorted((k, v) for k, v in bucket.messages.items() if v is not TOMBSTONE)
         if puts:
             self.base.put_bulk(puts)
-        for k in sorted(k for k, v in final.items() if v is TOMBSTONE):
+        for k in sorted(k for k, v in bucket.messages.items() if v is TOMBSTONE):
             if k in self.base.values:
                 self.base.delete(k)
-        bucket.messages = []
+        bucket.messages = {}
         bucket.nbytes = 0
         # Until the first flush there is nothing to split on (all traffic
         # funnels through bucket 0, so the weight trigger alone can never
@@ -247,9 +247,9 @@ class BufferedCOBTree(KVTree):
         key = int(key)
         bucket = self.buckets[self._bucket_of(key)]
         self._charge_bucket_read(bucket)
-        for k, v in reversed(bucket.messages):
-            if k == key:
-                return None if v is TOMBSTONE else v
+        if key in bucket.messages:
+            value = bucket.messages[key]
+            return None if value is TOMBSTONE else value
         return self.base.get(key)
 
     #: Batched point queries, accounting-identical to a ``get`` loop.
@@ -268,7 +268,7 @@ class BufferedCOBTree(KVTree):
             if not bucket.messages:
                 continue
             self._charge_bucket_read(bucket)
-            for k, v in bucket.messages:  # arrival order: newest wins
+            for k, v in bucket.messages.items():
                 if lo <= k <= hi:
                     if v is TOMBSTONE:
                         result.pop(k, None)
@@ -288,14 +288,16 @@ class BufferedCOBTree(KVTree):
                 f"{len(self.splitters)} splitters for fanout {self.config.fanout}"
             )
         for b, bucket in enumerate(self.buckets):
-            if bucket.nbytes != len(bucket.messages) * self.config.fmt.message_bytes:
+            count, partial = divmod(bucket.nbytes, self.config.fmt.message_bytes)
+            # Overwrites within the bucket share a key, never a message slot.
+            if partial or len(bucket.messages) > count or (count and not bucket.messages):
                 raise TreeError(f"bucket {b}: byte counter drifted")
             if bucket.nbytes > self.config.buffer_bytes:
                 raise TreeError(f"bucket {b}: over its buffer extent")
             b_lo, b_hi = self._bucket_bounds(b)
             if b_lo > b_hi and bucket.messages:
                 raise TreeError(f"bucket {b}: inactive but holds messages")
-            for k, _ in bucket.messages:
+            for k in bucket.messages:
                 if not b_lo <= k <= b_hi:
                     raise TreeError(f"bucket {b}: key {k} outside its range")
 

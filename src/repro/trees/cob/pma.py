@@ -28,15 +28,19 @@ accounting for the vEB-ordered index.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
 from repro.errors import ConfigurationError, TreeError
 from repro.storage.allocator import ExtentAllocator
 from repro.storage.device import BlockDevice
+from repro.trees.sizing import KEY_MAX, KEY_MIN
 
 #: Reserved slot-is-blank sentinel; user keys must be strictly greater.
 EMPTY = np.int64(np.iinfo(np.int64).min)
+#: The same value as a Python int, for the list-backed summaries.
+_BLANK = int(EMPTY)
 
 
 def _segment_slots_for(capacity: int) -> int:
@@ -91,7 +95,15 @@ class PackedMemoryArray:
         self.segment_slots = _segment_slots_for(capacity)
         self.n_segments = capacity // self.segment_slots
         self.keys = np.full(capacity, EMPTY, dtype=np.int64)
-        self.seg_count = np.zeros(self.n_segments, dtype=np.int64)
+        # Per-segment summaries, in plain lists because an insert touches
+        # one or two entries: occupancy, and the largest present key (the
+        # blank sentinel when empty) — the leaves of the search layer's heap.
+        self.seg_count = [0] * self.n_segments
+        self.seg_max = [_BLANK] * self.n_segments
+        #: Density ceiling of a window of ``2^j`` segments, by ``j``.
+        self._ceilings = [
+            self._upper_density(1 << j) for j in range(self.n_segments.bit_length())
+        ]
         self.nbytes = capacity * self.entry_bytes
         self.offset = self.allocator.alloc(self.nbytes)
 
@@ -111,6 +123,39 @@ class PackedMemoryArray:
         """Index of the segment containing ``slot``."""
         return slot // self.segment_slots
 
+    def _spread(self, merged: np.ndarray, seg_lo: int, seg_hi: int) -> None:
+        """Lay sorted ``merged`` evenly over the segments ``[seg_lo, seg_hi)``
+        (key ``i`` of ``m`` at slot ``i * width // m``) and take their
+        summaries from the result: array work, in numpy."""
+        window = self.keys[seg_lo * self.segment_slots : seg_hi * self.segment_slots]
+        window[:] = EMPTY
+        m = merged.size
+        window[(np.arange(m, dtype=np.int64) * window.size) // max(1, m)] = merged
+        rows = window.reshape(seg_hi - seg_lo, self.segment_slots)
+        self.seg_count[seg_lo:seg_hi] = (rows != EMPTY).sum(axis=1).tolist()
+        self.seg_max[seg_lo:seg_hi] = rows.max(axis=1).tolist()
+
+    def _spread_list(self, merged: list[int], seg_lo: int, seg_hi: int) -> None:
+        """:meth:`_spread` for a non-empty list: the same slots and
+        summaries in plain Python, cheaper than numpy on a segment or two."""
+        lo, hi = seg_lo * self.segment_slots, seg_hi * self.segment_slots
+        m, width = len(merged), hi - lo
+        spread = [_BLANK] * width
+        at = 0
+        for key in merged:
+            spread[at // m] = key
+            at += width
+        self.keys[lo:hi] = spread
+        # Slot i * width // m is window segment i * segs // m: the segments
+        # hold consecutive runs of ``merged``, cut at ceil(s * m / segs).
+        segs = seg_hi - seg_lo
+        seg_count, seg_max = self.seg_count, self.seg_max
+        cut = 0
+        for seg in range(segs):
+            below, cut = cut, -(-(seg + 1) * m // segs)
+            seg_count[seg_lo + seg] = cut - below
+            seg_max[seg_lo + seg] = merged[cut - 1] if cut > below else _BLANK
+
     # -- inserts -------------------------------------------------------------
 
     def insert(self, key: int, slot: int) -> tuple[int, int, bool]:
@@ -122,7 +167,9 @@ class PackedMemoryArray:
         ``(slot_lo, slot_hi, resized)``: the half-open slot range whose
         contents changed (the whole array after a resize).
         """
-        return self._insert_sorted(np.array([key], dtype=np.int64), slot, slot)
+        if not KEY_MIN <= key <= KEY_MAX:  # the minimum int64 is the blank sentinel
+            raise TreeError(f"key {key} is outside [KEY_MIN, KEY_MAX]")
+        return self._insert_sorted(key, 1, slot, slot)
 
     def bulk_insert(
         self, new_keys: np.ndarray, slot_lo: int, slot_hi: int
@@ -144,21 +191,23 @@ class PackedMemoryArray:
         # keys are more than 2^63 apart.
         if np.any(new_keys[1:] <= new_keys[:-1]):
             raise TreeError("bulk_insert needs strictly increasing keys")
-        return self._insert_sorted(new_keys, slot_lo, slot_hi)
-
-    def _insert_sorted(
-        self, new_keys: np.ndarray, slot_lo: int, slot_hi: int
-    ) -> tuple[int, int, bool]:
         if bool(new_keys[0] == EMPTY):
             raise TreeError("the minimum int64 is reserved as the blank sentinel")
-        seg_lo = self.segment_of(slot_lo)
-        seg_hi = self.segment_of(slot_hi)
-        window = self._rebalance_window(seg_lo, seg_hi, extra=new_keys.size)
+        return self._insert_sorted(new_keys, new_keys.size, slot_lo, slot_hi)
+
+    def _insert_sorted(
+        self, new: int | np.ndarray, extra: int, slot_lo: int, slot_hi: int
+    ) -> tuple[int, int, bool]:
+        """Place one key (``insert``) or a sorted run (``bulk_insert``) of
+        ``extra`` keys in the smallest window that has room for it."""
+        window = self._rebalance_window(
+            slot_lo // self.segment_slots, slot_hi // self.segment_slots, extra=extra
+        )
         if window is None:
-            self._grow(new_keys)
+            self._grow(new)
             return 0, self.capacity, True
         lo_seg, hi_seg = window
-        self._redistribute(lo_seg, hi_seg, new_keys)
+        self._redistribute(lo_seg, hi_seg, new)
         return lo_seg * self.segment_slots, hi_seg * self.segment_slots, False
 
     def _rebalance_window(
@@ -166,72 +215,67 @@ class PackedMemoryArray:
     ) -> tuple[int, int] | None:
         """Smallest aligned window covering ``[seg_lo, seg_hi]`` that stays
         within its density threshold after adding ``extra`` entries, or
-        ``None`` when even the whole array would overflow."""
-        w = 1
-        while w <= self.n_segments:
-            lo = (seg_lo // w) * w
-            if seg_hi < lo + w:
-                occupied = int(self.seg_count[lo : lo + w].sum())
-                density = (occupied + extra) / (w * self.segment_slots)
-                if density <= self._upper_density(w):
-                    return lo, lo + w
+        ``None`` when even the whole array would overflow.
+
+        One upward walk: the first covering window is counted, every wider
+        one only adds its new half (the sibling's sum).
+        """
+        counts = self.seg_count
+        lo, w, level = seg_lo, 1, 0
+        while seg_hi >= lo + w:
             w *= 2
-        return None
+            level += 1
+            lo = seg_lo // w * w
+        occupied = sum(counts[lo : lo + w])
+        while (occupied + extra) / (w * self.segment_slots) > self._ceilings[level]:
+            if w == self.n_segments:
+                return None
+            sibling = lo ^ w
+            occupied += sum(counts[sibling : sibling + w])
+            lo &= ~w
+            w *= 2
+            level += 1
+        return lo, lo + w
 
-    def _merge(self, present: np.ndarray, new_keys: np.ndarray) -> np.ndarray:
-        """Sorted union of two sorted runs; duplicate keys collapse."""
-        if present.size == 0:
-            return new_keys
-        both = np.concatenate([present, new_keys])
-        both.sort(kind="stable")
-        keep = np.empty(both.size, dtype=bool)
-        keep[:-1] = both[1:] != both[:-1]
-        keep[-1] = True
-        return both[keep]
-
-    def _redistribute(
-        self, seg_lo: int, seg_hi: int, new_keys: np.ndarray | None
-    ) -> None:
+    def _redistribute(self, seg_lo: int, seg_hi: int, new: int | np.ndarray) -> None:
         """Evenly respread the window ``[seg_lo, seg_hi)`` of segments,
-        merging ``new_keys`` in; charges one sequential read + write of the
-        window's byte range."""
+        merging ``new`` in; charges one sequential read + write of the
+        window's byte range.
+
+        One key (``insert``) is scalar work on a segment or a few and runs
+        on plain lists; a run (``bulk_insert``) is array work on a window
+        that may be most of the array and stays in numpy.
+        """
         lo = seg_lo * self.segment_slots
         hi = seg_hi * self.segment_slots
         window = self.keys[lo:hi]
         present = window[window != EMPTY]
-        merged = (
-            self._merge(present, new_keys) if new_keys is not None else present
-        )
-        m = merged.size
-        if m > hi - lo:
-            raise TreeError(f"window [{lo}, {hi}) cannot hold {m} entries")
-        window[:] = EMPTY
-        pos = (np.arange(m, dtype=np.int64) * (hi - lo)) // max(1, m)
-        window[pos] = merged
-        self.seg_count[seg_lo:seg_hi] = np.bincount(
-            pos // self.segment_slots, minlength=seg_hi - seg_lo
-        )
-        self.n += m - present.size
+        if isinstance(new, int):
+            merged, spread = present.tolist(), self._spread_list
+            at = bisect_left(merged, new)
+            if at == len(merged) or merged[at] != new:
+                merged.insert(at, new)
+        else:
+            merged, spread = np.union1d(present, new), self._spread
+        if len(merged) > hi - lo:
+            raise TreeError(f"window [{lo}, {hi}) cannot hold {len(merged)} entries")
+        spread(merged, seg_lo, seg_hi)
+        self.n += len(merged) - present.size
         self.rebalances += 1
         self._charge_span(lo, hi, read=True, write=True)
 
-    def _grow(self, new_keys: np.ndarray) -> None:
+    def _grow(self, new: int | np.ndarray) -> None:
         """Double (repeatedly, for bulk runs) and respread everything."""
-        merged = self._merge(self.keys[self.keys != EMPTY], new_keys)
-        need = merged.size
+        merged = np.union1d(self.keys[self.keys != EMPTY], new)
         capacity = self.capacity
-        while need > self.max_density * capacity:
+        while merged.size > self.max_density * capacity:
             capacity *= 2
         # The old extent is read out once, sequentially, then freed.
         self.device.read(self.offset, self.nbytes)
         self.allocator.free(self.offset, self.nbytes)
         self._init_storage(capacity)
-        self.n = need
-        pos = (np.arange(need, dtype=np.int64) * capacity) // max(1, need)
-        self.keys[pos] = merged
-        self.seg_count[:] = np.bincount(
-            pos // self.segment_slots, minlength=self.n_segments
-        )
+        self.n = int(merged.size)
+        self._spread(merged, 0, self.n_segments)
         self.resizes += 1
         self.device.write(self.offset, self.nbytes)
 
@@ -251,24 +295,23 @@ class PackedMemoryArray:
             self.allocator.free(self.offset, self.nbytes)
             self._init_storage(capacity)
         self.n = int(keys.size)
-        pos = (np.arange(keys.size, dtype=np.int64) * capacity) // max(1, keys.size)
-        self.keys[pos] = keys
-        self.seg_count[:] = np.bincount(
-            pos // self.segment_slots, minlength=self.n_segments
-        )
+        self._spread(keys, 0, self.n_segments)
         self.device.write(self.offset, self.nbytes)
 
     # -- deletes -------------------------------------------------------------
 
     def delete(self, slot: int) -> None:
         """Blank ``slot`` (read-modify-write of its segment's byte range)."""
-        if bool(self.keys[slot] == EMPTY):
+        key = self.keys.item(slot)
+        if key == _BLANK:
             raise TreeError(f"slot {slot} is already blank")
         self.keys[slot] = EMPTY
         seg = self.segment_of(slot)
-        self.seg_count[seg] -= 1
-        self.n -= 1
         lo = seg * self.segment_slots
+        self.seg_count[seg] -= 1
+        if key == self.seg_max[seg]:
+            self.seg_max[seg] = self.keys[lo : lo + self.segment_slots].max().item()
+        self.n -= 1
         self._charge_span(lo, lo + self.segment_slots, read=True, write=True)
 
     # -- IO accounting -------------------------------------------------------
@@ -310,9 +353,11 @@ class PackedMemoryArray:
             raise TreeError(f"count mismatch: {present.size} present, n={self.n}")
         if np.any(present[1:] <= present[:-1]):
             raise TreeError("present keys out of order")
-        occupied = (self.keys != EMPTY).reshape(self.n_segments, -1).sum(axis=1)
-        if not np.array_equal(occupied, self.seg_count):
+        rows = self.keys.reshape(self.n_segments, -1)
+        if (rows != EMPTY).sum(axis=1).tolist() != self.seg_count:
             raise TreeError("segment occupancy counters drifted")
+        if rows.max(axis=1).tolist() != self.seg_max:
+            raise TreeError("segment maxima drifted")
         if self.capacity % self.segment_slots:
             raise TreeError("segment size does not divide capacity")
         if self.n > self.capacity:

@@ -17,6 +17,10 @@ largest present key in its slot subtree, with the PMA's blank sentinel
 A search for ``key`` descends left iff ``key <= node_max[left]``,
 landing exactly on the successor slot (or the last slot when no
 successor exists) — which is also the insertion hint the PMA wants.
+The host materialises that heap only down to **segment** granularity (a
+list over ``pma.seg_max``); the levels inside a segment are implicit in
+its sorted slots — the descent ends with "first slot of the segment with
+a key ``>= key``" — and the nodes charged are arithmetic on heap indices.
 After a PMA rebalance the index is repaired *lazily over the touched
 range only*: leaves for the rewritten slot window, then the ancestor
 cone up to the root, charged as writes to the distinct vEB blocks
@@ -34,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Any
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -95,6 +100,25 @@ class COBConfig:
             )
 
 
+#: ``(height, nodes_per_block) -> block_of[heap_index]``, read-only and
+#: shared by every live tree of that shape (see ``COBTree._block_table``).
+_BLOCK_TABLES: WeakValueDictionary[tuple[int, int], np.ndarray] = WeakValueDictionary()
+
+
+def _max_heap(leaves: np.ndarray) -> list[int]:
+    """The implicit max-heap (root at 0) over a power-of-two leaf level."""
+    first = leaves.size - 1
+    heap = np.empty(2 * leaves.size - 1, dtype=np.int64)
+    heap[first:] = leaves
+    while first:
+        parents = first >> 1
+        heap[parents:first] = np.maximum(
+            heap[first : 2 * first + 1 : 2], heap[first + 1 : 2 * first + 1 : 2]
+        )
+        first = parents
+    return heap.tolist()
+
+
 class COBTree(KVTree):
     """A cache-oblivious B-tree storing ``int -> value`` pairs."""
 
@@ -144,12 +168,13 @@ class COBTree(KVTree):
         Runs at construction, on a bulk load and on every capacity
         doubling — the only places the tree height changes — so the state
         that depends on the height alone is (re)derived here once instead
-        of per operation: the leaf offset, the pinned depth, and (dropped
-        here, rebuilt on first use) the vEB block table.
+        of per operation: the leaf offsets, the pinned depth, and (dropped
+        here, looked up on first use) the vEB block table.
         """
         capacity = self.pma.capacity
         n_nodes = 2 * capacity - 1
         self._first_leaf = capacity - 1
+        self._first_seg = self.pma.n_segments - 1
         self._height = capacity.bit_length()  # capacity is a power of two
         # The top ``L`` complete levels are RAM-pinned (free to read) when
         # ``(2^L - 1) * pivot_bytes <= ram_bytes``; pinning whole levels
@@ -157,14 +182,9 @@ class COBTree(KVTree):
         budget = self.config.ram_bytes // self.config.fmt.pivot_bytes
         self._pinned_levels = min(self._height, max(0, (budget + 1).bit_length() - 1))
         self._block_of: np.ndarray | None = None
-        node_max = np.empty(n_nodes, dtype=np.int64)
-        node_max[self._first_leaf :] = self.pma.keys
-        for lvl in range(self._height - 2, -1, -1):
-            lo, hi = (1 << lvl) - 1, (1 << (lvl + 1)) - 1
-            node_max[lo:hi] = np.maximum(
-                node_max[2 * lo + 1 : 2 * hi : 2], node_max[2 * lo + 2 : 2 * hi + 1 : 2]
-            )
-        self._node_max = node_max
+        # Heap node ``i`` at or above the segment level is node ``i`` of the
+        # full slot-granular heap, so charges need no index translation.
+        self._seg_heap = _max_heap(np.array(self.pma.seg_max, dtype=np.int64))
         if self._index_offset >= 0:
             self.allocator.free(self._index_offset, self._index_nbytes)
         n_blocks = math.ceil(n_nodes / self._nodes_per_block)
@@ -177,70 +197,78 @@ class COBTree(KVTree):
     def _block_table(self) -> np.ndarray:
         """``block_of[heap_index]``: the vEB index block storing each node.
 
-        A function of the height only, so it is built once per height (a
-        tree whose index is fully pinned never builds it) and every path
-        charge and index repair is a table lookup.  ``int32`` on purpose:
-        the table lives as long as the tree does, at half the footprint of
-        the ``int64`` vEB positions it is derived from.
+        A function of the height and the block size only, so it is looked
+        up once per height (a tree whose index is fully pinned never needs
+        it), every path charge and index repair is a table lookup, and
+        trees of one shape share one read-only table.  ``int32`` on purpose:
+        half the footprint of the ``int64`` vEB positions it is derived from.
         """
         if self._block_of is None:
-            position = VEBLayout(self._height).position
-            position //= self._nodes_per_block
-            self._block_of = position.astype(np.int32)
+            shape = (self._height, self._nodes_per_block)
+            table = _BLOCK_TABLES.get(shape)
+            if table is None:
+                position = VEBLayout(self._height).position
+                position //= self._nodes_per_block
+                table = position.astype(np.int32)
+                table.setflags(write=False)
+                _BLOCK_TABLES[shape] = table
+            self._block_of = table
         return self._block_of
 
-    def _charge_index_path(self, path: list[int]) -> None:
-        """Charge reads of the distinct unpinned vEB blocks on a root-to-leaf
-        path, in ascending block order (deterministic)."""
-        unpinned = path[self._pinned_levels :]  # path[d] is the depth-d node
+    def _charge_index_path(self, slot: int) -> None:
+        """Charge reads of the distinct unpinned vEB blocks on the path from
+        the root to ``slot``'s leaf, in ascending block order (deterministic)."""
+        unpinned = self._height - self._pinned_levels
         if not unpinned:
             return
+        block_of = self._block_table().item
+        node = self._first_leaf + slot
+        blocks = set()
+        for _ in range(unpinned):
+            blocks.add(block_of(node))
+            node = (node - 1) >> 1
         block_bytes = self.config.block_bytes
-        for blk in sorted(set(map(self._block_table().item, unpinned))):
+        for blk in sorted(blocks):
             self.device.read(self._index_offset + blk * block_bytes, block_bytes)
 
     def _update_index(self, slot_lo: int, slot_hi: int, resized: bool) -> None:
-        """Repair the heap over slots ``[slot_lo, slot_hi)`` after the PMA
-        rewrote them; charge writes of the covering vEB blocks."""
+        """Repair the heap over slots ``[slot_lo, slot_hi)`` (whole segments)
+        after the PMA rewrote them; charge writes of the covering vEB blocks."""
         if resized:
             self._build_index(charge=True)
             return
-        node_max = self._node_max
-        lo, hi = self._first_leaf + slot_lo, self._first_leaf + slot_hi
-        node_max[lo:hi] = self.pma.keys[slot_lo:slot_hi]
-        # The ancestor cone, level by level, is the heap-index range
-        # ``[a, b)`` halved until it reaches the root.  Maxima are recomputed
-        # with numpy while the range is wide and node by node once it is
-        # one or two nodes — and not at all above a level none of whose
-        # maxima moved, since nothing higher can move then (the usual case:
-        # a rebalance that leaves its window's largest key alone).
-        item = node_max.item
-        a, b = lo, hi
-        while a > 0:
-            a, b = (a - 1) >> 1, ((b - 2) >> 1) + 1
-            if b - a > 2:
-                node_max[a:b] = np.maximum(
-                    node_max[2 * a + 1 : 2 * b : 2], node_max[2 * a + 2 : 2 * b + 1 : 2]
-                )
-                continue
-            moved = False
-            for i in range(a, b):
-                largest = max(item(2 * i + 1), item(2 * i + 2))
-                if largest != item(i):
-                    node_max[i] = largest
-                    moved = True
-            if not moved:
+        # The host heap: the touched segments' maxima, then the ancestor
+        # cone level by level (the heap-index range ``[a, b)`` halved), up
+        # to the first level none of whose maxima moved — usually the
+        # lowest: most rebalances leave their window's largest key alone.
+        heap = self._seg_heap
+        segment_slots = self.pma.segment_slots
+        seg_lo, seg_hi = slot_lo // segment_slots, slot_hi // segment_slots
+        a, b = self._first_seg + seg_lo, self._first_seg + seg_hi
+        maxima = self.pma.seg_max[seg_lo:seg_hi]
+        while heap[a:b] != maxima:
+            heap[a:b] = maxima
+            if a == 0:
                 break
-        # Every node of the cone is rewritten on the device, moved or not,
-        # so every unpinned one dirties its block; pinned levels are whole
-        # levels, so the walk stops at the first pinned one.
+            a, b = (a - 1) >> 1, ((b - 2) >> 1) + 1
+            maxima = list(map(max, heap[2 * a + 1 : 2 * b : 2], heap[2 * a + 2 : 2 * b + 1 : 2]))
+        # The device index: every node of the slot-granular cone is
+        # rewritten, moved or not, so every unpinned one dirties its block
+        # (pinned levels are whole levels: the walk stops at the first).
+        # Blocks never decrease along a level, so one block at both ends of
+        # a level range means that block only.
         pinned_below = (1 << self._pinned_levels) - 1
+        lo, hi = self._first_leaf + slot_lo, self._first_leaf + slot_hi
         if lo < pinned_below:
             return
         block_of = self._block_table()
         dirty: set[int] = set()
         while lo >= pinned_below:
-            dirty.update(block_of[lo:hi].tolist())
+            first = block_of.item(lo)
+            if first == block_of.item(hi - 1):
+                dirty.add(first)
+            else:
+                dirty.update(block_of[lo:hi].tolist())
             if lo == 0:
                 break
             lo, hi = (lo - 1) >> 1, ((hi - 2) >> 1) + 1
@@ -260,22 +288,23 @@ class COBTree(KVTree):
 
     # -- search --------------------------------------------------------------
 
-    def _search_path(self, key: int) -> list[int]:
-        """Heap indices from the root to the leaf of ``key``'s successor slot
-        (the last slot when the tree holds no key ``>= key``)."""
-        node_max = self._node_max
-        path = []
+    def _search_slot(self, key: int) -> int:
+        """Slot of ``key``'s successor (the smallest present key ``>= key``),
+        or the last slot when the tree holds no such key — where the
+        slot-granular heap descent lands."""
+        heap = self._seg_heap
+        first_seg = self._first_seg
         i = 0
-        first_leaf = self._first_leaf
-        while i < first_leaf:
-            path.append(i)
-            left = 2 * i + 1
-            i = left if key <= node_max[left] else left + 1
-        path.append(i)
-        return path
-
-    def _slot_of(self, path: list[int]) -> int:
-        return path[-1] - self._first_leaf
+        while i < first_seg:
+            i = 2 * i + 1
+            if key > heap[i]:
+                i += 1
+        if key > heap[i]:
+            # Only the all-right descent can end above its subtree's maximum.
+            return self._first_leaf
+        lo = (i - first_seg) * self.pma.segment_slots
+        segment = self.pma.keys[lo : lo + self.pma.segment_slots]
+        return lo + int((segment >= key).argmax())
 
     # -- write path ----------------------------------------------------------
 
@@ -283,9 +312,8 @@ class COBTree(KVTree):
         """Insert or overwrite ``key``."""
         self.user_bytes_modified += self.config.fmt.entry_bytes
         key = int(key)
-        path = self._search_path(key)
-        self._charge_index_path(path)
-        slot = self._slot_of(path)
+        slot = self._search_slot(key)
+        self._charge_index_path(slot)
         if key in self.values:
             # Overwrite in place: the slot's data block is rewritten and
             # the index is untouched.
@@ -302,12 +330,11 @@ class COBTree(KVTree):
         """Remove ``key``; an absent key costs its index search and nothing
         else, as in every other kind."""
         key = int(key)
-        path = self._search_path(key)
-        self._charge_index_path(path)
-        slot = self._slot_of(path)
+        slot = self._search_slot(key)
+        self._charge_index_path(slot)
         if key not in self.values:
             return
-        if self.pma.keys[slot] != key:
+        if self.pma.keys.item(slot) != key:
             raise TreeError(f"index search missed stored key {key}")
         self.user_bytes_modified += self.config.fmt.entry_bytes
         del self.values[key]
@@ -336,17 +363,15 @@ class COBTree(KVTree):
             self.values[int(k)] = v
         if not fresh.any():
             # Pure overwrite: rewrite the covered data blocks, index untouched.
-            lo_path = self._search_path(int(keys[0]))
-            self._charge_index_path(lo_path)
-            slot_lo = self._slot_of(lo_path)
-            slot_hi = self._slot_of(self._search_path(int(keys[-1])))
+            slot_lo = self._search_slot(int(keys[0]))
+            self._charge_index_path(slot_lo)
+            slot_hi = self._search_slot(int(keys[-1]))
             self.pma._charge_span(slot_lo, slot_hi + 1, read=False, write=True)
             return
         new_keys = keys[fresh]
-        lo_path = self._search_path(int(new_keys[0]))
-        self._charge_index_path(lo_path)
-        slot_lo = self._slot_of(lo_path)
-        slot_hi = self._slot_of(self._search_path(int(new_keys[-1])))
+        slot_lo = self._search_slot(int(new_keys[0]))
+        self._charge_index_path(slot_lo)
+        slot_hi = self._search_slot(int(new_keys[-1]))
         lo, hi, resized = self.pma.bulk_insert(new_keys, slot_lo, slot_hi)
         self._update_index(lo, hi, resized)
         if resized or fresh.all():
@@ -355,12 +380,10 @@ class COBTree(KVTree):
         # moved, so the window rewrite above did not cover them.  Charge
         # their data blocks like the pure-overwrite branch does, one
         # covering span on each side of the window.
-        slots = np.flatnonzero(np.isin(self.pma.keys, keys[~fresh]))
-        for side in (slots[slots < lo], slots[slots >= hi]):
-            if side.size:
-                self.pma._charge_span(
-                    int(side[0]), int(side[-1]) + 1, read=False, write=True
-                )
+        slots = [self._search_slot(key) for key in keys[~fresh].tolist()]
+        for side in ([s for s in slots if s < lo], [s for s in slots if s >= hi]):
+            if side:
+                self.pma._charge_span(side[0], side[-1] + 1, read=False, write=True)
 
     def bulk_load(self, pairs: list[tuple[int, Any]]) -> None:
         """Load a key-sorted batch into an *empty* tree sequentially."""
@@ -383,10 +406,9 @@ class COBTree(KVTree):
         if OBS.enabled:
             start = self.device.clock
         key = int(key)
-        path = self._search_path(key)
-        self._charge_index_path(path)
-        slot = self._slot_of(path)
-        hit = bool(self.pma.keys[slot] == key)
+        slot = self._search_slot(key)
+        self._charge_index_path(slot)
+        hit = self.pma.keys.item(slot) == key
         if hit:
             self.pma.charge_slot_read(slot)
         if OBS.enabled:
@@ -401,19 +423,25 @@ class COBTree(KVTree):
 
         One index descent to the start, then one sequential read of the
         slot span covering the answer — the PMA's gapped-but-sorted
-        layout is what makes ranges a single scan.
+        layout is what makes ranges a single scan.  The host does the same:
+        a second (uncharged) search bounds the scan at ``hi``'s successor,
+        so the work is ``O(log N + k)``, not a pass over the array.
         """
         if lo > hi:
             return []
-        path = self._search_path(int(lo))
-        self._charge_index_path(path)
-        pk = self.pma.keys
-        mask = (pk != EMPTY) & (pk >= lo) & (pk <= hi)
-        slots = np.flatnonzero(mask)
+        start = self._search_slot(int(lo))
+        self._charge_index_path(start)
+        window = self.pma.keys[start : self._search_slot(int(hi)) + 1]
+        # The mask drops blanks, ``hi``'s successor when it is not ``hi``,
+        # and the last slot's key when ``lo`` had no successor.
+        slots = np.flatnonzero((window != EMPTY) & (window >= lo) & (window <= hi))
         if slots.size == 0:
             return []
-        self.pma._charge_span(int(slots[0]), int(slots[-1]) + 1, read=True, write=False)
-        return [(int(k), self.values[int(k)]) for k in pk[slots]]
+        self.pma._charge_span(
+            start + int(slots[0]), start + int(slots[-1]) + 1, read=True, write=False
+        )
+        values = self.values
+        return [(k, values[k]) for k in window[slots].tolist()]
 
     def __len__(self) -> int:
         return self.pma.n
@@ -430,18 +458,9 @@ class COBTree(KVTree):
         present = self.pma.present_keys()
         if set(int(k) for k in present) != set(self.values):
             raise TreeError("PMA keys and value map diverged")
-        node_max = self._node_max
-        if node_max.size != 2 * self.pma.capacity - 1:
-            raise TreeError("index heap sized for a different capacity")
-        if not np.array_equal(node_max[self._first_leaf :], self.pma.keys):
-            raise TreeError("index leaves do not mirror the PMA")
-        internal = node_max[: self._first_leaf]
-        recomputed = np.maximum(
-            node_max[1 : 2 * self._first_leaf : 2],
-            node_max[2 : 2 * self._first_leaf + 1 : 2],
-        )
-        if not np.array_equal(internal, recomputed):
-            raise TreeError("index heap max-augmentation broken")
+        leaves = self.pma.keys.reshape(self.pma.n_segments, -1).max(axis=1)
+        if self._seg_heap != _max_heap(leaves):
+            raise TreeError("index heap does not mirror the PMA's segment maxima")
 
 
 #: Registry entry (:mod:`repro.trees.registry`): ``node_bytes`` only prices

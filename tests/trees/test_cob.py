@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, KeyOrderError, TreeError
 from repro.storage.ram import NullDevice
 from repro.trees.cob import EMPTY, BufferedCOBTree, COBConfig, COBTree, PackedMemoryArray
-from repro.trees.sizing import EntryFormat
+from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
 
 
 def _null():
@@ -35,6 +35,13 @@ def make_tree(cls=COBTree, ram_bytes=1 << 20, **kwargs):
     )
     dev = _null()
     return cls(dev, cfg), dev
+
+
+def successor_slot(pma, key):
+    """Where a search for ``key`` must land, by linear scan: the slot of the
+    smallest present key ``>= key``, or the last slot when there is none."""
+    at_or_above = np.flatnonzero((pma.keys != EMPTY) & (pma.keys >= key))
+    return int(at_or_above[0]) if at_or_above.size else pma.capacity - 1
 
 
 class TestPMAConfig:
@@ -74,11 +81,8 @@ class TestPMAConfig:
 
 class TestPMAStructure:
     def _insert_via_search(self, pma, key):
-        """Successor slot by linear scan (the search layer in miniature)."""
-        occupied = np.flatnonzero(pma.keys != EMPTY)
-        larger = occupied[pma.keys[occupied] >= key]
-        slot = int(larger[0]) if larger.size else pma.capacity - 1
-        pma.insert(key, slot)
+        """The search layer in miniature."""
+        pma.insert(key, successor_slot(pma, key))
 
     def test_sorted_after_random_inserts(self):
         pma, _ = make_pma()
@@ -164,6 +168,50 @@ class TestPMAStructure:
         pma, dev = make_pma()
         self._insert_via_search(pma, 42)
         assert dev.stats.writes >= 1  # a rebalance rewrites its window
+
+
+class TestRebalanceWindow:
+    """The one upward walk against the definition it implements."""
+
+    @staticmethod
+    def _by_definition(pma, seg_lo, seg_hi, extra):
+        # Smallest aligned window covering [seg_lo, seg_hi] whose density,
+        # with ``extra`` more entries, is within its level's ceiling.
+        w = 1
+        while w <= pma.n_segments:
+            lo = seg_lo // w * w
+            if seg_hi < lo + w:
+                occupied = sum(pma.seg_count[lo : lo + w])
+                if (occupied + extra) / (w * pma.segment_slots) <= pma._upper_density(w):
+                    return lo, lo + w
+            w *= 2
+        return None
+
+    @pytest.mark.parametrize("initial_slots", [8, 64, 1024, 1 << 14])
+    @pytest.mark.parametrize("max_density", [0.5, 0.7, 0.8])
+    def test_ceilings_are_upper_density_exactly(self, initial_slots, max_density):
+        pma, _ = make_pma(initial_slots=initial_slots, max_density=max_density)
+        levels = pma.n_segments.bit_length()
+        assert pma._ceilings == [pma._upper_density(1 << j) for j in range(levels)]
+
+    @pytest.mark.parametrize("initial_slots", [8, 64, 1024, 1 << 14])
+    def test_walk_matches_definition(self, initial_slots):
+        pma, _ = make_pma(initial_slots=initial_slots)
+        rng = np.random.default_rng(initial_slots)
+        width, n = pma.segment_slots, pma.n_segments
+        for fill in (0.2, 0.6, 0.8, 0.95, 1.0):
+            # Occupancy around ``fill``, with crowded and empty stretches.
+            counts = rng.binomial(width, fill, size=n)
+            counts[rng.integers(0, n, size=max(1, n // 8))] = width
+            counts[rng.integers(0, n, size=max(1, n // 8))] = 0
+            pma.seg_count = counts.tolist()
+            for _ in range(300):
+                seg_lo = int(rng.integers(0, n))
+                seg_hi = min(n - 1, seg_lo + int(rng.choice([0, 0, 0, 1, 3, n])))
+                extra = int(rng.choice([1, 1, 1, 5, 2 * width, 40 * width]))
+                assert pma._rebalance_window(
+                    seg_lo, seg_hi, extra=extra
+                ) == self._by_definition(pma, seg_lo, seg_hi, extra)
 
 
 class TestCOBTree:
@@ -355,6 +403,93 @@ class TestCOBTree:
             assert tree.get(k) == model[k]
 
 
+class TestSegmentIndex:
+    """The segment-granular host index: searches land where a heap over
+    every slot would, and ``check_invariants`` notices when it drifts."""
+
+    PROBES = (KEY_MIN, KEY_MIN + 1, -1, 0, 1, KEY_MAX - 1, KEY_MAX)
+
+    def _check(self, tree, extra=()):
+        present = tree.pma.present_keys().tolist()
+        probes = set(self.PROBES).union(extra)
+        for key in present:
+            probes.update((key - 1, key, key + 1))
+        for key in probes:
+            if KEY_MIN <= key <= KEY_MAX:
+                assert tree._search_slot(key) == successor_slot(tree.pma, key), key
+
+    @pytest.mark.parametrize("initial_slots", [8, 64])
+    def test_empty_tree(self, initial_slots):
+        tree = COBTree(_null(), COBConfig(initial_slots=initial_slots))
+        assert tree.pma.n_segments == (1 if initial_slots == 8 else 8)
+        self._check(tree)
+        assert tree.get(5) is None and tree.range(KEY_MIN, KEY_MAX) == []
+
+    def test_single_segment_tree(self):
+        tree = COBTree(_null(), COBConfig(initial_slots=8))
+        for key in (40, KEY_MAX, 10, KEY_MIN, 30):
+            tree.put(key, key)
+            assert tree.pma.n_segments == 1
+            self._check(tree)
+        tree.delete(KEY_MAX)
+        tree.delete(10)
+        self._check(tree)
+        tree.check_invariants()
+
+    def test_random_trees_with_segments_blanked(self):
+        rng = np.random.default_rng(8)
+        for universe in (500, 1 << 40):
+            tree, _ = make_tree()
+            keys = {int(k) for k in rng.integers(-universe, universe, size=700)}
+            for key in keys:
+                tree.put(key, 0)
+            assert tree.pma.resizes >= 2
+            self._check(tree)
+            # Blank whole segments: single ones, runs, the first and the last.
+            width, n = tree.pma.segment_slots, tree.pma.n_segments
+            for first, count in ((0, 1), (2, 3), (n // 2, n // 4), (n - 1, 1)):
+                doomed = tree.pma.keys[first * width : (first + count) * width]
+                for key in doomed[doomed != EMPTY].tolist():
+                    tree.delete(key)
+                assert not any(tree.pma.seg_count[first : first + count])
+                self._check(tree, extra=doomed.tolist())
+            tree.check_invariants()
+
+    def test_across_doublings_and_at_the_domain_edges(self):
+        tree = COBTree(_null(), COBConfig(initial_slots=8))
+        tree.put(KEY_MIN, "min")
+        tree.put(KEY_MAX, "max")
+        resizes = 0
+        for key in np.random.default_rng(4).integers(-(1 << 62), 1 << 62, size=300).tolist():
+            tree.put(key, 0)
+            if tree.pma.resizes > resizes:
+                resizes = tree.pma.resizes
+                self._check(tree)
+        assert resizes >= 4
+        self._check(tree)
+        assert tree.get(KEY_MIN) == "min" and tree.get(KEY_MAX) == "max"
+
+    def test_check_invariants_recomputes_the_summaries(self):
+        tree, _ = make_tree()
+        tree.put_many([(k, k) for k in range(0, 900, 3)])
+        tree.check_invariants()
+        seg = next(s for s, count in enumerate(tree.pma.seg_count) if count)
+        for summary, wrong in (
+            (tree.pma.seg_count, tree.pma.seg_count[seg] - 1),
+            (tree.pma.seg_max, tree.pma.seg_max[seg] + 1),
+        ):
+            right, summary[seg] = summary[seg], wrong
+            with pytest.raises(TreeError):
+                tree.check_invariants()
+            summary[seg] = right
+        for node in (0, len(tree._seg_heap) // 2, len(tree._seg_heap) - 1):
+            tree._seg_heap[node] += 1
+            with pytest.raises(TreeError):
+                tree.check_invariants()
+            tree._seg_heap[node] -= 1
+        tree.check_invariants()
+
+
 class TestBufferedCOBTree:
     def test_roundtrip_through_buffers(self):
         tree, _ = make_tree(BufferedCOBTree)
@@ -365,6 +500,19 @@ class TestBufferedCOBTree:
         tree.flush_all()
         assert tree.get(5) == 50
         assert tree.get(4) is None
+        tree.check_invariants()
+
+    def test_bucket_keeps_newest_value_and_counts_every_message(self):
+        # A point query is one lookup of the newest message; the charges
+        # still see every message the buffer extent holds.
+        tree, _ = make_tree(BufferedCOBTree)
+        for serial in range(5):
+            tree.put(7, serial)
+        tree.delete(8)
+        bucket = tree.buckets[0]
+        assert len(bucket.messages) == 2
+        assert bucket.nbytes == 6 * tree.config.fmt.message_bytes
+        assert tree.get(7) == 4 and tree.get(8) is None
         tree.check_invariants()
 
     def test_matches_dict_with_deletes(self):

@@ -16,8 +16,8 @@ import pytest
 from repro.experiments.devices import default_hdd
 from repro.storage.ram import NullDevice
 from repro.trees.btree.veb import VEBLayout
-from repro.trees.cob import BufferedCOBTree, COBConfig, COBTree
-from repro.trees.sizing import EntryFormat
+from repro.trees.cob import EMPTY, BufferedCOBTree, COBConfig, COBTree
+from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
 
 FMT = EntryFormat(key_bytes=8, value_bytes=20)
 N_OPS = 3_000
@@ -115,6 +115,48 @@ def test_invariants_hold_at_every_step(cls):
     _drive(cls, each_step=lambda tree: tree.check_invariants())
 
 
+def _drive_ranges_over_emptied_segments():
+    """Ranges over a tree whose deletes emptied runs of adjacent segments
+    (the pattern that leaves blank stretches in the index's leaf level)."""
+    tree, device = _make(COBTree)
+    rng = random.Random(21)
+    model = {key: serial for serial, key in enumerate(rng.sample(range(UNIVERSE), 2500))}
+    for key, value in model.items():
+        tree.insert(key, value)
+    pma = tree.pma
+    width = pma.segment_slots
+    holes = []
+    for first, count in ((0, 2), (3, 5), (40, 17), (pma.n_segments - 6, 6)):
+        doomed = pma.keys[first * width : (first + count) * width]
+        doomed = doomed[doomed != EMPTY].tolist()
+        for key in doomed:
+            tree.delete(key)
+            del model[key]
+        assert not any(pma.seg_count[first : first + count])
+        holes.append((doomed[0], doomed[-1]))
+    tree.check_invariants()
+    probes = [(KEY_MIN, KEY_MAX), (KEY_MIN, holes[0][0]), (holes[-1][0], KEY_MAX)]
+    for hole_lo, hole_hi in holes:
+        reach = UNIVERSE >> 7
+        probes += [
+            (hole_lo, hole_hi),  # wholly inside a hole
+            (hole_lo - reach, hole_hi + reach),  # across it
+            (hole_lo + 1, hole_hi + reach),  # from inside, out to the right
+            (hole_lo - reach, hole_hi - 1),  # from the left, ending inside
+        ]
+    for lo, hi in probes:
+        want = sorted((k, v) for k, v in model.items() if lo <= k <= hi)
+        assert tree.range(lo, hi) == want
+    return device
+
+
+def test_ranges_over_emptied_segments_charge_what_a_full_scan_did():
+    # Pinned at the parent commit, where ``range`` masked the whole array.
+    assert _digest(_drive_ranges_over_emptied_segments()) == (
+        "8728442d02b5fa770a1bf0187f555f143872e159c25ecb60500e37c983d5b3a4"
+    )
+
+
 def _expected_table(tree):
     return VEBLayout(tree.pma.capacity.bit_length()).position // tree._nodes_per_block
 
@@ -131,6 +173,20 @@ def test_block_table_matches_veb_layout(height, block_bytes):
     assert table.shape == (2 * tree.pma.capacity - 1,)
     assert np.array_equal(table, _expected_table(tree))
     assert tree._block_table() is table  # built once per height
+
+
+def test_block_table_is_shared_by_trees_of_one_shape():
+    def tree(block_bytes):
+        config = COBConfig(fmt=FMT, block_bytes=block_bytes, ram_bytes=0, initial_slots=256)
+        return COBTree(NullDevice(capacity_bytes=1 << 30), config)
+
+    first, second, other = tree(512), tree(512), tree(4096)
+    table = first._block_table()
+    assert second._block_table() is table
+    assert other._block_table() is not table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1
 
 
 @pytest.mark.parametrize("block_bytes", [512, 4096])

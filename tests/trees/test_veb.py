@@ -123,7 +123,44 @@ class TestStaticSearchTree:
             assert grand.start == 2 * (2 * root + 1) + 1
 
 
+def reference_positions(height):
+    """The recursion ``VEBLayout`` used to run node by node, kept as the
+    definition the level-by-level numpy build is checked against: lay out
+    the top ``ceil(h/2)`` levels, then each bottom subtree left to right."""
+    position = [0] * ((1 << height) - 1)
+    rank = iter(range(len(position)))
+
+    def assign(root, h):
+        if h == 1:
+            position[root] = next(rank)
+            return
+        top_h = (h + 1) // 2
+        assign(root, top_h)
+        first = ((root + 1) << top_h) - 1
+        for sub_root in range(first, first + (1 << top_h)):
+            assign(sub_root, h - top_h)
+
+    assign(0, height)
+    return position
+
+
 class TestVEBLayout:
+    @pytest.mark.parametrize("height", [*range(1, 17), 19])
+    def test_matches_the_recursion(self, height):
+        layout = VEBLayout(height)
+        assert layout.position.dtype == np.int64
+        assert layout.position.tolist() == reference_positions(height)
+
+    @pytest.mark.parametrize("nodes_per_block", [31, 255])  # 512 B and 4 KiB of 16 B pivots
+    @pytest.mark.parametrize("height", range(4, 16))
+    def test_blocks_never_decrease_along_a_level(self, height, nodes_per_block):
+        # What lets the cob index repair read a level range's block set off
+        # its two ends: same block at both ends, one block in between.
+        block_of = VEBLayout(height).position // nodes_per_block
+        for depth in range(height):
+            level = block_of[(1 << depth) - 1 : (2 << depth) - 1]
+            assert np.all(level[1:] >= level[:-1])
+
     @pytest.mark.parametrize("height", [1, 2, 3, 4, 5, 8, 13])
     def test_is_a_permutation(self, height):
         layout = VEBLayout(height)
