@@ -1,6 +1,6 @@
 # Convenience targets; see README.md.
 
-.PHONY: install test lint bench perf-smoke perf-pairs tree-split engine-bench experiments examples serve-quick cob recovery e21-quick all
+.PHONY: install test lint bench perf-smoke perf-pairs tree-split experiments examples serve-quick cob recovery e21-quick all
 
 install:
 	pip install -e .
@@ -43,10 +43,6 @@ perf-pairs:
 #   make tree-split WORKLOAD=tree_write   (or tree_read; SEED as above)
 tree-split:
 	python3 tools/tree_split.py --workload $(WORKLOAD) --seed $(SEED)
-
-# Vectorized-engine gates: batch/serial byte-identity + speedup (smoke).
-engine-bench:
-	PYTHONPATH=src python benchmarks/bench_engine_vector.py --smoke
 
 experiments:
 	python -m repro.experiments all

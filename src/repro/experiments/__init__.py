@@ -4,33 +4,10 @@ Every experiment module exposes ``run(...)`` returning a result object
 with a ``render()`` method (ASCII tables/series) and sensible scaled-down
 defaults.  ``python -m repro.experiments <name>`` runs one (or ``all``).
 
-Experiment index (see DESIGN.md section 4):
-
-========  =====================  ======================================
-ID        Paper artifact         Module
-========  =====================  ======================================
-fig1      Figure 1               exp_pdam_validation
-table1    Table 1                exp_pdam_validation
-table2    Table 2                exp_affine_validation
-table3    Table 3                exp_sensitivity
-fig2      Figure 2               exp_btree_nodesize
-fig3      Figure 3               exp_betree_nodesize
-lemma13   Section 8 / Lemma 13   exp_pdam_concurrency
-writeamp  Lemma 3 / Thm 4(4)     exp_write_amp
-theorem9  Theorem 9 ablation     exp_optimizations
-optima    Corollaries 6/7/11/12  exp_optima
-lsm       extension (E11)        exp_lsm_nodesize
-epsilon   extension (E12)        exp_epsilon_tradeoff
-aging     extension (E13)        exp_aging
-asymmetry extension (E14)        exp_asymmetry
-ycsb      extension (E15)        exp_ycsb
-modelerr  extension (E16)        exp_model_error
-autotune  extension (E17)        exp_autotune
-tailres   extension (E18)        exp_tail_resilience
-========  =====================  ======================================
-
-Pass ``--plot`` to append an ASCII rendering for the figure experiments,
-``--list`` to print the experiment names.
+``--list`` prints the registered names (``cli.EXPERIMENTS`` is the one
+table); EXPERIMENTS.md maps each to its paper artifact and records what
+it reproduces.  Pass ``--plot`` to append an ASCII rendering for the
+figure experiments.
 """
 
 from repro.experiments import report

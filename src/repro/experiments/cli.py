@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 from typing import Callable
@@ -30,7 +31,7 @@ from repro.experiments import (
     exp_ycsb,
 )
 
-EXPERIMENTS: dict[str, Callable[[], object]] = {
+EXPERIMENTS: dict[str, Callable[..., object]] = {
     "fig1": exp_pdam_validation.run,      # also produces table1
     "table2": exp_affine_validation.run,
     "table3": exp_sensitivity.run,
@@ -53,46 +54,17 @@ EXPERIMENTS: dict[str, Callable[[], object]] = {
     "durability": exp_durability.run,
 }
 
-#: Experiments migrated to repro.runner: these accept ``jobs=``/``cache=``.
-RUNNER_EXPERIMENTS = frozenset(
-    {"table2", "fig2", "fig3", "autotune", "tailres", "serve", "cob", "durability"}
-)
 
-#: Experiments that understand the fault flags (--faults/--policy/--quick).
-FAULT_EXPERIMENTS = frozenset({"tailres", "serve"})
-
-#: Runner experiments with a CI-smoke ``quick=`` switch (no fault flags).
-QUICK_EXPERIMENTS = frozenset({"cob", "durability"})
+def _takes(name: str, keyword: str) -> bool:
+    """Whether experiment ``name``'s ``run()`` accepts ``keyword``."""
+    return keyword in inspect.signature(EXPERIMENTS[name]).parameters
 
 
-def _run_one(
-    name: str,
-    *,
-    jobs: int,
-    use_cache: bool,
-    faults: str | None = None,
-    policy: str | None = None,
-    quick: bool = False,
-) -> object:
-    """Invoke one experiment, routing runner/fault kwargs where supported."""
-    fn = EXPERIMENTS[name]
-    if name not in RUNNER_EXPERIMENTS:
-        return fn()
-    from repro.runner import ResultCache, default_cache_dir
-
-    cache = ResultCache(default_cache_dir()) if use_cache else None
-    kwargs: dict[str, object] = {"jobs": jobs, "cache": cache}
-    if name in QUICK_EXPERIMENTS:
-        kwargs["quick"] = quick
-    if name in FAULT_EXPERIMENTS:
-        if faults is not None:
-            from repro.faults import FaultPlan
-
-            kwargs["plan"] = FaultPlan.from_file(faults)
-        if policy is not None:
-            kwargs["policies"] = (policy,)
-        kwargs["quick"] = quick
-    return fn(**kwargs)
+def _run_one(name: str, offered: dict[str, object]) -> object:
+    """Invoke one experiment with the offered keywords its ``run()`` accepts."""
+    return EXPERIMENTS[name](
+        **{k: v for k, v in offered.items() if _takes(name, k)}
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -176,6 +148,30 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment is None:
         parser.error("experiment name required (or --list)")
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    flagged = (  # flag, the run() keyword it sets, its value (None: not given)
+        ("--jobs", "jobs", args.jobs if args.jobs != 1 else None),
+        ("--quick", "quick", args.quick or None),
+        ("--faults", "plan", args.faults),
+        ("--policy", "policies", args.policy and (args.policy,)),
+    )
+    offered: dict[str, object] = {}
+    for flag, keyword, value in flagged:
+        if value is None:
+            continue
+        # ``all`` applies a flag wherever it is accepted; one named
+        # experiment that cannot honour it must not run as if it had.
+        if len(names) == 1 and not _takes(names[0], keyword):
+            takers = ", ".join(n for n in sorted(EXPERIMENTS) if _takes(n, keyword))
+            parser.error(f"{names[0]} does not take {flag}; these do: {takers}")
+        offered[keyword] = value
+    if "plan" in offered:  # read the file only once the flag is known to apply
+        from repro.faults import FaultPlan
+
+        offered["plan"] = FaultPlan.from_file(args.faults)
+    if not args.no_cache:
+        from repro.runner import ResultCache, default_cache_dir
+
+        offered["cache"] = ResultCache(default_cache_dir())
     metrics_on = args.metrics or args.trace_out is not None
     if metrics_on:
         from repro import obs
@@ -191,26 +187,11 @@ def main(argv: list[str] | None = None) -> int:
             import pstats
 
             profiler = cProfile.Profile()
-            result = profiler.runcall(
-                _run_one,
-                name,
-                jobs=args.jobs,
-                use_cache=not args.no_cache,
-                faults=args.faults,
-                policy=args.policy,
-                quick=args.quick,
-            )
+            result = profiler.runcall(_run_one, name, offered)
             stats = pstats.Stats(profiler, stream=sys.stdout)
             stats.sort_stats(pstats.SortKey.CUMULATIVE).print_stats(20)
         else:
-            result = _run_one(
-                name,
-                jobs=args.jobs,
-                use_cache=not args.no_cache,
-                faults=args.faults,
-                policy=args.policy,
-                quick=args.quick,
-            )
+            result = _run_one(name, offered)
         wall = time.perf_counter() - t0
         print(result.render())
         if args.plot and hasattr(result, "render_plot"):

@@ -15,11 +15,14 @@ the setup cost ``s``, the slope the bandwidth cost ``t``, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
+
+import numpy as np
 
 from repro.analysis.fitting import AffineFit, fit_affine_model
 from repro.experiments import report
-from repro.experiments.devices import HDD_ZOO
-from repro.runner import ResultCache, SweepPoint, SweepSpec, run_sweep
+from repro.experiments.devices import HDD_ZOO, make_hdd
+from repro.runner import ResultCache, SweepPoint, SweepSpec, register, run_sweep
 
 DEFAULT_IO_SIZES = tuple(4096 * 4**k for k in range(7))  # 4 KiB .. 16 MiB
 
@@ -63,6 +66,28 @@ class AffineValidationResult:
                 f"{report.format_bytes(self.io_sizes[-1])}.  alpha = t/s per 4 KiB."
             ),
         )
+
+
+@register("affine_validation_device")
+def affine_validation_device(
+    *,
+    device: str,
+    io_sizes: tuple[int, ...],
+    reads_per_size: int,
+    seed: int,
+) -> dict[str, Any]:
+    """Random-read size ladder on one zoo disk; per-size mean IO times."""
+    hdd = make_hdd(device, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    mean_sizes: list[float] = []
+    mean_times: list[float] = []
+    for io in io_sizes:
+        blocks = (hdd.capacity_bytes - io) // 512
+        offsets = rng.integers(0, blocks, size=reads_per_size) * 512
+        samples = hdd.read_batch([int(o) for o in offsets], int(io))
+        mean_sizes.append(float(io))
+        mean_times.append(float(np.mean(samples)))
+    return {"mean_sizes": mean_sizes, "mean_times": mean_times}
 
 
 def sweep_spec(
@@ -112,11 +137,3 @@ def run(
         _, s_true, t4k_true = HDD_ZOO[name]
         result.truth[name] = (s_true, t4k_true)
     return result
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI test
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -117,11 +117,3 @@ def run(
             (n_nodes * s + span_bytes * t) / (s_local + span_bytes * t)
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI test
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

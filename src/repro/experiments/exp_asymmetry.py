@@ -127,11 +127,3 @@ def run(
         result.measured_cost_ms.append(costs)
         result.measured_best_fanout.append(min(costs, key=costs.__getitem__))
     return result
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI test
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -40,7 +40,7 @@ from repro.experiments import report
 from repro.experiments.common import build_load, measure_tree_ops
 from repro.experiments.devices import tuning_zoo
 from repro.models.analysis import btree_op_cost
-from repro.runner import ResultCache, SweepPoint, SweepSpec, run_sweep
+from repro.runner import ResultCache, SweepPoint, SweepSpec, register, run_sweep
 from repro.trees import build
 from repro.trees.sizing import EntryFormat
 from repro.tuning import AutoTuner, DeviceProfile
@@ -187,32 +187,33 @@ def static_config_worst_ratios(
     return worst
 
 
+@register("autotune_device")
 def measure_device(
-    name: str,
     *,
+    device: str,
     node_sizes: tuple[int, ...],
     n_entries: int,
     cache_bytes: int,
     universe: int,
     n_queries: int,
-    warmup_queries: int = 200,
-    seed: int = 0,
+    warmup_queries: int,
+    seed: int,
 ) -> dict[str, Any]:
     """The per-device E17 protocol: sweep, mis-configure, tune, re-measure.
 
-    This is the body of the ``autotune_device`` sweep kernel: it builds its
-    own zoo device (device state — clock, RNG, head position — carries
-    across the sweep/bad-start/tuned phases, exactly as the serial loop
-    had it) and returns a picklable dict of every :class:`DeviceTuneRow`
-    field plus the fitted profile.
+    Builds its own zoo device (device state — clock, RNG, head position —
+    carries across the sweep/bad-start/tuned phases) and returns a
+    picklable dict of every :class:`DeviceTuneRow` field plus the fitted
+    :class:`~repro.tuning.DeviceProfile`, which the cross-device
+    static-configuration foil needs once all points are in.
     """
     fmt = EntryFormat()
     pairs, keys = build_load(n_entries, universe, seed=seed)
-    device = tuning_zoo(seed=seed)[name]
+    zoo_device = tuning_zoo(seed=seed)[device]
     sweep_ms = []
     for node_bytes in node_sizes:
         _, ms = _measure_query_ms(
-            device, node_bytes, pairs, keys, universe,
+            zoo_device, node_bytes, pairs, keys, universe,
             cache_bytes=cache_bytes, n_queries=n_queries,
             warmup_queries=warmup_queries, seed=seed,
         )
@@ -222,12 +223,12 @@ def measure_device(
 
     start_bytes = _bad_start(best_bytes, node_sizes)
     bad_tree, start_ms = _measure_query_ms(
-        device, start_bytes, pairs, keys, universe,
+        zoo_device, start_bytes, pairs, keys, universe,
         cache_bytes=cache_bytes, n_queries=n_queries,
         warmup_queries=warmup_queries, seed=seed + 1,
     )
 
-    tuner = AutoTuner(device, fmt=fmt, seed=seed)
+    tuner = AutoTuner(zoo_device, fmt=fmt, seed=seed)
     profile = tuner.calibrate()
     # Serial point queries cannot use PDAM slots, so solve the serial
     # Corollary 6/7 optimum even on devices with fitted parallelism.
@@ -239,7 +240,7 @@ def measure_device(
         bad_tree,
         rec,
         lambda: build(
-            "btree", device, node_bytes=rec.node_bytes, cache_bytes=cache_bytes
+            "btree", zoo_device, node_bytes=rec.node_bytes, cache_bytes=cache_bytes
         ),
         current_node_bytes=start_bytes,
         current_per_op_seconds=start_ms / 1e3,
@@ -249,7 +250,7 @@ def measure_device(
         warmup_queries=warmup_queries, seed=seed + 2,
     )
     return {
-        "name": name,
+        "name": device,
         "profile": profile,
         "sweep_ms": sweep_ms,
         "sweep_best_bytes": best_bytes,
@@ -332,11 +333,3 @@ def run(
         result.best_static_bytes = fmt.leaf_bytes(max(2, round(best_b)))
         result.best_static_worst_ratio = worst[best_b]
     return result
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI test
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

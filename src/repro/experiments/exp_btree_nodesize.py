@@ -17,7 +17,10 @@ from dataclasses import dataclass, field
 
 from repro.analysis.fitting import OverlayFit, fit_affine_overlay
 from repro.experiments import report
-from repro.runner import ResultCache, SweepPoint, SweepSpec, run_sweep
+from repro.experiments.common import build_load, measure_tree_ops
+from repro.experiments.devices import default_hdd
+from repro.runner import ResultCache, SweepPoint, SweepSpec, register, run_sweep
+from repro.trees import build
 
 DEFAULT_NODE_SIZES = (4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20)
 
@@ -82,6 +85,38 @@ class BTreeNodeSizeResult:
     def best_insert_node(self) -> int:
         """Node size minimizing insert time."""
         return self.node_sizes[min(range(len(self.insert_ms)), key=self.insert_ms.__getitem__)]
+
+
+@register("btree_nodesize_point")
+def btree_nodesize_point(
+    *,
+    node_bytes: int,
+    n_entries: int,
+    cache_bytes: int,
+    universe: int,
+    n_queries: int,
+    n_inserts: int,
+    warmup_queries: int,
+    seed: int,
+) -> dict[str, float]:
+    """Load a fresh B-tree at one node size on the default HDD; measure."""
+    pairs, keys = build_load(n_entries, universe, seed=seed)
+    device = default_hdd(seed=seed + node_bytes % 97)
+    tree = build("btree", device, node_bytes=node_bytes, cache_bytes=cache_bytes)
+    tree.load(pairs)
+    times = measure_tree_ops(
+        tree,
+        keys,
+        universe,
+        n_queries=n_queries,
+        n_inserts=n_inserts,
+        warmup_queries=warmup_queries,
+        seed=seed,
+    )
+    return {
+        "query_ms": times.query_seconds_per_op * 1e3,
+        "insert_ms": times.insert_seconds_per_op * 1e3,
+    }
 
 
 def sweep_spec(
@@ -152,11 +187,3 @@ def run(
         list(node_sizes), [v / 1e3 for v in result.insert_ms], kind="btree"
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI test
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -34,7 +34,7 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.experiments import report
-from repro.runner import ResultCache, SweepPoint, SweepSpec, run_sweep
+from repro.runner import ResultCache, SweepPoint, SweepSpec, register, run_sweep
 
 MODELS = ("dam", "affine", "pdam")
 KNOBBED_TREES = ("btree", "betree")
@@ -76,6 +76,7 @@ def make_model_device(model: str, *, parallelism: int):
     raise ConfigurationError(f"unknown cost model {model!r}")
 
 
+@register("cob_compare_point")
 def measure_point(
     *,
     tree: str,
@@ -147,6 +148,34 @@ def _build_and_load(tree, device, node_bytes, cache_bytes, pairs, seed):
         universe = max(k for k, _ in pairs) + 1 if pairs else 1 << 20
         instance.put_many(insert_stream(universe, prefill, seed=seed + 7))
     return instance
+
+
+@register("cob_pdam_threads_point")
+def cob_pdam_threads_point(
+    *,
+    mode: str,
+    clients: int,
+    parallelism: int,
+    block_bytes: int,
+    n_keys: int,
+    queries_per_client: int,
+    seed: int,
+) -> dict[str, float]:
+    """Lemma 13 panel: k closed-loop clients over one index layout."""
+    import numpy as np
+
+    from repro.models.pdam import PDAMModel
+    from repro.storage.ideal import PDAMDevice
+    from repro.trees.btree.veb import PDAMQuerySimulator, StaticSearchTree
+
+    keys = np.arange(1, n_keys + 1, dtype=np.int64) * 3
+    tree = StaticSearchTree(keys)
+    device = PDAMDevice(
+        PDAMModel(parallelism=parallelism, block_bytes=block_bytes)
+    )
+    sim = PDAMQuerySimulator(device, tree, mode=mode)
+    out = sim.run(clients, queries_per_client, seed=seed)
+    return {"throughput": out.throughput}
 
 
 @dataclass
@@ -413,11 +442,3 @@ def run(
             i += 1
         result.thread_throughput[mode] = series
     return result
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI test
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

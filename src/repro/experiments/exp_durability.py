@@ -39,7 +39,7 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.experiments import report
-from repro.runner import ResultCache, SweepPoint, SweepSpec, run_sweep
+from repro.runner import ResultCache, SweepPoint, SweepSpec, register, run_sweep
 
 DEFAULT_DEVICES = ("dam", "affine", "pdam")
 DEFAULT_GROUP_COMMITS = (1, 2, 4, 8, 16, 32, 64)
@@ -81,9 +81,10 @@ def make_durability_device(device: str, *, node_bytes: int) -> Any:
     )
 
 
-# -- kernel body (called via repro.runner.kernels) ---------------------------
+# -- sweep kernel -------------------------------------------------------------
 
 
+@register("durability_point")
 def measure_durability(
     *,
     device: str,
@@ -347,11 +348,3 @@ def run(
     )
     result.rows.extend(run_sweep(spec, jobs=jobs, cache=cache))
     return result
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI test
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

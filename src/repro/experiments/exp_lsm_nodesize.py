@@ -109,11 +109,3 @@ def run(
             delta.write_amplification(n_inserts * config.fmt.entry_bytes)
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI test
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -131,11 +131,3 @@ def run(
         result.affine_ms.append(ios * (s + t * node_bytes) / n_queries * 1e3)
         result.dam_ms.append(ios * 2 * s / n_queries * 1e3)
     return result
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI test
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

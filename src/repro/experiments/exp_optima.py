@@ -100,11 +100,3 @@ def run(
         result.query_overhead.append(corollary11_io_overhead(B, F, a))
         result.insert_speedup.append(betree_speedup_over_btree(a, N, M))
     return result
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI test
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

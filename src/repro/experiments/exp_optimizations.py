@@ -114,11 +114,3 @@ def run(
         result.query_ms[variant] = times.query_seconds_per_op * 1e3
         result.insert_ms[variant] = times.insert_seconds_per_op * 1e3
     return result
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI test
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -18,12 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.experiments import report
-from repro.models.pdam import PDAMModel
-from repro.storage.ideal import PDAMDevice
-from repro.trees.btree.veb import PDAMQuerySimulator, StaticSearchTree
+from repro.runner import ResultCache, SweepPoint, SweepSpec, run_sweep
 
 DEFAULT_CLIENTS = (1, 2, 4, 8, 16, 32)
 MODES = ("flat_b", "flat_pb", "veb_pb")
@@ -83,30 +79,38 @@ def run(
     clients: tuple[int, ...] = DEFAULT_CLIENTS,
     queries_per_client: int = 50,
     seed: int = 0,
+    jobs: int = 1,
+    cache: ResultCache | None = None,
 ) -> PDAMConcurrencyResult:
-    """Run the three layouts across the client sweep."""
-    keys = np.arange(1, n_keys + 1, dtype=np.int64) * 3
-    tree = StaticSearchTree(keys)
+    """Run the three layouts across the client sweep.
+
+    Each (layout, k) point is E20's ``cob_pdam_threads_point`` kernel —
+    one definition of the Lemma 13 measurement for both experiments.
+    """
+    spec = SweepSpec.make(
+        "pdam_concurrency",
+        [
+            SweepPoint.make(
+                "cob_pdam_threads_point",
+                mode=mode,
+                clients=k,
+                parallelism=parallelism,
+                block_bytes=block_bytes,
+                n_keys=n_keys,
+                queries_per_client=queries_per_client,
+                seed=seed,
+            )
+            for mode in MODES
+            for k in clients
+        ],
+    )
     result = PDAMConcurrencyResult(
         parallelism=parallelism,
         block_bytes=block_bytes,
         n_keys=n_keys,
         clients=tuple(clients),
     )
+    rows = iter(run_sweep(spec, jobs=jobs, cache=cache))
     for mode in MODES:
-        series = []
-        for k in clients:
-            device = PDAMDevice(PDAMModel(parallelism=parallelism, block_bytes=block_bytes))
-            sim = PDAMQuerySimulator(device, tree, mode=mode)
-            out = sim.run(k, queries_per_client, seed=seed)
-            series.append(out.throughput)
-        result.throughput[mode] = series
+        result.throughput[mode] = [next(rows)["throughput"] for _ in clients]
     return result
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI test
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

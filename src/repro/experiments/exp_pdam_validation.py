@@ -148,11 +148,3 @@ def run(
         )
         result.expected_parallelism[name] = SSD_ZOO[name].expected_pdam_parallelism
     return result
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI test
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

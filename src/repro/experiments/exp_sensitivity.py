@@ -94,11 +94,3 @@ def run(
             result.betree_insert.append(btree_op_cost(b, alpha, N, M))
             result.betree_query.append(btree_op_cost(b, alpha, N, M))
     return result
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI test
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -31,7 +31,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.experiments import report
 from repro.faults import FaultPlan, ResiliencePolicy
-from repro.runner import ResultCache, SweepPoint, SweepSpec, run_sweep
+from repro.runner import ResultCache, SweepPoint, SweepSpec, register, run_sweep
 
 DEFAULT_RATES = (300.0, 500.0, 700.0)
 DEFAULT_POLICIES = ("none", "admit", "hedge", "admit+hedge")
@@ -99,9 +99,10 @@ def split_policy(policy: str) -> tuple[bool, ResiliencePolicy, ResiliencePolicy 
     return admit, hedge, device
 
 
-# -- kernel body (called via repro.runner.kernels) ---------------------------
+# -- sweep kernel -------------------------------------------------------------
 
 
+@register("serve_tail_point")
 def measure_serve(
     *,
     tree: str,
@@ -330,11 +331,3 @@ def run(
     )
     result.rows.extend(run_sweep(spec, jobs=jobs, cache=cache))
     return result
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI test
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -32,7 +32,7 @@ import numpy as np
 from repro.errors import ConfigurationError, TransientIOError
 from repro.experiments import report
 from repro.faults import FaultPlan, FaultyDevice, ResiliencePolicy
-from repro.runner import ResultCache, SweepPoint, SweepSpec, run_sweep
+from repro.runner import ResultCache, SweepPoint, SweepSpec, register, run_sweep
 
 DEFAULT_INTENSITIES = (0.0, 0.5, 1.0)
 DEFAULT_POLICIES = ("none", "retry", "hedge")
@@ -68,12 +68,13 @@ def policy_for(name: str, *, hedge_deadline_seconds: float) -> ResiliencePolicy:
                              f"{DEFAULT_POLICIES}")
 
 
-# -- kernel bodies (called via repro.runner.kernels) -------------------------
+# -- sweep kernels ------------------------------------------------------------
 
 
+@register("tail_resilience_tree")
 def measure_tree(
-    tree: str,
     *,
+    tree: str,
     plan_json: str,
     intensity: float,
     policy: str,
@@ -143,6 +144,7 @@ def measure_tree(
     }
 
 
+@register("tail_resilience_pdam")
 def measure_pdam(
     *,
     plan_json: str,
@@ -355,11 +357,3 @@ def run(
         else:
             result.pdam_rows.append(row)
     return result
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI test
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -105,11 +105,3 @@ def run(
         betree.load(pairs)
         result.betree.append(_measure(betree, universe, n_inserts, seed + 1))
     return result
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI test
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -140,11 +140,3 @@ def run(
                 tree, keys, universe, n_ops, dict(spec), seed + 1
             )
     return result
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI test
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -121,3 +121,68 @@ class TestCobFlags:
         second = capsys.readouterr().out
         table = lambda s: s[: s.index("[cob")]
         assert table(first) == table(second)  # bit-identical at any job count
+
+
+class TestFlagRouting:
+    """Flags reach a ``run()`` exactly when its signature has the keyword."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, a_taker",
+        [
+            (["lsm", "--quick"], "--quick", "durability"),
+            (["lsm", "--jobs", "4"], "--jobs", "fig2"),
+            (["lsm", "--jobs", "0"], "--jobs", "fig2"),
+            (["fig2", "--faults", "plan.json"], "--faults", "tailres"),
+            (["fig2", "--policy", "hedge"], "--policy", "serve"),
+        ],
+    )
+    def test_flag_one_experiment_cannot_honour_is_an_error(
+        self, capsys, argv, flag, a_taker
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{argv[0]} does not take {flag}" in err
+        assert a_taker in err  # names the experiments that do take it
+
+    def test_default_jobs_is_not_a_request(self, capsys):
+        assert main(["optima", "--jobs", "1"]) == 0
+
+    def test_all_applies_flags_where_accepted(self, capsys, monkeypatch):
+        from repro.experiments import cli
+
+        calls = {}
+
+        class Rendered:
+            def render(self):
+                return ""
+
+        def takes_all(*, plan=None, policies=(), quick=False, jobs=1, cache=None):
+            calls["takes_all"] = dict(
+                plan=plan, policies=policies, quick=quick, jobs=jobs, cache=cache
+            )
+            return Rendered()
+
+        def takes_jobs(*, seed=0, jobs=1):
+            calls["takes_jobs"] = dict(jobs=jobs)
+            return Rendered()
+
+        def takes_none(*, seed=0):
+            calls["takes_none"] = {}
+            return Rendered()
+
+        monkeypatch.setattr(
+            cli,
+            "EXPERIMENTS",
+            {"takes_all": takes_all, "takes_jobs": takes_jobs, "takes_none": takes_none},
+        )
+        argv = ["all", "--quick", "--jobs", "3", "--policy", "hedge", "--no-cache"]
+        assert cli.main(argv) == 0
+        assert calls == {
+            "takes_all": dict(
+                plan=None, policies=("hedge",), quick=True, jobs=3, cache=None
+            ),
+            "takes_jobs": dict(jobs=3),
+            "takes_none": {},
+        }

@@ -111,7 +111,7 @@ class TestExperiment:
     def test_unknown_tree_rejected(self):
         with pytest.raises(ConfigurationError):
             e18.measure_tree(
-                "splay",
+                tree="splay",
                 plan_json=FaultPlan().to_json(),
                 intensity=0.0,
                 policy="none",
