@@ -1,6 +1,6 @@
 # Convenience targets; see README.md.
 
-.PHONY: install test lint bench perf-smoke perf-pairs tree-split experiments examples serve-quick cob recovery e21-quick all
+.PHONY: install test lint bench perf-smoke perf-pairs tree-split durable-split experiments examples serve-quick cob recovery e21-quick all
 
 install:
 	pip install -e .
@@ -25,6 +25,7 @@ perf-smoke:
 	python3 benchmarks/perf/run.py --scale 0.05
 	python -m pytest benchmarks/perf/tests -q
 	python3 tools/tree_split.py --workload tree_write --scale 0.05
+	python3 tools/durable_split.py --scale 0.05
 
 # N alternating parent/change pairs of one benchmark workload, then
 # compare.py over both sets (the procedure a claimed gain is shown by):
@@ -44,6 +45,13 @@ perf-pairs:
 tree-split:
 	python3 tools/tree_split.py --workload $(WORKLOAD) --seed $(SEED)
 
+# Which step of a durable op durable_e21's host time goes to, per tree kind
+# (checkpoint scan / rest, WAL append / commit, tree insert / delete,
+# recover; median self seconds per iteration; sizing, not a claim):
+#   make durable-split   (SEED as above)
+durable-split:
+	python3 tools/durable_split.py --seed $(SEED)
+
 experiments:
 	python -m repro.experiments all
 
@@ -58,9 +66,10 @@ cob:
 	PYTHONPATH=src python -m repro.lint src/repro/trees/cob
 	PYTHONPATH=src python -m repro.experiments cob --quick --no-cache
 
-# The durability layer: its tests + the sampled crash-consistency checker.
+# The durability layer: its tests (and the pinned reads of the scans its
+# checkpoints take) + the sampled crash-consistency checker.
 recovery:
-	PYTHONPATH=src python -m pytest tests/recovery tests/faults/test_crash.py tests/serve/test_crash_failover.py -q
+	PYTHONPATH=src python -m pytest tests/recovery tests/faults/test_crash.py tests/serve/test_crash_failover.py tests/trees/test_range_charges.py -q
 	PYTHONPATH=src python -c "from repro.recovery import RECOVERY_TREES, run_check; \
 	reports = {t: run_check(t, n_ops=60, mode='sample', samples=16, seed=0) for t in RECOVERY_TREES}; \
 	[print(t, r.describe()) for t, r in reports.items()]; \

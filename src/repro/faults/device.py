@@ -208,7 +208,10 @@ class FaultyDevice(BlockDevice):
         Returns the completion time; raises :class:`TransientIOError` when
         an injected error survives the retry budget.
         """
-        self._maybe_crash(kind, offset, nbytes, at)
+        # Each fault stage is entered only when its plan can act; the stages
+        # keep their own zero checks, so the RNG discipline is theirs alone.
+        if self._crashed is not None or (self.crash is not None and not self._crash_spent):
+            self._maybe_crash(kind, offset, nbytes, at)
         self._io_ordinal += 1
         plan, policy = self.plan, self.policy
         inner_io = self.inner.read if kind == "read" else self.inner.write
@@ -218,8 +221,7 @@ class FaultyDevice(BlockDevice):
         attempt = 0
         while True:
             base = inner_io(offset, nbytes)
-            errored = self._draw_error()
-            if not errored:
+            if not (plan.error_prob > 0 and self._draw_error()):
                 break
             # The failed attempt ran to completion before failing: its
             # device time is part of the op, whatever happens next.
@@ -243,7 +245,9 @@ class FaultyDevice(BlockDevice):
             if OBS.enabled:
                 OBS.counter("io.retries").inc()
 
-        service = base * factor + self._draw_spike()
+        service = base * factor
+        if plan.spike_prob > 0:
+            service += self._draw_spike()
         if (
             kind == "read"
             and policy.hedge_enabled

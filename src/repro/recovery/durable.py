@@ -40,6 +40,7 @@ from repro.obs import OBS
 from repro.recovery.wal import WriteAheadLog
 from repro.storage.device import BlockDevice
 from repro.trees import build
+from repro.trees.sizing import KEY_MAX, KEY_MIN
 
 #: Tree kinds a DurableTree can wrap.
 RECOVERY_TREES = ("btree", "betree", "lsm", "cob")
@@ -248,8 +249,8 @@ class DurableTree:
         return self.tree.range(lo, hi)
 
     def items(self) -> Iterator[tuple[int, Any]]:
-        """All pairs in key order (delegates)."""
-        return iter(self.tree.items())
+        """All pairs in key order (delegates; the scan is charged at the call)."""
+        return self.tree.items()
 
     def contents(self) -> dict[int, Any]:
         """The full logical contents, as a dict (checker's ground truth)."""
@@ -280,7 +281,7 @@ class DurableTree:
         checkpoint and the un-truncated log as the recovery source.
         """
         self.wal.commit()
-        pairs = list(self.tree.items())
+        pairs = self.tree.range(KEY_MIN, KEY_MAX)
         snapshot_bytes = max(len(pairs) * self._entry_bytes, SUPERBLOCK_BYTES)
         if snapshot_bytes > self.config.ckpt_bytes:
             raise WALError(

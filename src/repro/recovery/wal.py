@@ -14,6 +14,8 @@ A group becomes durable atomically-or-not: the marker is the last frame
 of the commit blob, so a crash that tears the blob anywhere leaves the
 marker incomplete and :meth:`scan` discards the whole group — exactly
 the ARIES rule that a record without its commit is not yet a promise.
+A record is framed when it is appended, so a value JSON cannot encode is
+refused there, alone: the LSN is not consumed and the group stays usable.
 
 **Device contract.** Devices in this simulator price IO but do not store
 bytes, so the log keeps its own durable image (``bytearray``) as the
@@ -42,10 +44,13 @@ _HEADER = struct.Struct("<II")
 #: Op codes a WAL record can carry.
 WAL_OPS = ("p", "d", "c")
 
+#: The payload encoder: compact JSON, built once for every record.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def _frame(lsn: int, op: str, key: int | None, value: Any) -> bytes:
-    """One CRC-framed record."""
-    payload = json.dumps([lsn, op, key, value], separators=(",", ":")).encode()
+    """One CRC-framed record; ``TypeError`` if JSON cannot encode ``value``."""
+    payload = _encode([lsn, op, key, value]).encode()
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -132,7 +137,8 @@ class WriteAheadLog:
         self.capacity_bytes = int(capacity_bytes)
         self.group_commit = int(group_commit)
         self._durable = bytearray()  # the modeled on-platter log image
-        self._pending: list[tuple[int, str, int, Any]] = []
+        #: ``(lsn, frame)`` of every appended record no marker covers yet.
+        self._pending: list[tuple[int, bytes]] = []
         self.next_lsn = 1
         self.committed_lsn = 0
         self.commits = 0
@@ -157,13 +163,14 @@ class WriteAheadLog:
 
         The record is durable — and the op ackable — only once
         ``committed_lsn`` reaches the returned LSN (auto group commit, or
-        an explicit :meth:`commit`).
+        an explicit :meth:`commit`).  A ``value`` JSON cannot encode raises
+        here and leaves the log as it was.
         """
         if op not in ("p", "d"):
             raise ConfigurationError(f"op must be 'p' or 'd', got {op!r}")
         lsn = self.next_lsn
-        self.next_lsn += 1
-        self._pending.append((lsn, op, int(key), value))
+        self._pending.append((lsn, _frame(lsn, op, int(key), value)))
+        self.next_lsn = lsn + 1
         self.appends += 1
         if len(self._pending) >= self.group_commit:
             self.commit()
@@ -180,7 +187,7 @@ class WriteAheadLog:
         if not self._pending:
             return
         last_lsn = self._pending[-1][0]
-        blob = b"".join(_frame(*rec) for rec in self._pending)
+        blob = b"".join(frame for _, frame in self._pending)
         blob += _frame(last_lsn, "c", None, None)
         if len(self._durable) + len(blob) > self.capacity_bytes:
             raise WALError(

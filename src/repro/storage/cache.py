@@ -159,12 +159,13 @@ class BufferCache:
     # -- eviction internals ---------------------------------------------------
 
     def _evict_until_fits(self) -> None:
+        root = self._root
         while self.cached_bytes > self.capacity_bytes and self._n_resident > 1:
-            victim = next(
-                (e for e in self._resident_lru_order() if e.pins == 0), None
-            )
-            if victim is None:
-                raise CacheError("cache over budget but every entry is pinned")
+            victim = root.next  # the LRU end; pinned entries are walked past
+            while victim.pins:
+                victim = victim.next
+                if victim is root:
+                    raise CacheError("cache over budget but every entry is pinned")
             self._evict(victim)
 
     def _evict(self, entry: _Entry) -> None:

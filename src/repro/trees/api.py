@@ -60,8 +60,9 @@ class KVTree:
         return self.get(key) is not None
 
     def items(self) -> Iterator[tuple[int, Any]]:
-        """All pairs in key order (a scan of the whole key domain)."""
-        yield from self.range(KEY_MIN, KEY_MAX)
+        """All pairs in key order: a scan of the whole key domain, charged
+        when this is called, not when the first pair is pulled."""
+        return iter(self.range(KEY_MIN, KEY_MAX))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.items())

@@ -76,6 +76,11 @@ class BTree(KVTree):
         self.device = storage.device
         self.allocator = storage.allocator
         self.config = config or BTreeConfig()
+        # Read once: pure functions of the frozen config that the insert and
+        # delete paths would otherwise re-derive through two properties a node.
+        self._leaf_capacity = self.config.leaf_capacity
+        self._internal_capacity = self.config.internal_capacity
+        self._entry_bytes = self.config.fmt.entry_bytes
         self._next_id = 0
         self._count = 0
         self.user_bytes_modified = 0  # for write-amplification (Definition 3)
@@ -214,13 +219,13 @@ class BTree(KVTree):
             node.keys.insert(i, key)
             node.values.insert(i, value)
             self._count += 1
-        self.user_bytes_modified += self.config.fmt.entry_bytes
+        self.user_bytes_modified += self._entry_bytes
         self._dirty(node)
 
     def _is_full(self, node: BTreeNode) -> bool:
         if node.is_leaf:
-            return len(node.keys) >= self.config.leaf_capacity
-        return len(node.children) >= self.config.internal_capacity
+            return len(node.keys) >= self._leaf_capacity
+        return len(node.children) >= self._internal_capacity
 
     def _grow_root(self) -> None:
         """Add a new root above a full root, then split the old root."""
@@ -290,14 +295,14 @@ class BTree(KVTree):
         del node.keys[i]
         del node.values[i]
         self._count -= 1
-        self.user_bytes_modified += self.config.fmt.entry_bytes
+        self.user_bytes_modified += self._entry_bytes
         self._dirty(node)
         return True
 
     def _min_occupancy(self, node: BTreeNode) -> int:
         if node.is_leaf:
-            return max(1, self.config.leaf_capacity // 4)
-        return max(2, self.config.internal_capacity // 4)
+            return max(1, self._leaf_capacity // 4)
+        return max(2, self._internal_capacity // 4)
 
     def _is_minimal(self, node: BTreeNode) -> bool:
         if node.is_leaf:
@@ -391,15 +396,19 @@ class BTree(KVTree):
 
     def _range_into(self, node_id: int, lo: int, hi: int, out: list) -> None:
         node = self._get(node_id)
+        keys = node.keys
         if node.is_leaf:
-            i = bisect.bisect_left(node.keys, lo)
-            j = bisect.bisect_right(node.keys, hi)
-            out.extend(zip(node.keys[i:j], node.values[i:j]))
+            if keys and lo <= keys[0] and keys[-1] <= hi:
+                out.extend(zip(keys, node.values))  # wholly inside: no copy
+                return
+            i = bisect.bisect_left(keys, lo)
+            j = bisect.bisect_right(keys, hi)
+            out.extend(zip(keys[i:j], node.values[i:j]))
             return
-        first = bisect.bisect_right(node.keys, lo)
-        last = bisect.bisect_right(node.keys, hi)
-        for idx in range(first, last + 1):
-            self._range_into(node.children[idx], lo, hi, out)
+        first = bisect.bisect_right(keys, lo)
+        last = bisect.bisect_right(keys, hi)
+        for child in node.children[first : last + 1]:
+            self._range_into(child, lo, hi, out)
 
     # -- bulk load -----------------------------------------------------------------
 
@@ -420,7 +429,7 @@ class BTree(KVTree):
         old_root = self._get(self.root_id)
         self._free(old_root)
 
-        per_leaf = max(2, int(self.config.leaf_capacity * self.config.bulk_fill))
+        per_leaf = max(2, int(self._leaf_capacity * self.config.bulk_fill))
         level: list[tuple[int, int]] = []  # (first_key, node_id) per node
         for start in range(0, len(pairs), per_leaf):
             chunk = pairs[start : start + per_leaf]
@@ -430,9 +439,9 @@ class BTree(KVTree):
             self._dirty(leaf)
             level.append((leaf.keys[0], leaf.node_id))
         self._count = len(pairs)
-        self.user_bytes_modified += len(pairs) * self.config.fmt.entry_bytes
+        self.user_bytes_modified += len(pairs) * self._entry_bytes
 
-        per_internal = max(2, int(self.config.internal_capacity * self.config.bulk_fill))
+        per_internal = max(2, int(self._internal_capacity * self.config.bulk_fill))
         while len(level) > 1:
             next_level: list[tuple[int, int]] = []
             for start in range(0, len(level), per_internal):

@@ -250,15 +250,17 @@ class COLA(KVTree):
         if lo > hi:
             return []
         residency = self._ram_resident()
-        result: dict[int, Any] = {}
-        # Oldest (largest) level first so newer levels overwrite.
+        runs: list[tuple[list[int], list[Any]]] = []
+        # Oldest (largest) level first: the HDD prices the order of the reads.
         for k in range(len(self.levels) - 1, -1, -1):
             lvl = self.levels[k]
             if lvl is None:
                 continue
             i = bisect.bisect_left(lvl.keys, lo)
             j = bisect.bisect_right(lvl.keys, hi)
-            if j > i and not residency[k]:
+            if j == i:
+                continue
+            if not residency[k]:
                 nbytes = max(
                     self.config.block_bytes,
                     (j - i) * self.config.fmt.entry_bytes,
@@ -269,9 +271,10 @@ class COLA(KVTree):
                     lvl.offset + lvl.nbytes - nbytes,
                 )
                 self.device.read(offset, nbytes)
-            for key, val in zip(lvl.keys[i:j], lvl.values[i:j]):
-                result[key] = val
-        return sorted((k, v) for k, v in result.items() if v is not TOMBSTONE)
+            runs.append((lvl.keys[i:j], lvl.values[i:j]))
+        runs.reverse()  # newest first, as the merge ranks them
+        keys, values = merge_runs(runs, drop_tombstones=True)
+        return list(zip(keys, values))
 
     # -- invariants --------------------------------------------------------------
 

@@ -65,8 +65,9 @@ class SSTable:
             return self.values[i], True
         return None, False
 
-    def slice(self, lo: int, hi: int) -> list[tuple[int, Any]]:
-        """Pairs with ``lo <= key <= hi`` (tombstones included)."""
+    def slice(self, lo: int, hi: int) -> tuple[list[int], list[Any]]:
+        """The ``(keys, values)`` columns with ``lo <= key <= hi`` (tombstones
+        included): a run for :func:`~repro.trees.merge.merge_runs`."""
         i = bisect.bisect_left(self.keys, lo)
         j = bisect.bisect_right(self.keys, hi)
-        return list(zip(self.keys[i:j], self.values[i:j]))
+        return self.keys[i:j], self.values[i:j]

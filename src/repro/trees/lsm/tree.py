@@ -261,27 +261,23 @@ class LSMTree(KVTree):
         """All pairs with ``lo <= key <= hi`` in key order."""
         if lo > hi:
             return []
-        result: dict[int, Any] = {}
-        # Apply from oldest to newest so newer writes win.
-        for lvl in range(len(self.levels) - 1, 0, -1):
-            for t in self.levels[lvl]:
-                if t.overlaps(lo, hi):
-                    self._read_overlap(t, lo, hi)
-                    result.update(t.slice(lo, hi))
-        for t in reversed(self.levels[0]):  # oldest L0 first
-            if t.overlaps(lo, hi):
-                self._read_overlap(t, lo, hi)
-                result.update(t.slice(lo, hi))
-        for k in sorted(result):
-            if lo <= k <= hi and result[k] is TOMBSTONE:
-                del result[k]
-        for k, v in self.memtable.items():
-            if lo <= k <= hi:
-                if v is TOMBSTONE:
-                    result.pop(k, None)
-                else:
-                    result[k] = v
-        return sorted(result.items())
+        # Reads are charged oldest run first (the HDD prices their order).
+        overlapping = [
+            t for lvl in range(len(self.levels) - 1, 0, -1)
+            for t in self.levels[lvl] if t.overlaps(lo, hi)
+        ]
+        overlapping += [t for t in reversed(self.levels[0]) if t.overlaps(lo, hi)]
+        for t in overlapping:
+            self._read_overlap(t, lo, hi)
+        # Newest first for the merge: the memtable, L0, then deeper levels.
+        memtable = self.memtable
+        keys = sorted(memtable)
+        keys = keys[bisect.bisect_left(keys, lo) : bisect.bisect_right(keys, hi)]
+        runs = [(keys, list(map(memtable.__getitem__, keys)))]
+        runs += [t.slice(lo, hi) for t in reversed(overlapping)]
+        # A run can overlap [lo, hi] by its bounds and hold no key inside it.
+        keys, values = merge_runs([run for run in runs if run[0]], drop_tombstones=True)
+        return list(zip(keys, values))
 
     def _read_overlap(self, table: SSTable, lo: int, hi: int) -> None:
         """Charge reading the overlapping byte range of a run."""

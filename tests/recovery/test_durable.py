@@ -1,5 +1,6 @@
 """DurableTree: logging, checkpointing, and crash recovery over the zoo."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DeviceCrashed, WALError
@@ -90,6 +91,37 @@ class TestWritePath:
         assert report.replayed_records == 2
         assert durable.contents() == {1: "a", 2: "b"}
         durable.check_invariants()
+
+
+    @pytest.mark.parametrize("tree", RECOVERY_TREES)
+    def test_unencodable_value_is_refused_at_its_own_put(self, tree):
+        """A value the log cannot frame (a numpy scalar) fails at the put
+        that carries it — not three ops later — and poisons nothing."""
+        _, durable = build(tree, group_commit=4)
+        first = durable.put(1, "a")
+        with pytest.raises(TypeError):
+            durable.put(2, np.int64(7))
+        assert durable.get(2) is None  # write-ahead: never logged, never applied
+        assert durable.wal.next_lsn == 2
+        lsns = [durable.put(key, key) for key in (3, 4, 5)]
+        assert lsns == [2, 3, 4]
+        assert durable.wal.committed_lsn == 4
+        assert all(durable.acked(lsn) for lsn in [first, *lsns])
+        durable.sync()
+        durable.checkpoint()
+        assert durable.recover().replayed_records == 0
+        assert durable.contents() == {1: "a", 3: 3, 4: 4, 5: 5}
+
+    def test_items_charges_the_scan_at_the_call(self):
+        device, durable = build(cache_bytes=8 << 10)
+        durable.load([(key, "v") for key in range(400)])
+        durable.stack.drop_cache()
+        before = device.clock
+        pairs = durable.items()
+        charged = device.clock
+        assert charged > before
+        assert len(list(pairs)) == 400
+        assert device.clock == charged
 
 
 class TestCheckpoint:

@@ -1,7 +1,9 @@
 """WriteAheadLog: framing, group commit, torn tails, CRC, recovery."""
 
 import struct
+import zlib
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DeviceCrashed, WALError
@@ -80,6 +82,32 @@ class TestFramingAndScan:
     def test_empty_image(self):
         assert scan(b"") == ([], 0)
 
+    def test_commit_group_golden_bytes(self):
+        """The on-platter image of one group, byte for byte: what a torn
+        write cuts, so no encoder or framing change may move it."""
+        _, wal = make_wal(group_commit=2)
+        wal.append("p", 7, "v")
+        wal.append("d", 9)
+        image = bytes(wal._durable)
+        assert image.hex() == (
+            "0d000000fe62191f5b312c2270222c372c2276225d"            # [1,"p",7,"v"]
+            "0e000000628f9d6d5b322c2264222c392c6e756c6c5d"          # [2,"d",9,null]
+            "1100000013fadf435b322c2263222c6e756c6c2c6e756c6c5d"    # [2,"c",null,null]
+        )
+        payloads = [b'[1,"p",7,"v"]', b'[2,"d",9,null]', b'[2,"c",null,null]']
+        assert image == b"".join(
+            struct.pack("<II", len(p), zlib.crc32(p)) + p for p in payloads
+        )
+        assert scan(image) == ([(1, "p", 7, "v"), (2, "d", 9, None)], len(image))
+
+    @pytest.mark.parametrize(
+        "value", ["text", "é\u2603", 7, -(1 << 62), None, [1, "a", None], {"a": {"b": [1, 2]}}]
+    )
+    def test_value_round_trips(self, value):
+        _, wal = make_wal(group_commit=1)
+        wal.append("p", 5, value)
+        assert scan(bytes(wal._durable))[0] == [(1, "p", 5, value)]
+
 
 class TestGroupCommit:
     def test_auto_commit_at_batch_size(self):
@@ -122,6 +150,32 @@ class TestGroupCommit:
         wal.truncate()
         assert wal.durable_bytes == 0
         assert wal.checkpoints == 1
+
+
+class TestUnencodableValue:
+    """A value JSON cannot encode is refused at its own append."""
+
+    def test_bad_append_raises_and_leaves_the_log_as_it_was(self):
+        _, wal = make_wal(group_commit=4)
+        assert wal.append("p", 1, "a") == 1
+        with pytest.raises(TypeError):
+            wal.append("p", 2, np.int64(7))
+        assert wal.next_lsn == 2
+        assert wal.pending_records == 1
+        assert wal.appends == 1
+
+    def test_the_group_stays_usable(self):
+        _, wal = make_wal(group_commit=4)
+        wal.append("p", 1, "a")
+        with pytest.raises(TypeError):
+            wal.append("p", 2, np.int64(7))
+        lsns = [wal.append("p", key, key) for key in (2, 3, 4)]
+        assert lsns == [2, 3, 4]
+        assert wal.committed_lsn == 4 and wal.commits == 1
+        records, valid = scan(bytes(wal._durable))
+        assert [r[0] for r in records] == [1, 2, 3, 4]
+        assert valid == wal.durable_bytes
+        wal.commit()  # nothing pending, nothing poisoned
 
 
 class TestCrashAndRecover:

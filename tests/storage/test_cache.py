@@ -175,6 +175,52 @@ class TestPinning:
         with pytest.raises(CacheError):
             cache.update_extent("b", 100, 150)
 
+    def test_victim_is_first_unpinned_from_the_lru_end(self):
+        cache, _ = make(capacity=500)
+        for i, name in enumerate("abcde"):  # LRU order a..e
+            cache.insert(name, name, i * 100, 100, dirty=False)
+        cache.pin("a")  # the LRU head
+        cache.pin("c")  # the middle
+        cache.insert("f", "f", 500, 100, dirty=False)
+        assert [cache.contains(n) for n in "abcdef"] == [True, False, True, True, True, True]
+        cache.insert("g", "g", 600, 100, dirty=False)  # walks past a and c
+        assert [cache.contains(n) for n in "abcdefg"] == [
+            True, False, True, False, True, True, True,
+        ]
+        cache.insert("h", "h", 700, 250, dirty=False)  # one admission, three victims
+        assert [n for n in "abcdefgh" if cache.contains(n)] == ["a", "c", "h"]
+        assert cache.stats.evictions == 5
+        cache.check_invariants()
+
+    def test_all_pinned_over_budget_evicts_nothing(self):
+        cache, dev = make(capacity=200)
+        for i, name in enumerate("ab"):
+            cache.insert(name, name, i * 100, 100)
+            cache.pin(name)
+        with pytest.raises(CacheError, match="every entry is pinned"):
+            cache.update_extent("b", 100, 150)
+        # The failed search for a victim changed nothing: both entries are
+        # still resident and accounted for, and nothing was written back.
+        assert cache.contains("a") and cache.contains("b")
+        assert cache.cached_bytes == 250 and len(cache) == 2
+        assert cache.stats.evictions == 0 and dev.stats.writes == 0
+        cache.check_invariants()
+
+    def test_dirty_victim_behind_a_pin_is_written_back_exactly_once(self):
+        cache, dev = make(capacity=300)
+        cache.insert("p", "p", 0, 100, dirty=False)
+        cache.pin("p")
+        cache.insert("v", "v", 100, 100)  # dirty
+        cache.insert("x", "x", 200, 100, dirty=False)
+        cache.insert("y", "y", 300, 100, dirty=False)  # evicts v, past pinned p
+        assert not cache.contains("v")
+        assert dev.stats.writes == 1 and cache.stats.dirty_evictions == 1
+        cache.get("v")  # back in, clean: evicts x
+        cache.insert("z", "z", 400, 100, dirty=False)  # evicts y
+        cache.insert("w", "w", 500, 100, dirty=False)  # evicts v again, clean now
+        assert not cache.contains("v")
+        assert dev.stats.writes == 1 and cache.stats.dirty_evictions == 1
+
 
 class TestDelete:
     def test_delete_resident_no_write(self):

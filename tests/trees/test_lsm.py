@@ -38,7 +38,7 @@ class TestSSTable:
 
     def test_slice(self):
         t = SSTable(0, [1, 2, 3, 4], list("abcd"))
-        assert t.slice(2, 3) == [(2, "b"), (3, "c")]
+        assert t.slice(2, 3) == ([2, 3], ["b", "c"])
 
     def test_validation(self):
         with pytest.raises(TreeError):
