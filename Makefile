@@ -1,6 +1,6 @@
 # Convenience targets; see README.md.
 
-.PHONY: install test lint bench perf-smoke perf-pairs tree-split durable-split experiments examples serve-quick cob recovery e21-quick all
+.PHONY: install test lint bench perf-smoke perf-pairs tree-split durable-split serve-split experiments examples serve-quick cob recovery e21-quick all
 
 install:
 	pip install -e .
@@ -26,6 +26,7 @@ perf-smoke:
 	python -m pytest benchmarks/perf/tests -q
 	python3 tools/tree_split.py --workload tree_write --scale 0.05
 	python3 tools/durable_split.py --scale 0.05
+	python3 tools/serve_split.py --scale 0.05
 
 # N alternating parent/change pairs of one benchmark workload, then
 # compare.py over both sets (the procedure a claimed gain is shown by):
@@ -51,6 +52,14 @@ tree-split:
 #   make durable-split   (SEED as above)
 durable-split:
 	python3 tools/durable_split.py --seed $(SEED)
+
+# Which step of a served request serve_e19's host time goes to (traffic draw,
+# arrival + admission, WFQ, dispatch, Replica.lookup_many by tree / cache /
+# device, completion; sampled median us per request), with the round-size
+# histogram and the peak event-heap length; sizing, not a claim:
+#   make serve-split   (SEED as above)
+serve-split:
+	python3 tools/serve_split.py --seed $(SEED)
 
 experiments:
 	python -m repro.experiments all

@@ -17,10 +17,11 @@ Mechanics per event:
   shard tries to dispatch.
 * **dispatch** — while a replica is free and the queue is non-empty, pop
   up to ``batch`` requests in weighted-fair order and serve them as one
-  round (:meth:`Replica.lookup_many` — batched tree reads).  The round's
-  measured device seconds occupy the replica on the shard's
-  :class:`~repro.storage.engine.ResourcePool`; every request in the
-  round completes together when the round does.
+  round (:meth:`Replica.lookup_many`: a scalar lookup when the round is
+  one key — nine rounds in ten below saturation — batched tree reads
+  otherwise).  The round's measured device seconds occupy the replica on
+  the shard's :class:`~repro.storage.engine.ResourcePool`; every request
+  in the round completes together when the round does.
 * **hedging** — if the round runs past the policy's deadline and a spare
   replica is free at ``start + deadline``, the same keys are served
   again there and the earlier finish wins (the primary stays busy — its
@@ -37,6 +38,7 @@ ends.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -94,7 +96,13 @@ class TenantStats:
 
 @dataclass
 class ServeResult:
-    """Everything a run produced, exact and JSON-able on demand."""
+    """Everything a run produced, exact and JSON-able on demand.
+
+    ``io_seconds`` is the replicas' device seconds *since their devices
+    were last reset* (by :func:`~repro.serve.shard.build_shards`, after the
+    warm-up), not this run's alone: on a cluster that is run again,
+    subtract the previous result's.
+    """
 
     duration_seconds: float
     tenants: dict[str, TenantStats]
@@ -229,99 +237,120 @@ class RequestEngine:
         """Simulate ``duration_seconds`` of offered traffic; drain fully.
 
         Arrivals stop at the horizon; queued work is still served to
-        completion so every admitted request gets a latency.
+        completion so every admitted request gets a latency.  The clock
+        starts at 0 on a clean timeline — every shard's replica pool and
+        the admission buckets are reset — so an engine, or a second engine
+        on the same cluster, can be run again; what carries over is the
+        cluster itself (warm caches, device clocks and counters).
         """
         if duration_seconds <= 0:
             raise ConfigurationError(
                 f"duration_seconds must be positive, got {duration_seconds}"
             )
+        shards = self.shards
+        for shard in shards:
+            shard.pool.reset()
+        self.admission.reset()
         time_col, tenant_col, key_col = self._draw_traffic(duration_seconds, seed)
-        # The arrival loop reads one element of each column per request:
-        # converted to native lists once, no numpy scalar enters it.
-        times, tenant_idx, key_vals = time_col.tolist(), tenant_col.tolist(), key_col.tolist()
-        owners = self.shard_map.shards_of(key_col).tolist()
+        # One native tuple per request, built once: no numpy scalar, tenant
+        # record or column index enters the arrival loop.
+        names = [t.name for t in self.tenants]
+        arrivals = zip(
+            time_col.tolist(),
+            [names[ti] for ti in tenant_col.tolist()],
+            key_col.tolist(),
+            self.shard_map.shards_of(key_col).tolist(),
+        )
 
-        queues = [WeightedFairQueue(self.tenants) for _ in self.shards]
-        stats = {t.name: TenantStats() for t in self.tenants}
-        pending: list[float | None] = [None] * len(self.shards)
+        queues = [WeightedFairQueue(self.tenants) for _ in shards]
+        push = [queue.push for queue in queues]
+        stats = {name: TenantStats() for name in names}
+        pending: list[float | None] = [None] * len(shards)
         heap: list[tuple[float, int, int]] = []  # (time, seq, shard)
         seq = 0
+        # Requests queued over all shards, kept running (never recounted from
+        # the queues): +1 at a push, -len(round) at its pops, +len(round) back
+        # when a failover requeues it.
+        depth = 0
 
         state = _RunState()
+        batch = self.batch
         deadline = self.policy.hedge_deadline_seconds
         hedge = self.policy.hedge_enabled
+        # A disabled controller admits everything: not asked per request.
+        admit = self.admission.admit if self.admission.enabled else None
 
         def dispatch(s: int, now: float) -> None:
-            nonlocal seq
-            shard = self.shards[s]
+            nonlocal seq, depth
+            shard = shards[s]
+            pool = shard.pool
+            replicas = shard.replicas
             queue = queues[s]
-            while len(queue):
-                replica_idx = shard.pool.first_free(now)
+            queued = len(queue)  # only this call moves it until it returns
+            while queued:
+                replica_idx = pool.first_free(now)
                 if replica_idx is None:
-                    wake = shard.pool.next_available_at()
                     if pending[s] is None:
+                        wake = pool.next_available_at()
                         pending[s] = wake
                         heapq.heappush(heap, (wake, seq, s))
                         seq += 1
                     return
-                round_tenants: list[str] = []
-                round_arrivals: list[float] = []
-                round_keys: list[int] = []
-                while len(queue) and len(round_keys) < self.batch:
-                    tenant, (arrived, key) = queue.pop()
-                    round_tenants.append(tenant)
-                    round_arrivals.append(arrived)
-                    round_keys.append(key)
+                # [(tenant, (arrived, key)), ...] in weighted-fair order.
+                requests = [queue.pop() for _ in range(min(queued, batch))]
+                queued -= len(requests)
+                depth -= len(requests)
+                round_keys = [key for _, (_, key) in requests]
                 try:
-                    duration = shard.replicas[replica_idx].lookup_many(round_keys)
+                    duration = replicas[replica_idx].lookup_many(round_keys)
                 except DeviceCrashed:
                     # Failover: the crashed replica occupies its pool slot
                     # for the WAL-replay recovery (it leaves the hedging
                     # pool exactly that long), and the round's requests
                     # requeue with their original arrivals — the recovery
                     # time lands in their tail latency.
-                    recovery = shard.replicas[replica_idx].recover()
-                    shard.pool[replica_idx].acquire(now, recovery)
+                    recovery = replicas[replica_idx].recover()
+                    pool[replica_idx].acquire(now, recovery)
                     state.crashes += 1
                     state.recoveries += 1
                     state.recovery_seconds += recovery
-                    for tenant, arrived, key in zip(
-                        round_tenants, round_arrivals, round_keys
-                    ):
+                    for tenant, request in requests:
                         stats[tenant].failovers += 1
-                        queue.push(tenant, (arrived, key))
+                        queue.push(tenant, request)
                         if OBS.enabled:
                             OBS.counter(f"serve.failovers.{tenant}").inc()
+                    queued += len(requests)
+                    depth += len(requests)
                     continue
-                shard.pool[replica_idx].acquire(now, duration)
+                pool[replica_idx].acquire(now, duration)
                 completion = now + duration
                 # Hedge only when the shard has no backlog: a duplicate on
                 # the spare is free capacity then (Definition 1: unused
                 # slots are wasted anyway), but with requests queued the
                 # spare is NOT spare — stealing it trades everyone's
                 # queueing delay for one round's service tail and loses.
-                if hedge and duration > deadline and not len(queue):
-                    spare = shard.pool.first_free(now + deadline, exclude=replica_idx)
+                if hedge and duration > deadline and not queued:
+                    spare = pool.first_free(now + deadline, exclude=replica_idx)
                     if spare is not None:
                         try:
-                            dup = shard.replicas[spare].lookup_many(round_keys)
+                            dup = replicas[spare].lookup_many(round_keys)
                         except DeviceCrashed:
                             # The hedge dies, the primary's result stands;
                             # the spare sits out its own recovery.
-                            recovery = shard.replicas[spare].recover()
-                            shard.pool[spare].acquire(now + deadline, recovery)
+                            recovery = replicas[spare].recover()
+                            pool[spare].acquire(now + deadline, recovery)
                             state.crashes += 1
                             state.recoveries += 1
                             state.recovery_seconds += recovery
                         else:
-                            shard.pool[spare].acquire(now + deadline, dup)
+                            pool[spare].acquire(now + deadline, dup)
                             state.hedges_issued += 1
                             hedged = now + deadline + dup
                             if hedged < completion:
                                 completion = hedged
                                 state.hedges_won += 1
                 state.rounds += 1
-                for tenant, arrived in zip(round_tenants, round_arrivals):
+                for tenant, (arrived, _) in requests:
                     latency = completion - arrived
                     st = stats[tenant]
                     st.served += 1
@@ -329,36 +358,34 @@ class RequestEngine:
                     if OBS.enabled:
                         OBS.histogram(f"serve.latency.{tenant}").record(latency)
 
-        n = len(times)
-        i = 0
-        while i < n or heap:
-            if heap and (i >= n or heap[0][0] <= times[i]):
+        def wake_until(until: float) -> None:
+            """Re-dispatch every shard whose next replica frees by ``until``."""
+            while heap and heap[0][0] <= until:
                 when, _, s = heapq.heappop(heap)
                 pending[s] = None
                 dispatch(s, when)
-                continue
-            now = times[i]
-            tenant = self.tenants[tenant_idx[i]].name
-            key = key_vals[i]
-            s = owners[i]
-            i += 1
+
+        for now, tenant, key, s in arrivals:
+            if heap and heap[0][0] <= now:
+                wake_until(now)
             st = stats[tenant]
             st.offered += 1
-            if not self.admission.admit(tenant, now):
+            if admit is not None and not admit(tenant, now):
                 st.dropped += 1
                 if OBS.enabled:
                     OBS.counter(f"serve.dropped.{tenant}").inc()
                 continue
             st.admitted += 1
-            queues[s].push(tenant, (now, key))
-            depth = sum(len(q) for q in queues)
+            push[s](tenant, (now, key))
+            depth += 1
             if depth > state.max_queue_depth:
                 state.max_queue_depth = depth
                 if OBS.enabled:
                     OBS.gauge("serve.queue.max_depth").set(depth)
             dispatch(s, now)
+        wake_until(math.inf)
 
-        io_total = sum(r.io_seconds for shard in self.shards for r in shard.replicas)
+        io_total = sum(r.io_seconds for shard in shards for r in shard.replicas)
         return ServeResult(
             duration_seconds=float(duration_seconds),
             tenants=stats,

@@ -46,7 +46,11 @@ class TokenBucket:
             raise ConfigurationError(f"burst must be >= 1, got {burst}")
         self.rate = float(rate)
         self.burst = float(burst)
-        self.tokens = float(burst)
+        self.reset()
+
+    def reset(self) -> None:
+        """Full again, with the clock back at 0 (a new run)."""
+        self.tokens = self.burst
         self._last = 0.0
 
     def admit(self, at: float) -> bool:
@@ -73,6 +77,13 @@ class AdmissionController:
             for t in tenants
             if t.rate_limit is not None
         }
+
+    def reset(self) -> None:
+        """Refill every bucket and rewind its clock to 0: what
+        :meth:`RequestEngine.run <repro.serve.engine.RequestEngine.run>`
+        does before its first arrival, so a controller outlives one run."""
+        for bucket in self._buckets.values():
+            bucket.reset()
 
     def admit(self, tenant: str, at: float) -> bool:
         """Whether ``tenant``'s request arriving at ``at`` enters the system."""

@@ -11,9 +11,10 @@ batch of point lookups) at a time, and the shard's
 private state.
 
 Service cost is measured, not modeled: a round calls the replica's tree
-(:meth:`~repro.trees.api.KVTree.lookup_many`: the B-tree's batched
-descent, one :meth:`~repro.storage.stack.StorageStack.read_many` per
-level; a per-key loop on the other kinds) and reads the simulated device
+(:meth:`~repro.trees.api.KVTree.lookup_many`: on the B-tree a one-key
+round is the scalar descent and a multi-key round the level-synchronized
+one, one :meth:`~repro.storage.stack.StorageStack.read_many` per level;
+a per-key loop on the other kinds) and reads the simulated device
 seconds it charged.
 """
 

@@ -153,7 +153,8 @@ class BTree(KVTree):
         nodes the batch touches, in first-need order.  Two lookups sharing
         a node fetch it once — a batch of ``k`` point queries costs at most
         ``k`` leaf IOs plus the shared internal nodes, with the per-IO
-        Python dispatch paid once per level instead of once per node.
+        Python dispatch paid once per level instead of once per node.  A
+        batch of one has nothing to share: it is :meth:`get`'s descent.
         """
         if OBS.enabled:
             start = self.storage.device.clock
@@ -165,6 +166,11 @@ class BTree(KVTree):
         return self._lookup_many(keys)
 
     def _lookup_many(self, keys: list[int]) -> list[Any | None]:
+        if len(keys) == 1:
+            # One node a level, and read_many of one id is get (a read_batch
+            # of one offset is read): the scalar body *is* this batch, minus
+            # the per-level lists, set and dict it has no use for.
+            return [self._lookup(keys[0])]
         results: list[Any | None] = [None] * len(keys)
         if not keys:
             return results

@@ -1,10 +1,12 @@
 """RequestEngine: exact determinism, conservation, and the two QoS levers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.experiments.common import build_load
-from repro.faults import FaultPlan, ResiliencePolicy
+from repro.faults import CrashPlan, FaultPlan, ResiliencePolicy
 from repro.serve import (
     AdmissionController,
     RequestEngine,
@@ -13,6 +15,7 @@ from repro.serve import (
     TenantSpec,
     build_shards,
 )
+from tests.serve import test_crash_failover as crash_failover
 
 UNIVERSE = 1 << 18
 
@@ -39,15 +42,17 @@ def make_cluster(*, plan=None, replicas=2, n_shards=2, n_entries=1500, seed=42):
     return shards, smap, keys
 
 
-def run_once(*, plan=None, policy=None, admit=False, duration=1.0, seed=42, **kw):
+def run_once(
+    *, plan=None, policy=None, admit=False, duration=1.0, seed=42, tenants=TENANTS, **kw
+):
     shards, smap, keys = make_cluster(plan=plan, seed=seed, **kw)
     engine = RequestEngine(
         shards,
         smap,
-        TENANTS,
+        tenants,
         keys,
         batch=8,
-        admission=AdmissionController(TENANTS, enabled=admit),
+        admission=AdmissionController(tenants, enabled=admit),
         policy=policy,
     )
     return engine.run(duration, seed=seed)
@@ -140,3 +145,140 @@ class TestValidation:
         engine = RequestEngine(shards, smap, TENANTS, keys)
         with pytest.raises(ValueError):
             engine.run(0.0, seed=1)
+
+
+def _digest(result):
+    """sha256 of everything E19 prints and the benchmark digests for one run."""
+    h = hashlib.sha256()
+    for name in result.tenants:
+        h.update(result.latency_array(name).tobytes())
+    h.update(
+        repr(
+            (
+                result.served,
+                result.dropped,
+                result.rounds,
+                result.hedges_issued,
+                result.hedges_won,
+                result.max_queue_depth,
+                result.io_seconds,
+            )
+        ).encode()
+    )
+    return h.hexdigest()
+
+
+#: Past saturation for the 2 x 3 test cluster: queues build, rounds fill.
+HOT = (
+    TenantSpec("alpha", rate=1500.0, weight=2.0, theta=1.2),
+    TenantSpec("beta", rate=900.0, weight=1.0, theta=1.4, rate_limit=300.0, burst=8.0),
+)
+#: The crash suite's cluster offered the same overload, so the rounds the
+#: crash requeues carry several requests.
+HOT_UNLIMITED = (
+    TenantSpec("alpha", rate=1500.0, weight=2.0),
+    TenantSpec("beta", rate=900.0, weight=1.0),
+)
+
+
+def _pinned_crash(tenants):
+    shards, smap, keys = crash_failover.make_cluster(crash=CrashPlan(seed=7, at_io=6))
+    return RequestEngine(shards, smap, tenants, keys, batch=8).run(0.5, seed=42)
+
+
+class TestPinnedRuns:
+    """Whole-run digests captured at the commit *before* the engine kept a
+    running queue depth and one-key rounds took the scalar descent
+    (``f211511``): latencies of every tenant, in service order, plus the
+    counters E19's table prints.  An edit that moves one completion time,
+    one hedge or one queued-request count fails here.
+    """
+
+    def test_hedge_below_the_knee(self):
+        result = run_once(plan=SPIKY, policy=ResiliencePolicy.hedged(0.02), replicas=3)
+        assert result.hedges_issued > 0 and result.dropped == 0
+        assert result.max_queue_depth == 6
+        assert _digest(result) == (
+            "ba30d6d9c534a21ad388cdfe6d4f5dd48ef14c2068a061fcab11700b8a76ff3b"
+        )
+
+    def test_admit_hedge_past_saturation(self):
+        result = run_once(
+            plan=SPIKY,
+            policy=ResiliencePolicy.hedged(0.02),
+            admit=True,
+            replicas=3,
+            tenants=HOT,
+            duration=0.5,
+        )
+        assert result.dropped > 0 and result.hedges_issued > 0
+        # Full rounds: far fewer rounds than requests, a backlog of several.
+        assert result.served > 3 * result.rounds
+        assert result.max_queue_depth == 43
+        assert _digest(result) == (
+            "c07729be624d8f0122594cbf66a8590f46f8dbd30b1c697d9b9d65e76fa55572"
+        )
+
+    @pytest.mark.parametrize(
+        "tenants, failovers, max_queue_depth, pinned",
+        [
+            (
+                crash_failover.TENANTS,
+                2,
+                4,
+                "f50a8f3397efbb0d410711558eea7d41039f16308ab21eed9f37a303957be795",
+            ),
+            (
+                HOT_UNLIMITED,
+                8,
+                95,
+                "033846dec9ab0e4fac5b0bdb6a3a650951a6c4f4191534ddc7e2810197256a38",
+            ),
+        ],
+        ids=["one-key-rounds", "full-rounds"],
+    )
+    def test_crash_requeues_the_round(self, tenants, failovers, max_queue_depth, pinned):
+        # The requeue path is where a running depth counter goes wrong: a
+        # crashed round's requests re-enter the queue without arriving.
+        result = _pinned_crash(tenants)
+        assert result.crashes == 2
+        assert sum(s.failovers for s in result.tenants.values()) == failovers
+        assert result.max_queue_depth == max_queue_depth
+        assert _digest(result) == pinned
+
+
+class TestRunAgain:
+    """``run`` starts every run on a clean timeline (pools, buckets)."""
+
+    def _engine(self, **kw):
+        shards, smap, keys = make_cluster(plan=SPIKY, replicas=3)
+        return RequestEngine(shards, smap, TENANTS, keys, batch=8, **kw), shards
+
+    def test_second_run_needs_no_manual_pool_reset(self):
+        by_hand, shards = self._engine()
+        by_hand.run(1.0, seed=42)
+        for shard in shards:
+            shard.pool.reset()  # what callers had to do before run did it
+        expected = by_hand.run(1.0, seed=43)
+
+        engine, _ = self._engine()
+        first = engine.run(1.0, seed=42)
+        again = engine.run(1.0, seed=43)
+        assert again.describe() == expected.describe()
+        for t in TENANTS:
+            assert np.array_equal(again.latency_array(t.name), expected.latency_array(t.name))
+        # Not the previous horizon's backlog: the median request still hits.
+        assert again.tenants["alpha"].percentiles()["p50"] < 0.005
+        # io_seconds is cumulative since the devices' last reset.
+        assert again.io_seconds > first.io_seconds
+
+    def test_admission_buckets_restart_with_the_clock(self):
+        engine, _ = self._engine(
+            admission=AdmissionController(TENANTS, enabled=True),
+            policy=ResiliencePolicy.hedged(0.02),
+        )
+        first = engine.run(1.0, seed=42)
+        again = engine.run(1.0, seed=42)  # raised "time went backwards" before
+        assert first.dropped > 0
+        # Same traffic on a warmer cluster: the front door decides the same.
+        assert again.dropped == first.dropped

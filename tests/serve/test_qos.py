@@ -52,6 +52,15 @@ class TestAdmissionController:
         admitted = sum(ctl.admit("a", i / 100.0) for i in range(100))
         assert 9 <= admitted <= 12
 
+    def test_reset_refills_and_rewinds_every_bucket(self):
+        ts = tenants(TenantSpec("a", rate=100.0, rate_limit=10.0, burst=2.0))
+        ctl = AdmissionController(ts)
+        first = [ctl.admit("a", 5.0 + i * 0.01) for i in range(4)]
+        ctl.reset()
+        # Time 0 again (no "went backwards"), a full burst again.
+        assert [ctl.admit("a", i * 0.01) for i in range(4)] == first
+        assert first == [True, True, False, False]
+
     def test_disabled_controller_admits_everything(self):
         ts = tenants(TenantSpec("a", rate=100.0, rate_limit=1.0, burst=1.0))
         ctl = AdmissionController(ts, enabled=False)

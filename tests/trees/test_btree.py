@@ -1,13 +1,22 @@
 """B-tree unit tests: CRUD, structure, IO accounting."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.errors import ConfigurationError, TreeError
+from repro.experiments.devices import default_hdd
+from repro.faults import FaultPlan, FaultyDevice
 from repro.storage.ram import NullDevice
 from repro.storage.stack import StorageStack
 from repro.trees.btree import BTree, BTreeConfig
 from repro.trees.sizing import EntryFormat
+
+
+#: sha256 of ``TestBatchOfOne.test_mixed_batch_sizes_trace_is_pinned``'s trace.
+PINNED_MIXED_BATCHES = "caafa4298e545fa5e2b13a1be69e02b027c6eaa2d2d0f14c7924a0ee1f8d5a21"
 
 
 def make_tree(node_bytes=2048, cache_bytes=1 << 20, value_bytes=20):
@@ -261,3 +270,88 @@ class TestGetMany:
         assert batched_tree.get_many(keys) == serial
         # Shared ancestors dedup: the batch can only save IO, never add.
         assert batched_stack.io_seconds <= serial_io + 1e-12
+
+
+def _spiky_tree(seed=5):
+    """A B-tree on a spiking HDD behind a 16-node cache (every get evicts)."""
+    device = FaultyDevice(
+        default_hdd(seed=seed),
+        FaultPlan(seed=11, spike_prob=0.2, spike_seconds=0.01, spike_alpha=1.6),
+    )
+    stack = StorageStack(device, cache_bytes=16 * 1024)
+    tree = BTree(stack, BTreeConfig(node_bytes=1024))
+    tree.bulk_load([(i * 3, i) for i in range(4000)])
+    stack.drop_cache(reset_stats=True)
+    return tree
+
+
+def _sim_state(tree):
+    """Everything a lookup may move: both devices, both RNG streams, the cache."""
+    device, cache = tree.storage.device, tree.storage.cache
+    return {
+        "clock": device.clock,
+        "stats": vars(device.stats).copy(),
+        "faults": vars(device.fault_stats).copy(),
+        "plan_rng": device._rng.bit_generator.state,
+        "inner_clock": device.inner.clock,
+        "inner_stats": vars(device.inner.stats).copy(),
+        "rotations_drawn": device.inner.rotations_drawn,
+        "cache_stats": vars(cache.stats).copy(),
+        "cache_io_seconds": cache.io_seconds,
+        "resident_lru": [e.node_id for e in cache._resident_lru_order()],
+    }
+
+
+class TestBatchOfOne:
+    """``get_many([k])`` is ``get(k)``: the scalar descent, not a twin of it."""
+
+    def test_one_key_batch_is_the_scalar_get_after_every_call(self):
+        scalar, batched = _spiky_tree(), _spiky_tree()
+        assert scalar.height == batched.height == 3  # (a charged walk: on both)
+        rng = np.random.default_rng(23)
+        # Two in three keys are absent (not multiples of 3); Zipf-ish reuse
+        # so hits, misses and evictions all occur.
+        keys = (rng.zipf(1.3, size=400) % 12_000).tolist()
+        for key in keys:
+            assert batched.get_many([key]) == [scalar.get(key)]
+            assert _sim_state(batched) == _sim_state(scalar)
+        stats = batched.storage.cache.stats
+        assert stats.hits and stats.misses and stats.evictions
+        assert batched.storage.device.fault_stats.spikes_injected > 0
+
+    def test_mixed_batch_sizes_trace_is_pinned(self):
+        # Captured at the commit before one-key batches took the scalar
+        # descent (f211511): per-call (clock, hits, misses, evictions) over
+        # batches of 1-8 keys.  Real batches still ride read_many, whose
+        # deferred admissions evict differently from a get loop — so this
+        # pins the batched path as well as the batch of one.
+        tree = _spiky_tree()
+        rng = np.random.default_rng(29)
+        h = hashlib.sha256()
+        for size in rng.integers(1, 9, size=300).tolist():
+            keys = (rng.zipf(1.3, size=size) % 12_000).tolist()
+            values = tree.get_many(keys)
+            assert values == [k // 3 if k % 3 == 0 else None for k in keys]
+            stats = tree.storage.cache.stats
+            h.update(
+                repr(
+                    (tree.storage.device.clock, stats.hits, stats.misses, stats.evictions)
+                ).encode()
+            )
+        assert h.hexdigest() == PINNED_MIXED_BATCHES
+
+    def test_one_key_batch_emits_one_query_batch_event(self):
+        tree = _spiky_tree()
+        obs.disable(detach_tracer=True)
+        obs.reset()
+        obs.enable(trace=True)
+        try:
+            assert tree.get_many([9]) == [3]
+            counters = obs.OBS.snapshot()["counters"]
+            spans = [s for s in obs.OBS.tracer.spans if s.name.startswith("btree.")]
+        finally:
+            obs.disable(detach_tracer=True)
+            obs.reset()
+        assert counters["btree.query_batch.count"] == 1
+        assert counters.get("btree.query.count", 0) == 0
+        assert [(s.name, s.attrs) for s in spans] == [("btree.query_batch", {"n": 1})]
