@@ -25,8 +25,7 @@ Protocol per device:
 4. report ``tuned / sweep-best`` — the convergence ratio.
 
 The calibration round-trip on ideal devices (alpha and P recovered within
-5%, R² >= 0.98) is covered by ``tests/tuning`` and the benchmark gate in
-``benchmarks/bench_autotune.py``.
+5%, R² >= 0.98) is covered by ``tests/tuning/test_calibrate.py``.
 """
 
 from __future__ import annotations

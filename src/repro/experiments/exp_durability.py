@@ -313,8 +313,8 @@ def sweep_spec(
 def run(
     *,
     devices: tuple[str, ...] = DEFAULT_DEVICES,
-    group_commits: tuple[int, ...] = DEFAULT_GROUP_COMMITS,
-    checkpoints: tuple[int, ...] = DEFAULT_CHECKPOINTS,
+    group_commits: tuple[int, ...] | None = None,
+    checkpoints: tuple[int, ...] | None = None,
     quick: bool = False,
     seed: int = 0,
     jobs: int = 1,
@@ -322,16 +322,17 @@ def run(
 ) -> DurabilityResult:
     """Sweep group-commit batch x checkpoint interval x cost model.
 
-    ``quick`` shrinks to CI-smoke size (fewer batches, one checkpoint
-    interval, shorter workload) but keeps all three devices — the
+    ``quick`` shrinks to CI-smoke size (a shorter workload and, for the
+    axes left at ``None``, fewer batches and one checkpoint interval — an
+    explicit choice survives it) but keeps all three devices: the
     model-dependent-optimum comparison is the point.
     """
+    if group_commits is None:
+        group_commits = (1, 4, 16, 64) if quick else DEFAULT_GROUP_COMMITS
+    if checkpoints is None:
+        checkpoints = (0,) if quick else DEFAULT_CHECKPOINTS
     sizes: dict[str, Any] = {}
     if quick:
-        if tuple(group_commits) == DEFAULT_GROUP_COMMITS:
-            group_commits = (1, 4, 16, 64)
-        if tuple(checkpoints) == DEFAULT_CHECKPOINTS:
-            checkpoints = (0,)
         sizes = dict(n_ops=240, n_load=128)
     spec = sweep_spec(
         devices=tuple(devices),

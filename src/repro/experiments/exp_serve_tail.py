@@ -288,9 +288,9 @@ def sweep_spec(
 def run(
     *,
     plan: FaultPlan | None = None,
-    rates: tuple[float, ...] = DEFAULT_RATES,
+    rates: tuple[float, ...] | None = None,
     policies: tuple[str, ...] = DEFAULT_POLICIES,
-    trees: tuple[str, ...] = DEFAULT_TREES,
+    trees: tuple[str, ...] | None = None,
     quick: bool = False,
     seed: int = 0,
     jobs: int = 1,
@@ -298,18 +298,17 @@ def run(
 ) -> ServeTailResult:
     """Sweep offered load x policy x tree through the serving layer.
 
-    ``quick`` shrinks to CI-smoke size: B-tree only, two load points,
-    shorter horizon — same code paths, ~seconds of wall clock.
+    ``quick`` shrinks to CI-smoke size: a shorter horizon and, for the
+    axes left at ``None``, B-tree only and two load points (an explicit
+    ``rates``/``trees`` choice survives it) — same code paths, ~seconds.
     """
     plan = plan if plan is not None else DEFAULT_PLAN
+    if trees is None:
+        trees = ("btree",) if quick else DEFAULT_TREES
+    if rates is None:
+        rates = (300.0, 600.0) if quick else DEFAULT_RATES
     sizes: dict[str, Any] = {}
     if quick:
-        # Narrow the sweep axes only when the caller left them at the
-        # defaults — an explicit rates/trees choice survives --quick.
-        if tuple(trees) == DEFAULT_TREES:
-            trees = ("btree",)
-        if tuple(rates) == DEFAULT_RATES:
-            rates = (300.0, 600.0)
         sizes = dict(
             duration_seconds=2.0,
             n_entries=3000,

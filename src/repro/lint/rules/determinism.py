@@ -84,7 +84,7 @@ def wall_clock_violation(dotted: str | None) -> str | None:
     if dotted in _WALL_CLOCK:
         return (
             f"wall-clock call `{dotted}` — simulation time must come from "
-            "the device clock (host timing is runner/benchmark-only)"
+            "the device clock (host timing is for the runner and the benchmark only)"
         )
     return None
 

@@ -2,7 +2,7 @@
 
 The observability layer's contract (docs/observability.md) is that a
 disabled run pays **one boolean test per event** — that is what keeps
-the measured overhead under the 5% gate in ``BENCH_obs_overhead.json``
+the measured overhead under the 5% gate of ``tools/obs_overhead.py``
 and simulated results byte-identical with obs on or off.  The contract
 only holds if *call sites* check ``OBS.enabled`` before touching the
 registry: `OBS.counter("x").inc()` on an unguarded path still pays the

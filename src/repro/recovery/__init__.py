@@ -7,7 +7,7 @@ The durability layer of the simulator, built on the crash fault model of
   CRC-framed log on its own device extent (sequential append, commit
   markers, checkpoint truncation, torn-tail detection);
 * :class:`~repro.recovery.durable.DurableTree` — wraps any tree in the
-  zoo (btree / betree / lsm / cob): logs logical ops before acking,
+  zoo (:data:`repro.trees.KINDS`): logs logical ops before acking,
   checkpoints into alternating regions, and replays the committed log
   suffix on :meth:`~repro.recovery.durable.DurableTree.recover`;
 * :func:`~repro.recovery.checker.run_check` — the crash-consistency
@@ -27,17 +27,11 @@ from repro.recovery.checker import (
     generate_workload,
     run_check,
 )
-from repro.recovery.durable import (
-    RECOVERY_TREES,
-    DurableConfig,
-    DurableTree,
-    RecoveryReport,
-)
+from repro.recovery.durable import DurableConfig, DurableTree, RecoveryReport
 from repro.recovery.wal import WAL_OPS, WriteAheadLog, scan
 
 __all__ = [
     "CHECK_MODES",
-    "RECOVERY_TREES",
     "WAL_OPS",
     "CheckFailure",
     "CheckReport",

@@ -32,8 +32,9 @@ from repro.errors import ConfigurationError, DeviceCrashed
 from repro.faults.crash import CrashPlan
 from repro.faults.device import FaultyDevice
 from repro.faults.plan import FaultPlan
-from repro.recovery.durable import DurableConfig, DurableTree, RECOVERY_TREES
+from repro.recovery.durable import DurableConfig, DurableTree
 from repro.storage.ram import ConstantLatencyDevice
+from repro.trees import check_kind
 
 #: Checker modes.
 CHECK_MODES = ("exhaustive", "sample")
@@ -205,10 +206,7 @@ def run_check(
     replacement from a stream seeded by ``seed`` — cheap enough for CI,
     and any failure it finds replays exhaustively.
     """
-    if tree not in RECOVERY_TREES:
-        raise ConfigurationError(
-            f"unknown tree {tree!r}; expected one of {RECOVERY_TREES}"
-        )
+    check_kind(tree)
     if mode not in CHECK_MODES:
         raise ConfigurationError(
             f"unknown mode {mode!r}; expected one of {CHECK_MODES}"

@@ -1,7 +1,7 @@
 """DurableTree: WAL-backed durability over any tree in the zoo.
 
-The shim wraps one tree kind (btree / betree / lsm / cob) and gives it a
-persistence story on its own device:
+The shim wraps one tree kind (any of :data:`repro.trees.KINDS`) and gives
+it a persistence story on its own device:
 
 * every logical op is logged to a :class:`~repro.recovery.wal.WriteAheadLog`
   *before* it touches the tree (write-ahead rule), and is acked only once
@@ -39,11 +39,8 @@ from repro.faults.device import FaultyDevice
 from repro.obs import OBS
 from repro.recovery.wal import WriteAheadLog
 from repro.storage.device import BlockDevice
-from repro.trees import build
+from repro.trees import build, check_kind
 from repro.trees.sizing import KEY_MAX, KEY_MIN
-
-#: Tree kinds a DurableTree can wrap.
-RECOVERY_TREES = ("btree", "betree", "lsm", "cob")
 
 #: Config fields a durable tree sets beyond the registry's sizing rule.
 #: ``fanout=None`` derives the Bε fanout from epsilon, so small WAL-friendly
@@ -61,9 +58,9 @@ class DurableConfig:
     Parameters
     ----------
     tree:
-        One of :data:`RECOVERY_TREES`.
+        Any kind in :data:`repro.trees.KINDS`.
     node_bytes:
-        Tree node size (B-tree/Bε-tree), LSM block size, or COB block size.
+        Tree node size (B-tree/Bε-tree), or block size (LSM, COLA, COB).
     cache_bytes:
         RAM budget: the buffer cache (B-tree/Bε-tree) or the pinned top
         of the index (COB); the LSM has none beyond its memtable.
@@ -87,10 +84,7 @@ class DurableConfig:
     ckpt_bytes: int = 16 << 20
 
     def __post_init__(self) -> None:
-        if self.tree not in RECOVERY_TREES:
-            raise ConfigurationError(
-                f"unknown tree {self.tree!r}; expected one of {RECOVERY_TREES}"
-            )
+        check_kind(self.tree)
         if self.node_bytes <= 0 or self.cache_bytes <= 0:
             raise ConfigurationError("node_bytes and cache_bytes must be positive")
         if self.wal_bytes <= 0 or self.ckpt_bytes <= 0:

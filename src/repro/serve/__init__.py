@@ -12,7 +12,7 @@ seeded determinism.
 
 from repro.serve.engine import RequestEngine, ServeResult, TenantStats
 from repro.serve.qos import AdmissionController, TokenBucket, WeightedFairQueue
-from repro.serve.shard import SERVE_TREES, Replica, Shard, ShardConfig, build_shards
+from repro.serve.shard import Replica, Shard, ShardConfig, build_shards
 from repro.serve.shardmap import SHARD_POLICIES, ShardMap
 from repro.serve.tenants import (
     TenantSpec,
@@ -26,7 +26,6 @@ __all__ = [
     "AdmissionController",
     "Replica",
     "RequestEngine",
-    "SERVE_TREES",
     "SHARD_POLICIES",
     "ServeResult",
     "Shard",

@@ -29,10 +29,7 @@ from repro.errors import ConfigurationError
 from repro.faults import CrashPlan, FaultPlan, FaultyDevice, ResiliencePolicy
 from repro.serve.tenants import derive_seed
 from repro.storage.engine import ResourcePool
-from repro.trees import KVTree, build
-
-#: Tree kinds a shard replica can run.
-SERVE_TREES = ("btree", "betree", "lsm")
+from repro.trees import KVTree, build, check_kind
 
 
 @dataclass(frozen=True)
@@ -42,9 +39,9 @@ class ShardConfig:
     Parameters
     ----------
     tree:
-        One of :data:`SERVE_TREES`.
+        Any kind in :data:`repro.trees.KINDS`.
     node_bytes:
-        Tree node size (B-tree/Bε-tree) or LSM block size.
+        Tree node size, or block size for the kinds without a node knob.
     cache_bytes:
         Buffer-cache budget per replica.
     replicas:
@@ -78,10 +75,7 @@ class ShardConfig:
     wal_bytes: int = 4 << 20
 
     def __post_init__(self) -> None:
-        if self.tree not in SERVE_TREES:
-            raise ConfigurationError(
-                f"unknown tree {self.tree!r}; expected one of {SERVE_TREES}"
-            )
+        check_kind(self.tree)
         if self.node_bytes <= 0 or self.cache_bytes <= 0:
             raise ConfigurationError("node_bytes and cache_bytes must be positive")
         if self.replicas < 1:

@@ -22,13 +22,14 @@ from repro.trees.betree import BeTree, BeTreeConfig, OptimizedBeTree
 from repro.trees.lsm import LSMTree, LSMConfig
 from repro.trees.cola import COLA, COLAConfig
 from repro.trees.cob import BufferedCOBTree, COBConfig, COBTree
-from repro.trees.registry import KINDS, build
+from repro.trees.registry import KINDS, build, check_kind
 
 __all__ = [
     "EntryFormat",
     "KVTree",
     "KINDS",
     "build",
+    "check_kind",
     "BTree",
     "BTreeConfig",
     "BeTree",

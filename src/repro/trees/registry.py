@@ -33,6 +33,14 @@ _REGISTRY: dict[str, TreeKind] = {
 KINDS: tuple[str, ...] = tuple(_REGISTRY)
 
 
+def check_kind(kind: str) -> TreeKind:
+    """The registry entry of ``kind``; anything else is refused, naming :data:`KINDS`."""
+    entry = _REGISTRY.get(kind)
+    if entry is None:
+        raise ConfigurationError(f"unknown tree kind {kind!r}; expected one of KINDS {KINDS}")
+    return entry
+
+
 def build(
     kind: str,
     device: BlockDevice,
@@ -57,9 +65,7 @@ def build(
     (``"random"`` models an aged file system).  ``config_fields`` are
     further fields of the kind's ``*Config`` and override the sizing rule.
     """
-    entry = _REGISTRY.get(kind)
-    if entry is None:
-        raise ConfigurationError(f"unknown tree kind {kind!r}; expected one of {KINDS}")
+    entry = check_kind(kind)
     known = {f.name for f in dataclasses.fields(entry.config)}
     unknown = sorted(set(config_fields) - known)
     if unknown:

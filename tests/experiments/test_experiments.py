@@ -1,8 +1,9 @@
-"""Scaled-down end-to-end runs of every experiment, checking paper shapes.
+"""End-to-end runs of every experiment, checking paper shapes.
 
-Each test calls the experiment's ``run()`` with reduced parameters (smaller
-loads, fewer ops) so the whole file runs in seconds, then asserts the
-qualitative claim the paper makes for that table/figure.
+Each class calls its experiment's ``run()`` once — with reduced parameters
+(smaller loads, fewer ops) wherever the claim survives them, at the stock
+size where it does not — and asserts the qualitative claims the paper
+makes for that table/figure.  This file is the one gate per claim.
 """
 
 import pytest
@@ -12,6 +13,7 @@ from repro.experiments import (
     exp_betree_nodesize,
     exp_btree_nodesize,
     exp_cob_compare,
+    exp_durability,
     exp_lsm_nodesize,
     exp_optima,
     exp_optimizations,
@@ -25,15 +27,13 @@ from repro.experiments import (
 class TestPDAMValidation:
     @pytest.fixture(scope="class")
     def result(self):
-        return exp_pdam_validation.run(
-            threads=(1, 2, 3, 4, 6, 8, 12, 16, 24, 32),
-            bytes_per_thread=4 << 20,
-            devices=("samsung-860-pro-sim", "silicon-power-s55-sim"),
-        )
+        # The whole zoo on the stock thread grid: a coarser grid moves the
+        # fitted knees enough to lose the device ordering below.
+        return exp_pdam_validation.run(bytes_per_thread=4 << 20)
 
     def test_r2_near_one(self, result):
         for name, fit in result.fits.items():
-            assert fit.r2 > 0.98, name
+            assert fit.r2 > 0.99, name
 
     def test_fitted_p_in_paper_range(self, result):
         for name, fit in result.fits.items():
@@ -51,7 +51,20 @@ class TestPDAMValidation:
         # numbers of threads by roughly P."
         for name, fit in result.fits.items():
             factor = result.dam_overestimate_factor(name)
-            assert factor > 0.5 * fit.parallelism, name
+            assert factor > max(1.5, 0.5 * fit.parallelism), name
+
+    def test_flat_until_p_then_linear(self, result):
+        # Figure 1's curve: completion time flat to p ~ P, linear past it.
+        for name, times in result.times.items():
+            assert times[1] < 1.4 * times[0], f"{name}: no flat region"
+            assert times[-1] > 3 * times[0], f"{name}: never saturated"
+
+    def test_fitted_p_orders_devices_like_their_geometry(self, result):
+        fits = result.fits
+        assert (
+            fits["silicon-power-s55-sim"].parallelism
+            < fits["samsung-970-pro-sim"].parallelism
+        )
 
     def test_render(self, result):
         out = result.render()
@@ -64,8 +77,14 @@ class TestAffineValidation:
         return exp_affine_validation.run(reads_per_size=32)
 
     def test_r2_near_one(self, result):
+        # Paper: R^2 "within 0.1% of 1".
         for name, fit in result.fits.items():
-            assert fit.r2 > 0.995, name
+            assert fit.r2 > 0.999, name
+
+    def test_alpha_in_commodity_hdd_range(self, result):
+        # Paper: 0.0012-0.0031 per 4 KiB block.
+        for name, fit in result.fits.items():
+            assert 0.0005 < fit.alpha < 0.01, name
 
     def test_bandwidth_recovered_exactly(self, result):
         for name, fit in result.fits.items():
@@ -101,31 +120,38 @@ class TestSensitivity:
 
     def test_betree_optimum_larger_than_btree(self, result):
         # Bε-trees tolerate (and want) much larger nodes.
-        assert result.optimum_entries(result.betree_query) >= result.optimum_entries(
-            result.btree
-        )
+        btree_optimum = result.optimum_entries(result.btree)
+        assert result.optimum_entries(result.betree_query) >= btree_optimum
+        assert result.optimum_entries(result.betree_insert) >= btree_optimum
 
     def test_render(self, result):
         assert "Table 3" in result.render()
 
 
+@pytest.fixture(scope="module")
+def btree_nodesize():
+    """Figure 2's run; Figure 3's class compares against it."""
+    return exp_btree_nodesize.run(
+        n_entries=60_000, cache_bytes=2 << 20, n_queries=150, n_inserts=150
+    )
+
+
 class TestBTreeNodeSize:
     @pytest.fixture(scope="class")
-    def result(self):
-        return exp_btree_nodesize.run(
-            n_entries=60_000, cache_bytes=2 << 20, n_queries=150, n_inserts=150
-        )
+    def result(self, btree_nodesize):
+        return btree_nodesize
 
     def test_large_nodes_hurt(self, result):
         # Figure 2: past the optimum, cost grows roughly linearly.
-        assert result.query_ms[-1] > 1.5 * min(result.query_ms)
-        assert result.insert_ms[-1] > 1.5 * min(result.insert_ms)
+        assert result.query_ms[-1] > 1.7 * min(result.query_ms)
+        assert result.insert_ms[-1] > 1.7 * min(result.insert_ms)
 
     def test_optimum_below_half_bandwidth(self, result):
         from repro.experiments.devices import default_hdd
 
         half_bw = default_hdd().geometry.half_bandwidth_bytes
         assert result.best_query_node < half_bw
+        assert result.best_insert_node < half_bw
 
     def test_overlay_fit_exists(self, result):
         assert result.query_fit is not None and result.query_fit.alpha > 0
@@ -145,9 +171,19 @@ class TestBeTreeNodeSize:
             max_inserts=20_000,
         )
 
-    def test_flatter_than_btree(self, result):
-        # The headline Figure 3 claim.
+    def test_flatter_than_btree(self, result, btree_nodesize):
+        # The headline Figure 3 claim: mild variation over a 16x node-size
+        # range, and less than the B-tree's over the same sizes and load.
         assert result.sensitivity("query") < 3.0
+        btree_ms = [
+            btree_nodesize.query_ms[btree_nodesize.node_sizes.index(size)]
+            for size in result.node_sizes
+        ]
+        assert result.sensitivity("query") < max(btree_ms) / min(btree_ms)
+
+    def test_inserts_favour_large_nodes(self, result):
+        # The paper's TokuDB insert optimum is 4 MiB, the top of its range.
+        assert result.best_insert_node >= result.node_sizes[-2]
 
     def test_insert_cost_way_below_query_cost(self, result):
         assert max(result.insert_ms) < min(result.query_ms)
@@ -166,13 +202,21 @@ class TestPDAMConcurrency:
     def test_lemma13_dominance(self, result):
         assert result.veb_dominates(slack=0.85)
 
+    def test_flat_b_wastes_the_device_at_one_client(self, result):
+        thr = result.throughput
+        assert thr["veb_pb"][0] > 1.2 * thr["flat_b"][0]
+
     def test_flat_b_saturates(self, result):
         thr = result.throughput["flat_b"]
         assert thr[-1] == pytest.approx(thr[-2], rel=0.2)
+        assert thr[-1] < 1.2 * thr[result.clients.index(result.parallelism)]
 
     def test_flat_pb_flat(self, result):
         thr = result.throughput["flat_pb"]
         assert max(thr) < 2.5 * min(thr)
+        # Whole size-PB reads cannot scale: far below flat_b at k = P.
+        k_p = result.clients.index(result.parallelism)
+        assert thr[k_p] < 0.5 * result.throughput["flat_b"][k_p]
 
     def test_render(self, result):
         assert "Lemma 13" in result.render()
@@ -187,8 +231,11 @@ class TestWriteAmp:
         # 16 KiB -> 1 MiB is 64x; expect at least ~20x more write amp.
         assert result.btree[-1] > 20 * result.btree[0]
 
+    def test_betree_flat_in_node_size(self, result):
+        assert max(result.betree) < 10 * min(result.betree)
+
     def test_betree_much_lower_at_large_nodes(self, result):
-        assert result.betree[-1] < result.btree[-1] / 50
+        assert result.betree[-1] < result.btree[-1] / 100
 
     def test_render(self, result):
         assert "Write amplification" in result.render()
@@ -197,9 +244,9 @@ class TestWriteAmp:
 class TestTheorem9Ablation:
     @pytest.fixture(scope="class")
     def result(self):
-        return exp_optimizations.run(
-            n_entries=60_000, n_queries=120, n_inserts=8_000
-        )
+        # Stock size: at 60-120 k entries the segmented variants read ~8 ms
+        # an insert (0.25 ms here) and the insert comparison below fails.
+        return exp_optimizations.run()
 
     def test_each_step_improves_queries(self, result):
         assert result.query_ms["segments"] < result.query_ms["naive"]
@@ -207,6 +254,11 @@ class TestTheorem9Ablation:
 
     def test_speedup_material(self, result):
         assert result.query_speedup > 1.5
+
+    def test_inserts_within_an_order_of_magnitude(self, result):
+        # Every variant moves whole nodes on the insert path.
+        ins = result.insert_ms.values()
+        assert max(ins) < 20 * max(min(ins), 1e-6)
 
     def test_render(self, result):
         assert "ablation" in result.render()
@@ -220,6 +272,14 @@ class TestOptima:
     def test_optimum_fraction_shrinks_with_alpha(self, result):
         fracs = [b * a for b, a in zip(result.numeric_btree, result.alphas)]
         assert fracs == sorted(fracs, reverse=True)
+
+    def test_numeric_optimum_tracks_the_closed_form(self, result):
+        for i, alpha in enumerate(result.alphas):
+            # Corollary 6/7: strictly below the half-bandwidth point.
+            assert result.numeric_btree[i] < 1.0 / alpha
+            assert 0.5 < result.numeric_btree[i] / result.closed_btree[i] < 3.0
+            # Corollary 11's per-level overhead is sub-constant.
+            assert result.query_overhead[i] < 1.0
 
     def test_speedup_grows(self, result):
         assert result.insert_speedup == sorted(result.insert_speedup)
@@ -240,10 +300,13 @@ class TestLSM:
         )
 
     def test_queries_flat(self, result):
-        assert max(result.query_ms) < 1.5 * min(result.query_ms)
+        assert max(result.query_ms) < 1.3 * min(result.query_ms)
 
     def test_insert_cheap(self, result):
         assert max(result.insert_ms) < min(result.query_ms)
+
+    def test_compaction_happened(self, result):
+        assert min(result.write_amp) > 1.0
 
     def test_render(self, result):
         assert "LSM" in result.render()
@@ -278,11 +341,11 @@ class TestPDAMWriteMix:
 
 
 class TestDurability:
+    """E21's gates, on the stock sweep."""
+
     @pytest.fixture(scope="class")
     def result(self):
-        from repro.experiments import exp_durability
-
-        return exp_durability.run(quick=True, jobs=1, cache=None)
+        return exp_durability.run(jobs=1, cache=None)
 
     def test_every_point_recovers_correctly(self, result):
         # The sweep doubles as a crash-consistency gate: each point
@@ -301,17 +364,47 @@ class TestDurability:
 
     def test_exposure_grows_with_the_batch(self, result):
         for device in result.devices:
-            rows = sorted(
-                (r for r in result.rows if r["device"] == device),
-                key=lambda r: r["group_commit"],
-            )
-            exposures = [r["exposure"] for r in rows]
-            assert exposures == sorted(exposures)
-            assert exposures[0] < exposures[-1]
+            for ckpt in result.checkpoints:
+                rows = sorted(
+                    (
+                        r
+                        for r in result.rows
+                        if r["device"] == device and r["checkpoint_every"] == ckpt
+                    ),
+                    key=lambda r: r["group_commit"],
+                )
+                exposures = [r["exposure"] for r in rows]
+                assert exposures == sorted(exposures)
+                assert exposures[0] < exposures[-1]
+
+    def test_group_commit_amortizes_the_log_on_the_dam(self, result):
+        shares = [
+            r["wal_frac"]
+            for r in result.rows
+            if r["device"] == "dam" and r["group_commit"] >= 8
+        ]
+        assert shares and max(shares) < 0.5
+
+    def test_rows_equal_across_jobs(self, result):
+        assert exp_durability.run(jobs=2, cache=None).rows == result.rows
+
+    def test_quick_keeps_an_explicit_axis(self):
+        # Explicit axes that happen to equal the defaults are still explicit.
+        batches = exp_durability.DEFAULT_GROUP_COMMITS
+        checkpoints = exp_durability.DEFAULT_CHECKPOINTS
+        quick = exp_durability.run(
+            devices=("dam",),
+            group_commits=batches,
+            checkpoints=checkpoints,
+            quick=True,
+            cache=None,
+        )
+        assert quick.group_commits == batches
+        assert quick.checkpoints == checkpoints
+        assert len(quick.rows) == len(batches) * len(checkpoints)
 
     def test_unknown_device_rejected(self, result):
         from repro.errors import ConfigurationError
-        from repro.experiments import exp_durability
 
         with pytest.raises(ConfigurationError):
             exp_durability.make_durability_device("tape", node_bytes=4096)

@@ -1,8 +1,14 @@
-"""Scaled-down runs of the extension experiments (E12-E14)."""
+"""Runs of the extension experiments (E12-E15), scaled down where the claim allows."""
 
 import pytest
 
-from repro.experiments import exp_aging, exp_asymmetry, exp_epsilon_tradeoff
+from repro.experiments import (
+    exp_aging,
+    exp_asymmetry,
+    exp_epsilon_tradeoff,
+    exp_model_error,
+    exp_ycsb,
+)
 
 
 class TestEpsilonTradeoff:
@@ -23,6 +29,14 @@ class TestEpsilonTradeoff:
     def test_query_cost_falls_from_brt_end(self, result):
         queries = [p.query_ms for p in result.betree_points()]
         assert queries[0] > queries[-1]
+        assert queries[0] > 1.5 * min(queries)
+
+    def test_btree_is_the_query_optimal_endpoint(self, result):
+        btree = {p.label: p for p in result.points}["btree 64KiB"]
+        be = result.betree_points()
+        assert btree.query_ms <= 1.1 * min(p.query_ms for p in be)
+        # ...and pays orders of magnitude more per insert than the F=2 tree.
+        assert btree.insert_ms > 20 * be[0].insert_ms
 
     def test_all_reference_structures_present(self, result):
         labels = {p.label for p in result.points}
@@ -55,6 +69,8 @@ class TestAging:
     def test_aging_hurts_small_nodes_more(self, result):
         slow = result.measured_slowdown
         assert slow[0] > 3 * slow[-1]
+        assert slow[0] > 10  # point-query-sized nodes: an order of magnitude
+        assert slow[-1] < 3  # scan-sized nodes barely notice
 
     def test_fresh_always_faster(self, result):
         for f, a in zip(result.fresh_mibps, result.aged_mibps):
@@ -62,7 +78,7 @@ class TestAging:
 
     def test_prediction_brackets_measurement(self, result):
         for measured, predicted in zip(result.measured_slowdown, result.predicted_slowdown):
-            assert predicted / 3 < measured < predicted * 3
+            assert predicted / 2.5 < measured < predicted * 2.5
 
     def test_render(self, result):
         assert "aging" in result.render()
@@ -72,8 +88,8 @@ class TestAsymmetry:
     @pytest.fixture(scope="class")
     def result(self):
         return exp_asymmetry.run(
-            write_multipliers=(1.0, 8.0),
-            fanouts=(4, 16, 64),
+            write_multipliers=(1.0, 10.0),
+            fanouts=(2, 16, 32, 64),
             n_entries=40_000,
             cache_bytes=1 << 20,
             n_queries=80,
@@ -83,7 +99,17 @@ class TestAsymmetry:
         assert result.model_optimal_fanout[1] < result.model_optimal_fanout[0]
 
     def test_measured_optimum_weakly_falls(self, result):
-        assert result.measured_best_fanout[1] <= result.measured_best_fanout[0]
+        # Weakly step by step (it is grid-quantized), strictly end to end.
+        measured = result.measured_best_fanout
+        assert all(a >= b for a, b in zip(measured, measured[1:]))
+        assert measured[0] > measured[-1]
+
+    def test_both_fanout_extremes_lose_to_the_middle(self, result):
+        # Tiny fanouts give queries no help; huge ones are flush-write heavy.
+        for costs in result.measured_cost_ms:
+            best = min(costs.values())
+            assert costs[result.fanouts[0]] > 1.3 * best
+            assert costs[result.fanouts[-1]] > 1.05 * best
 
     def test_costs_rise_with_write_multiplier(self, result):
         # Same workload, pricier writes: every fanout's cost goes up.
@@ -97,8 +123,6 @@ class TestAsymmetry:
 class TestModelError:
     @pytest.fixture(scope="class")
     def result(self):
-        from repro.experiments import exp_model_error
-
         return exp_model_error.run(
             node_sizes=(16 << 10, 256 << 10, 4 << 20),
             n_entries=80_000,
@@ -111,10 +135,40 @@ class TestModelError:
 
     def test_dam_within_lemma1_factor_2(self, result):
         for m, p in zip(result.measured_ms, result.dam_ms):
-            assert 0.4 < p / m < 2.6
+            assert 0.45 < p / m < 2.6
+
+    def test_dam_far_less_predictive_than_affine(self, result):
+        worst_affine = max(abs(e) for e in result.affine_errors)
+        worst_dam = max(abs(e) for e in result.dam_errors)
+        assert worst_dam > 4 * worst_affine
 
     def test_dam_error_changes_sign(self, result):
+        # ...so the DAM cannot even rank node sizes.
         assert min(result.dam_errors) < 0 < max(result.dam_errors)
 
     def test_render(self, result):
         assert "predictability" in result.render()
+
+
+class TestYCSB:
+    """E15, the Section 5 OLTP/OLAP claim on one table (stock size)."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return exp_ycsb.run()
+
+    def test_write_optimized_structure_wins_update_heavy(self, result):
+        assert result.winner("A (50r/50u)") in ("betree", "lsm")
+        costs = result.cost_ms["A (50r/50u)"]
+        assert costs["btree"] > 2 * min(costs.values())
+
+    def test_btree_wins_read_only(self, result):
+        assert result.winner("C (100r)") == "btree"
+
+    def test_upserts_make_rmw_nearly_free(self, result):
+        costs = result.cost_ms["F (100 rmw)"]
+        assert costs["betree"] < costs["btree"] / 20
+        assert costs["betree"] < costs["lsm"] / 20
+
+    def test_render(self, result):
+        assert "YCSB" in result.render()

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.recovery import expected_contents, generate_workload, run_check
 from repro.recovery.wal import WriteAheadLog
+from repro.trees import KINDS
 
 FAST = dict(
     n_ops=24,
@@ -64,6 +65,12 @@ class TestRunCheck:
         d = report.describe()
         assert d["passed"] and d["failures"] == []
 
+    @pytest.mark.parametrize("tree", KINDS)
+    def test_every_registered_kind_recovers(self, tree):
+        report = run_check(tree, mode="exhaustive", seed=1, **FAST)
+        assert report.passed, report.describe()
+        assert report.crashes_fired == report.boundaries_total > 0
+
     def test_sample_mode_subsets_the_boundaries(self):
         report = run_check(
             "btree", mode="sample", samples=5, seed=1, group_commit=1, **FAST
@@ -78,7 +85,7 @@ class TestRunCheck:
         assert a.describe() == b.describe()
 
     def test_bad_arguments_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="KINDS"):
             run_check("splay")
         with pytest.raises(ConfigurationError):
             run_check("btree", mode="psychic")

@@ -5,13 +5,9 @@ import pytest
 
 from repro.errors import ConfigurationError, DeviceCrashed, WALError
 from repro.faults import CrashPlan, FaultPlan, FaultyDevice
-from repro.recovery import (
-    DurableConfig,
-    DurableTree,
-    RECOVERY_TREES,
-    RecoveryReport,
-)
+from repro.recovery import DurableConfig, DurableTree, RecoveryReport
 from repro.storage.ram import ConstantLatencyDevice
+from repro.trees import KINDS
 
 SMALL = dict(
     node_bytes=4096,
@@ -31,7 +27,7 @@ def build(tree="btree", *, crash=None, **overrides):
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="KINDS"):
             DurableConfig(tree="splay")
         with pytest.raises(ConfigurationError):
             DurableConfig(group_commit=0)
@@ -78,7 +74,7 @@ class TestWritePath:
         assert durable.checkpoints_taken == 1
         assert durable.contents() == {1: "a", 2: "b"}
 
-    @pytest.mark.parametrize("tree", RECOVERY_TREES)
+    @pytest.mark.parametrize("tree", KINDS)
     def test_delete_of_absent_key_is_logged_and_replays_harmlessly(self, tree):
         _, durable = build(tree)
         durable.load([(1, "a")])
@@ -93,7 +89,7 @@ class TestWritePath:
         durable.check_invariants()
 
 
-    @pytest.mark.parametrize("tree", RECOVERY_TREES)
+    @pytest.mark.parametrize("tree", KINDS)
     def test_unencodable_value_is_refused_at_its_own_put(self, tree):
         """A value the log cannot frame (a numpy scalar) fails at the put
         that carries it — not three ops later — and poisons nothing."""
@@ -151,7 +147,7 @@ class TestCheckpoint:
             durable.checkpoint()
 
 
-@pytest.mark.parametrize("tree", RECOVERY_TREES)
+@pytest.mark.parametrize("tree", KINDS)
 class TestRecovery:
     def test_crash_and_recover_keeps_acked_prefix(self, tree):
         device, durable = build(tree, group_commit=2)

@@ -15,11 +15,11 @@ from repro.faults import CrashPlan, FaultPlan, FaultyDevice
 from repro.recovery import (
     DurableConfig,
     DurableTree,
-    RECOVERY_TREES,
     expected_contents,
     generate_workload,
 )
 from repro.storage.ram import ConstantLatencyDevice
+from repro.trees import KINDS
 
 CONFIG = dict(
     node_bytes=4096,
@@ -63,7 +63,7 @@ def _run_to_crash(tree, *, seed, ordinal, group_commit, checkpoint_every):
     return durable, load_pairs, ops
 
 
-@pytest.mark.parametrize("tree", RECOVERY_TREES)
+@pytest.mark.parametrize("tree", KINDS)
 class TestCrashRecoverEquivalence:
     @settings(max_examples=12, deadline=None)
     @given(

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.common import build_load
 from repro.faults import FaultPlan
-from repro.serve import ShardConfig, ShardMap, build_shards
+from repro.serve import RequestEngine, ShardConfig, ShardMap, TenantSpec, build_shards
+from repro.trees import KINDS
 
 UNIVERSE = 1 << 16
 
@@ -21,17 +23,32 @@ def partitions_for(n_shards, n_entries=600, seed=11):
 
 
 class TestBuildShards:
-    @pytest.mark.parametrize("tree", ["btree", "betree", "lsm"])
+    @pytest.mark.parametrize("tree", KINDS)
     def test_lookup_serves_loaded_keys(self, tree):
+        """Serve conformance: any registered kind takes one engine run, then
+        every replica answers like the dict model and has charged device time."""
         parts = partitions_for(2)
-        cfg = ShardConfig(tree=tree, replicas=2, warm_queries=8)
+        cfg = ShardConfig(tree=tree, replicas=2, cache_bytes=8 << 10, warm_queries=8)
         shards = build_shards(2, parts, cfg, seed=5)
+        keys = np.asarray(sorted(k for part in parts for k, _ in part), dtype=np.int64)
+        engine = RequestEngine(
+            shards,
+            ShardMap(2, UNIVERSE, policy="hash"),
+            (TenantSpec("t", rate=200.0),),
+            keys,
+            batch=cfg.batch,
+        )
+        served = engine.run(0.5, seed=5)
+        assert served.served > 0 and served.dropped == 0
         for shard, part in zip(shards, parts):
-            keys = [k for k, _ in part[:16]]
+            model = dict(part)
+            probes = [k for k, _ in part[:16]] + [UNIVERSE + 1]
             for replica in shard.replicas:
-                values_before = replica.lookups
-                replica.lookup_many(keys)
-                assert replica.lookups == values_before + len(keys)
+                assert replica.io_seconds > 0.0
+                lookups_before = replica.lookups
+                replica.lookup_many(probes)
+                assert replica.lookups == lookups_before + len(probes)
+                assert replica.tree.lookup_many(probes) == [model.get(k) for k in probes]
 
     def test_warm_resets_measurement_state(self):
         parts = partitions_for(1)
@@ -79,7 +96,7 @@ class TestBuildShards:
 
 class TestShardConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="KINDS"):
             ShardConfig(tree="radix")
         with pytest.raises(ValueError):
             ShardConfig(node_bytes=0)
