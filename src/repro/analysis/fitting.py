@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from repro.analysis.metrics import r_squared, rms_error
 from repro.analysis.regression import SegmentedFit, linear_fit, segmented_linear_fit
@@ -197,6 +196,10 @@ def fit_affine_overlay(node_bytes, per_op_seconds, *, kind: str = "btree") -> Ov
     # Log-parameterization keeps alpha and scale positive; the initial alpha
     # guess is the reciprocal of the largest node (the half-bandwidth scale).
     p0 = (math.log(1.0 / float(B.max())), math.log(max(float(y.mean()), 1e-300)))
+    # Deferred: scipy is ~45 MiB resident and half a second to import, and
+    # no sweep kernel fits — only a process that overlays a curve pays.
+    from scipy import optimize
+
     try:
         with warnings.catch_warnings():
             # Few-point sweeps can make the covariance estimate singular;

@@ -101,8 +101,9 @@ def build_load(n_entries: int, universe: int, seed: int = 0):
     memo_key = (n_entries, universe, seed)
     cached = _load_memo.get(memo_key)
     if cached is None:
+        # Drop the old load before generating the new one, so only one is
+        # ever resident: a stock 300k-entry load is ~50 MiB.
+        _load_memo.clear()
         pairs = random_load_pairs(n_entries, universe, seed=seed)
-        cached = (pairs, [k for k, _ in pairs])
-        _load_memo.clear()  # one sweep's load at a time; no unbounded growth
-        _load_memo[memo_key] = cached
+        cached = _load_memo[memo_key] = (pairs, [k for k, _ in pairs])
     return list(cached[0]), list(cached[1])

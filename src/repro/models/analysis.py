@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import optimize
+from typing import Callable
 
 from repro.errors import ConfigurationError
 
@@ -34,6 +33,19 @@ def _check_common(B: float, N: float, M: float, alpha: float) -> None:
         raise ConfigurationError(f"need N > M for an out-of-cache analysis, got N={N}, M={M}")
     if M <= 0:
         raise ConfigurationError(f"M must be positive, got {M}")
+
+
+def _minimize_bounded(fn: Callable[[float], float], lo: float, hi: float, xatol: float):
+    """``scipy.optimize.minimize_scalar`` on ``[lo, hi]``, imported on first use.
+
+    scipy is ~45 MiB resident and half a second to import, and most
+    importers of this module (tuning, the node-size sweep kernels, the CLI)
+    only evaluate its closed forms: a process pays when it first solves for
+    an optimum, not when it imports.
+    """
+    from scipy.optimize import minimize_scalar
+
+    return minimize_scalar(fn, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
 
 
 def uncached_height(N: float, M: float, fanout: float) -> float:
@@ -200,11 +212,8 @@ def optimal_btree_node_size(alpha: float, *, bracket_hi: float | None = None) ->
     if alpha <= 0:
         raise ConfigurationError(f"alpha must be positive, got {alpha}")
     hi = bracket_hi if bracket_hi is not None else 10.0 / alpha
-    result = optimize.minimize_scalar(
-        lambda x: (1.0 + alpha * x) / math.log(x + 1.0),
-        bounds=(1.0 + 1e-9, hi),
-        method="bounded",
-        options={"xatol": 1e-9 * hi},
+    result = _minimize_bounded(
+        lambda x: (1.0 + alpha * x) / math.log(x + 1.0), 1.0 + 1e-9, hi, 1e-9 * hi
     )
     return float(result.x)
 
@@ -305,15 +314,13 @@ def optimal_fanout_asymmetric(
     """
     _check_common(B, N, M, alpha)
     lo, hi = 2.0, max(2.0 + 1e-6, min(B, math.sqrt(B) * 8))
-    result = optimize.minimize_scalar(
+    result = _minimize_bounded(
         lambda f: mixed_workload_cost(
             B, f, alpha, N, M,
             query_fraction=query_fraction,
             write_cost_multiplier=write_cost_multiplier,
         ),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-6 * hi},
+        lo, hi, 1e-6 * hi,
     )
     return float(result.x)
 
@@ -360,15 +367,13 @@ def optimal_mixed_betree_params(
         )
 
     def best_B_for(F: float) -> tuple[float, float]:
-        result = optimize.minimize_scalar(
+        result = _minimize_bounded(
             lambda logB: mixed_workload_cost(
                 math.exp(logB), F, alpha, N, M,
                 query_fraction=query_fraction,
                 write_cost_multiplier=write_cost_multiplier,
             ),
-            bounds=(math.log(F * (1 + 1e-9)), math.log(cap)),
-            method="bounded",
-            options={"xatol": 1e-8},
+            math.log(F * (1 + 1e-9)), math.log(cap), 1e-8,
         )
         return math.exp(float(result.x)), float(result.fun)
 
@@ -379,11 +384,8 @@ def optimal_mixed_betree_params(
     k = min(range(len(grid)), key=costs.__getitem__)
     lo = grid[max(0, k - 1)]
     hi = grid[min(len(grid) - 1, k + 1)]
-    refine = optimize.minimize_scalar(
-        lambda logF: best_B_for(math.exp(logF))[1],
-        bounds=(math.log(lo), math.log(hi)),
-        method="bounded",
-        options={"xatol": 1e-8},
+    refine = _minimize_bounded(
+        lambda logF: best_B_for(math.exp(logF))[1], math.log(lo), math.log(hi), 1e-8
     )
     F_best = math.exp(float(refine.x))
     if float(refine.fun) > costs[k]:

@@ -23,6 +23,7 @@ with ``at_io`` pinned to it.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -110,25 +111,25 @@ def generate_workload(
     rng = np.random.default_rng(seed)
     load_keys = rng.choice(universe, size=n_load, replace=False) if n_load else []
     load_pairs = sorted((int(k), f"v{int(k)}") for k in load_keys)
-    model = dict(load_pairs)
+    # The running model's keys, kept sorted as they change: a get or delete
+    # picks the i-th smallest live key, so re-sorting per op would make the
+    # stream quadratic in the live set.
+    live = [k for k, _ in load_pairs]
     ops: list[tuple[str, int, Any]] = []
     counter = 0
     while len(ops) < n_ops:
         draw = float(rng.random())
-        if draw < put_weight or not model:
+        if draw < put_weight or not live:
             key = int(rng.integers(0, universe))
             counter += 1
             ops.append(("p", key, f"w{counter}"))
-            model[key] = f"w{counter}"
+            i = bisect.bisect_left(live, key)
+            if i == len(live) or live[i] != key:
+                live.insert(i, key)
         elif draw < put_weight + delete_weight:
-            keys = sorted(model)
-            key = keys[int(rng.integers(0, len(keys)))]
-            ops.append(("d", key, None))
-            del model[key]
+            ops.append(("d", live.pop(int(rng.integers(0, len(live)))), None))
         else:
-            keys = sorted(model)
-            key = keys[int(rng.integers(0, len(keys)))]
-            ops.append(("g", key, None))
+            ops.append(("g", live[int(rng.integers(0, len(live)))], None))
     return load_pairs, ops
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 from typing import Any
 
 from repro.errors import ConfigurationError, TreeError
@@ -562,14 +564,13 @@ class BeTree(KVTree):
         """Replace the tree's contents with sorted ``pairs`` (empty tree only)."""
         if self._next_seq or len(self):
             raise TreeError("bulk_load requires a pristine tree")
-        for i in range(1, len(pairs)):
-            if pairs[i - 1][0] >= pairs[i][0]:
-                raise TreeError("bulk_load requires strictly increasing keys")
+        all_keys = [k for k, _ in pairs]
+        if not all(map(lt, all_keys, islice(all_keys, 1, None))):
+            raise TreeError("bulk_load requires strictly increasing keys")
         if not pairs:
             return
         self._free(self._get(self.root_id))
         per_leaf = max(2, int(self.config.leaf_capacity * self.config.bulk_fill))
-        all_keys = [k for k, _ in pairs]
         all_values = [v for _, v in pairs]
         level: list[tuple[int, int]] = []
         for start in range(0, len(pairs), per_leaf):

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 from typing import Any
 
 from repro.errors import ConfigurationError, TreeError
@@ -427,21 +429,21 @@ class BTree(KVTree):
         """
         if self._count:
             raise TreeError("bulk_load requires an empty tree")
-        for i in range(1, len(pairs)):
-            if pairs[i - 1][0] >= pairs[i][0]:
-                raise TreeError("bulk_load requires strictly increasing keys")
+        all_keys = [k for k, _ in pairs]
+        if not all(map(lt, all_keys, islice(all_keys, 1, None))):
+            raise TreeError("bulk_load requires strictly increasing keys")
         if not pairs:
             return
         old_root = self._get(self.root_id)
         self._free(old_root)
 
         per_leaf = max(2, int(self._leaf_capacity * self.config.bulk_fill))
+        all_values = [v for _, v in pairs]
         level: list[tuple[int, int]] = []  # (first_key, node_id) per node
         for start in range(0, len(pairs), per_leaf):
-            chunk = pairs[start : start + per_leaf]
             leaf = self._new_node(is_leaf=True)
-            leaf.keys = [k for k, _ in chunk]
-            leaf.values = [v for _, v in chunk]
+            leaf.keys = all_keys[start : start + per_leaf]
+            leaf.values = all_values[start : start + per_leaf]
             self._dirty(leaf)
             level.append((leaf.keys[0], leaf.node_id))
         self._count = len(pairs)

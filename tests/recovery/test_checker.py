@@ -1,5 +1,7 @@
 """The crash-consistency checker: coverage, detection power, determinism."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -35,6 +37,33 @@ class TestWorkloadGenerator:
                 del model[key]
             else:
                 assert key in model
+
+    #: sha256 of ``repr(generate_workload(seed=s, **kwargs))`` over seeds
+    #: 0-5, captured on the commit *before* the live keys moved from a
+    #: per-op ``sorted(model)`` to one incrementally sorted list (339b559).
+    PINNED_STREAMS = {
+        "stock E21": (
+            dict(n_ops=600, n_load=256, universe=1 << 18, put_weight=0.8, delete_weight=0.1),
+            "696185aac4e9c4dcc6204a0a8bf956ee177f92444a348ae1b849faf730ea1370",
+        ),
+        "nothing loaded": (
+            dict(n_ops=400, n_load=0, universe=1 << 16),
+            "b899caac6eb907ea00d54c17d17661d3f209af7cf523996f8d361d17d585fd4e",
+        ),
+        # Empties the running model ~200 times a seed, and re-puts live keys.
+        "delete-heavy": (
+            dict(n_ops=500, n_load=4, universe=1 << 10, put_weight=0.1, delete_weight=0.8),
+            "9e9274167df629625e6146aacc61098e97d413f6230af4133ea2846870fb36b3",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", PINNED_STREAMS)
+    def test_stream_is_pinned_to_the_parent_commits(self, name):
+        kwargs, want = self.PINNED_STREAMS[name]
+        digest = hashlib.sha256()
+        for seed in range(6):
+            digest.update(repr(generate_workload(seed=seed, **kwargs)).encode())
+        assert digest.hexdigest() == want
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

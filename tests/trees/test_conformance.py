@@ -12,6 +12,7 @@ kind; a new kind passes this file by adding one registry entry.
 import numpy as np
 import pytest
 
+from repro.errors import TreeError
 from repro.storage.hdd import HDDGeometry, SimulatedHDD
 from repro.trees import KINDS, KVTree, build
 from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
@@ -137,6 +138,36 @@ def test_load_is_the_kinds_own_load_path(kind):
     assert accounting(new) == accounting(old)
     assert list(new.items()) == pairs
     new.check_invariants()
+
+
+#: The kinds whose own load path is a ``bulk_load`` of sorted pairs.
+BULK_LOADERS = [kind for kind in KINDS if hasattr(make(kind), "bulk_load")]
+
+
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+@pytest.mark.parametrize("fault", ["out_of_order", "duplicate"])
+@pytest.mark.parametrize("kind", BULK_LOADERS)
+def test_bulk_load_rejects_one_bad_adjacent_pair_anywhere(kind, fault, at):
+    pairs = sorted_pairs(1200)
+    i = {"first": 0, "middle": 600, "last": len(pairs) - 2}[at]
+    if fault == "duplicate":
+        pairs[i + 1] = (pairs[i][0], pairs[i + 1][1])
+    else:
+        pairs[i], pairs[i + 1] = pairs[i + 1], pairs[i]
+    tree = make(kind)
+    with pytest.raises(TreeError):
+        tree.bulk_load(pairs)
+    assert len(tree) == 0 and list(tree.items()) == []
+
+
+@pytest.mark.parametrize("kind", BULK_LOADERS)
+def test_bulk_load_accepts_empty_and_one_pair_loads(kind):
+    tree = make(kind)
+    tree.bulk_load([])
+    assert len(tree) == 0
+    tree.bulk_load([(7, "seven")])
+    assert list(tree.items()) == [(7, "seven")]
+    tree.check_invariants()
 
 
 @pytest.mark.parametrize("kind", KINDS)
