@@ -24,6 +24,7 @@ perf-smoke:
 	python3 benchmarks/perf/run.py --scale 0.05
 	python -m pytest benchmarks/perf/tests -q
 	python3 tools/tree_split.py --workload tree_write --scale 0.05
+	python3 tools/tree_split.py --workload tree_read --scale 0.05
 	python3 tools/durable_split.py --scale 0.05
 	python3 tools/serve_split.py --scale 0.05
 	python3 tools/obs_overhead.py
@@ -66,7 +67,7 @@ experiments:
 
 # The cache-oblivious tier: its tests, its lint, and the E20 quick sweep.
 cob:
-	PYTHONPATH=src python -m pytest tests/trees/test_cob.py tests/trees/test_cob_accounting.py tests/trees/test_veb.py tests/trees/test_conformance.py tests/trees/test_put_many.py -q
+	PYTHONPATH=src python -m pytest tests/trees/test_cob.py tests/trees/test_cob_accounting.py tests/trees/test_veb.py tests/trees/test_conformance.py tests/trees/test_put_many.py tests/trees/test_point_charges.py -q
 	PYTHONPATH=src python -m repro.lint src/repro/trees/cob
 	PYTHONPATH=src python -m repro.experiments cob --quick --no-cache
 

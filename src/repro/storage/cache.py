@@ -197,11 +197,11 @@ class BufferCache:
                 OBS.counter("cache.hits").inc()
             self._touch(entry)
             return entry.obj
+        if entry is None:
+            raise CacheError(f"unknown node id {node_id!r}")
         self.stats.misses += 1
         if OBS.enabled:
             OBS.counter("cache.misses").inc()
-        if entry is None:
-            raise CacheError(f"unknown node id {node_id!r}")
         self.io_seconds += self.device.read(entry.offset, entry.nbytes)
         self._link_mru(entry)
         self.cached_bytes += entry.nbytes
@@ -294,6 +294,7 @@ class BufferCache:
         for pos, node_id in enumerate(node_ids):
             entry = self._index.get(node_id)
             if entry is None:
+                flush_run()  # the misses before it are charged, as serially
                 raise CacheError(f"unknown node id {node_id!r}")
             if node_id in in_run:
                 flush_run()  # make it resident so the re-read hits, as serially

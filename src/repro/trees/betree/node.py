@@ -146,10 +146,6 @@ class BeNode:
         self.buffered_count -= self.segments[idx].count
         return self.segments[idx].take_sorted()
 
-    def messages_for(self, idx: int, key: int) -> list[Message]:
-        """Messages buffered for ``key`` in child ``idx``'s segment (seq order)."""
-        return self.segments[idx].for_key(key)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.is_leaf:
             return f"BeNode(id={self.node_id}, leaf, n={len(self.keys)})"

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Hashable
+from typing import Any, Hashable
 
 from repro.errors import CacheError, ConfigurationError
 from repro.storage.stack import StorageStack
@@ -451,39 +451,46 @@ class OptimizedBeTree(BeTree):
         self.storage.allocator.free(self._base.pop(nid), self.config.node_bytes * self._EXTENT_SLACK)
         del self._nodes[nid]
 
-    # -- query-path hooks -------------------------------------------------------------
+    # -- query paths ------------------------------------------------------------------
 
-    def _read_root_for_query(self) -> BeNode:
+    def _lookup(self, key: int) -> Any | None:
+        """One component per step of the descent: the root's pivot area (it
+        has no parent to live in; LRU-resident in practice), then per level
+        the segment for ``key``'s child — which under Theorem 9's placement
+        carries that child's pivots, and otherwise is followed by a second
+        IO for the child's own pivot area — then one basement chunk."""
         if not self.segmented_io:
-            return super()._read_root_for_query()
-        root = self._nodes[self.root_id]
-        if not root.is_leaf:
-            # The root's pivots have no parent to live in; they are a small
-            # read of their own (and stay LRU-resident in practice).
-            self._touch(("p", root.node_id), dirty=False)
-        return root
-
-    def _read_segment_for_query(self, node: BeNode, idx: int) -> None:
-        if not self.segmented_io:
-            return
-        self._touch(("s", node.node_id, idx), dirty=False)
-
-    def _read_for_query(self, parent: BeNode | None, idx: int, node_id: int) -> BeNode:
-        if not self.segmented_io:
-            return super()._read_for_query(parent, idx, node_id)
-        node = self._nodes[node_id]
-        if not self.pivots_in_parent and not node.is_leaf:
-            # Without the Theorem 9 pivot placement, descending costs an
-            # extra IO per level for the node's own pivot area.
-            self._touch(("p", node_id), dirty=False)
-        return node
-
-    def _read_leaf_for_point_query(self, leaf: BeNode, key: int) -> None:
-        if not self.segmented_io:
-            return
-        i = bisect.bisect_left(leaf.keys, key)
-        j = min(i // self.basement_entries, self._chunk_count(leaf) - 1)
-        self._touch(("b", leaf.node_id, j), dirty=False)
+            return super()._lookup(key)
+        nodes = self._nodes
+        access = self._access
+        own_pivots = not self.pivots_in_parent
+        node = nodes[self.root_id]
+        msgs: list[Message] = []
+        try:
+            if not node.is_leaf:
+                cid = ("p", node.node_id)
+                access(cid)
+            while not node.is_leaf:
+                ci = bisect.bisect_right(node.pivots, key)
+                cid = ("s", node.node_id, ci)
+                access(cid)
+                pending = node.segments[ci].msgs.get(key)
+                if pending:
+                    msgs.extend(pending)
+                node = nodes[node.children[ci]]
+                if own_pivots and not node.is_leaf:
+                    cid = ("p", node.node_id)
+                    access(cid)
+            keys = node.keys
+            i = bisect.bisect_left(keys, key)
+            per = self._basement
+            # A key past the leaf's largest reads the last chunk there is
+            # (``_chunk_count(node) - 1``, in place).
+            cid = ("b", node.node_id, min(i // per, max(1, -(-len(keys) // per)) - 1))
+            access(cid)
+        except CacheError:
+            raise CacheError(f"component {cid!r} was never created") from None
+        return self._answer(node, i, key, msgs)
 
     def _read_for_range(self, node_id: int) -> BeNode:
         if not self.segmented_io:

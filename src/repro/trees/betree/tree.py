@@ -141,28 +141,9 @@ class BeTree(KVTree):
         assert isinstance(node, BeNode)
         return node
 
-    def _read_root_for_query(self) -> BeNode:
-        """Fetch the root at the start of a query."""
-        return self._get(self.root_id)
-
-    def _read_for_query(self, parent: BeNode | None, idx: int, node_id: int) -> BeNode:
-        """Fetch a node on a query path (whole node in the naive tree)."""
-        return self._get(node_id)
-
-    def _read_segment_for_query(self, node: BeNode, idx: int) -> None:
-        """Charge inspecting segment ``idx`` of ``node`` on a query path.
-
-        A no-op here: :meth:`_read_for_query` already moved the whole node.
-        The Theorem 9 tree overrides this to charge only the segment.
-        """
-
     def _read_for_range(self, node_id: int) -> BeNode:
         """Fetch a node during a range scan (whole node in both trees)."""
         return self._get(node_id)
-
-    def _read_leaf_for_point_query(self, leaf: BeNode, key: int) -> None:
-        """Charge the leaf access of a point query (whole node here)."""
-        # _get in _read_for_query already charged it; nothing extra.
 
     def _dirty(self, node: BeNode) -> None:
         self.storage.mark_dirty(node.node_id)
@@ -487,20 +468,27 @@ class BeTree(KVTree):
         return self._lookup(key)
 
     def _lookup(self, key: int) -> Any | None:
+        """Read the root-to-leaf path, whole nodes, collecting ``key``'s
+        buffered messages on the way down."""
+        get = self._get
+        node = get(self.root_id)
         msgs: list[Message] = []
-        node = self._read_root_for_query()
-        parent: BeNode | None = None
-        idx = 0
         while not node.is_leaf:
-            ci = self._child_index(node, key)
-            self._read_segment_for_query(node, ci)
-            msgs.extend(node.messages_for(ci, key))
-            parent, idx = node, ci
-            node = self._read_for_query(parent, ci, node.children[ci])
-        self._read_leaf_for_point_query(node, key)
-        i = bisect.bisect_left(node.keys, key)
-        present = i < len(node.keys) and node.keys[i] == key
-        base = node.values[i] if present else None
+            ci = bisect.bisect_right(node.pivots, key)
+            pending = node.segments[ci].msgs.get(key)
+            if pending:
+                msgs.extend(pending)
+            node = get(node.children[ci])
+        return self._answer(node, bisect.bisect_left(node.keys, key), key, msgs)
+
+    @staticmethod
+    def _answer(leaf: BeNode, i: int, key: int, msgs: list[Message]) -> Any | None:
+        """What a point query returns: the leaf's entry for ``key`` (``i`` is
+        its ``bisect_left`` position) with the path's messages replayed over it."""
+        present = i < len(leaf.keys) and leaf.keys[i] == key
+        base = leaf.values[i] if present else None
+        if not msgs:
+            return base
         msgs.sort()
         value, exists = apply_messages(base, present, msgs)
         return value if exists else None

@@ -32,7 +32,6 @@ the trade Theorem 9 prices.
 from __future__ import annotations
 
 import bisect
-import math
 from typing import Any, Iterable
 
 from repro.errors import TreeError
@@ -96,7 +95,7 @@ class BufferedCOBTree(KVTree):
         return bisect.bisect_left(self.splitters, key)
 
     def _occupied_blocks(self, bucket: _Bucket) -> int:
-        return math.ceil(bucket.nbytes / self.config.block_bytes)
+        return -(-bucket.nbytes // self.config.block_bytes)
 
     def _bucket_bounds(self, b: int) -> tuple[int, int]:
         """Closed key range owned by bucket ``b`` (empty if inactive).
@@ -243,12 +242,17 @@ class BufferedCOBTree(KVTree):
 
     def get(self, key: int) -> Any | None:
         """Point query: the key's bucket first (newest message wins), then
-        the base tree."""
+        the base tree.  A non-empty bucket costs one read of its occupied
+        blocks, as :meth:`_charge_bucket_read` charges a scan."""
         key = int(key)
-        bucket = self.buckets[self._bucket_of(key)]
-        self._charge_bucket_read(bucket)
-        if key in bucket.messages:
-            value = bucket.messages[key]
+        bucket = self.buckets[bisect.bisect_left(self.splitters, key)]
+        nbytes = bucket.nbytes
+        if nbytes:
+            block_bytes = self.config.block_bytes
+            self.device.read(bucket.offset, -(-nbytes // block_bytes) * block_bytes)
+        messages = bucket.messages
+        if key in messages:
+            value = messages[key]
             return None if value is TOMBSTONE else value
         return self.base.get(key)
 

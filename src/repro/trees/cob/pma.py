@@ -326,13 +326,6 @@ class PackedMemoryArray:
         if write:
             self.device.write(off, span)
 
-    def charge_slot_read(self, slot: int) -> None:
-        """Charge the block-aligned read that fetches ``slot``'s entry."""
-        block = min(self.block_bytes, self.nbytes)
-        frac = slot * self.entry_bytes
-        off = self.offset + min((frac // block) * block, self.nbytes - block)
-        self.device.read(off, block)
-
     def charge_slot_write(self, slot: int) -> None:
         """Charge the block-aligned write that overwrites ``slot`` in place."""
         block = min(self.block_bytes, self.nbytes)

@@ -217,19 +217,31 @@ class COBTree(KVTree):
 
     def _charge_index_path(self, slot: int) -> None:
         """Charge reads of the distinct unpinned vEB blocks on the path from
-        the root to ``slot``'s leaf, in ascending block order (deterministic)."""
+        the root to ``slot``'s leaf, in ascending block order (deterministic).
+
+        In vEB order an ancestor is stored before its descendants and a block
+        is a contiguous position range, so blocks never decrease down a path:
+        when the topmost unpinned node shares the leaf's block, that block is
+        the whole path (``tests/trees/test_veb.py`` checks it exhaustively).
+        """
         unpinned = self._height - self._pinned_levels
         if not unpinned:
             return
         block_of = self._block_table().item
-        node = self._first_leaf + slot
-        blocks = set()
-        for _ in range(unpinned):
-            blocks.add(block_of(node))
-            node = (node - 1) >> 1
+        read = self.device.read
         block_bytes = self.config.block_bytes
+        offset = self._index_offset
+        node = self._first_leaf + slot
+        blk = block_of(node)
+        if blk == block_of(((node + 1) >> (unpinned - 1)) - 1):
+            read(offset + blk * block_bytes, block_bytes)
+            return
+        blocks = {blk}
+        for _ in range(unpinned - 1):
+            node = (node - 1) >> 1
+            blocks.add(block_of(node))
         for blk in sorted(blocks):
-            self.device.read(self._index_offset + blk * block_bytes, block_bytes)
+            read(offset + blk * block_bytes, block_bytes)
 
     def _update_index(self, slot_lo: int, slot_hi: int, resized: bool) -> None:
         """Repair the heap over slots ``[slot_lo, slot_hi)`` (whole segments)
@@ -302,9 +314,10 @@ class COBTree(KVTree):
         if key > heap[i]:
             # Only the all-right descent can end above its subtree's maximum.
             return self._first_leaf
-        lo = (i - first_seg) * self.pma.segment_slots
-        segment = self.pma.keys[lo : lo + self.pma.segment_slots]
-        return lo + int((segment >= key).argmax())
+        pma = self.pma
+        width = pma.segment_slots
+        lo = (i - first_seg) * width
+        return lo + int((pma.keys[lo : lo + width] >= key).argmax())
 
     # -- write path ----------------------------------------------------------
 
@@ -402,18 +415,27 @@ class COBTree(KVTree):
     # -- read path -----------------------------------------------------------
 
     def get(self, key: int) -> Any | None:
-        """Point query; returns the value or ``None``."""
+        """Point query; returns the value or ``None``: the index path to the
+        key's successor slot, then — when that slot holds the key — the
+        block-aligned read that fetches its entry from the PMA's extent."""
         if OBS.enabled:
             start = self.device.clock
         key = int(key)
         slot = self._search_slot(key)
         self._charge_index_path(slot)
-        hit = self.pma.keys.item(slot) == key
-        if hit:
-            self.pma.charge_slot_read(slot)
+        pma = self.pma
+        value = None
+        if pma.keys.item(slot) == key:
+            nbytes = pma.nbytes
+            block = min(pma.block_bytes, nbytes)
+            self.device.read(
+                pma.offset + min((slot * pma.entry_bytes // block) * block, nbytes - block),
+                block,
+            )
+            value = self.values.get(key)
         if OBS.enabled:
             OBS.op_event("cob.query", start, self.device.clock, key=key)
-        return self.values.get(key) if hit else None
+        return value
 
     #: Batched point queries, accounting-identical to a ``get`` loop.
     get_many = KVTree.lookup_many

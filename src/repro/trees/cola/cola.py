@@ -31,7 +31,7 @@ what a real implementation pins) are free to search.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any
 
@@ -197,48 +197,47 @@ class COLA(KVTree):
 
     # -- read path --------------------------------------------------------------
 
-    def _ram_resident(self) -> list[bool]:
-        """Which levels are pinned in RAM (exactly the never-written ones)."""
-        return [lvl is None or lvl.offset < 0 for lvl in self.levels]
-
-    def _probe(self, level: _Level, key: int, resident: bool) -> tuple[Any, bool]:
-        """Binary-search one level, charging block reads for the probes."""
-        if not resident:
-            if self.config.fence_every is not None:
-                # RAM-resident fence keys bracket the search to one block.
-                i = bisect.bisect_left(level.keys, key)
-                frac = i * self.config.fmt.entry_bytes
-                block = min(self.config.block_bytes, level.nbytes)
-                off = level.offset + min(
-                    (frac // block) * block, max(0, level.nbytes - block)
-                )
-                self.device.read(off, block)
-            else:
-                per_block = self.config.entries_per_block
-                n_blocks = max(1, (len(level.keys) + per_block - 1) // per_block)
-                # An uncached binary search touches ~log2(blocks) distinct
-                # blocks, plus the final one containing the answer.
-                probes = max(1, n_blocks.bit_length())
-                span = level.nbytes
-                step = max(1, span // probes)
-                for p in range(probes):
-                    off = level.offset + min(
-                        p * step, max(0, span - self.config.block_bytes)
-                    )
-                    self.device.read(off, min(self.config.block_bytes, span))
-        i = bisect.bisect_left(level.keys, key)
-        if i < len(level.keys) and level.keys[i] == key:
-            return level.values[i], True
-        return None, False
+    def _charge_unfenced_search(self, level: _Level) -> None:
+        """Charge an on-device level's search when no fence keys bracket it:
+        an uncached binary search touches ~log2(blocks) distinct blocks,
+        plus the final one containing the answer."""
+        block_bytes = self.config.block_bytes
+        per_block = self.config.entries_per_block
+        n_blocks = max(1, (len(level.keys) + per_block - 1) // per_block)
+        probes = max(1, n_blocks.bit_length())
+        span = level.nbytes
+        step = max(1, span // probes)
+        for p in range(probes):
+            off = level.offset + min(p * step, max(0, span - block_bytes))
+            self.device.read(off, min(block_bytes, span))
 
     def get(self, key: int) -> Any | None:
-        """Point query; returns the value or ``None``."""
-        residency = self._ram_resident()
-        for k, lvl in enumerate(self.levels):  # newest (smallest) first
+        """Point query; returns the value or ``None``.
+
+        One search per level, newest (smallest) first.  A level on the
+        device (``offset >= 0``; the pinned ones were never written) charges
+        the block its RAM-resident fence keys bracket the search to.
+        """
+        config = self.config
+        entry_bytes = config.fmt.entry_bytes
+        block_bytes = config.block_bytes
+        fenced = config.fence_every is not None
+        read = self.device.read
+        for lvl in self.levels:
             if lvl is None:
                 continue
-            value, found = self._probe(lvl, key, residency[k])
-            if found:
+            keys = lvl.keys
+            i = bisect_left(keys, key)
+            offset = lvl.offset
+            if offset >= 0:
+                if fenced:
+                    nbytes = lvl.nbytes
+                    block = min(block_bytes, nbytes)
+                    read(offset + min((i * entry_bytes // block) * block, nbytes - block), block)
+                else:
+                    self._charge_unfenced_search(lvl)
+            if i < len(keys) and keys[i] == key:
+                value = lvl.values[i]
                 return None if value is TOMBSTONE else value
         return None
 
@@ -249,18 +248,16 @@ class COLA(KVTree):
         """All pairs with ``lo <= key <= hi`` in key order."""
         if lo > hi:
             return []
-        residency = self._ram_resident()
         runs: list[tuple[list[int], list[Any]]] = []
         # Oldest (largest) level first: the HDD prices the order of the reads.
-        for k in range(len(self.levels) - 1, -1, -1):
-            lvl = self.levels[k]
+        for lvl in reversed(self.levels):
             if lvl is None:
                 continue
-            i = bisect.bisect_left(lvl.keys, lo)
-            j = bisect.bisect_right(lvl.keys, hi)
+            i = bisect_left(lvl.keys, lo)
+            j = bisect_right(lvl.keys, hi)
             if j == i:
                 continue
-            if not residency[k]:
+            if lvl.offset >= 0:
                 nbytes = max(
                     self.config.block_bytes,
                     (j - i) * self.config.fmt.entry_bytes,

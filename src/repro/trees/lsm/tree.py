@@ -20,7 +20,7 @@ IO pricing:
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any
 
@@ -227,33 +227,38 @@ class LSMTree(KVTree):
 
     # -- read path ------------------------------------------------------------------
 
-    def _probe(self, table: SSTable, key: int) -> tuple[Any, bool]:
-        """Charge one data-block read and look ``key`` up in ``table``."""
-        block = min(self.config.block_bytes, table.nbytes)
-        # Block-aligned read within the run.
-        i = bisect.bisect_left(table.keys, key)
-        frac = i * self.config.fmt.entry_bytes
-        block_off = table.offset + (frac // block) * block
-        block_off = min(block_off, table.offset + table.nbytes - block)
-        self.device.read(block_off, block)
-        return table.lookup(key)
-
     def get(self, key: int) -> Any | None:
-        """Point query; returns the value or ``None``."""
-        if key in self.memtable:
-            v = self.memtable[key]
+        """Point query; returns the value or ``None``.
+
+        The memtable, then every L0 run (newest first), then the one run of
+        each deeper level whose fence bracket holds ``key``.  A run whose key
+        range covers ``key`` is searched once: the search prices the
+        block-aligned data-block read and finds the answer.
+        """
+        memtable = self.memtable
+        if key in memtable:
+            v = memtable[key]
             return None if v is TOMBSTONE else v
-        for t in self.levels[0]:   # newest first
-            if t.overlaps(key, key):
-                v, found = self._probe(t, key)
-                if found:
-                    return None if v is TOMBSTONE else v
-        for lvl in range(1, len(self.levels)):
-            runs = self.levels[lvl]
-            idx = bisect.bisect_right(self._fences[lvl], key) - 1
-            if 0 <= idx < len(runs) and runs[idx].overlaps(key, key):
-                v, found = self._probe(runs[idx], key)
-                if found:
+        fences = self._fences
+        entry_bytes = self.config.fmt.entry_bytes
+        block_bytes = self.config.block_bytes
+        read = self.device.read
+        for lvl, runs in enumerate(self.levels):
+            if lvl:  # key-disjoint runs: the fences pick the one candidate
+                idx = bisect_right(fences[lvl], key) - 1
+                if idx < 0:
+                    continue
+                runs = runs[idx : idx + 1]
+            for t in runs:
+                keys = t.keys
+                if key < keys[0] or key > keys[-1]:
+                    continue
+                i = bisect_left(keys, key)
+                nbytes = t.nbytes
+                block = min(block_bytes, nbytes)
+                read(t.offset + min((i * entry_bytes // block) * block, nbytes - block), block)
+                if keys[i] == key:
+                    v = t.values[i]
                     return None if v is TOMBSTONE else v
         return None
 
@@ -272,7 +277,7 @@ class LSMTree(KVTree):
         # Newest first for the merge: the memtable, L0, then deeper levels.
         memtable = self.memtable
         keys = sorted(memtable)
-        keys = keys[bisect.bisect_left(keys, lo) : bisect.bisect_right(keys, hi)]
+        keys = keys[bisect_left(keys, lo) : bisect_right(keys, hi)]
         runs = [(keys, list(map(memtable.__getitem__, keys)))]
         runs += [t.slice(lo, hi) for t in reversed(overlapping)]
         # A run can overlap [lo, hi] by its bounds and hold no key inside it.
@@ -282,8 +287,8 @@ class LSMTree(KVTree):
     def _read_overlap(self, table: SSTable, lo: int, hi: int) -> None:
         """Charge reading the overlapping byte range of a run."""
         fmt = self.config.fmt
-        i = bisect.bisect_left(table.keys, lo)
-        j = bisect.bisect_right(table.keys, hi)
+        i = bisect_left(table.keys, lo)
+        j = bisect_right(table.keys, hi)
         nbytes = max(self.config.block_bytes, (j - i) * fmt.entry_bytes)
         nbytes = min(nbytes, table.nbytes)
         offset = min(table.offset + i * fmt.entry_bytes, table.offset + table.nbytes - nbytes)

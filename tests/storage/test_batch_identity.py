@@ -499,6 +499,55 @@ class TestWriteMany:
         assert stack.device.clock == ref.device.clock
 
 
+class TestUnknownIdOnTheReadPath:
+    """``BufferCache.get`` / ``get_many`` handed an id the cache never saw:
+    the exception leaves exactly what a serial ``get`` loop leaves."""
+
+    @staticmethod
+    def _cold_stack():
+        from repro.storage.stack import StorageStack
+
+        stack = StorageStack(hdd(seed=4), 1 << 20)
+        for i in range(3):
+            stack.create(i, {"id": i}, 4096)
+        stack.drop_cache()
+        return stack
+
+    @staticmethod
+    def _after_raising(stack, fetch):
+        from repro.errors import CacheError
+
+        cache = stack.cache
+        counters = [OBS.counter(f"cache.{name}") for name in ("hits", "misses", "evictions")]
+        before = [c.value for c in counters]
+        with pytest.raises(CacheError, match="unknown node id"):
+            fetch(cache)
+        return {
+            "device": _state(stack.device),
+            "stats": vars(cache.stats).copy(),
+            "resident": [cache.contains(i) for i in range(3)],
+            "cached_bytes": cache.cached_bytes,
+            "io_seconds": cache.io_seconds,
+            "counters": [c.value - b for c, b in zip(counters, before)],
+        }
+
+    def test_get_many_charges_the_misses_before_the_unknown_id(self, monkeypatch):
+        monkeypatch.setattr(OBS, "enabled", True)
+        ids = [0, 1, "never-created", 2]
+        serial = self._after_raising(self._cold_stack(), lambda c: [c.get(i) for i in ids])
+        batched = self._after_raising(self._cold_stack(), lambda c: c.get_many(ids))
+        assert batched == serial
+        assert serial["stats"]["misses"] == 2 and serial["device"]["stats"]["reads"] == 2
+        assert serial["resident"] == [True, True, False]
+
+    def test_get_raises_before_it_counts(self, monkeypatch):
+        monkeypatch.setattr(OBS, "enabled", True)
+        stack = self._cold_stack()
+        untouched = self._after_raising(self._cold_stack(), lambda c: c.access("never-created"))
+        assert self._after_raising(stack, lambda c: c.get("never-created")) == untouched
+        assert untouched["stats"]["misses"] == 0 and untouched["counters"] == [0, 0, 0]
+
+
 class TestBatchedRunner:
     def _streams(self, n_clients, n_requests):
         return [

@@ -161,6 +161,26 @@ class TestVEBLayout:
             level = block_of[(1 << depth) - 1 : (2 << depth) - 1]
             assert np.all(level[1:] >= level[:-1])
 
+    @pytest.mark.parametrize("height", range(2, 13))
+    def test_an_ancestor_is_stored_before_its_descendants(self, height):
+        position = VEBLayout(height).position
+        child = np.arange(1, position.size)
+        assert np.all(position[(child - 1) >> 1] < position[child])
+
+    @pytest.mark.parametrize("nodes_per_block", [1, 3, 7, 15, 511])
+    @pytest.mark.parametrize("height", range(2, 13))
+    def test_a_path_whose_ends_share_a_block_is_that_block(self, height, nodes_per_block):
+        # What lets the cob index charge a path off its two ends: for every
+        # leaf and every number of unpinned levels, the topmost unpinned
+        # node in the leaf's block means one block on the whole path.
+        block_of = VEBLayout(height).position // nodes_per_block
+        leaves = np.arange((1 << (height - 1)) - 1, (1 << height) - 1)
+        for unpinned in range(1, height + 1):
+            path = np.stack([((leaves + 1) >> up) - 1 for up in range(unpinned)])
+            blocks = block_of[path]
+            one_block = blocks[0] == blocks[-1]
+            assert np.all(blocks[:, one_block] == blocks[0, one_block])
+
     @pytest.mark.parametrize("height", [1, 2, 3, 4, 5, 8, 13])
     def test_is_a_permutation(self, height):
         layout = VEBLayout(height)
