@@ -42,7 +42,8 @@ perf-pairs:
 	python3 tools/perf_pairs.py --workload $(WORKLOAD) --base $(BASE) --n $(N) --seed $(SEED)
 
 # Which of the six tree kinds a tree workload's host time goes to (median
-# seconds per iteration, each kind alone; sizing, not a claim):
+# seconds per iteration, each kind alone, and the seconds of its one load
+# inside set-up; sizing, not a claim):
 #   make tree-split WORKLOAD=tree_write   (or tree_read; SEED as above)
 tree-split:
 	python3 tools/tree_split.py --workload $(WORKLOAD) --seed $(SEED)

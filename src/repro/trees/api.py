@@ -73,7 +73,11 @@ class KVTree:
         The contract every override keeps (``tests/trees/test_put_many.py``):
         device clock, stats and structural state equal calling
         :meth:`insert` once per pair — a batch removes Python overhead,
-        never semantics.
+        never semantics — and a device fault surfaces at the IO, and with
+        the pairs applied, that the loop's would.  The one difference: an
+        override may materialise an iterable before it applies the first
+        pair (COLA, LSM), so pairs drawn from a generator that raises
+        midway are not applied.
         """
         insert = self.insert
         for key, value in pairs:
@@ -91,7 +95,9 @@ class KVTree:
     def load(self, pairs: list[tuple[int, Any]]) -> None:
         """Fill an empty tree from key-sorted ``pairs`` the way the kind
         loads: a sequential ``bulk_load`` where it has one, its own write
-        path (LSM, COLA) otherwise."""
+        path (LSM, COLA) otherwise.  Every kind raises
+        :class:`~repro.errors.TreeError` on a tree that already holds
+        something."""
         self.bulk_load(pairs)
 
     def settle(self) -> None:

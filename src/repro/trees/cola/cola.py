@@ -33,13 +33,15 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any
+from itertools import islice, repeat
+from operator import is_, itemgetter, lt
+from typing import Any, Iterable, Sequence
 
 from repro.errors import ConfigurationError, TreeError
 from repro.storage.allocator import ExtentAllocator
 from repro.storage.device import BlockDevice
 from repro.trees.api import KVTree, TreeKind
-from repro.trees.merge import TOMBSTONE, merge_runs
+from repro.trees.merge import TOMBSTONE, Run, merge_runs
 from repro.trees.sizing import EntryFormat
 
 
@@ -104,6 +106,7 @@ class COLA(KVTree):
         self.levels: list[_Level | None] = []
         self.user_bytes_modified = 0
         self.merges = 0
+        self._entry_bytes = self.config.fmt.entry_bytes  # the config is frozen
 
     # -- write path --------------------------------------------------------------
 
@@ -115,24 +118,97 @@ class COLA(KVTree):
         """Delete ``key`` (tombstone)."""
         self._push(key, TOMBSTONE)
 
-    def put_many(self, pairs) -> None:
+    def put_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
         """Insert many pairs, identical in accounting to an insert loop.
 
         Same contract as every other tree's ``put_many``
         (``tests/trees/test_put_many.py``): device clock, stats, merge
-        counts, and level structure must equal calling :meth:`insert`
-        once per pair exactly — the batch only removes Python overhead.
+        counts and level structure equal calling :meth:`insert` once per
+        pair exactly.  The occupied levels are a binary counter, and the
+        levels that fit the pin threshold even when full never reach the
+        device, so a run of pushes that does not carry out of them is one
+        counter step (:meth:`_carry`).  The push that does carry out is a
+        :meth:`_push`: every device call, hence every fault, lives there.
         """
+        if not isinstance(pairs, list):
+            pairs = list(pairs)
+        pinned = self._pinned_levels
+        full = (1 << pinned) - 1
+        levels = self.levels
         push = self._push
-        for key, value in pairs:
-            push(key, value)
+        n = len(pairs)
+        pos = 0
+        while pos < n:
+            count = 0
+            for k, lvl in enumerate(levels[:pinned]):
+                if lvl is not None:
+                    count |= 1 << k
+            end = min(pos + full - count, n)
+            if end > pos:
+                chunk = pairs[pos:end]
+                values = list(map(_VALUE, chunk))
+                if any(map(is_, values, repeat(TOMBSTONE))):
+                    # Only a tombstone can merge to nothing and un-set a
+                    # counter bit: such a run takes the loop.
+                    for key, value in chunk:
+                        push(key, value)
+                else:
+                    self._carry(count, list(map(_KEY, chunk)), values)
+                pos = end
+            if pos < n:
+                push(*pairs[pos])
+                pos += 1
 
     def load(self, pairs: list[tuple[int, Any]]) -> None:
         """Load through the merge path (a COLA has no bulk load)."""
+        if any(lvl is not None for lvl in self.levels):
+            raise TreeError("load requires an empty tree")
         self.put_many(pairs)
 
+    def _carry(self, count: int, keys: Sequence[int], values: Sequence[Any]) -> None:
+        """Apply ``len(keys)`` pushes that stay inside the pinned levels.
+
+        ``count`` is the pinned levels' occupancy as a binary counter and
+        the pushes take it to ``after = count + len(keys)``.  Lay the
+        occupied levels (highest = oldest) and then the new pairs out in
+        age order and cut that sequence at the set bits of ``after`` from
+        the top: the bits above the highest changed one, ``top``, are
+        levels the step leaves alone; level ``top`` takes every level
+        below it plus the oldest new pairs, in one merge; the remaining
+        new pairs fill the lower set bits, oldest in the highest.  No new
+        pair is a tombstone, so no cut comes out empty, and tombstones of
+        the old levels all end in level ``top``, which drops them exactly
+        when the loop would have: when nothing above it is occupied.
+        """
+        n = len(keys)
+        after = count + n
+        self.user_bytes_modified += n * self._entry_bytes
+        self.merges += n - (after.bit_count() - count.bit_count())
+        levels = self.levels
+        top = (count ^ after).bit_length() - 1
+        while len(levels) <= top:
+            levels.append(None)
+        below = count & ((1 << top) - 1)
+        pos = (1 << top) - below
+        run = _newest_wins(keys[:pos], values[:pos])
+        if below:
+            runs = [run]
+            for k in range(top):
+                lvl = levels[k]
+                if lvl is not None:
+                    runs.append((lvl.keys, lvl.values))
+                    levels[k] = None
+            # As in _merge: tombstones die when the result is the largest level.
+            run = merge_runs(runs, drop_tombstones=not any(levels[top + 1 :]))
+        levels[top] = _Level(*run)
+        while pos < n:
+            k = (n - pos).bit_length() - 1
+            end = pos + (1 << k)
+            levels[k] = _Level(*_newest_wins(keys[pos:end], values[pos:end]))
+            pos = end
+
     def _push(self, key: int, value: Any) -> None:
-        self.user_bytes_modified += self.config.fmt.entry_bytes
+        self.user_bytes_modified += self._entry_bytes
         levels = self.levels
         # Binomial-counter carry: the new entry and every full level below
         # the first empty one collapse into that slot.  The intermediate
@@ -161,7 +237,7 @@ class COLA(KVTree):
         """Merge a carry cascade (newest run first) into the run for level ``k``."""
         self.merges += k
         # Tombstones die when the result becomes the largest level.
-        drop_tombstones = all(lvl is None for lvl in self.levels[k + 1 :])
+        drop_tombstones = not any(self.levels[k + 1 :])
         return _Level(*merge_runs(runs, drop_tombstones=drop_tombstones))
 
     def _level_bytes(self, level: _Level) -> int:
@@ -176,6 +252,16 @@ class COLA(KVTree):
         same way, which is what makes its small-level churn free.
         """
         return self.config.ram_bytes // 4
+
+    @property
+    def _pinned_levels(self) -> int:
+        """Levels ``0 .. n-1`` fit the pin threshold even when full (level
+        ``k`` holds at most ``2^k`` entries), so nothing in them is ever
+        read from, written to or freed on the device."""
+        slots = (
+            self._pin_threshold_bytes - self.config.fmt.node_header_bytes
+        ) // self._entry_bytes
+        return slots.bit_length() if slots > 0 else 0
 
     def _write_level(self, level: _Level, k: int) -> None:
         if not level.keys:
@@ -292,11 +378,27 @@ class COLA(KVTree):
                 if a >= b:
                     raise TreeError(f"level {k}: keys out of order")
             written = lvl.offset >= 0
-            big = self._level_bytes(lvl) > self._pin_threshold_bytes
-            if big and not written:
+            nbytes = self._level_bytes(lvl)
+            if nbytes > self._pin_threshold_bytes and not written:
                 raise TreeError(f"level {k}: too large for RAM but never written")
-            if written and lvl.nbytes <= 0:
-                raise TreeError(f"level {k}: written with a bad extent")
+            if nbytes <= self._pin_threshold_bytes and written:
+                raise TreeError(f"level {k}: fits the RAM pin but was written")
+            if written and lvl.nbytes != nbytes:
+                raise TreeError(
+                    f"level {k}: extent of {lvl.nbytes} bytes prices {nbytes}"
+                )
+
+
+_KEY, _VALUE = itemgetter(0), itemgetter(1)
+
+
+def _newest_wins(keys: Sequence[int], values: Sequence[Any]) -> Run:
+    """Pushes in arrival order as one sorted run: a later duplicate wins."""
+    if all(map(lt, keys, islice(keys, 1, None))):
+        return list(keys), list(values)
+    newest = dict(zip(keys, values))
+    keys = sorted(newest)
+    return keys, list(map(newest.__getitem__, keys))
 
 
 #: Registry entry (:mod:`repro.trees.registry`): ``node_bytes`` only prices

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from repro.errors import ConfigurationError, TreeError
 from repro.storage.device import BlockDevice
@@ -85,44 +85,53 @@ class LSMTree(KVTree):
         self._next_table_id = 0
         self.user_bytes_modified = 0
         self.compactions = 0
+        # The config is frozen: the geometry every mutation needs, read once.
+        self._entry_bytes = self.config.fmt.entry_bytes
+        self._memtable_entries = self.config.entries_per_memtable
 
     # -- write path ----------------------------------------------------------------
 
     def insert(self, key: int, value: Any) -> None:
         """Insert or overwrite ``key``."""
         self.memtable[key] = value
-        self.user_bytes_modified += self.config.fmt.entry_bytes
+        self.user_bytes_modified += self._entry_bytes
         self._maybe_flush()
 
-    def put_many(self, pairs: list[tuple[int, Any]]) -> None:
+    def put_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
         """Batched inserts: identical to a serial loop of :meth:`insert`.
 
-        The flush check still runs after every pair — a memtable can fill
-        mid-batch, and the flush/compaction schedule (hence every device
-        write) must match the serial loop exactly.
+        The memtable takes as many pairs at a time as it has room for.  A
+        pair adds at most one key, so it cannot fill before the last pair
+        of such a slice, and the flush — hence every device write — lands
+        after exactly the pair the serial loop flushes after.
         """
-        memtable = self.memtable
-        entry_bytes = self.config.fmt.entry_bytes
-        cap = self.config.entries_per_memtable
-        for key, value in pairs:
-            memtable[key] = value
-            self.user_bytes_modified += entry_bytes
+        if not isinstance(pairs, list):
+            pairs = list(pairs)
+        cap = self._memtable_entries
+        pos = 0
+        while pos < len(pairs):
+            memtable = self.memtable  # a flush swaps in a fresh dict
+            fill = pairs[pos : pos + cap - len(memtable)]
+            memtable.update(fill)
+            pos += len(fill)
+            self.user_bytes_modified += len(fill) * self._entry_bytes
             if len(memtable) >= cap:
                 self.flush_memtable()
-                memtable = self.memtable  # the flush swapped in a fresh dict
 
     def delete(self, key: int) -> None:
         """Delete ``key`` (tombstone)."""
         self.memtable[key] = TOMBSTONE
-        self.user_bytes_modified += self.config.fmt.entry_bytes
+        self.user_bytes_modified += self._entry_bytes
         self._maybe_flush()
 
     def _maybe_flush(self) -> None:
-        if len(self.memtable) >= self.config.entries_per_memtable:
+        if len(self.memtable) >= self._memtable_entries:
             self.flush_memtable()
 
     def load(self, pairs: list[tuple[int, Any]]) -> None:
         """Load through the write path (an LSM has no bulk load)."""
+        if self.memtable or any(self.levels):
+            raise TreeError("load requires an empty tree")
         self.put_many(pairs)
         self.flush_memtable()
 

@@ -140,6 +140,23 @@ def test_load_is_the_kinds_own_load_path(kind):
     new.check_invariants()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_load_requires_an_empty_tree(kind):
+    pairs = sorted_pairs(400)
+    tree = make(kind)
+    tree.load(pairs[:300])
+    loaded = accounting(tree)
+    with pytest.raises(TreeError):
+        tree.load(pairs[300:])
+    assert accounting(tree) == loaded
+    assert list(tree.items()) == pairs[:300]
+    # One pair on the write path is enough to refuse, wherever it sits.
+    tree = make(kind)
+    tree.insert(*pairs[0])
+    with pytest.raises(TreeError):
+        tree.load(pairs[1:])
+
+
 #: The kinds whose own load path is a ``bulk_load`` of sorted pairs.
 BULK_LOADERS = [kind for kind in KINDS if hasattr(make(kind), "bulk_load")]
 

@@ -11,8 +11,10 @@ read-only from ``benchmarks/perf``), draws each iteration's inputs from
 the workload's own streams, and runs the workload's own ``iteration`` once
 per kind — each kind alone, on the same inputs — so the walls are the
 timed regions the benchmark sums.  Prints the median host seconds per
-iteration of every kind and exits non-zero if the workload's dict-model
-oracle disagreed.  Timings are for sizing, not for claims: a claim is
+iteration of every kind, beside the seconds its one ``perfbench.trees.build``
+took (the per-kind split of ``setup_s``, timed by wrapping that function
+from here), and exits non-zero if the workload's dict-model oracle
+disagreed.  Timings are for sizing, not for claims: a claim is
 ``make perf-pairs``.
 """
 
@@ -23,6 +25,8 @@ import gc
 import statistics
 import sys
 from pathlib import Path
+from time import perf_counter
+from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("tree_write", "tree_read")
@@ -41,13 +45,25 @@ def parse(argv: list[str] | None) -> argparse.Namespace:
 
 
 def split(workload_name: str, seed: int, scale: float, iterations: int):
-    """``(run, {kind: [(ops, wall seconds), ...]})`` over ``iterations``."""
+    """``(run, {kind: [(ops, wall seconds), ...]}, {kind: load seconds})``
+    over ``iterations``."""
+    from perfbench import trees
     from perfbench.harness import Run
     from perfbench.workloads import workload_class
 
     run = Run(seed, scale)
     workload = workload_class(workload_name)(run)
-    workload.setup()
+    build = trees.build
+    load_s: dict[str, float] = {}
+
+    def timed_build(run, kind, pairs, **placement):
+        start = perf_counter()
+        built = build(run, kind, pairs, **placement)
+        load_s[kind] = perf_counter() - start
+        return built
+
+    with patch.object(trees, "build", timed_build):
+        workload.setup()
     built = workload.built
     samples: dict[str, list[tuple[int, float]]] = {bt.kind: [] for bt in built}
     # As in perfbench.harness.measure: the loaded trees are long-lived.
@@ -63,7 +79,7 @@ def split(workload_name: str, seed: int, scale: float, iterations: int):
         workload.finish()
     finally:
         gc.unfreeze()
-    return run, samples
+    return run, samples, load_s
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -71,20 +87,24 @@ def main(argv: list[str] | None = None) -> int:
     for path in (ROOT / "src", ROOT / "benchmarks" / "perf"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
-    run, samples = split(args.workload, args.seed, args.scale, args.iterations)
+    run, samples, load_s = split(args.workload, args.seed, args.scale, args.iterations)
     medians = {
         kind: statistics.median(wall for _, wall in runs) for kind, runs in samples.items()
     }
     total = sum(medians.values())
     print(
         f"{args.workload} seed {args.seed} scale {args.scale:g}: median host seconds "
-        f"per iteration over {args.iterations}, each kind alone"
+        f"per iteration over {args.iterations}, each kind alone; load s is the "
+        f"kind's one build inside set-up"
     )
-    print(f"  {'kind':<14}{'s/iteration':>12}{'us/op':>9}{'share':>8}")
+    print(f"  {'kind':<14}{'s/iteration':>12}{'us/op':>9}{'share':>8}{'load s':>9}")
     for kind, wall in medians.items():
         ops = statistics.median(ops for ops, _ in samples[kind])
-        print(f"  {kind:<14}{wall:>12.4f}{wall / ops * 1e6:>9.2f}{wall / total:>8.1%}")
-    print(f"  {'sum':<14}{total:>12.4f}")
+        print(
+            f"  {kind:<14}{wall:>12.4f}{wall / ops * 1e6:>9.2f}{wall / total:>8.1%}"
+            f"{load_s[kind]:>9.3f}"
+        )
+    print(f"  {'sum':<14}{total:>12.4f}{'':>17}{sum(load_s.values()):>9.3f}")
     for failure in run.failures:
         print(f"FAILED: {failure}", file=sys.stderr)
     return int(run.failed > 0)
