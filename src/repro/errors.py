@@ -62,7 +62,7 @@ class WALError(StorageError):
 
 
 class CacheError(StorageError):
-    """Buffer-cache invariant violation (e.g. unpinning an unpinned block)."""
+    """Buffer-cache invariant violation (e.g. fetching an unknown node id)."""
 
 
 class TreeError(ReproError):
@@ -71,10 +71,6 @@ class TreeError(ReproError):
 
 class KeyOrderError(TreeError):
     """Keys were supplied out of order where sorted order is required."""
-
-
-class NodeOverflowError(TreeError):
-    """A node exceeded its byte budget and could not be split."""
 
 
 class FitError(ReproError):

@@ -1,6 +1,6 @@
 """E9 — Theorem 9 ablation: where does the optimized query cost come from?
 
-Four configurations of the same Bε-tree, measured on the same workload:
+Three configurations of the same Bε-tree, measured on the same workload:
 
 1. ``naive``      — Lemma 8 tree, whole-node IOs: per level ``1 + alpha*B``.
 2. ``segments``   — per-child segments and basement chunks, but each node's
@@ -69,9 +69,9 @@ def _build(variant: str, storage: StorageStack, config: BeTreeConfig):
     if variant == "naive":
         return BeTree(storage, config)
     if variant == "segments":
-        return OptimizedBeTree(storage, config, segmented_io=True, pivots_in_parent=False)
+        return OptimizedBeTree(storage, config, pivots_in_parent=False)
     if variant == "theorem9":
-        return OptimizedBeTree(storage, config, segmented_io=True, pivots_in_parent=True)
+        return OptimizedBeTree(storage, config, pivots_in_parent=True)
     raise ValueError(f"unknown variant {variant!r}")
 
 

@@ -15,9 +15,13 @@ Two mechanisms, composable in one :class:`ResiliencePolicy`:
   a duplicate costs no throughput below the knee and converts the fault
   distribution's tail from "one draw" to "min of two draws".
 
-Policies are inert by themselves — :class:`~repro.faults.device.FaultyDevice`
-and :class:`~repro.storage.engine.ClosedLoopRunner` interpret them — and a
-:meth:`ResiliencePolicy.none` policy is a guaranteed no-op.
+Policies are inert by themselves.  Three places interpret them: the device
+(:class:`~repro.faults.device.FaultyDevice`, which
+:class:`~repro.storage.stack.StorageStack` attaches a policy to), the
+:class:`~repro.storage.scheduler.ReadAheadScheduler`, and the serving
+layer's :class:`~repro.serve.engine.RequestEngine`, which hedges a slow
+round onto a spare replica.  A :meth:`ResiliencePolicy.none` policy is a
+guaranteed no-op.
 """
 
 from __future__ import annotations
@@ -131,11 +135,6 @@ class ResiliencePolicy:
     def hedge_enabled(self) -> bool:
         """Whether slow reads are hedged at all."""
         return math.isfinite(self.hedge_deadline_seconds)
-
-    @property
-    def is_noop(self) -> bool:
-        """Whether this policy can never change an IO's outcome."""
-        return not self.retries_enabled and not self.hedge_enabled
 
     def describe(self) -> dict[str, Any]:
         """Stable JSON-able identity (infinities become None)."""

@@ -62,13 +62,11 @@ FLOW_ENTRY_FRAGMENTS: tuple[str, ...] = (
 #: as a checkable shape: the pair must coexist on the class, and the
 #: batch body must not touch state the scalar closure never does.
 #: Twin names follow the repo's actual API conventions: devices
-#: read/write, trees insert/get, the cache layer fetches with get and
-#: writes back with write_back.
+#: read/write, trees insert/get, the cache layer fetches with get.
 FLOW_BATCH_PAIRS: Mapping[str, str] = {
     "read_batch": "read",
     "write_batch": "write",
     "read_many": "get",
-    "write_many": "write_back",
     "get_many": "get",
     "put_many": "insert",
     "put_bulk": "insert",

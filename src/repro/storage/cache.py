@@ -27,6 +27,8 @@ steady-state hot path (hit, miss, evict) allocates nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Any, Hashable, Iterator, Sequence
 
 from repro.errors import CacheError, ConfigurationError
@@ -73,8 +75,7 @@ class _Entry:
     iteration order the previous ``OrderedDict`` implementation exposed.
     """
 
-    __slots__ = ("node_id", "obj", "offset", "nbytes", "dirty", "pins",
-                 "resident", "prev", "next")
+    __slots__ = ("node_id", "obj", "offset", "nbytes", "dirty", "resident", "prev", "next")
 
     def __init__(self, node_id: Hashable, obj: Any, offset: int, nbytes: int, dirty: bool) -> None:
         self.node_id = node_id
@@ -82,7 +83,6 @@ class _Entry:
         self.offset = offset
         self.nbytes = nbytes
         self.dirty = dirty
-        self.pins = 0
         self.resident = False
         self.prev: "_Entry | None" = None
         self.next: "_Entry | None" = None
@@ -161,12 +161,7 @@ class BufferCache:
     def _evict_until_fits(self) -> None:
         root = self._root
         while self.cached_bytes > self.capacity_bytes and self._n_resident > 1:
-            victim = root.next  # the LRU end; pinned entries are walked past
-            while victim.pins:
-                victim = victim.next
-                if victim is root:
-                    raise CacheError("cache over budget but every entry is pinned")
-            self._evict(victim)
+            self._evict(root.next)  # the LRU end
 
     def _evict(self, entry: _Entry) -> None:
         self._unlink(entry)
@@ -214,9 +209,8 @@ class BufferCache:
         """Combined touch: fault in if evicted, optionally resize and dirty.
 
         One index lookup replacing the ``contains`` → :meth:`get` →
-        :meth:`extent_of` → :meth:`update_extent` → :meth:`mark_dirty`
-        sequence the write paths used to issue per component, with
-        *identical* accounting at every step:
+        resize → :meth:`mark_dirty` sequence a write path would otherwise
+        issue per component, with *identical* accounting at every step:
 
         * a resident entry is **not** counted as a hit and not LRU-touched
           (matching ``contains``, which has no LRU effect);
@@ -224,8 +218,8 @@ class BufferCache:
           counter, device read, MRU admission, eviction);
         * ``nbytes`` (already rounded by the caller) resizes in place when
           it differs from the registered size, keeping the registered
-          offset — component slots are fixed — and marking dirty, exactly
-          like :meth:`update_extent`;
+          offset — component slots are fixed — and marking dirty, LRU
+          touch and eviction included;
         * ``dirty=True`` then applies :meth:`mark_dirty` (dirty bit + LRU
           touch).
         """
@@ -374,11 +368,11 @@ class BufferCache:
     def readmit_clean(self, items: "Sequence[tuple[Hashable, int, int]]") -> None:
         """Admit each ``(node_id, offset, nbytes)`` as resident and clean.
 
-        Equivalent to ``admit(id, None, offset, nbytes, dirty=False)``
-        followed by ``mark_clean(id)`` per item — the whole-node rewrite
-        pattern, where the caller has already charged one batched device
-        write for every component — fused to one index lookup per item.
-        Evictions interleave exactly as in the serial sequence.
+        Like ``admit(id, None, offset, nbytes, dirty=False)`` per item,
+        except that a resident entry's dirty bit is *cleared* rather than
+        kept — the whole-node rewrite pattern, where the caller has already
+        charged one batched device write for every component.  One index
+        lookup per item; evictions interleave as in a serial ``admit`` loop.
         """
         index = self._index
         for node_id, offset, nbytes in items:
@@ -415,41 +409,6 @@ class BufferCache:
         entry.dirty = True
         self._touch(entry)
 
-    def mark_clean(self, node_id: Hashable) -> None:
-        """Clear a resident node's dirty bit (caller wrote it back itself)."""
-        entry = self._index.get(node_id)
-        if entry is None or not entry.resident:
-            raise CacheError(f"cannot clean non-resident node {node_id!r}")
-        entry.dirty = False
-
-    def update_extent(self, node_id: Hashable, offset: int, nbytes: int) -> None:
-        """Change a resident node's device extent (after a realloc)."""
-        entry = self._index.get(node_id)
-        if entry is None or not entry.resident:
-            raise CacheError(f"cannot relocate non-resident node {node_id!r}")
-        if nbytes <= 0:
-            raise CacheError(f"node size must be positive, got {nbytes}")
-        self.cached_bytes += nbytes - entry.nbytes
-        entry.offset = offset
-        entry.nbytes = nbytes
-        entry.dirty = True
-        self._touch(entry)
-        self._evict_until_fits()
-
-    def pin(self, node_id: Hashable) -> None:
-        """Prevent eviction of a resident node until unpinned."""
-        entry = self._index.get(node_id)
-        if entry is None or not entry.resident:
-            raise CacheError(f"cannot pin non-resident node {node_id!r}")
-        entry.pins += 1
-
-    def unpin(self, node_id: Hashable) -> None:
-        """Release one pin."""
-        entry = self._index.get(node_id)
-        if entry is None or not entry.resident or entry.pins == 0:
-            raise CacheError(f"unpin of unpinned node {node_id!r}")
-        entry.pins -= 1
-
     def delete(self, node_id: Hashable) -> None:
         """Drop a node entirely (after a merge frees it); no write-back."""
         entry = self._index.pop(node_id, None)
@@ -466,78 +425,37 @@ class BufferCache:
             raise CacheError(f"unknown node id {node_id!r}")
         return entry.offset, entry.nbytes
 
-    def write_many(self, node_ids: "Sequence[Hashable]") -> float:
-        """Write back the listed nodes' dirty contents, in order; seconds spent.
-
-        The write-side counterpart of :meth:`get_many`: clean or
-        non-resident entries are skipped (their bytes are already on disk),
-        and runs of consecutive dirty entries with equal extent size are
-        charged through the device's vectorized
-        :meth:`~repro.storage.device.BlockDevice.write_batch`.  Because
-        ``write_batch`` is bit-identical to a serial loop of ``write`` on
-        every device model, the total — and the device's clock, stats and
-        RNG stream — match a serial ``device.write`` per dirty node
-        exactly.
-        """
-        spent = 0.0
-        run: list[_Entry] = []
-        run_nbytes = 0
-
-        def flush_run() -> None:
-            nonlocal spent, run_nbytes
-            if not run:
-                return
-            offsets = [e.offset for e in run]
-            for dt in self.device.write_batch(offsets, run_nbytes):
-                spent += dt
-            for e in run:
-                e.dirty = False
-            run.clear()
-            run_nbytes = 0
-
-        for node_id in node_ids:
-            entry = self._index.get(node_id)
-            if entry is None:
-                raise CacheError(f"unknown node id {node_id!r}")
-            if not entry.resident or not entry.dirty:
-                continue
-            if run and entry.nbytes != run_nbytes:
-                flush_run()
-            run.append(entry)
-            run_nbytes = entry.nbytes
-        flush_run()
-        self.io_seconds += spent
-        return spent
-
-    def write_back(self, node_id: Hashable) -> float:
-        """Write back one node's dirty contents; returns device seconds.
-
-        The scalar twin of :meth:`write_many`: a clean or non-resident
-        entry costs nothing, and ``write_many(ids)`` is an IO-schedule
-        optimisation of ``sum(write_back(i) for i in ids)``.
-        """
-        return self.write_many([node_id])
-
     def flush(self) -> float:
         """Write back every dirty resident node; returns device seconds.
 
         Write-back order is LRU-first — the same order the previous
         ``OrderedDict`` implementation flushed in, which matters because
         write order drives seek distances on mechanical devices.  Runs of
-        equal-size dirty nodes go through the batched write path (see
-        :meth:`write_many`), which is bit-identical to the serial loop.
+        consecutive dirty nodes with equal extent size are charged through
+        the device's vectorized
+        :meth:`~repro.storage.device.BlockDevice.write_batch`, which is
+        bit-identical to a serial ``device.write`` per node on every device
+        model — clock, stats and RNG stream included.
         """
-        return self.write_many([e.node_id for e in self._resident_lru_order()])
+        spent = 0.0
+        dirty = [e for e in self._resident_lru_order() if e.dirty]
+        for nbytes, group in groupby(dirty, key=attrgetter("nbytes")):
+            run = list(group)
+            for dt in self.device.write_batch([e.offset for e in run], nbytes):
+                spent += dt
+            for e in run:
+                e.dirty = False
+        self.io_seconds += spent
+        return spent
 
     def drop_clean(self) -> None:
-        """Evict every unpinned resident node (dirty ones are written back).
+        """Evict every resident node (dirty ones are written back).
 
         Used between the load phase and the measured phase of experiments to
         start from a cold cache.
         """
         for entry in self._resident_lru_order():
-            if entry.pins == 0:
-                self._evict(entry)
+            self._evict(entry)
 
     def check_invariants(self) -> None:
         """Assert byte accounting, list integrity and residency consistency."""
@@ -550,7 +468,7 @@ class BufferCache:
             assert e.next.prev is e and e.prev.next is e
         for e in self._index.values():
             if not e.resident:
-                assert e.prev is None and e.next is None and e.pins == 0
+                assert e.prev is None and e.next is None
 
     def __len__(self) -> int:
         return self._n_resident

@@ -28,14 +28,10 @@ the same thing deterministically (see DESIGN.md section 2).
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from repro.errors import ConfigurationError, TransientIOError
+from repro.errors import ConfigurationError
 from repro.obs import OBS
-
-if TYPE_CHECKING:  # pragma: no cover - the engine is below repro.faults
-    from repro.faults.policy import ResiliencePolicy
 
 
 class Resource:
@@ -65,14 +61,6 @@ class Resource:
         self.available_at = end
         self.busy_seconds += duration
         return end
-
-    def peek_start(self, at: float) -> float:
-        """When a job arriving at ``at`` would start, without reserving."""
-        return max(at, self.available_at)
-
-    def is_free(self, at: float) -> bool:
-        """Whether a job arriving at ``at`` would start immediately."""
-        return self.available_at <= at
 
     def reset(self) -> None:
         """Forget all reservations (new experiment on the same hardware)."""
@@ -110,11 +98,6 @@ class ResourcePool:
     def busy_seconds(self) -> float:
         """Total busy time over the pool, summed in slot order."""
         return sum(slot.busy_seconds for slot in self._slots)
-
-    @property
-    def max_available_at(self) -> float:
-        """The time the last resource in the pool frees up."""
-        return max(slot.available_at for slot in self._slots)
 
     # -- occupancy queries ---------------------------------------------------
 
@@ -154,82 +137,21 @@ class ClosedLoopRunner:
     service_batch:
         Optional ``service_batch(requests, issue_time) -> [completion_time]``
         servicing a *run* of requests that share one issue time, processed
-        in list order.  When given (and no policy is attached and
-        observability is off), the heap schedule dispatches each run of
-        tied events with one call instead of one Python call per request —
-        the event order, and therefore every timing, is identical to the
-        scalar path because heap ties pop in client-index order, which is
-        exactly the batch's list order.
-    policy:
-        Optional :class:`~repro.faults.policy.ResiliencePolicy`.  With one
-        attached, a service call that raises
-        :class:`~repro.errors.TransientIOError` is reissued after
-        exponential backoff (within the retry/timeout budget), and a
-        completion later than the hedge deadline triggers a duplicate
-        service call issued *at* the deadline, first completion winning.
-        ``None`` (default) leaves the hot loops exactly as before.
+        in list order.  When given (and observability is off), the heap
+        schedule dispatches each run of tied events with one call instead
+        of one Python call per request — the event order, and therefore
+        every timing, is identical to the scalar path because heap ties pop
+        in client-index order, which is exactly the batch's list order.
     """
 
     def __init__(
         self,
         service: Callable[[object, float], float],
         *,
-        single_server: bool = False,
-        policy: "ResiliencePolicy | None" = None,
         service_batch: "Callable[[list, float], Sequence[float]] | None" = None,
     ) -> None:
         self._service = service
         self._service_batch = service_batch
-        self._single_server = bool(single_server)
-        self._policy = None if policy is None or policy.is_noop else policy
-        self.retries = 0
-        self.hedges_issued = 0
-        self.hedge_wins = 0
-
-    def _resolve_service(self) -> Callable[[object, float], float]:
-        """The per-request callable: raw service, or the resilient wrapper."""
-        if self._policy is None:
-            return self._service
-        return self._serve_resilient
-
-    def _serve_resilient(self, request: object, issue_time: float) -> float:
-        """Apply retry and hedging around one service call.
-
-        Backoff waits are simulated time: attempt ``i`` is issued
-        ``backoff * multiplier**(i-1)`` after the previous failure.  A
-        duplicate (hedged) call reserves real resource time, exactly like
-        a duplicate IO on hardware would.
-        """
-        policy = self._policy
-        assert policy is not None
-        attempt = 0
-        backoff = policy.backoff_seconds
-        at = issue_time
-        while True:
-            try:
-                done = self._service(request, at)
-                break
-            except TransientIOError:
-                waited = (at + backoff) - issue_time
-                if attempt >= policy.max_retries or waited > policy.timeout_seconds:
-                    raise
-                at += backoff
-                backoff *= policy.backoff_multiplier
-                attempt += 1
-                self.retries += 1
-                if OBS.enabled:
-                    OBS.counter("io.retries").inc()
-        if policy.hedge_enabled and done - issue_time > policy.hedge_deadline_seconds:
-            self.hedges_issued += 1
-            if OBS.enabled:
-                OBS.counter("io.hedges_issued").inc()
-            duplicate = self._service(request, issue_time + policy.hedge_deadline_seconds)
-            if duplicate < done:
-                done = duplicate
-                self.hedge_wins += 1
-                if OBS.enabled:
-                    OBS.counter("io.hedge_wins").inc()
-        return done
 
     def run(self, client_streams: Sequence[Iterator[object]], start_time: float = 0.0) -> list[float]:
         """Run every client to exhaustion; return per-client finish times.
@@ -243,22 +165,11 @@ class ClosedLoopRunner:
             raise ConfigurationError("need at least one client stream")
         if OBS.enabled:
             OBS.gauge("engine.clients").set(len(client_streams))
-        if self._single_server or len(client_streams) == 1:
-            return self._run_single_server(client_streams, start_time)
-        return self._run_heap(client_streams, start_time)
-
-    def _run_heap(
-        self, client_streams: Sequence[Iterator[object]], start_time: float
-    ) -> list[float]:
-        service = self._resolve_service()
+        service = self._service
         # Batch dispatch changes neither event order nor arithmetic, but it
         # would change the per-request OBS gauge sequence, so the scalar
         # path stays authoritative whenever observability is recording.
-        service_batch = (
-            self._service_batch
-            if self._policy is None and not OBS.enabled
-            else None
-        )
+        service_batch = self._service_batch if not OBS.enabled else None
         iterators = [iter(s) for s in client_streams]
         finish = [start_time] * len(iterators)
         heap: list[tuple[float, int]] = []
@@ -309,61 +220,6 @@ class ClosedLoopRunner:
                 OBS.gauge("engine.queue_depth").set(len(heap) + 1)
                 OBS.histogram("engine.service_seconds").record(done - issue_time)
             heapq.heappush(heap, (done, idx))
-        return finish
-
-    def _run_single_server(
-        self, client_streams: Sequence[Iterator[object]], start_time: float
-    ) -> list[float]:
-        """Heap-free schedule for the one-shared-resource case.
-
-        With a single FIFO server and positive service times, completions
-        are strictly increasing in service order, so every serviced client
-        re-arrives strictly *behind* all currently waiting clients: the
-        next client to pop is always the head of a plain FIFO queue, and
-        no two queued events ever tie.  That makes the schedule a
-        round-robin deque rotation — identical event order to the heap
-        (whose ties, which cannot occur here, break by client index) at a
-        fraction of the cost.  Strict monotonicity is checked per
-        completion; a service function that violates it (multiple
-        independent resources, or zero-duration services that re-create
-        heap ties) raises rather than silently reordering events.  A
-        single client is trivially safe — rotation order is vacuous.
-        """
-        service = self._resolve_service()
-        iterators = [iter(s) for s in client_streams]
-        finish = [start_time] * len(iterators)
-        queue: deque[tuple[float, int]] = deque(
-            (start_time, idx) for idx in range(len(iterators))
-        )
-        check_order = len(iterators) > 1
-        last_done = start_time
-        while queue:
-            issue_time, idx = queue.popleft()
-            try:
-                request = next(iterators[idx])
-            except StopIteration:
-                finish[idx] = issue_time
-                continue
-            done = service(request, issue_time)
-            if done < issue_time:
-                raise ConfigurationError(
-                    f"service completed before issue ({done} < {issue_time}); "
-                    "service functions must be forward-in-time"
-                )
-            if check_order:
-                if done <= last_done:
-                    raise ConfigurationError(
-                        "single_server fast path needs strictly increasing "
-                        f"completions, got {done} after {last_done}; the "
-                        "service function is not a single FIFO resource with "
-                        "positive service times"
-                    )
-                last_done = done
-            if OBS.enabled:
-                OBS.counter("engine.requests").inc()
-                OBS.gauge("engine.queue_depth").set(len(queue) + 1)
-                OBS.histogram("engine.service_seconds").record(done - issue_time)
-            queue.append((done, idx))
         return finish
 
     def run_makespan(self, client_streams: Sequence[Iterator[object]]) -> float:

@@ -235,14 +235,11 @@ class SimulatedSSD(BlockDevice):
 
         This is the simulated analogue of the paper's "spawn p threads, each
         reads 10 GiB" benchmark: each client keeps one request outstanding.
-        A single-die device is one FIFO resource end to end, so it takes the
-        runner's heap-free fast path; multi-die devices hand runs of tied
-        arrivals to :meth:`service_request_batch` in one dispatch.
+        Runs of tied arrivals go to :meth:`service_request_batch` in one
+        dispatch.
         """
         runner = ClosedLoopRunner(
-            self.service_request,
-            single_server=self.geometry.total_dies == 1,
-            service_batch=self.service_request_batch,
+            self.service_request, service_batch=self.service_request_batch
         )
         return runner.run_makespan(client_streams)
 

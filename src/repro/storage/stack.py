@@ -137,24 +137,6 @@ class StorageStack:
             self.cache.get(node_id)
         self.cache.mark_dirty(node_id)
 
-    def write_many(self, node_ids: "Sequence[Hashable]") -> float:
-        """Write back the listed nodes' dirty contents; returns seconds spent.
-
-        The write-side counterpart of :meth:`read_many`: clean or evicted
-        entries are skipped and runs of equal-size dirty nodes go through
-        :meth:`~repro.storage.device.BlockDevice.write_batch`, which is
-        bit-identical to a serial write per node.
-        """
-        return self.cache.write_many(node_ids)
-
-    def write_back(self, node_id: Hashable) -> float:
-        """Write back one node's dirty contents; returns seconds spent.
-
-        The scalar twin of :meth:`write_many`; clean or evicted nodes
-        cost nothing.
-        """
-        return self.cache.write_back(node_id)
-
     def flush(self) -> float:
         """Write back all dirty nodes; returns simulated seconds spent."""
         return self.cache.flush()

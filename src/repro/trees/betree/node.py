@@ -103,10 +103,6 @@ class BeNode:
 
     # -- segment accounting ----------------------------------------------------
 
-    def segment_message_count(self, idx: int) -> int:
-        """Number of messages buffered for child ``idx``."""
-        return self.segments[idx].count
-
     def buffered_messages(self) -> int:
         """Total messages buffered in this node (O(1))."""
         return self.buffered_count
@@ -114,10 +110,6 @@ class BeNode:
     def recount(self) -> None:
         """Recompute ``buffered_count`` after direct ``segments`` surgery."""
         self.buffered_count = sum(s.count for s in self.segments)
-
-    def segment_bytes(self, idx: int, fmt: EntryFormat) -> int:
-        """Byte footprint of child ``idx``'s segment."""
-        return fmt.buffer_bytes(self.segments[idx].count)
 
     def nbytes(self, fmt: EntryFormat) -> int:
         """Whole-node byte footprint (leaf entries or pivots + buffer)."""

@@ -44,25 +44,24 @@ The LRU cache pages components in and out independently, which is the
 "sub-nodes paged in and out independently" behaviour the paper attributes
 to TokuDB.
 
-Construction flags make the E9 ablation possible:
+One construction flag makes the E9 ablation possible (its third arm, the
+naive whole-node tree, is :class:`~repro.trees.betree.tree.BeTree`):
 
-* ``segmented_io=False`` — charge like the naive tree (whole nodes).
-* ``segmented_io=True, pivots_in_parent=False`` — partial reads, but each
-  level needs two IOs (the node's own pivot area, then the segment).
-* ``segmented_io=True, pivots_in_parent=True`` — the full Theorem 9
-  design: one IO per level of ``1 + alpha*(B/F + F)``.
+* ``pivots_in_parent=False`` — partial reads, but each level needs two IOs
+  (the node's own pivot area, then the segment).
+* ``pivots_in_parent=True`` (default) — the full Theorem 9 design: one IO
+  per level of ``1 + alpha*(B/F + F)``.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 from typing import Any, Hashable
 
-from repro.errors import CacheError, ConfigurationError
+from repro.errors import CacheError
 from repro.storage.stack import StorageStack
 from repro.trees.api import TreeKind
-from repro.trees.betree.messages import Message, MessageOp
+from repro.trees.betree.messages import Message
 from repro.trees.betree.node import BeNode
 from repro.trees.betree.tree import BeTree, BeTreeConfig
 
@@ -81,14 +80,8 @@ class OptimizedBeTree(BeTree):
         storage: StorageStack,
         config: BeTreeConfig | None = None,
         *,
-        segmented_io: bool = True,
         pivots_in_parent: bool = True,
     ) -> None:
-        if pivots_in_parent and not segmented_io:
-            raise ConfigurationError(
-                "pivots_in_parent requires segmented_io (they share the segment read)"
-            )
-        self.segmented_io = bool(segmented_io)
         self.pivots_in_parent = bool(pivots_in_parent)
         self._nodes: dict[int, BeNode] = {}
         self._base: dict[int, int] = {}      # node id -> extent base offset
@@ -129,21 +122,9 @@ class OptimizedBeTree(BeTree):
         return self._seg_slot
 
     @property
-    def _pivot_slot_bytes(self) -> int:
-        return self._pivot_slot
-
-    @property
-    def _segment_slot_bytes(self) -> int:
-        return self._seg_slot
-
-    @property
     def basement_entries(self) -> int:
         """Entries per basement chunk (``~leaf_capacity / F``)."""
         return self._basement
-
-    @property
-    def _chunk_slot_bytes(self) -> int:
-        return self._chunk_slot
 
     #: Extent over-allocation factor: leaves can transiently exceed capacity
     #: between a flush application and the split it triggers.
@@ -165,9 +146,6 @@ class OptimizedBeTree(BeTree):
         flush/split machinery the moment anything overflows — so cache
         traffic, device IO and tree state match the base path exactly.
         """
-        if not self.segmented_io:
-            super()._put(msg)
-            return
         self.user_bytes_modified += self._entry_bytes
         root = self._nodes[self.root_id]
         if root.is_leaf:
@@ -210,83 +188,6 @@ class OptimizedBeTree(BeTree):
         if len(root.children) > self._max_children:
             self._split_internal(None, 0)
 
-    def put_many(self, pairs) -> None:
-        """Batched inserts: the fused ``_put`` body run in one loop frame.
-
-        Same contract as the base ``put_many`` — accounting identical to a
-        serial insert loop — with the per-message hot path inlined and its
-        ``self`` lookups hoisted.  The root reference is refreshed only
-        after the paths that can replace it (leaf application, root split).
-        """
-        if not self.segmented_io:
-            super().put_many(pairs)
-            return
-        make = Message
-        op = MessageOp.INSERT
-        access = self._access
-        nodes = self._nodes
-        entry_bytes = self._entry_bytes
-        msg_bytes = self._msg_bytes
-        key_bytes = self._key_bytes
-        pivot_bytes = self._pivot_bytes
-        header_bytes = self._header_bytes
-        basement = self._basement
-        budget = self._budget_msgs
-        seg_cap = self._seg_cap_msgs
-        max_children = self._max_children
-        pivots_in_parent = self.pivots_in_parent
-        bisect_right = bisect.bisect_right
-        seq = self._next_seq
-        root = nodes[self.root_id]
-        for key, value in pairs:
-            seq += 1
-            self._next_seq = seq
-            self.user_bytes_modified += entry_bytes
-            if root.is_leaf:
-                self._apply_to_leaf(None, 0, [make(seq, op, key, value)])
-                root = nodes[self.root_id]
-                seq = self._next_seq
-                continue
-            idx = bisect_right(root.pivots, key)
-            seg = root.segments[idx]
-            lst = seg.msgs.get(key)
-            if lst is None:
-                seg.msgs[key] = [make(seq, op, key, value)]
-            else:
-                lst.append(make(seq, op, key, value))
-            count = seg.count + 1
-            seg.count = count
-            root.buffered_count += 1
-            nbytes = count * msg_bytes
-            if pivots_in_parent:
-                child = nodes[root.children[idx]]
-                if child.is_leaf:
-                    # ceil(len/basement) is >= 1 for non-empty leaves; `or 1`
-                    # covers the transient-empty case without a max() call.
-                    nbytes += (-(-len(child.keys) // basement) or 1) * key_bytes
-                else:
-                    nbytes += header_bytes + len(child.children) * pivot_bytes
-            try:
-                # nbytes >= message_bytes > 0, so the rounded size is always
-                # >= _GRAIN and _round_grain's max() clamp is redundant here.
-                access(
-                    ("s", root.node_id, idx),
-                    ((nbytes + _GRAIN - 1) // _GRAIN) * _GRAIN,
-                    True,
-                )
-            except CacheError:
-                cid = ("s", root.node_id, idx)
-                raise CacheError(f"component {cid!r} was never created") from None
-            if budget is None:
-                budget = self._ensure_thresholds()
-                seg_cap = self._seg_cap_msgs
-            if root.buffered_count > budget or count > seg_cap:
-                self._flush_overflows(root)
-                if len(root.children) > max_children:
-                    self._split_internal(None, 0)
-                root = nodes[self.root_id]
-                seq = self._next_seq
-
     def _chunk_count(self, leaf: BeNode) -> int:
         per = self._basement
         return max(1, -(-len(leaf.keys) // per))
@@ -317,7 +218,7 @@ class OptimizedBeTree(BeTree):
         nid = node.node_id
         base = self._base[nid]
         if node.is_leaf:
-            slot = self._chunk_slot_bytes
+            slot = self._chunk_slot
             return [
                 (("b", nid, j), base + j * slot, self._chunk_bytes(node, j))
                 for j in range(self._chunk_count(node))
@@ -325,23 +226,13 @@ class OptimizedBeTree(BeTree):
         plan: list[tuple[Hashable, int, int]] = [
             (("p", nid), base, self._pivot_area_bytes(node))
         ]
-        seg_base = base + self._pivot_slot_bytes
-        slot = self._segment_slot_bytes
+        seg_base = base + self._pivot_slot
+        slot = self._seg_slot
         plan.extend(
             (("s", nid, i), seg_base + i * slot, self._segment_read_bytes(node, i))
             for i in range(len(node.segments))
         )
         return plan
-
-    def _slot_of(self, cid: Hashable) -> int:
-        """Slot offset of a component id (without building the full plan)."""
-        kind, nid = cid[0], cid[1]
-        base = self._base[nid]
-        if kind == "b":
-            return base + cid[2] * self._chunk_slot
-        if kind == "p":
-            return base
-        return base + self._pivot_slot + cid[2] * self._seg_slot
 
     # -- charging primitives -------------------------------------------------------
 
@@ -403,9 +294,6 @@ class OptimizedBeTree(BeTree):
     # -- storage hooks overridden from BeTree ---------------------------------------
 
     def _create_storage(self, node: BeNode) -> None:
-        if not self.segmented_io:
-            super()._create_storage(node)
-            return
         nid = node.node_id
         self._nodes[nid] = node
         extent = self.config.node_bytes * self._EXTENT_SLACK
@@ -417,34 +305,20 @@ class OptimizedBeTree(BeTree):
             self._parts[nid].append(cid)
 
     def _get(self, node_id: int) -> BeNode:
-        if not self.segmented_io:
-            return super()._get(node_id)
         return self._nodes[node_id]
 
     def _dirty(self, node: BeNode) -> None:
-        if not self.segmented_io:
-            super()._dirty(node)
-            return
         self._rewrite_node(node)
 
     def _dirty_segment(self, node: BeNode, idx: int) -> None:
-        if not self.segmented_io:
-            super()._dirty_segment(node, idx)
-            return
         self._touch(("s", node.node_id, idx), self._segment_read_bytes(node, idx), dirty=True)
 
     def _dirty_pivots(self, node: BeNode) -> None:
-        if not self.segmented_io:
-            super()._dirty_pivots(node)
-            return
         # Pivot/segment arities changed: component positions shifted; a
         # split rewrites the node in a real system too.
         self._rewrite_node(node)
 
     def _free(self, node: BeNode) -> None:
-        if not self.segmented_io:
-            super()._free(node)
-            return
         nid = node.node_id
         for cid in self._parts.pop(nid, []):
             self.storage.cache.delete(cid)
@@ -459,8 +333,6 @@ class OptimizedBeTree(BeTree):
         the segment for ``key``'s child — which under Theorem 9's placement
         carries that child's pivots, and otherwise is followed by a second
         IO for the child's own pivot area — then one basement chunk."""
-        if not self.segmented_io:
-            return super()._lookup(key)
         nodes = self._nodes
         access = self._access
         own_pivots = not self.pivots_in_parent
@@ -493,8 +365,6 @@ class OptimizedBeTree(BeTree):
         return self._answer(node, i, key, msgs)
 
     def _read_for_range(self, node_id: int) -> BeNode:
-        if not self.segmented_io:
-            return super()._read_for_range(node_id)
         node = self._nodes[node_id]
         cache = self.storage.cache
         # A range scan streams the whole node: one batched read of whatever

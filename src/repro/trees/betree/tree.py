@@ -155,9 +155,6 @@ class BeTree(KVTree):
     def _dirty_pivots(self, node: BeNode) -> None:
         self.storage.mark_dirty(node.node_id)
 
-    def _dirty_leaf_range(self, leaf: BeNode, lo_idx: int, hi_idx: int) -> None:
-        self.storage.mark_dirty(leaf.node_id)
-
     def _free(self, node: BeNode) -> None:
         self.storage.destroy(node.node_id)
 

@@ -1,8 +1,8 @@
 """The no-fault identity invariant (ISSUE acceptance criterion).
 
 Wrapping a device in a zero :class:`FaultPlan` — or attaching a no-op
-policy, or constructing the scheduler/engine with no plan — must leave
-every simulated timing byte-identical to the unwrapped code path.  These
+policy, or constructing the scheduler with no plan — must leave every
+simulated timing byte-identical to the unwrapped code path.  These
 tests pin exact float equality, not approx: the fault layer is only
 allowed to *exist* for free.
 """
@@ -11,7 +11,6 @@ from repro.experiments.common import build_load, measure_tree_ops
 from repro.experiments.devices import default_hdd
 from repro.faults import FaultPlan, FaultyDevice, ResiliencePolicy
 from repro.models.pdam import PDAMModel
-from repro.storage.engine import ClosedLoopRunner, Resource
 from repro.storage.ideal import PDAMDevice
 from repro.storage.scheduler import ReadAheadScheduler
 from repro.storage.stack import StorageStack
@@ -75,12 +74,3 @@ class TestSchedulerByteIdentity:
     def test_none_policy_changes_nothing(self):
         assert self._drive(None) == self._drive(None, ResiliencePolicy.none())
 
-
-class TestEngineByteIdentity:
-    def _run(self, policy):
-        r = Resource()
-        runner = ClosedLoopRunner(lambda req, at: r.acquire(at, req), policy=policy)
-        return runner.run([[0.5, 1.0, 0.25] * 10, [1.0] * 20])
-
-    def test_none_policy_equals_no_policy(self):
-        assert self._run(None) == self._run(ResiliencePolicy.none())

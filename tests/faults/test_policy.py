@@ -14,13 +14,11 @@ class TestStockPolicies:
 
     def test_none_is_noop(self):
         p = ResiliencePolicy.none()
-        assert p.is_noop
         assert not p.retries_enabled and not p.hedge_enabled
 
     def test_retry_enables_retries_only(self):
         p = ResiliencePolicy.retry(max_retries=3, backoff_seconds=1e-3)
         assert p.retries_enabled and not p.hedge_enabled
-        assert not p.is_noop
 
     def test_hedged_keeps_retries_on(self):
         p = ResiliencePolicy.hedged(5e-3)

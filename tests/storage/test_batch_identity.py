@@ -422,14 +422,13 @@ class TestResourcePoolContract:
             now += rnd.random()
             idx, dur = rnd.randrange(count), rnd.choice([0.0, rnd.random() * count])
             assert pool.acquire(idx, now, dur) == ref[idx].acquire(now, dur)
-            free = [i for i, r in enumerate(ref) if r.is_free(now)]
+            free = [i for i, r in enumerate(ref) if r.available_at <= now]
             assert pool.free_slots(now) == len(free)
             assert pool.first_free(now) == (free[0] if free else None)
             for exclude in free[:2] + [rnd.randrange(count)]:
                 rest = [i for i in free if i != exclude]
                 assert pool.first_free(now, exclude=exclude) == (rest[0] if rest else None)
             assert pool.next_available_at() == min(r.available_at for r in ref)
-            assert pool.max_available_at == max(r.available_at for r in ref)
             assert pool.busy_seconds == sum(r.busy_seconds for r in ref)
         for i in range(count):
             assert pool[i].available_at == ref[i].available_at
@@ -453,8 +452,8 @@ class TestResourcePoolContract:
         assert pool.free_slots(1.0) == 0
 
 
-class TestWriteMany:
-    """Stack/cache ``write_many``: batched write-back, serial accounting."""
+class TestFlush:
+    """``flush``: write-back in runs of equal-size nodes, serial accounting."""
 
     def _stack(self, n_nodes=12, nbytes=4096, cache_bytes=1 << 20):
         from repro.storage.stack import StorageStack
@@ -465,38 +464,25 @@ class TestWriteMany:
             stack.mark_dirty(i)
         return stack
 
-    def test_batched_runs_match_singleton_batches(self):
-        # One big write_many must equal per-node calls: run batching only
-        # groups equal-size extents, it never changes timing or order.
-        ids = list(range(12))
+    def test_batched_runs_match_serial_writes(self):
+        # Run batching only groups equal-size extents; it never changes
+        # timing or order: one device.write per dirty node, LRU first.
         ref = self._stack()
-        ref_total = sum(ref.write_many([i]) for i in ids)
+        dirty = [e for e in ref.cache._resident_lru_order() if e.dirty]
+        ref_total = 0.0
+        for e in dirty:
+            ref_total += ref.device.write(e.offset, e.nbytes)
         stack = self._stack()
-        assert stack.write_many(ids) == ref_total
+        assert stack.flush() == ref_total
         assert stack.device.clock == ref.device.clock
         assert vars(stack.device.stats) == vars(ref.device.stats)
-        assert stack.io_seconds == ref.io_seconds
+        assert _state(stack.device) == _state(ref.device)
 
-    def test_clean_and_repeated_ids_are_skipped(self):
+    def test_second_flush_is_free(self):
         stack = self._stack()
-        spent = stack.write_many(list(range(12)))
-        assert spent > 0
-        assert stack.write_many(list(range(12))) == 0.0  # all clean now
+        assert stack.flush() > 0
+        assert stack.flush() == 0.0  # all clean now
         assert stack.device.stats.writes == 12
-
-    def test_unknown_id_raises(self):
-        from repro.errors import CacheError
-
-        stack = self._stack()
-        with pytest.raises(CacheError):
-            stack.write_many([0, 999])
-
-    def test_flush_equals_write_many_of_all(self):
-        ref = self._stack()
-        ref_spent = ref.write_many(list(range(12)))
-        stack = self._stack()
-        assert stack.flush() == ref_spent
-        assert stack.device.clock == ref.device.clock
 
 
 class TestUnknownIdOnTheReadPath:

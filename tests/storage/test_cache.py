@@ -1,4 +1,4 @@
-"""Buffer-cache tests: LRU, dirty write-back, pinning, accounting."""
+"""Buffer-cache tests: LRU, dirty write-back, accounting."""
 
 import pytest
 
@@ -99,19 +99,28 @@ class TestDirtyAndExtents:
             cache.mark_dirty("ghost")
 
     def test_mark_clean(self):
+        # A caller that wrote a node back itself re-admits it clean: its
+        # eviction then costs nothing.
         cache, dev = make(capacity=250)
         cache.insert("a", "a", 0, 100, dirty=True)
-        cache.mark_clean("a")
-        cache.insert("b", "b", 100, 100)
-        cache.insert("c", "c", 200, 100)
-        assert dev.stats.writes == 0 or dev.stats.bytes_written < 300
+        cache.readmit_clean([("a", 0, 100)])
+        cache.insert("b", "b", 100, 100, dirty=False)
+        cache.insert("c", "c", 200, 100, dirty=False)  # evicts a
+        assert not cache.contains("a")
+        assert dev.stats.writes == 0 and cache.stats.dirty_evictions == 0
 
     def test_update_extent(self):
-        cache, _ = make()
-        cache.insert("a", "a", 0, 100)
-        cache.update_extent("a", 500, 300)
-        assert cache.extent_of("a") == (500, 300)
-        assert cache.cached_bytes == 300
+        # ``access`` resizes in place: the offset (a fixed slot) stays, the
+        # node turns dirty and the byte budget follows the new size.
+        cache, dev = make(capacity=350)
+        cache.insert("a", "a", 0, 100, dirty=False)
+        cache.insert("b", "b", 100, 100, dirty=False)
+        assert cache.access("a", 300) == "a"
+        assert cache.extent_of("a") == (0, 300)
+        assert not cache.contains("b")  # evicted to make room
+        assert cache.cached_bytes == 300 and dev.stats.reads == 0
+        cache.drop_clean()
+        assert dev.stats.bytes_written == 300
 
     def test_extent_of_on_disk(self):
         cache, _ = make(capacity=150)
@@ -146,80 +155,6 @@ class TestDirtyAndExtents:
         assert len(cache) == 0
         assert dev.stats.writes == 1  # dirty write-back on the way out
         assert cache.get("a") == "a"  # still reachable from disk
-
-
-class TestPinning:
-    def test_pinned_survives_pressure(self):
-        cache, _ = make(capacity=250)
-        cache.insert("a", "a", 0, 100)
-        cache.pin("a")
-        cache.insert("b", "b", 100, 100)
-        cache.insert("c", "c", 200, 100)
-        assert cache.contains("a")
-        cache.unpin("a")
-
-    def test_unpin_unpinned_rejected(self):
-        cache, _ = make()
-        cache.insert("a", "a", 0, 100)
-        with pytest.raises(CacheError):
-            cache.unpin("a")
-
-    def test_all_pinned_over_budget_raises(self):
-        cache, _ = make(capacity=200)
-        cache.insert("a", "a", 0, 100)
-        cache.pin("a")
-        cache.insert("b", "b", 100, 90)
-        cache.pin("b")
-        # Growing a pinned entry pushes the cache over budget with every
-        # entry pinned: no victim exists.
-        with pytest.raises(CacheError):
-            cache.update_extent("b", 100, 150)
-
-    def test_victim_is_first_unpinned_from_the_lru_end(self):
-        cache, _ = make(capacity=500)
-        for i, name in enumerate("abcde"):  # LRU order a..e
-            cache.insert(name, name, i * 100, 100, dirty=False)
-        cache.pin("a")  # the LRU head
-        cache.pin("c")  # the middle
-        cache.insert("f", "f", 500, 100, dirty=False)
-        assert [cache.contains(n) for n in "abcdef"] == [True, False, True, True, True, True]
-        cache.insert("g", "g", 600, 100, dirty=False)  # walks past a and c
-        assert [cache.contains(n) for n in "abcdefg"] == [
-            True, False, True, False, True, True, True,
-        ]
-        cache.insert("h", "h", 700, 250, dirty=False)  # one admission, three victims
-        assert [n for n in "abcdefgh" if cache.contains(n)] == ["a", "c", "h"]
-        assert cache.stats.evictions == 5
-        cache.check_invariants()
-
-    def test_all_pinned_over_budget_evicts_nothing(self):
-        cache, dev = make(capacity=200)
-        for i, name in enumerate("ab"):
-            cache.insert(name, name, i * 100, 100)
-            cache.pin(name)
-        with pytest.raises(CacheError, match="every entry is pinned"):
-            cache.update_extent("b", 100, 150)
-        # The failed search for a victim changed nothing: both entries are
-        # still resident and accounted for, and nothing was written back.
-        assert cache.contains("a") and cache.contains("b")
-        assert cache.cached_bytes == 250 and len(cache) == 2
-        assert cache.stats.evictions == 0 and dev.stats.writes == 0
-        cache.check_invariants()
-
-    def test_dirty_victim_behind_a_pin_is_written_back_exactly_once(self):
-        cache, dev = make(capacity=300)
-        cache.insert("p", "p", 0, 100, dirty=False)
-        cache.pin("p")
-        cache.insert("v", "v", 100, 100)  # dirty
-        cache.insert("x", "x", 200, 100, dirty=False)
-        cache.insert("y", "y", 300, 100, dirty=False)  # evicts v, past pinned p
-        assert not cache.contains("v")
-        assert dev.stats.writes == 1 and cache.stats.dirty_evictions == 1
-        cache.get("v")  # back in, clean: evicts x
-        cache.insert("z", "z", 400, 100, dirty=False)  # evicts y
-        cache.insert("w", "w", 500, 100, dirty=False)  # evicts v again, clean now
-        assert not cache.contains("v")
-        assert dev.stats.writes == 1 and cache.stats.dirty_evictions == 1
 
 
 class TestDelete:

@@ -1,9 +1,17 @@
 """Discrete-event engine tests."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.storage.engine import ClosedLoopRunner, Resource, ResourcePool
+
+
+def _random_streams(seed):
+    """Six clients, each with 1-11 services of 0.01-2.0 s."""
+    rng = random.Random(seed)
+    return [[rng.uniform(0.01, 2.0) for _ in range(rng.randrange(1, 12))] for _ in range(6)]
 
 
 class TestResource:
@@ -26,12 +34,6 @@ class TestResource:
         with pytest.raises(ConfigurationError):
             Resource().acquire(0.0, -1.0)
 
-    def test_peek_does_not_reserve(self):
-        r = Resource()
-        r.acquire(0.0, 5.0)
-        assert r.peek_start(1.0) == 5.0
-        assert r.available_at == 5.0
-
     def test_reset(self):
         r = Resource()
         r.acquire(0.0, 5.0)
@@ -51,7 +53,6 @@ class TestResourcePool:
         pool[1].acquire(0.0, 3.0)
         assert len(pool) == 2
         assert pool.busy_seconds == 5.0
-        assert pool.max_available_at == 3.0
 
     def test_zero_count_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -79,10 +80,11 @@ class TestClosedLoopRunner:
         assert finish == [6.0]
 
     def test_two_clients_share_one_resource(self):
+        # Fully serialized: client 0 holds the server over [0,1], [2,3], ...,
+        # [8,9]; client 1 waits behind it each time and ends at 10.
         r = Resource()
         runner = ClosedLoopRunner(lambda req, at: r.acquire(at, req))
-        makespan = runner.run_makespan([[1.0] * 5, [1.0] * 5])
-        assert makespan == pytest.approx(10.0)  # fully serialized
+        assert runner.run([[1.0] * 5, [1.0] * 5]) == [9.0, 10.0]
 
     def test_two_clients_on_independent_resources(self):
         pool = ResourcePool(2)
@@ -111,68 +113,50 @@ class TestClosedLoopRunner:
         runner = ClosedLoopRunner(lambda req, at: at - 1.0)
         with pytest.raises(ConfigurationError):
             runner.run([[1]])
+        # A run of tied arrivals handed to ``service_batch`` is checked too.
+        runner = ClosedLoopRunner(
+            lambda req, at: at + 1.0,
+            service_batch=lambda reqs, at: [at - 1.0 for _ in reqs],
+        )
+        with pytest.raises(ConfigurationError):
+            runner.run([[1], [1]])
 
-
-class TestSingleServerFastPath:
-    def _compare(self, streams, **kwargs):
-        """Heap and deque paths over one shared Resource must agree exactly."""
-        results = []
-        for single_server in (False, True):
-            r = Resource()
-            runner = ClosedLoopRunner(
-                lambda req, at, r=r: r.acquire(at, req), single_server=single_server
-            )
-            results.append(runner.run([list(s) for s in streams], **kwargs))
-        assert results[0] == results[1]
-        return results[0]
-
-    def test_matches_heap_equal_streams(self):
-        finish = self._compare([[1.0] * 5, [1.0] * 5])
-        assert max(finish) == pytest.approx(10.0)
-
-    def test_matches_heap_ragged_streams(self):
-        self._compare([[0.5, 2.0], [1.0], [0.25, 0.25, 3.0, 0.125]])
-
-    def test_matches_heap_random_durations(self):
-        import random
-
-        rng = random.Random(7)
-        streams = [
-            [rng.uniform(0.01, 2.0) for _ in range(rng.randrange(1, 12))]
-            for _ in range(6)
-        ]
-        self._compare(streams)
-
-    def test_matches_heap_nonzero_start(self):
-        self._compare([[1.0, 1.0], [2.0]], start_time=5.0)
-
-    def test_single_client_auto_fast_path(self):
-        # One client takes the deque path even without single_server=True,
-        # and zero-duration services are fine there (no ordering to break).
+    def test_single_client_zero_duration_services(self):
         runner = ClosedLoopRunner(lambda req, at: at + req)
         assert runner.run([[0.0, 1.0, 0.0]]) == [1.0]
 
-    def test_guard_rejects_nonmonotone_completions(self):
-        # Two independent resources: completions interleave out of order.
-        pool = ResourcePool(2)
-        runner = ClosedLoopRunner(
-            lambda req, at: pool[req[0]].acquire(at, req[1]), single_server=True
-        )
-        with pytest.raises(ConfigurationError):
-            runner.run([[(0, 5.0), (0, 5.0)], [(1, 1.0), (1, 1.0), (1, 1.0)]])
-
-    def test_guard_rejects_zero_duration_ties(self):
+    @pytest.mark.parametrize(
+        "streams, start_time",
+        [
+            pytest.param([[1.0] * 5, [1.0] * 5], 0.0, id="equal"),
+            pytest.param([[0.5, 2.0], [1.0], [0.25, 0.25, 3.0, 0.125]], 0.0, id="ragged"),
+            pytest.param([[1.0, 1.0], [2.0]], 5.0, id="nonzero_start"),
+            pytest.param([[0.0, 0.0], [1.0]], 0.0, id="zero_duration_ties"),
+            pytest.param(_random_streams(7), 0.0, id="random"),
+        ],
+    )
+    def test_one_resource_matches_fifo_reference(self, streams, start_time):
         r = Resource()
-        runner = ClosedLoopRunner(
-            lambda req, at: r.acquire(at, req), single_server=True
-        )
-        with pytest.raises(ConfigurationError):
-            runner.run([[0.0, 0.0], [1.0]])
+        runner = ClosedLoopRunner(lambda req, at: r.acquire(at, req))
+        finish = runner.run([list(s) for s in streams], start_time)
+        assert finish == _fifo_reference(streams, start_time)
 
-    def test_backwards_service_rejected_on_fast_path(self):
-        runner = ClosedLoopRunner(lambda req, at: at - 1.0, single_server=True)
-        with pytest.raises(ConfigurationError):
-            runner.run([[1]])
+
+def _fifo_reference(streams, start_time):
+    """Closed-loop clients on one FIFO server, by linear scan: the next event
+    is the earliest issue time, ties going to the lowest client index."""
+    pending = [list(s) for s in streams]
+    issue = [start_time] * len(streams)
+    finish = [None] * len(streams)
+    free_at = 0.0
+    while any(f is None for f in finish):
+        i = min((i for i, f in enumerate(finish) if f is None), key=lambda i: (issue[i], i))
+        if not pending[i]:
+            finish[i] = issue[i]
+            continue
+        free_at = max(issue[i], free_at) + pending[i].pop(0)
+        issue[i] = free_at
+    return finish
 
 
 class TestValueErrorContract:
@@ -239,84 +223,12 @@ class TestRunnerEdgeCases:
         assert r.busy_seconds > 0.0
 
     def test_single_server_vs_heap_mixed_workload(self):
+        # Long and short services interleaved on one server: the heap
+        # schedule against the single-server FIFO reference.
         streams = [[0.1, 5.0, 0.1], [1.0, 1.0, 1.0, 1.0], [2.5], [0.01] * 8]
-        results = []
-        for single_server in (False, True):
-            r = Resource()
-            runner = ClosedLoopRunner(
-                lambda req, at, r=r: r.acquire(at, req), single_server=single_server
-            )
-            results.append(runner.run([list(s) for s in streams]))
-        assert results[0] == results[1]
-
-
-class TestRunnerResilience:
-    """ClosedLoopRunner with a ResiliencePolicy: retry and hedged service."""
-
-    def test_retry_recovers_flaky_service(self):
-        from repro.errors import TransientIOError
-        from repro.faults import ResiliencePolicy
-
         r = Resource()
-        calls = {"n": 0}
-
-        def service(req, at):
-            calls["n"] += 1
-            if calls["n"] % 3 == 1:
-                raise TransientIOError("flaky")
-            return r.acquire(at, req)
-
-        runner = ClosedLoopRunner(
-            service,
-            policy=ResiliencePolicy.retry(max_retries=4, backoff_seconds=0.5),
-        )
-        finish = runner.run([[1.0, 1.0]])
-        assert runner.retries > 0
-        assert finish[0] > 2.0  # backoff waits are simulated time
-
-    def test_retry_exhaustion_propagates(self):
-        from repro.errors import TransientIOError
-        from repro.faults import ResiliencePolicy
-
-        def service(req, at):
-            raise TransientIOError("always down")
-
-        runner = ClosedLoopRunner(
-            service, policy=ResiliencePolicy.retry(max_retries=2, backoff_seconds=0.1)
-        )
-        with pytest.raises(TransientIOError):
-            runner.run([[1.0]])
-        assert runner.retries == 2
-
-    def test_hedged_duplicate_wins(self):
-        from repro.faults import ResiliencePolicy
-
-        pool = ResourcePool(2)
-        pool[0].acquire(0.0, 100.0)  # primary path starts deeply backlogged
-        calls = {"n": 0}
-
-        def service(req, at):
-            i = min(calls["n"], 1)
-            calls["n"] += 1
-            return pool[i].acquire(at, req)
-
-        runner = ClosedLoopRunner(service, policy=ResiliencePolicy.hedged(1.0))
-        finish = runner.run([[2.0]])
-        # Primary would complete at 102; the duplicate issued at the 1.0s
-        # deadline on the idle resource completes at 3.0 and wins.
-        assert finish == [3.0]
-        assert runner.hedges_issued == 1
-        assert runner.hedge_wins == 1
-
-    def test_noop_policy_skips_wrapper(self):
-        from repro.faults import ResiliencePolicy
-
-        r = Resource()
-        runner = ClosedLoopRunner(
-            lambda req, at: r.acquire(at, req), policy=ResiliencePolicy.none()
-        )
-        assert runner._policy is None
-        assert runner.run([[1.0, 1.0]]) == [2.0]
+        runner = ClosedLoopRunner(lambda req, at: r.acquire(at, req))
+        assert runner.run([list(s) for s in streams]) == _fifo_reference(streams, 0.0)
 
 
 class TestPoolOccupancy:
@@ -347,11 +259,13 @@ class TestPoolOccupancy:
         assert pool.first_free(4.0) == 0
 
     def test_is_free_matches_acquire_semantics(self):
-        r = Resource()
-        assert r.is_free(0.0)
-        r.acquire(0.0, 3.0)
-        assert not r.is_free(2.999)
-        assert r.is_free(3.0)  # a job arriving exactly at free time starts now
+        pool = ResourcePool(1)
+        assert pool.free_slots(0.0) == 1
+        pool[0].acquire(0.0, 3.0)
+        assert pool.free_slots(2.999) == 0 and pool.first_free(2.999) is None
+        # A job arriving exactly at free time starts now.
+        assert pool.free_slots(3.0) == 1 and pool.first_free(3.0) == 0
+        assert pool[0].acquire(3.0, 1.0) == 4.0
 
     def test_next_available_at(self):
         pool = ResourcePool(2)
@@ -364,8 +278,6 @@ class TestPoolOccupancy:
     def test_query_driven_dispatch_matches_resource_list(self, count):
         # The serve layer's loop: take the first free slot, else wait for
         # the earliest one — against a hand-rolled list of Resource.
-        import random
-
         rnd = random.Random(count)
         pool, ref = ResourcePool(count), [Resource() for _ in range(count)]
         now = 0.0
@@ -384,7 +296,6 @@ class TestPoolOccupancy:
                 assert pool.first_free(now, exclude=free[0]) is None
             dur = rnd.random()
             assert pool[idx].acquire(now, dur) == ref[idx].acquire(now, dur)
-            assert pool.max_available_at == max(r.available_at for r in ref)
             assert pool.busy_seconds == sum(r.busy_seconds for r in ref)
 
     def test_accessors_do_not_reserve(self):

@@ -1,9 +1,7 @@
 """Theorem 9 Bε-tree tests: correctness parity plus IO-size assertions."""
 
 import numpy as np
-import pytest
 
-from repro.errors import ConfigurationError
 from repro.models.affine import AffineModel
 from repro.storage.ideal import AffineDevice
 from repro.storage.ram import NullDevice
@@ -19,16 +17,12 @@ def make(node_bytes=8192, fanout=4, cache_bytes=1 << 20, device=None, **flags):
 
 
 class TestConstruction:
-    def test_pivots_in_parent_requires_segments(self):
-        with pytest.raises(ConfigurationError):
-            make(segmented_io=False, pivots_in_parent=True)
-
     def test_slot_geometry(self):
         tree, _ = make(node_bytes=8192, fanout=4)
         assert tree.segment_cap_bytes > 0
         assert tree.basement_entries >= 1
         # All segment slots plus the pivot slot fit in the node.
-        total = tree._pivot_slot_bytes + tree.config.max_children * tree._segment_slot_bytes
+        total = tree._pivot_slot + tree.config.max_children * tree._seg_slot
         assert total <= tree.config.node_bytes
 
 
@@ -89,11 +83,9 @@ class TestCorrectnessParity:
         assert tree.range(lo, hi) == expected
 
     def test_ablation_flags_preserve_correctness(self):
-        for flags in (
-            dict(segmented_io=True, pivots_in_parent=False),
-            dict(segmented_io=False, pivots_in_parent=False),
-        ):
-            tree, _ = make(**flags)
+        # E9's two OptimizedBeTree arms (its third is the naive BeTree).
+        for pivots_in_parent in (True, False):
+            tree, _ = make(pivots_in_parent=pivots_in_parent)
             ref = self._drive(tree, seed=4)
             tree.check_invariants()
             assert dict(tree.items()) == ref
@@ -175,7 +167,7 @@ class TestWriteAccounting:
         reads = [r for r in device.trace if r.kind == "read"]
         assert writes
         # Batched whole-node writes exist (bigger than any single slot).
-        assert max(w.nbytes for w in writes) > tree._segment_slot_bytes
+        assert max(w.nbytes for w in writes) > tree._seg_slot
         assert len(reads) + len(writes) < 20_000  # amortization happened
 
     def test_extent_freed_on_node_free(self):

@@ -22,7 +22,7 @@ import pytest
 from repro.experiments.devices import default_hdd
 from repro.storage.stack import StorageStack
 from repro.trees import KINDS, build
-from repro.trees.betree import BeTreeConfig, OptimizedBeTree
+from repro.trees.betree import BeTree, BeTreeConfig, OptimizedBeTree
 from repro.trees.merge import TOMBSTONE
 from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
 
@@ -48,23 +48,21 @@ BUILD = {
 assert set(BUILD) == set(KINDS)
 
 
-def _betree(device, **flags):
+def _betree(cls, device, **flags):
     sizes = BUILD["betree"]
     stack = StorageStack(device, sizes["cache_bytes"])
     config = BeTreeConfig(node_bytes=sizes["node_bytes"], fanout=sizes["fanout"])
-    return OptimizedBeTree(stack, config, **flags)
+    return cls(stack, config, **flags)
 
 
-#: Every registered kind, the COLA's multi-probe search, and the two Bε
-#: charging modes E9 ablates (the registry's ``betree`` is the third: both on).
+#: Every registered kind, the COLA's multi-probe search, and the two other
+#: Bε-trees E9 ablates (the registry's ``betree`` is its Theorem 9 arm).
 CASES = {
     **{kind: (lambda device, kind=kind: build(kind, device, **BUILD[kind])) for kind in KINDS},
     "cola-unfenced": lambda device: build("cola", device, fence_every=None, **BUILD["cola"]),
-    "betree-whole-node": lambda device: _betree(
-        device, segmented_io=False, pivots_in_parent=False
-    ),
+    "betree-naive": lambda device: _betree(BeTree, device),
     "betree-own-pivots": lambda device: _betree(
-        device, segmented_io=True, pivots_in_parent=False
+        OptimizedBeTree, device, pivots_in_parent=False
     ),
 }
 
@@ -72,8 +70,9 @@ CASES = {
 #: device clock, the device stats and (stacked kinds) the cache stats.
 PINNED = {
     "betree": "13e065e32d01d223d5f660f50f51cde68ba687383cc40becc4a082755529ae70",
+    # Captured at ``0c42945``; every other pin at ``705c201``.
+    "betree-naive": "ac71770d4f9ab69aad2b593df92b189ffb3bd81cf360637451aa0c699a44b228",
     "betree-own-pivots": "de36cc82d59346b9ccdd8dcde25c0a3d291c7a3f158d396452a56051112fa547",
-    "betree-whole-node": "fe87d01c7f169a922f5fbad91bfdbcb3d7788224b3814431a1ff4765dd41ae5a",
     "btree": "4d5b3d73442156bad438133c077de2520ae58be911b1f1ed5acd1ec49f030451",
     "cob": "90edf1b1191b36f6c4c1270547b5c705ad91080ca6620af2f56d84869a9d9a65",
     "cob-buffered": "3178f621335f832b9bf20ed5812ff81af0ced092ccb8bde76f7e1fdcbb6b458a",
