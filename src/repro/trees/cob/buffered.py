@@ -7,10 +7,11 @@ should not buffer at every node: one layer of per-child buffer
 levels.  :class:`BufferedCOBTree` is that design grafted onto the
 :class:`~repro.trees.cob.tree.COBTree`: ``fanout`` key-range buckets,
 each with its own device buffer extent, absorb writes; a full bucket
-flushes its messages into the base tree as **one**
-:meth:`~repro.trees.cob.tree.COBTree.put_bulk` (one PMA rebalance for
-the whole batch, amortizing the ``O(log^2 n)`` movement across the
-bucket).
+flushes its messages — puts and tombstones alike — into the base tree as
+**one** :meth:`~repro.trees.cob.tree.COBTree.put_bulk` (one search pair,
+one PMA rebalance or resize and one index repair for the whole batch,
+amortizing the ``O(log^2 n)`` movement across the bucket; the PMA's
+density floors keep a delete-heavy flush from leaving sparse segments).
 
 Bucket boundaries are *weight-balanced* rather than static: a bucket
 that has absorbed more than ``rebuild_factor`` times its fair share of
@@ -190,12 +191,11 @@ class BufferedCOBTree(KVTree):
                 self.config.block_bytes,
             )
         self.device.read(bucket.offset, blocks * self.config.block_bytes)
+        # One window for puts and tombstones alike; a tombstone for a key
+        # the base does not hold is dropped there for free.
         puts = sorted((k, v) for k, v in bucket.messages.items() if v is not TOMBSTONE)
-        if puts:
-            self.base.put_bulk(puts)
-        for k in sorted(k for k, v in bucket.messages.items() if v is TOMBSTONE):
-            if k in self.base.values:
-                self.base.delete(k)
+        gone = sorted(k for k, v in bucket.messages.items() if v is TOMBSTONE)
+        self.base.put_bulk(puts, gone)
         bucket.messages = {}
         bucket.nbytes = 0
         # Until the first flush there is nothing to split on (all traffic

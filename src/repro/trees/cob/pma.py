@@ -4,23 +4,40 @@ A PMA keeps ``n`` sorted keys in a power-of-two array of ``capacity``
 *slots*, some of which are blank, stored in one contiguous device extent.
 The array is cut into equal power-of-two *segments* (size ``~log2 C``,
 as in Bender's structure); windows of ``2^j`` aligned segments form the
-rebalancing hierarchy.  An insert lands in its segment; if the smallest
-window containing it is too dense, the structure walks up to the first
-window within its level's density threshold and evenly redistributes that
-window — densities interpolate from 1.0 at a single segment down to
-``max_density`` for the whole array, which is what bounds the amortized
-movement per insert to ``O(log^2 n)`` slots (``O((log^2 n)/B)`` block
-IOs).  When even the whole array is too dense the capacity doubles, so
-the density never drops below ``max_density / 2`` under inserts.
+rebalancing hierarchy.  Each level has a density band: ceilings
+interpolate from 1.0 at a single segment down to ``max_density`` for the
+whole array, floors from ``max_density / 4`` at a segment up to
+``3/8 max_density`` for the whole array (below ``max_density / 2``, so a
+doubling lands above the root floor and a halving below the root
+ceiling).  The floors apply once the array has grown past
+``initial_slots``; at that size there is nothing to shrink to.
 
-Deletes blank their slot without underflow rebalancing (the Bender_Impl
-exemplar makes the same insert-mostly simplification); the array never
-shrinks.
+Every change walks the same way (:meth:`_rebalance_window`): from the
+smallest aligned window covering it, up to the first window whose density
+*after* the change is inside its band, which is then evenly respread.  An
+insert walks when its segment is full, a run of puts and deletes
+(:meth:`bulk_update`) walks from the window covering all of them, and a
+scalar delete blanks its slot and walks only when its segment drops
+below the floor.  When even the whole array is outside its band, the
+capacity doubles (overflow) or halves (underflow, never below
+``initial_slots``).  That is what bounds the amortized movement per
+operation to ``O(log^2 n)`` slots (``O((log^2 n)/B)`` block IOs).
+
+What is guaranteed, and checked by :meth:`check_invariants`: once
+``capacity > initial_slots`` every segment holds at least
+``floor(max_density / 4 * segment_slots)`` keys, so a scan of ``k`` keys
+reads ``O(1 + k/B)`` blocks whatever was deleted before it.  What is
+*not*: every window inside its band after every operation.  A band is
+read only when a walk reaches its window, so windows no walk has visited
+may sit above their ceiling — on the ``tree_write`` benchmark the whole
+array runs at density 0.878 in 2^18 slots against ``max_density`` 0.8.
+Enforcing the root ceiling per insert would double the array early; a
+prototype that did measured +7 % peak RSS on that benchmark.
 
 IO accounting mirrors :mod:`repro.trees.lsm` / :mod:`repro.trees.cola`:
 the PMA owns a device extent of ``capacity * entry_bytes``; redistributing
 a window reads and rewrites its byte range sequentially (min one block);
-doubling reads the whole old extent and writes the whole new one.  The
+a resize reads the whole old extent and writes the whole new one.  The
 search layer on top (:class:`~repro.trees.cob.tree.COBTree`) does its own
 accounting for the vEB-ordered index.
 """
@@ -41,6 +58,12 @@ from repro.trees.sizing import KEY_MAX, KEY_MIN
 EMPTY = np.int64(np.iinfo(np.int64).min)
 #: The same value as a Python int, for the list-backed summaries.
 _BLANK = int(EMPTY)
+#: No keys: the run a scalar insert deletes, or a delete's rebalance merges.
+_NONE = np.empty(0, dtype=np.int64)
+#: Density floors, as fractions of ``max_density``: a single segment's and
+#: the whole array's (below 1/2, the density a doubling leaves).
+_SEGMENT_FLOOR = 0.25
+_ROOT_FLOOR = 0.375
 
 
 def _segment_slots_for(capacity: int) -> int:
@@ -79,6 +102,7 @@ class PackedMemoryArray:
         self.entry_bytes = int(entry_bytes)
         self.block_bytes = int(block_bytes)
         self.max_density = float(max_density)
+        self.initial_slots = int(initial_slots)
         self.allocator = allocator or ExtentAllocator(
             device.capacity_bytes, alignment=512
         )
@@ -100,10 +124,16 @@ class PackedMemoryArray:
         # blank sentinel when empty) — the leaves of the search layer's heap.
         self.seg_count = [0] * self.n_segments
         self.seg_max = [_BLANK] * self.n_segments
-        #: Density ceiling of a window of ``2^j`` segments, by ``j``.
-        self._ceilings = [
-            self._upper_density(1 << j) for j in range(self.n_segments.bit_length())
+        #: Density band of a window of ``2^j`` segments, by ``j``; no floors
+        #: at ``initial_slots``, where the array cannot shrink.
+        levels = range(self.n_segments.bit_length())
+        self._ceilings = [self._upper_density(1 << j) for j in levels]
+        self._floors = [
+            0.0 if capacity == self.initial_slots else self._lower_density(1 << j)
+            for j in levels
         ]
+        #: A delete that leaves its segment with fewer keys walks.
+        self._segment_floor = self._floors[0] * self.segment_slots
         self.nbytes = capacity * self.entry_bytes
         self.offset = self.allocator.alloc(self.nbytes)
 
@@ -118,6 +148,19 @@ class PackedMemoryArray:
             return self.max_density
         j = int(math.log2(window_segments))
         return 1.0 - (1.0 - self.max_density) * j / levels
+
+    def _lower_density(self, window_segments: int) -> float:
+        """Density floor for a window of ``window_segments`` segments.
+
+        :meth:`_upper_density` mirrored: loosest at a single segment, which
+        may thin to ``_SEGMENT_FLOOR * max_density``, tightest for the whole
+        array, ``_ROOT_FLOOR * max_density``.
+        """
+        levels = int(math.log2(self.n_segments)) if self.n_segments > 1 else 0
+        if levels == 0:
+            return _ROOT_FLOOR * self.max_density
+        j = int(math.log2(window_segments))
+        return (_SEGMENT_FLOOR + (_ROOT_FLOOR - _SEGMENT_FLOOR) * j / levels) * self.max_density
 
     def segment_of(self, slot: int) -> int:
         """Index of the segment containing ``slot``."""
@@ -156,7 +199,7 @@ class PackedMemoryArray:
             seg_count[seg_lo + seg] = cut - below
             seg_max[seg_lo + seg] = merged[cut - 1] if cut > below else _BLANK
 
-    # -- inserts -------------------------------------------------------------
+    # -- updates -------------------------------------------------------------
 
     def insert(self, key: int, slot: int) -> tuple[int, int, bool]:
         """Insert ``key`` whose successor lives at ``slot``.
@@ -169,53 +212,84 @@ class PackedMemoryArray:
         """
         if not KEY_MIN <= key <= KEY_MAX:  # the minimum int64 is the blank sentinel
             raise TreeError(f"key {key} is outside [KEY_MIN, KEY_MAX]")
-        return self._insert_sorted(key, 1, slot, slot)
+        return self._update(key, _NONE, 1, slot, slot)
 
-    def bulk_insert(
-        self, new_keys: np.ndarray, slot_lo: int, slot_hi: int
+    def bulk_update(
+        self, new_keys: np.ndarray, gone_keys: np.ndarray, slot_lo: int, slot_hi: int
     ) -> tuple[int, int, bool]:
-        """Merge a sorted, distinct key run whose span covers ``slot_lo..hi``.
+        """Merge in a sorted, distinct run and remove another in one window.
 
-        ``slot_lo``/``slot_hi`` are the search-layer slots of the first and
-        last new key.  One window covering both is rebalanced once — the
-        batched counterpart of ``len(new_keys)`` single inserts, and the
-        flush primitive of the Theorem 9 buffered variant.  New keys that
-        already exist in the array replace in place (the caller owns the
-        values).
+        ``slot_lo``/``slot_hi`` are the search-layer slots of the smallest
+        and the largest key of either run, so the window covering both
+        holds every key to remove and every new key's successor.  That
+        window is rebalanced once — the batched counterpart of
+        ``len(new_keys)`` inserts and ``len(gone_keys)`` deletes, and the
+        flush primitive of the Theorem 9 buffered variant — or, when the
+        whole array leaves its density band, the array is resized once.
+        New keys that already exist in the array replace in place (the
+        caller owns the values); every key to remove must be present.
+        Returns what :meth:`insert` returns.
         """
         new_keys = np.asarray(new_keys, dtype=np.int64)
-        if new_keys.size == 0:
+        gone_keys = np.asarray(gone_keys, dtype=np.int64)
+        if new_keys.size == 0 and gone_keys.size == 0:
             lo = self.segment_of(slot_lo) * self.segment_slots
             return lo, lo, False
         # Compare, don't diff: int64 subtraction overflows when adjacent
         # keys are more than 2^63 apart.
-        if np.any(new_keys[1:] <= new_keys[:-1]):
-            raise TreeError("bulk_insert needs strictly increasing keys")
-        if bool(new_keys[0] == EMPTY):
+        for run in (new_keys, gone_keys):
+            if np.any(run[1:] <= run[:-1]):
+                raise TreeError("bulk_update needs strictly increasing keys")
+        if new_keys.size and bool(new_keys[0] == EMPTY):
             raise TreeError("the minimum int64 is reserved as the blank sentinel")
-        return self._insert_sorted(new_keys, new_keys.size, slot_lo, slot_hi)
+        return self._update(
+            new_keys, gone_keys, new_keys.size - gone_keys.size, slot_lo, slot_hi
+        )
 
-    def _insert_sorted(
-        self, new: int | np.ndarray, extra: int, slot_lo: int, slot_hi: int
+    def delete(self, slot: int) -> tuple[int, int, bool]:
+        """Blank ``slot`` (read-modify-write of its segment's byte range).
+
+        Only a segment left below its floor walks (and respreads or halves
+        on top of that charge).  Returns what :meth:`insert` returns.
+        """
+        key = self.keys.item(slot)
+        if key == _BLANK:
+            raise TreeError(f"slot {slot} is already blank")
+        self.keys[slot] = EMPTY
+        seg = self.segment_of(slot)
+        lo = seg * self.segment_slots
+        self.seg_count[seg] -= 1
+        if key == self.seg_max[seg]:
+            self.seg_max[seg] = self.keys[lo : lo + self.segment_slots].max().item()
+        self.n -= 1
+        self._charge_span(lo, lo + self.segment_slots, read=True, write=True)
+        if self.seg_count[seg] >= self._segment_floor:
+            return lo, lo + self.segment_slots, False
+        return self._update(_NONE, _NONE, 0, slot, slot)
+
+    def _update(
+        self, new: int | np.ndarray, gone: np.ndarray, delta: int, slot_lo: int, slot_hi: int
     ) -> tuple[int, int, bool]:
-        """Place one key (``insert``) or a sorted run (``bulk_insert``) of
-        ``extra`` keys in the smallest window that has room for it."""
+        """Merge ``new`` (one key or a sorted run) in and ``gone`` out, a net
+        change of ``delta`` keys, in the smallest window whose density stays
+        inside its band — or resize the whole array."""
         window = self._rebalance_window(
-            slot_lo // self.segment_slots, slot_hi // self.segment_slots, extra=extra
+            slot_lo // self.segment_slots, slot_hi // self.segment_slots, delta=delta
         )
         if window is None:
-            self._grow(new)
+            self._resize(self._merge(self.keys[self.keys != EMPTY], new, gone))
             return 0, self.capacity, True
         lo_seg, hi_seg = window
-        self._redistribute(lo_seg, hi_seg, new)
+        self._redistribute(lo_seg, hi_seg, new, gone)
         return lo_seg * self.segment_slots, hi_seg * self.segment_slots, False
 
     def _rebalance_window(
-        self, seg_lo: int, seg_hi: int, *, extra: int
+        self, seg_lo: int, seg_hi: int, *, delta: int
     ) -> tuple[int, int] | None:
-        """Smallest aligned window covering ``[seg_lo, seg_hi]`` that stays
-        within its density threshold after adding ``extra`` entries, or
-        ``None`` when even the whole array would overflow.
+        """Smallest aligned window covering ``[seg_lo, seg_hi]`` whose
+        density after a net change of ``delta`` entries is within its
+        level's ``[floor, ceiling]``, or ``None`` when even the whole array
+        would not be.
 
         One upward walk: the first covering window is counted, every wider
         one only adds its new half (the sibling's sum).
@@ -227,7 +301,10 @@ class PackedMemoryArray:
             level += 1
             lo = seg_lo // w * w
         occupied = sum(counts[lo : lo + w])
-        while (occupied + extra) / (w * self.segment_slots) > self._ceilings[level]:
+        floors, ceilings = self._floors, self._ceilings
+        while not (
+            floors[level] <= (occupied + delta) / (w * self.segment_slots) <= ceilings[level]
+        ):
             if w == self.n_segments:
                 return None
             sibling = lo ^ w
@@ -237,14 +314,29 @@ class PackedMemoryArray:
             level += 1
         return lo, lo + w
 
-    def _redistribute(self, seg_lo: int, seg_hi: int, new: int | np.ndarray) -> None:
+    @staticmethod
+    def _merge(present: np.ndarray, new: int | np.ndarray, gone: np.ndarray) -> np.ndarray:
+        """``present`` with ``new`` merged in, then ``gone`` removed (found
+        by binary search: no temporaries the size of the window)."""
+        merged = np.union1d(present, new) if np.size(new) else present
+        if gone.size:
+            at = np.searchsorted(merged, gone)
+            if at[-1] >= merged.size or np.any(merged[at] != gone):
+                raise TreeError("a key to remove is not in the rebalanced window")
+            merged = np.delete(merged, at)
+        return merged
+
+    def _redistribute(
+        self, seg_lo: int, seg_hi: int, new: int | np.ndarray, gone: np.ndarray
+    ) -> None:
         """Evenly respread the window ``[seg_lo, seg_hi)`` of segments,
-        merging ``new`` in; charges one sequential read + write of the
-        window's byte range.
+        merging ``new`` in and ``gone`` out; charges one sequential read +
+        write of the window's byte range.
 
         One key (``insert``) is scalar work on a segment or a few and runs
-        on plain lists; a run (``bulk_insert``) is array work on a window
-        that may be most of the array and stays in numpy.
+        on plain lists; a run (``bulk_update``) or a delete's rebalance is
+        array work on a window that may be most of the array and stays in
+        numpy.
         """
         lo = seg_lo * self.segment_slots
         hi = seg_hi * self.segment_slots
@@ -256,7 +348,7 @@ class PackedMemoryArray:
             if at == len(merged) or merged[at] != new:
                 merged.insert(at, new)
         else:
-            merged, spread = np.union1d(present, new), self._spread
+            merged, spread = self._merge(present, new, gone), self._spread
         if len(merged) > hi - lo:
             raise TreeError(f"window [{lo}, {hi}) cannot hold {len(merged)} entries")
         spread(merged, seg_lo, seg_hi)
@@ -264,12 +356,18 @@ class PackedMemoryArray:
         self.rebalances += 1
         self._charge_span(lo, hi, read=True, write=True)
 
-    def _grow(self, new: int | np.ndarray) -> None:
-        """Double (repeatedly, for bulk runs) and respread everything."""
-        merged = np.union1d(self.keys[self.keys != EMPTY], new)
+    def _resize(self, merged: np.ndarray) -> None:
+        """Double on overflow or halve on underflow (repeatedly, for runs;
+        never below ``initial_slots``) and spread ``merged`` over the whole
+        new array."""
         capacity = self.capacity
         while merged.size > self.max_density * capacity:
             capacity *= 2
+        while (
+            capacity > self.initial_slots
+            and merged.size < _ROOT_FLOOR * self.max_density * capacity
+        ):
+            capacity //= 2
         # The old extent is read out once, sequentially, then freed.
         self.device.read(self.offset, self.nbytes)
         self.allocator.free(self.offset, self.nbytes)
@@ -298,22 +396,6 @@ class PackedMemoryArray:
         self._spread(keys, 0, self.n_segments)
         self.device.write(self.offset, self.nbytes)
 
-    # -- deletes -------------------------------------------------------------
-
-    def delete(self, slot: int) -> None:
-        """Blank ``slot`` (read-modify-write of its segment's byte range)."""
-        key = self.keys.item(slot)
-        if key == _BLANK:
-            raise TreeError(f"slot {slot} is already blank")
-        self.keys[slot] = EMPTY
-        seg = self.segment_of(slot)
-        lo = seg * self.segment_slots
-        self.seg_count[seg] -= 1
-        if key == self.seg_max[seg]:
-            self.seg_max[seg] = self.keys[lo : lo + self.segment_slots].max().item()
-        self.n -= 1
-        self._charge_span(lo, lo + self.segment_slots, read=True, write=True)
-
     # -- IO accounting -------------------------------------------------------
 
     def _charge_span(self, slot_lo: int, slot_hi: int, *, read: bool, write: bool) -> None:
@@ -340,7 +422,8 @@ class PackedMemoryArray:
     # -- invariants ----------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Assert sortedness, counts, and density bookkeeping."""
+        """Assert sortedness, counts, density bookkeeping and the segment
+        floor (not the per-window bands; see the module docstring)."""
         present = self.keys[self.keys != EMPTY]
         if present.size != self.n:
             raise TreeError(f"count mismatch: {present.size} present, n={self.n}")
@@ -355,3 +438,6 @@ class PackedMemoryArray:
             raise TreeError("segment size does not divide capacity")
         if self.n > self.capacity:
             raise TreeError("more entries than slots")
+        least = math.floor(self._segment_floor)
+        if min(self.seg_count) < least:
+            raise TreeError(f"a segment holds fewer than its floor of {least} keys")

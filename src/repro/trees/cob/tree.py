@@ -24,8 +24,11 @@ a key ``>= key``" — and the nodes charged are arithmetic on heap indices.
 After a PMA rebalance the index is repaired *lazily over the touched
 range only*: leaves for the rewritten slot window, then the ancestor
 cone up to the root, charged as writes to the distinct vEB blocks
-covering them.  A capacity doubling rebuilds the index extent outright
-with one sequential write.
+covering them.  A capacity doubling or halving rebuilds the index extent
+outright with one sequential write.  Every mutation reaches the PMA this
+way — an insert, a delete (which rebalances only when its segment drops
+below the PMA's density floor) and :meth:`COBTree.put_bulk`, which takes
+a sorted run of puts *and* deletes and lands it as one window.
 
 IO accounting follows :mod:`repro.trees.lsm` / :mod:`repro.trees.cola`:
 devices price simulated seconds only; values live beside the structure
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 from weakref import WeakValueDictionary
 
 import numpy as np
@@ -166,7 +169,7 @@ class COBTree(KVTree):
         """(Re)compute the whole max-heap and rewrite the index extent.
 
         Runs at construction, on a bulk load and on every capacity
-        doubling — the only places the tree height changes — so the state
+        doubling or halving — the only places the tree height changes — so the state
         that depends on the height alone is (re)derived here once instead
         of per operation: the leaf offsets, the pinned depth, and (dropped
         here, looked up on first use) the vEB block table.
@@ -351,41 +354,54 @@ class COBTree(KVTree):
             raise TreeError(f"index search missed stored key {key}")
         self.user_bytes_modified += self.config.fmt.entry_bytes
         del self.values[key]
-        self.pma.delete(slot)
-        seg_lo = self.pma.segment_of(slot) * self.pma.segment_slots
-        self._update_index(seg_lo, seg_lo + self.pma.segment_slots, False)
+        lo, hi, resized = self.pma.delete(slot)
+        self._update_index(lo, hi, resized)
 
-    def put_bulk(self, pairs: list[tuple[int, Any]]) -> None:
-        """Merge a key-sorted batch in one PMA rebalance.
+    def put_bulk(
+        self, pairs: list[tuple[int, Any]], deletes: Sequence[int] = ()
+    ) -> None:
+        """Merge a key-sorted batch of puts, and of deletes, in one PMA
+        rebalance.
 
         The primitive behind the buffered variant's flushes: one window
-        covering the whole run is redistributed once, so ``m`` inserts
-        cost one rebalance instead of ``m``.  Keys must be strictly
-        increasing; existing keys are overwritten.
+        covering every fresh key and every deleted key is redistributed
+        once, so ``m`` inserts and ``d`` deletes cost one search pair, one
+        rebalance (or one resize) and one index repair instead of ``m + d``
+        of each.  Both runs must be strictly increasing and share no key;
+        existing keys are overwritten, and a delete of a key the tree does
+        not hold costs nothing.
         """
-        if not pairs:
-            return
-        self.user_bytes_modified += self.config.fmt.entry_bytes * len(pairs)
+        values = self.values
         keys = np.array([k for k, _ in pairs], dtype=np.int64)
+        dead = np.array(deletes, dtype=np.int64)
         # Compare, don't diff: int64 subtraction overflows when adjacent
         # keys are more than 2^63 apart.
-        if np.any(keys[1:] <= keys[:-1]):
+        if np.any(keys[1:] <= keys[:-1]) or np.any(dead[1:] <= dead[:-1]):
             raise KeyOrderError("put_bulk needs strictly increasing keys")
-        fresh = np.array([int(k) not in self.values for k in keys], dtype=bool)
+        if dead.size and not set(keys.tolist()).isdisjoint(dead.tolist()):
+            raise TreeError("put_bulk cannot put and delete one key")
+        gone = dead[np.array([k in values for k in dead.tolist()], dtype=bool)]
+        if not pairs and not gone.size:
+            return
+        self.user_bytes_modified += self.config.fmt.entry_bytes * (len(pairs) + gone.size)
+        fresh = np.array([k not in values for k in keys.tolist()], dtype=bool)
         for k, v in pairs:
-            self.values[int(k)] = v
-        if not fresh.any():
+            values[int(k)] = v
+        for k in gone.tolist():
+            del values[k]
+        new_keys = keys[fresh]
+        if not new_keys.size and not gone.size:
             # Pure overwrite: rewrite the covered data blocks, index untouched.
             slot_lo = self._search_slot(int(keys[0]))
             self._charge_index_path(slot_lo)
             slot_hi = self._search_slot(int(keys[-1]))
             self.pma._charge_span(slot_lo, slot_hi + 1, read=False, write=True)
             return
-        new_keys = keys[fresh]
-        slot_lo = self._search_slot(int(new_keys[0]))
+        runs = [run for run in (new_keys, gone) if run.size]
+        slot_lo = self._search_slot(min(int(run[0]) for run in runs))
         self._charge_index_path(slot_lo)
-        slot_hi = self._search_slot(int(new_keys[-1]))
-        lo, hi, resized = self.pma.bulk_insert(new_keys, slot_lo, slot_hi)
+        slot_hi = self._search_slot(max(int(run[-1]) for run in runs))
+        lo, hi, resized = self.pma.bulk_update(new_keys, gone, slot_lo, slot_hi)
         self._update_index(lo, hi, resized)
         if resized or fresh.all():
             return

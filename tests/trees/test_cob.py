@@ -6,6 +6,8 @@ the IO conventions (every structural mutation and uncached probe charges
 device traffic, pinned-top searches are free).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,22 +134,29 @@ class TestPMAStructure:
             pma.delete(slot)  # already blank
         pma.check_invariants()
 
-    def test_bulk_insert_one_rebalance(self):
+    def test_bulk_update_one_rebalance(self):
         pma, _ = make_pma(initial_slots=64)
-        for k in (100, 500):
+        for k in (100, 300, 500):
             self._insert_via_search(pma, k)
         before = pma.rebalances
-        run = np.array([200, 300, 400], dtype=np.int64)
-        slot = int(np.flatnonzero(pma.keys == 500)[0])
-        pma.bulk_insert(run, slot, slot)
+        run = np.array([200, 400, 450], dtype=np.int64)
+        gone = np.array([300], dtype=np.int64)
+        pma.bulk_update(run, gone, successor_slot(pma, 200), successor_slot(pma, 450))
         assert pma.rebalances == before + 1
-        assert list(pma.present_keys()) == [100, 200, 300, 400, 500]
+        assert list(pma.present_keys()) == [100, 200, 400, 450, 500]
         pma.check_invariants()
-
-    def test_bulk_insert_rejects_unsorted(self):
-        pma, _ = make_pma()
+        # A key to remove outside the window (or absent) is an error, not a no-op.
+        slot = successor_slot(pma, 200)
         with pytest.raises(TreeError):
-            pma.bulk_insert(np.array([3, 1], dtype=np.int64), 0, 0)
+            pma.bulk_update(np.array([], dtype=np.int64), np.array([300]), slot, slot)
+
+    def test_bulk_update_rejects_unsorted(self):
+        pma, _ = make_pma()
+        none = np.array([], dtype=np.int64)
+        with pytest.raises(TreeError):
+            pma.bulk_update(np.array([3, 1], dtype=np.int64), none, 0, 0)
+        with pytest.raises(TreeError):
+            pma.bulk_update(none, np.array([3, 3], dtype=np.int64), 0, 0)
 
     def test_load_and_reload_guard(self):
         pma, _ = make_pma(initial_slots=8)
@@ -174,18 +183,30 @@ class TestRebalanceWindow:
     """The one upward walk against the definition it implements."""
 
     @staticmethod
-    def _by_definition(pma, seg_lo, seg_hi, extra):
+    def _by_definition(pma, seg_lo, seg_hi, delta):
         # Smallest aligned window covering [seg_lo, seg_hi] whose density,
-        # with ``extra`` more entries, is within its level's ceiling.
+        # after ``delta`` more entries, is within its level's band (no floor
+        # at the initial capacity, where the array cannot shrink).
+        floors = pma.capacity > pma.initial_slots
         w = 1
         while w <= pma.n_segments:
             lo = seg_lo // w * w
             if seg_hi < lo + w:
                 occupied = sum(pma.seg_count[lo : lo + w])
-                if (occupied + extra) / (w * pma.segment_slots) <= pma._upper_density(w):
+                density = (occupied + delta) / (w * pma.segment_slots)
+                floor = pma._lower_density(w) if floors else 0.0
+                if floor <= density <= pma._upper_density(w):
                     return lo, lo + w
             w *= 2
         return None
+
+    @staticmethod
+    def _grown(capacity, max_density=0.8):
+        """A PMA grown to ``capacity`` from 8 slots, so its floors apply."""
+        pma, _ = make_pma(initial_slots=8, max_density=max_density)
+        pma.load(np.arange(1, int(max_density * capacity * 3 / 4) + 1, dtype=np.int64))
+        assert pma.capacity == capacity
+        return pma
 
     @pytest.mark.parametrize("initial_slots", [8, 64, 1024, 1 << 14])
     @pytest.mark.parametrize("max_density", [0.5, 0.7, 0.8])
@@ -194,24 +215,40 @@ class TestRebalanceWindow:
         levels = pma.n_segments.bit_length()
         assert pma._ceilings == [pma._upper_density(1 << j) for j in range(levels)]
 
+    @pytest.mark.parametrize("capacity", [64, 1024, 1 << 14])
+    @pytest.mark.parametrize("max_density", [0.5, 0.7, 0.8])
+    def test_floors_are_lower_density_exactly(self, capacity, max_density):
+        fresh, _ = make_pma(initial_slots=capacity, max_density=max_density)
+        assert set(fresh._floors) == {0.0} and fresh._segment_floor == 0.0
+        pma = self._grown(capacity, max_density)
+        levels = pma.n_segments.bit_length()
+        assert pma._floors == [pma._lower_density(1 << j) for j in range(levels)]
+        # Loosest at a segment, tightest at the root, whose floor stays
+        # below half the root ceiling (a doubling never underflows).
+        assert pma._floors == sorted(pma._floors)
+        assert pma._floors[0] == max_density / 4
+        assert pma._floors[-1] < pma._ceilings[-1] / 2
+
     @pytest.mark.parametrize("initial_slots", [8, 64, 1024, 1 << 14])
     def test_walk_matches_definition(self, initial_slots):
-        pma, _ = make_pma(initial_slots=initial_slots)
         rng = np.random.default_rng(initial_slots)
-        width, n = pma.segment_slots, pma.n_segments
-        for fill in (0.2, 0.6, 0.8, 0.95, 1.0):
-            # Occupancy around ``fill``, with crowded and empty stretches.
-            counts = rng.binomial(width, fill, size=n)
-            counts[rng.integers(0, n, size=max(1, n // 8))] = width
-            counts[rng.integers(0, n, size=max(1, n // 8))] = 0
-            pma.seg_count = counts.tolist()
-            for _ in range(300):
-                seg_lo = int(rng.integers(0, n))
-                seg_hi = min(n - 1, seg_lo + int(rng.choice([0, 0, 0, 1, 3, n])))
-                extra = int(rng.choice([1, 1, 1, 5, 2 * width, 40 * width]))
-                assert pma._rebalance_window(
-                    seg_lo, seg_hi, extra=extra
-                ) == self._by_definition(pma, seg_lo, seg_hi, extra)
+        fresh, _ = make_pma(initial_slots=initial_slots)
+        pmas = [fresh] if initial_slots == 8 else [fresh, self._grown(initial_slots)]
+        for pma in pmas:
+            width, n = pma.segment_slots, pma.n_segments
+            for fill in (0.05, 0.2, 0.6, 0.8, 0.95, 1.0):
+                # Occupancy around ``fill``, with crowded and empty stretches.
+                counts = rng.binomial(width, fill, size=n)
+                counts[rng.integers(0, n, size=max(1, n // 8))] = width
+                counts[rng.integers(0, n, size=max(1, n // 8))] = 0
+                pma.seg_count = counts.tolist()
+                for _ in range(300):
+                    seg_lo = int(rng.integers(0, n))
+                    seg_hi = min(n - 1, seg_lo + int(rng.choice([0, 0, 0, 1, 3, n])))
+                    delta = int(rng.choice([1, 1, 1, 5, 0, -1, -width, 2 * width, 40 * width]))
+                    assert pma._rebalance_window(
+                        seg_lo, seg_hi, delta=delta
+                    ) == self._by_definition(pma, seg_lo, seg_hi, delta)
 
 
 class TestCOBTree:
@@ -437,23 +474,27 @@ class TestSegmentIndex:
         tree.check_invariants()
 
     def test_random_trees_with_segments_blanked(self):
+        # At its initial capacity the array has no floors, so deleting a
+        # segment's keys blanks it; grown past it, the floors respread.
         rng = np.random.default_rng(8)
-        for universe in (500, 1 << 40):
-            tree, _ = make_tree()
+        for universe, initial_slots in itertools.product((500, 1 << 40), (64, 1024)):
+            tree = COBTree(_null(), COBConfig(initial_slots=initial_slots))
             keys = {int(k) for k in rng.integers(-universe, universe, size=700)}
             for key in keys:
                 tree.put(key, 0)
-            assert tree.pma.resizes >= 2
+            grown = tree.pma.capacity > initial_slots
+            assert tree.pma.resizes >= 2 if grown else tree.pma.resizes == 0
             self._check(tree)
-            # Blank whole segments: single ones, runs, the first and the last.
+            # Whole segments' keys: single ones, runs, the first and the last.
             width, n = tree.pma.segment_slots, tree.pma.n_segments
             for first, count in ((0, 1), (2, 3), (n // 2, n // 4), (n - 1, 1)):
                 doomed = tree.pma.keys[first * width : (first + count) * width]
                 for key in doomed[doomed != EMPTY].tolist():
                     tree.delete(key)
-                assert not any(tree.pma.seg_count[first : first + count])
+                blank = not any(tree.pma.seg_count[first : first + count])
+                assert blank != grown
                 self._check(tree, extra=doomed.tolist())
-            tree.check_invariants()
+                tree.check_invariants()
 
     def test_across_doublings_and_at_the_domain_edges(self):
         tree = COBTree(_null(), COBConfig(initial_slots=8))

@@ -26,7 +26,9 @@ UNIVERSE = 1 << 40
 #: sha256 over (device.clock, stats, trace) after ``_drive``.
 PINNED = {
     COBTree: "b04a3d9e3621411273bc507a6cbad1cd1719f933a7ea5b9cd45e812746ddc2bc",
-    BufferedCOBTree: "fc9239cce00a5dae1a366e6619e9fe9f127823a871a9a4f6787427bf732880d3",
+    # Re-captured when a flush became one window for puts and tombstones
+    # (the child of 36cbd9c): its deletes no longer leave as scalar ones.
+    BufferedCOBTree: "b492f783a361702721c210232072c60b7342eae8494324dac386f03175b4cd19",
 }
 
 
@@ -115,9 +117,11 @@ def test_invariants_hold_at_every_step(cls):
     _drive(cls, each_step=lambda tree: tree.check_invariants())
 
 
-def _drive_ranges_over_emptied_segments():
-    """Ranges over a tree whose deletes emptied runs of adjacent segments
-    (the pattern that leaves blank stretches in the index's leaf level)."""
+def _drive_ranges_over_deleted_segment_runs():
+    """Ranges over a tree after deleting every key of runs of adjacent
+    segments — the pattern that, before the PMA had density floors, left
+    blank stretches in the index's leaf level.  Now a segment that drops
+    below its floor respreads its window, so no stretch stays blank."""
     tree, device = _make(COBTree)
     rng = random.Random(21)
     model = {key: serial for serial, key in enumerate(rng.sample(range(UNIVERSE), 2500))}
@@ -125,15 +129,19 @@ def _drive_ranges_over_emptied_segments():
         tree.insert(key, value)
     pma = tree.pma
     width = pma.segment_slots
-    holes = []
+    runs = []
     for first, count in ((0, 2), (3, 5), (40, 17), (pma.n_segments - 6, 6)):
         doomed = pma.keys[first * width : (first + count) * width]
-        doomed = doomed[doomed != EMPTY].tolist()
+        runs.append(doomed[doomed != EMPTY].tolist())
+    rebalances = pma.rebalances
+    holes = []
+    for doomed in runs:
         for key in doomed:
             tree.delete(key)
             del model[key]
-        assert not any(pma.seg_count[first : first + count])
         holes.append((doomed[0], doomed[-1]))
+    assert pma.rebalances > rebalances, "the floors must fire"
+    assert min(pma.seg_count) > 0
     tree.check_invariants()
     probes = [(KEY_MIN, KEY_MAX), (KEY_MIN, holes[0][0]), (holes[-1][0], KEY_MAX)]
     for hole_lo, hole_hi in holes:
@@ -150,10 +158,11 @@ def _drive_ranges_over_emptied_segments():
     return device
 
 
-def test_ranges_over_emptied_segments_charge_what_a_full_scan_did():
-    # Pinned at the parent commit, where ``range`` masked the whole array.
-    assert _digest(_drive_ranges_over_emptied_segments()) == (
-        "8728442d02b5fa770a1bf0187f555f143872e159c25ecb60500e37c983d5b3a4"
+def test_ranges_over_deleted_segment_runs_charge_the_respread_array():
+    # Re-captured when the PMA got density floors (the child of 36cbd9c):
+    # the deletes now respread windows, so the trace moved on purpose.
+    assert _digest(_drive_ranges_over_deleted_segment_runs()) == (
+        "f134b69a9a3a9c9f8b533c862f3e17751ad339d6fad0fd5f28c690331fdc4433"
     )
 
 
