@@ -13,10 +13,6 @@ from repro.trees.betree.messages import Message, MessageOp
 from repro.trees.betree.node import BeNode
 from repro.trees.betree.tree import BeTree, BeTreeConfig
 from repro.trees.betree.optimized import OptimizedBeTree
-from repro.trees.betree.rebalance import (
-    check_weight_balance,
-    rebuild_weight_balance,
-)
 
 __all__ = [
     "Message",
@@ -25,6 +21,4 @@ __all__ = [
     "BeTree",
     "BeTreeConfig",
     "OptimizedBeTree",
-    "check_weight_balance",
-    "rebuild_weight_balance",
 ]

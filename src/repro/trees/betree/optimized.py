@@ -16,13 +16,14 @@ Three refinements over the naive tree of Lemma 8 (paper Section 6):
    small.  This is TokuDB's "basement nodes" design, which the paper says
    this analysis explains.
 
-The paper's third algorithmic ingredient, the weight-balanced rebuild
-scheme keeping fanouts within ``(1 ± 1/log F) F``, pins down *lower-order
-terms* in the analysis.  Day-to-day rebalancing here is split-based
-(fanout within ``[~F/2, 2F]``), which preserves every leading-order cost;
-:func:`repro.trees.betree.rebalance.rebuild_weight_balance` implements the
-paper's rebuild as an explicit maintenance pass re-establishing the exact
-Theorem 9 weight invariant on demand.
+The paper's third algorithmic ingredient, weight-balanced rebuilds keeping
+fanouts within ``(1 ± 1/log F) F``, is not reproduced: it pins down only
+*lower-order terms*, and measured on E9's shape it took under 1 % off a
+query beyond what draining the buffers does while making inserts dearer
+(docs/architecture.md, "The two Bε-trees").  Both
+Bε-trees rebalance by splits alone.  Fanout is at most ``2F``
+(``check_invariants`` enforces it) with no lower bound: internal nodes
+never merge, and dropping emptied leaves can leave a node one child.
 
 IO accounting
 -------------

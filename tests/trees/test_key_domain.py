@@ -1,15 +1,13 @@
 """Every tree kind iterates the whole key domain.
 
 ``items()`` used to scan ``[-2^62, 2^62]`` in the LSM, the COLA and both
-Bε-trees (and the Bε rebalancer's subtree collector), so a key beyond
-that — perfectly legal, found by ``get`` — silently vanished from
-``items()``, ``len()`` and a rebuilt subtree.  The domain is
+Bε-trees, so a key beyond that — perfectly legal, found by ``get`` —
+silently vanished from ``items()`` and ``len()``.  The domain is
 ``[KEY_MIN, KEY_MAX]`` of :mod:`repro.trees.sizing` for every kind.
 """
 
 import pytest
 
-from repro.trees.betree.rebalance import _collect_subtree
 from repro.trees.sizing import KEY_MAX, KEY_MIN
 from tests.trees.test_put_many import TREES
 
@@ -40,17 +38,3 @@ def test_extreme_keys_round_trip(name):
     assert [(int(k), v) for k, v in tree.range(1 << 62, KEY_MAX)] == pairs[-2:]
     assert [(int(k), v) for k, v in tree.range(KEY_MIN, -(1 << 62))] == pairs[:2]
     tree.check_invariants()
-
-
-@pytest.mark.parametrize("name", ["betree", "betree-optimized"])
-def test_subtree_rebuild_collects_extreme_keys(name):
-    # What a Theorem 9 weight-balance rebuild re-inserts: a key it fails
-    # to collect is a key the rebuild loses.
-    tree = TREES[name]()
-    tree.put_many([(k, k) for k in range(2000)])
-    for key in EXTREMES:
-        tree.insert(key, "x")
-    collected = [k for k, _ in _collect_subtree(tree, tree.root_id)]
-    assert collected[:2] == EXTREMES[:2]
-    assert collected[-2:] == EXTREMES[2:]
-    assert len(collected) == 2004
