@@ -66,17 +66,19 @@ serve-split:
 experiments:
 	python -m repro.experiments all
 
-# The cache-oblivious tier: its tests, its lint, and the E20 quick sweep.
+# The cache-oblivious tier: its tests (the lockstep machine among them), its
+# lint, and the E20 quick sweep.
 cob:
-	PYTHONPATH=src python -m pytest tests/trees/test_cob.py tests/trees/test_cob_accounting.py tests/trees/test_veb.py tests/trees/test_conformance.py tests/trees/test_put_many.py tests/trees/test_point_charges.py -q
+	PYTHONPATH=src python -m pytest tests/trees/test_cob.py tests/trees/test_cob_accounting.py tests/trees/test_veb.py tests/trees/test_conformance.py tests/trees/test_put_many.py tests/trees/test_point_charges.py tests/trees/test_lockstep.py -q
 	PYTHONPATH=src python -m repro.lint src/repro/trees/cob
 	PYTHONPATH=src python -m repro.experiments cob --quick --no-cache
 
 # The durability layer: its tests (the pinned reads of the scans its
-# checkpoints take, and E21's gates) + the sampled crash-consistency checker
-# over every registered tree kind.
+# checkpoints take, E21's gates and the lockstep machine, whose durable
+# subjects crash and recover) + the sampled crash-consistency checker over
+# every registered tree kind.
 recovery:
-	PYTHONPATH=src python -m pytest tests/recovery tests/faults/test_crash.py tests/serve/test_crash_failover.py tests/trees/test_range_charges.py tests/experiments/test_experiments.py::TestDurability -q
+	PYTHONPATH=src python -m pytest tests/recovery tests/faults/test_crash.py tests/serve/test_crash_failover.py tests/trees/test_range_charges.py tests/experiments/test_experiments.py::TestDurability tests/trees/test_lockstep.py -q
 	PYTHONPATH=src python -c "from repro.recovery import run_check; from repro.trees import KINDS; \
 	reports = {t: run_check(t, n_ops=60, mode='sample', samples=16, seed=0) for t in KINDS}; \
 	[print(t, r.describe()) for t, r in reports.items()]; \

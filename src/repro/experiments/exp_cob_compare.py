@@ -25,6 +25,14 @@ the index stored flat in ``B``-nodes, flat in ``PB``-nodes, or in vEB
 order (exactly the block packing :class:`~repro.trees.cob.tree.COBTree`
 uses).  The vEB layout should match or beat both flat layouts at every
 ``k`` — the no-knob property in its parallel form.
+
+Panel 3 is the PMA's scan bound under its adversary (Iacono et al.,
+"Locality", arXiv 1902.07928): fill, delete all but every ``2^j``-th key,
+then scan ``k`` keys.  With the density floors every segment of ``S``
+slots keeps at least ``m = floor(max_density / 4 * S)`` keys once the array
+has grown, so the scan reads at most ``c * (1 + k/B)`` blocks with
+``c = S/m + 2 + 2S/B`` (``B`` entries a block); each row reports the
+blocks read beside that bound.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ MODELS = ("dam", "affine", "pdam")
 KNOBBED_TREES = ("btree", "betree")
 KNOBLESS_TREES = ("cola", "cob", "cob-buffered")
 THREAD_MODES = ("flat_b", "flat_pb", "veb_pb")
+ADVERSARY_TREES = ("cob", "cob-buffered")
+ADVERSARY_JS = (1, 2, 3, 4, 5)
 
 DEFAULT_NODE_SIZES = (16 << 10, 64 << 10, 256 << 10, 1 << 20)
 DEFAULT_THREADS = (1, 2, 4, 8)
@@ -178,6 +188,79 @@ def cob_pdam_threads_point(
     return {"throughput": out.throughput}
 
 
+def adversary(tree: str, j: int, *, n_keys: int = 1 << 15, bulk: bool = False):
+    """The scan adversary's tree: ``n_keys`` odd keys, then all but every
+    ``2^j``-th deleted, one ``delete`` at a time or, with ``bulk`` (cob
+    only), as ``put_bulk`` runs of 500; a buffered tree is flushed after.
+
+    Returns ``(tree, survivors)``.  The tree sits on a traced free device
+    whose trace starts empty, which is what :func:`pma_blocks_read` reads.
+    """
+    from repro.storage.ram import NullDevice
+    from repro.trees import build
+    from repro.trees.sizing import EntryFormat
+
+    instance = build(
+        tree,
+        NullDevice(capacity_bytes=1 << 32, trace=True),
+        cache_bytes=1 << 24,
+        initial_slots=8,
+        fmt=EntryFormat(key_bytes=8, value_bytes=20),
+    )
+    keys = list(range(1, 2 * n_keys, 2))
+    instance.bulk_load([(key, key) for key in keys])
+    doomed = [key for i, key in enumerate(keys) if i % (1 << j)]
+    if bulk:
+        for at in range(0, len(doomed), 500):
+            instance.put_bulk([], doomed[at : at + 500])
+    else:
+        for key in doomed:
+            instance.delete(key)
+    if tree == "cob-buffered":
+        instance.flush_all()
+    instance.device.trace.clear()
+    return instance, keys[:: 1 << j]
+
+
+def pma_of(tree):
+    """The packed-memory array under a cob or cob-buffered tree."""
+    return getattr(tree, "base", tree).pma
+
+
+def pma_blocks_read(tree, scan):
+    """``(scan(), blocks its device reads touched inside the tree's PMA)``,
+    from the device trace of a :func:`adversary` tree."""
+    pma, trace = pma_of(tree), tree.device.trace
+    start = len(trace)
+    result = scan()
+    block = pma.block_bytes
+    blocks = 0
+    for io in trace[start:]:
+        if io.kind == "read" and pma.offset <= io.offset < pma.offset + pma.nbytes:
+            blocks += (io.offset + io.nbytes - 1) // block - io.offset // block + 1
+    return result, blocks
+
+
+def scan_bound(pma, k: int) -> float:
+    """``c * (1 + k/B)``, ``c = S/m + 2 + 2S/B``, for ``pma``'s geometry."""
+    width = pma.segment_slots
+    least = int(pma.max_density / 4 * width)
+    per_block = pma.block_bytes // pma.entry_bytes
+    c = width / least + 2 + 2 * width / per_block
+    return c * (1 + k / per_block)
+
+
+@register("cob_adversary_point")
+def adversary_point(*, tree: str, j: int, n_keys: int, k: int) -> dict[str, float]:
+    """Panel 3: blocks a ``k``-key scan from the first survivor reads
+    after the adversary's deletes, and its bound."""
+    instance, survivors = adversary(tree, j, n_keys=n_keys)
+    _, blocks = pma_blocks_read(
+        instance, lambda: instance.range(survivors[0], survivors[k - 1])
+    )
+    return {"blocks": float(blocks), "bound": scan_bound(pma_of(instance), k)}
+
+
 @dataclass
 class COBCompareResult:
     """E20: per-(model, tree) op costs plus the PDAM thread panel."""
@@ -193,6 +276,10 @@ class COBCompareResult:
     insert_ms: dict[tuple[str, str], list[float]] = field(default_factory=dict)
     #: ``layout mode -> queries per PDAM step`` at each thread count.
     thread_throughput: dict[str, list[float]] = field(default_factory=dict)
+    adversary_keys: int = 0
+    adversary_scan: int = 0
+    #: ``tree -> (blocks read, bound)`` for each ``j`` of the scan adversary.
+    adversary: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
 
     # -- summary accessors (what the tests and the note assert) -----------
 
@@ -277,6 +364,26 @@ class COBCompareResult:
             + f"; cob query sensitivity across the axis: "
             f"{self.sensitivity('affine', 'cob'):.3g}x (no knob)."
         )
+        if self.adversary:
+            series = {}
+            for tree, rows in self.adversary.items():
+                series[tree] = [read for read, _ in rows]
+                series[f"{tree} bound"] = [bound for _, bound in rows]
+            blocks.append(
+                report.render_series(
+                    f"E20 (adversary): PMA blocks a k={self.adversary_scan} scan "
+                    f"reads after deleting all but every 2^j-th of "
+                    f"N={self.adversary_keys} keys",
+                    "j",
+                    list(ADVERSARY_JS),
+                    series,
+                    note=(
+                        "bound = c(1 + k/B), c = S/m + 2 + 2S/B: S slots a "
+                        "segment, m its density floor, B entries a block.  "
+                        "cob-buffered is flushed before the scan."
+                    ),
+                )
+            )
         return "\n\n".join(blocks)
 
     def render_plot(self) -> str:
@@ -310,9 +417,12 @@ def sweep_spec(
     cache_bytes: int = 48 << 10,
     thread_keys: int = 1 << 15,
     queries_per_client: int = 40,
+    adversary_keys: int = 1 << 15,
+    adversary_scan: int = 1000,
     seed: int = 0,
 ) -> SweepSpec:
-    """The E20 sweep: compare points plus the Lemma 13 thread panel."""
+    """The E20 sweep: compare points, the Lemma 13 thread panel and the
+    scan adversary."""
     points = []
     for model in models:
         for tree in KNOBBED_TREES:
@@ -364,6 +474,13 @@ def sweep_spec(
                     seed=seed,
                 )
             )
+    for tree in ADVERSARY_TREES:
+        for j in ADVERSARY_JS:
+            points.append(
+                SweepPoint.make(
+                    "cob_adversary_point", tree=tree, j=j, n_keys=adversary_keys, k=adversary_scan
+                )
+            )
     return SweepSpec.make("cob_compare", points)
 
 
@@ -387,6 +504,7 @@ def run(
     cache: ResultCache | None = None,
 ) -> COBCompareResult:
     """Run E20; ``quick`` shrinks it to CI-smoke size."""
+    adversary_keys, adversary_scan = (1 << 12, 100) if quick else (1 << 15, 1000)
     if quick:
         n_entries = min(n_entries, 12_000)
         n_inserts = min(n_inserts, 500)
@@ -409,6 +527,8 @@ def run(
         cache_bytes=cache_bytes,
         thread_keys=thread_keys,
         queries_per_client=queries_per_client,
+        adversary_keys=adversary_keys,
+        adversary_scan=adversary_scan,
         seed=seed,
     )
     result = COBCompareResult(
@@ -417,6 +537,8 @@ def run(
         threads=tuple(threads),
         n_entries=n_entries,
         parallelism=parallelism,
+        adversary_keys=adversary_keys,
+        adversary_scan=adversary_scan,
     )
     rows: list[dict[str, Any]] = list(run_sweep(spec, jobs=jobs, cache=cache))
     i = 0
@@ -441,4 +563,9 @@ def run(
             series.append(rows[i]["throughput"])
             i += 1
         result.thread_throughput[mode] = series
+    for tree in ADVERSARY_TREES:
+        result.adversary[tree] = [
+            (row["blocks"], row["bound"]) for row in rows[i : i + len(ADVERSARY_JS)]
+        ]
+        i += len(ADVERSARY_JS)
     return result

@@ -33,6 +33,7 @@ KERNEL_HOMES: dict[str, str] = {
     "autotune_device": "exp_autotune",
     "betree_nodesize_point": "exp_betree_nodesize",
     "btree_nodesize_point": "exp_btree_nodesize",
+    "cob_adversary_point": "exp_cob_compare",
     "cob_compare_point": "exp_cob_compare",
     "cob_pdam_threads_point": "exp_cob_compare",
     "durability_point": "exp_durability",

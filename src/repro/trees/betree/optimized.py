@@ -21,9 +21,10 @@ fanouts within ``(1 ± 1/log F) F``, is not reproduced: it pins down only
 *lower-order terms*, and measured on E9's shape it took under 1 % off a
 query beyond what draining the buffers does while making inserts dearer
 (docs/architecture.md, "The two Bε-trees").  Both
-Bε-trees rebalance by splits alone.  Fanout is at most ``2F``
-(``check_invariants`` enforces it) with no lower bound: internal nodes
-never merge, and dropping emptied leaves can leave a node one child.
+Bε-trees rebalance by splits alone.  Fanout is at most ``2F``, after
+``flush_all`` too (``check_invariants`` enforces it), with no lower bound:
+internal nodes never merge, and dropping emptied leaves can leave a node
+one child.
 
 IO accounting
 -------------

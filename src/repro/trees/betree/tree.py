@@ -533,7 +533,7 @@ class BeTree(KVTree):
             changed = self._flush_everything(self.root_id)
             self._maybe_grow_root()
 
-    def _flush_everything(self, node_id: int) -> bool:
+    def _flush_everything(self, node_id: int, parent: BeNode | None = None) -> bool:
         node = self._get(node_id)
         if node.is_leaf:
             return False
@@ -542,12 +542,19 @@ class BeTree(KVTree):
             self._flush_child(node, node.fullest_segment())
             changed = True
         for child_id in list(node.children):
-            changed |= self._flush_everything(child_id)
+            changed |= self._flush_everything(child_id, node)
+        # Flushes into leaves split them under this node, as they do on the
+        # normal path, where _flush_child_impl then splits an over-wide child;
+        # the root is _maybe_grow_root's.
+        if parent is not None and len(node.children) > self.config.max_children:
+            self._split_internal(parent, parent.children.index(node_id))
         return changed
 
     def bulk_load(self, pairs: list[tuple[int, Any]]) -> None:
         """Replace the tree's contents with sorted ``pairs`` (empty tree only)."""
-        if self._next_seq or len(self):
+        # Pristine: no message ever sent and no node beyond the first root.
+        # Structural, so a refused load charges nothing (len() would scan).
+        if self._next_seq or self._next_id > 1:
             raise TreeError("bulk_load requires a pristine tree")
         all_keys = [k for k, _ in pairs]
         if not all(map(lt, all_keys, islice(all_keys, 1, None))):

@@ -450,6 +450,14 @@ class TestCOBCompare:
     def test_veb_layout_dominates_thread_panel(self, result):
         assert result.veb_dominates_threads(slack=0.85)
 
+    def test_adversarial_scans_within_their_bound(self, result):
+        # ROADMAP item 4's scan adversary: every row of the panel holds
+        # c(1 + k/B) (full size: tests/trees/test_pma_floors.py).
+        assert set(result.adversary) == {"cob", "cob-buffered"}
+        for rows in result.adversary.values():
+            assert len(rows) == 5
+            assert all(0 < blocks <= bound for blocks, bound in rows)
+
     def test_every_cell_pays_io(self, result):
         # Regression guard for the scale parameters: a zero cell means the
         # cache swallowed the workload and the comparison is vacuous.

@@ -7,6 +7,8 @@ deletes (emptied leaves dropped from nodes that never merge) — and checks
 full invariants plus dict-equivalence at checkpoints throughout the run.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,26 @@ def test_fanout_is_capped_at_2F_and_has_no_floor(cls):
         fanouts += [len(node.children) for node in level if not node.is_leaf]
     assert max(fanouts) <= config.max_children
     assert min(fanouts) < config.target_fanout / 2
+
+
+@pytest.mark.parametrize("cls", [BeTree, OptimizedBeTree])
+def test_flush_all_splits_the_nodes_its_leaf_splits_widen(cls):
+    """``flush_all`` drains buffers into leaves, whose splits can push a
+    non-root node past 2F; it splits that node as a normal flush does.  It
+    once left "fanout 7 over max" on 5 (BeTree) and 6 (OptimizedBeTree) of
+    these 20 seeds."""
+    config = BeTreeConfig(node_bytes=2048, fanout=3, fmt=EntryFormat(value_bytes=8))
+    for seed in range(20):
+        rng = random.Random(seed)
+        tree = cls(StorageStack(NullDevice(), cache_bytes=1 << 20), config)
+        ref = {}
+        for _ in range(1200):
+            key = rng.randint(0, 5000)
+            tree.insert(key, seed)
+            ref[key] = seed
+        tree.flush_all()
+        tree.check_invariants()
+        assert dict(tree.items()) == ref
 
 
 class TestBTreeUnderPressure:

@@ -14,38 +14,14 @@ import pytest
 
 from repro.errors import TreeError
 from repro.storage.hdd import HDDGeometry, SimulatedHDD
-from repro.trees import KINDS, KVTree, build
-from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
-
-FMT = EntryFormat(value_bytes=20)
-
-#: Small structures on a small RAM budget, so a few thousand operations
-#: split nodes, compact runs, merge levels and rebalance PMA windows.
-SMALL = {
-    "btree": dict(node_bytes=4096, cache_bytes=1 << 18, fmt=FMT),
-    "betree": dict(node_bytes=16384, cache_bytes=1 << 18, fanout=4, fmt=FMT),
-    "lsm": dict(memtable_bytes=1 << 12, sstable_bytes=1 << 14, level1_bytes=1 << 16, fmt=FMT),
-    "cola": dict(cache_bytes=1 << 14, fmt=FMT),
-    "cob": dict(cache_bytes=1 << 10, initial_slots=64, fmt=FMT),
-    "cob-buffered": dict(
-        cache_bytes=1 << 10, initial_slots=64, fanout=4, buffer_bytes=2048,
-        rebuild_factor=2.0, fmt=FMT,
-    ),
-}
+from repro.trees import KINDS, KVTree
+from repro.trees.sizing import KEY_MAX, KEY_MIN
+from tests.trees import test_lockstep as lockstep
 
 
 def make(kind: str) -> KVTree:
-    device = SimulatedHDD(HDDGeometry(capacity_bytes=1 << 30), seed=1)
-    return build(kind, device, **SMALL[kind])
-
-
-def accounting(tree: KVTree) -> dict:
-    return {
-        "clock": tree.device.clock,
-        "stats": vars(tree.device.stats).copy(),
-        "user_bytes": tree.user_bytes_modified,
-        "used_bytes": tree.allocator.used_bytes,
-    }
+    """``kind`` from the lockstep machine's small-config table, on an HDD."""
+    return lockstep.make(kind, SimulatedHDD(HDDGeometry(capacity_bytes=1 << 30), seed=1))
 
 
 def sorted_pairs(n: int, seed: int = 5) -> list[tuple[int, int]]:
@@ -55,7 +31,7 @@ def sorted_pairs(n: int, seed: int = 5) -> list[tuple[int, int]]:
 
 
 def test_small_configs_cover_the_registry():
-    assert set(SMALL) == set(KINDS)
+    assert set(lockstep.SMALL) == set(KINDS)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -113,7 +89,7 @@ def test_put_many_is_an_insert_loop(kind):
     for key, value in pairs:
         serial.insert(key, value)
     batch.put_many(iter(pairs))
-    assert accounting(batch) == accounting(serial)
+    assert lockstep.accounting(batch) == lockstep.accounting(serial)
     assert list(batch.items()) == list(serial.items())
     batch.check_invariants()
 
@@ -135,7 +111,7 @@ def test_load_is_the_kinds_own_load_path(kind):
     old, new = make(kind), make(kind)
     OLD_LOAD[kind](old, pairs)
     new.load(pairs)
-    assert accounting(new) == accounting(old)
+    assert lockstep.accounting(new) == lockstep.accounting(old)
     assert list(new.items()) == pairs
     new.check_invariants()
 
@@ -145,10 +121,10 @@ def test_load_requires_an_empty_tree(kind):
     pairs = sorted_pairs(400)
     tree = make(kind)
     tree.load(pairs[:300])
-    loaded = accounting(tree)
+    loaded = lockstep.accounting(tree)
     with pytest.raises(TreeError):
         tree.load(pairs[300:])
-    assert accounting(tree) == loaded
+    assert lockstep.accounting(tree) == loaded
     assert list(tree.items()) == pairs[:300]
     # One pair on the write path is enough to refuse, wherever it sits.
     tree = make(kind)
@@ -197,14 +173,14 @@ def test_lifecycle(kind):
     tree.put_many((k + 1, v) for k, v in pairs[:300])
     tree.settle()
     assert tree.io_seconds == tree.device.stats.busy_seconds > 0.0
-    settled = accounting(tree)
+    settled = lockstep.accounting(tree)
     tree.settle()
-    assert accounting(tree) == settled
+    assert lockstep.accounting(tree) == settled
 
     # drop_cache() costs nothing once settled, loses nothing, and leaves a
     # buffer-cached kind cold: its next read goes to the device.
     tree.drop_cache()
-    assert accounting(tree) == settled
+    assert lockstep.accounting(tree) == settled
     if tree.storage is not None:
         assert tree.storage.cache.cached_bytes == 0
         before = tree.io_seconds
@@ -227,7 +203,7 @@ def test_lookup_many_answers_like_a_get_loop(kind):
     keys = [pairs[i][0] + (i % 3 == 0) for i in range(0, 2000, 17)]
     assert batched.lookup_many(keys) == [looped.get(key) for key in keys]
     if kind != "btree":  # the B-tree's batched descent is a different IO schedule
-        assert accounting(batched) == accounting(looped)
+        assert lockstep.accounting(batched) == lockstep.accounting(looped)
 
 
 def test_get_many_is_exposed_by_exactly_these_kinds():

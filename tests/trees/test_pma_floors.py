@@ -14,7 +14,7 @@ most ``(k/m + 2) * S * E`` bytes, which touch at most
 The adversary (ROADMAP item 4, Iacono et al., arXiv 1902.07928): fill,
 delete all but every ``2^j``-th key, scan.  At 36cbd9c, before the floors,
 ``j = 3, 4, 5`` broke this bound on every scan of 146 keys or more (see
-``PARENT_BLOCKS``).
+``PARENT_BLOCKS``).  E20's adversary panel runs the same helpers.
 
 The floors must not cost the PMA its update bound either: amortised over
 any mix of inserts and deletes, an operation respreads ``O(log^2 n)``
@@ -31,12 +31,12 @@ import numpy as np
 import pytest
 
 from repro.errors import TreeError
+from repro.experiments.exp_cob_compare import adversary, pma_blocks_read, scan_bound
 from repro.storage.ram import NullDevice
 from repro.trees.cob import EMPTY, BufferedCOBTree, COBConfig, COBTree
 from repro.trees.sizing import EntryFormat
 
 FMT = EntryFormat(key_bytes=8, value_bytes=20)
-N_KEYS = 1 << 15
 SCAN_SIZES = (1, 16, 146, 1000)
 
 #: Blocks the ``k = 1000`` scan from the first survivor read at 36cbd9c,
@@ -55,43 +55,10 @@ def _tree(cls=COBTree, initial_slots=8, *, trace=False, **fields):
 
 @functools.lru_cache(maxsize=None)
 def _thinned(j, *, bulk):
-    """A tree of ``N_KEYS`` keys, then all but every ``2^j``-th deleted —
-    one scalar delete at a time, or as ``put_bulk`` runs of deletes.
-    Scans only charge, so the tests share one tree per ``(j, bulk)``."""
-    tree = _tree()
-    keys = list(range(1, 2 * N_KEYS, 2))
-    tree.bulk_load([(k, k) for k in keys])
-    doomed = [k for i, k in enumerate(keys) if i % (1 << j)]
-    if bulk:
-        for at in range(0, len(doomed), 500):
-            tree.put_bulk([], doomed[at : at + 500])
-    else:
-        for key in doomed:
-            tree.delete(key)
+    """Scans only charge, so the tests share one tree per ``(j, bulk)``."""
+    tree, survivors = adversary("cob", j, bulk=bulk)
     tree.check_invariants()
-    return tree, keys[:: 1 << j]
-
-
-def _blocks_read(tree, scan):
-    """``(result, distinct device blocks the scan read from the PMA)``."""
-    device, pma = tree.device, tree.pma
-    with patch.object(device, "read", wraps=device.read) as read:
-        result = scan()
-    block = pma.block_bytes
-    blocks = 0
-    for (offset, nbytes), _ in read.call_args_list:
-        if pma.offset <= offset < pma.offset + pma.nbytes:
-            blocks += (offset + nbytes - 1) // block - offset // block + 1
-    return result, blocks
-
-
-def scan_bound(pma, k):
-    """``c * (1 + k/B)`` for ``pma``'s geometry (module docstring)."""
-    width = pma.segment_slots
-    least = int(pma.max_density / 4 * width)
-    per_block = pma.block_bytes // pma.entry_bytes
-    c = width / least + 2 + 2 * width / per_block
-    return c * (1 + k / per_block)
+    return tree, survivors
 
 
 @pytest.mark.parametrize("bulk", [False, True], ids=["scalar", "bulk"])
@@ -103,7 +70,7 @@ def test_a_scan_after_the_adversarys_deletes_reads_O_of_1_plus_k_over_B(j, bulk)
     for k in SCAN_SIZES:
         for first in [0] + [rng.randrange(len(survivors) - k) for _ in range(5)]:
             want = survivors[first : first + k]
-            got, blocks = _blocks_read(tree, lambda: tree.range(want[0], want[-1]))
+            got, blocks = pma_blocks_read(tree, lambda: tree.range(want[0], want[-1]))
             assert [key for key, _ in got] == want
             assert blocks <= scan_bound(tree.pma, k), (k, first, blocks)
 
@@ -114,7 +81,7 @@ def test_the_bound_is_what_the_parent_broke():
         tree, survivors = _thinned(j, bulk=False)
         assert tree.pma.segment_slots == 16
         assert scan_bound(tree.pma, 1000) == pytest.approx(BOUND_AT_1000, abs=0.05)
-        _, blocks = _blocks_read(tree, lambda: tree.range(survivors[0], survivors[999]))
+        _, blocks = pma_blocks_read(tree, lambda: tree.range(survivors[0], survivors[999]))
         assert blocks <= BOUND_AT_1000
         assert blocks <= PARENT_BLOCKS[j]
     assert [j for j, blocks in PARENT_BLOCKS.items() if blocks > BOUND_AT_1000] == [3, 4, 5]

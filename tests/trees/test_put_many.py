@@ -19,16 +19,14 @@ from repro.errors import DeviceCrashed, TransientIOError
 from repro.faults import CrashPlan, FaultPlan, FaultyDevice
 from repro.obs import OBS
 from repro.storage.hdd import HDDGeometry, SimulatedHDD
-from repro.storage.stack import StorageStack
 from repro.trees import build
-from repro.trees.betree import BeTree, BeTreeConfig
 from repro.trees.cola import COLA
 from repro.trees.lsm import LSMTree
 from repro.trees.merge import TOMBSTONE
 from repro.trees.sizing import EntryFormat
+from tests.trees import test_lockstep as lockstep
 
 FMT = EntryFormat(value_bytes=20)
-BETREE = dict(node_bytes=16384, fanout=4, fmt=FMT)
 
 
 def _pairs(n=4000, universe=60_000, seed=13):
@@ -41,39 +39,21 @@ def _hdd():
     return SimulatedHDD(HDDGeometry(capacity_bytes=1 << 30), seed=1)
 
 
-def _registered(kind, **fields):
-    return lambda: build(kind, _hdd(), **fields)
+def _subject(name):
+    return lambda: lockstep.make(name, _hdd())
 
 
-def _make_naive_betree():
-    # The whole-node-IO ablation variant is not a registry kind.
-    return BeTree(StorageStack(_hdd(), cache_bytes=1 << 18), BeTreeConfig(**BETREE))
-
-
+#: The lockstep machine's subjects under this file's names: "betree" is the
+#: naive whole-node tree, "betree-optimized" the registry's.
 TREES = {
-    "btree": _registered("btree", node_bytes=4096, cache_bytes=1 << 18),
-    "betree": _make_naive_betree,
-    "betree-optimized": _registered("betree", cache_bytes=1 << 18, **BETREE),
-    "lsm": _registered("lsm", memtable_bytes=1 << 12, sstable_bytes=1 << 14),
-    # PR 7 left COLA out of the batched fast path; it and the cob tier
-    # now carry the same serial-identity contract as every other tree.
-    "cola": _registered("cola", fmt=FMT),
-    "cob": _registered("cob", fmt=FMT),
-    "cob-buffered": _registered("cob-buffered", fmt=FMT),
+    "btree": _subject("btree"),
+    "betree": _subject(lockstep.NAIVE),
+    "betree-optimized": _subject("betree"),
+    "lsm": _subject("lsm"),
+    "cola": _subject("cola"),
+    "cob": _subject("cob"),
+    "cob-buffered": _subject("cob-buffered"),
 }
-
-
-def _accounting(tree):
-    acct = {
-        "clock": tree.device.clock,
-        "stats": vars(tree.device.stats).copy(),
-        "user_bytes": tree.user_bytes_modified,
-        "io_seconds": tree.io_seconds,
-    }
-    if tree.storage is not None:
-        cache = tree.storage.cache.stats
-        acct["cache"] = (cache.hits, cache.misses)
-    return acct
 
 
 @pytest.mark.parametrize("name", TREES)
@@ -84,22 +64,9 @@ def test_put_many_identical_to_insert_loop(name):
         serial_tree.insert(k, v)
     batch_tree = TREES[name]()
     batch_tree.put_many(pairs)
-    assert _accounting(batch_tree) == _accounting(serial_tree)
+    assert lockstep.accounting(batch_tree) == lockstep.accounting(serial_tree)
     batch_tree.check_invariants()
     assert list(batch_tree.items()) == list(serial_tree.items())
-
-
-@pytest.mark.parametrize("name", ["betree", "betree-optimized"])
-def test_put_many_preserves_sequence_numbers(name):
-    # Later deletes/upserts must see exactly the sequence counter a serial
-    # loop leaves behind, or message ordering would diverge downstream.
-    pairs = _pairs(n=1500)
-    serial_tree = TREES[name]()
-    for k, v in pairs:
-        serial_tree.insert(k, v)
-    batch_tree = TREES[name]()
-    batch_tree.put_many(pairs)
-    assert batch_tree._next_seq == serial_tree._next_seq
 
 
 @pytest.mark.parametrize("name", TREES)
@@ -132,26 +99,6 @@ def test_batched_ops_identical_with_obs_on_off(name, obs_on, monkeypatch):
     assert batch_hits == serial_hits
     assert batch_tree.device.clock == serial_tree.device.clock  # exact float equality
     assert vars(batch_tree.device.stats) == vars(serial_tree.device.stats)
-
-
-def test_put_many_interleaves_with_serial_ops():
-    # Mixing batched and serial mutations must match an all-serial run.
-    pairs = _pairs(n=2000)
-    serial_tree = TREES["betree-optimized"]()
-    batch_tree = TREES["betree-optimized"]()
-    for k, v in pairs[:500]:
-        serial_tree.insert(k, v)
-        batch_tree.insert(k, v)
-    for k, v in pairs[500:1500]:
-        serial_tree.insert(k, v)
-    batch_tree.put_many(pairs[500:1500])
-    serial_tree.delete(pairs[0][0])
-    batch_tree.delete(pairs[0][0])
-    for k, v in pairs[1500:]:
-        serial_tree.insert(k, v)
-    batch_tree.put_many(pairs[1500:])
-    assert _accounting(batch_tree) == _accounting(serial_tree)
-    assert list(batch_tree.items()) == list(serial_tree.items())
 
 
 # -- COLA and LSM: a batch is a batch, and still the loop ----------------------
