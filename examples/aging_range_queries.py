@@ -13,14 +13,14 @@ when nodes are scattered; larger nodes amortize it.
 Run:  python examples/aging_range_queries.py
 """
 
-from repro.experiments.devices import default_hdd
+from repro import storage
 from repro.storage.stack import StorageStack
 from repro.trees.btree import BTree, BTreeConfig
 from repro.workloads.generators import random_load_pairs, range_query_stream
 
 
 def build(policy: str, node_bytes: int, pairs):
-    device = default_hdd(seed=7)
+    device = storage.build("wd-black-1tb-2011-sim", seed=7)
     stack = StorageStack(device, cache_bytes=4 << 20,
                          allocator_policy=policy, allocator_seed=13)
     tree = BTree(stack, BTreeConfig(node_bytes=node_bytes))
@@ -44,7 +44,7 @@ def scan_throughput(tree, stack, keys, span=2000, n_scans=20):
 def main() -> None:
     pairs = random_load_pairs(200_000, 1 << 31, seed=1)
     keys = [k for k, _ in pairs]
-    disk_bw = default_hdd().geometry.bandwidth_bytes_per_second / 2**20
+    disk_bw = storage.build("wd-black-1tb-2011-sim").geometry.bandwidth_bytes_per_second / 2**20
 
     print(f"Device sequential bandwidth: {disk_bw:.0f} MiB/s\n")
     print(f"  {'node size':>10s}  {'fresh (MiB/s)':>14s}  {'aged (MiB/s)':>13s}  {'aging slowdown':>14s}")

@@ -11,7 +11,7 @@ Run:  python examples/io_trace_analysis.py
 import math
 
 from repro.analysis.traces import io_size_histogram, summarize_trace
-from repro.experiments.devices import default_hdd
+from repro import storage
 from repro.storage.stack import StorageStack
 from repro.trees.betree import BeTreeConfig, OptimizedBeTree
 from repro.trees.btree import BTree, BTreeConfig
@@ -23,7 +23,7 @@ CACHE = 2 << 20
 
 
 def run_workload(label, build):
-    device = default_hdd(seed=1, trace=True)
+    device = storage.build("wd-black-1tb-2011-sim", seed=1, trace=True)
     stack = StorageStack(device, CACHE)
     tree = build(stack)
     tree.bulk_load(random_load_pairs(N_LOAD, 1 << 31, seed=0))

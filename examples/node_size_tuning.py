@@ -18,7 +18,7 @@ Run:  python examples/node_size_tuning.py
 import numpy as np
 
 from repro.analysis.fitting import fit_affine_model
-from repro.experiments.devices import make_hdd
+from repro import storage
 from repro.models.analysis import (
     betree_speedup_over_btree,
     optimal_betree_params,
@@ -46,7 +46,7 @@ def measure_device(hdd, io_sizes, reads_per_size=48, seed=0):
 
 def main() -> None:
     fmt = EntryFormat()  # 108-byte entries
-    hdd = make_hdd("wd-black-1tb-2011-sim", seed=0)
+    hdd = storage.build("wd-black-1tb-2011-sim", seed=0)
 
     print("Step 1-2: fit the affine model to the device")
     sizes, times = measure_device(hdd, [4096 * 4**k for k in range(7)])
@@ -76,7 +76,7 @@ def main() -> None:
     keys = [k for k, _ in pairs]
     candidates = [16 << 10, 64 << 10, 256 << 10, 2 << 20]
     for node_bytes in candidates:
-        device = make_hdd("wd-black-1tb-2011-sim", seed=2)
+        device = storage.build("wd-black-1tb-2011-sim", seed=2)
         stack = StorageStack(device, cache)
         tree = BTree(stack, BTreeConfig(node_bytes=node_bytes, fmt=fmt))
         tree.bulk_load(pairs)

@@ -14,10 +14,8 @@ Run:  python examples/ssd_concurrency.py
 import numpy as np
 
 from repro.analysis.fitting import fit_pdam_model
-from repro.experiments.devices import make_ssd
-from repro.models.pdam import PDAMModel
+from repro import storage
 from repro.storage.device import ReadRequest
-from repro.storage.ideal import PDAMDevice
 from repro.trees.btree.veb import PDAMQuerySimulator, StaticSearchTree
 
 
@@ -27,7 +25,7 @@ def fit_device(name="samsung-860-pro-sim"):
     bytes_per_thread = 4 << 20
     times = []
     for p in threads:
-        ssd = make_ssd(name)
+        ssd = storage.build(name)
         rng = np.random.default_rng(p)
         stripes = ssd.capacity_bytes // 65536
         streams = [
@@ -61,7 +59,7 @@ def main() -> None:
     for k in (1, 2, 4, 8, 16):
         row = f"  {k:>10d}"
         for mode in modes:
-            device = PDAMDevice(PDAMModel(parallelism=P, block_bytes=4096))
+            device = storage.build("pdam", parallelism=P, block_bytes=4096, step_seconds=1.0)
             sim = PDAMQuerySimulator(device, tree, mode=mode)
             out = sim.run(k, 40, seed=0)
             row += f"  {out.throughput:>10.3f}"

@@ -9,10 +9,10 @@ figure of the evaluation (:mod:`repro.experiments`).
 
 Quick start::
 
-    from repro.experiments.devices import default_hdd
-    from repro.trees import build
+    from repro import storage, trees
 
-    tree = build("betree", default_hdd(), node_bytes=1 << 20, cache_bytes=16 << 20)
+    disk = storage.build("wd-black-1tb-2011-sim")   # a Table 2 disk, simulated
+    tree = trees.build("betree", disk, node_bytes=1 << 20, cache_bytes=16 << 20)
     tree.insert(1, "hello")
     tree.settle()
     print(tree.io_seconds)   # simulated device time — the metric

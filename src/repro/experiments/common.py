@@ -87,6 +87,15 @@ def measure_tree_ops(
     )
 
 
+def check_devices(names, known) -> tuple[str, ...]:
+    """``names`` as a tuple, each one of ``known``; an unknown name is
+    refused when the sweep spec is built, not inside a kernel."""
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ConfigurationError(f"unknown device(s) {unknown}; expected one of {tuple(known)}")
+    return tuple(names)
+
+
 _load_memo: dict[tuple[int, int, int], tuple[list, list]] = {}
 
 

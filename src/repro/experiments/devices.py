@@ -1,167 +1,20 @@
-"""The device zoo: simulated stand-ins for the paper's benchmark hardware.
-
-The SSD configs target the saturation throughputs of Table 1 and die
-counts near the paper's fitted ``P`` values; the HDD configs reproduce the
-``(s, t)`` pairs of Table 2 (the square-root seek curve and rotation period
-are chosen so the *mean* setup cost equals the paper's ``s``).
-
-These are simulations, not the real devices; names carry a ``-sim`` suffix
-to keep that visible in every table.
-"""
+"""The node-size experiments' default disk and SSD, from the device zoo in
+:mod:`repro.storage.registry`; they and ``HDD_ZOO`` stay importable from
+here because the experiments and ``benchmarks/perf`` name them so."""
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError
-from repro.models.affine import AffineModel
-from repro.storage.device import BlockDevice
-from repro.storage.hdd import HDDGeometry, SimulatedHDD
-from repro.storage.ideal import AffineDevice
-from repro.storage.ssd import SSDGeometry, SimulatedSSD
+from repro import storage
+from repro.storage.registry import HDD_ZOO
+
+__all__ = ["HDD_ZOO", "default_hdd", "default_ssd"]
 
 
-def hdd_geometry_for(
-    setup_seconds: float,
-    seconds_per_4k: float,
-    *,
-    capacity_bytes: int = 64 * 2**30,
-    rotation_seconds: float = 1.0 / 120.0,
-    track_to_track: float = 0.001,
-) -> HDDGeometry:
-    """Geometry whose *mean* setup cost equals ``setup_seconds``.
-
-    Inverts :attr:`HDDGeometry.mean_setup_seconds`: with the square-root
-    seek curve, mean seek = ``t2t + (full - t2t) * 8/15``, plus half a
-    rotation.
-    """
-    if setup_seconds <= track_to_track + rotation_seconds / 2:
-        raise ConfigurationError(
-            f"setup {setup_seconds}s is below track-to-track + half rotation"
-        )
-    full = track_to_track + (setup_seconds - track_to_track - rotation_seconds / 2) * 15.0 / 8.0
-    return HDDGeometry(
-        capacity_bytes=capacity_bytes,
-        track_to_track_seek_seconds=track_to_track,
-        full_stroke_seek_seconds=full,
-        rotation_seconds=rotation_seconds,
-        bandwidth_bytes_per_second=4096.0 / seconds_per_4k,
-    )
-
-
-#: Table 2 rows: name -> (year, s seconds, t seconds per 4 KiB).
-HDD_ZOO: dict[str, tuple[int, float, float]] = {
-    "seagate-2tb-2002-sim": (2002, 0.018, 0.000021),
-    "seagate-250gb-2006-sim": (2006, 0.015, 0.000033),
-    "hitachi-1tb-2009-sim": (2009, 0.013, 0.000041),
-    "wd-black-1tb-2011-sim": (2011, 0.012, 0.000035),
-    "wd-red-6tb-2018-sim": (2018, 0.016, 0.000026),
-}
-
-
-def make_hdd(name: str, *, seed: int = 0, trace: bool = False) -> SimulatedHDD:
-    """Instantiate one of the Table 2 stand-in disks."""
-    try:
-        _, s, t4k = HDD_ZOO[name]
-    except KeyError:
-        raise ConfigurationError(f"unknown HDD {name!r}; choose from {sorted(HDD_ZOO)}") from None
-    return SimulatedHDD(hdd_geometry_for(s, t4k), seed=seed, trace=trace)
-
-
-def default_hdd(*, seed: int = 0, trace: bool = False) -> SimulatedHDD:
+def default_hdd(*, seed: int = 0, trace: bool = False) -> storage.SimulatedHDD:
     """The disk the node-size experiments run on (WD Black 2011 stand-in)."""
-    return make_hdd("wd-black-1tb-2011-sim", seed=seed, trace=trace)
+    return storage.build("wd-black-1tb-2011-sim", seed=seed, trace=trace)
 
 
-#: Table 1 rows: name -> SSDGeometry targeting that device's P and PB.
-#:
-#: Design rule: the channel buses are the saturation bottleneck and there
-#: are many more dies than the effective parallelism, so concurrent clients
-#: rarely collide on a die below the knee (real SSDs behave this way; with
-#: one-die-per-request striping the effective P is ``channels * t_read /
-#: t_transfer`` and the saturation throughput ``channels * page / t_xfer``).
-SSD_ZOO: dict[str, SSDGeometry] = {
-    # Samsung 860 pro: fitted P=3.3, saturation ~530 MB/s (SATA).
-    "samsung-860-pro-sim": SSDGeometry(
-        capacity_bytes=64 * 2**30,
-        channels=2,
-        dies_per_channel=8,
-        page_read_seconds=25.6e-6,
-        channel_transfer_seconds=15.5e-6,
-    ),
-    # Samsung 970 pro: fitted P=5.5, saturation ~2500 MB/s (NVMe).
-    "samsung-970-pro-sim": SSDGeometry(
-        capacity_bytes=64 * 2**30,
-        channels=4,
-        dies_per_channel=8,
-        page_read_seconds=9e-6,
-        channel_transfer_seconds=6.55e-6,
-    ),
-    # Silicon Power S55: fitted P=2.9, saturation ~260 MB/s.
-    "silicon-power-s55-sim": SSDGeometry(
-        capacity_bytes=64 * 2**30,
-        channels=1,
-        dies_per_channel=8,
-        page_read_seconds=45.7e-6,
-        channel_transfer_seconds=15.75e-6,
-    ),
-    # SanDisk Ultra II: fitted P=4.6, saturation ~520 MB/s.
-    "sandisk-ultra-ii-sim": SSDGeometry(
-        capacity_bytes=64 * 2**30,
-        channels=2,
-        dies_per_channel=8,
-        page_read_seconds=36.2e-6,
-        channel_transfer_seconds=15.75e-6,
-    ),
-}
-
-
-def make_ssd(name: str) -> SimulatedSSD:
-    """Instantiate one of the Table 1 stand-in SSDs."""
-    try:
-        geometry = SSD_ZOO[name]
-    except KeyError:
-        raise ConfigurationError(f"unknown SSD {name!r}; choose from {sorted(SSD_ZOO)}") from None
-    return SimulatedSSD(geometry)
-
-
-def default_ssd() -> SimulatedSSD:
+def default_ssd() -> storage.SimulatedSSD:
     """The SSD used by PDAM-flavoured tree experiments."""
-    return make_ssd("samsung-860-pro-sim")
-
-
-#: Noise-free affine devices at the extremes of the alpha range the tuner
-#: must cover: name -> (s seconds, t seconds per byte).  The low-alpha end
-#: behaves like a floppy-era device (huge optimal nodes), the high-alpha
-#: end like NVM (tiny optimal nodes); no single static node size is close
-#: to optimal on both (Figure 2's point, stretched to its ends).
-AFFINE_ZOO: dict[str, tuple[float, float]] = {
-    "affine-lowalpha-sim": (0.05, 9.26e-10),  # alpha ~ 1.9e-8 /byte
-    "affine-highalpha-sim": (2e-5, 9.26e-9),  # alpha ~ 4.6e-4 /byte
-}
-
-
-def make_affine(name: str, *, trace: bool = False) -> AffineDevice:
-    """Instantiate one of the extreme-alpha affine devices."""
-    try:
-        s, t = AFFINE_ZOO[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown affine device {name!r}; choose from {sorted(AFFINE_ZOO)}"
-        ) from None
-    return AffineDevice(AffineModel.from_hardware(s, t), trace=trace)
-
-
-def tuning_zoo(*, seed: int = 0) -> dict[str, BlockDevice]:
-    """Every device the autotuner is exercised against (experiment E17).
-
-    Spans both model families and three decades of alpha: all Table 2
-    disks, a SATA and an NVMe SSD, and the two affine extremes — a range
-    wide enough that no static node size can be near-optimal everywhere.
-    """
-    zoo: dict[str, BlockDevice] = {}
-    for name in HDD_ZOO:
-        zoo[name] = make_hdd(name, seed=seed)
-    for name in ("samsung-860-pro-sim", "samsung-970-pro-sim"):
-        zoo[name] = make_ssd(name)
-    for name in AFFINE_ZOO:
-        zoo[name] = make_affine(name)
-    return zoo
+    return storage.build("samsung-860-pro-sim")

@@ -19,10 +19,12 @@ from typing import Any
 
 import numpy as np
 
+from repro import storage
 from repro.analysis.fitting import AffineFit, fit_affine_model
 from repro.experiments import report
-from repro.experiments.devices import HDD_ZOO, make_hdd
+from repro.experiments.common import check_devices
 from repro.runner import ResultCache, SweepPoint, SweepSpec, register, run_sweep
+from repro.storage.registry import HDD_ZOO
 
 DEFAULT_IO_SIZES = tuple(4096 * 4**k for k in range(7))  # 4 KiB .. 16 MiB
 
@@ -77,7 +79,7 @@ def affine_validation_device(
     seed: int,
 ) -> dict[str, Any]:
     """Random-read size ladder on one zoo disk; per-size mean IO times."""
-    hdd = make_hdd(device, seed=seed)
+    hdd = storage.build(device, seed=seed)
     rng = np.random.default_rng(seed + 1)
     mean_sizes: list[float] = []
     mean_times: list[float] = []
@@ -98,7 +100,7 @@ def sweep_spec(
     seed: int = 0,
 ) -> SweepSpec:
     """The E3 sweep: one ``affine_validation_device`` point per zoo disk."""
-    names = devices if devices is not None else tuple(sorted(HDD_ZOO))
+    names = check_devices(devices if devices is not None else sorted(HDD_ZOO), HDD_ZOO)
     return SweepSpec.make(
         "affine_validation",
         [

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import storage
 from repro.experiments import report
 from repro.experiments.common import build_load, measure_tree_ops
-from repro.models.affine import AffineModel
 from repro.models.analysis import optimal_fanout_asymmetric
-from repro.storage.ideal import AffineDevice
 from repro.trees import build
 from repro.trees.sizing import EntryFormat
 from repro.workloads.generators import insert_stream
@@ -101,8 +100,10 @@ def run(
         )
         costs: dict[int, float] = {}
         for fanout in fanouts:
-            device = AffineDevice(
-                AffineModel(alpha=alpha_per_byte, setup_seconds=setup_seconds),
+            device = storage.build(
+                "affine",
+                alpha=alpha_per_byte,
+                setup_seconds=setup_seconds,
                 capacity_bytes=1 << 31,
                 write_multiplier=w,
             )

@@ -35,16 +35,25 @@ from dataclasses import dataclass, field
 
 from typing import Any
 
+from repro import storage
 from repro.experiments import report
-from repro.experiments.common import build_load, measure_tree_ops
-from repro.experiments.devices import tuning_zoo
+from repro.experiments.common import build_load, check_devices, measure_tree_ops
 from repro.models.analysis import btree_op_cost
 from repro.runner import ResultCache, SweepPoint, SweepSpec, register, run_sweep
+from repro.storage.registry import HDD_ZOO
 from repro.trees import build
 from repro.trees.sizing import EntryFormat
 from repro.tuning import AutoTuner, DeviceProfile
 
 DEFAULT_NODE_SIZES = (4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20)
+
+#: The zoo the tuner is exercised against: every Table 2 disk, a SATA and an
+#: NVMe SSD, and the two affine extremes -- three decades of alpha, a range
+#: wide enough that no static node size can be near-optimal everywhere.
+DEFAULT_DEVICES = (
+    *HDD_ZOO, "samsung-860-pro-sim", "samsung-970-pro-sim",
+    "affine-lowalpha-sim", "affine-highalpha-sim",
+)
 
 #: Reference scale for the static-config impossibility check: a big-data
 #: regime where the tree is far bigger than the cache, so node size moves
@@ -200,15 +209,15 @@ def measure_device(
 ) -> dict[str, Any]:
     """The per-device E17 protocol: sweep, mis-configure, tune, re-measure.
 
-    Builds its own zoo device (device state — clock, RNG, head position —
-    carries across the sweep/bad-start/tuned phases) and returns a
+    Builds only the device it measures (device state — clock, RNG, head
+    position — carries across the sweep/bad-start/tuned phases) and returns a
     picklable dict of every :class:`DeviceTuneRow` field plus the fitted
     :class:`~repro.tuning.DeviceProfile`, which the cross-device
     static-configuration foil needs once all points are in.
     """
     fmt = EntryFormat()
     pairs, keys = build_load(n_entries, universe, seed=seed)
-    zoo_device = tuning_zoo(seed=seed)[device]
+    zoo_device = storage.build(device, seed=seed)
     sweep_ms = []
     for node_bytes in node_sizes:
         _, ms = _measure_query_ms(
@@ -273,7 +282,7 @@ def sweep_spec(
     seed: int = 0,
 ) -> SweepSpec:
     """The E17 sweep: one ``autotune_device`` point per zoo device."""
-    names = devices if devices is not None else tuple(tuning_zoo(seed=seed))
+    names = check_devices(devices if devices is not None else DEFAULT_DEVICES, storage.ZOO)
     return SweepSpec.make(
         "autotune",
         [

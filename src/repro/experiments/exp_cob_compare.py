@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro import storage
 from repro.errors import ConfigurationError
 from repro.experiments import report
 from repro.runner import ResultCache, SweepPoint, SweepSpec, register, run_sweep
@@ -63,27 +64,18 @@ MODEL_BLOCK_BYTES = 4096
 
 
 def make_model_device(model: str, *, parallelism: int):
-    """A device whose timing *is* the named cost model."""
-    if model == "affine":
-        from repro.models.affine import AffineModel
-        from repro.storage.ideal import AffineDevice
-
-        return AffineDevice(
-            AffineModel.from_hardware(SETUP_SECONDS, SECONDS_PER_BYTE)
-        )
-    if model in ("dam", "pdam"):
-        from repro.models.pdam import PDAMModel
-        from repro.storage.ideal import PDAMDevice
-
-        p = 1 if model == "dam" else parallelism
-        return PDAMDevice(
-            PDAMModel(
-                parallelism=p,
-                block_bytes=MODEL_BLOCK_BYTES,
-                step_seconds=SETUP_SECONDS,
-            )
-        )
-    raise ConfigurationError(f"unknown cost model {model!r}")
+    """A device whose timing *is* the named cost model, the DAM being a
+    one-slot PDAM (``benchmarks/perf`` imports it by this name)."""
+    if model not in MODELS:
+        raise ConfigurationError(f"unknown cost model {model!r}; expected one of {MODELS}")
+    pdam = dict(block_bytes=MODEL_BLOCK_BYTES, step_seconds=SETUP_SECONDS)
+    affine = dict(alpha=SECONDS_PER_BYTE / SETUP_SECONDS, setup_seconds=SETUP_SECONDS)
+    kind, fields = {
+        "dam": ("pdam", dict(pdam, parallelism=1)),
+        "affine": ("affine", affine),
+        "pdam": ("pdam", dict(pdam, parallelism=parallelism)),
+    }[model]
+    return storage.build(kind, **fields)
 
 
 @register("cob_compare_point")
@@ -174,14 +166,12 @@ def cob_pdam_threads_point(
     """Lemma 13 panel: k closed-loop clients over one index layout."""
     import numpy as np
 
-    from repro.models.pdam import PDAMModel
-    from repro.storage.ideal import PDAMDevice
     from repro.trees.btree.veb import PDAMQuerySimulator, StaticSearchTree
 
     keys = np.arange(1, n_keys + 1, dtype=np.int64) * 3
     tree = StaticSearchTree(keys)
-    device = PDAMDevice(
-        PDAMModel(parallelism=parallelism, block_bytes=block_bytes)
+    device = storage.build(
+        "pdam", parallelism=parallelism, block_bytes=block_bytes, step_seconds=1.0
     )
     sim = PDAMQuerySimulator(device, tree, mode=mode)
     out = sim.run(clients, queries_per_client, seed=seed)
@@ -196,13 +186,12 @@ def adversary(tree: str, j: int, *, n_keys: int = 1 << 15, bulk: bool = False):
     Returns ``(tree, survivors)``.  The tree sits on a traced free device
     whose trace starts empty, which is what :func:`pma_blocks_read` reads.
     """
-    from repro.storage.ram import NullDevice
     from repro.trees import build
     from repro.trees.sizing import EntryFormat
 
     instance = build(
         tree,
-        NullDevice(capacity_bytes=1 << 32, trace=True),
+        storage.build("null", capacity_bytes=1 << 32, trace=True),
         cache_bytes=1 << 24,
         initial_slots=8,
         fmt=EntryFormat(key_bytes=8, value_bytes=20),

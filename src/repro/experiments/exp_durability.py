@@ -37,8 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro import storage
 from repro.errors import ConfigurationError
 from repro.experiments import report
+from repro.experiments.common import check_devices
 from repro.runner import ResultCache, SweepPoint, SweepSpec, register, run_sweep
 
 DEFAULT_DEVICES = ("dam", "affine", "pdam")
@@ -61,24 +63,16 @@ DEFAULT_LOSS_PENALTY = 0.02
 DEFAULT_CRASH_FRACTION = 0.6
 
 
-def make_durability_device(device: str, *, node_bytes: int) -> Any:
-    """One of the three cost-model devices the sweep compares."""
-    if device == "dam":
-        from repro.storage.ram import ConstantLatencyDevice
-
-        return ConstantLatencyDevice(DAM_LATENCY)
-    if device == "affine":
-        from repro.experiments.devices import make_affine
-
-        return make_affine("affine-lowalpha-sim")
-    if device == "pdam":
-        from repro.models.pdam import PDAMModel
-        from repro.storage.ideal import PDAMDevice
-
-        return PDAMDevice(PDAMModel(4, node_bytes, DAM_LATENCY))
-    raise ConfigurationError(
-        f"unknown device {device!r}; expected one of {DEFAULT_DEVICES}"
-    )
+def make_durability_device(device: str, *, node_bytes: int) -> storage.BlockDevice:
+    """One of the three cost-model devices the sweep compares, looked up as
+    a registry name and its fields: a PDAM block is one node."""
+    check_devices((device,), DEFAULT_DEVICES)
+    name, fields = {
+        "dam": ("constant", dict(latency_seconds=DAM_LATENCY)),
+        "affine": ("affine-lowalpha-sim", {}),
+        "pdam": ("pdam", dict(parallelism=4, block_bytes=node_bytes, step_seconds=DAM_LATENCY)),
+    }[device]
+    return storage.build(name, **fields)
 
 
 # -- sweep kernel -------------------------------------------------------------
@@ -285,6 +279,7 @@ def sweep_spec(
     seed: int = 0,
 ) -> SweepSpec:
     """The E21 sweep: one kernel point per (device, batch, checkpoint)."""
+    check_devices(devices, DEFAULT_DEVICES)
     points = [
         SweepPoint.make(
             "durability_point",

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import storage
 from repro.analysis.fitting import PDAMFit, fit_pdam_model
 from repro.experiments import report
-from repro.experiments.devices import SSD_ZOO, make_ssd
 from repro.storage.device import ReadRequest, WriteRequest
 
 DEFAULT_THREADS = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 24, 32, 48, 64)
@@ -120,13 +120,14 @@ def run(
     """
     if not 0.0 <= write_fraction <= 1.0:
         raise ValueError(f"write_fraction must be in [0, 1], got {write_fraction}")
-    names = devices if devices is not None else tuple(sorted(SSD_ZOO))
+    zoo_ssds = (name for name, (kind, _) in storage.ZOO.items() if kind == "ssd")
+    names = devices if devices is not None else tuple(sorted(zoo_ssds))
     result = PDAMValidationResult(threads=tuple(threads), bytes_per_thread=bytes_per_thread)
     n_requests = max(1, bytes_per_thread // request_bytes)
     for name in names:
         times = []
         for p in threads:
-            ssd = make_ssd(name)
+            ssd = storage.build(name)
             rng = np.random.default_rng(seed + p)
             n_stripes = ssd.capacity_bytes // request_bytes
             streams = []
@@ -146,5 +147,5 @@ def run(
         result.fits[name] = fit_pdam_model(
             list(threads), times, bytes_per_thread=bytes_per_thread
         )
-        result.expected_parallelism[name] = SSD_ZOO[name].expected_pdam_parallelism
+        result.expected_parallelism[name] = ssd.geometry.expected_pdam_parallelism
     return result

@@ -162,8 +162,7 @@ def measure_pdam(
     Fault-free this costs exactly one step per round, so throughput is
     ``clients`` demands/step and ``recovered`` is 1.0 by construction.
     """
-    from repro.models.pdam import PDAMModel
-    from repro.storage.ideal import PDAMDevice
+    from repro import storage
     from repro.storage.scheduler import ReadAheadScheduler
 
     if not 0 < clients <= parallelism:
@@ -172,8 +171,10 @@ def measure_pdam(
         )
     base = FaultPlan.from_json(plan_json)
     armed = base.scaled(intensity)
-    model = PDAMModel(parallelism, 4096, step_seconds=1e-3)
-    device = PDAMDevice(model, capacity_bytes=1 << 30)
+    device = storage.build(
+        "pdam", parallelism=parallelism, block_bytes=4096, step_seconds=1e-3, capacity_bytes=1 << 30
+    )
+    model = device.model
     pol = policy_for(policy, hedge_deadline_seconds=1.5 * model.step_seconds)
     sched = ReadAheadScheduler(
         device, expand_readahead=False, fault_plan=armed, policy=pol

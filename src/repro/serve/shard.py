@@ -25,6 +25,7 @@ from typing import Any
 
 import numpy as np
 
+from repro import storage
 from repro.errors import ConfigurationError
 from repro.faults import CrashPlan, FaultPlan, FaultyDevice, ResiliencePolicy
 from repro.serve.tenants import derive_seed
@@ -247,9 +248,7 @@ def _build_replica(
     plan: FaultPlan | None,
     device_policy: ResiliencePolicy | None,
 ) -> Replica:
-    from repro.experiments.devices import default_hdd
-
-    device = default_hdd(seed=device_seed)
+    device = storage.build("wd-black-1tb-2011-sim", seed=device_seed)
     if plan is not None:
         armed = FaultPlan(
             seed=derive_seed(plan.seed, "plan", device_seed),

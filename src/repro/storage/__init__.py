@@ -17,6 +17,8 @@ behaviour (see DESIGN.md section 2 for the substitution argument):
 * :mod:`repro.storage.allocator` — extent allocator for variable-size nodes.
 * :mod:`repro.storage.scheduler` — PDAM step scheduler with read-ahead
   expansion (the Section 8 strategy).
+* :mod:`repro.storage.registry` — ``build(name)``: every device kind by
+  name (:data:`KINDS`), and the paper's hardware as presets (:data:`ZOO`).
 """
 
 from repro.storage.device import BlockDevice, DeviceStats, IORecord
@@ -26,6 +28,7 @@ from repro.storage.ideal import AffineDevice, PDAMDevice
 from repro.storage.ram import NullDevice, ConstantLatencyDevice
 from repro.storage.cache import BufferCache, CacheStats
 from repro.storage.allocator import ExtentAllocator
+from repro.storage.registry import KINDS, ZOO, DeviceKind, build
 
 __all__ = [
     "BlockDevice",
@@ -42,4 +45,8 @@ __all__ = [
     "BufferCache",
     "CacheStats",
     "ExtentAllocator",
+    "DeviceKind",
+    "KINDS",
+    "ZOO",
+    "build",
 ]

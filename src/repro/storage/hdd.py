@@ -23,7 +23,7 @@ intercept ``s``, with slope ``t = 1/bandwidth``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,6 +93,27 @@ class HDDGeometry:
     def half_bandwidth_bytes(self) -> float:
         """IO size at which setup and transfer time are equal."""
         return self.mean_setup_seconds * self.bandwidth_bytes_per_second
+
+
+def hdd_geometry_for(setup_seconds: float, seconds_per_4k: float) -> HDDGeometry:
+    """A 64 GiB geometry whose *mean* setup cost equals ``setup_seconds`` and
+    whose transfer takes ``seconds_per_4k`` per 4 KiB (a Table 2 row).
+
+    Inverts :attr:`HDDGeometry.mean_setup_seconds` for the full-stroke
+    seek: with the square-root seek curve, mean seek = ``t2t + (full - t2t)
+    * 8/15``, plus half a rotation.
+    """
+    base = HDDGeometry(capacity_bytes=64 * 2**30)
+    t2t, half_rotation = base.track_to_track_seek_seconds, base.rotation_seconds / 2
+    if setup_seconds <= t2t + half_rotation:
+        raise ConfigurationError(f"setup {setup_seconds}s is below track-to-track + half rotation")
+    if seconds_per_4k <= 0:
+        raise ConfigurationError(f"seconds_per_4k must be positive, got {seconds_per_4k}")
+    return replace(
+        base,
+        full_stroke_seek_seconds=t2t + (setup_seconds - t2t - half_rotation) * 15.0 / 8.0,
+        bandwidth_bytes_per_second=4096.0 / seconds_per_4k,
+    )
 
 
 class SimulatedHDD(BlockDevice):

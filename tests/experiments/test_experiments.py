@@ -40,10 +40,10 @@ class TestPDAMValidation:
             assert 1.5 < fit.parallelism < 10, name
 
     def test_saturation_close_to_geometry(self, result):
-        from repro.experiments.devices import SSD_ZOO
+        from repro import storage
 
         for name, fit in result.fits.items():
-            target = SSD_ZOO[name].saturated_read_bytes_per_second
+            target = storage.build(name).geometry.saturated_read_bytes_per_second
             assert fit.saturation_bytes_per_second == pytest.approx(target, rel=0.15)
 
     def test_dam_overestimates_by_about_p(self, result):

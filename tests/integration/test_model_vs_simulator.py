@@ -9,10 +9,10 @@ import pytest
 
 from repro.analysis.fitting import fit_affine_model, fit_pdam_model
 from repro.analysis.metrics import max_relative_error
-from repro.experiments.devices import hdd_geometry_for, make_ssd
+from repro import storage
 from repro.models.affine import AffineModel
 from repro.storage.device import ReadRequest
-from repro.storage.hdd import SimulatedHDD
+from repro.storage.hdd import SimulatedHDD, hdd_geometry_for
 from repro.storage.ideal import AffineDevice
 
 
@@ -62,7 +62,7 @@ class TestPDAMPipeline:
     def _thread_sweep(self, name, threads, bytes_per_thread=4 << 20, seed=0):
         times = []
         for p in threads:
-            ssd = make_ssd(name)
+            ssd = storage.build(name)
             rng = np.random.default_rng(seed + p)
             n_req = bytes_per_thread // 65536
             stripes = ssd.capacity_bytes // 65536
@@ -80,9 +80,7 @@ class TestPDAMPipeline:
         threads = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
         times = self._thread_sweep("samsung-860-pro-sim", threads)
         fit = fit_pdam_model(list(threads), times, bytes_per_thread=4 << 20)
-        from repro.experiments.devices import SSD_ZOO
-
-        target = SSD_ZOO["samsung-860-pro-sim"].saturated_read_bytes_per_second
+        target = storage.build("samsung-860-pro-sim").geometry.saturated_read_bytes_per_second
         assert fit.saturation_bytes_per_second == pytest.approx(target, rel=0.1)
 
     def test_prediction_error_reasonable(self):

@@ -36,9 +36,9 @@ class TestClaim2ModelsFitHardware:
 
     def test_affine_fits_hdd_with_high_r2(self):
         from repro.analysis.fitting import fit_affine_model
-        from repro.experiments.devices import make_hdd
+        from repro import storage
 
-        hdd = make_hdd("hitachi-1tb-2009-sim", seed=1)
+        hdd = storage.build("hitachi-1tb-2009-sim", seed=1)
         rng = np.random.default_rng(2)
         sizes, times = [], []
         for io in [4096 * 4**k for k in range(6)]:
@@ -52,14 +52,14 @@ class TestClaim2ModelsFitHardware:
 
     def test_pdam_fits_ssd_with_high_r2(self):
         from repro.analysis.fitting import fit_pdam_model
-        from repro.experiments.devices import make_ssd
+        from repro import storage
         from repro.storage.device import ReadRequest
 
         per_thread = 2 << 20
         threads = (1, 2, 4, 8, 16, 32)
         times = []
         for p in threads:
-            ssd = make_ssd("silicon-power-s55-sim")
+            ssd = storage.build("silicon-power-s55-sim")
             rng = np.random.default_rng(p)
             stripes = ssd.capacity_bytes // 65536
             streams = [

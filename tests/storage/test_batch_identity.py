@@ -4,10 +4,10 @@ The batched IO contract (docs/architecture.md): ``read_batch`` /
 ``write_batch`` are *semantically invisible* — clock, stats, trace,
 sampler, and the HDD's rotation-stream cursor must match a serial loop of
 ``read`` / ``write`` bit for bit.  These tests enforce that with exact
-float equality (no ``approx``) on every device the experiments use, plus
-the fault wrapper in both its transparent and perturbed configurations,
-and with observability both off and on.  Every device is built tracing
-and sampling, so both are part of what is compared.
+float equality (no ``approx``) on every kind in :data:`repro.storage.KINDS`,
+plus the fault wrapper in both its transparent and perturbed
+configurations, and with observability both off and on.  Every device is
+built tracing and sampling, so both are part of what is compared.
 """
 
 import copy
@@ -22,20 +22,18 @@ import numpy as np
 import pytest
 
 import repro
+from repro import storage
 from repro.errors import DeviceCrashed, InvalidIOError, TransientIOError
 from repro.faults.crash import CrashPlan
 from repro.faults.device import FaultyDevice
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import ResiliencePolicy
-from repro.models.affine import AffineModel
-from repro.models.pdam import PDAMModel
 from repro.obs import OBS
 from repro.storage.device import BlockDevice, ReadRequest
 from repro.storage.engine import ClosedLoopRunner, Resource, ResourcePool
 from repro.storage.hdd import ROTATION_BLOCK, HDDGeometry, SimulatedHDD
-from repro.storage.ideal import AffineDevice, PDAMDevice
-from repro.storage.ram import ConstantLatencyDevice
-from repro.storage.ssd import SimulatedSSD, SSDGeometry
+from repro.storage.ideal import PDAMDevice
+from repro.storage.ssd import SimulatedSSD
 
 OFFSETS = [512, 1 << 20, 4096, 2 << 20, 4096 + 65536, 1 << 24]
 NBYTES = 4096
@@ -47,36 +45,22 @@ def _observed(dev):
     return dev
 
 
-def affine():
-    return _observed(
-        AffineDevice(
-            AffineModel(alpha=2.5e-6, setup_seconds=0.004),
-            capacity_bytes=1 << 30,
-            sequential_detection=True,
-            write_multiplier=2.5,
-            trace=True,
-        )
-    )
+#: Branches a kind's defaults leave off, switched on so the batch must match them too.
+SWITCHED_ON = {"affine": dict(sequential_detection=True, write_multiplier=2.5)}
 
 
-def pdam():
-    return _observed(
-        PDAMDevice(
-            PDAMModel(block_bytes=4096, parallelism=4, step_seconds=1e-4),
-            capacity_bytes=1 << 30,
-            trace=True,
-        )
-    )
+def device(kind, seed=3):
+    """A fresh 1 GiB device of registry ``kind``, tracing and sampling."""
+    fields = SWITCHED_ON.get(kind, {})
+    return _observed(storage.build(kind, seed=seed, trace=True, capacity_bytes=1 << 30, **fields))
 
 
 def hdd(seed=3):
-    return _observed(
-        SimulatedHDD(HDDGeometry(capacity_bytes=1 << 30), seed=seed, trace=True)
-    )
+    return device("hdd", seed)
 
 
 def ssd():
-    return _observed(SimulatedSSD(SSDGeometry(capacity_bytes=1 << 30), trace=True))
+    return device("ssd")
 
 
 def faulty_transparent():
@@ -94,17 +78,17 @@ def faulty_perturbed():
     )
 
 
-DEVICES = {
-    "constant": lambda: _observed(
-        ConstantLatencyDevice(0.002, capacity_bytes=1 << 30, trace=True)
-    ),
-    "affine": affine,
-    "pdam": pdam,
-    "hdd": hdd,
-    "ssd": ssd,
-    "faulty-transparent": faulty_transparent,
-    "faulty-perturbed": faulty_perturbed,
-}
+#: The fault wrapper around the HDD, transparent and perturbed.
+WRAPPED = {"faulty-transparent": faulty_transparent, "faulty-perturbed": faulty_perturbed}
+
+
+def names():
+    """What this suite compares: every registry kind, read when called, then the wrappers."""
+    return (*storage.KINDS, *WRAPPED)
+
+
+def make(name):
+    return WRAPPED[name]() if name in WRAPPED else device(name)
 
 
 def _state(dev):
@@ -138,10 +122,10 @@ def _state(dev):
     return state
 
 
-@pytest.mark.parametrize("name", DEVICES)
+@pytest.mark.parametrize("name", names())
 @pytest.mark.parametrize("direction", ["read", "write"])
 def test_batch_identical_to_serial_loop(name, direction):
-    ref, dev = DEVICES[name](), DEVICES[name]()
+    ref, dev = make(name), make(name)
     op = getattr(ref, direction)
     expected = [op(off, NBYTES) for off in OFFSETS]
     got = getattr(dev, f"{direction}_batch")(OFFSETS, NBYTES)
@@ -149,36 +133,36 @@ def test_batch_identical_to_serial_loop(name, direction):
     assert _state(dev) == _state(ref)
 
 
-@pytest.mark.parametrize("name", DEVICES)
+@pytest.mark.parametrize("name", names())
 def test_batch_identical_under_observability(name, monkeypatch):
     monkeypatch.setattr(OBS, "enabled", True)
-    ref, dev = DEVICES[name](), DEVICES[name]()
+    ref, dev = make(name), make(name)
     expected = [ref.read(off, NBYTES) for off in OFFSETS]
     assert dev.read_batch(OFFSETS, NBYTES) == expected
     assert _state(dev) == _state(ref)
 
 
-@pytest.mark.parametrize("name", DEVICES)
+@pytest.mark.parametrize("name", names())
 def test_invalid_batch_charges_nothing(name):
-    dev = DEVICES[name]()
+    dev = make(name)
     with pytest.raises(InvalidIOError):
         dev.write_batch([0, dev.capacity_bytes], NBYTES)
     assert dev.stats.ios == 0 and dev.clock == 0.0
 
 
-@pytest.mark.parametrize("name", DEVICES)
+@pytest.mark.parametrize("name", names())
 def test_empty_batch_is_noop(name):
-    dev = DEVICES[name]()
+    dev = make(name)
     assert dev.read_batch([], NBYTES) == []
     assert dev.write_batch([], NBYTES) == []
     assert dev.stats.ios == 0
 
 
-@pytest.mark.parametrize("name", DEVICES)
+@pytest.mark.parametrize("name", names())
 def test_array_offsets_are_traced_as_plain_ints(name):
     # Handed a numpy array, a batch records what a serial loop over the
     # list records: ``int`` offsets, which ``json.dumps`` can write.
-    ref, dev = DEVICES[name](), DEVICES[name]()
+    ref, dev = make(name), make(name)
     expected = ref.read_batch(OFFSETS, NBYTES)
     assert dev.read_batch(np.array(OFFSETS), NBYTES) == expected
     for device in (dev, getattr(dev, "inner", dev)):

@@ -3,8 +3,9 @@
 Every kind in :data:`repro.trees.KINDS`, plus the naive whole-node
 ``BeTree``, runs as a *twin pair* against one dict model: the batch twin
 takes each batch as ``put_many`` / ``lookup_many``, the loop twin as the
-scalar loop, on identical devices (one model drawn per run, inside a
-seeded ``FaultyDevice`` that errs and spikes under a retry policy).  Beside
+scalar loop, on identical devices (one kind of :data:`repro.storage.KINDS`
+drawn per run, inside a seeded ``FaultyDevice`` that errs and spikes under
+a retry policy).  Beside
 them, one ``DurableTree`` per kind is held to the acked prefix of its ops
 across crashes.  After every step every subject passes
 ``check_invariants()`` and every twin pair has equal accounting.  Rules,
@@ -27,16 +28,10 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro import trees
+from repro import storage, trees
 from repro.errors import DeviceCrashed, TreeError
 from repro.faults import CrashPlan, FaultPlan, FaultyDevice, ResiliencePolicy
-from repro.models.affine import AffineModel
-from repro.models.pdam import PDAMModel
 from repro.recovery import DurableConfig, DurableTree
-from repro.storage.hdd import HDDGeometry, SimulatedHDD
-from repro.storage.ideal import AffineDevice, PDAMDevice
-from repro.storage.ram import ConstantLatencyDevice
-from repro.storage.ssd import SSDGeometry, SimulatedSSD
 from repro.storage.stack import StorageStack
 from repro.trees import registry
 from repro.trees.api import KVTree
@@ -71,15 +66,6 @@ SMALL = {
 DURABLE = dict(node_bytes=4096, cache_bytes=16 << 10, wal_bytes=1 << 20, ckpt_bytes=1 << 20)
 
 CAPACITY = 1 << 34
-DEVICES = {
-    "dam": lambda: ConstantLatencyDevice(1e-4, capacity_bytes=CAPACITY),
-    "affine": lambda: AffineDevice(AffineModel(alpha=1e-6, setup_seconds=0.01), CAPACITY),
-    "pdam": lambda: PDAMDevice(
-        PDAMModel(parallelism=4, block_bytes=4096, step_seconds=1e-4), CAPACITY
-    ),
-    "hdd": lambda: SimulatedHDD(HDDGeometry(capacity_bytes=CAPACITY), seed=1),
-    "ssd": lambda: SimulatedSSD(SSDGeometry(capacity_bytes=CAPACITY)),
-}
 
 
 def make(name: str, device) -> KVTree:
@@ -91,10 +77,11 @@ def make(name: str, device) -> KVTree:
     return trees.build(name, device, **SMALL[name])
 
 
-def faulty(device: str, seed: int) -> FaultyDevice:
-    """A fresh ``device`` that errs and spikes on the seeded schedule."""
+def faulty(kind: str, seed: int) -> FaultyDevice:
+    """A fresh device of registry ``kind`` that errs and spikes on the seeded schedule."""
     plan = FaultPlan(seed=seed, error_prob=0.02, spike_prob=0.05, spike_seconds=1e-3)
-    return FaultyDevice(DEVICES[device](), plan, policy=ResiliencePolicy.retry())
+    device = storage.build(kind, seed=1, capacity_bytes=CAPACITY)
+    return FaultyDevice(device, plan, policy=ResiliencePolicy.retry())
 
 
 def accounting(tree: KVTree) -> tuple:
@@ -129,13 +116,16 @@ values = st.integers(0, 999)
 
 class LockstepMachine(RuleBasedStateMachine):
     @initialize(
-        device=st.sampled_from(sorted(DEVICES)),
+        data=st.data(),
         seed=st.integers(0, 255),
         group_commit=st.sampled_from((1, 3, 8)),
         checkpoint_every=st.sampled_from((0, 7)),
     )
-    def build(self, device, seed, group_commit, checkpoint_every):
-        self.device = lambda: faulty(device, seed)
+    def build(self, data, seed, group_commit, checkpoint_every):
+        # Drawn from the registry as it stands when the run starts, so a
+        # newly registered device kind is drawn with no edit here.
+        kind = data.draw(st.sampled_from(storage.KINDS), label="device")
+        self.device = lambda: faulty(kind, seed)
         self.model = {}
         self.twins = {name: self._twin(name) for name in (*trees.KINDS, NAIVE)}
         config = dict(DURABLE, group_commit=group_commit, checkpoint_every=checkpoint_every)
@@ -191,6 +181,7 @@ class LockstepMachine(RuleBasedStateMachine):
     def get(self, key):
         for tree in self._trees():
             assert tree.get(key) == self.model.get(key)
+            assert (key in tree) == (key in self.model)
         for kind, durable in self.durable.items():
             assert durable.get(key) == self._live(kind).get(key)
 

@@ -4,8 +4,12 @@ Every tree's ``put_many`` contract is the write-side twin of the batched
 read paths: device traffic, cache statistics, structural state, and (for
 the Bε-trees) message sequence numbers must be *identical* to calling
 ``insert`` once per pair — the batch removes Python overhead, never
-semantics.  Devices with real timing (the default simulated HDD) make
-the comparison bit-exact in simulated seconds, not just op counts.
+semantics.  The lockstep machine (``test_lockstep.py``) holds that for
+every kind after every step; this file adds what it does not see: the
+identity with observability on, the COLA's and LSM's whole structure, a
+fault inside a batch, and the call counts that keep a batch a batch.
+Devices with real timing (the simulated HDD) make the comparison
+bit-exact in simulated seconds, not just op counts.
 """
 
 import random
@@ -39,44 +43,6 @@ def _hdd():
     return SimulatedHDD(HDDGeometry(capacity_bytes=1 << 30), seed=1)
 
 
-def _subject(name):
-    return lambda: lockstep.make(name, _hdd())
-
-
-#: The lockstep machine's subjects under this file's names: "betree" is the
-#: naive whole-node tree, "betree-optimized" the registry's.
-TREES = {
-    "btree": _subject("btree"),
-    "betree": _subject(lockstep.NAIVE),
-    "betree-optimized": _subject("betree"),
-    "lsm": _subject("lsm"),
-    "cola": _subject("cola"),
-    "cob": _subject("cob"),
-    "cob-buffered": _subject("cob-buffered"),
-}
-
-
-@pytest.mark.parametrize("name", TREES)
-def test_put_many_identical_to_insert_loop(name):
-    pairs = _pairs()
-    serial_tree = TREES[name]()
-    for k, v in pairs:
-        serial_tree.insert(k, v)
-    batch_tree = TREES[name]()
-    batch_tree.put_many(pairs)
-    assert lockstep.accounting(batch_tree) == lockstep.accounting(serial_tree)
-    batch_tree.check_invariants()
-    assert list(batch_tree.items()) == list(serial_tree.items())
-
-
-@pytest.mark.parametrize("name", TREES)
-def test_put_many_empty_and_iterator_inputs(name):
-    tree = TREES[name]()
-    tree.put_many([])
-    tree.put_many(iter([(1, 2), (3, 4)]))
-    assert tree.get(1) == 2 and tree.get(3) == 4
-
-
 @pytest.mark.parametrize("name", ["cola", "cob", "cob-buffered"])
 @pytest.mark.parametrize("obs_on", [False, True])
 def test_batched_ops_identical_with_obs_on_off(name, obs_on, monkeypatch):
@@ -87,12 +53,12 @@ def test_batched_ops_identical_with_obs_on_off(name, obs_on, monkeypatch):
     pairs = _pairs(n=1200, universe=20_000)
     query_keys = [k for k, _ in _pairs(n=400, universe=25_000, seed=29)]
 
-    serial_tree = TREES[name]()
+    serial_tree = lockstep.make(name, _hdd())
     for k, v in pairs:
         serial_tree.insert(k, v)
     serial_hits = [serial_tree.get(k) for k in query_keys]
 
-    batch_tree = TREES[name]()
+    batch_tree = lockstep.make(name, _hdd())
     batch_tree.put_many(pairs)
     batch_hits = batch_tree.get_many(query_keys)
 
