@@ -11,21 +11,26 @@ This experiment quantifies it on the simulated HDD: identical B-trees,
 one allocated first-fit on an empty disk (fresh — nearly sequential
 layout) and one with uniformly random extent placement (aged), measuring
 effective range-scan bandwidth across node sizes.  The affine model
-predicts the aged/fresh slowdown directly: a scan of ``L`` bytes over
-``n = L/B`` nodes costs ``~s_local + L*t`` when laid out sequentially
-(one short seek to the scan start) but ``~n*s + L*t`` when every node
-pays a full random seek.  The slowdown ``(n*s + L*t)/(s_local + L*t)``
-is large exactly when ``B`` is below the half-bandwidth point, i.e. for
+predicts the aged/fresh slowdown directly.  A B-tree scan reads each
+level in disk order, one IO per run of adjacent nodes, so a scan of ``L``
+bytes over ``n = L/B`` nodes costs ``~s_local + L*t`` when laid out
+sequentially (one short seek to the scan start, then one run) and
+``~s + (n-1)*s_next + L*t`` when the nodes are scattered: the first node
+pays a random seek ``s``, each later one a seek to its disk-order
+neighbour, ``s_next`` (:func:`neighbour_setup_seconds`).  The slowdown is
+large exactly when ``B`` is below the half-bandwidth point, i.e. for
 point-query-optimal node sizes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.experiments import report
 from repro.experiments.common import build_load
 from repro.experiments.devices import default_hdd
+from repro.storage.hdd import HDDGeometry
 from repro.trees import KVTree, build
 from repro.trees.sizing import EntryFormat
 from repro.workloads.generators import range_query_stream
@@ -62,11 +67,29 @@ class AgingResult:
             },
             note=(
                 "Aged = random extent placement.  Affine prediction: "
-                "(n*s + L*t)/(s_local + L*t) for an L-byte scan over n "
-                "nodes — severe at small (point-query-optimal) nodes, mild "
-                "at large (scan-optimal) nodes."
+                "(s + (n-1)*s_next + L*t)/(s_local + L*t) for an L-byte scan "
+                "over n nodes read in disk order — severe at small "
+                "(point-query-optimal) nodes, mild at large (scan-optimal) "
+                "nodes."
             ),
         )
+
+
+def neighbour_setup_seconds(geometry: HDDGeometry, n: float) -> float:
+    """Expected setup of a read whose predecessor is its disk-order
+    neighbour among ``n`` nodes scattered uniformly over the disk.
+
+    The gap between neighbours is a ``Beta(1, n)`` fraction ``G`` of the
+    disk, and under the square-root seek curve the seek costs ``t2t +
+    (full - t2t) * sqrt(G)``, with ``E[sqrt(G)] = Γ(3/2) Γ(n+1) / Γ(n+3/2)``;
+    the rotational wait is half a rotation, as for any non-sequential IO.
+    """
+    t2t = geometry.track_to_track_seek_seconds
+    sqrt_gap = math.exp(math.lgamma(1.5) + math.lgamma(n + 1) - math.lgamma(n + 1.5))
+    return (
+        t2t + (geometry.full_stroke_seek_seconds - t2t) * sqrt_gap
+        + geometry.rotation_seconds / 2
+    )
 
 
 def _scan_bandwidth(tree: KVTree, keys, span, n_scans, seed) -> float:
@@ -113,7 +136,8 @@ def run(
         # Expected leaves touched: span over ~90%-full nodes, plus one for
         # boundary straddle.
         n_nodes = span_bytes / (0.9 * node_bytes) + 1.0
+        s_next = neighbour_setup_seconds(geometry, n_nodes)
         result.predicted_slowdown.append(
-            (n_nodes * s + span_bytes * t) / (s_local + span_bytes * t)
+            (s + (n_nodes - 1) * s_next + span_bytes * t) / (s_local + span_bytes * t)
         )
     return result

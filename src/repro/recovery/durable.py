@@ -272,7 +272,10 @@ class DurableTree:
         Crash-safe by ordering: the WAL flush, the snapshot write and the
         superblock publish are all charged before any in-memory state
         flips, so a crash anywhere mid-checkpoint leaves the previous
-        checkpoint and the un-truncated log as the recovery source.
+        checkpoint and the un-truncated log as the recovery source.  The
+        snapshot's source is a whole-domain ``tree.range``, so it costs
+        what the kind's scan costs (a B-tree's: one read per run of
+        adjacent nodes, not one per leaf).
         """
         self.wal.commit()
         pairs = self.tree.range(KEY_MIN, KEY_MAX)

@@ -312,6 +312,63 @@ class BufferCache:
         flush_run()
         return out
 
+    def get_runs(self, node_ids: "Sequence[Hashable]") -> list[Any]:
+        """Fetch distinct nodes for a scan; objects in input order.
+
+        Every id counts one hit or one miss, as a :meth:`get` loop would,
+        but the misses are read in *disk* order, one device read per run
+        of adjacent extents: sorted by offset, a run goes on while the next
+        extent starts where the last one ends and the run still fits in
+        the cache (``capacity_bytes`` is the scan's read buffer, so no IO
+        moves more than ``M``).  A run of ``k`` nodes pays one setup
+        instead of ``k``.  Resident nodes are LRU-touched first, in input
+        order; each run's nodes are admitted after its read, in disk
+        order, evictions interleaving as in :meth:`get_many`.  An unknown
+        id raises before anything is charged.
+        """
+        index = self._index
+        out: list[Any] = []
+        missing: list[_Entry] = []
+        for node_id in node_ids:
+            entry = index.get(node_id)
+            if entry is None:
+                raise CacheError(f"unknown node id {node_id!r}")
+            out.append(entry.obj)
+            if entry.resident:
+                self._touch(entry)
+            else:
+                missing.append(entry)
+        hits = len(out) - len(missing)
+        self.stats.hits += hits
+        if OBS.enabled and hits:
+            OBS.counter("cache.hits").inc(hits)
+        if not missing:
+            return out
+        self.stats.misses += len(missing)
+        if OBS.enabled:
+            OBS.counter("cache.misses").inc(len(missing))
+        missing.sort(key=attrgetter("offset"))
+        first = missing[0]
+        run, start, end = [first], first.offset, first.offset + first.nbytes
+        for entry in missing[1:]:
+            if entry.offset == end and end + entry.nbytes - start <= self.capacity_bytes:
+                run.append(entry)
+            else:
+                self._read_run(run, start, end)
+                run = [entry]
+                start = entry.offset
+            end = entry.offset + entry.nbytes
+        self._read_run(run, start, end)
+        return out
+
+    def _read_run(self, run: list[_Entry], start: int, end: int) -> None:
+        """Charge one read of ``[start, end)`` and admit ``run``'s nodes."""
+        self.io_seconds += self.device.read(start, end - start)
+        for entry in run:
+            self._link_mru(entry)
+            self.cached_bytes += entry.nbytes
+            self._evict_until_fits()
+
     def insert(
         self, node_id: Hashable, obj: Any, offset: int, nbytes: int, *, dirty: bool = True
     ) -> None:

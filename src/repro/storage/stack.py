@@ -126,6 +126,18 @@ class StorageStack:
         """
         return self.cache.get_many(node_ids)
 
+    def read_runs(self, node_ids: "Sequence[Hashable]") -> list[object]:
+        """Scan fetch of distinct nodes; returns objects in input order.
+
+        Same objects and hit/miss counts as ``[self.get(i) for i in
+        node_ids]``, but the misses are read in disk order with one device
+        read per run of adjacent extents (at most the cache's size each),
+        so a scan over a sequentially laid-out level pays one setup per
+        run instead of one per node; see
+        :meth:`~repro.storage.cache.BufferCache.get_runs`.
+        """
+        return self.cache.get_runs(node_ids)
+
     def mark_dirty(self, node_id: Hashable) -> None:
         """Record an in-place modification of a node.
 

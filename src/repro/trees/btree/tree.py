@@ -395,28 +395,39 @@ class BTree(KVTree):
     # -- range queries -----------------------------------------------------------
 
     def range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
-        """All pairs with ``lo <= key <= hi`` in key order."""
+        """All pairs with ``lo <= key <= hi`` in key order.
+
+        Level by level: the nodes of one level that overlap the range are
+        fetched by one :meth:`~repro.storage.stack.StorageStack.read_runs`
+        — misses in disk order, one device read per run of adjacent
+        extents — so a scan over a sequentially laid-out tree pays a setup
+        per run, not per leaf.  Each level's ids are kept in key order, so
+        the leaves are copied out in key order whatever order they were
+        read in.
+        """
         if lo > hi:
             return []
+        bisect_right = bisect.bisect_right
+        read_runs = self.storage.read_runs
+        level = [self.root_id]
+        while True:
+            nodes = read_runs(level)
+            if nodes[0].is_leaf:
+                break
+            level = []
+            for node in nodes:
+                keys = node.keys
+                level += node.children[bisect_right(keys, lo) : bisect_right(keys, hi) + 1]
         out: list[tuple[int, Any]] = []
-        self._range_into(self.root_id, lo, hi, out)
-        return out
-
-    def _range_into(self, node_id: int, lo: int, hi: int, out: list) -> None:
-        node = self._get(node_id)
-        keys = node.keys
-        if node.is_leaf:
+        for node in nodes:
+            keys = node.keys
             if keys and lo <= keys[0] and keys[-1] <= hi:
-                out.extend(zip(keys, node.values))  # wholly inside: no copy
-                return
-            i = bisect.bisect_left(keys, lo)
-            j = bisect.bisect_right(keys, hi)
-            out.extend(zip(keys[i:j], node.values[i:j]))
-            return
-        first = bisect.bisect_right(keys, lo)
-        last = bisect.bisect_right(keys, hi)
-        for child in node.children[first : last + 1]:
-            self._range_into(child, lo, hi, out)
+                out += zip(keys, node.values)  # wholly inside: no copy
+            else:
+                i = bisect.bisect_left(keys, lo)
+                j = bisect_right(keys, hi)
+                out += zip(keys[i:j], node.values[i:j])
+        return out
 
     # -- bulk load -----------------------------------------------------------------
 

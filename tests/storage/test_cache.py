@@ -226,3 +226,54 @@ class TestStatsReset:
         assert cache.contains("b")
         cache.get("b")
         assert cache.stats.hits == 1
+
+
+class TestGetRuns:
+    """The scan fetch: get-loop accounting, disk-order reads, one IO a run."""
+
+    @staticmethod
+    def on_disk(capacity=1000, extents=((0, 100), (100, 100), (200, 100), (400, 100))):
+        dev = ConstantLatencyDevice(1.0, capacity_bytes=1 << 20, trace=True)
+        cache = BufferCache(dev, capacity)
+        for i, (offset, nbytes) in enumerate(extents):
+            cache.insert(i, f"v{i}", offset, nbytes, dirty=False)
+        cache.drop_clean()
+        return cache, dev
+
+    def test_objects_in_input_order_reads_in_disk_order(self):
+        cache, dev = self.on_disk()
+        assert cache.get_runs([3, 1, 0, 2]) == ["v3", "v1", "v0", "v2"]
+        # 0-2 are adjacent (one run); 400 starts past a gap.
+        assert [(r.offset, r.nbytes) for r in dev.trace] == [(0, 300), (400, 100)]
+        assert cache.stats.misses == 4 and cache.stats.hits == 0
+        assert all(cache.contains(i) for i in range(4))
+        cache.check_invariants()
+
+    def test_hits_count_like_a_get_loop_and_split_runs(self):
+        cache, dev = self.on_disk()
+        cache.get(1)
+        dev.trace.clear()
+        assert cache.get_runs([0, 1, 2]) == ["v0", "v1", "v2"]
+        # The resident node 1 is not re-read, so 0 and 2 are two runs.
+        assert [(r.offset, r.nbytes) for r in dev.trace] == [(0, 100), (200, 100)]
+        assert (cache.stats.hits, cache.stats.misses) == (1, 3)
+
+    def test_a_run_never_exceeds_the_cache(self):
+        cache, dev = self.on_disk(capacity=250)
+        cache.get_runs([0, 1, 2])
+        assert [(r.offset, r.nbytes) for r in dev.trace] == [(0, 200), (200, 100)]
+        assert cache.cached_bytes <= 250
+        cache.check_invariants()
+
+    def test_unknown_id_charges_nothing(self):
+        cache, dev = self.on_disk()
+        with pytest.raises(CacheError):
+            cache.get_runs([0, "ghost"])
+        assert dev.stats.reads == 0 and cache.stats.accesses == 0
+
+    def test_admission_evicts_dirty_nodes(self):
+        cache, dev = self.on_disk(capacity=200)
+        cache.insert("hot", "h", 600, 100)  # dirty
+        cache.get_runs([0, 1])
+        assert not cache.contains("hot")
+        assert ("write", 600, 100) in [(r.kind, r.offset, r.nbytes) for r in dev.trace]

@@ -9,7 +9,7 @@ from repro import obs
 from repro.errors import ConfigurationError, TreeError
 from repro.experiments.devices import default_hdd
 from repro.faults import FaultPlan, FaultyDevice
-from repro.storage.ram import NullDevice
+from repro.storage.ram import ConstantLatencyDevice, NullDevice
 from repro.storage.stack import StorageStack
 from repro.trees.btree import BTree, BTreeConfig
 from repro.trees.sizing import EntryFormat
@@ -150,6 +150,46 @@ class TestRangeQueries:
             tree.insert(int(k), int(k))
         got = list(tree.items())
         assert got == sorted(got)
+
+
+class TestScanIO:
+    """A scan reads each level in disk order, one IO per run of adjacent nodes."""
+
+    NODE, CACHE = 2048, 16 << 10
+
+    def cold_tree(self, policy, n=20_000):
+        device = ConstantLatencyDevice(1e-3, trace=True)
+        stack = StorageStack(device, self.CACHE, allocator_policy=policy, allocator_seed=3)
+        tree = BTree(stack, BTreeConfig(node_bytes=self.NODE))
+        tree.bulk_load([(i * 2, i) for i in range(n)])
+        stack.drop_cache()
+        device.trace.clear()
+        return tree, device
+
+    def test_fresh_scan_pays_one_io_per_cache_sized_run(self):
+        tree, device = self.cold_tree("first_fit")
+        assert tree.range(-1, 10**9) == [(i * 2, i) for i in range(20_000)]
+        reads = [(r.offset, r.nbytes) for r in device.trace]
+        assert all(r.kind == "read" for r in device.trace)
+        n_nodes = sum(nbytes for _, nbytes in reads) // self.NODE
+        assert n_nodes == tree.allocator.used_bytes // self.NODE  # each node once
+        # bulk_load lays each level out contiguously, so a level is one run
+        # cut only at the cache's size.
+        per_run = self.CACHE // self.NODE
+        assert max(nbytes for _, nbytes in reads) == self.CACHE
+        assert len(reads) <= n_nodes // per_run + tree.height
+
+    def test_aged_scan_reads_each_level_in_disk_order(self):
+        tree, device = self.cold_tree("random")
+        assert tree.range(-1, 10**9) == [(i * 2, i) for i in range(20_000)]
+        offsets = [r.offset for r in device.trace]
+        descents = sum(b < a for a, b in zip(offsets, offsets[1:]))
+        assert descents <= tree.height - 1  # ascending within every level
+
+    def test_narrow_scan_reads_one_node_per_level(self):
+        tree, device = self.cold_tree("first_fit")
+        assert tree.range(1000, 1010) == [(k, k // 2) for k in range(1000, 1011, 2)]
+        assert [r.nbytes for r in device.trace] == [self.NODE] * tree.height
 
 
 class TestBulkLoad:

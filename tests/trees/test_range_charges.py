@@ -5,7 +5,10 @@ is copied out) is free to change; the device reads it issues are not — on
 the HDD their *order* is priced too.  ``PINNED`` was captured at the commit
 *before* the scans moved onto ``merge_runs`` (the ``test_cob_accounting.py``
 discipline), so an edit that moves one read of any scan below — offset,
-size or order — fails here.
+size or order — fails here.  The B-tree pin was re-captured once, on a
+declared change of simulated output: its scan now reads each level in
+disk order, one IO per run of adjacent nodes (``tests/trees/test_btree.py``
+``TestScanIO`` holds that schedule's oracles).
 """
 
 import hashlib
@@ -36,7 +39,7 @@ BUILD = {
 PINNED = {
     "lsm": "874cd761f4c986be5cfee1dbeb887c6749069228c9c0a403e754801438cd94fa",
     "cola": "42281ff499301818ffaf77cb7a22aae42f5ca16eea01574a564f0f02bc62db99",
-    "btree": "b10c3ab4c54d89e7770b1e4d5698dd96d9ff4dc95e3edc1d11149b5629153ac0",
+    "btree": "a721bff2eb0a4bbf39ddb01d16a62da373cfb7a3c3e514d42a8e8c4144bcad37",
 }
 
 
