@@ -61,11 +61,10 @@ FLOW_ENTRY_FRAGMENTS: tuple[str, ...] = (
 #: "batching is semantically invisible" contract (docs/architecture.md)
 #: as a checkable shape: the pair must coexist on the class, and the
 #: batch body must not touch state the scalar closure never does.
-#: Twin names follow the repo's actual API conventions: devices
-#: read/write, trees insert/get, the cache layer fetches with get.
+#: Twin names follow the repo's actual API conventions: devices read,
+#: trees insert/get, the cache layer fetches with get.
 FLOW_BATCH_PAIRS: Mapping[str, str] = {
     "read_batch": "read",
-    "write_batch": "write",
     "read_many": "get",
     "get_many": "get",
     "put_many": "insert",

@@ -12,7 +12,16 @@ Lemma 3).
 
 Objects are arbitrary Python values; the cache tracks their device extent
 ``(offset, nbytes)`` and charges the device on miss (read) and on dirty
-eviction (write).  Evicted objects are retained as non-resident "disk
+eviction (write).  Both directions move runs of adjacent extents when they
+can, because under the affine model an IO of ``x`` bytes costs
+``1 + alpha*x``: a scan's misses are read one IO per run
+(:meth:`BufferCache.get_runs`), and a dirty write-back writes the victim
+together with the resident dirty extents adjacent to it on disk, in both
+directions, as one IO (the neighbours turn clean and stay resident);
+:meth:`BufferCache.flush` writes every dirty extent in disk order, one IO
+per run.  Runs never move more than ``M`` bytes, and they change only the
+write schedule — residency, LRU order, hits, misses and reads are those of
+a per-node write-back.  Evicted objects are retained as non-resident "disk
 images" — devices in this repository price IO time but do not store bytes
 (see :mod:`repro.storage.device`).
 
@@ -21,13 +30,16 @@ that is simultaneously the cache record, the disk image, and a link in a
 doubly-linked LRU list of the resident entries.  A lookup is one dict hit
 plus a pointer splice; eviction and re-admission flip a residency bit on
 the same object instead of shuttling tuples between two maps, so the
-steady-state hot path (hit, miss, evict) allocates nothing.
+steady-state hot path (hit, miss, evict) allocates nothing.  A write-back
+finds its disk neighbours through an offset index of every entry's extent
+(by first and by one-past-last byte), which changes only when an extent
+is created, resized, moved or dropped: hits, misses, evictions and dirty
+bits never touch it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from operator import attrgetter
 from typing import Any, Hashable, Iterator, Sequence
 
@@ -112,6 +124,12 @@ class BufferCache:
         self._root.prev = self._root
         self._root.next = self._root
         self._n_resident = 0
+        # Offset index of every entry's extent, resident or not, by first
+        # and by one-past-last byte: how a write-back finds its disk
+        # neighbours.  Kept where an extent is created, changed or
+        # dropped, so reads and dirty bits never touch it.
+        self._by_start: dict[int, _Entry] = {}
+        self._by_end: dict[int, _Entry] = {}
         self.cached_bytes = 0
         self.io_seconds = 0.0  # simulated device time charged through this cache
 
@@ -164,17 +182,76 @@ class BufferCache:
             self._evict(root.next)  # the LRU end
 
     def _evict(self, entry: _Entry) -> None:
-        self._unlink(entry)
         if entry.dirty:
-            self.io_seconds += self.device.write(entry.offset, entry.nbytes)
+            self.io_seconds += self._write_run(entry)
             self.stats.dirty_evictions += 1
             if OBS.enabled:
                 OBS.counter("cache.dirty_evictions").inc()
-            entry.dirty = False
+        self._unlink(entry)
         self.stats.evictions += 1
         if OBS.enabled:
             OBS.counter("cache.evictions").inc()
         self.cached_bytes -= entry.nbytes
+
+    # -- write-back internals -------------------------------------------------
+
+    def _index_extent(self, entry: _Entry) -> None:
+        """Enter ``entry``'s extent in the offset index."""
+        self._by_start[entry.offset] = entry
+        self._by_end[entry.offset + entry.nbytes] = entry
+
+    def _unindex_extent(self, entry: _Entry) -> None:
+        """Take ``entry``'s extent out of the offset index.
+
+        A key another entry has since claimed (two extents sharing a first
+        or one-past-last byte, which only a caller reusing an address
+        makes) stays with that entry.
+        """
+        offset = entry.offset
+        if self._by_start.get(offset) is entry:
+            del self._by_start[offset]
+        end = offset + entry.nbytes
+        if self._by_end.get(end) is entry:
+            del self._by_end[end]
+
+    def _move(self, entry: _Entry, offset: int, nbytes: int) -> None:
+        """Give ``entry`` the extent ``[offset, offset + nbytes)``."""
+        self._unindex_extent(entry)
+        entry.offset = offset
+        entry.nbytes = nbytes
+        self._index_extent(entry)
+
+    def _write_run(self, entry: _Entry) -> float:
+        """Write the dirty run around ``entry`` as one IO; returns its seconds.
+
+        The run is ``entry`` (resident and dirty) plus the dirty extents
+        adjacent to it on disk — a non-resident entry is never dirty —
+        taken first leftwards while each ends where the run starts, then
+        rightwards while each starts where the run ends, each only while
+        the run still fits in ``capacity_bytes`` (as in :meth:`get_runs`,
+        no IO moves more than ``M``).  Every node of the run turns clean
+        and keeps its residency and LRU place.
+        """
+        limit = self.capacity_bytes
+        run = [entry]
+        start = entry.offset
+        end = start + entry.nbytes
+        by_end = self._by_end
+        left = by_end.get(start)
+        while left is not None and left.dirty and end - left.offset <= limit:
+            run.append(left)
+            start = left.offset
+            left = by_end.get(start)
+        by_start = self._by_start
+        right = by_start.get(end)
+        while right is not None and right.dirty and end + right.nbytes - start <= limit:
+            run.append(right)
+            end += right.nbytes
+            right = by_start.get(end)
+        spent = self.device.write(start, end - start)
+        for node in run:
+            node.dirty = False
+        return spent
 
     # -- public API ------------------------------------------------------------
 
@@ -238,7 +315,7 @@ class BufferCache:
             if nbytes <= 0:
                 raise CacheError(f"node size must be positive, got {nbytes}")
             self.cached_bytes += nbytes - entry.nbytes
-            entry.nbytes = nbytes
+            self._move(entry, entry.offset, nbytes)
             entry.dirty = True
             if entry.next is not self._root:
                 self._touch(entry)
@@ -379,6 +456,7 @@ class BufferCache:
             raise CacheError(f"node size must be positive, got {nbytes}")
         entry = _Entry(node_id, obj, offset, nbytes, dirty=dirty)
         self._index[node_id] = entry
+        self._index_extent(entry)
         self._link_mru(entry)
         self.cached_bytes += nbytes
         self._evict_until_fits()
@@ -405,18 +483,19 @@ class BufferCache:
         if entry is not None and entry.resident:
             self.cached_bytes += nbytes - entry.nbytes
             entry.obj = obj
-            entry.offset = offset
-            entry.nbytes = nbytes
+            if entry.offset != offset or entry.nbytes != nbytes:
+                self._move(entry, offset, nbytes)
             entry.dirty = entry.dirty or dirty
             self._touch(entry)
         else:
             if entry is None:
                 entry = _Entry(node_id, obj, offset, nbytes, dirty=dirty)
                 self._index[node_id] = entry
+                self._index_extent(entry)
             else:
                 entry.obj = obj
-                entry.offset = offset
-                entry.nbytes = nbytes
+                if entry.offset != offset or entry.nbytes != nbytes:
+                    self._move(entry, offset, nbytes)
                 entry.dirty = dirty
             self._link_mru(entry)
             self.cached_bytes += nbytes
@@ -439,8 +518,8 @@ class BufferCache:
             if entry is not None and entry.resident:
                 self.cached_bytes += nbytes - entry.nbytes
                 entry.obj = None
-                entry.offset = offset
-                entry.nbytes = nbytes
+                if entry.offset != offset or entry.nbytes != nbytes:
+                    self._move(entry, offset, nbytes)
                 entry.dirty = False
                 if entry.next is not self._root:
                     self._touch(entry)
@@ -448,10 +527,11 @@ class BufferCache:
                 if entry is None:
                     entry = _Entry(node_id, None, offset, nbytes, dirty=False)
                     index[node_id] = entry
+                    self._index_extent(entry)
                 else:
                     entry.obj = None
-                    entry.offset = offset
-                    entry.nbytes = nbytes
+                    if entry.offset != offset or entry.nbytes != nbytes:
+                        self._move(entry, offset, nbytes)
                     entry.dirty = False
                 self._link_mru(entry)
                 self.cached_bytes += nbytes
@@ -471,6 +551,7 @@ class BufferCache:
         entry = self._index.pop(node_id, None)
         if entry is None:
             raise CacheError(f"unknown node id {node_id!r}")
+        self._unindex_extent(entry)
         if entry.resident:
             self._unlink(entry)
             self.cached_bytes -= entry.nbytes
@@ -485,32 +566,28 @@ class BufferCache:
     def flush(self) -> float:
         """Write back every dirty resident node; returns device seconds.
 
-        Write-back order is LRU-first — the same order the previous
-        ``OrderedDict`` implementation flushed in, which matters because
-        write order drives seek distances on mechanical devices.  Runs of
-        consecutive dirty nodes with equal extent size are charged through
-        the device's vectorized
-        :meth:`~repro.storage.device.BlockDevice.write_batch`, which is
-        bit-identical to a serial ``device.write`` per node on every device
-        model — clock, stats and RNG stream included.
+        The dirty extents are written in disk order, one device write per
+        run of adjacent ones: :meth:`_write_run` from the lowest dirty
+        offset not yet written, so each run grows rightwards only and is
+        cut at a gap, a clean node or ``capacity_bytes``.  Residency and
+        LRU order do not change.
         """
         spent = 0.0
         dirty = [e for e in self._resident_lru_order() if e.dirty]
-        for nbytes, group in groupby(dirty, key=attrgetter("nbytes")):
-            run = list(group)
-            for dt in self.device.write_batch([e.offset for e in run], nbytes):
-                spent += dt
-            for e in run:
-                e.dirty = False
+        dirty.sort(key=attrgetter("offset"))
+        for entry in dirty:
+            if entry.dirty:  # not written by an earlier run
+                spent += self._write_run(entry)
         self.io_seconds += spent
         return spent
 
     def drop_clean(self) -> None:
-        """Evict every resident node (dirty ones are written back).
+        """:meth:`flush`, then evict every resident node.
 
         Used between the load phase and the measured phase of experiments to
         start from a cold cache.
         """
+        self.flush()
         for entry in self._resident_lru_order():
             self._evict(entry)
 
@@ -525,7 +602,16 @@ class BufferCache:
             assert e.next.prev is e and e.prev.next is e
         for e in self._index.values():
             if not e.resident:
-                assert e.prev is None and e.next is None
+                assert e.prev is None and e.next is None and not e.dirty
+        # The offset index holds live entries under their own first and
+        # one-past-last byte.  It is complete unless two extents ever
+        # shared a key (the later one holds it): a missed neighbour, never
+        # a missed write, since a victim and every node flush finds dirty
+        # are written whether indexed or not.
+        for offset, e in self._by_start.items():
+            assert self._index.get(e.node_id) is e and e.offset == offset
+        for end, e in self._by_end.items():
+            assert self._index.get(e.node_id) is e and e.offset + e.nbytes == end
 
     def __len__(self) -> int:
         return self._n_resident

@@ -145,7 +145,7 @@ class BlockDevice(ABC):
     requests, keeps the clock and the counters, records the trace, feeds
     the sampler and the observability layer — for scalar
     :meth:`read`/:meth:`write` and, through the one loop in
-    :meth:`_batch`, for :meth:`read_batch`/:meth:`write_batch`.
+    :meth:`_batch`, for :meth:`read_batch`.
     """
 
     def __init__(self, capacity_bytes: int, *, trace: bool = False) -> None:
@@ -246,14 +246,7 @@ class BlockDevice(ABC):
         numpy arrays included) are validated up front, so an invalid batch
         raises before any IO is charged.
         """
-        return self._batch("read", self._checked(offsets, nbytes), nbytes)
-
-    def write_batch(self, offsets: "Sequence[int]", nbytes: int) -> list[float]:
-        """Serially write ``nbytes`` at each offset; per-IO elapsed seconds.
-
-        The write-side twin of :meth:`read_batch`, under the same contract.
-        """
-        return self._batch("write", self._checked(offsets, nbytes), nbytes)
+        return self._batch(self._checked(offsets, nbytes), nbytes)
 
     def _checked(self, offsets: "Sequence[int]", nbytes: int) -> list[int]:
         """``offsets`` as a list of validated plain ``int``."""
@@ -262,23 +255,22 @@ class BlockDevice(ABC):
             self._check(off, nbytes)
         return offs
 
-    def _batch(self, kind: str, offsets: list[int], nbytes: int) -> list[float]:
-        """The batch loop: the scalar step of :meth:`read`/:meth:`write`.
+    def _batch(self, offsets: list[int], nbytes: int) -> list[float]:
+        """The batch loop: the scalar step of :meth:`read`, once per offset.
 
         ``offsets`` come validated from :meth:`_checked`.  Each IO runs
         :meth:`_service` and the same float operations, in the same order,
-        as the scalar methods, with clock, direction seconds, trace and
-        sampler held in locals; the ``finally`` writes them back, so when
+        as :meth:`read`, with clock, read seconds, trace and sampler held
+        in locals; the ``finally`` writes them back, so when
         :meth:`_service` raises at IO ``k`` the device is left as ``k``
         scalar calls would leave it.  It calls the private step, never the
-        public ``self.read``/``self.write``.  A subclass overrides this
-        only where the end-to-end benchmark shows its own loop pays
-        (today: :class:`~repro.storage.hdd.SimulatedHDD`).
+        public ``self.read``.  A subclass overrides this only where the
+        end-to-end benchmark shows its own loop pays (today:
+        :class:`~repro.storage.hdd.SimulatedHDD`).
         """
         service = self._service
         stats = self.stats
-        reading = kind == "read"
-        seconds = stats.read_seconds if reading else stats.write_seconds
+        seconds = stats.read_seconds
         clock = self.clock
         trace = self.trace if self._trace_enabled else None
         sampler = self.sampler
@@ -287,28 +279,23 @@ class BlockDevice(ABC):
         try:
             for off in offsets:
                 start = clock
-                end = service(kind, off, nbytes, start)
+                end = service("read", off, nbytes, start)
                 elapsed = end - start
                 seconds += elapsed
                 clock = end
                 if trace is not None:
-                    trace.append(IORecord(kind, off, nbytes, start, end))
+                    trace.append(IORecord("read", off, nbytes, start, end))
                 if sampler is not None:
-                    sampler.record(nbytes, elapsed, kind)
+                    sampler.record(nbytes, elapsed, "read")
                 if OBS.enabled:
-                    self._obs_io(kind, off, nbytes, start, end)
+                    self._obs_io("read", off, nbytes, start, end)
                 append(elapsed)
         finally:
             done = len(out)
             self.clock = clock
-            if reading:
-                stats.reads += done
-                stats.bytes_read += done * nbytes
-                stats.read_seconds = seconds
-            else:
-                stats.writes += done
-                stats.bytes_written += done * nbytes
-                stats.write_seconds = seconds
+            stats.reads += done
+            stats.bytes_read += done * nbytes
+            stats.read_seconds = seconds
         return out
 
     def describe(self) -> dict[str, object]:

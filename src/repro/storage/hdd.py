@@ -205,7 +205,7 @@ class SimulatedHDD(BlockDevice):
             self._obs_setup = setup  # seek/bandwidth split for the obs layer
         return at + setup + nbytes * self._seconds_per_byte
 
-    def _batch(self, kind: str, offsets: list[int], nbytes: int) -> list[float]:
+    def _batch(self, offsets: list[int], nbytes: int) -> list[float]:
         """:meth:`BlockDevice._batch` with :meth:`_service` inlined.
 
         The one device-specific batch loop: with the seek curve and the
@@ -215,9 +215,8 @@ class SimulatedHDD(BlockDevice):
         HDD phase drives both this and the scalar path
         (docs/architecture.md, "Batched IO").  Every IO runs the
         float operations of :meth:`_service` and
-        :meth:`BlockDevice.read`/``write`` in the same order — same seek
-        curve, same rotation-stream cursor, same
-        ``read_seconds``/``write_seconds`` accumulation — so timings,
+        :meth:`BlockDevice.read` in the same order — same seek curve, same
+        rotation-stream cursor, same ``read_seconds`` accumulation — so timings,
         counters, trace, sampler, OBS events, head position and
         :attr:`rotations_drawn` match a serial loop bit for bit at every
         batch length.  Nothing in the loop can raise, so the write-back
@@ -235,8 +234,7 @@ class SimulatedHDD(BlockDevice):
         head = self.head_position
         clock = self.clock
         stats = self.stats
-        reading = kind == "read"
-        seconds = stats.read_seconds if reading else stats.write_seconds
+        seconds = stats.read_seconds
         trace = self.trace if self._trace_enabled else None
         sampler = self.sampler
         obs_on = OBS.enabled
@@ -259,23 +257,18 @@ class SimulatedHDD(BlockDevice):
             elapsed = clock - start
             seconds += elapsed
             if trace is not None:
-                trace.append(IORecord(kind, off, nbytes, start, clock))
+                trace.append(IORecord("read", off, nbytes, start, clock))
             if sampler is not None:
-                sampler.record(nbytes, elapsed, kind)
+                sampler.record(nbytes, elapsed, "read")
             if obs_on:
-                OBS.io_event(name, kind, off, nbytes, start, clock, setup)
+                OBS.io_event(name, "read", off, nbytes, start, clock, setup)
             append(elapsed)
         self._rotation_cursor = cursor
         self.head_position = head
         self.clock = clock
-        if reading:
-            stats.reads += len(offsets)
-            stats.bytes_read += nbytes * len(offsets)
-            stats.read_seconds = seconds
-        else:
-            stats.writes += len(offsets)
-            stats.bytes_written += nbytes * len(offsets)
-            stats.write_seconds = seconds
+        stats.reads += len(offsets)
+        stats.bytes_read += nbytes * len(offsets)
+        stats.read_seconds = seconds
         return out
 
     def describe(self) -> dict[str, object]:

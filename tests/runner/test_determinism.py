@@ -11,6 +11,9 @@ Regenerate after an *intentional* semantic change (and bump
 ``repro.runner.cache.CACHE_EPOCH`` at the same time) with::
 
     PYTHONPATH=src python tests/runner/test_determinism.py --regen
+
+Last regenerated at ``CACHE_EPOCH`` 4, when a dirty write-back became one
+write per run of adjacent dirty nodes: only E6's 64 KiB insert cell moved.
 """
 
 from pathlib import Path

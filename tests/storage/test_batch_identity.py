@@ -1,9 +1,9 @@
 """Scalar-vs-batched byte-identity across every device model.
 
-The batched IO contract (docs/architecture.md): ``read_batch`` /
-``write_batch`` are *semantically invisible* — clock, stats, trace,
-sampler, and the HDD's rotation-stream cursor must match a serial loop of
-``read`` / ``write`` bit for bit.  These tests enforce that with exact
+The batched IO contract (docs/architecture.md): ``read_batch`` is
+*semantically invisible* — clock, stats, trace, sampler, and the HDD's
+rotation-stream cursor must match a serial loop of ``read`` bit for bit,
+whatever reads or writes came before it.  These tests enforce that with exact
 float equality (no ``approx``) on every kind in :data:`repro.storage.KINDS`,
 plus the fault wrapper in both its transparent and perturbed
 configurations, and with observability both off and on.  Every device is
@@ -123,12 +123,16 @@ def _state(dev):
 
 
 @pytest.mark.parametrize("name", names())
-@pytest.mark.parametrize("direction", ["read", "write"])
-def test_batch_identical_to_serial_loop(name, direction):
+@pytest.mark.parametrize("prelude", ["read", "write"])
+def test_batch_identical_to_serial_loop(name, prelude):
+    # The batch starts from whatever serial ``prelude`` IOs to the same
+    # offsets left behind (head position, busy dies, fault-plan stream).
     ref, dev = make(name), make(name)
-    op = getattr(ref, direction)
-    expected = [op(off, NBYTES) for off in OFFSETS]
-    got = getattr(dev, f"{direction}_batch")(OFFSETS, NBYTES)
+    for d in (ref, dev):
+        for off in reversed(OFFSETS):
+            getattr(d, prelude)(off, NBYTES)
+    expected = [ref.read(off, NBYTES) for off in OFFSETS]
+    got = dev.read_batch(OFFSETS, NBYTES)
     assert got == expected  # exact float equality, not approx
     assert _state(dev) == _state(ref)
 
@@ -146,7 +150,7 @@ def test_batch_identical_under_observability(name, monkeypatch):
 def test_invalid_batch_charges_nothing(name):
     dev = make(name)
     with pytest.raises(InvalidIOError):
-        dev.write_batch([0, dev.capacity_bytes], NBYTES)
+        dev.read_batch([0, dev.capacity_bytes], NBYTES)
     assert dev.stats.ios == 0 and dev.clock == 0.0
 
 
@@ -154,7 +158,6 @@ def test_invalid_batch_charges_nothing(name):
 def test_empty_batch_is_noop(name):
     dev = make(name)
     assert dev.read_batch([], NBYTES) == []
-    assert dev.write_batch([], NBYTES) == []
     assert dev.stats.ios == 0
 
 
@@ -213,7 +216,7 @@ def test_block_device_owns_the_batch_protocol():
 
     devices = {c for c in family(BlockDevice) if c.__module__.startswith("repro.")}
     assert len(devices) >= 8
-    batch_hooks = ("_batch", "read_batch", "write_batch")
+    batch_hooks = ("_batch", "read_batch")
     assert {c for c in devices if any(h in vars(c) for h in batch_hooks)} == {
         BlockDevice,
         SimulatedHDD,
@@ -224,12 +227,12 @@ def test_block_device_owns_the_batch_protocol():
 
 
 class TestCrashInBatch:
-    """An armed crash plan inside ``write_batch`` == the serial loop.
+    """An armed crash plan inside ``read_batch`` == the serial loop.
 
     Every IO of a batch runs the wrapper's per-IO pipeline, so the fault
-    and torn-write RNG streams are consumed in exactly the order a serial
-    loop consumes them: the device dies at the same ordinal with the same
-    torn prefix, and clock/stats/inner state stay bit-equal.
+    RNG stream is consumed in exactly the order a serial loop consumes it:
+    the device dies at the same ordinal, and clock/stats/inner state stay
+    bit-equal.
     """
 
     def _armed(self, at_io, *, perturbed=True):
@@ -251,22 +254,22 @@ class TestCrashInBatch:
         )
         with pytest.raises(DeviceCrashed):
             for off in OFFSETS:
-                ref.write(off, NBYTES)
+                ref.read(off, NBYTES)
         with pytest.raises(DeviceCrashed):
-            dev.write_batch(OFFSETS, NBYTES)
-        assert dev.crash_state == ref.crash_state  # ordinal + torn prefix
+            dev.read_batch(OFFSETS, NBYTES)
+        assert dev.crash_state == ref.crash_state  # the same ordinal
         assert _state(dev) == _state(ref)  # plan RNG position included
 
     def test_batch_after_recover_matches_serial(self):
         ref, dev = self._armed(3), self._armed(3)
         with pytest.raises(DeviceCrashed):
             for off in OFFSETS:
-                ref.write(off, NBYTES)
+                ref.read(off, NBYTES)
         with pytest.raises(DeviceCrashed):
-            dev.write_batch(OFFSETS, NBYTES)
+            dev.read_batch(OFFSETS, NBYTES)
         assert dev.recover() == ref.recover()
-        expected = [ref.write(off, NBYTES) for off in OFFSETS]
-        assert dev.write_batch(OFFSETS, NBYTES) == expected
+        expected = [ref.read(off, NBYTES) for off in OFFSETS]
+        assert dev.read_batch(OFFSETS, NBYTES) == expected
         assert _state(dev) == _state(ref)
 
 
@@ -324,6 +327,7 @@ class TestRotationReservoir:
     )
     @pytest.mark.parametrize("direction", ["read", "write"])
     def test_batch_across_refill_boundary(self, n_before, n_batch, direction):
+        # Scalar IOs in ``direction`` around a read batch share one stream.
         offsets = self._scattered(n_before + n_batch + 4)
         lead, body, tail = (
             offsets[:n_before],
@@ -332,10 +336,12 @@ class TestRotationReservoir:
         )
         ref, dev = hdd(), hdd()
         op = getattr(ref, direction)
-        expected = [op(off, NBYTES) for off in offsets]
-        scalar, batch = getattr(dev, direction), getattr(dev, f"{direction}_batch")
+        expected = [op(off, NBYTES) for off in lead]
+        expected += [ref.read(off, NBYTES) for off in body]
+        expected += [op(off, NBYTES) for off in tail]
+        scalar = getattr(dev, direction)
         got = [scalar(off, NBYTES) for off in lead]
-        got += batch(body, NBYTES)
+        got += dev.read_batch(body, NBYTES)
         got += [scalar(off, NBYTES) for off in tail]  # scalar/batch/scalar
         assert got == expected
         assert dev.rotations_drawn == ref.rotations_drawn == len(offsets)
@@ -351,7 +357,7 @@ class TestRotationReservoir:
         dev.read_batch(run[2:], NBYTES)
         assert dev.rotations_drawn == 1
         # A mixed batch draws only for its seeks.
-        dev.write_batch([0, NBYTES, 2 * NBYTES, 1 << 24], NBYTES)
+        dev.read_batch([0, NBYTES, 2 * NBYTES, 1 << 24], NBYTES)
         assert dev.rotations_drawn == 3
 
     def test_sequential_detection_off_draws_for_every_io(self):
@@ -437,7 +443,11 @@ class TestResourcePoolContract:
 
 
 class TestFlush:
-    """``flush``: write-back in runs of equal-size nodes, serial accounting."""
+    """``flush``: one serial write per run of adjacent dirty nodes, disk order."""
+
+    #: Dirtied in this (LRU) order; on disk they form the runs 0-2, 4-5, 7, 9-11.
+    DIRTY = (5, 0, 2, 1, 9, 4, 11, 10, 7)
+    RUNS = ((0, 1, 2), (4, 5), (7,), (9, 10, 11))
 
     def _stack(self, n_nodes=12, nbytes=4096, cache_bytes=1 << 20):
         from repro.storage.stack import StorageStack
@@ -445,17 +455,19 @@ class TestFlush:
         stack = StorageStack(hdd(seed=4), cache_bytes)
         for i in range(n_nodes):
             stack.create(i, {"id": i}, nbytes if i % 3 else 2 * nbytes)
+        stack.flush()
+        stack.device.reset()
+        for i in self.DIRTY:
             stack.mark_dirty(i)
         return stack
 
     def test_batched_runs_match_serial_writes(self):
-        # Run batching only groups equal-size extents; it never changes
-        # timing or order: one device.write per dirty node, LRU first.
         ref = self._stack()
-        dirty = [e for e in ref.cache._resident_lru_order() if e.dirty]
         ref_total = 0.0
-        for e in dirty:
-            ref_total += ref.device.write(e.offset, e.nbytes)
+        for run in self.RUNS:
+            start = ref.cache.extent_of(run[0])[0]
+            end = sum(ref.cache.extent_of(run[-1]))
+            ref_total += ref.device.write(start, end - start)
         stack = self._stack()
         assert stack.flush() == ref_total
         assert stack.device.clock == ref.device.clock
@@ -466,7 +478,8 @@ class TestFlush:
         stack = self._stack()
         assert stack.flush() > 0
         assert stack.flush() == 0.0  # all clean now
-        assert stack.device.stats.writes == 12
+        assert stack.device.stats.writes == len(self.RUNS)
+        assert all(stack.cache.contains(i) for i in range(12))
 
 
 class TestUnknownIdOnTheReadPath:

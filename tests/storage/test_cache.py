@@ -1,5 +1,9 @@
 """Buffer-cache tests: LRU, dirty write-back, accounting."""
 
+import math
+import random
+from collections import OrderedDict
+
 import pytest
 
 from repro.errors import CacheError, ConfigurationError
@@ -143,8 +147,9 @@ class TestDirtyAndExtents:
         cache.insert("b", "b", 100, 150, dirty=True)
         cache.insert("c", "c", 250, 100, dirty=False)
         spent = cache.flush()
-        assert dev.stats.writes == 2
-        assert spent == pytest.approx(2.0)
+        # a and b are adjacent: one write of both (TestWriteRuns).
+        assert dev.stats.writes == 1 and dev.stats.bytes_written == 250
+        assert spent == pytest.approx(1.0)
         # Second flush is a no-op.
         assert cache.flush() == 0.0
 
@@ -277,3 +282,308 @@ class TestGetRuns:
         cache.get_runs([0, 1])
         assert not cache.contains("hot")
         assert ("write", 600, 100) in [(r.kind, r.offset, r.nbytes) for r in dev.trace]
+
+
+def reads(dev):
+    """``(offset, nbytes)`` of every read in ``dev``'s trace, in order."""
+    return [(r.offset, r.nbytes) for r in dev.trace if r.kind == "read"]
+
+
+def writes(dev):
+    """``(offset, nbytes)`` of every write in ``dev``'s trace, in order."""
+    return [(r.offset, r.nbytes) for r in dev.trace if r.kind == "write"]
+
+
+class TestWriteRuns:
+    """A dirty write-back writes its run of adjacent dirty nodes as one IO."""
+
+    @staticmethod
+    def traced(capacity=1000):
+        dev = ConstantLatencyDevice(1.0, capacity_bytes=1 << 20, trace=True)
+        return BufferCache(dev, capacity), dev
+
+    def test_victim_takes_its_dirty_neighbours_both_ways(self):
+        cache, dev = self.traced(capacity=400)
+        cache.insert("b", "b", 100, 100)  # the LRU victim, between a and c
+        cache.insert("a", "a", 0, 100)
+        cache.insert("c", "c", 200, 100)
+        cache.insert("far", "f", 600, 100)  # past a gap
+        cache.insert("new", "n", 800, 100, dirty=False)  # evicts b
+        assert writes(dev) == [(0, 300)]
+        assert cache.stats.dirty_evictions == 1 and dev.stats.reads == 0
+        cache.check_invariants()
+
+    def test_runs_cut_at_gaps_and_clean_neighbours(self):
+        cache, dev = self.traced(capacity=400)
+        cache.insert("a", "a", 0, 100)
+        cache.insert("b", "b", 100, 100, dirty=False)  # clean: cuts the run
+        cache.insert("c", "c", 200, 50)
+        cache.insert("d", "d", 300, 100)  # c ends at 250: a gap
+        cache.insert("e", "e", 400, 100, dirty=False)  # evicts a
+        cache.insert("f", "f", 500, 100, dirty=False)  # evicts b (clean)
+        cache.insert("g", "g", 600, 100, dirty=False)  # evicts c
+        assert writes(dev) == [(0, 100), (200, 50)]
+        assert cache.contains("d")
+
+    def test_a_run_never_exceeds_the_cache(self):
+        cache, dev = self.traced(capacity=250)
+        cache.insert("a", "a", 0, 100)
+        cache.insert("b", "b", 100, 100)
+        cache.insert("c", "c", 200, 100)  # evicts a: a + b is all that fits
+        assert writes(dev) == [(0, 200)]
+        cache.insert("d", "d", 400, 100, dirty=False)  # evicts b: clean now
+        assert writes(dev) == [(0, 200)]
+
+    def test_neighbours_stay_resident_and_clean_in_lru_place(self):
+        cache, dev = self.traced(capacity=300)
+        for name, offset in (("a", 0), ("b", 100), ("c", 200)):
+            cache.insert(name, name, offset, 100)
+        cache.insert("d", "d", 500, 100, dirty=False)  # evicts a with b, c
+        assert writes(dev) == [(0, 300)]
+        assert [cache.contains(n) for n in "abcd"] == [False, True, True, True]
+        # b is still the LRU end, and clean: its eviction writes nothing.
+        cache.insert("e", "e", 700, 100, dirty=False)
+        assert not cache.contains("b") and cache.contains("c")
+        assert dev.stats.writes == 1 and cache.stats.evictions == 2
+        cache.check_invariants()
+
+    def test_resize_and_redirty_move_the_index(self):
+        cache, dev = self.traced(capacity=350)
+        cache.insert("a", "a", 0, 50, dirty=False)
+        cache.insert("b", "b", 100, 100)
+        cache.access("a", 100)  # now [0, 100) and dirty: adjacent to b
+        cache.readmit_clean([("b", 100, 100)])
+        cache.mark_dirty("b")
+        cache.insert("x", "x", 900, 100, dirty=False)
+        cache.insert("y", "y", 1100, 100, dirty=False)  # evicts a
+        assert writes(dev) == [(0, 200)]
+        cache.check_invariants()
+
+    def test_flush_writes_in_disk_order(self):
+        cache, dev = self.traced()
+        for name, offset in (("d", 600), ("b", 200), ("a", 100), ("c", 400)):
+            cache.insert(name, name, offset, 100)
+        cache.insert("e", "e", 300, 100, dirty=False)
+        assert cache.flush() == 3.0
+        assert writes(dev) == [(100, 200), (400, 100), (600, 100)]
+        assert len(cache) == 5 and cache.stats.evictions == 0
+
+    def test_drop_clean_is_flush_then_forget(self):
+        def filled():
+            cache, dev = self.traced(capacity=500)
+            for i in (3, 0, 4, 1):
+                cache.insert(i, i, i * 100, 100)
+            cache.insert(9, 9, 900, 100, dirty=False)
+            return cache, dev
+
+        dropped, dev = filled()
+        dropped.drop_clean()
+        flushed, ref = filled()
+        flushed.flush()
+        assert dev.trace == ref.trace  # the same writes, nothing else
+        assert writes(dev) == [(0, 200), (300, 200)]
+        assert len(dropped) == 0 and dropped.cached_bytes == 0
+        assert dropped.stats.evictions == 5 and dropped.stats.dirty_evictions == 0
+        dropped.check_invariants()
+
+    # -- the per-node write-back as a differential reference ------------------
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_node_write_back_with_fewer_writes(self, seed):
+        rnd = random.Random(seed)
+        capacity = (120, 350, 800, 1500)[seed % 4]  # 1 to 15 of 24 nodes
+        cache, dev = self.traced(capacity)
+        ref = PerNodeWriteBack(capacity)
+        slots = 24
+        for step in range(400):
+            op, args, kwargs = _draw_op(rnd, ref, slots)
+            if op == "mark_dirty":  # StorageStack.mark_dirty: fault in first
+                for c in (cache, ref):
+                    if not c.contains(args[0]):
+                        c.get(args[0])
+            for c in (cache, ref):
+                getattr(c, op)(*args, **kwargs)
+            cache.check_invariants()
+            assert (cache.stats.hits, cache.stats.misses, cache.stats.evictions) == (
+                ref.hits, ref.misses, ref.evictions
+            ), (step, op)
+            assert [cache.contains(i) for i in range(slots)] == [
+                ref.contains(i) for i in range(slots)
+            ]
+            assert reads(dev) == reads(ref.device)
+            assert dev.stats.writes <= ref.device.stats.writes
+            # Clustering only cleans early: what is dirty here is dirty
+            # there.  Extents never overlap, so every node is indexed.
+            dirty = {i for i, e in cache._index.items() if e.resident and e.dirty}
+            assert dirty <= ref.dirty_resident()
+            assert {e.node_id for e in cache._by_start.values()} == set(ref.extent)
+            assert {e.node_id for e in cache._by_end.values()} == set(ref.extent)
+        if capacity >= 200:  # a cache of one node has no neighbour to take
+            assert dev.stats.writes < ref.device.stats.writes
+
+    # -- a B-tree load, the first cost rule over write runs -------------------
+
+    @pytest.mark.parametrize("node, cache_bytes", [(2048, 16 << 10), (4096, 64 << 10), (1024, 8 << 10)])
+    def test_btree_load_writes_one_io_per_cache_of_nodes(self, node, cache_bytes):
+        from repro.storage.stack import StorageStack
+        from repro.trees.btree import BTree, BTreeConfig
+
+        dev = ConstantLatencyDevice(1e-3, trace=True)
+        stack = StorageStack(dev, cache_bytes)
+        tree = BTree(stack, BTreeConfig(node_bytes=node))
+        tree.bulk_load([(i * 2, i) for i in range(20_000)])
+        stack.flush()
+        n_nodes = stack.allocator.used_bytes // node
+        assert n_nodes > 8 * cache_bytes // node  # many times the cache
+        # A fresh first-fit load lays each level out in creation order, so
+        # every dirty victim carries a cache's worth of its level with it.
+        assert dev.stats.writes <= math.ceil(n_nodes * node / cache_bytes) + tree.height
+        assert {nbytes % node for _, nbytes in writes(dev)} == {0}
+        assert max(nbytes for _, nbytes in writes(dev)) == cache_bytes
+
+
+class PerNodeWriteBack:
+    """The write-back ``BufferCache`` had before write runs: one device write
+    per dirty victim, ``flush`` in LRU order; LRU and accounting as today.
+
+    Kept as the differential oracle (the ``test_merge.py`` discipline):
+    an ``OrderedDict`` of resident ids, obviously right, and slow.
+    """
+
+    def __init__(self, capacity):
+        self.device = ConstantLatencyDevice(1.0, capacity_bytes=1 << 20, trace=True)
+        self.capacity = capacity
+        self.extent = {}  # node id -> [offset, nbytes, dirty], resident or not
+        self.lru = OrderedDict()  # resident ids, least recently used first
+        self.cached = 0
+        self.hits = self.misses = self.evictions = 0
+
+    def contains(self, nid):
+        return nid in self.lru
+
+    def dirty_resident(self):
+        return {nid for nid in self.lru if self.extent[nid][2]}
+
+    def _fit(self):
+        while self.cached > self.capacity and len(self.lru) > 1:
+            self._evict(next(iter(self.lru)))
+
+    def _evict(self, nid):
+        del self.lru[nid]
+        ext = self.extent[nid]
+        if ext[2]:
+            self.device.write(ext[0], ext[1])
+            ext[2] = False
+        self.evictions += 1
+        self.cached -= ext[1]
+
+    def _admit(self, nid):
+        self.lru[nid] = None
+        self.cached += self.extent[nid][1]
+
+    def _fault(self, nid):
+        self.misses += 1
+        self.device.read(*self.extent[nid][:2])
+        self._admit(nid)
+        self._fit()
+
+    def get(self, nid):
+        if nid in self.lru:
+            self.hits += 1
+            self.lru.move_to_end(nid)
+        else:
+            self._fault(nid)
+
+    def access(self, nid, nbytes=None, dirty=False):
+        if nid not in self.lru:
+            self._fault(nid)
+        ext = self.extent[nid]
+        if nbytes is not None and nbytes != ext[1]:
+            self.cached += nbytes - ext[1]
+            ext[1:] = [nbytes, True]
+            self.lru.move_to_end(nid)
+            self._fit()
+        if dirty:
+            ext[2] = True
+            self.lru.move_to_end(nid)
+
+    def insert(self, nid, obj, offset, nbytes, *, dirty=True):
+        self.extent[nid] = [offset, nbytes, dirty]
+        self._admit(nid)
+        self._fit()
+
+    def admit(self, nid, obj, offset, nbytes, *, dirty):
+        if nid in self.lru:
+            ext = self.extent[nid]
+            self.cached += nbytes - ext[1]
+            self.extent[nid] = [offset, nbytes, ext[2] or dirty]
+            self.lru.move_to_end(nid)
+        else:
+            self.extent[nid] = [offset, nbytes, dirty]
+            self._admit(nid)
+        self._fit()
+
+    def readmit_clean(self, items):
+        for nid, offset, nbytes in items:
+            if nid in self.lru:
+                self.cached += nbytes - self.extent[nid][1]
+                self.extent[nid] = [offset, nbytes, False]
+                self.lru.move_to_end(nid)
+            else:
+                self.extent[nid] = [offset, nbytes, False]
+                self._admit(nid)
+            self._fit()
+
+    def mark_dirty(self, nid):
+        self.extent[nid][2] = True
+        self.lru.move_to_end(nid)
+
+    def delete(self, nid):
+        _, nbytes, _ = self.extent.pop(nid)
+        if self.lru.pop(nid, 0) is None:
+            self.cached -= nbytes
+
+    def flush(self):
+        for nid in self.lru:
+            ext = self.extent[nid]
+            if ext[2]:
+                self.device.write(ext[0], ext[1])
+                ext[2] = False
+
+    def drop_clean(self):
+        for nid in list(self.lru):
+            self._evict(nid)
+
+
+def _draw_op(rnd, ref, slots):
+    """One random cache call valid in ``ref``'s state: ``(method, args, kwargs)``.
+
+    Node ``i`` lives at ``i * 100`` with 50 or 100 bytes, so extents never
+    overlap and a 50-byte node leaves a gap after it.
+    """
+    known = sorted(ref.extent)
+    absent = [i for i in range(slots) if i not in ref.extent]
+    size = rnd.choice([50, 100])
+    dirty = {"dirty": rnd.random() < 0.7}
+    roll = rnd.random()
+    if roll < 0.15 and absent:
+        nid = rnd.choice(absent)
+        return "insert", (nid, nid, nid * 100, size), dirty
+    if not known or roll < 0.2:
+        return "flush", (), {}
+    nid = rnd.choice(known)
+    if roll < 0.45:
+        return "get", (nid,), {}
+    if roll < 0.6:
+        return "mark_dirty", (nid,), {}
+    if roll < 0.75:
+        return "access", (nid, rnd.choice([None, size])), dirty
+    if roll < 0.82:
+        nid = rnd.randrange(slots)
+        return "admit", (nid, nid, nid * 100, size), dirty
+    if roll < 0.88:
+        some = rnd.sample(known, min(3, len(known)))
+        return "readmit_clean", ([(i, i * 100, rnd.choice([50, 100])) for i in some],), {}
+    if roll < 0.95:
+        return "delete", (nid,), {}
+    return "drop_clean", (), {}

@@ -16,7 +16,10 @@ from repro.trees.sizing import EntryFormat
 
 
 #: sha256 of ``TestBatchOfOne.test_mixed_batch_sizes_trace_is_pinned``'s trace.
-PINNED_MIXED_BATCHES = "caafa4298e545fa5e2b13a1be69e02b027c6eaa2d2d0f14c7924a0ee1f8d5a21"
+#: Re-captured once, when a dirty write-back became one write per run of
+#: adjacent dirty nodes: the tree's load writes fewer IOs, so the gets
+#: start from another clock and another point of the spike stream.
+PINNED_MIXED_BATCHES = "0c5dc64be3fe100e6b2dc75ce986bc4c673059bb71a8a8cb97d1da3297417441"
 
 
 def make_tree(node_bytes=2048, cache_bytes=1 << 20, value_bytes=20):
@@ -240,13 +243,15 @@ class TestIOAccounting:
         assert dev.reads > 0 and dev.writes > 0  # cache pressure forced IO
 
     def test_node_bytes_ios(self):
-        # Every IO the B-tree issues moves exactly node_bytes.
+        # Every read the B-tree issues moves exactly node_bytes; a write
+        # moves a run of adjacent dirty nodes, so a whole number of them.
         stack = StorageStack(NullDevice(capacity_bytes=1 << 30, trace=True), cache_bytes=4096)
         tree = BTree(stack, BTreeConfig(node_bytes=2048, fmt=EntryFormat(value_bytes=20)))
         for k in range(500):
             tree.insert(k, k)
-        sizes = {rec.nbytes for rec in stack.device.trace}
-        assert sizes == {2048}
+        trace = stack.device.trace
+        assert {rec.nbytes for rec in trace if rec.kind == "read"} == {2048}
+        assert {rec.nbytes for rec in trace if rec.kind == "write"} <= {2048, 4096}
 
     def test_write_amp_grows_with_node_size(self):
         amps = []

@@ -6,7 +6,10 @@ is free to change; the device reads and cache touches it issues are not.
 non-B-tree read paths lost their per-get scaffolding (the
 ``test_range_charges.py`` / ``test_cob_accounting.py`` discipline), so an
 edit that moves one read of the get stream below — offset, size or order —
-or one statistic of the run fails here.
+or one statistic of the run fails here.  The ``btree`` and ``betree-naive``
+pins were re-captured once more, on the declared change that made a dirty
+write-back one write per run of adjacent dirty nodes (their gets evict
+dirty nodes; the other kinds' pins did not move).
 
 ``CALLS_PER_GET`` is the other half: a deterministic host budget, no wall
 time.  A re-grown hook layer fails it in tier-1 instead of waiting for a
@@ -70,10 +73,13 @@ CASES = {
 #: device clock, the device stats and (stacked kinds) the cache stats.
 PINNED = {
     "betree": "13e065e32d01d223d5f660f50f51cde68ba687383cc40becc4a082755529ae70",
-    # Captured at ``0c42945``; every other pin at ``705c201``.
-    "betree-naive": "ac71770d4f9ab69aad2b593df92b189ffb3bd81cf360637451aa0c699a44b228",
+    # Captured at ``0c42945``; every other pin at ``705c201``.  Re-captured,
+    # with ``btree``'s, when a dirty write-back became one write per run of
+    # adjacent dirty nodes: the stream's evictions write fewer, larger IOs,
+    # which moves the HDD's head and clock under the same reads.
+    "betree-naive": "77251c442d2954d3fb09bfea4a89693f3519148936c09e5ed1173c70cba7eef2",
     "betree-own-pivots": "de36cc82d59346b9ccdd8dcde25c0a3d291c7a3f158d396452a56051112fa547",
-    "btree": "4d5b3d73442156bad438133c077de2520ae58be911b1f1ed5acd1ec49f030451",
+    "btree": "70f51bfbc8e63ffb9fe081a2b395bdc8d9faf65a8eca4302b15e6e4ff3e29337",
     # Both re-captured when the PMA got density floors and a buffered flush
     # became one window (the child of 36cbd9c): one delete of the ``cob``
     # sequence drops its segment below the floor and respreads a window, and

@@ -5,10 +5,12 @@ is copied out) is free to change; the device reads it issues are not — on
 the HDD their *order* is priced too.  ``PINNED`` was captured at the commit
 *before* the scans moved onto ``merge_runs`` (the ``test_cob_accounting.py``
 discipline), so an edit that moves one read of any scan below — offset,
-size or order — fails here.  The B-tree pin was re-captured once, on a
+size or order — fails here.  The B-tree pin was re-captured twice, each on a
 declared change of simulated output: its scan now reads each level in
 disk order, one IO per run of adjacent nodes (``tests/trees/test_btree.py``
-``TestScanIO`` holds that schedule's oracles).
+``TestScanIO`` holds that schedule's oracles), and the dirty evictions its
+scans trigger now write one IO per run of adjacent dirty nodes
+(``tests/storage/test_cache.py::TestWriteRuns``).
 """
 
 import hashlib
@@ -35,11 +37,12 @@ BUILD = {
     "btree": dict(node_bytes=1024, cache_bytes=8192),
 }
 
-#: sha256 over the ``(kind, offset, nbytes)`` reads of the five scans.
+#: sha256 over the ``(kind, offset, nbytes)`` IOs of the five scans (their
+#: write-backs included).
 PINNED = {
     "lsm": "874cd761f4c986be5cfee1dbeb887c6749069228c9c0a403e754801438cd94fa",
     "cola": "42281ff499301818ffaf77cb7a22aae42f5ca16eea01574a564f0f02bc62db99",
-    "btree": "a721bff2eb0a4bbf39ddb01d16a62da373cfb7a3c3e514d42a8e8c4144bcad37",
+    "btree": "14d6f588fb51c5f8d1e9dae337f1a918bbca1760b4508074cc244b5a5f0c1b0f",
 }
 
 
