@@ -1,6 +1,6 @@
 # Convenience targets; see README.md.
 
-.PHONY: install test lint perf-smoke perf-pairs tree-split durable-split serve-split experiments examples cob recovery all
+.PHONY: install test lint perf-smoke perf-pairs split experiments examples cob recovery all
 
 install:
 	pip install -e .
@@ -16,17 +16,16 @@ lint:
 	PYTHONPATH=src python -m repro.lint src/repro --select FLOW
 
 # The benchmark harness at smoke size, then its self-tests (tier-1 collects
-# neither), the split tools and the OBS-overhead gate.  Gates on exit status
-# only: every workload's dict-model oracle and the traced-vs-untraced
-# sim_digest equality; the one timing gate is obs_overhead's paired on/off
-# ratio < 1.05 on the E6 sweep (the harness has no metric for it yet).
+# neither), the host-time split of four workloads and the OBS-overhead gate.
+# Gates on exit status only: every workload's dict-model oracle and the
+# traced-vs-untraced sim_digest equality; the one timing gate is
+# obs_overhead's paired on/off ratio < 1.05 on the E6 sweep (the harness has
+# no metric for it yet).
 perf-smoke:
 	python3 benchmarks/perf/run.py --scale 0.05
 	python -m pytest benchmarks/perf/tests -q
-	python3 tools/tree_split.py --workload tree_write --scale 0.05
-	python3 tools/tree_split.py --workload tree_read --scale 0.05
-	python3 tools/durable_split.py --scale 0.05
-	python3 tools/serve_split.py --scale 0.05
+	for w in tree_read tree_write durable_e21 serve_e19; do \
+		python3 tools/split.py --workload $$w --scale 0.05 || exit 1; done
 	python3 tools/obs_overhead.py
 
 # N alternating parent/change pairs of one benchmark workload, then
@@ -41,27 +40,13 @@ SEED ?= 0
 perf-pairs:
 	python3 tools/perf_pairs.py --workload $(WORKLOAD) --base $(BASE) --n $(N) --seed $(SEED)
 
-# Which of the six tree kinds a tree workload's host time goes to (median
-# seconds per iteration, each kind alone, and the seconds of its one load
-# inside set-up; sizing, not a claim):
-#   make tree-split WORKLOAD=tree_write   (or tree_read; SEED as above)
-tree-split:
-	python3 tools/tree_split.py --workload $(WORKLOAD) --seed $(SEED)
-
-# Which step of a durable op durable_e21's host time goes to, per tree kind
-# (checkpoint scan / rest, WAL append / commit, tree insert / delete,
-# recover; median self seconds per iteration; sizing, not a claim):
-#   make durable-split   (SEED as above)
-durable-split:
-	python3 tools/durable_split.py --seed $(SEED)
-
-# Which step of a served request serve_e19's host time goes to (traffic draw,
-# arrival + admission, WFQ, dispatch, Replica.lookup_many by tree / cache /
-# device, completion; sampled median us per request), with the round-size
-# histogram and the peak event-heap length; sizing, not a claim:
-#   make serve-split   (SEED as above)
-serve-split:
-	python3 tools/serve_split.py --seed $(SEED)
+# Where a workload's host time goes, by kind and step (tree / cache / device
+# for the tree workloads; WAL, checkpoint, tree and recovery steps for
+# durable_e21; the request path for serve_e19): sampled median us per op,
+# tools/split.py over repro.obs.sampler; sizing, not a claim:
+#   make split WORKLOAD=tree_write   (tree_read, durable_e21, serve_e19; SEED as above)
+split:
+	python3 tools/split.py --workload $(WORKLOAD) --seed $(SEED)
 
 experiments:
 	python -m repro.experiments all

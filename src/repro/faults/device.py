@@ -269,6 +269,11 @@ class FaultyDevice(BlockDevice):
                     OBS.counter("io.hedge_wins").inc()
         return at + spent + service
 
+    def _obs_io(self, kind: str, offset: int, nbytes: int, start: float, end: float) -> None:
+        """Publish no ``device.*`` event: the inner device published one per
+        attempt, with its seek/transfer split; the wrapper's own are the
+        ``faults.*`` and ``io.*`` counters of :meth:`_service`."""
+
     # -- identity and lifecycle ----------------------------------------------
 
     def describe(self) -> dict[str, object]:

@@ -258,12 +258,6 @@ class BeTree(KVTree):
         """Move child ``idx``'s pending messages down one level."""
         if OBS.enabled:
             start = self.storage.device.clock
-            self._flush_child_impl(parent, idx)
-            OBS.op_event("betree.flush", start, self.storage.device.clock)
-            return
-        self._flush_child_impl(parent, idx)
-
-    def _flush_child_impl(self, parent: BeNode, idx: int) -> None:
         msgs = parent.take_segment(idx)
         self._dirty_segment(parent, idx)
         if not msgs:
@@ -271,14 +265,16 @@ class BeTree(KVTree):
         child = self._get(parent.children[idx])
         if child.is_leaf:
             self._apply_to_leaf(parent, idx, msgs)
-            return
-        for m in msgs:
-            child.add_message(self._child_index(child, m.key), m)
-        # The flush rewrites the child (its buffer changed wholesale).
-        self._dirty(child)
-        self._flush_overflows(child)
-        if len(child.children) > self.config.max_children:
-            self._split_internal(parent, idx)
+        else:
+            for m in msgs:
+                child.add_message(self._child_index(child, m.key), m)
+            # The flush rewrites the child (its buffer changed wholesale).
+            self._dirty(child)
+            self._flush_overflows(child)
+            if len(child.children) > self.config.max_children:
+                self._split_internal(parent, idx)
+        if OBS.enabled:
+            OBS.op_event("betree.flush", start, self.storage.device.clock)
 
     def _apply_to_leaf(self, parent: BeNode | None, idx: int, msgs: list[Message]) -> None:
         """Apply seq-sorted messages to a leaf; split/shrink as needed.
@@ -360,20 +356,14 @@ class BeTree(KVTree):
         """Split an overfull leaf into ~2/3-full pieces."""
         if OBS.enabled:
             start = self.storage.device.clock
-            self._split_leaf_impl(parent, idx, leaf)
-            OBS.op_event("betree.split", start, self.storage.device.clock, kind="leaf")
-            return
-        self._split_leaf_impl(parent, idx, leaf)
-
-    def _split_leaf_impl(self, parent: BeNode | None, idx: int, leaf: BeNode) -> None:
         cap = self.config.leaf_capacity
         pieces = math.ceil(len(leaf.keys) / math.ceil(cap * 2 / 3))
         per = math.ceil(len(leaf.keys) / pieces)
         new_nodes: list[BeNode] = []
-        for start in range(per, len(leaf.keys), per):
+        for lo in range(per, len(leaf.keys), per):
             piece = self._new_node(is_leaf=True)
-            piece.keys = leaf.keys[start : start + per]
-            piece.values = leaf.values[start : start + per]
+            piece.keys = leaf.keys[lo : lo + per]
+            piece.values = leaf.values[lo : lo + per]
             self._dirty(piece)
             new_nodes.append(piece)
         del leaf.keys[per:]
@@ -390,6 +380,8 @@ class BeTree(KVTree):
             parent.children.insert(idx + j + 1, piece.node_id)
             parent.segments.insert(idx + j + 1, SegmentBuffer())
         self._dirty_pivots(parent)
+        if OBS.enabled:
+            OBS.op_event("betree.split", start, self.storage.device.clock, kind="leaf")
 
     def _drop_empty_leaf(self, parent: BeNode, idx: int, leaf: BeNode) -> None:
         """Remove a fully-emptied leaf, keeping at least one child."""
@@ -411,14 +403,6 @@ class BeTree(KVTree):
         """Split internal node ``parent.children[idx]`` in half."""
         if OBS.enabled:
             start = self.storage.device.clock
-            self._split_internal_impl(parent, idx)
-            OBS.op_event(
-                "betree.split", start, self.storage.device.clock, kind="internal"
-            )
-            return
-        self._split_internal_impl(parent, idx)
-
-    def _split_internal_impl(self, parent: BeNode | None, idx: int) -> None:
         node = (
             self._get(parent.children[idx]) if parent is not None else self._get(self.root_id)
         )
@@ -447,6 +431,8 @@ class BeTree(KVTree):
         # at or above the separator now route to the right half.
         parent.segments.insert(idx + 1, parent.segments[idx].extract_ge(separator))
         self._dirty_pivots(parent)
+        if OBS.enabled:
+            OBS.op_event("betree.split", start, self.storage.device.clock, kind="internal")
 
     def _maybe_grow_root(self) -> None:
         root = self._get(self.root_id)
@@ -544,7 +530,7 @@ class BeTree(KVTree):
         for child_id in list(node.children):
             changed |= self._flush_everything(child_id, node)
         # Flushes into leaves split them under this node, as they do on the
-        # normal path, where _flush_child_impl then splits an over-wide child;
+        # normal path, where _flush_child then splits an over-wide child;
         # the root is _maybe_grow_root's.
         if parent is not None and len(node.children) > self.config.max_children:
             self._split_internal(parent, parent.children.index(node_id))

@@ -248,12 +248,6 @@ class BTree(KVTree):
         """Split ``parent.children[idx]`` into two; parent gains one pivot."""
         if OBS.enabled:
             start = self.storage.device.clock
-            self._split_child_impl(parent, idx)
-            OBS.op_event("btree.split", start, self.storage.device.clock)
-            return
-        self._split_child_impl(parent, idx)
-
-    def _split_child_impl(self, parent: BTreeNode, idx: int) -> None:
         child = self._get(parent.children[idx])
         right = self._new_node(is_leaf=child.is_leaf)
         if child.is_leaf:
@@ -276,6 +270,8 @@ class BTree(KVTree):
         self._dirty(child)
         self._dirty(right)
         self._dirty(parent)
+        if OBS.enabled:
+            OBS.op_event("btree.split", start, self.storage.device.clock)
 
     # -- delete --------------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.errors import ConfigurationError, TransientIOError
 from repro.faults import DegradedPhase, FaultPlan, FaultyDevice, ResiliencePolicy
 from repro.models.affine import AffineModel
@@ -180,3 +181,40 @@ class TestWrapperHygiene:
         assert d["plan"]["seed"] == 4
         assert d["policy"]["name"] == "retry"
         assert "inner" in d
+
+
+class TestObservability:
+    """Each attempt the inner device serves is one ``device.*`` event; the
+    wrapper adds only its ``faults.*`` and ``io.*`` counters."""
+
+    @pytest.fixture(autouse=True)
+    def metrics(self):
+        obs.disable(detach_tracer=True)
+        obs.reset()
+        obs.enable()
+        yield obs.OBS
+        obs.disable()
+        obs.reset()
+
+    @pytest.mark.parametrize(
+        "plan, policy",
+        [
+            (FaultPlan(seed=5, error_prob=0.3), ResiliencePolicy.retry(max_retries=50)),
+            (TestHedging.PLAN, ResiliencePolicy.hedged(BASE_4K * 1.5)),
+        ],
+        ids=["retry", "hedge"],
+    )
+    def test_device_events_count_inner_ios(self, metrics, plan, policy):
+        dev = _make(plan, policy)
+        _read_times(dev, 60)
+        dev.read_batch([i * 4096 for i in range(60, 100)], 4096)
+        snap = metrics.snapshot()
+        counters = snap["counters"]
+        assert dev.inner.stats.reads > dev.stats.reads == 100
+        assert counters["device.read.ios"] == dev.inner.stats.reads
+        assert snap["histograms"]["device.read.seconds"]["count"] == dev.inner.stats.reads
+        assert counters["device.setup_seconds_x1e9"] > 0  # the inner device's split
+        faults = dev.fault_stats
+        assert counters.get("io.retries", 0) == faults.retries
+        assert counters.get("io.hedges_issued", 0) == faults.hedges_issued
+        assert faults.retries + faults.hedges_issued == dev.inner.stats.reads - 100

@@ -96,6 +96,51 @@ class TestInstrumentedLayers:
         assert io_spans
         assert all(s.end >= s.start for s in io_spans)
 
+    def test_structural_op_events_are_pinned(self):
+        """A seeded write mix on btree and betree emits exactly these split
+        and flush events (a flush into a leaf included), each once with its
+        ``kind`` attribute and the same charged IO seconds."""
+        import collections
+
+        import numpy as np
+
+        from repro import storage, trees
+
+        obs.enable(trace=True)
+        keys = np.random.default_rng(7).integers(0, 1 << 20, size=4000).tolist()
+        for kind, fields in (("btree", {}), ("betree", {"fanout": 4})):
+            tree = trees.build(
+                kind, storage.build("affine"), node_bytes=8192, cache_bytes=32 << 10, **fields
+            )
+            for i, k in enumerate(keys):
+                tree.insert(k, i)
+            for k in keys[::3]:
+                tree.delete(k)
+            tree.settle()
+        spans = collections.Counter(
+            (s.name, s.attrs.get("kind")) for s in obs.OBS.tracer.spans
+            if s.name.endswith((".split", ".flush"))
+        )
+        assert spans == {
+            ("btree.split", None): 70,
+            ("betree.flush", None): 1271,
+            ("betree.split", "leaf"): 71,
+            ("betree.split", "internal"): 12,
+        }
+        snap = obs.OBS.snapshot()
+        assert {
+            name: snap["counters"][f"{name}.count"]
+            for name in ("btree.split", "betree.flush", "betree.split")
+        } == {"btree.split": 70, "betree.flush": 1271, "betree.split": 83}
+        assert {
+            name: snap["histograms"][f"{name}.io_seconds"]["total"]
+            for name in ("btree.split", "betree.flush", "betree.split")
+        } == {
+            "btree.split": 0.5857343999999594,
+            "betree.flush": 62.072827519999414,
+            "betree.split": 4.565221759999925,
+        }
+
     def test_runner_metrics(self, tmp_path):
         from repro.runner import ResultCache, run_sweep
         from repro.runner.spec import SweepPoint, SweepSpec

@@ -1,0 +1,251 @@
+#!/usr/bin/env python3
+"""Where a benchmark workload's host time goes, by kind and step.
+
+    python3 tools/split.py --workload tree_write [--seed 0 --scale 1.0 --iterations 7]
+    make split WORKLOAD=durable_e21
+
+Runs the workload's own ``setup``, ``prepare``, ``iteration`` and ``finish``
+(``perfbench``, read-only from ``benchmarks/perf``), each kind alone on the
+same inputs, under a :class:`~repro.obs.sampler.HostSampler` labelling
+frames by the workload's table in :data:`STEPS`, and prints the median host
+us per op of each (step, kind): its share of the counted samples times the
+timed wall.  The workload's own lines outside its timed regions (oracle,
+``_build``, digests) are untimed.  Tree workloads add each kind's ``load s``,
+serve_e19 its round sizes and peak event heap.  Exits non-zero if the
+oracle failed.  Sizing, not claims: a claim is ``make perf-pairs``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import gc
+import heapq
+import statistics
+import sys
+from collections import Counter
+from contextlib import contextmanager, nullcontext
+from fnmatch import fnmatchcase
+from pathlib import Path
+from time import perf_counter
+from types import SimpleNamespace
+from unittest.mock import patch
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Per workload, ``(paths, qualname, label[, first line])`` rules: the first whose
+#: ``fnmatch`` patterns match a frame's path (one of ``paths``, relative to
+#: ``src/repro``) and ``co_qualname`` labels it; one with a first line, checked
+#: first, only inside the statement that begins with it.  Rows follow the table.
+TREE = (
+    ("trees/*", "*", "tree"),
+    ("storage/cache.py storage/stack.py storage/allocator.py", "*", "cache"),
+    ("storage/*", "*", "device"),
+)
+STEPS = {
+    "tree_read": TREE,
+    "tree_write": TREE,
+    "durable_e21": (
+        ("trees/*", "*Tree.range", "checkpoint scan"),
+        ("recovery/durable.py", "DurableTree.checkpoint", "checkpoint rest"),
+        ("recovery/wal.py", "WriteAheadLog.append", "wal.append"),
+        ("recovery/wal.py", "WriteAheadLog.commit", "wal.commit"),
+        ("trees/*", "*Tree.insert", "tree.insert"),
+        ("trees/*", "*Tree.delete", "tree.delete"),
+        ("recovery/durable.py", "DurableTree.recover", "recover"),
+        ("recovery/durable.py", "DurableTree.*", "remainder"),
+    ),
+    "serve_e19": (
+        ("serve/engine.py", "RequestEngine._draw_traffic", "traffic draw"),
+        ("serve/engine.py", "RequestEngine.run*", "traffic draw", "arrivals = zip("),
+        ("serve/tenants.py serve/shardmap.py", "*", "traffic draw"),
+        ("serve/engine.py", "RequestEngine.run.<locals>.wake_until", "arrival + admission"),
+        ("serve/qos.py", "WeightedFairQueue.*", "WFQ push + pop"),
+        ("serve/qos.py", "*", "arrival + admission"),
+        ("serve/engine.py", "RequestEngine.run.<locals>.dispatch*", "dispatch bookkeeping"),
+        ("storage/engine.py", "*", "dispatch bookkeeping"),
+        ("serve/engine.py", "RequestEngine.*", "arrival + admission"),
+        ("serve/shard.py", "*", "lookup_many: replica"),
+        ("trees/*", "*", "lookup_many: tree descent"),
+        ("storage/stack.py storage/cache.py", "*", "lookup_many: cache"),
+        ("storage/* faults/*", "*", "lookup_many: device"),
+        ("serve/engine.py", "RequestEngine.run.<locals>.dispatch*", "completion accounting",
+         "for tenant, (arrived, _) in requests:"),
+    ),
+}
+INCLUSIVE = {"recover"}  # labels that keep every sample under them
+
+
+def statement_lines(path: Path, first: str) -> range:
+    """The lines of the statement in ``path`` whose first line begins ``first``."""
+    lines = path.read_text().splitlines()
+    for node in ast.walk(ast.parse("\n".join(lines))):
+        if isinstance(node, ast.stmt) and lines[node.lineno - 1].strip().startswith(first):
+            return range(node.lineno, node.end_lineno + 1)
+    raise SystemExit(f"split: no statement in {path} begins {first!r}; update tools/split.py")
+
+
+def untimed_lines(path: Path) -> set[int]:
+    """The lines of ``path``'s timing functions outside their timed regions, each
+    from a ``perf_counter()`` line to the next, in pairs, as perfbench times."""
+    lines = path.read_text().splitlines()
+    untimed: set[int] = set()
+    for fn in ast.walk(ast.parse("\n".join(lines))):
+        if isinstance(fn, ast.FunctionDef):
+            span = range(fn.lineno, fn.end_lineno + 1)
+            marks = [n for n in span if "perf_counter()" in lines[n - 1]]
+            timed = {n for lo, hi in zip(marks[::2], marks[1::2]) for n in range(lo, hi + 1)}
+            if timed:
+                untimed |= set(span) - timed
+    return untimed
+
+
+def classifier(rules, workload_file: Path):
+    """``classify(path, qualname, line)`` for the sampler, from a table."""
+    from repro.obs.sampler import UNTIMED, Inclusive
+
+    untimed = untimed_lines(workload_file)
+    resolved = sorted(
+        ((where, name, Inclusive(label) if label in INCLUSIVE else label,
+          statement_lines(ROOT / "src" / "repro" / where, first[0]) if first else None)
+         for where, name, label, *first in rules),
+        key=lambda rule: rule[3] is None,
+    )
+
+    def classify(path: str, qualname: str, line: int | None):
+        if path == str(workload_file):
+            return UNTIMED if line in untimed else None
+        for where, name, label, lines in resolved:
+            if (any(fnmatchcase(path, w) for w in where.split()) and fnmatchcase(qualname, name)
+                    and (lines is None or line in lines)):
+                return label
+        return None
+
+    return classify
+
+
+@contextmanager
+def serve_counts():
+    """While open: the size of every round ``Replica.lookup_many`` is handed
+    and the longest event heap of the serve engine."""
+    from repro.serve import engine
+    from repro.serve.shard import Replica
+
+    counts = SimpleNamespace(peak=0, rounds=Counter())
+    lookup_many = Replica.lookup_many
+
+    def counted(replica, keys):
+        counts.rounds[len(keys)] += 1
+        return lookup_many(replica, keys)
+
+    def heappush(heap, item) -> None:
+        heapq.heappush(heap, item)
+        counts.peak = max(counts.peak, len(heap))
+
+    shim = SimpleNamespace(heappush=heappush, heappop=heapq.heappop)
+    with patch.object(Replica, "lookup_many", counted), patch.object(engine, "heapq", shim):
+        yield counts
+
+
+def split(name: str, seed: int, scale: float, iterations: int):
+    """``(run, {kind: [(ops, wall, counts), ...]}, {kind: load s}, serve counts)``."""
+    from perfbench import trees
+    from perfbench.harness import Run
+    from perfbench.workloads import workload_class
+    from repro.obs.sampler import HostSampler
+
+    run = Run(seed, scale)
+    workload = workload_class(name)(run)
+    build, load_s = trees.build, {}
+
+    def timed_build(run, kind, pairs, **placement):
+        start = perf_counter()
+        built = build(run, kind, pairs, **placement)
+        load_s[kind] = perf_counter() - start
+        return built
+
+    with patch.object(trees, "build", timed_build):
+        workload.setup()
+    module = sys.modules[type(workload).__module__]
+    built = getattr(workload, "built", None)  # the tree workloads' kinds
+    every = getattr(module, "KINDS", None)  # durable_e21's
+    kinds = [bt.kind for bt in built] if built else list(every or [None])
+    sampler = HostSampler(classifier(STEPS[name], Path(module.__file__).resolve()))
+    samples: dict[str | None, list] = {kind: [] for kind in kinds}
+    # As in perfbench.harness.measure: the loaded structures are long-lived.
+    gc.collect()
+    gc.freeze()
+    try:
+        with serve_counts() if name == "serve_e19" else nullcontext() as serve:
+            for i in range(iterations):
+                workload.prepare(i)
+                for kind in kinds:
+                    if built:
+                        workload.built = [bt for bt in built if bt.kind == kind]
+                    elif every:
+                        module.KINDS = (kind,)
+                    with sampler:
+                        ops, wall = workload.iteration(i)
+                    samples[kind].append((ops, wall, Counter(sampler.counts)))
+    finally:
+        gc.unfreeze()
+    if built:
+        workload.built = built
+    if every:
+        module.KINDS = every
+    workload.finish()
+    return run, samples, load_s, serve
+
+
+def report(name: str, samples, load_s: dict[str, float]) -> None:
+    """Median host us per op (and share) of each step, a column per kind."""
+    from repro.obs.sampler import OTHER
+
+    median = statistics.median
+    rows = {
+        step: {kind: median(c[step] / max(1, sum(c.values())) * wall / ops * 1e6
+                            for ops, wall, c in runs) for kind, runs in samples.items()}
+        for step in [*dict.fromkeys(rule[2] for rule in STEPS[name]), OTHER]
+    }
+    total = {kind: sum(row[kind] for row in rows.values()) for kind in samples}
+    per_run = median(sum(c.values()) for runs in samples.values() for *_, c in runs)
+    print(f"  median host us per op and share, from {per_run:g} samples a kind-iteration")
+    print(f"    {'step':<26}" + "".join(f"{kind or 'all':>16}" for kind in samples))
+    for step, row in rows.items():
+        print(f"    {step:<26}" + "".join(
+            f"{row[k]:>9.2f}{row[k] / (total[k] or 1):>7.1%}" for k in samples))
+    for row, values in {
+        "sum": total,
+        "ops/iteration": {k: median(r[0] for r in runs) for k, runs in samples.items()},
+        "s/iteration": {k: median(r[1] for r in runs) for k, runs in samples.items()},
+        "load s": load_s,
+    }.items():
+        if values:
+            print(f"    {row:<26}" + "".join(f"{values[k]:>9.6g}{'':>7}" for k in samples))
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True, choices=sorted(STEPS))
+    parser.add_argument("--seed", type=int, default=0, help="every input stream derives from it")
+    parser.add_argument("--scale", type=float, default=1.0, help="shrink loads and iterations")
+    parser.add_argument("--iterations", type=int, default=7, help="iterations the median is over")
+    args = parser.parse_args(argv)
+    if args.iterations < 1:
+        parser.error("--iterations must be at least 1")
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "perf")]
+    run, samples, load_s, serve = split(args.workload, args.seed, args.scale, args.iterations)
+    print(f"{args.workload} seed {args.seed} scale {args.scale:g}: {args.iterations} iterations")
+    if serve is not None:
+        n, keys = sum(serve.rounds.values()), sum(k * c for k, c in serve.rounds.items())
+        print(f"  keys per round {keys / n:.2f} over {n} rounds; share of rounds by size:")
+        print("    " + "  ".join(f"{k}: {c / n:.1%}" for k, c in sorted(serve.rounds.items())))
+        print(f"  peak event-heap length {serve.peak}")
+    report(args.workload, samples, load_s)
+    for failure in run.failures:
+        print(f"FAILED: {failure}", file=sys.stderr)
+    return int(run.failed > 0)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
