@@ -1,19 +1,12 @@
 # Convenience targets; see README.md.
 
-.PHONY: install test lint perf-smoke perf-pairs split experiments examples cob recovery all
+.PHONY: install test perf-smoke perf-pairs split experiments examples cob recovery all
 
 install:
 	pip install -e .
 
 test:
 	pytest tests/
-
-# The CI lint gate: per-file rules plus the whole-program flow pass,
-# then the flow pass alone against src/repro as the lint-flow CI job
-# runs it (docs/lint.md).
-lint:
-	PYTHONPATH=src python -m repro.lint src/
-	PYTHONPATH=src python -m repro.lint src/repro --select FLOW
 
 # The benchmark harness at smoke size, then its self-tests (tier-1 collects
 # neither), the host-time split of four workloads and the OBS-overhead gate.
@@ -51,11 +44,10 @@ split:
 experiments:
 	python -m repro.experiments all
 
-# The cache-oblivious tier: its tests (the lockstep machine among them), its
-# lint, and the E20 quick sweep.
+# The cache-oblivious tier: its tests (the lockstep machine among them) and
+# the E20 quick sweep.
 cob:
 	PYTHONPATH=src python -m pytest tests/trees/test_cob.py tests/trees/test_cob_accounting.py tests/trees/test_veb.py tests/trees/test_conformance.py tests/trees/test_put_many.py tests/trees/test_point_charges.py tests/trees/test_lockstep.py -q
-	PYTHONPATH=src python -m repro.lint src/repro/trees/cob
 	PYTHONPATH=src python -m repro.experiments cob --quick --no-cache
 
 # The durability layer: its tests (the pinned reads of the scans its
@@ -76,4 +68,4 @@ examples:
 	python examples/aging_range_queries.py
 	python examples/io_trace_analysis.py
 
-all: lint test experiments
+all: test experiments

@@ -1,7 +1,6 @@
 """Systematic crash-consistency checking: crash everywhere, verify always.
 
-The checker is the robustness analogue of the lint self-clean gate.  For
-one seeded mixed workload it:
+For one seeded mixed workload the checker:
 
 1. does a **dry run** (no crash) to count the IO boundaries the workload
    crosses after load and warm-up;
@@ -312,7 +311,7 @@ def _check_one(
     try:
         durable.check_invariants()
     # Not swallowed: the exception becomes a reported CheckFailure.
-    except Exception as exc:  # repro-lint: ignore[ERR001]
+    except Exception as exc:
         return CheckFailure(ordinal, f"invariants broken after recovery: {exc}")
     expected = expected_contents(load_pairs, ops, acked)
     got = durable.contents()

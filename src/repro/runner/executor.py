@@ -90,7 +90,7 @@ class SweepReport:
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    """Normalize a ``--jobs`` value: None/0 -> all cores, else max(1, jobs)."""
+    """Normalize a ``--jobs`` value: None/0 -> all cores; a negative value raises."""
     if jobs is None or jobs == 0:
         return os.cpu_count() or 1
     if jobs < 0:

@@ -231,7 +231,7 @@ class BlockDevice(ABC):
         :meth:`write` and :meth:`_batch`, so the call below needs no guard
         of its own.
         """
-        OBS.io_event(  # repro-lint: ignore[OBS001] (guarded at every call site)
+        OBS.io_event(
             type(self).__name__, kind, offset, nbytes, start, end, self._obs_setup
         )
         self._obs_setup = None

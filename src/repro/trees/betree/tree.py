@@ -30,7 +30,7 @@ from repro.storage.stack import StorageStack
 from repro.trees.api import KVTree
 from repro.trees.betree.messages import Message, MessageOp, apply_messages
 from repro.trees.betree.node import BeNode, SegmentBuffer
-from repro.trees.sizing import EntryFormat
+from repro.trees.sizing import BULK_FILL, EntryFormat
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,10 @@ class BeTreeConfig:
     fmt: EntryFormat = EntryFormat()
     fanout: int | None = 16
     epsilon: float = 0.5
-    bulk_fill: float = 0.9
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigurationError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if not 0.1 <= self.bulk_fill <= 1.0:
-            raise ConfigurationError(f"bulk_fill must be in [0.1, 1], got {self.bulk_fill}")
         if self.fanout is not None and self.fanout < 2:
             raise ConfigurationError(f"fanout must be >= 2, got {self.fanout}")
         cap = self.fmt.leaf_capacity(self.node_bytes)  # validates node size
@@ -548,7 +545,7 @@ class BeTree(KVTree):
         if not pairs:
             return
         self._free(self._get(self.root_id))
-        per_leaf = max(2, int(self.config.leaf_capacity * self.config.bulk_fill))
+        per_leaf = max(2, int(self.config.leaf_capacity * BULK_FILL))
         all_values = [v for _, v in pairs]
         level: list[tuple[int, int]] = []
         for start in range(0, len(pairs), per_leaf):
@@ -559,7 +556,7 @@ class BeTree(KVTree):
             level.append((leaf.keys[0], leaf.node_id))
         self.user_bytes_modified += len(pairs) * self.config.fmt.entry_bytes
 
-        per_internal = max(2, int(self.config.target_fanout * self.config.bulk_fill))
+        per_internal = max(2, int(self.config.target_fanout * BULK_FILL))
         while len(level) > 1:
             next_level: list[tuple[int, int]] = []
             for start in range(0, len(level), per_internal):

@@ -21,12 +21,12 @@ from itertools import islice
 from operator import lt
 from typing import Any
 
-from repro.errors import ConfigurationError, TreeError
+from repro.errors import TreeError
 from repro.obs import OBS
 from repro.storage.stack import StorageStack
 from repro.trees.api import KVTree, TreeKind
 from repro.trees.btree.node import BTreeNode
-from repro.trees.sizing import EntryFormat
+from repro.trees.sizing import BULK_FILL, EntryFormat
 
 
 @dataclass(frozen=True)
@@ -39,19 +39,13 @@ class BTreeConfig:
         The node size ``B`` — the single knob the paper's Figure 2 sweeps.
     fmt:
         Key/value/pointer widths.
-    bulk_fill:
-        Target fill fraction for :meth:`BTree.bulk_load` (leaves and
-        internals), default 0.9 as in typical bulk loaders.
     """
 
     node_bytes: int = 65536
     fmt: EntryFormat = EntryFormat()
-    bulk_fill: float = 0.9
 
     def __post_init__(self) -> None:
         # Validate capacities up front (raises ConfigurationError if tiny).
-        if not 0.1 <= self.bulk_fill <= 1.0:
-            raise ConfigurationError(f"bulk_fill must be in [0.1, 1], got {self.bulk_fill}")
         self.fmt.leaf_capacity(self.node_bytes)
         self.fmt.internal_capacity(self.node_bytes)
 
@@ -430,7 +424,7 @@ class BTree(KVTree):
     def bulk_load(self, pairs: list[tuple[int, Any]]) -> None:
         """Replace the tree's contents with sorted ``pairs``.
 
-        Builds leaves left to right at ``bulk_fill`` occupancy and stacks
+        Builds leaves left to right at ``BULK_FILL`` occupancy and stacks
         internal levels on top.  With a first-fit allocator this lays the
         tree out nearly sequentially on disk — a *fresh* (unaged) tree.
         """
@@ -444,7 +438,7 @@ class BTree(KVTree):
         old_root = self._get(self.root_id)
         self._free(old_root)
 
-        per_leaf = max(2, int(self._leaf_capacity * self.config.bulk_fill))
+        per_leaf = max(2, int(self._leaf_capacity * BULK_FILL))
         all_values = [v for _, v in pairs]
         level: list[tuple[int, int]] = []  # (first_key, node_id) per node
         for start in range(0, len(pairs), per_leaf):
@@ -456,7 +450,7 @@ class BTree(KVTree):
         self._count = len(pairs)
         self.user_bytes_modified += len(pairs) * self._entry_bytes
 
-        per_internal = max(2, int(self._internal_capacity * self.config.bulk_fill))
+        per_internal = max(2, int(self._internal_capacity * BULK_FILL))
         while len(level) > 1:
             next_level: list[tuple[int, int]] = []
             for start in range(0, len(level), per_internal):
@@ -480,9 +474,17 @@ class BTree(KVTree):
     # -- invariants ---------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Assert search-tree order, balanced height, and byte budgets."""
+        """Assert search-tree order, balanced height, byte budgets and the
+        occupancy floor.
+
+        Every non-root node holds at least :meth:`_min_occupancy` entries
+        (leaves) or children (internal nodes), the floor ``delete``'s
+        refill keeps.  The rightmost node of each level is exempt: it is
+        where ``bulk_load`` leaves its remainder, and a borrow from its
+        left neighbour can leave it below the floor.
+        """
         leaf_depths: set[int] = set()
-        n = self._check_node(self.root_id, None, None, 0, leaf_depths)
+        n = self._check_node(self.root_id, None, None, 0, leaf_depths, True)
         if n != self._count:
             raise TreeError(f"count mismatch: walked {n}, recorded {self._count}")
         if len(leaf_depths) > 1:
@@ -495,6 +497,7 @@ class BTree(KVTree):
         hi: int | None,
         depth: int,
         leaf_depths: set[int],
+        rightmost: bool,
     ) -> int:
         node = self._get(node_id)
         fmt = self.config.fmt
@@ -502,6 +505,11 @@ class BTree(KVTree):
             raise TreeError(
                 f"node {node_id} overflows budget: {node.nbytes(fmt)} > {self.config.node_bytes}"
             )
+        if depth and not rightmost:
+            held = len(node.keys) if node.is_leaf else len(node.children)
+            floor = self._min_occupancy(node)
+            if held < floor:
+                raise TreeError(f"node {node_id} under the occupancy floor: {held} < {floor}")
         for a, b in zip(node.keys, node.keys[1:]):
             if a >= b:
                 raise TreeError(f"node {node_id} keys out of order: {a} >= {b}")
@@ -518,8 +526,12 @@ class BTree(KVTree):
                             f"{len(node.keys)} keys")
         total = 0
         bounds = [lo] + list(node.keys) + [hi]
+        last = len(node.children) - 1
         for i, child in enumerate(node.children):
-            total += self._check_node(child, bounds[i], bounds[i + 1], depth + 1, leaf_depths)
+            total += self._check_node(
+                child, bounds[i], bounds[i + 1], depth + 1, leaf_depths,
+                rightmost and i == last,
+            )
         return total
 
 

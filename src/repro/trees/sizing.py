@@ -26,6 +26,10 @@ from repro.errors import ConfigurationError
 KEY_MIN = -(1 << 63) + 1
 KEY_MAX = (1 << 63) - 1
 
+#: Fill fraction of every node a ``bulk_load`` writes, as in typical bulk
+#: loaders: room for a few inserts per node before the first split.
+BULK_FILL = 0.9
+
 
 @dataclass(frozen=True)
 class EntryFormat:

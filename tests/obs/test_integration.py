@@ -7,10 +7,21 @@ reads what the simulator already computed.
 
 import pytest
 
-from repro import obs
+from repro import obs, storage, trees
+from repro.errors import DeviceCrashed
 from repro.experiments.devices import default_hdd
+from repro.faults import CrashPlan, FaultPlan, FaultyDevice, ResiliencePolicy
+from repro.models.pdam import PDAMModel
+from repro.recovery import DurableConfig, DurableTree
+from repro.storage.ideal import PDAMDevice
+from repro.storage.scheduler import ReadAheadScheduler
 from repro.storage.stack import StorageStack
 from repro.trees.btree import BTree, BTreeConfig
+from tests.serve.test_engine import SPIKY, run_once
+from tests.trees.test_lockstep import SMALL
+
+#: Errors and spikes often enough that every kind's run retries and hedges.
+NOISY = FaultPlan(seed=5, error_prob=0.05, spike_prob=0.1, spike_seconds=0.02)
 
 
 @pytest.fixture(autouse=True)
@@ -36,12 +47,67 @@ def run_btree_workload(n_ops: int = 400) -> float:
     return device.clock
 
 
+def run_every_layer() -> None:
+    """Drive every instrumented layer once.
+
+    Every tree kind takes every op over an HDD wrapped in a
+    ``FaultyDevice``, once under a retry policy and once under a hedge
+    policy; then a durable tree crashes and recovers, a two-tenant
+    cluster serves, and the read-ahead scheduler steps under stalls.
+    """
+    pairs = [(k, k) for k in range(0, 600, 2)]
+    retries = hedges = 0
+    for policy in (ResiliencePolicy.retry(), ResiliencePolicy.hedged(0.01)):
+        for kind in trees.KINDS:
+            device = FaultyDevice(storage.build("hdd", seed=1), NOISY, policy=policy)
+            tree = trees.build(kind, device, **SMALL[kind])
+            tree.load(pairs)
+            tree.put_many((k, -k) for k in range(1, 300, 3))
+            for k in range(301, 600, 3):
+                tree.insert(k, k)
+            tree.get(17)
+            tree.lookup_many(range(0, 600, 37))
+            tree.range(100, 400)
+            for k in range(0, 300, 4):
+                tree.delete(k)
+            tree.settle()
+            tree.drop_cache()
+            retries += device.fault_stats.retries
+            hedges += device.fault_stats.hedges_issued
+    assert retries and hedges  # both policies did their work
+
+    durable = DurableTree(
+        FaultyDevice(storage.build("hdd", seed=2), FaultPlan(seed=0)),
+        DurableConfig(group_commit=4, checkpoint_every=16),
+    )
+    durable.load(pairs)
+    durable.device.arm_crash(CrashPlan(seed=3, at_io=40))
+    with pytest.raises(DeviceCrashed):
+        for k in range(10_000):
+            durable.put(k, k)
+    durable.recover()
+    durable.get(4)
+
+    run_once(plan=SPIKY, policy=ResiliencePolicy.hedged(0.02), admit=True, duration=0.2)
+
+    pdam = PDAMDevice(PDAMModel(8, 4096, step_seconds=1e-3), capacity_bytes=1 << 30)
+    stalls = FaultPlan(seed=5, stall_prob=0.2, spike_prob=0.2, spike_seconds=2e-3)
+    sched = ReadAheadScheduler(pdam, fault_plan=stalls, policy=ResiliencePolicy.hedged(2e-3))
+    for step in range(40):
+        for c in range(4):
+            sched.submit(c, (step * 4 + c) * 13 % 1000)
+        sched.step()
+
+
 class TestIdentity:
     def test_disabled_run_records_nothing(self):
-        run_btree_workload()
+        # An unguarded record anywhere on these paths shows up here.
+        run_every_layer()
         snap = obs.OBS.snapshot()
         assert all(v == 0 for v in snap["counters"].values())
         assert all(h["count"] == 0 for h in snap["histograms"].values())
+        assert all(g["n_sets"] == 0 for g in snap["gauges"].values())
+        assert obs.OBS.tracer is None
 
     def test_simulated_clock_identical_on_off(self):
         clock_off = run_btree_workload()

@@ -1,10 +1,15 @@
-"""Kernel conformance: every spec point binds, every name resolves alone.
+"""Kernel conformance: every spec point binds, every name resolves alone,
+every kernel is pure, and no result depends on the hash seed.
 
 A sweep point carries only its kernel's *name* and keyword parameters;
 nothing type-checks the pair until the kernel runs.  These tests close
 that gap without running a simulation, and pin the fresh-process
 resolution rule of :func:`repro.runner.get_kernel` (docs/runner.md) and
 what a process that only sweeps carries: no scipy until something fits.
+Then they run small points: a kernel that keeps state between calls
+(module-level caches, reused devices) gives a point a second, different
+answer, and an iteration in hash order gives different results under two
+``PYTHONHASHSEED`` values.
 """
 
 import importlib
@@ -32,15 +37,16 @@ SPEC_MODULES = [
 ]
 
 
-def run_fresh(script: str) -> str:
-    """``script``'s stdout from a fresh interpreter that sees only ``src/``."""
+def run_fresh(script: str, **env: str) -> str:
+    """``script``'s stdout from a fresh interpreter that sees only ``src/``,
+    with ``env`` added to its environment."""
     src = str(Path(repro.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, **env, "PYTHONPATH": src},
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
@@ -87,13 +93,13 @@ def test_fresh_interpreter_resolves_one_kernel_by_importing_one_module(name):
 
 
 def test_a_sweep_process_never_imports_scipy():
-    # The serving, recovery, tuning, lint and CLI packages, every kernel's
+    # The serving, recovery, tuning and CLI packages, every kernel's
     # home module, and one E5 and one E21 point actually run: scipy (~45 MiB
     # resident, ~0.5 s to import) must not ride along with any of it.
     script = (
         "import importlib, sys\n"
         "import repro.trees, repro.storage, repro.runner, repro.serve\n"
-        "import repro.recovery, repro.tuning, repro.lint, repro.experiments.cli\n"
+        "import repro.recovery, repro.tuning, repro.experiments.cli\n"
         "from repro.runner import get_kernel\n"
         "from repro.runner.kernels import KERNEL_HOMES\n"
         "for home in sorted(set(KERNEL_HOMES.values())):\n"
@@ -129,3 +135,94 @@ def test_the_first_fit_is_what_imports_scipy(call):
         "print(before, 'scipy' in sys.modules)\n"
     )
     assert run_fresh(script).split() == ["False", "True"]
+
+
+def small_points() -> dict[str, tuple]:
+    """Two points ``(a, b)`` of every kernel, from its own module's spec at
+    sizes that run in milliseconds."""
+    from repro.experiments import (
+        exp_affine_validation,
+        exp_autotune,
+        exp_betree_nodesize,
+        exp_btree_nodesize,
+        exp_cob_compare,
+        exp_durability,
+        exp_serve_tail,
+        exp_tail_resilience,
+    )
+
+    specs = (
+        exp_affine_validation.sweep_spec(io_sizes=(4096, 65536), reads_per_size=8),
+        exp_autotune.sweep_spec(
+            node_sizes=(4096,), n_entries=3000, cache_bytes=64 << 10, n_queries=10,
+            warmup_queries=5,
+        ),
+        exp_betree_nodesize.sweep_spec(
+            node_sizes=(16 << 10, 64 << 10), n_entries=3000, cache_bytes=64 << 10,
+            n_queries=20, max_inserts=200, warmup_queries=10,
+        ),
+        exp_btree_nodesize.sweep_spec(
+            node_sizes=(4096, 16384), n_entries=3000, cache_bytes=64 << 10,
+            n_queries=20, n_inserts=20, warmup_queries=10,
+        ),
+        exp_cob_compare.sweep_spec(
+            models=("affine",), node_sizes=(16 << 10,), threads=(1, 2), n_entries=2000,
+            n_queries=20, n_inserts=50, warmup_queries=10, thread_keys=1 << 10,
+            queries_per_client=5, adversary_keys=1 << 12, adversary_scan=100,
+        ),
+        exp_durability.sweep_spec(
+            devices=("affine",), group_commits=(1, 4), checkpoints=(0,), n_ops=60, n_load=32
+        ),
+        exp_serve_tail.sweep_spec(
+            rates=(300.0,), policies=("none", "hedge"), trees=("btree",),
+            duration_seconds=0.2, n_entries=1000, warm_queries=16,
+        ),
+        exp_tail_resilience.sweep_spec(
+            intensities=(1.0,), policies=("none", "hedge"), trees=("btree",),
+            n_entries=2000, cache_bytes=64 << 10, n_queries=20, warmup_queries=10,
+            n_rounds=100,
+        ),
+    )
+    points: dict[str, list] = {}
+    for spec in specs:
+        for point in spec.points:
+            points.setdefault(point.kernel, []).append(point)
+    return {kernel: (found[0], found[1]) for kernel, found in points.items()}
+
+
+SMALL_POINTS = small_points()
+
+
+def test_every_kernel_has_small_points():
+    # A kernel registered without a row here would escape the purity test.
+    assert set(SMALL_POINTS) == set(KERNEL_HOMES)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_HOMES))
+def test_a_kernel_result_does_not_depend_on_what_ran_before_it(name):
+    # b, then a, then b again in one process: state a kernel keeps between
+    # calls (a module-level device, cache or RNG) moves the second b.
+    a, b = SMALL_POINTS[name]
+    assert a != b
+    kernel = get_kernel(name)
+    first = kernel(**b.param_dict())
+    kernel(**a.param_dict())
+    assert kernel(**b.param_dict()) == first
+
+
+def test_results_do_not_depend_on_the_hash_seed():
+    # One two-tenant serve run and one sweep over string-keyed devices, in
+    # two interpreters whose str hashes differ: a set or dict iterated in
+    # hash order into a result moves the digest.
+    script = (
+        "import hashlib\n"
+        "from repro.experiments import exp_durability, exp_serve_tail\n"
+        "from repro.runner import get_kernel, run_sweep\n"
+        "serve, = exp_serve_tail.sweep_spec(rates=(400.0,), policies=('admit+hedge',),\n"
+        "    trees=('btree',), duration_seconds=0.5, n_entries=1000, warm_queries=16).points\n"
+        "rows = [get_kernel(serve.kernel)(**serve.param_dict())]\n"
+        "rows += run_sweep(exp_durability.sweep_spec(group_commits=(4,), checkpoints=(0,),\n"
+        "    n_ops=60, n_load=32))\n"
+        "print(hashlib.sha256(repr(rows).encode()).hexdigest())\n"
+    )
+    assert run_fresh(script, PYTHONHASHSEED="0") == run_fresh(script, PYTHONHASHSEED="1")

@@ -38,10 +38,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             BTreeConfig(node_bytes=64)
 
-    def test_bad_bulk_fill(self):
-        with pytest.raises(ConfigurationError):
-            BTreeConfig(node_bytes=4096, bulk_fill=0.01)
-
 
 class TestCRUD:
     def test_empty_tree(self):
@@ -226,6 +222,19 @@ class TestBulkLoad:
         tree2, _ = make_tree()
         with pytest.raises(TreeError):
             tree2.bulk_load([(1, 1), (1, 2)])
+
+    def test_deletes_keep_the_occupancy_floor(self):
+        # Leaf capacity 61, floor 15: deleting 7 of every 8 loaded keys
+        # drains each leaf to ~7 unless delete refills before descending,
+        # and check_invariants asserts the floor on every non-rightmost node.
+        tree, _ = make_tree(node_bytes=1024, value_bytes=8)
+        assert tree.config.leaf_capacity == 61
+        tree.bulk_load([(k, k) for k in range(3000)])
+        for k in range(3000):
+            if k % 8:
+                tree.delete(k)
+        tree.check_invariants()
+        assert list(tree.items()) == [(k, k) for k in range(0, 3000, 8)]
 
     def test_bulk_load_empty_list(self):
         tree, _ = make_tree()
