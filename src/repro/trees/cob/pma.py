@@ -262,7 +262,7 @@ class PackedMemoryArray:
         if key == self.seg_max[seg]:
             self.seg_max[seg] = self.keys[lo : lo + self.segment_slots].max().item()
         self.n -= 1
-        self._charge_span(lo, lo + self.segment_slots, read=True, write=True)
+        self.charge_segment(slot, write=True)
         if self.seg_count[seg] >= self._segment_floor:
             return lo, lo + self.segment_slots, False
         return self._update(_NONE, _NONE, 0, slot, slot)
@@ -408,12 +408,12 @@ class PackedMemoryArray:
         if write:
             self.device.write(off, span)
 
-    def charge_slot_write(self, slot: int) -> None:
-        """Charge the block-aligned write that overwrites ``slot`` in place."""
-        block = min(self.block_bytes, self.nbytes)
-        frac = slot * self.entry_bytes
-        off = self.offset + min((frac // block) * block, self.nbytes - block)
-        self.device.write(off, block)
+    def charge_segment(self, slot: int, *, write: bool) -> None:
+        """Charge a read of ``slot``'s segment and, with ``write``, its
+        write-back: how the search layer, whose index ends at segments,
+        reaches a slot."""
+        lo = slot - slot % self.segment_slots
+        self._charge_span(lo, lo + self.segment_slots, read=True, write=write)
 
     def present_keys(self) -> np.ndarray:
         """All present keys in sorted order (a copy)."""

@@ -3,7 +3,7 @@
 The dynamic dictionary the paper's "better designs" half calls for: keys
 live in a :class:`~repro.trees.cob.pma.PackedMemoryArray` (one device
 extent, gapped and sorted), and searches run through a perfect binary
-tree over the PMA's *slots* whose nodes are stored in **van Emde Boas
+tree over the PMA's *segments* whose nodes are stored in **van Emde Boas
 order** in a second extent.  Because every recursive bottom subtree of
 the vEB order is contiguous, a root-to-leaf walk touches
 ``O(log_B N)`` index blocks with no node-size parameter anywhere — the
@@ -11,24 +11,27 @@ structure is near-optimal under DAM, affine, and PDAM pricing alike
 (Lemma 13's layout, made dynamic), where a B-tree must re-tune its node
 size per model.
 
-The index is an implicit max-augmented heap: node ``i`` holds the
-largest present key in its slot subtree, with the PMA's blank sentinel
+The index is an implicit max-augmented heap with one leaf per PMA
+segment (``2 * n_segments - 1`` nodes): node ``i`` holds the largest
+present key in its segments, with the PMA's blank sentinel
 (``INT64_MIN``) doubling as ``-inf`` so blanks need no special casing.
-A search for ``key`` descends left iff ``key <= node_max[left]``,
-landing exactly on the successor slot (or the last slot when no
-successor exists) — which is also the insertion hint the PMA wants.
-The host materialises that heap only down to **segment** granularity (a
-list over ``pma.seg_max``); the levels inside a segment are implicit in
-its sorted slots — the descent ends with "first slot of the segment with
-a key ``>= key``" — and the nodes charged are arithmetic on heap indices.
-After a PMA rebalance the index is repaired *lazily over the touched
-range only*: leaves for the rewritten slot window, then the ancestor
-cone up to the root, charged as writes to the distinct vEB blocks
-covering them.  A capacity doubling or halving rebuilds the index extent
-outright with one sequential write.  Every mutation reaches the PMA this
-way — an insert, a delete (which rebalances only when its segment drops
-below the PMA's density floor) and :meth:`COBTree.put_bulk`, which takes
-a sorted run of puts *and* deletes and lands it as one window.
+A search for ``key`` descends left iff ``key <= node_max[left]`` down to
+the segment holding its successor, and the segment read that follows
+finds the successor slot (the last slot when no successor exists) —
+which is also the insertion hint the PMA wants.  The host runs the same
+heap (a list over ``pma.seg_max``), so the nodes charged are arithmetic
+on its indices.  A get is the unpinned path plus one segment read; an
+overwrite or a delete is the path plus a read-modify-write of the
+segment, since a segment-granular index cannot locate a slot without
+reading it.  After a PMA rebalance the index is repaired *lazily over
+the touched range only*: leaves for the rewritten segments, then the
+ancestor cone up to the root, charged as writes to the distinct vEB
+blocks covering them.  A capacity doubling or halving rebuilds the index
+extent outright with one sequential write.  Every mutation reaches the
+PMA this way — an insert, a delete (which rebalances only when its
+segment drops below the PMA's density floor) and
+:meth:`COBTree.put_bulk`, which takes a sorted run of puts *and* deletes
+and lands it as one window.
 
 IO accounting follows :mod:`repro.trees.lsm` / :mod:`repro.trees.cola`:
 devices price simulated seconds only; values live beside the structure
@@ -171,22 +174,19 @@ class COBTree(KVTree):
         Runs at construction, on a bulk load and on every capacity
         doubling or halving — the only places the tree height changes — so the state
         that depends on the height alone is (re)derived here once instead
-        of per operation: the leaf offsets, the pinned depth, and (dropped
+        of per operation: the leaf offset, the pinned depth, and (dropped
         here, looked up on first use) the vEB block table.
         """
-        capacity = self.pma.capacity
-        n_nodes = 2 * capacity - 1
-        self._first_leaf = capacity - 1
-        self._first_seg = self.pma.n_segments - 1
-        self._height = capacity.bit_length()  # capacity is a power of two
+        n_segments = self.pma.n_segments
+        n_nodes = 2 * n_segments - 1
+        self._first_seg = n_segments - 1
+        self._height = n_segments.bit_length()  # n_segments is a power of two
         # The top ``L`` complete levels are RAM-pinned (free to read) when
         # ``(2^L - 1) * pivot_bytes <= ram_bytes``; pinning whole levels
         # keeps residency independent of the vEB permutation.
         budget = self.config.ram_bytes // self.config.fmt.pivot_bytes
         self._pinned_levels = min(self._height, max(0, (budget + 1).bit_length() - 1))
         self._block_of: np.ndarray | None = None
-        # Heap node ``i`` at or above the segment level is node ``i`` of the
-        # full slot-granular heap, so charges need no index translation.
         self._seg_heap = _max_heap(np.array(self.pma.seg_max, dtype=np.int64))
         if self._index_offset >= 0:
             self.allocator.free(self._index_offset, self._index_nbytes)
@@ -220,7 +220,8 @@ class COBTree(KVTree):
 
     def _charge_index_path(self, slot: int) -> None:
         """Charge reads of the distinct unpinned vEB blocks on the path from
-        the root to ``slot``'s leaf, in ascending block order (deterministic).
+        the root to the leaf of ``slot``'s segment, in ascending block order
+        (deterministic).
 
         In vEB order an ancestor is stored before its descendants and a block
         is a contiguous position range, so blocks never decrease down a path:
@@ -234,7 +235,7 @@ class COBTree(KVTree):
         read = self.device.read
         block_bytes = self.config.block_bytes
         offset = self._index_offset
-        node = self._first_leaf + slot
+        node = self._first_seg + slot // self.pma.segment_slots
         blk = block_of(node)
         if blk == block_of(((node + 1) >> (unpinned - 1)) - 1):
             read(offset + blk * block_bytes, block_bytes)
@@ -267,13 +268,13 @@ class COBTree(KVTree):
                 break
             a, b = (a - 1) >> 1, ((b - 2) >> 1) + 1
             maxima = list(map(max, heap[2 * a + 1 : 2 * b : 2], heap[2 * a + 2 : 2 * b + 1 : 2]))
-        # The device index: every node of the slot-granular cone is
-        # rewritten, moved or not, so every unpinned one dirties its block
-        # (pinned levels are whole levels: the walk stops at the first).
-        # Blocks never decrease along a level, so one block at both ends of
-        # a level range means that block only.
+        # The device index: every node of the cone is rewritten, moved or
+        # not, so every unpinned one dirties its block (pinned levels are
+        # whole levels: the walk stops at the first).  Blocks never decrease
+        # along a level, so one block at both ends of a level range means
+        # that block only.
         pinned_below = (1 << self._pinned_levels) - 1
-        lo, hi = self._first_leaf + slot_lo, self._first_leaf + slot_hi
+        lo, hi = self._first_seg + seg_lo, self._first_seg + seg_hi
         if lo < pinned_below:
             return
         block_of = self._block_table()
@@ -305,8 +306,7 @@ class COBTree(KVTree):
 
     def _search_slot(self, key: int) -> int:
         """Slot of ``key``'s successor (the smallest present key ``>= key``),
-        or the last slot when the tree holds no such key — where the
-        slot-granular heap descent lands."""
+        or the last slot when the tree holds no such key."""
         heap = self._seg_heap
         first_seg = self._first_seg
         i = 0
@@ -316,7 +316,7 @@ class COBTree(KVTree):
                 i += 1
         if key > heap[i]:
             # Only the all-right descent can end above its subtree's maximum.
-            return self._first_leaf
+            return self.pma.capacity - 1
         pma = self.pma
         width = pma.segment_slots
         lo = (i - first_seg) * width
@@ -331,10 +331,10 @@ class COBTree(KVTree):
         slot = self._search_slot(key)
         self._charge_index_path(slot)
         if key in self.values:
-            # Overwrite in place: the slot's data block is rewritten and
+            # Overwrite in place: a read-modify-write of the key's segment;
             # the index is untouched.
             self.values[key] = value
-            self.pma.charge_slot_write(slot)
+            self.pma.charge_segment(slot, write=True)
             return
         self.values[key] = value
         lo, hi, resized = self.pma.insert(key, slot)
@@ -343,12 +343,16 @@ class COBTree(KVTree):
     put = insert
 
     def delete(self, key: int) -> None:
-        """Remove ``key``; an absent key costs its index search and nothing
-        else, as in every other kind."""
+        """Remove ``key``: the index path, then a read-modify-write of its
+        segment.  An absent key costs its search and nothing else, as in
+        every other kind: the path, and the segment read that finds the key
+        missing when it is inside the key range (what a ``get`` costs)."""
         key = int(key)
         slot = self._search_slot(key)
         self._charge_index_path(slot)
         if key not in self.values:
+            if self.pma.keys.item(slot) >= key:
+                self.pma.charge_segment(slot, write=False)
             return
         if self.pma.keys.item(slot) != key:
             raise TreeError(f"index search missed stored key {key}")
@@ -368,8 +372,9 @@ class COBTree(KVTree):
         once, so ``m`` inserts and ``d`` deletes cost one search pair, one
         rebalance (or one resize) and one index repair instead of ``m + d``
         of each.  Both runs must be strictly increasing and share no key;
-        existing keys are overwritten, and a delete of a key the tree does
-        not hold costs nothing.
+        existing keys are overwritten in place (a read-modify-write of the
+        slot span covering them), and a delete of a key the tree does not
+        hold costs nothing.
         """
         values = self.values
         keys = np.array([k for k, _ in pairs], dtype=np.int64)
@@ -391,11 +396,12 @@ class COBTree(KVTree):
             del values[k]
         new_keys = keys[fresh]
         if not new_keys.size and not gone.size:
-            # Pure overwrite: rewrite the covered data blocks, index untouched.
+            # Pure overwrite: read-modify-write of the covered slots, index
+            # untouched.
             slot_lo = self._search_slot(int(keys[0]))
             self._charge_index_path(slot_lo)
             slot_hi = self._search_slot(int(keys[-1]))
-            self.pma._charge_span(slot_lo, slot_hi + 1, read=False, write=True)
+            self.pma._charge_span(slot_lo, slot_hi + 1, read=True, write=True)
             return
         runs = [run for run in (new_keys, gone) if run.size]
         slot_lo = self._search_slot(min(int(run[0]) for run in runs))
@@ -407,12 +413,12 @@ class COBTree(KVTree):
             return
         # Mixed batch: overwritten keys outside the rebalanced window never
         # moved, so the window rewrite above did not cover them.  Charge
-        # their data blocks like the pure-overwrite branch does, one
-        # covering span on each side of the window.
+        # them like the pure-overwrite branch does, one covering span on
+        # each side of the window.
         slots = [self._search_slot(key) for key in keys[~fresh].tolist()]
         for side in ([s for s in slots if s < lo], [s for s in slots if s >= hi]):
             if side:
-                self.pma._charge_span(side[0], side[-1] + 1, read=False, write=True)
+                self.pma._charge_span(side[0], side[-1] + 1, read=True, write=True)
 
     def bulk_load(self, pairs: list[tuple[int, Any]]) -> None:
         """Load a key-sorted batch into an *empty* tree sequentially."""
@@ -432,8 +438,9 @@ class COBTree(KVTree):
 
     def get(self, key: int) -> Any | None:
         """Point query; returns the value or ``None``: the index path to the
-        key's successor slot, then — when that slot holds the key — the
-        block-aligned read that fetches its entry from the PMA's extent."""
+        segment of the key's successor, then one read of that segment,
+        priced as ``pma._charge_span`` prices it.  A key above every stored
+        key has no successor and costs the path only."""
         if OBS.enabled:
             start = self.device.clock
         key = int(key)
@@ -441,14 +448,17 @@ class COBTree(KVTree):
         self._charge_index_path(slot)
         pma = self.pma
         value = None
-        if pma.keys.item(slot) == key:
-            nbytes = pma.nbytes
-            block = min(pma.block_bytes, nbytes)
+        found = pma.keys.item(slot)
+        if found >= key:
+            width = pma.segment_slots
+            span = max(width * pma.entry_bytes, min(pma.block_bytes, pma.nbytes))
             self.device.read(
-                pma.offset + min((slot * pma.entry_bytes // block) * block, nbytes - block),
-                block,
+                pma.offset
+                + min((slot - slot % width) * pma.entry_bytes, pma.nbytes - span),
+                span,
             )
-            value = self.values.get(key)
+            if found == key:
+                value = self.values.get(key)
         if OBS.enabled:
             OBS.op_event("cob.query", start, self.device.clock, key=key)
         return value
@@ -499,6 +509,12 @@ class COBTree(KVTree):
         leaves = self.pma.keys.reshape(self.pma.n_segments, -1).max(axis=1)
         if self._seg_heap != _max_heap(leaves):
             raise TreeError("index heap does not mirror the PMA's segment maxima")
+        n_blocks = math.ceil((2 * self.pma.n_segments - 1) / self._nodes_per_block)
+        if self._index_nbytes != n_blocks * self.config.block_bytes:
+            raise TreeError(
+                f"index extent of {self._index_nbytes} bytes is not the "
+                f"{n_blocks} blocks of a heap over {self.pma.n_segments} segments"
+            )
 
 
 #: Registry entry (:mod:`repro.trees.registry`): ``node_bytes`` only prices

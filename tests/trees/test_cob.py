@@ -402,13 +402,19 @@ class TestCOBTree:
         assert dev.stats.reads > reads_before
 
     def test_pinned_index_makes_searches_free(self):
-        # A RAM budget bigger than the whole index: query misses read
-        # nothing at all, hits only the data block.
+        # A RAM budget bigger than the whole index: a miss above every key
+        # reads nothing at all; any other get reads its segment only.
         tree, dev = make_tree(ram_bytes=1 << 24)
-        tree.bulk_load([(k, k) for k in range(500)])
-        reads_before = dev.stats.reads
-        assert tree.get(10**9) is None  # miss: no data block either
-        assert dev.stats.reads == reads_before
+        tree.bulk_load([(k, 2 * k) for k in range(0, 1000, 2)])
+        for key, want, reads in ((10**9, None, 0), (501, None, 1), (500, 1000, 1)):
+            reads_before = dev.stats.reads
+            assert tree.get(key) == want
+            assert dev.stats.reads - reads_before == reads, key
+        # Deleting an absent key costs the search that finds it absent.
+        for key, reads in ((10**9, 0), (501, 1)):
+            ios_before = dev.stats.ios
+            tree.delete(key)
+            assert dev.stats.ios - ios_before == reads, key
 
     def test_no_node_size_knob(self):
         # block_bytes prices IO but never changes the structure.

@@ -42,7 +42,9 @@ BUILD = {
         block_bytes=512, growth_factor=4, l0_trigger=2,
     ),
     "cola": dict(node_bytes=512, cache_bytes=2048),
-    "cob": dict(node_bytes=512, cache_bytes=2048, initial_slots=1024),
+    # 256 B pins four levels of the cob's segment index, so paths run through
+    # the four below it, some inside one vEB block and some across two.
+    "cob": dict(node_bytes=512, cache_bytes=256, initial_slots=1024),
     "cob-buffered": dict(
         node_bytes=1024, cache_bytes=512, initial_slots=1024, buffer_bytes=2048, fanout=4,
         rebuild_factor=2.0,
@@ -84,8 +86,11 @@ PINNED = {
     # became one window (the child of 36cbd9c): one delete of the ``cob``
     # sequence drops its segment below the floor and respreads a window, and
     # ``cob-buffered``'s tombstones leave their flushes in the bulk window.
-    "cob": "ee92a0f8879b2b3ef4090bcec65cf04dcf4f2d17ede2a460a1971a3fb6200e47",
-    "cob-buffered": "9f2ec3f27518d30746841afe497c351c2b10eff7c780d78494f4618be5cb6b6b",
+    # Re-captured again when the cob's index came to end at the segment (a
+    # get is the path plus one segment read), with ``cob``'s pinned top cut
+    # from 2048 to 256 bytes to keep its paths several levels deep.
+    "cob": "ec9b67588e7627f01e81e6f42b6a56037c4c619de7b1710e1afed63d4a910035",
+    "cob-buffered": "65f1705ca770deb82da22238b4b136b74d659df058e339ab780edeb7e2353752",
     "cola": "2906ec0d055c306c2359899da581040f21f688201c259cb45346616c88aec294",
     "cola-unfenced": "ce6d39f9b56d02f1451d3e0aeebec31921d67ae53b2780c25ecd65e39031286f",
     "lsm": "2137c457cf9cb3bcf9bc71e56cf135e31cd66cce23e4b6b0e6c9f9a379e67b59",
@@ -211,7 +216,7 @@ def test_the_stream_reaches_what_a_lookup_can_get_wrong():
     unpinned = cob._height - cob._pinned_levels
     blocks_on_path = set()
     for key in _stream(model, deleted):
-        node = cob._first_leaf + cob._search_slot(key)
+        node = cob._first_seg + cob._search_slot(key) // cob.pma.segment_slots
         path = [(node + 1 >> up) - 1 for up in range(unpinned)]
         blocks_on_path.add(len(set(cob._block_table()[path].tolist())))
     assert unpinned >= 4 and 1 in blocks_on_path and max(blocks_on_path) >= 2
@@ -251,8 +256,8 @@ CALLS_PER_GET = {
     "betree": 8.5,         # 8.24 here, 20.24 at 705c201
     "lsm": 5.25,           # 5.0 here, 15.14 at 705c201
     "cola": 4.75,          # 4.385 here, 10.85 at 705c201
-    "cob": 10.25,          # 10.065 here, 11.03 at 705c201
-    "cob-buffered": 11.25,  # 11.065 here, 14.03 at 705c201
+    "cob": 6.25,           # 6.0 since a get is one segment read; 10.065 before, 11.03 at 705c201
+    "cob-buffered": 7.25,  # 7.0 since a get is one segment read; 11.065 before, 14.03 at 705c201
 }
 
 
