@@ -190,7 +190,8 @@ class BlockDevice(ABC):
 
     def read(self, offset: int, nbytes: int) -> float:
         """Serially read ``nbytes`` at ``offset``; returns elapsed seconds."""
-        self._check(offset, nbytes)
+        if nbytes <= 0 or offset < 0 or offset + nbytes > self.capacity_bytes:
+            self._check(offset, nbytes)  # raises, naming the bound broken
         start = self.clock
         end = self._service("read", offset, nbytes, start)
         elapsed = end - start
@@ -208,7 +209,8 @@ class BlockDevice(ABC):
 
     def write(self, offset: int, nbytes: int) -> float:
         """Serially write ``nbytes`` at ``offset``; returns elapsed seconds."""
-        self._check(offset, nbytes)
+        if nbytes <= 0 or offset < 0 or offset + nbytes > self.capacity_bytes:
+            self._check(offset, nbytes)  # raises, naming the bound broken
         start = self.clock
         end = self._service("write", offset, nbytes, start)
         elapsed = end - start
@@ -228,8 +230,8 @@ class BlockDevice(ABC):
         """Publish one completed IO to the observability layer.
 
         Only called under the ``if OBS.enabled:`` guards in :meth:`read`,
-        :meth:`write` and :meth:`_batch`, so the call below needs no guard
-        of its own.
+        :meth:`write`, :meth:`_batch` and the SSD's closed-loop
+        ``service_request``, so the call below needs no guard of its own.
         """
         OBS.io_event(
             type(self).__name__, kind, offset, nbytes, start, end, self._obs_setup

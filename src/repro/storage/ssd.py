@@ -215,7 +215,7 @@ class SimulatedSSD(BlockDevice):
         if end > self.clock:
             self.clock = end
         if OBS.enabled:
-            OBS.io_event(type(self).__name__, kind, offset, nbytes, at, end)
+            self._obs_io(kind, offset, nbytes, at, end)
         return end
 
     def service_request_batch(self, requests, at: float) -> list[float]:

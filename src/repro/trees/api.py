@@ -1,17 +1,20 @@
 """The one interface every dictionary in :mod:`repro.trees` sits behind.
 
 :class:`KVTree` is the concrete base of the seven tree classes.  Each kind
-implements the dictionary surface and sets ``device``, ``allocator`` and
-``config``; the base supplies the method bodies derived from that surface
-and the lifecycle callers drive: load, settle, cool down, read the clock.
+implements the private hooks behind the dictionary surface and sets
+``kind``, ``device``, ``allocator`` and ``config``; the base owns the six
+public dictionary ops and their observability event, the methods derived
+from them and the lifecycle callers drive: load, settle, cool down, read
+the clock.
 :class:`TreeKind` is one entry of :mod:`repro.trees.registry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, ClassVar, Iterable, Iterator
 
+from repro.obs import OBS
 from repro.storage.allocator import ExtentAllocator
 from repro.storage.device import BlockDevice
 from repro.storage.stack import StorageStack
@@ -32,22 +35,104 @@ class KVTree:
     allocator: ExtentAllocator
     config: Any
 
-    # -- the dictionary surface each kind implements -------------------------
+    #: The kind's registry name: the prefix of its op events (``btree.query``).
+    kind: ClassVar[str]
+
+    # -- the dictionary surface, observed here and only here ----------------
+    #
+    # Each public op is its kind's private hook under one ``if OBS.enabled:``
+    # guard that emits the op's ``<kind>.<op>`` event, priced in simulated
+    # device seconds.  One public call is one event: code inside a tree, the
+    # defaults below included, calls hooks, never the public ops.
 
     def get(self, key: int) -> Any | None:
         """Point query; the value or ``None``."""
-        raise NotImplementedError
+        if OBS.enabled:
+            start = self.device.clock
+            value = self._lookup(key)
+            OBS.op_event(f"{self.kind}.query", start, self.device.clock, key=key)
+            return value
+        return self._lookup(key)
+
+    def lookup_many(self, keys: Iterable[int]) -> list[Any | None]:
+        """Point queries in input order, by the kind's batched descent if
+        it has one (the B-tree's level-synchronized ``get_many``), else by
+        a loop of its scalar lookup."""
+        keys = keys if isinstance(keys, list) else list(keys)
+        if OBS.enabled:
+            start = self.device.clock
+            values = self._lookup_many(keys)
+            OBS.op_event(f"{self.kind}.query_batch", start, self.device.clock, n=len(keys))
+            return values
+        return self._lookup_many(keys)
 
     def insert(self, key: int, value: Any) -> None:
         """Insert or overwrite ``key``."""
-        raise NotImplementedError
+        if OBS.enabled:
+            start = self.device.clock
+            self._insert(key, value)
+            OBS.op_event(f"{self.kind}.insert", start, self.device.clock, key=key)
+        else:
+            self._insert(key, value)
+
+    def put_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
+        """Insert every pair in order, accounting-identical to an insert loop.
+
+        The contract every ``_put_many`` keeps (``tests/trees/test_put_many.py``):
+        device clock, stats and structural state equal calling
+        :meth:`insert` once per pair — a batch removes Python overhead,
+        never semantics — and a device fault surfaces at the IO, and with
+        the pairs applied, that the loop's would.  The one difference: a
+        kind may materialise an iterable before it applies the first pair
+        (COLA, LSM), so pairs drawn from a generator that raises midway
+        are not applied.
+        """
+        if OBS.enabled:
+            start = self.device.clock
+            self._put_many(pairs)
+            OBS.op_event(f"{self.kind}.insert_batch", start, self.device.clock)
+        else:
+            self._put_many(pairs)
 
     def delete(self, key: int) -> Any:
         """Remove ``key``; deleting an absent key changes nothing."""
-        raise NotImplementedError
+        if OBS.enabled:
+            start = self.device.clock
+            held = self._delete(key)
+            OBS.op_event(f"{self.kind}.delete", start, self.device.clock, key=key)
+            return held
+        return self._delete(key)
 
     def range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
         """All pairs with ``lo <= key <= hi`` in key order."""
+        if OBS.enabled:
+            start = self.device.clock
+            pairs = self._range(lo, hi)
+            OBS.op_event(f"{self.kind}.range", start, self.device.clock, n=len(pairs))
+            return pairs
+        return self._range(lo, hi)
+
+    # -- the hooks each kind implements --------------------------------------
+
+    def _lookup(self, key: int) -> Any | None:
+        raise NotImplementedError
+
+    def _lookup_many(self, keys: list[int]) -> list[Any | None]:
+        lookup = self._lookup
+        return [lookup(key) for key in keys]
+
+    def _insert(self, key: int, value: Any) -> None:
+        raise NotImplementedError
+
+    def _put_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
+        insert = self._insert
+        for key, value in pairs:
+            insert(key, value)
+
+    def _delete(self, key: int) -> Any:
+        raise NotImplementedError
+
+    def _range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
         raise NotImplementedError
 
     def check_invariants(self) -> None:
@@ -55,6 +140,8 @@ class KVTree:
         raise NotImplementedError
 
     # -- derived from the surface --------------------------------------------
+    #
+    # Each is one public op above, so it reports as that op's one event.
 
     def __contains__(self, key: int) -> bool:
         return self.get(key) is not None
@@ -66,29 +153,6 @@ class KVTree:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.items())
-
-    def put_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
-        """Insert every pair in order, accounting-identical to an insert loop.
-
-        The contract every override keeps (``tests/trees/test_put_many.py``):
-        device clock, stats and structural state equal calling
-        :meth:`insert` once per pair — a batch removes Python overhead,
-        never semantics — and a device fault surfaces at the IO, and with
-        the pairs applied, that the loop's would.  The one difference: an
-        override may materialise an iterable before it applies the first
-        pair (COLA, LSM), so pairs drawn from a generator that raises
-        midway are not applied.
-        """
-        insert = self.insert
-        for key, value in pairs:
-            insert(key, value)
-
-    def lookup_many(self, keys: Iterable[int]) -> list[Any | None]:
-        """Point queries in input order, by the kind's batched descent if
-        it has one (the B-tree's level-synchronized ``get_many``), else by
-        a :meth:`get` loop."""
-        get = self.get
-        return [get(key) for key in keys]
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -102,6 +102,8 @@ class BeTreeConfig:
 class BeTree(KVTree):
     """A Bε-tree dictionary storing ``int -> value`` pairs."""
 
+    kind = "betree"
+
     def __init__(self, storage: StorageStack, config: BeTreeConfig | None = None) -> None:
         self.storage = storage
         self.device = storage.device
@@ -171,11 +173,10 @@ class BeTree(KVTree):
 
     # -- mutations ---------------------------------------------------------------
 
-    def insert(self, key: int, value: Any) -> None:
-        """Insert or overwrite ``key``."""
+    def _insert(self, key: int, value: Any) -> None:
         self._put(Message(self._seq(), MessageOp.INSERT, key, value))
 
-    def put_many(self, pairs) -> None:
+    def _put_many(self, pairs) -> None:
         """Insert every ``(key, value)`` pair, in order.
 
         The batched write-side counterpart of the batched read paths:
@@ -193,7 +194,7 @@ class BeTree(KVTree):
             put(make(seq, op, key, value))
             seq = self._next_seq  # _put may cascade into further mutations
 
-    def delete(self, key: int) -> None:
+    def _delete(self, key: int) -> None:
         """Delete ``key`` (a no-op if absent; encoded as a tombstone)."""
         self._put(Message(self._seq(), MessageOp.DELETE, key))
 
@@ -438,15 +439,6 @@ class BeTree(KVTree):
 
     # -- queries ----------------------------------------------------------------
 
-    def get(self, key: int) -> Any | None:
-        """Point query; returns the value or ``None``."""
-        if OBS.enabled:
-            start = self.storage.device.clock
-            value = self._lookup(key)
-            OBS.op_event("betree.query", start, self.storage.device.clock, key=key)
-            return value
-        return self._lookup(key)
-
     def _lookup(self, key: int) -> Any | None:
         """Read the root-to-leaf path, whole nodes, collecting ``key``'s
         buffered messages on the way down."""
@@ -473,7 +465,7 @@ class BeTree(KVTree):
         value, exists = apply_messages(base, present, msgs)
         return value if exists else None
 
-    def range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
+    def _range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
         """All pairs with ``lo <= key <= hi`` in key order."""
         if lo > hi:
             return []

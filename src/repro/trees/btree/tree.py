@@ -67,6 +67,8 @@ class BTree(KVTree):
     elapsed time from ``io_seconds`` before/after an operation.
     """
 
+    kind = "btree"
+
     def __init__(self, storage: StorageStack, config: BTreeConfig | None = None) -> None:
         self.storage = storage
         self.device = storage.device
@@ -121,15 +123,6 @@ class BTree(KVTree):
 
     # -- lookup -------------------------------------------------------------------
 
-    def get(self, key: int) -> Any | None:
-        """Point query; returns the value or ``None``."""
-        if OBS.enabled:
-            start = self.storage.device.clock
-            value = self._lookup(key)
-            OBS.op_event("btree.query", start, self.storage.device.clock, key=key)
-            return value
-        return self._lookup(key)
-
     def _lookup(self, key: int) -> Any | None:
         node = self._get(self.root_id)
         while not node.is_leaf:
@@ -140,7 +133,7 @@ class BTree(KVTree):
             return node.values[i]
         return None
 
-    def get_many(self, keys: list[int]) -> list[Any | None]:
+    def _lookup_many(self, keys: list[int]) -> list[Any | None]:
         """Batched point queries; values (or ``None``) in input order.
 
         Descends level-synchronized: all lookups sit at the same depth (the
@@ -152,16 +145,6 @@ class BTree(KVTree):
         Python dispatch paid once per level instead of once per node.  A
         batch of one has nothing to share: it is :meth:`get`'s descent.
         """
-        if OBS.enabled:
-            start = self.storage.device.clock
-            values = self._lookup_many(keys)
-            OBS.op_event(
-                "btree.query_batch", start, self.storage.device.clock, n=len(keys)
-            )
-            return values
-        return self._lookup_many(keys)
-
-    def _lookup_many(self, keys: list[int]) -> list[Any | None]:
         if len(keys) == 1:
             # One node a level, and read_many of one id is get (a read_batch
             # of one offset is read): the scalar body *is* this batch, minus
@@ -193,13 +176,12 @@ class BTree(KVTree):
                 results[i] = leaf.values[j]
         return results
 
-    #: :meth:`KVTree.lookup_many` is the batched descent.
-    lookup_many = get_many
+    #: :meth:`KVTree.lookup_many`, whose hook is the batched descent.
+    get_many = KVTree.lookup_many
 
     # -- insert ---------------------------------------------------------------------
 
-    def insert(self, key: int, value: Any) -> None:
-        """Insert or overwrite ``key``."""
+    def _insert(self, key: int, value: Any) -> None:
         root = self._get(self.root_id)
         if self._is_full(root):
             self._grow_root()
@@ -269,7 +251,7 @@ class BTree(KVTree):
 
     # -- delete --------------------------------------------------------------------
 
-    def delete(self, key: int) -> bool:
+    def _delete(self, key: int) -> bool:
         """Delete ``key``; returns whether it was present.
 
         Single-pass top-down: before descending into a child at minimum
@@ -384,7 +366,7 @@ class BTree(KVTree):
 
     # -- range queries -----------------------------------------------------------
 
-    def range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
+    def _range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
         """All pairs with ``lo <= key <= hi`` in key order.
 
         Level by level: the nodes of one level that overlap the range are

@@ -64,6 +64,8 @@ class _Bucket:
 class BufferedCOBTree(KVTree):
     """Cache-oblivious tree with per-child buffer segments (Theorem 9)."""
 
+    kind = "cob-buffered"
+
     def __init__(
         self,
         device: BlockDevice,
@@ -146,18 +148,16 @@ class BufferedCOBTree(KVTree):
         ):
             self._rebuild_splitters()
 
-    def insert(self, key: int, value: Any) -> None:
-        """Insert or overwrite ``key`` (buffered)."""
+    def _insert(self, key: int, value: Any) -> None:
         self._append(int(key), value)
 
-    put = insert
+    put = KVTree.insert
 
-    def delete(self, key: int) -> None:
+    def _delete(self, key: int) -> None:
         """Delete ``key`` (buffered tombstone)."""
         self._append(int(key), TOMBSTONE)
 
-    def put_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
-        """Batched inserts, accounting-identical to an insert loop."""
+    def _put_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
         append = self._append
         for key, value in pairs:
             append(int(key), value)
@@ -240,7 +240,7 @@ class BufferedCOBTree(KVTree):
                 bucket.offset, self._occupied_blocks(bucket) * self.config.block_bytes
             )
 
-    def get(self, key: int) -> Any | None:
+    def _lookup(self, key: int) -> Any | None:
         """Point query: the key's bucket first (newest message wins), then
         the base tree.  A non-empty bucket costs one read of its occupied
         blocks, as :meth:`_charge_bucket_read` charges a scan."""
@@ -254,16 +254,16 @@ class BufferedCOBTree(KVTree):
         if key in messages:
             value = messages[key]
             return None if value is TOMBSTONE else value
-        return self.base.get(key)
+        return self.base._lookup(key)
 
     #: Batched point queries, accounting-identical to a ``get`` loop.
     get_many = KVTree.lookup_many
 
-    def range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
+    def _range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
         """All pairs with ``lo <= key <= hi``, merging unflushed buffers."""
         if lo > hi:
             return []
-        result = dict(self.base.range(lo, hi))
+        result = dict(self.base._range(lo, hi))
         for b in range(self.config.fanout):
             b_lo, b_hi = self._bucket_bounds(b)
             if b_lo > b_hi or b_hi < lo or b_lo > hi:

@@ -49,7 +49,6 @@ from weakref import WeakValueDictionary
 import numpy as np
 
 from repro.errors import ConfigurationError, KeyOrderError, TreeError
-from repro.obs import OBS
 from repro.storage.allocator import ExtentAllocator
 from repro.storage.device import BlockDevice
 from repro.trees.api import KVTree, TreeKind
@@ -127,6 +126,8 @@ def _max_heap(leaves: np.ndarray) -> list[int]:
 
 class COBTree(KVTree):
     """A cache-oblivious B-tree storing ``int -> value`` pairs."""
+
+    kind = "cob"
 
     def __init__(
         self,
@@ -324,8 +325,7 @@ class COBTree(KVTree):
 
     # -- write path ----------------------------------------------------------
 
-    def insert(self, key: int, value: Any) -> None:
-        """Insert or overwrite ``key``."""
+    def _insert(self, key: int, value: Any) -> None:
         self.user_bytes_modified += self.config.fmt.entry_bytes
         key = int(key)
         slot = self._search_slot(key)
@@ -340,9 +340,9 @@ class COBTree(KVTree):
         lo, hi, resized = self.pma.insert(key, slot)
         self._update_index(lo, hi, resized)
 
-    put = insert
+    put = KVTree.insert
 
-    def delete(self, key: int) -> None:
+    def _delete(self, key: int) -> None:
         """Remove ``key``: the index path, then a read-modify-write of its
         segment.  An absent key costs its search and nothing else, as in
         every other kind: the path, and the segment read that finds the key
@@ -436,13 +436,11 @@ class COBTree(KVTree):
 
     # -- read path -----------------------------------------------------------
 
-    def get(self, key: int) -> Any | None:
+    def _lookup(self, key: int) -> Any | None:
         """Point query; returns the value or ``None``: the index path to the
         segment of the key's successor, then one read of that segment,
         priced as ``pma._charge_span`` prices it.  A key above every stored
         key has no successor and costs the path only."""
-        if OBS.enabled:
-            start = self.device.clock
         key = int(key)
         slot = self._search_slot(key)
         self._charge_index_path(slot)
@@ -459,14 +457,12 @@ class COBTree(KVTree):
             )
             if found == key:
                 value = self.values.get(key)
-        if OBS.enabled:
-            OBS.op_event("cob.query", start, self.device.clock, key=key)
         return value
 
     #: Batched point queries, accounting-identical to a ``get`` loop.
     get_many = KVTree.lookup_many
 
-    def range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
+    def _range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
         """All pairs with ``lo <= key <= hi`` in key order.
 
         One index descent to the start, then one sequential read of the

@@ -93,6 +93,8 @@ class _Level:
 class COLA(KVTree):
     """A cache-oblivious lookahead array storing ``int -> value`` pairs."""
 
+    kind = "cola"
+
     def __init__(
         self,
         device: BlockDevice,
@@ -110,15 +112,14 @@ class COLA(KVTree):
 
     # -- write path --------------------------------------------------------------
 
-    def insert(self, key: int, value: Any) -> None:
-        """Insert or overwrite ``key``."""
+    def _insert(self, key: int, value: Any) -> None:
         self._push(key, value)
 
-    def delete(self, key: int) -> None:
+    def _delete(self, key: int) -> None:
         """Delete ``key`` (tombstone)."""
         self._push(key, TOMBSTONE)
 
-    def put_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
+    def _put_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
         """Insert many pairs, identical in accounting to an insert loop.
 
         Same contract as every other tree's ``put_many``
@@ -163,7 +164,7 @@ class COLA(KVTree):
         """Load through the merge path (a COLA has no bulk load)."""
         if any(lvl is not None for lvl in self.levels):
             raise TreeError("load requires an empty tree")
-        self.put_many(pairs)
+        self._put_many(pairs)
 
     def _carry(self, count: int, keys: Sequence[int], values: Sequence[Any]) -> None:
         """Apply ``len(keys)`` pushes that stay inside the pinned levels.
@@ -297,7 +298,7 @@ class COLA(KVTree):
             off = level.offset + min(p * step, max(0, span - block_bytes))
             self.device.read(off, min(block_bytes, span))
 
-    def get(self, key: int) -> Any | None:
+    def _lookup(self, key: int) -> Any | None:
         """Point query; returns the value or ``None``.
 
         One search per level, newest (smallest) first.  A level on the
@@ -330,7 +331,7 @@ class COLA(KVTree):
     #: Batched point queries, accounting-identical to a ``get`` loop.
     get_many = KVTree.lookup_many
 
-    def range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
+    def _range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
         """All pairs with ``lo <= key <= hi`` in key order."""
         if lo > hi:
             return []

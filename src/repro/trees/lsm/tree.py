@@ -71,6 +71,8 @@ class LSMConfig:
 class LSMTree(KVTree):
     """A leveled LSM dictionary storing ``int -> value`` pairs."""
 
+    kind = "lsm"
+
     def __init__(self, device: BlockDevice, config: LSMConfig | None = None, *,
                  allocator: ExtentAllocator | None = None) -> None:
         self.device = device
@@ -91,13 +93,12 @@ class LSMTree(KVTree):
 
     # -- write path ----------------------------------------------------------------
 
-    def insert(self, key: int, value: Any) -> None:
-        """Insert or overwrite ``key``."""
+    def _insert(self, key: int, value: Any) -> None:
         self.memtable[key] = value
         self.user_bytes_modified += self._entry_bytes
         self._maybe_flush()
 
-    def put_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
+    def _put_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
         """Batched inserts: identical to a serial loop of :meth:`insert`.
 
         The memtable takes as many pairs at a time as it has room for.  A
@@ -118,7 +119,7 @@ class LSMTree(KVTree):
             if len(memtable) >= cap:
                 self.flush_memtable()
 
-    def delete(self, key: int) -> None:
+    def _delete(self, key: int) -> None:
         """Delete ``key`` (tombstone)."""
         self.memtable[key] = TOMBSTONE
         self.user_bytes_modified += self._entry_bytes
@@ -132,7 +133,7 @@ class LSMTree(KVTree):
         """Load through the write path (an LSM has no bulk load)."""
         if self.memtable or any(self.levels):
             raise TreeError("load requires an empty tree")
-        self.put_many(pairs)
+        self._put_many(pairs)
         self.flush_memtable()
 
     def settle(self) -> None:
@@ -236,7 +237,7 @@ class LSMTree(KVTree):
 
     # -- read path ------------------------------------------------------------------
 
-    def get(self, key: int) -> Any | None:
+    def _lookup(self, key: int) -> Any | None:
         """Point query; returns the value or ``None``.
 
         The memtable, then every L0 run (newest first), then the one run of
@@ -271,7 +272,7 @@ class LSMTree(KVTree):
                     return None if v is TOMBSTONE else v
         return None
 
-    def range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
+    def _range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
         """All pairs with ``lo <= key <= hi`` in key order."""
         if lo > hi:
             return []

@@ -13,12 +13,23 @@ from repro.experiments.devices import default_hdd
 from repro.faults import CrashPlan, FaultPlan, FaultyDevice, ResiliencePolicy
 from repro.models.pdam import PDAMModel
 from repro.recovery import DurableConfig, DurableTree
+from repro.storage.device import ReadRequest, WriteRequest
 from repro.storage.ideal import PDAMDevice
 from repro.storage.scheduler import ReadAheadScheduler
 from repro.storage.stack import StorageStack
 from repro.trees.btree import BTree, BTreeConfig
 from tests.serve.test_engine import SPIKY, run_once
 from tests.trees.test_lockstep import SMALL
+
+#: The tree-op event each public dictionary op emits, by method.
+TREE_OPS = {
+    "get": "query",
+    "lookup_many": "query_batch",
+    "insert": "insert",
+    "put_many": "insert_batch",
+    "delete": "delete",
+    "range": "range",
+}
 
 #: Errors and spikes often enough that every kind's run retries and hedges.
 NOISY = FaultPlan(seed=5, error_prob=0.05, spike_prob=0.1, spike_seconds=0.02)
@@ -206,6 +217,63 @@ class TestInstrumentedLayers:
             "betree.flush": 62.072827519999414,
             "betree.split": 4.565221759999925,
         }
+
+    @pytest.mark.parametrize("kind", trees.KINDS)
+    def test_every_public_op_emits_one_event(self, kind):
+        """Each of a kind's six dictionary ops is one ``<kind>.<op>`` event
+        priced at the call's device-clock delta: no event of another kind
+        (the buffered cob's base is not ``cob``) and no per-key event inside
+        a batch."""
+        tree_ops = {f"{name}.{op}" for name in trees.KINDS for op in TREE_OPS.values()}
+        assert trees.check_kind(kind).tree.kind == kind
+        tree = trees.build(kind, storage.build("hdd", seed=1), **SMALL[kind])
+        tree.load([(k, k) for k in range(0, 600, 2)])
+        obs.enable(trace=True)
+        calls = {
+            "get": (17,),
+            "lookup_many": ((k for k in range(0, 600, 37)),),
+            "insert": (301, 1),
+            "put_many": (((k, -k) for k in range(1, 300, 3)),),
+            "delete": (40,),
+            "range": (100, 400),
+        }
+        for method, args in calls.items():
+            obs.reset()
+            start = tree.device.clock
+            result = getattr(tree, method)(*args)
+            name = f"{kind}.{TREE_OPS[method]}"
+            spans = [s for s in obs.OBS.tracer.spans if s.name in tree_ops]
+            assert [s.name for s in spans] == [name], method
+            snap = obs.OBS.snapshot()
+            counted = {
+                c for c, v in snap["counters"].items()
+                if v and c.removesuffix(".count") in tree_ops
+            }
+            assert counted == {f"{name}.count"}
+            assert snap["histograms"][f"{name}.io_seconds"]["total"] == (
+                tree.device.clock - start
+            )
+            assert spans[0].end - spans[0].start == tree.device.clock - start
+            if method in ("get", "insert", "delete"):
+                assert spans[0].attrs == {"key": args[0]}
+            elif method == "put_many":
+                assert spans[0].attrs == {}
+            else:
+                assert spans[0].attrs == {"n": len(result)}
+
+    def test_ssd_closed_loop_is_one_event_per_request(self):
+        obs.enable()
+        ssd = storage.build("ssd")
+        requests = (ReadRequest, ReadRequest, WriteRequest)
+        streams = [
+            [requests[(c + r) % 3](((c * 7 + r) % 128) << 16, 1 << 16) for r in range(25)]
+            for c in range(4)
+        ]
+        ssd.run_closed_loop(streams)
+        snap = obs.OBS.snapshot()
+        assert snap["counters"]["device.read.ios"] == ssd.stats.reads > 0
+        assert snap["counters"]["device.write.ios"] == ssd.stats.writes > 0
+        assert snap["histograms"]["device.read.seconds"]["total"] == ssd.stats.read_seconds
 
     def test_runner_metrics(self, tmp_path):
         from repro.runner import ResultCache, run_sweep

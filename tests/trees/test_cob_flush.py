@@ -52,7 +52,7 @@ def _flush_counted(tree, b=0):
     """Flush bucket ``b``; ``(device IOs, structural changes, scalar deletes)``."""
     base, device = tree.base, tree.device
     before, start = _structural(base.pma), len(device.trace)
-    with patch.object(base, "delete", wraps=base.delete) as delete:
+    with patch.object(base, "_delete", wraps=base._delete) as delete:
         tree._flush(b)
     ios = [(io.kind, io.offset, io.nbytes) for io in device.trace[start:]]
     return ios, _structural(base.pma) - before, delete.call_count

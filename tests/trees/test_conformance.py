@@ -135,15 +135,34 @@ def test_lifecycle(kind):
     tree.check_invariants()
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_lookup_many_answers_like_a_get_loop(kind):
+#: The containers ``lookup_many(keys: Iterable[int])`` takes, by test id
+#: suffix; the list is the plain kind id.
+CONTAINERS = {
+    "": list,
+    "tuple": tuple,
+    "generator": lambda keys: (key for key in keys),
+    "int64": lambda keys: np.array(keys, dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, container",
+    [
+        pytest.param(kind, wrap, id=f"{kind}-{name}" if name else kind)
+        for kind in KINDS
+        for name, wrap in CONTAINERS.items()
+    ],
+)
+def test_lookup_many_answers_like_a_get_loop(kind, container):
     pairs = sorted_pairs(2000)
-    looped, batched = make(kind), make(kind)
-    for tree in (looped, batched):
+    looped, batched, listed = make(kind), make(kind), make(kind)
+    for tree in (looped, batched, listed):
         tree.load(pairs)
         tree.drop_cache()
     keys = [pairs[i][0] + (i % 3 == 0) for i in range(0, 2000, 17)]
-    assert batched.lookup_many(keys) == [looped.get(key) for key in keys]
+    assert batched.lookup_many(container(keys)) == [looped.get(key) for key in keys]
+    listed.lookup_many(keys)
+    assert lockstep.accounting(batched) == lockstep.accounting(listed)
     if kind != "btree":  # the B-tree's batched descent is a different IO schedule
         assert lockstep.accounting(batched) == lockstep.accounting(looped)
 

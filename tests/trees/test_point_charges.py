@@ -249,8 +249,9 @@ SMOKE_BUILD = {
 #: Ceiling on Python-level ``call`` events per ``get`` (mean over 200 gets):
 #: the count measured after the change plus less than one call of slack, so
 #: one more frame per get anywhere on the path fails.  Each count includes
-#: the device's ``read`` -> ``_check`` -> ``_service`` (three per IO) and, on
-#: the stacked kinds, the cache's miss path.
+#: ``KVTree.get`` -> the kind's ``_lookup``, the device's ``read`` ->
+#: ``_service`` (two per IO; ``_check`` only names a bad IO) and, on the
+#: stacked kinds, the cache's miss path.
 CALLS_PER_GET = {
     "btree": 11.5,         # 11.375 here, 11.375 at 705c201 (untouched)
     "betree": 8.5,         # 8.24 here, 20.24 at 705c201

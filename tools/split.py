@@ -46,12 +46,12 @@ STEPS = {
     "tree_read": TREE,
     "tree_write": TREE,
     "durable_e21": (
-        ("trees/*", "*Tree.range", "checkpoint scan"),
+        ("trees/api.py", "KVTree.range", "checkpoint scan"),
         ("recovery/durable.py", "DurableTree.checkpoint", "checkpoint rest"),
         ("recovery/wal.py", "WriteAheadLog.append", "wal.append"),
         ("recovery/wal.py", "WriteAheadLog.commit", "wal.commit"),
-        ("trees/*", "*Tree.insert", "tree.insert"),
-        ("trees/*", "*Tree.delete", "tree.delete"),
+        ("trees/api.py", "KVTree.insert", "tree.insert"),
+        ("trees/api.py", "KVTree.delete", "tree.delete"),
         ("recovery/durable.py", "DurableTree.recover", "recover"),
         ("recovery/durable.py", "DurableTree.*", "remainder"),
     ),
