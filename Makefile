@@ -9,7 +9,7 @@ test:
 	pytest tests/
 
 # The benchmark harness at smoke size, then its self-tests (tier-1 collects
-# neither), the host-time split of four workloads and the OBS-overhead gate.
+# neither), the host-time split of five workloads and the OBS-overhead gate.
 # Gates on exit status only: every workload's dict-model oracle and the
 # traced-vs-untraced sim_digest equality; the one timing gate is
 # obs_overhead's paired on/off ratio < 1.05 on the E6 sweep (the harness has
@@ -17,7 +17,7 @@ test:
 perf-smoke:
 	python3 benchmarks/perf/run.py --scale 0.05
 	python -m pytest benchmarks/perf/tests -q
-	for w in tree_read tree_write durable_e21 serve_e19; do \
+	for w in tree_read tree_write durable_e21 serve_e19 device_engine; do \
 		python3 tools/split.py --workload $$w --scale 0.05 || exit 1; done
 	python3 tools/obs_overhead.py
 
@@ -35,9 +35,11 @@ perf-pairs:
 
 # Where a workload's host time goes, by kind and step (tree / cache / device
 # for the tree workloads; WAL, checkpoint, tree and recovery steps for
-# durable_e21; the request path for serve_e19): sampled median us per op,
-# tools/split.py over repro.obs.sampler; sizing, not a claim:
-#   make split WORKLOAD=tree_write   (tree_read, durable_e21, serve_e19; SEED as above)
+# durable_e21; the request path for serve_e19; ssd / hdd service, runner,
+# read-ahead and device protocol for device_engine): sampled median us per
+# op, tools/split.py over repro.obs.sampler; sizing, not a claim:
+#   make split WORKLOAD=tree_write   (tree_read, durable_e21, serve_e19,
+#   device_engine; SEED as above)
 split:
 	python3 tools/split.py --workload $(WORKLOAD) --seed $(SEED)
 

@@ -12,13 +12,14 @@ Two primitives power every timing simulation in this package:
   reservations yields a consistent FCFS discrete-event schedule.
 
 :class:`ResourcePool` is a fixed list of :class:`Resource` — ``pool[i]``
-*is* the slot's timeline.  Pools here have 2-32 slots (SSD dies and
-channels, a shard's replicas), so the occupancy queries (``free_slots``,
-``first_free``, ``next_available_at``) are short left-to-right scans over
-native floats: at that size a scan costs less than one numpy call, and the
-SSD's per-page max/add chains and the serve layer's per-dispatch queries
-stay out of numpy-scalar arithmetic altogether (measured; see "The batched
-engine, and where numpy stops" in docs/architecture.md).
+*is* the slot's timeline.  Pools here have 2-32 slots (a shard's
+replicas), so the occupancy queries (``free_slots``, ``first_free``,
+``next_available_at``) are short left-to-right scans over native floats: at
+that size a scan costs less than one numpy call, and the serve layer's
+per-dispatch queries stay out of numpy-scalar arithmetic altogether
+(measured; see "The batched engine, and where numpy stops" in
+docs/architecture.md).  The SSD asks no whole-pool question: its dies and
+channel buses are plain lists of :class:`Resource`.
 
 This replaces the paper's "spawn p OS threads" methodology: the threads
 exist only to keep ``p`` IOs outstanding, and a closed-loop simulation does
@@ -69,7 +70,7 @@ class Resource:
 
 
 class ResourcePool:
-    """A fixed list of FIFO timelines (e.g. all dies of an SSD).
+    """A fixed list of FIFO timelines (e.g. a shard's replicas).
 
     ``pool[i]`` is slot ``i``'s :class:`Resource`; the pool adds the
     whole-pool occupancy queries.

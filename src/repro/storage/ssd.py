@@ -19,13 +19,12 @@ contention rather than being postulated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.obs import OBS
 from repro.storage.device import BlockDevice, ReadRequest, WriteRequest
-from repro.storage.engine import ClosedLoopRunner, ResourcePool
+from repro.storage.engine import ClosedLoopRunner, Resource
 
 
 @dataclass(frozen=True)
@@ -74,11 +73,16 @@ class SSDGeometry:
     def single_stream_read_seconds_per_stripe(self) -> float:
         """Latency of one stripe-sized read on an idle device.
 
-        The die reads the stripe's pages back to back; the last page's bus
-        transfer trails the last read.
+        The die reads the stripe's pages back to back and each page then
+        crosses the bus, so the slower of the two steps is paid once a page
+        and the faster once: the last transfer trails the last read, or
+        (bus-bound) the first read leads the first transfer.
         """
         pages = self.stripe_bytes // self.page_bytes
-        return pages * self.page_read_seconds + self.channel_transfer_seconds
+        t_read, t_xfer = self.page_read_seconds, self.channel_transfer_seconds
+        if t_read >= t_xfer:
+            return pages * t_read + t_xfer
+        return t_read + pages * t_xfer
 
     @property
     def saturated_read_bytes_per_second(self) -> float:
@@ -110,8 +114,14 @@ class SimulatedSSD(BlockDevice):
         self.geometry = geometry or SSDGeometry()
         super().__init__(self.geometry.capacity_bytes, trace=trace)
         g = self.geometry
-        self._dies = ResourcePool(g.total_dies)
-        self._channels = ResourcePool(g.channels)
+        # One FIFO timeline per die and per channel bus, indexed directly.
+        self._dies = [Resource() for _ in range(g.total_dies)]
+        self._channels = [Resource() for _ in range(g.channels)]
+        # The geometry is frozen, so the per-IO constants are bound once;
+        # a step is (first resource's page time, second resource's).
+        self._layout = (g.stripe_bytes, g.page_bytes, g.total_dies, g.channels)
+        self._read_steps = (g.page_read_seconds, g.channel_transfer_seconds)
+        self._write_steps = (g.channel_transfer_seconds, g.page_program_seconds)
 
     # -- address mapping ----------------------------------------------------
 
@@ -123,67 +133,76 @@ class SimulatedSSD(BlockDevice):
         """Channel whose bus serves ``die``."""
         return die % self.geometry.channels
 
-    def _page_plan(self, offset: int, nbytes: int) -> list[tuple[int, int]]:
-        """Decompose an IO into per-die page counts, in address order.
-
-        Returns ``[(die, n_pages), ...]`` with one entry per stripe unit the
-        IO touches.
-        """
-        g = self.geometry
-        plan: list[tuple[int, int]] = []
-        pos = offset
-        end = offset + nbytes
-        while pos < end:
-            stripe = pos // g.stripe_bytes
-            stripe_end = (stripe + 1) * g.stripe_bytes
-            chunk = min(end, stripe_end) - pos
-            pages = math.ceil(chunk / g.page_bytes)
-            plan.append((self.die_of_stripe(stripe), pages))
-            pos += chunk
-        return plan
-
     # -- timing -------------------------------------------------------------
 
     def _service(self, kind: str, offset: int, nbytes: int, at: float) -> float:
-        # Each page crosses two FIFO resources in turn: a read occupies
-        # its die (page read) and then the channel bus (transfer out); a
-        # write occupies the bus (transfer in) and then the die (program).
-        # Either way the first resource moves on to the next page as soon
-        # as it is done with this one.  Slot state is held in locals: the
-        # same float operations in the same order as per-slot ``acquire``
-        # calls (max-then-add, busy accumulated one duration at a time),
-        # without a method dispatch per page.
-        g = self.geometry
-        n_ch = g.channels
+        # Each page crosses two FIFO resources in turn: a read occupies its
+        # die (page read) and then the channel bus (transfer out); a write
+        # occupies the bus (transfer in) and then the die (program).  The
+        # first resource moves on to the next page as soon as it is done
+        # with this one.  The IO's stripes are walked inline, each on its
+        # die ``stripe mod D`` and that die's channel.
+        #
+        # Within a stripe both timelines step page by page only while the
+        # second resource is still busy when the first finishes its next
+        # page.  Once it is free by then (``s <= f``) and its step is no
+        # longer than the first's, it stays behind: rounding is monotone,
+        # so ``fl(f + t_second) <= fl(f + t_first)``, and every later page
+        # starts on the second resource the instant the first is done.
+        # The rest of the stripe is then the first resource's chain of
+        # adds, and the second finishes one ``t_second`` after it: the
+        # same floats, in the same order, as the full page-by-page step.
+        # That holds for every read on every zoo SSD (page read above
+        # transfer).  Where the second step is the longer one (a write's
+        # program; a read on a bus-bound geometry) the full step runs.
+        # Busy time is charged once a stripe, ``pages * t``.
+        stripe_bytes, page_bytes, n_dies, n_ch = self._layout
         dies = self._dies
         channels = self._channels
         reading = kind == "read"
-        if reading:
-            t_first, t_second = g.page_read_seconds, g.channel_transfer_seconds
-        else:
-            t_first, t_second = g.channel_transfer_seconds, g.page_program_seconds
+        t_first, t_second = self._read_steps if reading else self._write_steps
+        trails = t_second <= t_first
         done = at
-        for die_idx, pages in self._page_plan(offset, nbytes):
-            die = dies[die_idx]
-            channel = channels[die_idx % n_ch]
-            first, second = (die, channel) if reading else (channel, die)
-            f_av = first.available_at
-            f_busy = first.busy_seconds
-            s_av = second.available_at
-            s_busy = second.busy_seconds
-            arrival = at
-            for _ in range(pages):
-                f_av = (f_av if f_av > arrival else arrival) + t_first
-                f_busy = f_busy + t_first
-                s_av = (s_av if s_av > f_av else f_av) + t_second
-                s_busy = s_busy + t_second
-                arrival = f_av
-                if s_av > done:
-                    done = s_av
-            first.available_at = f_av
-            first.busy_seconds = f_busy
-            second.available_at = s_av
-            second.busy_seconds = s_busy
+        stripe, pos = divmod(offset, stripe_bytes)
+        left = nbytes
+        while left > 0:
+            chunk = stripe_bytes - pos
+            if chunk > left:
+                chunk = left
+            pages = -(-chunk // page_bytes)
+            die_idx = stripe % n_dies
+            if reading:
+                first, second = dies[die_idx], channels[die_idx % n_ch]
+            else:
+                first, second = channels[die_idx % n_ch], dies[die_idx]
+            f = first.available_at
+            if at > f:
+                f = at
+            s = second.available_at
+            if trails:
+                n = pages
+                while n:
+                    n -= 1
+                    f += t_first
+                    if s <= f:
+                        for _ in range(n):
+                            f += t_first
+                        s = f + t_second
+                        break
+                    s += t_second
+            else:
+                for _ in range(pages):
+                    f += t_first
+                    s = (s if s > f else f) + t_second
+            first.available_at = f
+            first.busy_seconds += pages * t_first
+            second.available_at = s
+            second.busy_seconds += pages * t_second
+            if s > done:
+                done = s
+            left -= chunk
+            pos = 0
+            stripe += 1
         return done
 
     # -- parallel (closed-loop) API ------------------------------------------
@@ -201,7 +220,8 @@ class SimulatedSSD(BlockDevice):
         else:
             raise ConfigurationError(f"unknown request type: {type(request).__name__}")
         offset, nbytes = request.offset, request.nbytes
-        self._check(offset, nbytes)
+        if nbytes <= 0 or offset < 0 or offset + nbytes > self.capacity_bytes:
+            self._check(offset, nbytes)  # raises, naming the bound broken
         end = self._service(kind, offset, nbytes, at)
         stats = self.stats
         if kind == "read":
@@ -260,5 +280,5 @@ class SimulatedSSD(BlockDevice):
     def reset(self) -> None:
         """Reset clock, counters and all die/channel timelines."""
         super().reset()
-        self._dies.reset()
-        self._channels.reset()
+        for timeline in (*self._dies, *self._channels):
+            timeline.reset()

@@ -1,10 +1,16 @@
 """Simulated SSD tests: address mapping, pipelining, parallelism, conflicts."""
 
+import hashlib
+import math
+import random
+
 import numpy as np
 import pytest
 
+from repro import storage
 from repro.errors import ConfigurationError
 from repro.storage.device import ReadRequest, WriteRequest
+from repro.storage.engine import ClosedLoopRunner
 from repro.storage.ssd import SSDGeometry, SimulatedSSD
 
 
@@ -12,6 +18,48 @@ def make(**kwargs):
     defaults = dict(capacity_bytes=1 << 30, channels=2, dies_per_channel=2)
     defaults.update(kwargs)
     return SimulatedSSD(SSDGeometry(**defaults))
+
+
+class PerPageSSD(SimulatedSSD):
+    """The reference step: both FIFO timelines advance one page at a time.
+
+    Splits the IO into ``(die, pages)`` per stripe and, for every page, takes
+    the first resource at ``max(free, arrival)`` and the second at
+    ``max(free, first's finish)``, charging busy time a page at a time.
+    ``SimulatedSSD._service`` must reproduce it float for float (busy time
+    to a relative 1e-12: it is charged once a stripe).
+    """
+
+    def _service(self, kind, offset, nbytes, at):
+        g = self.geometry
+        reading = kind == "read"
+        if reading:
+            t_first, t_second = g.page_read_seconds, g.channel_transfer_seconds
+        else:
+            t_first, t_second = g.channel_transfer_seconds, g.page_program_seconds
+        plan = []
+        pos, end = offset, offset + nbytes
+        while pos < end:
+            stripe = pos // g.stripe_bytes
+            chunk = min(end, (stripe + 1) * g.stripe_bytes) - pos
+            plan.append((stripe % g.total_dies, math.ceil(chunk / g.page_bytes)))
+            pos += chunk
+        done = at
+        for die_idx, pages in plan:
+            die, channel = self._dies[die_idx], self._channels[die_idx % g.channels]
+            first, second = (die, channel) if reading else (channel, die)
+            f_av, s_av, arrival = first.available_at, second.available_at, at
+            for _ in range(pages):
+                f_av = (f_av if f_av > arrival else arrival) + t_first
+                first.busy_seconds += t_first
+                s_av = (s_av if s_av > f_av else f_av) + t_second
+                second.busy_seconds += t_second
+                arrival = f_av
+                if s_av > done:
+                    done = s_av
+            first.available_at = f_av
+            second.available_at = s_av
+        return done
 
 
 class TestGeometry:
@@ -33,20 +81,33 @@ class TestGeometry:
         assert g.saturated_read_bytes_per_second > 0
         assert g.expected_pdam_parallelism > 1.0
 
+    @pytest.mark.parametrize(
+        "t_read, t_xfer", [(80e-6, 10e-6), (10e-6, 80e-6)], ids=["read-bound", "bus-bound"]
+    )
+    def test_single_stream_is_an_idle_stripe_read(self, t_read, t_xfer):
+        ssd = make(page_read_seconds=t_read, channel_transfer_seconds=t_xfer)
+        g = ssd.geometry
+        assert g.single_stream_read_seconds_per_stripe == pytest.approx(
+            ssd.read(0, g.stripe_bytes), rel=1e-12
+        )
+
 
 class TestAddressMapping:
+    @staticmethod
+    def _pages_per_die(ssd):
+        t_read = ssd.geometry.page_read_seconds
+        return [round(die.busy_seconds / t_read) for die in ssd._dies]
+
     def test_stripe_maps_to_one_die(self):
         ssd = make()
-        plan = ssd._page_plan(0, 65536)
-        assert len(plan) == 1
-        die, pages = plan[0]
-        assert pages == 16
+        ssd.read(0, 65536)
+        assert self._pages_per_die(ssd) == [16, 0, 0, 0]
+        assert ssd._dies[0].available_at == pytest.approx(16 * ssd.geometry.page_read_seconds)
 
     def test_cross_stripe_io_touches_two_dies(self):
         ssd = make()
-        plan = ssd._page_plan(65536 - 4096, 8192)
-        assert len(plan) == 2
-        assert plan[0][0] != plan[1][0]
+        ssd.read(65536 - 4096, 8192)
+        assert self._pages_per_die(ssd) == [1, 1, 0, 0]
 
     def test_round_robin_die_assignment(self):
         ssd = make()
@@ -138,3 +199,76 @@ class TestClosedLoop:
         t = ssd.read(0, 4096)
         g = ssd.geometry
         assert t == pytest.approx(g.page_read_seconds + g.channel_transfer_seconds)
+
+
+FIG1_FINISHES_SHA256 = "eae15308d587e30a69d95a1dd804b989a38bdb482d9efdb85517ad1a1a1e4d45"
+
+
+class TestPerPageReference:
+    """``_service`` == the page-by-page step, on every path through it."""
+
+    #: (page read, channel transfer, page program): read above, equal to and
+    #: below transfer; the last programs faster than it transfers, so its
+    #: writes take the trailing rule too.
+    TIMINGS = [
+        (80e-6, 10e-6, 600e-6),
+        (10e-6, 10e-6, 10e-6),
+        (10e-6, 80e-6, 600e-6),
+        (25.6e-6, 15.5e-6, 7e-6),
+    ]
+
+    @pytest.mark.parametrize("timing", TIMINGS, ids=["read>xfer", "read=xfer", "read<xfer",
+                                                     "program<xfer"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_page_reference(self, timing, seed):
+        rnd = random.Random(seed)
+        t_read, t_xfer, t_program = timing
+        g = SSDGeometry(
+            capacity_bytes=1 << 28, channels=rnd.choice((1, 2, 4)),
+            dies_per_channel=rnd.choice((1, 2, 8)), page_read_seconds=t_read,
+            channel_transfer_seconds=t_xfer, page_program_seconds=t_program,
+        )
+        new, ref = SimulatedSSD(g), PerPageSSD(g)
+        for a, b in zip(new._dies + new._channels, ref._dies + ref._channels):
+            a.available_at = b.available_at = rnd.random() * 2e-3  # pre-occupied
+        at = 0.0
+        for _ in range(150):
+            offset = rnd.randrange(g.capacity_bytes - 5 * g.stripe_bytes)
+            nbytes = rnd.randint(1, rnd.randint(1, 5) * g.stripe_bytes)
+            kind = rnd.choice(("read", "write"))
+            if rnd.random() < 0.5:
+                at += rnd.random() * 1e-3
+                request = (ReadRequest if kind == "read" else WriteRequest)(offset, nbytes)
+                got = [d.service_request(request, at) for d in (new, ref)]
+            else:
+                got = [getattr(d, kind)(offset, nbytes) for d in (new, ref)]
+            assert got[0] == got[1]
+            assert new.clock == ref.clock
+            assert vars(new.stats) == vars(ref.stats)
+            for a, b in zip(new._dies + new._channels, ref._dies + ref._channels):
+                assert a.available_at == b.available_at
+                assert a.busy_seconds == pytest.approx(b.busy_seconds, rel=1e-12, abs=0)
+
+    def test_fig1_closed_loops_pinned(self):
+        # Figure 1's shape on ``default_ssd`` (samsung-860-pro-sim): k
+        # closed-loop clients of 64 KiB requests, read-only and with a
+        # quarter writes.  The sha256 of every client's finish time was
+        # captured with the page-by-page step; a last-bit change flips ties
+        # in the closed loop and moves Figure 1 and Table 1.
+        out = []
+        for write_fraction in (0.0, 0.25):
+            for k in (1, 2, 4, 8, 16, 32):
+                ssd = storage.build("samsung-860-pro-sim")
+                rng = np.random.default_rng(k)
+                stripes = ssd.capacity_bytes // 65536
+                streams = []
+                for _ in range(k):
+                    offsets = rng.integers(0, stripes, size=64).tolist()
+                    writes = (rng.random(64) < write_fraction).tolist()
+                    streams.append([(WriteRequest if w else ReadRequest)(o * 65536, 65536)
+                                    for o, w in zip(offsets, writes)])
+                runner = ClosedLoopRunner(
+                    ssd.service_request, service_batch=ssd.service_request_batch
+                )
+                out.append(runner.run(streams))
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == FIG1_FINISHES_SHA256

@@ -11,8 +11,10 @@ frames by the workload's table in :data:`STEPS`, and prints the median host
 us per op of each (step, kind): its share of the counted samples times the
 timed wall.  The workload's own lines outside its timed regions (oracle,
 ``_build``, digests) are untimed.  Tree workloads add each kind's ``load s``,
-serve_e19 its round sizes and peak event heap.  Exits non-zero if the
-oracle failed.  Sizing, not claims: a claim is ``make perf-pairs``.
+device_engine the seconds an iteration its untimed model fits take
+(``fits s``), serve_e19 its round sizes and peak event heap.  Exits
+non-zero if the oracle failed.  Sizing, not claims: a claim is ``make
+perf-pairs``.
 """
 
 from __future__ import annotations
@@ -72,7 +74,18 @@ STEPS = {
         ("serve/engine.py", "RequestEngine.run.<locals>.dispatch*", "completion accounting",
          "for tenant, (arrived, _) in requests:"),
     ),
+    "device_engine": (
+        ("storage/ssd.py", "SimulatedSSD._*", "ssd service"),
+        ("storage/ssd.py", "SimulatedSSD.*_of_*", "ssd service"),  # the address map
+        ("storage/hdd.py", "*", "hdd service"),
+        ("storage/engine.py", "ClosedLoopRunner.*", "closed-loop runner"),
+        ("storage/scheduler.py storage/ideal.py", "*", "read-ahead"),
+        ("storage/*", "*", "device protocol"),
+    ),
 }
+#: device_engine's model fits run outside its timed regions, so no sample
+#: books them: each is timed on its own and reported beside the table.
+FITS = ("fit_affine_model", "fit_pdam_model")
 INCLUSIVE = {"recover"}  # labels that keep every sample under them
 
 
@@ -125,6 +138,25 @@ def classifier(rules, workload_file: Path):
 
 
 @contextmanager
+def fit_seconds(module):
+    """While open: the host seconds the workload ``module``'s :data:`FITS` took."""
+    spent = SimpleNamespace(s=0.0)
+
+    def timed(fit):
+        def call(*args, **kwargs):
+            start = perf_counter()
+            try:
+                return fit(*args, **kwargs)
+            finally:
+                spent.s += perf_counter() - start
+        return call
+
+    fits = {n: timed(getattr(module, n)) for n in FITS if hasattr(module, n)}
+    with patch.multiple(module, **fits) if fits else nullcontext():
+        yield spent
+
+
+@contextmanager
 def serve_counts():
     """While open: the size of every round ``Replica.lookup_many`` is handed
     and the longest event heap of the serve engine."""
@@ -148,7 +180,8 @@ def serve_counts():
 
 
 def split(name: str, seed: int, scale: float, iterations: int):
-    """``(run, {kind: [(ops, wall, counts), ...]}, {kind: load s}, serve counts)``."""
+    """``(run, {kind: [(ops, wall, counts), ...]}, {row: {kind: s}}, serve counts)``:
+    the third holds each kind's ``load s`` and median ``fits s`` an iteration."""
     from perfbench import trees
     from perfbench.harness import Run
     from perfbench.workloads import workload_class
@@ -172,11 +205,13 @@ def split(name: str, seed: int, scale: float, iterations: int):
     kinds = [bt.kind for bt in built] if built else list(every or [None])
     sampler = HostSampler(classifier(STEPS[name], Path(module.__file__).resolve()))
     samples: dict[str | None, list] = {kind: [] for kind in kinds}
+    fit_s: dict[str | None, list[float]] = {kind: [] for kind in kinds}
     # As in perfbench.harness.measure: the loaded structures are long-lived.
     gc.collect()
     gc.freeze()
     try:
-        with serve_counts() if name == "serve_e19" else nullcontext() as serve:
+        with serve_counts() if name == "serve_e19" else nullcontext() as serve, \
+                fit_seconds(module) as fits:
             for i in range(iterations):
                 workload.prepare(i)
                 for kind in kinds:
@@ -184,9 +219,11 @@ def split(name: str, seed: int, scale: float, iterations: int):
                         workload.built = [bt for bt in built if bt.kind == kind]
                     elif every:
                         module.KINDS = (kind,)
+                    fits.s = 0.0
                     with sampler:
                         ops, wall = workload.iteration(i)
                     samples[kind].append((ops, wall, Counter(sampler.counts)))
+                    fit_s[kind].append(fits.s)
     finally:
         gc.unfreeze()
     if built:
@@ -194,10 +231,11 @@ def split(name: str, seed: int, scale: float, iterations: int):
     if every:
         module.KINDS = every
     workload.finish()
-    return run, samples, load_s, serve
+    fit_s = {k: statistics.median(v) for k, v in fit_s.items() if any(v)}
+    return run, samples, {"load s": load_s, "fits s": fit_s}, serve
 
 
-def report(name: str, samples, load_s: dict[str, float]) -> None:
+def report(name: str, samples, extra: dict[str, dict[str, float]]) -> None:
     """Median host us per op (and share) of each step, a column per kind."""
     from repro.obs.sampler import OTHER
 
@@ -218,7 +256,7 @@ def report(name: str, samples, load_s: dict[str, float]) -> None:
         "sum": total,
         "ops/iteration": {k: median(r[0] for r in runs) for k, runs in samples.items()},
         "s/iteration": {k: median(r[1] for r in runs) for k, runs in samples.items()},
-        "load s": load_s,
+        **extra,
     }.items():
         if values:
             print(f"    {row:<26}" + "".join(f"{values[k]:>9.6g}{'':>7}" for k in samples))
@@ -234,14 +272,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.iterations < 1:
         parser.error("--iterations must be at least 1")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "perf")]
-    run, samples, load_s, serve = split(args.workload, args.seed, args.scale, args.iterations)
+    run, samples, extra, serve = split(args.workload, args.seed, args.scale, args.iterations)
     print(f"{args.workload} seed {args.seed} scale {args.scale:g}: {args.iterations} iterations")
     if serve is not None:
         n, keys = sum(serve.rounds.values()), sum(k * c for k, c in serve.rounds.items())
         print(f"  keys per round {keys / n:.2f} over {n} rounds; share of rounds by size:")
         print("    " + "  ".join(f"{k}: {c / n:.1%}" for k, c in sorted(serve.rounds.items())))
         print(f"  peak event-heap length {serve.peak}")
-    report(args.workload, samples, load_s)
+    report(args.workload, samples, extra)
     for failure in run.failures:
         print(f"FAILED: {failure}", file=sys.stderr)
     return int(run.failed > 0)
