@@ -44,7 +44,7 @@ split:
 	python3 tools/split.py --workload $(WORKLOAD) --seed $(SEED)
 
 experiments:
-	python -m repro.experiments all
+	PYTHONPATH=src python -m repro.experiments all
 
 # The cache-oblivious tier: its tests (the lockstep machine among them) and
 # the E20 quick sweep.
@@ -64,10 +64,10 @@ recovery:
 	assert all(r.passed for r in reports.values())"
 
 examples:
-	python examples/quickstart.py
-	python examples/node_size_tuning.py
-	python examples/ssd_concurrency.py
-	python examples/aging_range_queries.py
-	python examples/io_trace_analysis.py
+	PYTHONPATH=src python examples/quickstart.py
+	PYTHONPATH=src python examples/node_size_tuning.py
+	PYTHONPATH=src python examples/ssd_concurrency.py
+	PYTHONPATH=src python examples/aging_range_queries.py
+	PYTHONPATH=src python examples/io_trace_analysis.py
 
 all: test experiments

@@ -20,8 +20,6 @@ from repro.analysis.traces import (
     TraceSummary,
     io_size_histogram,
     summarize_trace,
-    trace_from_csv,
-    trace_to_csv,
 )
 from repro.analysis.fitting import (
     AffineFit,
@@ -46,6 +44,4 @@ __all__ = [
     "TraceSummary",
     "io_size_histogram",
     "summarize_trace",
-    "trace_from_csv",
-    "trace_to_csv",
 ]

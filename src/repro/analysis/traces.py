@@ -3,7 +3,7 @@
 Every :class:`~repro.storage.device.BlockDevice` can record its IOs
 (``trace=True``).  This module turns those records into the quantities the
 paper's models reason about — IO-size distribution, sequentiality, seek
-distances — and serializes traces to CSV for offline analysis.
+distances.
 
 Typical use::
 
@@ -15,8 +15,6 @@ Typical use::
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -44,11 +42,6 @@ class TraceSummary:
     # them as NaN (undefined), never as a measured 0.0.
     busy_seconds: float
     mean_io_seconds: float
-
-    @property
-    def read_fraction(self) -> float:
-        """Share of IOs that were reads."""
-        return self.n_reads / self.n_ios if self.n_ios else 0.0
 
     @property
     def effective_bandwidth(self) -> float:
@@ -118,45 +111,4 @@ def io_size_histogram(
         lo = edge
     if counts[-1]:
         out.append((f"({lo}, inf)", counts[-1]))
-    return out
-
-
-_CSV_FIELDS = ("kind", "offset", "nbytes", "start", "end")
-
-
-def trace_to_csv(trace: Sequence[IORecord]) -> str:
-    """Serialize a trace to CSV text (header + one row per IO)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_CSV_FIELDS)
-    for r in trace:
-        writer.writerow([r.kind, r.offset, r.nbytes, repr(r.start), repr(r.end)])
-    return buf.getvalue()
-
-
-def trace_from_csv(text: str) -> list[IORecord]:
-    """Parse a trace serialized by :func:`trace_to_csv`."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != _CSV_FIELDS:
-        raise ConfigurationError(f"bad trace CSV header: {header}")
-    out = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(_CSV_FIELDS):
-            raise ConfigurationError(f"bad trace CSV row: {row}")
-        kind, offset, nbytes, start, end = row
-        if kind not in ("read", "write"):
-            raise ConfigurationError(f"bad IO kind {kind!r}")
-        rec = IORecord(
-            kind=kind,
-            offset=int(offset),
-            nbytes=int(nbytes),
-            start=float(start),
-            end=float(end),
-        )
-        if rec.nbytes <= 0 or rec.end < rec.start or not math.isfinite(rec.start):
-            raise ConfigurationError(f"inconsistent trace row: {row}")
-        out.append(rec)
     return out

@@ -19,9 +19,8 @@ Protocol per device:
    measuring warm random point queries (per-op simulated seconds);
 2. build the tree at a deliberately bad size (sweep optimum shifted 16x,
    direction chosen to stay inside the sweep range);
-3. run one :class:`~repro.tuning.AutoTuner` pass on the live device:
-   calibrate, recommend, bulk-rebuild; measure the tuned tree the same
-   way;
+3. run one :mod:`repro.tuning` pass on the live device: calibrate,
+   solve, bulk-rebuild; measure the tuned tree the same way;
 4. report ``tuned / sweep-best`` — the convergence ratio.
 
 The calibration round-trip on ideal devices (alpha and P recovered within
@@ -43,7 +42,7 @@ from repro.runner import ResultCache, SweepPoint, SweepSpec, register, run_sweep
 from repro.storage.registry import HDD_ZOO
 from repro.trees import build
 from repro.trees.sizing import EntryFormat
-from repro.tuning import AutoTuner, DeviceProfile
+from repro.tuning import DeviceProfile, calibrate_device, rebuild_tree, solve
 
 DEFAULT_NODE_SIZES = (4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20)
 
@@ -236,25 +235,16 @@ def measure_device(
         warmup_queries=warmup_queries, seed=seed + 1,
     )
 
-    tuner = AutoTuner(zoo_device, fmt=fmt, seed=seed)
-    profile = tuner.calibrate()
-    # Serial point queries cannot use PDAM slots, so solve the serial
-    # Corollary 6/7 optimum even on devices with fitted parallelism.
-    rec = tuner.recommend(
-        n_entries=n_entries, cache_bytes=cache_bytes,
-        prefer_parallel_layout=False,
-    )
-    outcome = tuner.apply(
+    profile = calibrate_device(zoo_device, seed=seed)
+    rec = solve(profile, n_entries=n_entries, cache_bytes=cache_bytes, fmt=fmt)
+    tuned_tree, _ = rebuild_tree(
         bad_tree,
-        rec,
         lambda: build(
             "btree", zoo_device, node_bytes=rec.node_bytes, cache_bytes=cache_bytes
         ),
-        current_node_bytes=start_bytes,
-        current_per_op_seconds=start_ms / 1e3,
     )
     times = measure_tree_ops(
-        outcome.tree, keys, universe, n_queries=n_queries, n_inserts=1,
+        tuned_tree, keys, universe, n_queries=n_queries, n_inserts=1,
         warmup_queries=warmup_queries, seed=seed + 2,
     )
     return {

@@ -23,15 +23,6 @@ def format_bytes(nbytes: float) -> str:
     raise AssertionError("unreachable")
 
 
-def format_seconds(seconds: float) -> str:
-    """Human-readable duration (s/ms/us)."""
-    if seconds >= 1.0:
-        return f"{seconds:.3g}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.3g}ms"
-    return f"{seconds * 1e6:.3g}us"
-
-
 def render_table(
     title: str,
     columns: Sequence[str],

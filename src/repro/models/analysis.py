@@ -325,80 +325,6 @@ def optimal_fanout_asymmetric(
     return float(result.x)
 
 
-def optimal_mixed_betree_params(
-    alpha: float,
-    N: float,
-    M: float,
-    *,
-    query_fraction: float = 0.5,
-    write_cost_multiplier: float = 1.0,
-    fanout_bounds: tuple[float, float] | None = None,
-    node_cap: float | None = None,
-) -> tuple[float, float]:
-    """Jointly optimal ``(F, B)`` for :func:`mixed_workload_cost`.
-
-    Generalizes Corollary 12 to a query/insert mix on possibly
-    read/write-asymmetric hardware: minimizes
-    ``w * query(B, F) + (1-w) * insert(B, F) * write_mult`` over the domain
-    ``2 <= F <= B <= node_cap``.  At ``w = 1`` this collapses toward the
-    query-optimal (Corollary 11/12) setting; at ``w = 0`` toward the
-    write-optimized end of the WOD tradeoff (larger B, the cap binding).
-
-    For fixed ``F`` the mixed cost is convex in ``B`` (a linear query term
-    plus a convex ``F/B`` insert term), so the inner argmin is a bounded
-    scalar minimize; the outer minimize over ``F`` runs a log-spaced grid
-    refined by a bounded search around the best cell, which is robust to
-    the objective's plateaus.
-    """
-    if not 0 < alpha < 1:
-        raise ConfigurationError(f"requires 0 < alpha < 1, got {alpha}")
-    if not 0.0 <= query_fraction <= 1.0:
-        raise ConfigurationError(f"query_fraction must be in [0, 1], got {query_fraction}")
-    if N <= M or M <= 0:
-        raise ConfigurationError(f"need N > M > 0, got N={N}, M={M}")
-    cap = node_cap if node_cap is not None else 10.0 / alpha
-    if fanout_bounds is None:
-        f_lo, f_hi = 2.0, max(4.0, math.sqrt(cap))
-    else:
-        f_lo, f_hi = fanout_bounds
-    if not 1 < f_lo < f_hi or f_hi > cap:
-        raise ConfigurationError(
-            f"need 1 < f_lo < f_hi <= node_cap, got ({f_lo}, {f_hi}), cap {cap}"
-        )
-
-    def best_B_for(F: float) -> tuple[float, float]:
-        result = _minimize_bounded(
-            lambda logB: mixed_workload_cost(
-                math.exp(logB), F, alpha, N, M,
-                query_fraction=query_fraction,
-                write_cost_multiplier=write_cost_multiplier,
-            ),
-            math.log(F * (1 + 1e-9)), math.log(cap), 1e-8,
-        )
-        return math.exp(float(result.x)), float(result.fun)
-
-    # Coarse log-grid over F, then polish within the winning cell.
-    grid = [math.exp(v) for v in
-            _linspace(math.log(f_lo), math.log(f_hi), 65)]
-    costs = [best_B_for(F)[1] for F in grid]
-    k = min(range(len(grid)), key=costs.__getitem__)
-    lo = grid[max(0, k - 1)]
-    hi = grid[min(len(grid) - 1, k + 1)]
-    refine = _minimize_bounded(
-        lambda logF: best_B_for(math.exp(logF))[1], math.log(lo), math.log(hi), 1e-8
-    )
-    F_best = math.exp(float(refine.x))
-    if float(refine.fun) > costs[k]:
-        F_best = grid[k]
-    B_best, _ = best_B_for(F_best)
-    return F_best, B_best
-
-
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
-
-
 def betree_speedup_over_btree(alpha: float, N: float, M: float) -> float:
     """Insert speedup of the Corollary 12 Bε-tree over the optimal B-tree.
 

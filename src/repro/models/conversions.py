@@ -13,7 +13,6 @@ from typing import Iterable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.models.affine import AffineModel
-from repro.models.dam import DAMModel
 
 
 def half_bandwidth_point(alpha: float) -> float:
@@ -21,14 +20,6 @@ def half_bandwidth_point(alpha: float) -> float:
     if alpha <= 0:
         raise ConfigurationError(f"alpha must be positive, got {alpha}")
     return 1.0 / alpha
-
-
-def dam_model_for(affine: AffineModel) -> DAMModel:
-    """The DAM the paper's Lemma 1 pairs with a given affine model."""
-    return DAMModel(
-        block_bytes=max(1, round(affine.half_bandwidth_bytes)),
-        setup_seconds=affine.setup_seconds,
-    )
 
 
 def dam_cost_of_affine_algorithm(io_sizes: Sequence[int] | Iterable[int], alpha: float) -> float:

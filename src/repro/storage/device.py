@@ -21,8 +21,7 @@ reproduce IO cost-model effects faithfully.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import InvalidIOError
@@ -43,48 +42,6 @@ class IORecord:
     def duration(self) -> float:
         """Simulated seconds the IO took."""
         return self.end - self.start
-
-
-@dataclass(frozen=True)
-class IOSample:
-    """One passively sampled IO: size, simulated duration, direction."""
-
-    nbytes: int
-    seconds: float
-    kind: str  # "read" or "write"
-
-
-class IOSampler:
-    """Ring buffer of recent :class:`IOSample` pairs for passive re-fits.
-
-    The tuner (:mod:`repro.tuning`) re-fits device parameters from these
-    samples without issuing probe IOs.  The buffer is bounded, so a
-    long-running workload keeps only its most recent ``capacity`` IOs —
-    exactly the recency window an online re-fit wants.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise InvalidIOError(f"sampler capacity must be positive, got {capacity}")
-        self.capacity = int(capacity)
-        self._buf: deque[IOSample] = deque(maxlen=self.capacity)
-
-    def record(self, nbytes: int, seconds: float, kind: str) -> None:
-        """Append one sample, evicting the oldest if the ring is full."""
-        self._buf.append(IOSample(nbytes, seconds, kind))
-
-    def samples(self, *, kind: str | None = None) -> list[IOSample]:
-        """Current samples oldest-first, optionally one direction only."""
-        if kind is None:
-            return list(self._buf)
-        return [s for s in self._buf if s.kind == kind]
-
-    def clear(self) -> None:
-        """Drop all samples (e.g. after a re-fit consumed them)."""
-        self._buf.clear()
-
-    def __len__(self) -> int:
-        return len(self._buf)
 
 
 @dataclass
@@ -143,7 +100,7 @@ class BlockDevice(ABC):
     Subclasses implement one hook, :meth:`_service` (pure timing of one
     IO); this base class owns the rest of the IO protocol — it validates
     requests, keeps the clock and the counters, records the trace, feeds
-    the sampler and the observability layer — for scalar
+    the observability layer — for scalar
     :meth:`read`/:meth:`write` and, through the one loop in
     :meth:`_batch`, for :meth:`read_batch`.
     """
@@ -156,9 +113,6 @@ class BlockDevice(ABC):
         self.clock = 0.0
         self._trace_enabled = bool(trace)
         self.trace: list[IORecord] = []
-        # Passive sampling is off by default: the only cost when disabled is
-        # one None check per IO.
-        self.sampler: IOSampler | None = None
         # Setup-seconds of the IO in flight, published by subclasses that
         # know their seek/bandwidth split (HDD, AffineDevice) and only when
         # observability is enabled; consumed by _obs_io below.
@@ -201,8 +155,6 @@ class BlockDevice(ABC):
         self.stats.read_seconds += elapsed
         if self._trace_enabled:
             self.trace.append(IORecord("read", offset, nbytes, start, end))
-        if self.sampler is not None:
-            self.sampler.record(nbytes, elapsed, "read")
         if OBS.enabled:
             self._obs_io("read", offset, nbytes, start, end)
         return elapsed
@@ -220,8 +172,6 @@ class BlockDevice(ABC):
         self.stats.write_seconds += elapsed
         if self._trace_enabled:
             self.trace.append(IORecord("write", offset, nbytes, start, end))
-        if self.sampler is not None:
-            self.sampler.record(nbytes, elapsed, "write")
         if OBS.enabled:
             self._obs_io("write", offset, nbytes, start, end)
         return elapsed
@@ -242,7 +192,7 @@ class BlockDevice(ABC):
         """Serially read ``nbytes`` at each offset; per-IO elapsed seconds.
 
         Semantically identical to calling :meth:`read` once per offset, in
-        order — same clock advance, same counters, same trace and sampler,
+        order — same clock advance, same counters, same trace,
         same RNG streams on stochastic and faulty devices, the same partial
         state when an IO raises mid-batch.  Offsets (any integer sequence,
         numpy arrays included) are validated up front, so an invalid batch
@@ -262,7 +212,7 @@ class BlockDevice(ABC):
 
         ``offsets`` come validated from :meth:`_checked`.  Each IO runs
         :meth:`_service` and the same float operations, in the same order,
-        as :meth:`read`, with clock, read seconds, trace and sampler held
+        as :meth:`read`, with clock, read seconds and trace held
         in locals; the ``finally`` writes them back, so when
         :meth:`_service` raises at IO ``k`` the device is left as ``k``
         scalar calls would leave it.  It calls the private step, never the
@@ -275,7 +225,6 @@ class BlockDevice(ABC):
         seconds = stats.read_seconds
         clock = self.clock
         trace = self.trace if self._trace_enabled else None
-        sampler = self.sampler
         out: list[float] = []
         append = out.append
         try:
@@ -287,8 +236,6 @@ class BlockDevice(ABC):
                 clock = end
                 if trace is not None:
                     trace.append(IORecord("read", off, nbytes, start, end))
-                if sampler is not None:
-                    sampler.record(nbytes, elapsed, "read")
                 if OBS.enabled:
                     self._obs_io("read", off, nbytes, start, end)
                 append(elapsed)
@@ -303,31 +250,20 @@ class BlockDevice(ABC):
     def describe(self) -> dict[str, object]:
         """Stable, JSON-able identity of this device's timing behavior.
 
-        Used to fingerprint calibration results: two devices with equal
-        descriptions produce identical IO timings from a fresh reset.
-        Subclasses extend the dict with their model/geometry parameters.
+        Two devices with equal descriptions produce identical IO timings
+        from a fresh reset.  Subclasses extend the dict with their
+        model/geometry parameters.
         """
         return {
             "type": type(self).__name__,
             "capacity_bytes": self.capacity_bytes,
         }
 
-    def enable_sampling(self, capacity: int = 256) -> IOSampler:
-        """Attach (or resize) the passive IO sampler; returns it."""
-        self.sampler = IOSampler(capacity)
-        return self.sampler
-
-    def disable_sampling(self) -> None:
-        """Detach the sampler; per-IO overhead returns to a single None check."""
-        self.sampler = None
-
     def reset(self) -> None:
         """Zero the clock, counters and trace (fresh experiment)."""
         self.stats = DeviceStats()
         self.clock = 0.0
         self.trace = []
-        if self.sampler is not None:
-            self.sampler.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(capacity={self.capacity_bytes})"

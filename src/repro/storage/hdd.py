@@ -217,7 +217,7 @@ class SimulatedHDD(BlockDevice):
         float operations of :meth:`_service` and
         :meth:`BlockDevice.read` in the same order — same seek curve, same
         rotation-stream cursor, same ``read_seconds`` accumulation — so timings,
-        counters, trace, sampler, OBS events, head position and
+        counters, trace, OBS events, head position and
         :attr:`rotations_drawn` match a serial loop bit for bit at every
         batch length.  Nothing in the loop can raise, so the write-back
         needs no ``finally``.
@@ -236,7 +236,6 @@ class SimulatedHDD(BlockDevice):
         stats = self.stats
         seconds = stats.read_seconds
         trace = self.trace if self._trace_enabled else None
-        sampler = self.sampler
         obs_on = OBS.enabled
         name = type(self).__name__
         out: list[float] = []
@@ -258,8 +257,6 @@ class SimulatedHDD(BlockDevice):
             seconds += elapsed
             if trace is not None:
                 trace.append(IORecord("read", off, nbytes, start, clock))
-            if sampler is not None:
-                sampler.record(nbytes, elapsed, "read")
             if obs_on:
                 OBS.io_event(name, "read", off, nbytes, start, clock, setup)
             append(elapsed)

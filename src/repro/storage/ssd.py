@@ -123,16 +123,6 @@ class SimulatedSSD(BlockDevice):
         self._read_steps = (g.page_read_seconds, g.channel_transfer_seconds)
         self._write_steps = (g.channel_transfer_seconds, g.page_program_seconds)
 
-    # -- address mapping ----------------------------------------------------
-
-    def die_of_stripe(self, stripe_index: int) -> int:
-        """Die holding stripe unit ``stripe_index``."""
-        return stripe_index % self.geometry.total_dies
-
-    def channel_of_die(self, die: int) -> int:
-        """Channel whose bus serves ``die``."""
-        return die % self.geometry.channels
-
     # -- timing -------------------------------------------------------------
 
     def _service(self, kind: str, offset: int, nbytes: int, at: float) -> float:

@@ -1,29 +1,19 @@
-"""Online device calibration and model-driven auto-tuning.
+"""Device calibration and model-driven node sizing.
 
-The subsystem closes the loop the paper leaves open: it *measures* a
-device's affine ``(s, t, alpha)`` and PDAM ``(P, B)`` parameters with
-calibration workloads (:mod:`~repro.tuning.probe`), gates the fits on R²
-(:mod:`~repro.tuning.calibrate`), solves the models of
-:mod:`repro.models.analysis` for the best tree configuration at the
-*measured* parameters (:mod:`~repro.tuning.solve`), and migrates a live
-tree to that configuration when the payback rule says the move is worth
-its IO (:mod:`~repro.tuning.reconfigure`).  :class:`~repro.tuning.autotuner.AutoTuner`
-drives the whole chain.
+The paper's Corollaries 6/7 say: measure alpha, then size the node.  This
+package is that loop, one path each step:
+
+1. :func:`~repro.tuning.calibrate.calibrate_device` probes the device
+   (:mod:`~repro.tuning.probe`) and fits affine ``(s, t, alpha)`` and, on
+   devices with a concurrent interface, PDAM ``(P, PB)``, retrying with
+   more samples until the affine fit clears the R² gate;
+2. :func:`~repro.tuning.solve.solve` evaluates the serial Corollary 6/7
+   B-tree optimum of :mod:`repro.models.analysis` at the *measured* alpha;
+3. :func:`~repro.tuning.reconfigure.rebuild_tree` bulk-rebuilds a live
+   tree at the recommended node size.
 """
 
-from repro.tuning.autotuner import (
-    AutoTuner,
-    TuningOutcome,
-    estimate_migration_seconds,
-)
-from repro.tuning.calibrate import (
-    PARALLEL_THRESHOLD,
-    DeviceProfile,
-    calibrate_device,
-    fit_affine_probe,
-    refit_from_samples,
-    refit_profile,
-)
+from repro.tuning.calibrate import DeviceProfile, calibrate_device
 from repro.tuning.probe import (
     DEFAULT_IO_SIZES,
     DEFAULT_THREAD_RAMP,
@@ -33,29 +23,12 @@ from repro.tuning.probe import (
     probe_parallel,
     supports_parallel_probe,
 )
-from repro.tuning.reconfigure import (
-    IncrementalMigrator,
-    MigrationReport,
-    migration_pays_off,
-    rebuild_tree,
-)
-from repro.tuning.solve import (
-    Recommendation,
-    solve,
-    solve_betree_params,
-    solve_btree_node_entries,
-)
+from repro.tuning.reconfigure import MigrationReport, rebuild_tree
+from repro.tuning.solve import Recommendation, solve, solve_btree_node_entries
 
 __all__ = [
-    "AutoTuner",
-    "TuningOutcome",
-    "estimate_migration_seconds",
-    "PARALLEL_THRESHOLD",
     "DeviceProfile",
     "calibrate_device",
-    "fit_affine_probe",
-    "refit_from_samples",
-    "refit_profile",
     "DEFAULT_IO_SIZES",
     "DEFAULT_THREAD_RAMP",
     "AffineProbe",
@@ -63,12 +36,9 @@ __all__ = [
     "probe_affine",
     "probe_parallel",
     "supports_parallel_probe",
-    "IncrementalMigrator",
     "MigrationReport",
-    "migration_pays_off",
     "rebuild_tree",
     "Recommendation",
     "solve",
-    "solve_betree_params",
     "solve_btree_node_entries",
 ]

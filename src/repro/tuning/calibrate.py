@@ -1,6 +1,6 @@
-"""Fit device parameters from probe data or passive IO samples.
+"""Fit device parameters from probe data.
 
-The output, :class:`DeviceProfile`, is the tuner's picture of a device:
+The output, :class:`DeviceProfile`, is the solver's picture of a device:
 
 * affine ``(s, t, alpha)`` from the Table 2 regression over an IO-size
   ladder, with R² gating and an adaptive retry that trims the largest
@@ -9,32 +9,29 @@ The output, :class:`DeviceProfile`, is the tuner's picture of a device:
   behaviour the PDAM models and the affine model does not);
 * PDAM ``(P, PB)`` from the Table 1 segmented regression over a thread
   ramp, when the device has a concurrent interface and actually saturates.
-
-:func:`refit_from_samples` performs the same affine fit from a device's
-passive :class:`~repro.storage.device.IOSampler` ring buffer — no probe
-IOs issued — returning ``None`` whenever the samples cannot support a
-confident fit (too few, too narrow a size spread, low R²).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analysis.fitting import AffineFit, PDAMFit, fit_affine_model, fit_pdam_model
 from repro.errors import ConfigurationError, FitError
-from repro.storage.device import BlockDevice, IOSample
-from repro.tuning.probe import (
-    DEFAULT_IO_SIZES,
-    DEFAULT_THREAD_RAMP,
-    AffineProbe,
-    probe_affine,
-    probe_parallel,
-)
+from repro.storage.device import BlockDevice
+from repro.tuning.probe import AffineProbe, probe_affine, probe_parallel
 
-#: A fitted parallelism below this is indistinguishable from a serial
-#: device (the knee estimate has about half-a-thread resolution).
-PARALLEL_THRESHOLD = 1.5
+#: R² floor of a confident affine fit.
+MIN_R2 = 0.98
+
+#: Calibration rounds before the last round's fit is kept unconfident.
+PROBE_ROUNDS = 3
+
+#: Random reads per IO size in the first round; each retry doubles it.
+READS_PER_SIZE = 32
+
+#: Worst relative error allowed at the two smallest ladder rungs.
+MAX_SMALL_REL_ERR = 0.25
 
 
 @dataclass(frozen=True)
@@ -43,10 +40,8 @@ class DeviceProfile:
 
     affine: AffineFit
     pdam: PDAMFit | None
-    probe_seconds: float       # simulated time the calibration cost
+    probe_seconds: float       # simulated time the fitted round's probes cost
     probe_ios: int
-    source: str                # "probe" or "trace"
-    parallel_block_bytes: int | None = None  # request size of the ramp
 
     @property
     def alpha_per_byte(self) -> float:
@@ -58,20 +53,15 @@ class DeviceProfile:
         """Fitted setup cost ``s``."""
         return self.affine.setup_seconds
 
-    @property
-    def is_parallel(self) -> bool:
-        """Whether the PDAM fit found usable internal parallelism."""
-        return self.pdam is not None and self.pdam.parallelism >= PARALLEL_THRESHOLD
-
     def alpha_per_entry(self, entry_bytes: int) -> float:
         """Alpha in the paper's unit-size-entry convention."""
         if entry_bytes <= 0:
             raise ConfigurationError(f"entry_bytes must be positive, got {entry_bytes}")
         return self.alpha_per_byte * entry_bytes
 
-    def confident(self, min_r2: float = 0.98) -> bool:
+    def confident(self) -> bool:
         """Whether the affine fit clears the R² gate."""
-        return self.affine.r2 >= min_r2
+        return self.affine.r2 >= MIN_R2
 
 
 def _mean_by_size(sizes: Sequence[int], secs: Sequence[float]) -> tuple[list[int], list[float]]:
@@ -92,9 +82,7 @@ def _small_size_rel_err(sizes: Sequence[int], secs: Sequence[float], fit: Affine
     return max(errs)
 
 
-def fit_affine_probe(
-    probe: AffineProbe, *, min_r2: float = 0.98, max_small_rel_err: float = 0.25
-) -> AffineFit:
+def fit_affine_probe(probe: AffineProbe) -> AffineFit:
     """Table 2 regression over probe data, trimming out-of-regime sizes.
 
     Per-IO timings are first collapsed to a mean per ladder rung — the
@@ -122,8 +110,8 @@ def fit_affine_probe(
         except FitError:
             fit = None
         if fit is not None:
-            small_ok = _small_size_rel_err(sizes, secs, fit) <= max_small_rel_err
-            if fit.r2 >= min_r2 and small_ok:
+            small_ok = _small_size_rel_err(sizes, secs, fit) <= MAX_SMALL_REL_ERR
+            if fit.r2 >= MIN_R2 and small_ok:
                 return fit
             if best is None or fit.r2 > best.r2:
                 best = fit
@@ -140,40 +128,42 @@ def fit_affine_probe(
     return best
 
 
-def calibrate_device(
-    device: BlockDevice,
-    *,
-    io_sizes: tuple[int, ...] = DEFAULT_IO_SIZES,
-    reads_per_size: int = 48,
-    threads: tuple[int, ...] = DEFAULT_THREAD_RAMP,
-    bytes_per_thread: int = 4 << 20,
-    request_bytes: int = 64 << 10,
-    min_r2: float = 0.98,
-    seed: int = 0,
-) -> DeviceProfile:
-    """Full active calibration: probe -> fit, both model families.
+def calibrate_device(device: BlockDevice, *, seed: int = 0) -> DeviceProfile:
+    """Active calibration, doubling the sample count until confident.
 
-    The affine probe always runs (every device answers serial reads).  The
-    parallel ramp runs only on devices with a concurrent interface; a ramp
-    that never saturates (FitError) or fits a sub-threshold ``P`` yields
+    Noisy devices (a disk's rotational latency is uniform over a full
+    revolution) may need more than one round; each of up to
+    :data:`PROBE_ROUNDS` rounds probes afresh with twice the previous
+    round's reads per size (:data:`READS_PER_SIZE` first), so the sample
+    mean tightens.  The last round's profile is kept even if it misses
+    the gate — callers can check ``profile.confident()`` when they need
+    the distinction.
+    """
+    for round_idx in range(PROBE_ROUNDS):
+        profile = _calibrate_once(
+            device, READS_PER_SIZE << round_idx, seed + 101 * round_idx
+        )
+        if profile.confident():
+            break
+    return profile
+
+
+def _calibrate_once(device: BlockDevice, reads_per_size: int, seed: int) -> DeviceProfile:
+    """One calibration round: probe -> fit, both model families.
+
+    The affine probe (the default IO-size ladder) always runs: every
+    device answers serial reads.  The parallel ramp (the default thread
+    ramp) runs only on devices with a concurrent interface; a ramp that
+    never saturates (FitError) or fits a degenerate knee yields
     ``pdam=None`` rather than a bogus parameter.
     """
-    affine_probe = probe_affine(
-        device, io_sizes=io_sizes, reads_per_size=reads_per_size, seed=seed
-    )
-    affine = fit_affine_probe(affine_probe, min_r2=min_r2)
+    affine_probe = probe_affine(device, reads_per_size=reads_per_size, seed=seed)
+    affine = fit_affine_probe(affine_probe)
     probe_seconds = affine_probe.probe_seconds
     probe_ios = affine_probe.probe_ios
 
     pdam: PDAMFit | None = None
-    block: int | None = None
-    ramp = probe_parallel(
-        device,
-        threads=threads,
-        bytes_per_thread=bytes_per_thread,
-        request_bytes=request_bytes,
-        seed=seed + 1,
-    )
+    ramp = probe_parallel(device, seed=seed + 1)
     if ramp is not None:
         probe_seconds += ramp.probe_seconds
         probe_ios += ramp.probe_ios
@@ -187,76 +177,9 @@ def calibrate_device(
             fit = None
         if fit is not None and not fit.segmented.degenerate:
             pdam = fit
-            block = ramp.request_bytes
     return DeviceProfile(
         affine=affine,
         pdam=pdam,
         probe_seconds=probe_seconds,
         probe_ios=probe_ios,
-        source="probe",
-        parallel_block_bytes=block,
     )
-
-
-def refit_from_samples(
-    samples: Sequence[IOSample],
-    *,
-    min_samples: int = 16,
-    min_size_spread: float = 4.0,
-    min_r2: float = 0.9,
-    kind: str = "read",
-) -> AffineFit | None:
-    """Passive affine re-fit from an IO ring buffer; ``None`` if unusable.
-
-    Samples are collapsed to per-size means (as in active calibration).
-    Gating, in order: enough samples of the requested direction, at least
-    three distinct IO sizes, a size spread of at least ``min_size_spread``
-    between smallest and largest IO (a workload hammering one node size
-    carries no slope information), a successful positive-parameter fit,
-    and the R² floor.  The floor is
-    looser than active calibration's because live traffic is noisier than
-    a controlled ladder; callers wanting probe-grade confidence should
-    re-probe.
-    """
-    usable = [s for s in samples if s.kind == kind and s.nbytes > 0]
-    if len(usable) < min_samples:
-        return None
-    sizes, secs = _mean_by_size(
-        [s.nbytes for s in usable], [s.seconds for s in usable]
-    )
-    if len(sizes) < 3:
-        return None  # two points always fit perfectly; R² would be vacuous
-    lo, hi = sizes[0], sizes[-1]
-    if lo <= 0 or hi / lo < min_size_spread:
-        return None
-    try:
-        fit = fit_affine_model(sizes, secs, alpha_unit_bytes=1)
-    except FitError:
-        return None
-    if fit.r2 < min_r2:
-        return None
-    return fit
-
-
-def refit_profile(
-    profile: DeviceProfile,
-    device: BlockDevice,
-    *,
-    min_samples: int = 16,
-    min_r2: float = 0.9,
-) -> DeviceProfile | None:
-    """Refresh a profile's affine half from the device's passive sampler.
-
-    Keeps the PDAM half (parallelism does not drift with workload mix the
-    way effective setup cost does) and marks the result as trace-sourced.
-    Returns ``None`` when the sampler is off or its contents fail the
-    :func:`refit_from_samples` gates.
-    """
-    if device.sampler is None:
-        return None
-    fit = refit_from_samples(
-        device.sampler.samples(), min_samples=min_samples, min_r2=min_r2
-    )
-    if fit is None:
-        return None
-    return replace(profile, affine=fit, source="trace")

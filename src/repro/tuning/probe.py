@@ -12,8 +12,7 @@ Two probes, matching the two fits of Tables 1-2:
   serial (``None``).
 
 Probes issue real (simulated) IOs and therefore cost simulated device
-time; every probe result carries that cost so the autotuner can charge it
-against the predicted savings of a reconfiguration.
+time; every probe result carries that cost.
 """
 
 from __future__ import annotations

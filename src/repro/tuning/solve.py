@@ -1,9 +1,10 @@
-"""Turn a fitted device profile into a tree configuration.
+"""Turn a fitted device profile into a B-tree node size.
 
-This is the model-driven step of the loop: the closed-form/numeric optima
-of :mod:`repro.models.analysis` (Corollaries 6/7 for the B-tree, 11/12 and
-the mixed-workload generalization for the Bε-tree, Lemma 13 for parallel
-devices) evaluated at the *measured* ``alpha`` instead of an assumed one.
+This is the model-driven step of the loop: the Corollary 6/7 optimum of
+:mod:`repro.models.analysis` evaluated at the *measured* ``alpha``
+instead of an assumed one.  The workload it sizes for is serial point
+queries: one outstanding IO cannot use a parallel device's extra slots,
+so the serial optimum is the right choice on every device.
 
 All optimization happens in the paper's units — node size ``B`` and cache
 ``M`` in entries, ``alpha`` per entry — and is converted to bytes only at
@@ -12,52 +13,20 @@ the edge via :class:`~repro.trees.sizing.EntryFormat`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.models.analysis import (
-    btree_op_cost,
-    mixed_workload_cost,
-    optimal_btree_node_size,
-    optimal_mixed_betree_params,
-)
+from repro.models.analysis import btree_op_cost, optimal_btree_node_size
 from repro.trees.sizing import EntryFormat
 from repro.tuning.calibrate import DeviceProfile
-
-#: Node-size grid used for predicted cost curves (2 KiB .. 4 MiB).
-COST_CURVE_NODE_BYTES = tuple(2048 * 2**k for k in range(12))
 
 
 @dataclass(frozen=True)
 class Recommendation:
-    """One solved configuration, with the prediction that justified it."""
+    """One solved node size, with the prediction that justified it."""
 
-    tree: str                      # "btree" or "betree"
-    layout: str                    # "flat" or "veb"
     node_bytes: int
-    fanout: int | None             # Bε fanout F (None for the B-tree)
-    epsilon: float | None          # ln F / ln B_entries (None for the B-tree)
-    alpha_per_entry: float
     predicted_per_op_seconds: float
-    paper_anchor: str
-    cost_curve: tuple[tuple[int, float], ...]  # (node_bytes, predicted s/op)
-
-    def predicted_at(self, node_bytes: int) -> float:
-        """Predicted per-op seconds at the curve point nearest ``node_bytes``."""
-        if not self.cost_curve:
-            raise ConfigurationError("recommendation has no cost curve")
-        nearest = min(self.cost_curve, key=lambda p: abs(math.log(p[0] / node_bytes)))
-        return nearest[1]
-
-
-def _check_population(n_entries: float, cache_entries: float) -> None:
-    if n_entries <= cache_entries:
-        raise ConfigurationError(
-            f"tuning needs an out-of-cache tree: N={n_entries} <= M={cache_entries}"
-        )
-    if cache_entries <= 0:
-        raise ConfigurationError(f"cache_entries must be positive, got {cache_entries}")
 
 
 def solve_btree_node_entries(
@@ -70,64 +39,13 @@ def solve_btree_node_entries(
     ``argmin (1+alpha x)/ln(x+1)`` wherever both are interior optima; the
     clamp only matters for trees that nearly fit in cache.
     """
-    _check_population(n_entries, cache_entries)
+    if n_entries <= cache_entries:
+        raise ConfigurationError(
+            f"tuning needs an out-of-cache tree: N={n_entries} <= M={cache_entries}"
+        )
     if alpha_per_entry <= 0:
         raise ConfigurationError(f"alpha must be positive, got {alpha_per_entry}")
     return optimal_btree_node_size(alpha_per_entry)
-
-
-def solve_betree_params(
-    alpha_per_entry: float,
-    n_entries: float,
-    cache_entries: float,
-    *,
-    query_fraction: float = 0.5,
-    write_cost_multiplier: float = 1.0,
-) -> tuple[float, float]:
-    """Jointly optimal ``(F, B)`` in entries for the measured device/mix."""
-    _check_population(n_entries, cache_entries)
-    return optimal_mixed_betree_params(
-        alpha_per_entry,
-        n_entries,
-        cache_entries,
-        query_fraction=query_fraction,
-        write_cost_multiplier=write_cost_multiplier,
-    )
-
-
-def _entries_for_node_bytes(node_bytes: int, fmt: EntryFormat) -> float:
-    return max(2.0, (node_bytes - fmt.node_header_bytes) / fmt.entry_bytes)
-
-
-def _btree_curve(
-    alpha_e: float, n_entries: float, cache_entries: float,
-    setup_seconds: float, fmt: EntryFormat,
-) -> tuple[tuple[int, float], ...]:
-    curve = []
-    for nb in COST_CURVE_NODE_BYTES:
-        entries = _entries_for_node_bytes(nb, fmt)
-        cost = btree_op_cost(entries, alpha_e, n_entries, cache_entries)
-        curve.append((nb, setup_seconds * cost))
-    return tuple(curve)
-
-
-def _betree_curve(
-    F: float, alpha_e: float, n_entries: float, cache_entries: float,
-    setup_seconds: float, fmt: EntryFormat,
-    query_fraction: float, write_cost_multiplier: float,
-) -> tuple[tuple[int, float], ...]:
-    curve = []
-    for nb in COST_CURVE_NODE_BYTES:
-        entries = _entries_for_node_bytes(nb, fmt)
-        if entries <= F:
-            continue  # fanout would not fit this node size
-        cost = mixed_workload_cost(
-            entries, F, alpha_e, n_entries, cache_entries,
-            query_fraction=query_fraction,
-            write_cost_multiplier=write_cost_multiplier,
-        )
-        curve.append((nb, setup_seconds * cost))
-    return tuple(curve)
 
 
 def solve(
@@ -136,96 +54,19 @@ def solve(
     n_entries: int,
     cache_bytes: int,
     fmt: EntryFormat = EntryFormat(),
-    tree: str = "btree",
-    query_fraction: float = 1.0,
-    write_cost_multiplier: float = 1.0,
-    prefer_parallel_layout: bool = True,
 ) -> Recommendation:
-    """Recommend a configuration for ``tree`` on the profiled device.
+    """Corollaries 6/7: the B-tree node size for the profiled device.
 
-    B-tree on a serial device: Corollary 6/7 node size at the fitted
-    alpha.  B-tree on a device whose PDAM fit found parallelism: Lemma 13's
-    ``PB``-sized nodes in vEB layout (every concurrency level is then
-    within a constant of optimal).  Bε-tree: the mixed-workload
-    generalization of Corollaries 11/12, weighting queries against inserts
-    and any read/write asymmetry.
+    The optimum is ``Theta(1/(alpha ln(1/alpha)))`` entries, below the
+    half-bandwidth point.
     """
-    if tree not in ("btree", "betree"):
-        raise ConfigurationError(f"unknown tree family {tree!r}")
     cache_entries = max(1.0, cache_bytes / fmt.entry_bytes)
     alpha_e = profile.alpha_per_entry(fmt.entry_bytes)
-    s = profile.setup_seconds
-
-    if tree == "btree":
-        curve = _btree_curve(alpha_e, n_entries, cache_entries, s, fmt)
-        if profile.is_parallel and prefer_parallel_layout:
-            assert profile.pdam is not None and profile.parallel_block_bytes
-            pb = max(1, round(profile.pdam.parallelism)) * profile.parallel_block_bytes
-            entries = _entries_for_node_bytes(pb, fmt)
-            predicted = s * btree_op_cost(entries, alpha_e, n_entries, cache_entries)
-            return Recommendation(
-                tree="btree",
-                layout="veb",
-                node_bytes=int(pb),
-                fanout=None,
-                epsilon=None,
-                alpha_per_entry=alpha_e,
-                predicted_per_op_seconds=predicted,
-                paper_anchor=(
-                    "Lemma 13: PB-sized nodes in van Emde Boas layout serve "
-                    "every k <= P concurrency level within a constant of optimal"
-                ),
-                cost_curve=curve,
-            )
-        entries = solve_btree_node_entries(alpha_e, n_entries, cache_entries)
-        node_bytes = fmt.leaf_bytes(max(2, round(entries)))
-        predicted = s * btree_op_cost(
-            max(2.0, entries), alpha_e, n_entries, cache_entries
-        )
-        return Recommendation(
-            tree="btree",
-            layout="flat",
-            node_bytes=node_bytes,
-            fanout=None,
-            epsilon=None,
-            alpha_per_entry=alpha_e,
-            predicted_per_op_seconds=predicted,
-            paper_anchor=(
-                "Corollaries 6/7: optimal B-tree node size is "
-                "Theta(1/(alpha ln(1/alpha))), below the half-bandwidth point"
-            ),
-            cost_curve=curve,
-        )
-
-    F, B = solve_betree_params(
-        alpha_e,
-        n_entries,
-        cache_entries,
-        query_fraction=query_fraction,
-        write_cost_multiplier=write_cost_multiplier,
+    entries = solve_btree_node_entries(alpha_e, n_entries, cache_entries)
+    predicted = profile.setup_seconds * btree_op_cost(
+        max(2.0, entries), alpha_e, n_entries, cache_entries
     )
-    node_bytes = fmt.leaf_bytes(max(2, round(B)))
-    fanout = max(2, round(F))
-    predicted = s * mixed_workload_cost(
-        max(2.0, B), max(2.0, F), alpha_e, n_entries, cache_entries,
-        query_fraction=query_fraction,
-        write_cost_multiplier=write_cost_multiplier,
-    )
-    epsilon = math.log(max(2.0, F)) / math.log(max(4.0, B))
     return Recommendation(
-        tree="betree",
-        layout="flat",
-        node_bytes=node_bytes,
-        fanout=fanout,
-        epsilon=epsilon,
-        alpha_per_entry=alpha_e,
+        node_bytes=fmt.leaf_bytes(max(2, round(entries))),
         predicted_per_op_seconds=predicted,
-        paper_anchor=(
-            "Corollaries 11/12 + Section 3 asymmetry: fanout/node size from "
-            "the mixed-workload argmin at the fitted alpha"
-        ),
-        cost_curve=_betree_curve(
-            max(2.0, F), alpha_e, n_entries, cache_entries, s, fmt,
-            query_fraction, write_cost_multiplier,
-        ),
     )

@@ -1,16 +1,10 @@
 """Workload generation: key distributions and operation streams."""
 
-from repro.workloads.distributions import (
-    UniformKeys,
-    ZipfKeys,
-    SequentialKeys,
-    ClusteredKeys,
-)
+from repro.workloads.distributions import ZipfKeys
 from repro.workloads.generators import (
     Operation,
     OpKind,
     random_load_pairs,
-    sorted_load_pairs,
     point_query_stream,
     insert_stream,
     mixed_stream,
@@ -18,14 +12,10 @@ from repro.workloads.generators import (
 )
 
 __all__ = [
-    "UniformKeys",
     "ZipfKeys",
-    "SequentialKeys",
-    "ClusteredKeys",
     "Operation",
     "OpKind",
     "random_load_pairs",
-    "sorted_load_pairs",
     "point_query_stream",
     "insert_stream",
     "mixed_stream",

@@ -1,10 +1,10 @@
-"""Key distributions for workload generation.
+"""Skewed keys for workload generation.
 
-All generators are deterministic given their seed and draw from a fixed
-key universe ``[0, universe)``.  The paper's Section 7 benchmark uses
-uniform random keys; Zipf and clustered distributions are provided for the
-extension experiments (skew changes cache behaviour, not the IO cost model,
-which is a useful sanity axis).
+The paper's Section 7 benchmark uses uniform random keys
+(:mod:`repro.workloads.generators`); the Zipf distribution here serves
+the extension experiments (skew changes cache behaviour, not the IO cost
+model, which is a useful sanity axis).  It is deterministic given its
+seed and draws from a fixed key universe ``[0, universe)``.
 """
 
 from __future__ import annotations
@@ -14,28 +14,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 
-class _KeyDistribution:
-    """Base: deterministic stream of keys from ``[0, universe)``."""
-
-    def __init__(self, universe: int, seed: int = 0) -> None:
-        if universe <= 0:
-            raise ConfigurationError(f"universe must be positive, got {universe}")
-        self.universe = int(universe)
-        self._rng = np.random.default_rng(seed)
-
-    def sample(self, n: int) -> np.ndarray:
-        """Draw ``n`` keys (dtype int64)."""
-        raise NotImplementedError
-
-
-class UniformKeys(_KeyDistribution):
-    """Uniform random keys — the paper's Section 7 workload."""
-
-    def sample(self, n: int) -> np.ndarray:
-        return self._rng.integers(0, self.universe, size=n, dtype=np.int64)
-
-
-class ZipfKeys(_KeyDistribution):
+class ZipfKeys:
     """Zipf-skewed keys: rank ``r`` drawn with probability ``~ 1/r^theta``.
 
     Ranks are scattered over the universe with a seeded bijection of
@@ -50,7 +29,10 @@ class ZipfKeys(_KeyDistribution):
     """
 
     def __init__(self, universe: int, seed: int = 0, theta: float = 1.2) -> None:
-        super().__init__(universe, seed)
+        if universe <= 0:
+            raise ConfigurationError(f"universe must be positive, got {universe}")
+        self.universe = int(universe)
+        self._rng = np.random.default_rng(seed)
         if theta <= 1.0:
             raise ConfigurationError(f"theta must exceed 1 for numpy zipf, got {theta}")
         self.theta = float(theta)
@@ -99,43 +81,8 @@ class ZipfKeys(_KeyDistribution):
         return out.astype(np.int64)
 
     def sample(self, n: int) -> np.ndarray:
+        """Draw ``n`` keys (dtype int64)."""
         ranks = self._rng.zipf(self.theta, size=n).astype(np.uint64)
         # Fold the unbounded zipf ranks (>= 1) into the universe, then
         # scatter; distinct in-range ranks stay distinct keys.
         return self.scatter((ranks - np.uint64(1)) % np.uint64(self.universe))
-
-
-class SequentialKeys(_KeyDistribution):
-    """Strictly increasing keys with a fixed stride (bulk-load order)."""
-
-    def __init__(self, universe: int, seed: int = 0, stride: int = 1) -> None:
-        super().__init__(universe, seed)
-        if stride <= 0:
-            raise ConfigurationError(f"stride must be positive, got {stride}")
-        self.stride = int(stride)
-        self._next = 0
-
-    def sample(self, n: int) -> np.ndarray:
-        out = self._next + self.stride * np.arange(n, dtype=np.int64)
-        self._next = int(out[-1]) + self.stride
-        if self._next > self.universe:
-            raise ConfigurationError("sequential stream exhausted its universe")
-        return out
-
-
-class ClusteredKeys(_KeyDistribution):
-    """Keys clustered around random hot spots (models temporal locality)."""
-
-    def __init__(
-        self, universe: int, seed: int = 0, clusters: int = 16, spread: int = 1024
-    ) -> None:
-        super().__init__(universe, seed)
-        if clusters <= 0 or spread <= 0:
-            raise ConfigurationError("clusters and spread must be positive")
-        self.centers = self._rng.integers(0, universe, size=clusters, dtype=np.int64)
-        self.spread = int(spread)
-
-    def sample(self, n: int) -> np.ndarray:
-        centers = self._rng.choice(self.centers, size=n)
-        offsets = self._rng.integers(-self.spread, self.spread + 1, size=n)
-        return np.clip(centers + offsets, 0, self.universe - 1).astype(np.int64)

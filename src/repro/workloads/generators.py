@@ -79,13 +79,6 @@ def random_load_pairs(n: int, universe: int, seed: int = 0) -> list[tuple[int, i
     return list(zip(uniq.tolist(), values.tolist()))
 
 
-def sorted_load_pairs(n: int, stride: int = 2, seed: int = 0) -> list[tuple[int, int]]:
-    """``n`` evenly spaced keys (a fully sequential load)."""
-    if n <= 0 or stride <= 0:
-        raise ConfigurationError("n and stride must be positive")
-    return [(i * stride, _value_for(i * stride)) for i in range(n)]
-
-
 def point_query_stream(
     loaded_keys: list[int], n_ops: int, seed: int = 0, hit_fraction: float = 1.0
 ) -> Iterator[int]:

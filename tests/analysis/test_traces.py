@@ -8,8 +8,6 @@ from repro.errors import ConfigurationError
 from repro.analysis.traces import (
     io_size_histogram,
     summarize_trace,
-    trace_from_csv,
-    trace_to_csv,
 )
 from repro.storage.device import IORecord
 from repro.storage.ram import ConstantLatencyDevice
@@ -28,7 +26,6 @@ class TestSummarize:
         assert s.mean_io_bytes == 150
         assert s.max_io_bytes == 200
         assert s.busy_seconds == pytest.approx(2.0)
-        assert s.read_fraction == 0.5
 
     def test_sequentiality(self):
         trace = [rec("read", 0, 100), rec("read", 100, 100), rec("read", 500, 100)]
@@ -81,37 +78,6 @@ class TestHistogram:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             io_size_histogram([])
-
-
-class TestCSVRoundtrip:
-    def test_roundtrip_exact(self):
-        trace = [rec("read", 0, 100), rec("write", 4096, 8192, start=1.25, dur=0.125)]
-        back = trace_from_csv(trace_to_csv(trace))
-        assert back == trace
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ConfigurationError):
-            trace_from_csv("a,b,c\n1,2,3\n")
-
-    def test_bad_kind_rejected(self):
-        text = "kind,offset,nbytes,start,end\nerase,0,100,0.0,1.0\n"
-        with pytest.raises(ConfigurationError):
-            trace_from_csv(text)
-
-    def test_inconsistent_times_rejected(self):
-        text = "kind,offset,nbytes,start,end\nread,0,100,5.0,1.0\n"
-        with pytest.raises(ConfigurationError):
-            trace_from_csv(text)
-
-    def test_row_width_rejected(self):
-        text = "kind,offset,nbytes,start,end\nread,0,100\n"
-        with pytest.raises(ConfigurationError):
-            trace_from_csv(text)
-
-    def test_float_precision_preserved(self):
-        trace = [rec("read", 0, 1, start=0.1 + 0.2)]  # 0.30000000000000004
-        back = trace_from_csv(trace_to_csv(trace))
-        assert back[0].start == trace[0].start
 
 
 class TestOnRealWorkload:

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.report import (
     format_bytes,
-    format_seconds,
     render_series,
     render_table,
 )
@@ -19,13 +18,6 @@ class TestFormatters:
     )
     def test_format_bytes(self, nbytes, expected):
         assert format_bytes(nbytes) == expected
-
-    @pytest.mark.parametrize(
-        "seconds,expected",
-        [(2.5, "2.5s"), (0.012, "12ms"), (4e-5, "40us")],
-    )
-    def test_format_seconds(self, seconds, expected):
-        assert format_seconds(seconds) == expected
 
 
 class TestRenderTable:

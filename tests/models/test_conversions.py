@@ -8,10 +8,8 @@ from repro.models.conversions import (
     affine_cost,
     affine_cost_of_dam_algorithm,
     dam_cost_of_affine_algorithm,
-    dam_model_for,
     half_bandwidth_point,
 )
-from repro.models.affine import AffineModel
 
 
 class TestHalfBandwidthPoint:
@@ -21,12 +19,6 @@ class TestHalfBandwidthPoint:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ConfigurationError):
             half_bandwidth_point(0)
-
-    def test_dam_model_for(self):
-        m = AffineModel(alpha=0.001, setup_seconds=0.02)
-        dam = dam_model_for(m)
-        assert dam.block_bytes == 1000
-        assert dam.setup_seconds == 0.02
 
 
 class TestLemma1:

@@ -1,6 +1,6 @@
 """Goldens: runner-migrated experiments are byte-identical at any job count.
 
-The golden files pin the *rendered report text* of small E3 and E6
+The golden files pin the *rendered report text* of small E3, E6 and E17
 configurations.  Each test runs the experiment twice — serially and with
 four workers — and compares both outputs byte-for-byte against the
 checked-in golden, so a change that perturbs numbers, ordering, or
@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import exp_affine_validation as e3
+from repro.experiments import exp_autotune as e17
 from repro.experiments import exp_betree_nodesize as e6
 from repro.runner import ResultCache
 
@@ -45,9 +46,22 @@ E6_KWARGS = dict(
     seed=0,
 )
 
+# One disk and one SSD, three node sizes: the whole autotune loop (probe,
+# fit with its R² retries, solve, rebuild) in about a second.
+E17_KWARGS = dict(
+    node_sizes=(4096, 65536, 1 << 20),
+    n_entries=20_000,
+    cache_bytes=1 << 20,
+    n_queries=30,
+    warmup_queries=50,
+    devices=("wd-black-1tb-2011-sim", "samsung-970-pro-sim"),
+    seed=0,
+)
+
 CASES = {
     "e3_affine_validation.txt": (e3.run, E3_KWARGS),
     "e6_betree_nodesize.txt": (e6.run, E6_KWARGS),
+    "e17_autotune.txt": (e17.run, E17_KWARGS),
 }
 
 
@@ -62,15 +76,20 @@ def test_serial_and_parallel_match_golden(golden_name):
 
 
 def test_cached_rerun_matches_golden(tmp_path):
-    """A warm-cache rerun reproduces the golden byte-for-byte too."""
-    run, kwargs = CASES["e3_affine_validation.txt"]
-    golden = (GOLDEN_DIR / "e3_affine_validation.txt").read_text()
-    cache = ResultCache(tmp_path)
-    cold = run(**kwargs, cache=cache).render() + "\n"
-    warm = run(**kwargs, cache=cache).render() + "\n"
-    assert cold == golden
-    assert warm == golden
-    assert cache.hits == len(kwargs["devices"])
+    """A warm-cache rerun reproduces the golden byte-for-byte too.
+
+    E17's points pickle a fitted device profile, so its case also checks
+    that a cached profile renders as a fresh one does.
+    """
+    for name in ("e3_affine_validation.txt", "e17_autotune.txt"):
+        run, kwargs = CASES[name]
+        golden = (GOLDEN_DIR / name).read_text()
+        cache = ResultCache(tmp_path / name)
+        cold = run(**kwargs, cache=cache).render() + "\n"
+        warm = run(**kwargs, cache=cache).render() + "\n"
+        assert cold == golden
+        assert warm == golden
+        assert cache.hits == len(kwargs["devices"])
 
 
 def _regen() -> None:

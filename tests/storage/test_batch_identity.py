@@ -1,13 +1,13 @@
 """Scalar-vs-batched byte-identity across every device model.
 
 The batched IO contract (docs/architecture.md): ``read_batch`` is
-*semantically invisible* — clock, stats, trace, sampler, and the HDD's
+*semantically invisible* — clock, stats, trace, and the HDD's
 rotation-stream cursor must match a serial loop of ``read`` bit for bit,
 whatever reads or writes came before it.  These tests enforce that with exact
 float equality (no ``approx``) on every kind in :data:`repro.storage.KINDS`,
 plus the fault wrapper in both its transparent and perturbed
 configurations, and with observability both off and on.  Every device is
-built tracing and sampling, so both are part of what is compared.
+built tracing, so the trace is part of what is compared.
 """
 
 import copy
@@ -39,20 +39,14 @@ OFFSETS = [512, 1 << 20, 4096, 2 << 20, 4096 + 65536, 1 << 24]
 NBYTES = 4096
 
 
-def _observed(dev):
-    """``dev`` with its passive sampler on (every factory also traces)."""
-    dev.enable_sampling()
-    return dev
-
-
 #: Branches a kind's defaults leave off, switched on so the batch must match them too.
 SWITCHED_ON = {"affine": dict(sequential_detection=True, write_multiplier=2.5)}
 
 
 def device(kind, seed=3):
-    """A fresh 1 GiB device of registry ``kind``, tracing and sampling."""
+    """A fresh 1 GiB device of registry ``kind``, tracing."""
     fields = SWITCHED_ON.get(kind, {})
-    return _observed(storage.build(kind, seed=seed, trace=True, capacity_bytes=1 << 30, **fields))
+    return storage.build(kind, seed=seed, trace=True, capacity_bytes=1 << 30, **fields)
 
 
 def hdd(seed=3):
@@ -64,17 +58,15 @@ def ssd():
 
 
 def faulty_transparent():
-    return _observed(FaultyDevice(hdd(seed=7), FaultPlan(seed=11), trace=True))
+    return FaultyDevice(hdd(seed=7), FaultPlan(seed=11), trace=True)
 
 
 def faulty_perturbed():
-    return _observed(
-        FaultyDevice(
-            hdd(seed=7),
-            FaultPlan(seed=11, spike_prob=0.5, spike_seconds=0.01, error_prob=0.2),
-            policy=ResiliencePolicy.retry(max_retries=4, timeout_seconds=10.0),
-            trace=True,
-        )
+    return FaultyDevice(
+        hdd(seed=7),
+        FaultPlan(seed=11, spike_prob=0.5, spike_seconds=0.01, error_prob=0.2),
+        policy=ResiliencePolicy.retry(max_retries=4, timeout_seconds=10.0),
+        trace=True,
     )
 
 
@@ -97,7 +89,6 @@ def _state(dev):
         "clock": dev.clock,
         "stats": vars(dev.stats).copy(),
         "trace": list(dev.trace),
-        "samples": dev.sampler.samples(),
     }
     if isinstance(dev, SimulatedHDD):
         state["head"] = dev.head_position
@@ -188,9 +179,7 @@ def test_transient_error_mid_batch_identical_to_serial_loop():
     # must raise at the IO the serial loop raises at, with the IOs before
     # it charged and nothing after it touched.
     def make():
-        return _observed(
-            FaultyDevice(hdd(seed=7), FaultPlan(seed=4, error_prob=0.3), trace=True)
-        )
+        return FaultyDevice(hdd(seed=7), FaultPlan(seed=4, error_prob=0.3), trace=True)
 
     ref, dev = make(), make()
     with pytest.raises(TransientIOError):
@@ -241,7 +230,7 @@ class TestCrashInBatch:
             if perturbed
             else FaultPlan(seed=11)
         )
-        dev = _observed(FaultyDevice(hdd(seed=7), plan, trace=True))
+        dev = FaultyDevice(hdd(seed=7), plan, trace=True)
         dev.arm_crash(CrashPlan(seed=5, at_io=at_io, torn=True))
         return dev
 

@@ -89,51 +89,3 @@ class TestTrace:
         assert r.kind == "read" and r.offset == 0 and r.nbytes == 10
         assert r.duration == pytest.approx(2.0)
         assert w.kind == "write" and w.start == pytest.approx(2.0)
-
-
-class TestIOSampler:
-    def test_sampling_off_by_default(self):
-        dev = ConstantLatencyDevice(1.0)
-        dev.read(0, 10)
-        assert dev.sampler is None
-
-    def test_enable_records_reads_and_writes(self):
-        dev = ConstantLatencyDevice(1.0)
-        sampler = dev.enable_sampling()
-        dev.read(0, 10)
-        dev.write(100, 20)
-        assert len(sampler) == 2
-        r, w = sampler.samples()
-        assert r.kind == "read" and r.nbytes == 10 and r.seconds == pytest.approx(1.0)
-        assert w.kind == "write" and w.nbytes == 20
-
-    def test_kind_filter(self):
-        dev = ConstantLatencyDevice(1.0)
-        sampler = dev.enable_sampling()
-        dev.read(0, 10)
-        dev.write(0, 20)
-        assert [s.kind for s in sampler.samples(kind="read")] == ["read"]
-
-    def test_ring_buffer_caps_capacity(self):
-        dev = ConstantLatencyDevice(0.0)
-        sampler = dev.enable_sampling(capacity=4)
-        for i in range(10):
-            dev.read(0, i + 1)
-        assert len(sampler) == 4
-        # Oldest samples fell out; the newest four remain.
-        assert [s.nbytes for s in sampler.samples()] == [7, 8, 9, 10]
-
-    def test_disable_stops_recording(self):
-        dev = ConstantLatencyDevice(0.0)
-        dev.enable_sampling()
-        dev.read(0, 10)
-        dev.disable_sampling()
-        dev.read(0, 10)
-        assert dev.sampler is None
-
-    def test_reset_clears_samples(self):
-        dev = ConstantLatencyDevice(0.0)
-        sampler = dev.enable_sampling()
-        dev.read(0, 10)
-        dev.reset()
-        assert len(sampler) == 0

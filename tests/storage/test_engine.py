@@ -183,14 +183,6 @@ class TestValueErrorContract:
         with pytest.raises(ValueError):
             ResourcePool(-3)
 
-    def test_iosampler_nonpositive_capacity_is_valueerror(self):
-        from repro.storage.device import IOSampler
-
-        with pytest.raises(ValueError):
-            IOSampler(0)
-        with pytest.raises(ValueError):
-            IOSampler(-1)
-
 
 class TestRunnerEdgeCases:
     """ISSUE satellite: ClosedLoopRunner corner cases."""

@@ -162,17 +162,14 @@ class TestReadBatch:
             hdd.read_batch([0, hdd.capacity_bytes], 4096)
         assert hdd.stats.reads == 0 and hdd.clock == 0.0
 
-    def test_trace_and_sampler_match_serial(self):
+    def test_trace_matches_serial(self):
         offsets = [512, 1 << 20, 4096]
         ref_hdd = SimulatedHDD(HDDGeometry(capacity_bytes=1 << 30), seed=2, trace=True)
-        ref_hdd.enable_sampling()
         for off in offsets:
             ref_hdd.read(off, 4096)
         hdd = SimulatedHDD(HDDGeometry(capacity_bytes=1 << 30), seed=2, trace=True)
-        hdd.enable_sampling()
         hdd.read_batch(offsets, 4096)
         assert hdd.trace == ref_hdd.trace
-        assert hdd.sampler.samples() == ref_hdd.sampler.samples()
 
 
 def test_describe_identifies_timing_behavior():

@@ -110,13 +110,37 @@ class TestAddressMapping:
         assert self._pages_per_die(ssd) == [1, 1, 0, 0]
 
     def test_round_robin_die_assignment(self):
+        # Eight one-stripe reads, one after another: stripe i is charged
+        # to die i mod 4, and each die is free again 16 page reads after
+        # its last stripe's read was issued.
         ssd = make()
-        dies = [ssd.die_of_stripe(i) for i in range(8)]
-        assert dies == [0, 1, 2, 3, 0, 1, 2, 3]
+        g = ssd.geometry
+        charged, issued = [], {}
+        for stripe in range(8):
+            before = self._pages_per_die(ssd)
+            issued[stripe % 4] = ssd.clock
+            ssd.read(stripe * g.stripe_bytes, g.stripe_bytes)
+            grew = [a - b for a, b in zip(self._pages_per_die(ssd), before)]
+            charged.append(grew.index(16))
+            assert sorted(grew) == [0, 0, 0, 16]
+        assert charged == [0, 1, 2, 3, 0, 1, 2, 3]
+        assert self._pages_per_die(ssd) == [32, 32, 32, 32]
+        for die, start in issued.items():
+            assert ssd._dies[die].available_at == pytest.approx(
+                start + 16 * g.page_read_seconds
+            )
 
     def test_channel_of_die(self):
-        ssd = make()
-        assert {ssd.channel_of_die(d) for d in range(4)} == {0, 1}
+        # A stripe's pages cross the bus of channel ``die mod 2``: dies 0
+        # and 2 share channel 0, dies 1 and 3 channel 1.
+        t_xfer = make().geometry.channel_transfer_seconds
+        for die in range(4):
+            ssd = make()
+            ssd.read(die * ssd.geometry.stripe_bytes, ssd.geometry.stripe_bytes)
+            busy = [ch.busy_seconds for ch in ssd._channels]
+            expected = [0.0, 0.0]
+            expected[die % 2] = 16 * t_xfer
+            assert busy == pytest.approx(expected), die
 
 
 class TestTiming:

@@ -1,6 +1,4 @@
-"""Migration: bulk rebuild, incremental slab migration, payback rule."""
-
-import math
+"""Migration: the bulk rebuild."""
 
 import pytest
 
@@ -9,12 +7,7 @@ from repro.models.affine import AffineModel
 from repro.storage.ideal import AffineDevice
 from repro.storage.stack import StorageStack
 from repro.trees.btree import BTree, BTreeConfig
-from repro.tuning import (
-    IncrementalMigrator,
-    MigrationReport,
-    migration_pays_off,
-    rebuild_tree,
-)
+from repro.tuning import rebuild_tree
 
 UNIVERSE = 1 << 20
 
@@ -36,37 +29,6 @@ def loaded_tree(n=2000, node_bytes=4096, seed=0, device=None):
     return tree, dict(pairs)
 
 
-class TestPaybackRule:
-    def test_payback_point(self):
-        report = MigrationReport(
-            migration_seconds=10.0, entries_moved=0, mode="bulk",
-            old_per_op_seconds=3e-3, new_per_op_seconds=1e-3,
-        )
-        assert report.payback_ops() == pytest.approx(5000.0)
-        assert report.pays_off_within(5001)
-        assert not report.pays_off_within(4999)
-
-    def test_no_saving_never_pays(self):
-        report = MigrationReport(
-            migration_seconds=10.0, entries_moved=0, mode="bulk",
-            old_per_op_seconds=1e-3, new_per_op_seconds=1e-3,
-        )
-        assert report.payback_ops() == math.inf
-
-    def test_missing_estimates_never_pay(self):
-        report = MigrationReport(migration_seconds=10.0, entries_moved=0, mode="bulk")
-        assert report.payback_ops() == math.inf
-
-    def test_standalone_rule(self):
-        assert migration_pays_off(10.0, 3e-3, 1e-3, 10_000)
-        assert not migration_pays_off(10.0, 3e-3, 1e-3, 100)
-
-    def test_bad_horizon_rejected(self):
-        report = MigrationReport(migration_seconds=1.0, entries_moved=0, mode="bulk")
-        with pytest.raises(ConfigurationError):
-            report.pays_off_within(0)
-
-
 class TestBulkRebuild:
     def test_contents_preserved(self):
         old, reference = loaded_tree()
@@ -74,7 +36,6 @@ class TestBulkRebuild:
         assert len(new) == len(reference)
         for key, value in list(reference.items())[::97]:
             assert new.get(key) == value
-        assert report.mode == "bulk"
         assert report.entries_moved == len(reference)
 
     def test_migration_io_is_charged(self):
@@ -104,78 +65,3 @@ class TestBulkRebuild:
         full.insert(1, "x")
         with pytest.raises(ConfigurationError):
             rebuild_tree(old, lambda: full)
-
-
-class TestIncrementalMigrator:
-    def make(self, n=1500, n_slabs=8, writes_per_step=16):
-        old, reference = loaded_tree(n=n)
-        new = make_tree(device=old.storage.device, node_bytes=65536)
-        mig = IncrementalMigrator(
-            old, new, universe=UNIVERSE, n_slabs=n_slabs,
-            writes_per_step=writes_per_step,
-        )
-        return mig, reference
-
-    def test_run_to_completion_moves_everything(self):
-        mig, reference = self.make()
-        report = mig.run_to_completion()
-        assert mig.done
-        assert report.entries_moved == len(reference)
-        assert report.migration_seconds > 0
-        assert len(mig.new) == len(reference)
-
-    def test_reads_routed_correctly_mid_migration(self):
-        mig, reference = self.make()
-        keys = sorted(reference)
-        mig.migrate_next_slab()
-        mig.migrate_next_slab()
-        frontier = mig.frontier
-        assert frontier is not None
-        # Spot-check keys on both sides of the frontier.
-        below = [k for k in keys if k <= frontier][::53]
-        above = [k for k in keys if k > frontier][::53]
-        for k in below + above:
-            assert mig.get(k) == reference[k]
-
-    def test_range_stitched_at_frontier(self):
-        mig, reference = self.make()
-        mig.migrate_next_slab()
-        frontier = mig.frontier
-        lo, hi = frontier - 5000, frontier + 5000
-        expected = sorted((k, v) for k, v in reference.items() if lo <= k <= hi)
-        assert mig.range(lo, hi) == expected
-        assert mig.range(10, 5) == []
-
-    def test_writes_drive_migration_steps(self):
-        mig, _ = self.make(writes_per_step=4)
-        assert mig.frontier is None
-        for i in range(8):
-            mig.insert(UNIVERSE - 1 - i, "w")
-        # 8 routed writes at 4 per step -> two slabs migrated.
-        assert mig._next_slab == 2
-
-    def test_inserts_above_frontier_picked_up_later(self):
-        mig, reference = self.make(writes_per_step=10**9)  # no auto-steps
-        mig.migrate_next_slab()
-        key = UNIVERSE - 7  # far above the frontier -> routed to old tree
-        mig.insert(key, "late")
-        report = mig.run_to_completion()
-        assert mig.new.get(key) == "late"
-        assert report.entries_moved == len(reference) + 1
-
-    def test_len_counts_each_entry_once(self):
-        mig, reference = self.make()
-        assert len(mig) == len(reference)
-        mig.migrate_next_slab()
-        assert len(mig) == len(reference)
-
-    def test_validation(self):
-        old, _ = loaded_tree(n=50)
-        new = make_tree(device=old.storage.device)
-        with pytest.raises(ConfigurationError):
-            IncrementalMigrator(old, new, universe=0)
-        with pytest.raises(ConfigurationError):
-            IncrementalMigrator(old, new, universe=10, n_slabs=0)
-        new.insert(1, "x")
-        with pytest.raises(ConfigurationError):
-            IncrementalMigrator(old, new, universe=10)

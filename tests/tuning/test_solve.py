@@ -1,9 +1,9 @@
 """Property tests: the solver matches brute-force argmin of the models.
 
 The acceptance contract of :mod:`repro.tuning.solve`: across the alpha
-range [1e-4, 1e-1] (per entry) and workload mix weights {0, 0.5, 1}, the
-configuration the solver returns achieves a model cost within a whisker of
-the best cost a dense brute-force grid over the same domain finds.  Cost
+range [1e-4, 1e-1] (per entry), the node size the solver returns achieves
+a model cost within a whisker of the best cost a dense brute-force grid
+over the same domain finds.  Cost
 match (not argmin-position match) is the right property: the cost curves
 are flat near their optima, so two far-apart configurations can tie.
 """
@@ -12,14 +12,9 @@ import math
 
 import pytest
 
-from repro.analysis.fitting import AffineFit, PDAMFit
-from repro.analysis.regression import LinearFit, SegmentedFit
+from repro.analysis.fitting import AffineFit
 from repro.errors import ConfigurationError
-from repro.models.analysis import (
-    btree_op_cost,
-    mixed_workload_cost,
-    optimal_mixed_betree_params,
-)
+from repro.models.analysis import btree_op_cost
 from repro.tuning import DeviceProfile, solve
 from repro.tuning.solve import solve_btree_node_entries
 
@@ -28,7 +23,6 @@ from repro.tuning.solve import solve_btree_node_entries
 # its docstring scopes out trees that nearly fit in cache).
 N, M = 1e9, 1e3
 ALPHAS = [1e-4, 1e-3, 1e-2, 1e-1]
-WEIGHTS = [0.0, 0.5, 1.0]
 
 
 def _log_grid(lo, hi, n=400):
@@ -36,7 +30,7 @@ def _log_grid(lo, hi, n=400):
     return [math.exp(math.log(lo) + i * step) for i in range(n)]
 
 
-def profile_for(alpha_per_entry, *, entry_bytes=108, s=0.004, pdam=None, block=None):
+def profile_for(alpha_per_entry, *, entry_bytes=108, s=0.004):
     """A synthetic DeviceProfile whose per-entry alpha is exact."""
     alpha_per_byte = alpha_per_entry / entry_bytes
     affine = AffineFit(
@@ -46,10 +40,7 @@ def profile_for(alpha_per_entry, *, entry_bytes=108, s=0.004, pdam=None, block=N
         alpha_unit_bytes=1,
         r2=1.0,
     )
-    return DeviceProfile(
-        affine=affine, pdam=pdam, probe_seconds=0.0, probe_ios=0,
-        source="probe", parallel_block_bytes=block,
-    )
+    return DeviceProfile(affine=affine, pdam=None, probe_seconds=0.0, probe_ios=0)
 
 
 class TestBTreeSolveMatchesBruteForce:
@@ -67,105 +58,18 @@ class TestBTreeSolveMatchesBruteForce:
         assert solve_btree_node_entries(alpha, N, M) < 1.0 / alpha
 
 
-class TestBeTreeSolveMatchesBruteForce:
-    @pytest.mark.parametrize("alpha", ALPHAS)
-    @pytest.mark.parametrize("w", WEIGHTS)
-    def test_cost_at_solver_argmin_is_grid_minimum(self, alpha, w):
-        F, B = optimal_mixed_betree_params(alpha, N, M, query_fraction=w)
-        solver_cost = mixed_workload_cost(B, F, alpha, N, M, query_fraction=w)
-        cap = 10.0 / alpha
-        grid_cost = min(
-            mixed_workload_cost(b, f, alpha, N, M, query_fraction=w)
-            for f in _log_grid(2.0, max(4.0, math.sqrt(cap)), n=60)
-            for b in _log_grid(f * 1.01, cap, n=60)
-        )
-        # The solver refines past the grid, so it may be slightly better;
-        # it must never be more than 2% worse.
-        assert solver_cost <= grid_cost * 1.02
-
-    @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_fanout_within_node(self, alpha):
-        for w in WEIGHTS:
-            F, B = optimal_mixed_betree_params(alpha, N, M, query_fraction=w)
-            assert 2.0 <= F < B
-
-    def test_query_only_mix_prefers_larger_fanout_than_insert_only(self):
-        alpha = 1e-3
-        F_query, _ = optimal_mixed_betree_params(alpha, N, M, query_fraction=1.0)
-        F_insert, _ = optimal_mixed_betree_params(alpha, N, M, query_fraction=0.0)
-        assert F_query > F_insert
-
-
 class TestRecommendations:
     def test_btree_serial_recommendation_matches_solver(self):
         alpha = 1e-2
         profile = profile_for(alpha)
         rec = solve(profile, n_entries=int(N), cache_bytes=int(M) * 108)
         entries = solve_btree_node_entries(alpha, N, M)
-        assert rec.tree == "btree" and rec.layout == "flat"
         assert rec.node_bytes == pytest.approx(entries * 108, rel=0.05)
-        assert rec.cost_curve  # predicted curve ships with the decision
-        assert "Corollar" in rec.paper_anchor
-
-    def test_btree_parallel_device_gets_pb_veb_nodes(self):
-        pdam = PDAMFit(
-            parallelism=4.0,
-            saturation_bytes_per_second=1e9,
-            r2=1.0,
-            segmented=SegmentedFit(
-                breakpoint=4.0,
-                left=LinearFit(slope=0.0, intercept=1.0, r2=1.0),
-                right=LinearFit(slope=0.25, intercept=0.0, r2=1.0),
-                r2=1.0,
-            ),
+        assert rec.predicted_per_op_seconds == pytest.approx(
+            0.004 * btree_op_cost(entries, alpha, N, M)
         )
-        profile = profile_for(1e-2, pdam=pdam, block=65536)
-        rec = solve(profile, n_entries=int(N), cache_bytes=int(M) * 108)
-        assert rec.layout == "veb"
-        assert rec.node_bytes == 4 * 65536
-        assert "Lemma 13" in rec.paper_anchor
-
-    def test_parallel_layout_can_be_disabled(self):
-        pdam = PDAMFit(
-            parallelism=4.0,
-            saturation_bytes_per_second=1e9,
-            r2=1.0,
-            segmented=SegmentedFit(
-                breakpoint=4.0,
-                left=LinearFit(slope=0.0, intercept=1.0, r2=1.0),
-                right=LinearFit(slope=0.25, intercept=0.0, r2=1.0),
-                r2=1.0,
-            ),
-        )
-        profile = profile_for(1e-2, pdam=pdam, block=65536)
-        rec = solve(
-            profile, n_entries=int(N), cache_bytes=int(M) * 108,
-            prefer_parallel_layout=False,
-        )
-        assert rec.layout == "flat"
-
-    def test_betree_recommendation_carries_epsilon(self):
-        profile = profile_for(1e-3)
-        rec = solve(
-            profile, n_entries=int(N), cache_bytes=int(M) * 108,
-            tree="betree", query_fraction=0.5,
-        )
-        assert rec.tree == "betree"
-        assert rec.fanout is not None and rec.fanout >= 2
-        assert 0.0 < rec.epsilon <= 1.0
-
-    def test_predicted_at_reads_cost_curve(self):
-        profile = profile_for(1e-2)
-        rec = solve(profile, n_entries=int(N), cache_bytes=int(M) * 108)
-        node_bytes, cost = rec.cost_curve[3]
-        assert rec.predicted_at(node_bytes) == pytest.approx(cost)
 
     def test_in_cache_tree_rejected(self):
         profile = profile_for(1e-2)
         with pytest.raises(ConfigurationError):
             solve(profile, n_entries=100, cache_bytes=10**9)
-
-    def test_unknown_tree_rejected(self):
-        profile = profile_for(1e-2)
-        with pytest.raises(ConfigurationError):
-            solve(profile, n_entries=int(N), cache_bytes=int(M) * 108, tree="lsm")

@@ -4,32 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.workloads.distributions import (
-    ClusteredKeys,
-    SequentialKeys,
-    UniformKeys,
-    ZipfKeys,
-)
-
-
-class TestUniform:
-    def test_in_range(self):
-        keys = UniformKeys(1000, seed=1).sample(500)
-        assert keys.min() >= 0 and keys.max() < 1000
-
-    def test_deterministic(self):
-        a = UniformKeys(1000, seed=2).sample(100)
-        b = UniformKeys(1000, seed=2).sample(100)
-        np.testing.assert_array_equal(a, b)
-
-    def test_roughly_uniform(self):
-        keys = UniformKeys(10, seed=3).sample(10_000)
-        counts = np.bincount(keys, minlength=10)
-        assert counts.min() > 800  # each bucket ~1000
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            UniformKeys(0)
+from repro.workloads.distributions import ZipfKeys
 
 
 class TestZipf:
@@ -72,42 +47,11 @@ class TestZipf:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_universe_validation(self):
+        with pytest.raises(ConfigurationError):
+            ZipfKeys(0)
+
     def test_scatter_rejects_out_of_range(self):
         z = ZipfKeys(1000, seed=0)
         with pytest.raises(ConfigurationError):
             z.scatter(np.array([1000], dtype=np.uint64))
-
-
-class TestSequential:
-    def test_strictly_increasing_across_calls(self):
-        gen = SequentialKeys(10**6, stride=3)
-        a = gen.sample(100)
-        b = gen.sample(100)
-        full = np.concatenate([a, b])
-        assert np.all(np.diff(full) == 3)
-
-    def test_exhaustion_detected(self):
-        gen = SequentialKeys(10, stride=5)
-        gen.sample(2)
-        with pytest.raises(ConfigurationError):
-            gen.sample(5)
-
-    def test_stride_validation(self):
-        with pytest.raises(ConfigurationError):
-            SequentialKeys(100, stride=0)
-
-
-class TestClustered:
-    def test_keys_near_centers(self):
-        gen = ClusteredKeys(10**9, seed=4, clusters=4, spread=100)
-        keys = gen.sample(2000)
-        dists = np.min(np.abs(keys[:, None] - gen.centers[None, :]), axis=1)
-        assert dists.max() <= 100
-
-    def test_in_range(self):
-        keys = ClusteredKeys(1000, seed=5, spread=5000).sample(1000)
-        assert keys.min() >= 0 and keys.max() < 1000
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ClusteredKeys(1000, clusters=0)

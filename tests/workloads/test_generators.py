@@ -1,6 +1,5 @@
 """Operation-stream generator tests."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -11,7 +10,6 @@ from repro.workloads.generators import (
     point_query_stream,
     random_load_pairs,
     range_query_stream,
-    sorted_load_pairs,
 )
 
 
@@ -28,10 +26,6 @@ class TestLoadPairs:
     def test_universe_too_small(self):
         with pytest.raises(ConfigurationError):
             random_load_pairs(100, 150)
-
-    def test_sorted_load(self):
-        pairs = sorted_load_pairs(10, stride=5)
-        assert [k for k, _ in pairs] == list(range(0, 50, 5))
 
     def test_values_derived_from_keys(self):
         pairs = random_load_pairs(50, 10**6, seed=3)

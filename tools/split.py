@@ -76,7 +76,6 @@ STEPS = {
     ),
     "device_engine": (
         ("storage/ssd.py", "SimulatedSSD._*", "ssd service"),
-        ("storage/ssd.py", "SimulatedSSD.*_of_*", "ssd service"),  # the address map
         ("storage/hdd.py", "*", "hdd service"),
         ("storage/engine.py", "ClosedLoopRunner.*", "closed-loop runner"),
         ("storage/scheduler.py storage/ideal.py", "*", "read-ahead"),
