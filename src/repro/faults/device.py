@@ -274,18 +274,7 @@ class FaultyDevice(BlockDevice):
         attempt, with its seek/transfer split; the wrapper's own are the
         ``faults.*`` and ``io.*`` counters of :meth:`_service`."""
 
-    # -- identity and lifecycle ----------------------------------------------
-
-    def describe(self) -> dict[str, object]:
-        d = super().describe()
-        d.update(
-            inner=self.inner.describe(),
-            plan=self.plan.describe(),
-            policy=self.policy.describe(),
-        )
-        if self.crash is not None:
-            d["crash"] = self.crash.describe()
-        return d
+    # -- lifecycle --------------------------------------------------------------
 
     def reset(self) -> None:
         """Reset wrapper clock/stats, fault counters, RNGs, and the inner device.

@@ -103,6 +103,14 @@ class _Entry:
 class BufferCache:
     """LRU cache of node objects over a :class:`BlockDevice`.
 
+    One read verb and one write verb: :meth:`get` (a hit turns the entry
+    MRU, a miss reads it in) and :meth:`mark_dirty` (an entry on disk is
+    read in as :meth:`get` does, then optionally resized and dirtied).
+    :meth:`get_many` and :meth:`get_runs` are :meth:`get`'s batch and scan
+    forms.  New nodes go in with :meth:`insert`; bytes a caller moved
+    itself (a whole-node rewrite, a scan's batched read) go in with
+    :meth:`readmit_clean`.
+
     Parameters
     ----------
     device:
@@ -131,7 +139,6 @@ class BufferCache:
         self._by_start: dict[int, _Entry] = {}
         self._by_end: dict[int, _Entry] = {}
         self.cached_bytes = 0
-        self.io_seconds = 0.0  # simulated device time charged through this cache
 
     # -- LRU list internals ---------------------------------------------------
 
@@ -183,7 +190,7 @@ class BufferCache:
 
     def _evict(self, entry: _Entry) -> None:
         if entry.dirty:
-            self.io_seconds += self._write_run(entry)
+            self._write_run(entry)
             self.stats.dirty_evictions += 1
             if OBS.enabled:
                 OBS.counter("cache.dirty_evictions").inc()
@@ -261,70 +268,31 @@ class BufferCache:
         return entry is not None and entry.resident
 
     def get(self, node_id: Hashable) -> Any:
-        """Fetch a node, charging a device read on miss."""
+        """Fetch a node, charging a device read on miss; it becomes MRU."""
         entry = self._index.get(node_id)
         if entry is not None and entry.resident:
             self.stats.hits += 1
             if OBS.enabled:
                 OBS.counter("cache.hits").inc()
-            self._touch(entry)
+            root = self._root
+            if entry.next is not root:  # _touch, inline: a read's hot path
+                entry.prev.next = entry.next
+                entry.next.prev = entry.prev
+                tail = root.prev
+                entry.prev = tail
+                entry.next = root
+                tail.next = entry
+                root.prev = entry
             return entry.obj
         if entry is None:
             raise CacheError(f"unknown node id {node_id!r}")
         self.stats.misses += 1
         if OBS.enabled:
             OBS.counter("cache.misses").inc()
-        self.io_seconds += self.device.read(entry.offset, entry.nbytes)
+        self.device.read(entry.offset, entry.nbytes)
         self._link_mru(entry)
         self.cached_bytes += entry.nbytes
         self._evict_until_fits()
-        return entry.obj
-
-    def access(
-        self, node_id: Hashable, nbytes: int | None = None, dirty: bool = False
-    ) -> Any:
-        """Combined touch: fault in if evicted, optionally resize and dirty.
-
-        One index lookup replacing the ``contains`` → :meth:`get` →
-        resize → :meth:`mark_dirty` sequence a write path would otherwise
-        issue per component, with *identical* accounting at every step:
-
-        * a resident entry is **not** counted as a hit and not LRU-touched
-          (matching ``contains``, which has no LRU effect);
-        * a non-resident entry takes :meth:`get`'s miss path exactly (miss
-          counter, device read, MRU admission, eviction);
-        * ``nbytes`` (already rounded by the caller) resizes in place when
-          it differs from the registered size, keeping the registered
-          offset — component slots are fixed — and marking dirty, LRU
-          touch and eviction included;
-        * ``dirty=True`` then applies :meth:`mark_dirty` (dirty bit + LRU
-          touch).
-        """
-        entry = self._index.get(node_id)
-        if entry is None:
-            raise CacheError(f"unknown node id {node_id!r}")
-        if not entry.resident:
-            self.stats.misses += 1
-            if OBS.enabled:
-                OBS.counter("cache.misses").inc()
-            self.io_seconds += self.device.read(entry.offset, entry.nbytes)
-            self._link_mru(entry)
-            self.cached_bytes += entry.nbytes
-            self._evict_until_fits()
-        if nbytes is not None and nbytes != entry.nbytes:
-            if nbytes <= 0:
-                raise CacheError(f"node size must be positive, got {nbytes}")
-            self.cached_bytes += nbytes - entry.nbytes
-            self._move(entry, entry.offset, nbytes)
-            entry.dirty = True
-            if entry.next is not self._root:
-                self._touch(entry)
-            if self.cached_bytes > self.capacity_bytes:
-                self._evict_until_fits()
-        if dirty:
-            entry.dirty = True
-            if entry.next is not self._root:
-                self._touch(entry)
         return entry.obj
 
     def get_many(self, node_ids: "Sequence[Hashable]") -> list[Any]:
@@ -350,8 +318,7 @@ class BufferCache:
             if not run:
                 return
             offsets = [e.offset for e in run]
-            for dt in self.device.read_batch(offsets, run_nbytes):
-                self.io_seconds += dt
+            self.device.read_batch(offsets, run_nbytes)
             for e in run:
                 # Admission may itself evict earlier entries of this run;
                 # that only changes residency, the objects stay returned.
@@ -440,7 +407,7 @@ class BufferCache:
 
     def _read_run(self, run: list[_Entry], start: int, end: int) -> None:
         """Charge one read of ``[start, end)`` and admit ``run``'s nodes."""
-        self.io_seconds += self.device.read(start, end - start)
+        self.device.read(start, end - start)
         for entry in run:
             self._link_mru(entry)
             self.cached_bytes += entry.nbytes
@@ -461,54 +428,16 @@ class BufferCache:
         self.cached_bytes += nbytes
         self._evict_until_fits()
 
-    def admit(
-        self,
-        node_id: Hashable,
-        obj: Any,
-        offset: int,
-        nbytes: int,
-        *,
-        dirty: bool,
-    ) -> None:
-        """Make a node resident *without charging a device read*.
-
-        Callers use this when they have charged the data movement
-        themselves (e.g. a batched multi-component IO).  Existing resident
-        entries are refreshed in place; entries on disk are brought back;
-        unknown ids are created.
-        """
-        if nbytes <= 0:
-            raise CacheError(f"node size must be positive, got {nbytes}")
-        entry = self._index.get(node_id)
-        if entry is not None and entry.resident:
-            self.cached_bytes += nbytes - entry.nbytes
-            entry.obj = obj
-            if entry.offset != offset or entry.nbytes != nbytes:
-                self._move(entry, offset, nbytes)
-            entry.dirty = entry.dirty or dirty
-            self._touch(entry)
-        else:
-            if entry is None:
-                entry = _Entry(node_id, obj, offset, nbytes, dirty=dirty)
-                self._index[node_id] = entry
-                self._index_extent(entry)
-            else:
-                entry.obj = obj
-                if entry.offset != offset or entry.nbytes != nbytes:
-                    self._move(entry, offset, nbytes)
-                entry.dirty = dirty
-            self._link_mru(entry)
-            self.cached_bytes += nbytes
-        self._evict_until_fits()
-
     def readmit_clean(self, items: "Sequence[tuple[Hashable, int, int]]") -> None:
         """Admit each ``(node_id, offset, nbytes)`` as resident and clean.
 
-        Like ``admit(id, None, offset, nbytes, dirty=False)`` per item,
-        except that a resident entry's dirty bit is *cleared* rather than
-        kept — the whole-node rewrite pattern, where the caller has already
-        charged one batched device write for every component.  One index
-        lookup per item; evictions interleave as in a serial ``admit`` loop.
+        No device read is charged: the caller has already moved the bytes
+        itself, as one batched IO — a whole-node rewrite (one device write
+        for every component, so a resident entry's dirty bit is *cleared*)
+        or a scan's read of a node's missing components.  Unknown ids are
+        created, evicted ones brought back, resident ones resized in place
+        and made MRU.  One index lookup per item; evictions follow each
+        admission.
         """
         index = self._index
         for node_id, offset, nbytes in items:
@@ -538,13 +467,32 @@ class BufferCache:
             if self.cached_bytes > self.capacity_bytes:
                 self._evict_until_fits()
 
-    def mark_dirty(self, node_id: Hashable) -> None:
-        """Record that a resident node's contents changed."""
+    def mark_dirty(self, node_id: Hashable, nbytes: int | None = None) -> Any:
+        """Record that a node's contents changed; it becomes MRU.
+
+        A node on disk is read in first, exactly as :meth:`get`'s miss path
+        does — modifying an on-disk node requires reading it back.  A
+        ``nbytes`` other than the registered size resizes the extent in
+        place (the offset, a fixed slot, stays), then evicts what no longer
+        fits; the node is dirty by then, so a victim's write run may take it
+        along.
+        """
         entry = self._index.get(node_id)
-        if entry is None or not entry.resident:
-            raise CacheError(f"cannot dirty non-resident node {node_id!r}")
+        if entry is None:
+            raise CacheError(f"unknown node id {node_id!r}")
+        if not entry.resident:
+            self.get(node_id)  # the miss path
         entry.dirty = True
-        self._touch(entry)
+        if entry.next is not self._root:
+            self._touch(entry)
+        if nbytes is not None and nbytes != entry.nbytes:
+            if nbytes <= 0:
+                raise CacheError(f"node size must be positive, got {nbytes}")
+            self.cached_bytes += nbytes - entry.nbytes
+            self._move(entry, entry.offset, nbytes)
+            if self.cached_bytes > self.capacity_bytes:
+                self._evict_until_fits()
+        return entry.obj
 
     def delete(self, node_id: Hashable) -> None:
         """Drop a node entirely (after a merge frees it); no write-back."""
@@ -578,7 +526,6 @@ class BufferCache:
         for entry in dirty:
             if entry.dirty:  # not written by an earlier run
                 spent += self._write_run(entry)
-        self.io_seconds += spent
         return spent
 
     def drop_clean(self) -> None:

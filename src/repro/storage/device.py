@@ -247,18 +247,6 @@ class BlockDevice(ABC):
             stats.read_seconds = seconds
         return out
 
-    def describe(self) -> dict[str, object]:
-        """Stable, JSON-able identity of this device's timing behavior.
-
-        Two devices with equal descriptions produce identical IO timings
-        from a fresh reset.  Subclasses extend the dict with their
-        model/geometry parameters.
-        """
-        return {
-            "type": type(self).__name__,
-            "capacity_bytes": self.capacity_bytes,
-        }
-
     def reset(self) -> None:
         """Zero the clock, counters and trace (fresh experiment)."""
         self.stats = DeviceStats()

@@ -268,18 +268,6 @@ class SimulatedHDD(BlockDevice):
         stats.read_seconds = seconds
         return out
 
-    def describe(self) -> dict[str, object]:
-        d = super().describe()
-        d.update(
-            seed=self._seed,
-            sequential_detection=self.sequential_detection,
-            track_to_track_seek_seconds=self.geometry.track_to_track_seek_seconds,
-            full_stroke_seek_seconds=self.geometry.full_stroke_seek_seconds,
-            rotation_seconds=self.geometry.rotation_seconds,
-            bandwidth_bytes_per_second=self.geometry.bandwidth_bytes_per_second,
-        )
-        return d
-
     def reset(self) -> None:
         """Reset clock, counters, head position and the rotation stream."""
         super().reset()

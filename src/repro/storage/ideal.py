@@ -68,16 +68,6 @@ class AffineDevice(BlockDevice):
             self._obs_setup = scale * setup  # setup/bandwidth split for obs
         return at + scale * (setup + self.model.seconds_per_byte * nbytes)
 
-    def describe(self) -> dict[str, object]:
-        d = super().describe()
-        d.update(
-            setup_seconds=self.model.setup_seconds,
-            seconds_per_byte=self.model.seconds_per_byte,
-            sequential_detection=self.sequential_detection,
-            write_multiplier=self.write_multiplier,
-        )
-        return d
-
     def reset(self) -> None:
         super().reset()
         self._next_sequential_offset = None
@@ -198,15 +188,6 @@ class PDAMDevice(BlockDevice):
         if offset < 0 or offset >= self.capacity_bytes:
             raise InvalidIOError(f"offset {offset} out of range")
         return offset // self.block_bytes
-
-    def describe(self) -> dict[str, object]:
-        d = super().describe()
-        d.update(
-            parallelism=self.parallelism,
-            block_bytes=self.block_bytes,
-            step_seconds=self.model.step_seconds,
-        )
-        return d
 
     def reset(self) -> None:
         super().reset()

@@ -253,20 +253,6 @@ class SimulatedSSD(BlockDevice):
         )
         return runner.run_makespan(client_streams)
 
-    def describe(self) -> dict[str, object]:
-        d = super().describe()
-        g = self.geometry
-        d.update(
-            channels=g.channels,
-            dies_per_channel=g.dies_per_channel,
-            page_bytes=g.page_bytes,
-            stripe_bytes=g.stripe_bytes,
-            page_read_seconds=g.page_read_seconds,
-            page_program_seconds=g.page_program_seconds,
-            channel_transfer_seconds=g.channel_transfer_seconds,
-        )
-        return d
-
     def reset(self) -> None:
         """Reset clock, counters and all die/channel timelines."""
         super().reset()

@@ -145,8 +145,6 @@ class StorageStack:
         smaller than one operation's working set), it is re-fetched first —
         modifying an on-disk node requires reading it back in.
         """
-        if not self.cache.contains(node_id):
-            self.cache.get(node_id)
         self.cache.mark_dirty(node_id)
 
     def flush(self) -> float:

@@ -60,7 +60,6 @@ from __future__ import annotations
 import bisect
 from typing import Any, Hashable
 
-from repro.errors import CacheError
 from repro.storage.stack import StorageStack
 from repro.trees.api import TreeKind
 from repro.trees.betree.messages import Message
@@ -90,9 +89,6 @@ class OptimizedBeTree(BeTree):
         self._parts: dict[int, list[Hashable]] = {}  # node id -> component ids
         self._cache_geometry(config or BeTreeConfig())
         super().__init__(storage, config)
-        # Bound once: the insert hot path calls this per message, and the
-        # storage stack never swaps its cache object out.
-        self._access = storage.cache.access
 
     def _cache_geometry(self, config: BeTreeConfig) -> None:
         """Flatten the slot-geometry property chains into plain ints.
@@ -142,8 +138,8 @@ class OptimizedBeTree(BeTree):
 
         The base ``_put`` spends most of its time in call overhead:
         ``_get`` → ``_child_index`` → ``add_message`` → ``_dirty_segment``
-        → ``_segment_read_bytes`` → ``_round_grain`` → ``_touch`` →
-        ``access``, each a Python frame.  This override performs the same
+        → ``_segment_read_bytes`` → ``_round_grain`` → ``mark_dirty``,
+        each a Python frame.  This override performs the same
         dict/bisect/arithmetic steps inline, then defers to the shared
         flush/split machinery the moment anything overflows — so cache
         traffic, device IO and tree state match the base path exactly.
@@ -173,15 +169,9 @@ class OptimizedBeTree(BeTree):
                 nbytes += (-(-len(child.keys) // per) or 1) * self._key_bytes
             else:
                 nbytes += self._header_bytes + len(child.children) * self._pivot_bytes
-        try:
-            self._access(
-                ("s", root.node_id, idx),
-                ((nbytes + _GRAIN - 1) // _GRAIN) * _GRAIN,
-                dirty=True,
-            )
-        except CacheError:
-            cid = ("s", root.node_id, idx)
-            raise CacheError(f"component {cid!r} was never created") from None
+        self.storage.cache.mark_dirty(
+            ("s", root.node_id, idx), ((nbytes + _GRAIN - 1) // _GRAIN) * _GRAIN
+        )
         budget = self._budget_msgs
         if budget is None:
             budget = self._ensure_thresholds()
@@ -238,23 +228,6 @@ class OptimizedBeTree(BeTree):
 
     # -- charging primitives -------------------------------------------------------
 
-    def _touch(self, cid: Hashable, nbytes: int | None = None, *, dirty: bool) -> None:
-        """Access one component: read charge on miss, resize, optional dirty.
-
-        One :meth:`~repro.storage.cache.BufferCache.access` call — component
-        slots are fixed, so a resize keeps the registered offset and the
-        cache can do the whole contains/get/resize/dirty sequence on a
-        single index lookup.
-        """
-        try:
-            self._access(
-                cid,
-                _round_grain(nbytes) if nbytes is not None else None,
-                dirty=dirty,
-            )
-        except CacheError:
-            raise CacheError(f"component {cid!r} was never created") from None
-
     def _rewrite_node(self, node: BeNode) -> None:
         """Whole-node rewrite: batched read of missing parts + one write.
 
@@ -303,7 +276,7 @@ class OptimizedBeTree(BeTree):
         self._parts[nid] = []
         cache = self.storage.cache
         for cid, offset, nb in self._component_plan(node):
-            cache.admit(cid, None, offset, _round_grain(nb), dirty=True)
+            cache.insert(cid, None, offset, _round_grain(nb), dirty=True)
             self._parts[nid].append(cid)
 
     def _get(self, node_id: int) -> BeNode:
@@ -313,7 +286,9 @@ class OptimizedBeTree(BeTree):
         self._rewrite_node(node)
 
     def _dirty_segment(self, node: BeNode, idx: int) -> None:
-        self._touch(("s", node.node_id, idx), self._segment_read_bytes(node, idx), dirty=True)
+        self.storage.cache.mark_dirty(
+            ("s", node.node_id, idx), _round_grain(self._segment_read_bytes(node, idx))
+        )
 
     def _dirty_pivots(self, node: BeNode) -> None:
         # Pivot/segment arities changed: component positions shifted; a
@@ -336,50 +311,43 @@ class OptimizedBeTree(BeTree):
         carries that child's pivots, and otherwise is followed by a second
         IO for the child's own pivot area — then one basement chunk."""
         nodes = self._nodes
-        access = self._access
+        get = self.storage.cache.get
         own_pivots = not self.pivots_in_parent
         node = nodes[self.root_id]
         msgs: list[Message] = []
-        try:
-            if not node.is_leaf:
-                cid = ("p", node.node_id)
-                access(cid)
-            while not node.is_leaf:
-                ci = bisect.bisect_right(node.pivots, key)
-                cid = ("s", node.node_id, ci)
-                access(cid)
-                pending = node.segments[ci].msgs.get(key)
-                if pending:
-                    msgs.extend(pending)
-                node = nodes[node.children[ci]]
-                if own_pivots and not node.is_leaf:
-                    cid = ("p", node.node_id)
-                    access(cid)
-            keys = node.keys
-            i = bisect.bisect_left(keys, key)
-            per = self._basement
-            # A key past the leaf's largest reads the last chunk there is
-            # (``_chunk_count(node) - 1``, in place).
-            cid = ("b", node.node_id, min(i // per, max(1, -(-len(keys) // per)) - 1))
-            access(cid)
-        except CacheError:
-            raise CacheError(f"component {cid!r} was never created") from None
+        if not node.is_leaf:
+            get(("p", node.node_id))
+        while not node.is_leaf:
+            ci = bisect.bisect_right(node.pivots, key)
+            get(("s", node.node_id, ci))
+            pending = node.segments[ci].msgs.get(key)
+            if pending:
+                msgs.extend(pending)
+            node = nodes[node.children[ci]]
+            if own_pivots and not node.is_leaf:
+                get(("p", node.node_id))
+        keys = node.keys
+        i = bisect.bisect_left(keys, key)
+        per = self._basement
+        # A key past the leaf's largest reads the last chunk there is
+        # (``_chunk_count(node) - 1``, in place).
+        get(("b", node.node_id, min(i // per, max(1, -(-len(keys) // per)) - 1)))
         return self._answer(node, i, key, msgs)
 
     def _read_for_range(self, node_id: int) -> BeNode:
         node = self._nodes[node_id]
         cache = self.storage.cache
-        # A range scan streams the whole node: one batched read of whatever
-        # is missing, then everything is resident (clean-admitted).
-        plan = self._component_plan(node)
-        missing = sum(
-            _round_grain(nb) for cid, _, nb in plan if not cache.contains(cid)
-        )
+        # A range scan streams the whole node: its resident components are
+        # read (hits), the rest in one batched read, then admitted clean.
+        missing = []
+        for cid, offset, nb in self._component_plan(node):
+            if cache.contains(cid):
+                cache.get(cid)
+            else:
+                missing.append((cid, offset, _round_grain(nb)))
         if missing:
-            self.storage.device.read(self._base[node_id], missing)
-        for cid, offset, nb in plan:
-            if not cache.contains(cid):
-                cache.admit(cid, None, offset, _round_grain(nb), dirty=False)
+            self.storage.device.read(self._base[node_id], sum(nb for _, _, nb in missing))
+            cache.readmit_clean(missing)
         return node
 
 

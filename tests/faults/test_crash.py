@@ -185,8 +185,3 @@ class TestFaultStreamIsolation:
         # crash-free device charges for the same stream.
         for i in range(2, 6):
             assert dev.write(i * 4096, 4096) == ref.write(i * 4096, 4096)
-
-    def test_describe_includes_crash(self):
-        dev = faulty(crash=CrashPlan(seed=2, at_io=9))
-        assert dev.describe()["crash"]["at_io"] == 9
-        assert "crash" not in faulty().describe()

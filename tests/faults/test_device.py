@@ -175,13 +175,6 @@ class TestWrapperHygiene:
         with pytest.raises(ConfigurationError):
             FaultyDevice(dev, FaultPlan())
 
-    def test_describe_includes_layers(self):
-        dev = _make(FaultPlan(seed=4), ResiliencePolicy.retry())
-        d = dev.describe()
-        assert d["plan"]["seed"] == 4
-        assert d["policy"]["name"] == "retry"
-        assert "inner" in d
-
 
 class TestObservability:
     """Each attempt the inner device serves is one ``device.*`` event; the

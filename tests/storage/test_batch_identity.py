@@ -499,7 +499,6 @@ class TestUnknownIdOnTheReadPath:
             "stats": vars(cache.stats).copy(),
             "resident": [cache.contains(i) for i in range(3)],
             "cached_bytes": cache.cached_bytes,
-            "io_seconds": cache.io_seconds,
             "counters": [c.value - b for c, b in zip(counters, before)],
         }
 
@@ -515,7 +514,7 @@ class TestUnknownIdOnTheReadPath:
     def test_get_raises_before_it_counts(self, monkeypatch):
         monkeypatch.setattr(OBS, "enabled", True)
         stack = self._cold_stack()
-        untouched = self._after_raising(self._cold_stack(), lambda c: c.access("never-created"))
+        untouched = self._after_raising(self._cold_stack(), lambda c: c.mark_dirty("never-created"))
         assert self._after_raising(stack, lambda c: c.get("never-created")) == untouched
         assert untouched["stats"]["misses"] == 0 and untouched["counters"] == [0, 0, 0]
 

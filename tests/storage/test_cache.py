@@ -100,7 +100,19 @@ class TestDirtyAndExtents:
     def test_mark_dirty_nonresident_rejected(self):
         cache, _ = make()
         with pytest.raises(CacheError):
-            cache.mark_dirty("ghost")
+            cache.mark_dirty("ghost")  # never inserted
+
+    def test_mark_dirty_reads_an_evicted_node_back(self):
+        # An evicted node takes get's miss path first, then turns dirty.
+        cache, dev = make(capacity=250)
+        cache.insert("a", "va", 0, 100, dirty=False)
+        cache.insert("b", "vb", 100, 100, dirty=False)
+        cache.insert("c", "vc", 200, 100, dirty=False)  # evicts a
+        assert cache.mark_dirty("a") == "va"
+        assert dev.stats.reads == 1 and cache.stats.misses == 1
+        assert not cache.contains("b")  # a's read-in evicted the LRU end
+        cache.drop_clean()
+        assert dev.stats.writes == 1
 
     def test_mark_clean(self):
         # A caller that wrote a node back itself re-admits it clean: its
@@ -114,12 +126,12 @@ class TestDirtyAndExtents:
         assert dev.stats.writes == 0 and cache.stats.dirty_evictions == 0
 
     def test_update_extent(self):
-        # ``access`` resizes in place: the offset (a fixed slot) stays, the
-        # node turns dirty and the byte budget follows the new size.
+        # ``mark_dirty`` resizes in place: the offset (a fixed slot) stays,
+        # the node turns dirty and the byte budget follows the new size.
         cache, dev = make(capacity=350)
         cache.insert("a", "a", 0, 100, dirty=False)
         cache.insert("b", "b", 100, 100, dirty=False)
-        assert cache.access("a", 300) == "a"
+        assert cache.mark_dirty("a", 300) == "a"
         assert cache.extent_of("a") == (0, 300)
         assert not cache.contains("b")  # evicted to make room
         assert cache.cached_bytes == 300 and dev.stats.reads == 0
@@ -133,13 +145,16 @@ class TestDirtyAndExtents:
         assert cache.extent_of("a") == (0, 100)
 
     def test_admit_no_charge(self):
-        cache, dev = make()
-        cache.admit("a", "va", 0, 100, dirty=False)
-        assert cache.contains("a")
-        assert dev.stats.reads == 0
-        cache.admit("a", "va2", 0, 200, dirty=True)  # refresh in place
-        assert cache.get("a") == "va2"
-        assert cache.cached_bytes == 200
+        # readmit_clean creates, brings back and resizes without a read.
+        cache, dev = make(capacity=250)
+        cache.readmit_clean([("a", 0, 100)])  # unknown: created
+        cache.insert("b", "vb", 100, 100, dirty=False)
+        cache.insert("c", "vc", 200, 100, dirty=False)  # evicts a
+        cache.readmit_clean([("a", 0, 100)])  # on disk: brought back
+        assert cache.contains("a") and not cache.contains("b")
+        cache.readmit_clean([("a", 0, 150)])  # resident: resized in place
+        assert cache.extent_of("a") == (0, 150) and cache.cached_bytes == 250
+        assert dev.stats.reads == 0 and cache.stats.accesses == 0
 
     def test_flush_writes_all_dirty(self):
         cache, dev = make()
@@ -351,7 +366,7 @@ class TestWriteRuns:
         cache, dev = self.traced(capacity=350)
         cache.insert("a", "a", 0, 50, dirty=False)
         cache.insert("b", "b", 100, 100)
-        cache.access("a", 100)  # now [0, 100) and dirty: adjacent to b
+        cache.mark_dirty("a", 100)  # now [0, 100) and dirty: adjacent to b
         cache.readmit_clean([("b", 100, 100)])
         cache.mark_dirty("b")
         cache.insert("x", "x", 900, 100, dirty=False)
@@ -397,10 +412,6 @@ class TestWriteRuns:
         slots = 24
         for step in range(400):
             op, args, kwargs = _draw_op(rnd, ref, slots)
-            if op == "mark_dirty":  # StorageStack.mark_dirty: fault in first
-                for c in (cache, ref):
-                    if not c.contains(args[0]):
-                        c.get(args[0])
             for c in (cache, ref):
                 getattr(c, op)(*args, **kwargs)
             cache.check_invariants()
@@ -494,33 +505,9 @@ class PerNodeWriteBack:
         else:
             self._fault(nid)
 
-    def access(self, nid, nbytes=None, dirty=False):
-        if nid not in self.lru:
-            self._fault(nid)
-        ext = self.extent[nid]
-        if nbytes is not None and nbytes != ext[1]:
-            self.cached += nbytes - ext[1]
-            ext[1:] = [nbytes, True]
-            self.lru.move_to_end(nid)
-            self._fit()
-        if dirty:
-            ext[2] = True
-            self.lru.move_to_end(nid)
-
     def insert(self, nid, obj, offset, nbytes, *, dirty=True):
         self.extent[nid] = [offset, nbytes, dirty]
         self._admit(nid)
-        self._fit()
-
-    def admit(self, nid, obj, offset, nbytes, *, dirty):
-        if nid in self.lru:
-            ext = self.extent[nid]
-            self.cached += nbytes - ext[1]
-            self.extent[nid] = [offset, nbytes, ext[2] or dirty]
-            self.lru.move_to_end(nid)
-        else:
-            self.extent[nid] = [offset, nbytes, dirty]
-            self._admit(nid)
         self._fit()
 
     def readmit_clean(self, items):
@@ -534,9 +521,16 @@ class PerNodeWriteBack:
                 self._admit(nid)
             self._fit()
 
-    def mark_dirty(self, nid):
-        self.extent[nid][2] = True
+    def mark_dirty(self, nid, nbytes=None):
+        if nid not in self.lru:
+            self._fault(nid)
+        ext = self.extent[nid]
+        ext[2] = True
         self.lru.move_to_end(nid)
+        if nbytes is not None and nbytes != ext[1]:
+            self.cached += nbytes - ext[1]
+            ext[1] = nbytes
+            self._fit()
 
     def delete(self, nid):
         _, nbytes, _ = self.extent.pop(nid)
@@ -574,13 +568,11 @@ def _draw_op(rnd, ref, slots):
     nid = rnd.choice(known)
     if roll < 0.45:
         return "get", (nid,), {}
-    if roll < 0.6:
-        return "mark_dirty", (nid,), {}
     if roll < 0.75:
-        return "access", (nid, rnd.choice([None, size])), dirty
+        return "mark_dirty", (nid, rnd.choice([None, size])), {}
     if roll < 0.82:
         nid = rnd.randrange(slots)
-        return "admit", (nid, nid, nid * 100, size), dirty
+        return "readmit_clean", ([(nid, nid * 100, size)],), {}
     if roll < 0.88:
         some = rnd.sample(known, min(3, len(known)))
         return "readmit_clean", ([(i, i * 100, rnd.choice([50, 100])) for i in some],), {}

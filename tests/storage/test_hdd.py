@@ -170,11 +170,3 @@ class TestReadBatch:
         hdd = SimulatedHDD(HDDGeometry(capacity_bytes=1 << 30), seed=2, trace=True)
         hdd.read_batch(offsets, 4096)
         assert hdd.trace == ref_hdd.trace
-
-
-def test_describe_identifies_timing_behavior():
-    a, b = make(seed=1), make(seed=1)
-    assert a.describe() == b.describe()
-    assert make(seed=2).describe() != a.describe()
-    assert make(seed=1, bandwidth_bytes_per_second=99e6).describe() != a.describe()
-    assert a.describe()["type"] == "SimulatedHDD"

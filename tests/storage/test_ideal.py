@@ -154,15 +154,3 @@ class TestAffineReadBatch:
         offsets = [0, 4096, 8192, 1 << 20, (1 << 20) + 4096]
         assert dev.read_batch(offsets, 4096) == [ref.read(o, 4096) for o in offsets]
         assert dev._next_sequential_offset == ref._next_sequential_offset
-
-    def test_describe_distinguishes_models(self):
-        a = AffineDevice(AffineModel(alpha=1e-6, setup_seconds=0.01))
-        b = AffineDevice(AffineModel(alpha=1e-6, setup_seconds=0.02))
-        assert a.describe() != b.describe()
-        assert a.describe() == AffineDevice(AffineModel(alpha=1e-6, setup_seconds=0.01)).describe()
-
-
-def test_pdam_describe():
-    dev = PDAMDevice(PDAMModel(parallelism=4, block_bytes=4096))
-    d = dev.describe()
-    assert d["parallelism"] == 4 and d["block_bytes"] == 4096

@@ -6,6 +6,7 @@ from repro.models.affine import AffineModel
 from repro.storage.ideal import AffineDevice
 from repro.storage.ram import NullDevice
 from repro.storage.stack import StorageStack
+from repro.trees import build
 from repro.trees.betree import BeTree, BeTreeConfig, OptimizedBeTree
 from repro.trees.sizing import EntryFormat
 
@@ -152,6 +153,47 @@ class TestPartialIO:
         out = tree.range(0, 10_000)
         assert len(out) == 5001
         assert stack.io_seconds > t0
+
+
+class TestCacheReads:
+    """Queries and scans read components as cache reads: a resident one
+    counts a hit and turns MRU, so the LRU keeps what the tree reads."""
+
+    @staticmethod
+    def _loaded():
+        tree = build("betree", NullDevice(capacity_bytes=1 << 30),
+                     node_bytes=8192, cache_bytes=1 << 20)
+        tree.load([(i, i) for i in range(0, 40_000, 2)])
+        tree.drop_cache()
+        root = tree._nodes[tree.root_id]
+        assert not tree._nodes[root.children[0]].is_leaf  # three levels or more
+        return tree, tree.storage.cache
+
+    def test_repeated_gets_hit_after_the_first_descent(self):
+        tree, cache = self._loaded()
+        assert tree.get(10_000) == 10_000
+        path = cache.stats.misses
+        assert path >= 4 and cache.stats.hits == 0  # root pivots, 2+ segments, a chunk
+        for _ in range(9):
+            assert tree.get(10_000) == 10_000
+        assert (cache.stats.hits, cache.stats.misses) == (9 * path, path)
+
+    def test_a_second_identical_range_is_all_hits(self):
+        tree, cache = self._loaded()
+        first = tree.range(1_000, 3_000)
+        misses, reads = cache.stats.misses, tree.device.stats.reads
+        assert tree.range(1_000, 3_000) == first
+        assert cache.stats.misses == misses and tree.device.stats.reads == reads
+        assert cache.stats.hits > 0
+
+    def test_what_a_query_read_is_not_the_next_victim(self):
+        tree, cache = self._loaded()
+        tree.get(0)
+        read = {e.node_id for e in cache._resident_lru_order()}
+        tree.get(39_998)  # another root child: a path of its own below the root
+        tree.get(0)
+        victim = next(cache._resident_lru_order()).node_id
+        assert victim not in read
 
 
 class TestWriteAccounting:

@@ -351,7 +351,6 @@ def _sim_state(tree):
         "inner_stats": vars(device.inner.stats).copy(),
         "rotations_drawn": device.inner.rotations_drawn,
         "cache_stats": vars(cache.stats).copy(),
-        "cache_io_seconds": cache.io_seconds,
         "resident_lru": [e.node_id for e in cache._resident_lru_order()],
     }
 
