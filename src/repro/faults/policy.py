@@ -16,8 +16,7 @@ Two mechanisms, composable in one :class:`ResiliencePolicy`:
   distribution's tail from "one draw" to "min of two draws".
 
 Policies are inert by themselves.  Three places interpret them: the device
-(:class:`~repro.faults.device.FaultyDevice`, which
-:class:`~repro.storage.stack.StorageStack` attaches a policy to), the
+(:class:`~repro.faults.device.FaultyDevice`'s ``policy=``), the
 :class:`~repro.storage.scheduler.ReadAheadScheduler`, and the serving
 layer's :class:`~repro.serve.engine.RequestEngine`, which hedges a slow
 round onto a spare replica.  A :meth:`ResiliencePolicy.none` policy is a

@@ -13,7 +13,7 @@ private state.
 Service cost is measured, not modeled: a round calls the replica's tree
 (:meth:`~repro.trees.api.KVTree.lookup_many`: on the B-tree a one-key
 round is the scalar descent and a multi-key round the level-synchronized
-one, one :meth:`~repro.storage.stack.StorageStack.read_many` per level;
+one, one :meth:`~repro.storage.cache.BufferCache.get_many` per level;
 a per-key loop on the other kinds) and reads the simulated device
 seconds it charged.
 """

@@ -298,15 +298,17 @@ class BufferCache:
     def get_many(self, node_ids: "Sequence[Hashable]") -> list[Any]:
         """Batched read-through fetch; objects in input order.
 
-        Hit/miss accounting matches a serial loop of :meth:`get` exactly
-        (a node fetched earlier in the same batch hits on its second
-        appearance).  Runs of consecutive misses with equal extent size
-        are charged through the device's vectorized
+        Same objects, hit/miss counts and device traffic as a serial loop
+        of :meth:`get` (a node fetched earlier in the same batch hits on
+        its second appearance).  Runs of consecutive misses with equal
+        extent size are charged through one
         :meth:`~repro.storage.device.BlockDevice.read_batch` and admitted
-        afterwards, so the run's reads are issued before any write-backs
-        its admissions trigger; see
-        :meth:`repro.storage.stack.StorageStack.read_many` for the exact
-        equivalence contract.
+        afterwards, so a run's reads are issued before the write-backs of
+        any evictions its admissions trigger.  Where a device prices an IO
+        independently of the one before (affine, PDAM serial) the total is
+        bit-identical to the loop; on a stateful one (the HDD's head) the
+        schedule differs and may price seeks differently.  An unknown id
+        raises once the misses before it are charged, as the loop would.
         """
         out: list[Any] = [None] * len(node_ids)
         run: list[_Entry] = []
@@ -367,12 +369,14 @@ class BufferCache:
         moves more than ``M``).  A run of ``k`` nodes pays one setup
         instead of ``k``.  Resident nodes are LRU-touched first, in input
         order; each run's nodes are admitted after its read, in disk
-        order, evictions interleaving as in :meth:`get_many`.  An unknown
-        id raises before anything is charged.
+        order, evictions interleaving as in :meth:`get_many`.  A repeated
+        id that is not resident is read and admitted once, and its repeats
+        count as hits.  An unknown id raises before anything is charged.
         """
         index = self._index
         out: list[Any] = []
         missing: list[_Entry] = []
+        pending: set[Hashable] = set()
         for node_id in node_ids:
             entry = index.get(node_id)
             if entry is None:
@@ -380,7 +384,8 @@ class BufferCache:
             out.append(entry.obj)
             if entry.resident:
                 self._touch(entry)
-            else:
+            elif node_id not in pending:
+                pending.add(node_id)
                 missing.append(entry)
         hits = len(out) - len(missing)
         self.stats.hits += hits

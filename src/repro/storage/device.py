@@ -100,9 +100,8 @@ class BlockDevice(ABC):
     Subclasses implement one hook, :meth:`_service` (pure timing of one
     IO); this base class owns the rest of the IO protocol — it validates
     requests, keeps the clock and the counters, records the trace, feeds
-    the observability layer — for scalar
-    :meth:`read`/:meth:`write` and, through the one loop in
-    :meth:`_batch`, for :meth:`read_batch`.
+    the observability layer — in :meth:`read` and :meth:`write`, and
+    :meth:`read_batch` is a loop of :meth:`read` (:meth:`_batch`).
     """
 
     def __init__(self, capacity_bytes: int, *, trace: bool = False) -> None:
@@ -126,8 +125,8 @@ class BlockDevice(ABC):
 
         May raise (a fault wrapper's injected error or crash): the IO is
         then not charged, and a batch stops there with the IOs before it
-        charged — exactly a serial loop's partial state.  Must not read
-        ``self.clock`` (a batch holds it in a local; ``at`` is the clock).
+        charged — exactly a serial loop's partial state.  ``at`` is the
+        clock.
         """
 
     # -- public API --------------------------------------------------------
@@ -180,8 +179,9 @@ class BlockDevice(ABC):
         """Publish one completed IO to the observability layer.
 
         Only called under the ``if OBS.enabled:`` guards in :meth:`read`,
-        :meth:`write`, :meth:`_batch` and the SSD's closed-loop
+        :meth:`write`, the HDD's batch loop and the SSD's closed-loop
         ``service_request``, so the call below needs no guard of its own.
+        It is the only place an IO is published.
         """
         OBS.io_event(
             type(self).__name__, kind, offset, nbytes, start, end, self._obs_setup
@@ -208,44 +208,17 @@ class BlockDevice(ABC):
         return offs
 
     def _batch(self, offsets: list[int], nbytes: int) -> list[float]:
-        """The batch loop: the scalar step of :meth:`read`, once per offset.
+        """The batch loop: :meth:`read` once per offset, in order.
 
-        ``offsets`` come validated from :meth:`_checked`.  Each IO runs
-        :meth:`_service` and the same float operations, in the same order,
-        as :meth:`read`, with clock, read seconds and trace held
-        in locals; the ``finally`` writes them back, so when
-        :meth:`_service` raises at IO ``k`` the device is left as ``k``
-        scalar calls would leave it.  It calls the private step, never the
-        public ``self.read``.  A subclass overrides this only where the
-        end-to-end benchmark shows its own loop pays (today:
+        ``offsets`` come validated from :meth:`_checked`.  Being the
+        serial loop, it is identical to one by construction, down to the
+        partial state when :meth:`_service` raises at IO ``k`` (``k`` IOs
+        charged).  A subclass overrides this only where the end-to-end
+        benchmark shows its own loop pays (today:
         :class:`~repro.storage.hdd.SimulatedHDD`).
         """
-        service = self._service
-        stats = self.stats
-        seconds = stats.read_seconds
-        clock = self.clock
-        trace = self.trace if self._trace_enabled else None
-        out: list[float] = []
-        append = out.append
-        try:
-            for off in offsets:
-                start = clock
-                end = service("read", off, nbytes, start)
-                elapsed = end - start
-                seconds += elapsed
-                clock = end
-                if trace is not None:
-                    trace.append(IORecord("read", off, nbytes, start, end))
-                if OBS.enabled:
-                    self._obs_io("read", off, nbytes, start, end)
-                append(elapsed)
-        finally:
-            done = len(out)
-            self.clock = clock
-            stats.reads += done
-            stats.bytes_read += done * nbytes
-            stats.read_seconds = seconds
-        return out
+        read = self.read
+        return [read(off, nbytes) for off in offsets]
 
     def reset(self) -> None:
         """Zero the clock, counters and trace (fresh experiment)."""

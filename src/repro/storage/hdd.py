@@ -134,9 +134,9 @@ class SimulatedHDD(BlockDevice):
         Mechanical parameters (see :class:`HDDGeometry`).
     seed:
         Seed for the rotational-position RNG; runs are deterministic.
-    sequential_detection:
-        When true (default), an IO starting exactly at the head's current
-        position pays no seek and no rotational delay.
+
+    An IO starting exactly at the head's current position is sequential:
+    it pays no seek and no rotational delay, and draws no variate.
     """
 
     def __init__(
@@ -144,7 +144,6 @@ class SimulatedHDD(BlockDevice):
         geometry: HDDGeometry | None = None,
         *,
         seed: int = 0,
-        sequential_detection: bool = True,
         trace: bool = False,
     ) -> None:
         self.geometry = geometry or HDDGeometry()
@@ -155,7 +154,6 @@ class SimulatedHDD(BlockDevice):
         self._seek_span = g.full_stroke_seek_seconds - g.track_to_track_seek_seconds
         self._seconds_per_byte = g.seconds_per_byte
         self._seed = seed
-        self.sequential_detection = sequential_detection
         self._rewind()
 
     def _rewind(self) -> None:
@@ -189,7 +187,7 @@ class SimulatedHDD(BlockDevice):
     def _service(self, kind: str, offset: int, nbytes: int, at: float) -> float:
         # Writes pay the same mechanical costs as reads on a hard disk.
         head = self.head_position
-        if offset == head and self.sequential_detection:
+        if offset == head:
             setup = 0.0
         else:
             cursor = self._rotation_cursor
@@ -206,27 +204,27 @@ class SimulatedHDD(BlockDevice):
         return at + setup + nbytes * self._seconds_per_byte
 
     def _batch(self, offsets: list[int], nbytes: int) -> list[float]:
-        """:meth:`BlockDevice._batch` with :meth:`_service` inlined.
+        """:meth:`BlockDevice._batch` with :meth:`read` and :meth:`_service`
+        inlined.
 
-        The one device-specific batch loop: with the seek curve and the
-        rotation-stream cursor in locals it costs 0.30 us per IO against
-        0.46 us for the shared loop's call into :meth:`_service` (batches
-        of 64 and up), about 3 % of the ``device_engine`` workload, whose
-        HDD phase drives both this and the scalar path
-        (docs/architecture.md, "Batched IO").  Every IO runs the
-        float operations of :meth:`_service` and
+        The one device-specific batch loop, kept because it is measured:
+        with the seek curve and the rotation-stream cursor in locals it
+        costs 0.26 us per IO against 0.59 us for the base class's loop of
+        :meth:`read` (batches of 64 random reads, 2-core x86-64 Xeon); the
+        ``device_engine`` workload's HDD phase drives both this and the
+        scalar path (docs/architecture.md, "Batched IO").  Every IO runs
+        the float operations of :meth:`_service` and
         :meth:`BlockDevice.read` in the same order — same seek curve, same
-        rotation-stream cursor, same ``read_seconds`` accumulation — so timings,
-        counters, trace, OBS events, head position and
-        :attr:`rotations_drawn` match a serial loop bit for bit at every
-        batch length.  Nothing in the loop can raise, so the write-back
-        needs no ``finally``.
+        rotation-stream cursor, same ``read_seconds`` accumulation — so
+        timings, counters, trace, OBS events (through :meth:`_obs_io`),
+        head position and :attr:`rotations_drawn` match a serial loop bit
+        for bit at every batch length.  Nothing in the loop can raise, so
+        the write-back needs no ``finally``.
         """
         capacity = self.capacity_bytes
         seek_floor = self._seek_floor
         seek_span = self._seek_span
         sqrt = math.sqrt
-        detect = self.sequential_detection
         transfer = nbytes * self._seconds_per_byte
         rotations = self._rotations
         cursor = self._rotation_cursor
@@ -237,11 +235,10 @@ class SimulatedHDD(BlockDevice):
         seconds = stats.read_seconds
         trace = self.trace if self._trace_enabled else None
         obs_on = OBS.enabled
-        name = type(self).__name__
         out: list[float] = []
         append = out.append
         for off in offsets:
-            if off == head and detect:
+            if off == head:
                 setup = 0.0
             else:
                 if cursor == block:
@@ -258,7 +255,8 @@ class SimulatedHDD(BlockDevice):
             if trace is not None:
                 trace.append(IORecord("read", off, nbytes, start, clock))
             if obs_on:
-                OBS.io_event(name, "read", off, nbytes, start, clock, setup)
+                self._obs_setup = setup
+                self._obs_io("read", off, nbytes, start, clock)
             append(elapsed)
         self._rotation_cursor = cursor
         self.head_position = head

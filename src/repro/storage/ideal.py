@@ -27,11 +27,9 @@ class AffineDevice(BlockDevice):
     Parameters
     ----------
     model:
-        The :class:`~repro.models.affine.AffineModel` to realize.
-    sequential_detection:
-        When true, an IO starting where the previous one ended skips the
-        setup cost, mirroring :class:`~repro.storage.hdd.SimulatedHDD`.
-        Off by default so timing matches the model exactly.
+        The :class:`~repro.models.affine.AffineModel` to realize.  Every IO
+        pays the setup cost, sequential or not, so timing matches the model
+        exactly.
     write_multiplier:
         Scales the cost of *writes* relative to reads (default 1.0 —
         symmetric).  Models the read/write asymmetry of flash and NVM the
@@ -43,7 +41,6 @@ class AffineDevice(BlockDevice):
         model: AffineModel,
         capacity_bytes: int = 2**40,
         *,
-        sequential_detection: bool = False,
         write_multiplier: float = 1.0,
         trace: bool = False,
     ) -> None:
@@ -53,24 +50,14 @@ class AffineDevice(BlockDevice):
             )
         super().__init__(capacity_bytes, trace=trace)
         self.model = model
-        self.sequential_detection = sequential_detection
         self.write_multiplier = float(write_multiplier)
-        self._next_sequential_offset: int | None = None
 
     def _service(self, kind: str, offset: int, nbytes: int, at: float) -> float:
         scale = 1.0 if kind == "read" else self.write_multiplier
-        sequential = (
-            self.sequential_detection and offset == self._next_sequential_offset
-        )
-        setup = 0.0 if sequential else self.model.setup_seconds
-        self._next_sequential_offset = offset + nbytes
+        setup = self.model.setup_seconds
         if OBS.enabled:
             self._obs_setup = scale * setup  # setup/bandwidth split for obs
         return at + scale * (setup + self.model.seconds_per_byte * nbytes)
-
-    def reset(self) -> None:
-        super().reset()
-        self._next_sequential_offset = None
 
 
 class PDAMDevice(BlockDevice):

@@ -44,15 +44,14 @@ _REGISTRY: dict[str, DeviceKind] = {
         DeviceKind("null", NullDevice, _TERABYTE),
         DeviceKind("constant", ConstantLatencyDevice, dict(_TERABYTE, latency_seconds=1e-3)),
         DeviceKind("affine", AffineDevice, dict(
-            _TERABYTE, alpha=1e-6, setup_seconds=0.01,
-            sequential_detection=False, write_multiplier=1.0,
+            _TERABYTE, alpha=1e-6, setup_seconds=0.01, write_multiplier=1.0,
         ), AffineModel),
         DeviceKind("pdam", PDAMDevice, dict(
             _TERABYTE, parallelism=4, block_bytes=4096, step_seconds=1e-4
         ), PDAMModel),
-        DeviceKind("hdd", SimulatedHDD, dict(
-            dataclasses.asdict(HDDGeometry()), sequential_detection=True
-        ), HDDGeometry, seeded=True),
+        DeviceKind(
+            "hdd", SimulatedHDD, dataclasses.asdict(HDDGeometry()), HDDGeometry, seeded=True
+        ),
         DeviceKind("ssd", SimulatedSSD, dataclasses.asdict(SSDGeometry()), SSDGeometry),
     )
 }

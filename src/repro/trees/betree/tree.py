@@ -136,7 +136,7 @@ class BeTree(KVTree):
         self.storage.create(node.node_id, node, self.config.node_bytes)
 
     def _get(self, node_id: int) -> BeNode:
-        node = self.storage.get(node_id)
+        node = self.storage.cache.get(node_id)
         assert isinstance(node, BeNode)
         return node
 
@@ -145,14 +145,14 @@ class BeTree(KVTree):
         return self._get(node_id)
 
     def _dirty(self, node: BeNode) -> None:
-        self.storage.mark_dirty(node.node_id)
+        self.storage.cache.mark_dirty(node.node_id)
 
     def _dirty_segment(self, node: BeNode, idx: int) -> None:
         """Segment-granularity dirtying; whole node in the naive tree."""
-        self.storage.mark_dirty(node.node_id)
+        self.storage.cache.mark_dirty(node.node_id)
 
     def _dirty_pivots(self, node: BeNode) -> None:
-        self.storage.mark_dirty(node.node_id)
+        self.storage.cache.mark_dirty(node.node_id)
 
     def _free(self, node: BeNode) -> None:
         self.storage.destroy(node.node_id)

@@ -96,12 +96,12 @@ class BTree(KVTree):
         return node
 
     def _get(self, node_id: int) -> BTreeNode:
-        node = self.storage.get(node_id)
+        node = self.storage.cache.get(node_id)
         assert isinstance(node, BTreeNode)
         return node
 
     def _dirty(self, node: BTreeNode) -> None:
-        self.storage.mark_dirty(node.node_id)
+        self.storage.cache.mark_dirty(node.node_id)
 
     def _free(self, node: BTreeNode) -> None:
         self.storage.destroy(node.node_id)
@@ -138,7 +138,7 @@ class BTree(KVTree):
 
         Descends level-synchronized: all lookups sit at the same depth (the
         tree is height-balanced), so each level needs one
-        :meth:`~repro.storage.stack.StorageStack.read_many` of the distinct
+        :meth:`~repro.storage.cache.BufferCache.get_many` of the distinct
         nodes the batch touches, in first-need order.  Two lookups sharing
         a node fetch it once — a batch of ``k`` point queries costs at most
         ``k`` leaf IOs plus the shared internal nodes, with the per-IO
@@ -146,7 +146,7 @@ class BTree(KVTree):
         batch of one has nothing to share: it is :meth:`get`'s descent.
         """
         if len(keys) == 1:
-            # One node a level, and read_many of one id is get (a read_batch
+            # One node a level, and get_many of one id is get (a read_batch
             # of one offset is read): the scalar body *is* this batch, minus
             # the per-level lists, set and dict it has no use for.
             return [self._lookup(keys[0])]
@@ -161,7 +161,7 @@ class BTree(KVTree):
                 if node_id not in seen:
                     seen.add(node_id)
                     distinct.append(node_id)
-            nodes = dict(zip(distinct, self.storage.read_many(distinct)))
+            nodes = dict(zip(distinct, self.storage.cache.get_many(distinct)))
             sample = nodes[at[0]]
             assert isinstance(sample, BTreeNode)
             if sample.is_leaf:
@@ -370,7 +370,7 @@ class BTree(KVTree):
         """All pairs with ``lo <= key <= hi`` in key order.
 
         Level by level: the nodes of one level that overlap the range are
-        fetched by one :meth:`~repro.storage.stack.StorageStack.read_runs`
+        fetched by one :meth:`~repro.storage.cache.BufferCache.get_runs`
         — misses in disk order, one device read per run of adjacent
         extents — so a scan over a sequentially laid-out tree pays a setup
         per run, not per leaf.  Each level's ids are kept in key order, so
@@ -380,10 +380,10 @@ class BTree(KVTree):
         if lo > hi:
             return []
         bisect_right = bisect.bisect_right
-        read_runs = self.storage.read_runs
+        get_runs = self.storage.cache.get_runs
         level = [self.root_id]
         while True:
-            nodes = read_runs(level)
+            nodes = get_runs(level)
             if nodes[0].is_leaf:
                 break
             level = []

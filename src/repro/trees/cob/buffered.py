@@ -33,7 +33,7 @@ the trade Theorem 9 prices.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterable
+from typing import Any
 
 from repro.errors import TreeError
 from repro.storage.allocator import ExtentAllocator
@@ -151,16 +151,9 @@ class BufferedCOBTree(KVTree):
     def _insert(self, key: int, value: Any) -> None:
         self._append(int(key), value)
 
-    put = KVTree.insert
-
     def _delete(self, key: int) -> None:
         """Delete ``key`` (buffered tombstone)."""
         self._append(int(key), TOMBSTONE)
-
-    def _put_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
-        append = self._append
-        for key, value in pairs:
-            append(int(key), value)
 
     def bulk_load(self, pairs: list[tuple[int, Any]]) -> None:
         """Load a key-sorted batch into an *empty* tree sequentially.

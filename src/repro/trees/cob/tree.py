@@ -340,8 +340,6 @@ class COBTree(KVTree):
         lo, hi, resized = self.pma.insert(key, slot)
         self._update_index(lo, hi, resized)
 
-    put = KVTree.insert
-
     def _delete(self, key: int) -> None:
         """Remove ``key``: the index path, then a read-modify-write of its
         segment.  An absent key costs its search and nothing else, as in

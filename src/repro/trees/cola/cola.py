@@ -8,9 +8,9 @@ until it lands in an empty slot.  Each element therefore moves ``O(log N)``
 times, always inside *sequential* merges of big arrays — the
 write-optimized property — at an amortized IO cost of
 ``O((log N) / B_entries)`` per insert.  A query binary-searches every
-non-empty level: ``O(log^2 N)`` comparisons and, without fractional
-cascading (not implemented — the paper's citation is for the structural
-idea), ``O(log(len/B))`` block probes per uncached level.
+non-empty level: ``O(log^2 N)`` comparisons and, with RAM-resident fence
+keys standing in for fractional cascading (not implemented — the paper's
+citation is for the structural idea), one block probe per uncached level.
 
 Deletes are tombstones, resolved during merges and dropped when a merge
 produces the (new) largest level.
@@ -24,7 +24,7 @@ query cost pays the ``log N`` levels.  The epsilon-tradeoff experiment
 
 IO accounting mirrors :mod:`repro.trees.lsm`: levels are stored in device
 extents; merges read their inputs and write their output sequentially;
-binary-search probes charge one block read each.  Levels small enough to
+a search charges the one block its fence keys bracket.  Levels small enough to
 fit a configured RAM budget (taken greedily from level 0 upward, matching
 what a real implementation pins) are free to search.
 """
@@ -51,26 +51,22 @@ class COLAConfig:
 
     The COLA has no node-size parameter — that is its point.  The only
     knobs are the entry format, the block size used to price search
-    probes, and how much RAM the top levels may pin.
+    probes, and how much RAM the top levels may pin.  Every on-disk level
+    is fenced: RAM-resident fence keys bracket a search to one block
+    probe per level, the engineering analogue of the COLA paper's
+    fractional cascading (which exists to achieve the same bound
+    cache-obliviously).
     """
 
     fmt: EntryFormat = EntryFormat()
     block_bytes: int = 4096
     ram_bytes: int = 1 << 20
-    #: Keep one fence key in RAM per this many entries of each on-disk
-    #: level, bracketing searches to a single block probe per level — the
-    #: engineering analogue of the COLA paper's fractional cascading
-    #: (which exists to achieve the same bound cache-obliviously).
-    #: ``None`` disables fences: a search then pays ~log2(blocks) probes.
-    fence_every: int | None = 64
 
     def __post_init__(self) -> None:
         if self.block_bytes <= 0:
             raise ConfigurationError("block_bytes must be positive")
         if self.ram_bytes < 0:
             raise ConfigurationError("ram_bytes must be non-negative")
-        if self.fence_every is not None and self.fence_every < 2:
-            raise ConfigurationError("fence_every must be >= 2 (or None)")
 
     @property
     def entries_per_block(self) -> int:
@@ -284,20 +280,6 @@ class COLA(KVTree):
 
     # -- read path --------------------------------------------------------------
 
-    def _charge_unfenced_search(self, level: _Level) -> None:
-        """Charge an on-device level's search when no fence keys bracket it:
-        an uncached binary search touches ~log2(blocks) distinct blocks,
-        plus the final one containing the answer."""
-        block_bytes = self.config.block_bytes
-        per_block = self.config.entries_per_block
-        n_blocks = max(1, (len(level.keys) + per_block - 1) // per_block)
-        probes = max(1, n_blocks.bit_length())
-        span = level.nbytes
-        step = max(1, span // probes)
-        for p in range(probes):
-            off = level.offset + min(p * step, max(0, span - block_bytes))
-            self.device.read(off, min(block_bytes, span))
-
     def _lookup(self, key: int) -> Any | None:
         """Point query; returns the value or ``None``.
 
@@ -308,7 +290,6 @@ class COLA(KVTree):
         config = self.config
         entry_bytes = config.fmt.entry_bytes
         block_bytes = config.block_bytes
-        fenced = config.fence_every is not None
         read = self.device.read
         for lvl in self.levels:
             if lvl is None:
@@ -317,12 +298,9 @@ class COLA(KVTree):
             i = bisect_left(keys, key)
             offset = lvl.offset
             if offset >= 0:
-                if fenced:
-                    nbytes = lvl.nbytes
-                    block = min(block_bytes, nbytes)
-                    read(offset + min((i * entry_bytes // block) * block, nbytes - block), block)
-                else:
-                    self._charge_unfenced_search(lvl)
+                nbytes = lvl.nbytes
+                block = min(block_bytes, nbytes)
+                read(offset + min((i * entry_bytes // block) * block, nbytes - block), block)
             if i < len(keys) and keys[i] == key:
                 value = lvl.values[i]
                 return None if value is TOMBSTONE else value

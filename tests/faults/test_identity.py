@@ -37,14 +37,8 @@ class TestTreeByteIdentity:
 
     def test_none_policy_via_stack_is_invisible(self):
         bare = _measure_btree(default_hdd(seed=3))
-        pairs, keys = build_load(20_000, 1 << 30, seed=3)
-        storage = StorageStack(
-            default_hdd(seed=3), 1 << 20, resilience=ResiliencePolicy.none()
-        )
-        tree = BTree(storage, BTreeConfig())
-        tree.bulk_load(pairs)
-        wrapped = measure_tree_ops(
-            tree, keys, 1 << 30, n_queries=60, n_inserts=60, warmup_queries=30, seed=3
+        wrapped = _measure_btree(
+            FaultyDevice(default_hdd(seed=3), FaultPlan(), policy=ResiliencePolicy.none())
         )
         assert wrapped == bare
 

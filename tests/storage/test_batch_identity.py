@@ -40,7 +40,7 @@ NBYTES = 4096
 
 
 #: Branches a kind's defaults leave off, switched on so the batch must match them too.
-SWITCHED_ON = {"affine": dict(sequential_detection=True, write_multiplier=2.5)}
+SWITCHED_ON = {"affine": dict(write_multiplier=2.5)}
 
 
 def device(kind, seed=3):
@@ -262,7 +262,7 @@ class TestCrashInBatch:
         assert _state(dev) == _state(ref)
 
 
-def _scalar_draw_reference(offsets, nbytes, *, seed, detect=True):
+def _scalar_draw_reference(offsets, nbytes, *, seed):
     """Per-IO seconds from the pre-reservoir model: one scalar draw per seek.
 
     The oracle for the rotation-stream contract — the ``k``-th
@@ -276,7 +276,7 @@ def _scalar_draw_reference(offsets, nbytes, *, seed, detect=True):
     head, clock, out = 0, 0.0, []
     for off in offsets:
         setup = 0.0
-        if not (detect and off == head):
+        if off != head:
             frac = abs(off - head) / g.capacity_bytes
             seek = g.track_to_track_seek_seconds + span * math.sqrt(frac)
             setup = seek + float(rng.uniform(0.0, g.rotation_seconds))
@@ -348,19 +348,6 @@ class TestRotationReservoir:
         # A mixed batch draws only for its seeks.
         dev.read_batch([0, NBYTES, 2 * NBYTES, 1 << 24], NBYTES)
         assert dev.rotations_drawn == 3
-
-    def test_sequential_detection_off_draws_for_every_io(self):
-        def make():
-            return SimulatedHDD(
-                HDDGeometry(capacity_bytes=1 << 30), seed=3, sequential_detection=False
-            )
-
-        offsets = [0, NBYTES, 2 * NBYTES, 1 << 20, (1 << 20) + NBYTES]
-        ref, dev = make(), make()
-        expected = [ref.read(off, NBYTES) for off in offsets]
-        assert dev.read_batch(offsets, NBYTES) == expected
-        assert dev.rotations_drawn == ref.rotations_drawn == len(offsets)
-        assert expected == _scalar_draw_reference(offsets, NBYTES, seed=3, detect=False)
 
     def test_reset_mid_block_rewinds_to_variate_zero(self):
         offsets = self._scattered(ROTATION_BLOCK + 9)
@@ -447,7 +434,7 @@ class TestFlush:
         stack.flush()
         stack.device.reset()
         for i in self.DIRTY:
-            stack.mark_dirty(i)
+            stack.cache.mark_dirty(i)
         return stack
 
     def test_batched_runs_match_serial_writes(self):

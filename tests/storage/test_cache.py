@@ -278,6 +278,16 @@ class TestGetRuns:
         assert [(r.offset, r.nbytes) for r in dev.trace] == [(0, 100), (200, 100)]
         assert (cache.stats.hits, cache.stats.misses) == (1, 3)
 
+    def test_a_repeated_id_is_read_once_then_hits(self):
+        # As in a get loop (and get_many): one read and one admission, and
+        # every repeat counts a hit.
+        cache, dev = self.on_disk()
+        assert cache.get_runs([0, 0, 3, 0]) == ["v0", "v0", "v3", "v0"]
+        assert [(r.offset, r.nbytes) for r in dev.trace] == [(0, 100), (400, 100)]
+        assert (cache.stats.hits, cache.stats.misses) == (2, 2)
+        assert len(cache) == 2 and cache.cached_bytes == 200
+        cache.check_invariants()
+
     def test_a_run_never_exceeds_the_cache(self):
         cache, dev = self.on_disk(capacity=250)
         cache.get_runs([0, 1, 2])

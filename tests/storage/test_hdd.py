@@ -46,13 +46,6 @@ class TestTiming:
         t = hdd.read(4096, 4096)  # head is exactly there
         assert t == pytest.approx(4096 * hdd.geometry.seconds_per_byte)
 
-    def test_sequential_detection_can_be_disabled(self):
-        hdd = SimulatedHDD(HDDGeometry(capacity_bytes=1 << 30), seed=0,
-                           sequential_detection=False)
-        hdd.read(0, 4096)
-        t = hdd.read(4096, 4096)
-        assert t > 4096 * hdd.geometry.seconds_per_byte
-
     def test_random_io_pays_seek_and_rotation(self):
         hdd = make()
         t = hdd.read(512 << 20, 4096)

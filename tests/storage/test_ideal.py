@@ -27,19 +27,6 @@ class TestAffineDevice:
         dev.read(0, 100)
         assert dev.read(100, 100) == pytest.approx(m.seconds(100))
 
-    def test_sequential_detection_waives_setup(self):
-        m = AffineModel(alpha=1e-6, setup_seconds=0.01)
-        dev = AffineDevice(m, sequential_detection=True)
-        dev.read(0, 100)
-        assert dev.read(100, 100) == pytest.approx(m.seconds_per_byte * 100)
-
-    def test_reset_clears_sequential_state(self):
-        m = AffineModel(alpha=1e-6, setup_seconds=0.01)
-        dev = AffineDevice(m, sequential_detection=True)
-        dev.read(0, 100)
-        dev.reset()
-        assert dev.read(100, 100) == pytest.approx(m.seconds(100))
-
 
 class TestPDAMDevice:
     def make(self, P=4, B=4096):
@@ -139,18 +126,3 @@ class TestPDAMCrew:
         dev = self.make()
         with pytest.raises(InvalidIOError):
             dev.serve_step([], [100])
-
-
-class TestAffineReadBatch:
-    """Affine-specific batch state; the batch == serial-loop identity for
-    every device model is ``tests/storage/test_batch_identity.py``."""
-
-    def _pair(self, **kwargs):
-        m = AffineModel(alpha=1e-6, setup_seconds=0.01)
-        return AffineDevice(m, **kwargs), AffineDevice(m, **kwargs)
-
-    def test_sequential_detection_matches_serial(self):
-        dev, ref = self._pair(sequential_detection=True)
-        offsets = [0, 4096, 8192, 1 << 20, (1 << 20) + 4096]
-        assert dev.read_batch(offsets, 4096) == [ref.read(o, 4096) for o in offsets]
-        assert dev._next_sequential_offset == ref._next_sequential_offset

@@ -55,10 +55,12 @@ def test_every_preset_is_a_kind_with_known_fields():
 
 
 def test_fields_override_a_preset():
+    # The preset sets the bandwidth from Table 2's t; a field given here wins.
     disk = storage.build(
-        "wd-black-1tb-2011-sim", capacity_bytes=1 << 30, sequential_detection=False
+        "wd-black-1tb-2011-sim", capacity_bytes=1 << 30, bandwidth_bytes_per_second=300e6
     )
-    assert disk.capacity_bytes == 1 << 30 and not disk.sequential_detection
+    assert disk.capacity_bytes == 1 << 30
+    assert disk.geometry.bandwidth_bytes_per_second == 300e6
     assert disk.geometry.mean_setup_seconds == pytest.approx(0.012)
 
 
@@ -80,6 +82,12 @@ def test_build_refuses_what_it_does_not_know():
         storage.build("constant", parallelism=4)
     with pytest.raises(ConfigurationError, match="no field"):
         storage.build("samsung-860-pro-sim", seek_seconds=0.01)
+    # One rule for sequential IOs per kind: the disk always skips the
+    # setup, the affine device (the model) never does.
+    with pytest.raises(ConfigurationError, match="no field"):
+        storage.build("hdd", sequential_detection=False)
+    with pytest.raises(ConfigurationError, match="no field"):
+        storage.build("affine", sequential_detection=True)
 
 
 def test_a_registered_kind_joins_every_device_loop(monkeypatch):

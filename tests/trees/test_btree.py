@@ -335,7 +335,8 @@ def _spiky_tree(seed=5):
     stack = StorageStack(device, cache_bytes=16 * 1024)
     tree = BTree(stack, BTreeConfig(node_bytes=1024))
     tree.bulk_load([(i * 3, i) for i in range(4000)])
-    stack.drop_cache(reset_stats=True)
+    stack.drop_cache()
+    stack.cache.stats.reset()
     return tree
 
 
@@ -375,7 +376,7 @@ class TestBatchOfOne:
     def test_mixed_batch_sizes_trace_is_pinned(self):
         # Captured at the commit before one-key batches took the scalar
         # descent (f211511): per-call (clock, hits, misses, evictions) over
-        # batches of 1-8 keys.  Real batches still ride read_many, whose
+        # batches of 1-8 keys.  Real batches still ride get_many, whose
         # deferred admissions evict differently from a get loop — so this
         # pins the batched path as well as the batch of one.
         tree = _spiky_tree()

@@ -255,7 +255,7 @@ class TestCOBTree:
     def test_get_put_roundtrip(self):
         tree, _ = make_tree()
         for k in (5, 1, 9, 3):
-            tree.put(k, k * 10)
+            tree.insert(k, k * 10)
         assert tree.get(5) == 50
         assert tree.get(2) is None
         assert 9 in tree
@@ -264,8 +264,8 @@ class TestCOBTree:
 
     def test_overwrite_keeps_count(self):
         tree, _ = make_tree()
-        tree.put(7, "a")
-        tree.put(7, "b")
+        tree.insert(7, "a")
+        tree.insert(7, "b")
         assert len(tree) == 1
         assert tree.get(7) == "b"
         tree.check_invariants()
@@ -279,7 +279,7 @@ class TestCOBTree:
             op = rng.integers(0, 4)
             if op < 2:
                 v = int(rng.integers(0, 10**6))
-                tree.put(k, v)
+                tree.insert(k, v)
                 model[k] = v
             elif op == 2:
                 assert tree.get(k) == model.get(k)
@@ -292,7 +292,7 @@ class TestCOBTree:
     def test_growth_through_index_rebuild(self):
         tree, _ = make_tree()
         for k in range(1, 400):
-            tree.put(k, k)
+            tree.insert(k, k)
         assert tree.pma.resizes >= 1
         assert tree.index_rebuilds >= 1
         assert len(tree) == 399
@@ -314,7 +314,7 @@ class TestCOBTree:
     def test_range_and_items(self):
         tree, _ = make_tree()
         for k in range(0, 100, 7):
-            tree.put(k, -k)
+            tree.insert(k, -k)
         assert tree.range(10, 30) == [(14, -14), (21, -21), (28, -28)]
         assert tree.range(30, 10) == []
         assert tree.range(200, 300) == []
@@ -326,7 +326,7 @@ class TestCOBTree:
         loaded.bulk_load(pairs)
         serial, _ = make_tree()
         for k, v in pairs:
-            serial.put(k, v)
+            serial.insert(k, v)
         assert list(loaded.items()) == list(serial.items())
         loaded.check_invariants()
         with pytest.raises(TreeError):
@@ -344,7 +344,7 @@ class TestCOBTree:
         batch = [(k, k * 3) for k in range(1, 40, 4)]
         bulk_tree.put_bulk(batch)
         for k, v in batch:
-            serial.put(k, v)
+            serial.insert(k, v)
         assert list(bulk_tree.items()) == list(serial.items())
         bulk_tree.check_invariants()
         with pytest.raises(KeyOrderError):
@@ -355,9 +355,9 @@ class TestCOBTree:
         # legally stored keys beyond them vanished from iteration.
         lo_key, hi_key = -(1 << 62) - 7, (1 << 62) + 5
         tree, _ = make_tree()
-        tree.put(hi_key, "hi")
-        tree.put(lo_key, "lo")
-        tree.put((1 << 63) - 1, "max")
+        tree.insert(hi_key, "hi")
+        tree.insert(lo_key, "lo")
+        tree.insert((1 << 63) - 1, "max")
         assert list(tree.items()) == [
             (lo_key, "lo"),
             (hi_key, "hi"),
@@ -421,8 +421,8 @@ class TestCOBTree:
         small, _ = make_tree(block_bytes=512)
         large, _ = make_tree(block_bytes=1 << 20)
         for k in range(1, 300, 2):
-            small.put(k, k)
-            large.put(k, k)
+            small.insert(k, k)
+            large.insert(k, k)
         assert np.array_equal(small.pma.keys, large.pma.keys)
         assert small.pma.capacity == large.pma.capacity
 
@@ -438,7 +438,7 @@ class TestCOBTree:
         tree, _ = make_tree()
         model = {}
         for k in keys:
-            tree.put(k, k ^ 1)
+            tree.insert(k, k ^ 1)
             model[k] = k ^ 1
         tree.check_invariants()
         assert list(tree.items()) == sorted(model.items())
@@ -471,7 +471,7 @@ class TestSegmentIndex:
     def test_single_segment_tree(self):
         tree = COBTree(_null(), COBConfig(initial_slots=8))
         for key in (40, KEY_MAX, 10, KEY_MIN, 30):
-            tree.put(key, key)
+            tree.insert(key, key)
             assert tree.pma.n_segments == 1
             self._check(tree)
         tree.delete(KEY_MAX)
@@ -487,7 +487,7 @@ class TestSegmentIndex:
             tree = COBTree(_null(), COBConfig(initial_slots=initial_slots))
             keys = {int(k) for k in rng.integers(-universe, universe, size=700)}
             for key in keys:
-                tree.put(key, 0)
+                tree.insert(key, 0)
             grown = tree.pma.capacity > initial_slots
             assert tree.pma.resizes >= 2 if grown else tree.pma.resizes == 0
             self._check(tree)
@@ -504,11 +504,11 @@ class TestSegmentIndex:
 
     def test_across_doublings_and_at_the_domain_edges(self):
         tree = COBTree(_null(), COBConfig(initial_slots=8))
-        tree.put(KEY_MIN, "min")
-        tree.put(KEY_MAX, "max")
+        tree.insert(KEY_MIN, "min")
+        tree.insert(KEY_MAX, "max")
         resizes = 0
         for key in np.random.default_rng(4).integers(-(1 << 62), 1 << 62, size=300).tolist():
-            tree.put(key, 0)
+            tree.insert(key, 0)
             if tree.pma.resizes > resizes:
                 resizes = tree.pma.resizes
                 self._check(tree)
@@ -541,7 +541,7 @@ class TestBufferedCOBTree:
     def test_roundtrip_through_buffers(self):
         tree, _ = make_tree(BufferedCOBTree)
         for k in (5, 1, 9):
-            tree.put(k, k * 10)
+            tree.insert(k, k * 10)
         # Unflushed messages answer queries.
         assert tree.get(5) == 50
         tree.flush_all()
@@ -554,7 +554,7 @@ class TestBufferedCOBTree:
         # still see every message the buffer extent holds.
         tree, _ = make_tree(BufferedCOBTree)
         for serial in range(5):
-            tree.put(7, serial)
+            tree.insert(7, serial)
         tree.delete(8)
         bucket = tree.buckets[0]
         assert len(bucket.messages) == 2
@@ -570,7 +570,7 @@ class TestBufferedCOBTree:
             k = int(rng.integers(0, 250))
             if rng.integers(0, 3) < 2:
                 v = int(rng.integers(0, 10**6))
-                tree.put(k, v)
+                tree.insert(k, v)
                 model[k] = v
             else:
                 tree.delete(k)
@@ -583,7 +583,7 @@ class TestBufferedCOBTree:
     def test_small_buffers_force_flushes(self):
         tree, _ = make_tree(BufferedCOBTree, buffer_bytes=512)
         for k in range(300):
-            tree.put(k, k)
+            tree.insert(k, k)
         assert tree.flushes > 0
         assert len(tree.base) > 0
         tree.check_invariants()
@@ -598,7 +598,7 @@ class TestBufferedCOBTree:
         # Hammer one narrow key range: its bucket absorbs far more than
         # its fair share and must trigger a weight-balanced rebuild.
         for i in range(2000):
-            tree.put(4000 + (i % 7), i)
+            tree.insert(4000 + (i % 7), i)
         assert tree.splitter_rebuilds > rebuilds
         tree.check_invariants()
 
@@ -607,14 +607,14 @@ class TestBufferedCOBTree:
         tree, _ = make_tree(BufferedCOBTree)
         tree.bulk_load(pairs)
         assert sorted(tree.items()) == pairs
-        tree.put(0, 0)
+        tree.insert(0, 0)
         with pytest.raises(TreeError):
             tree.bulk_load(pairs)
 
     def test_range_merges_buffers(self):
         tree, _ = make_tree(BufferedCOBTree)
         tree.bulk_load([(k, "old") for k in range(0, 40, 4)])
-        tree.put(8, "new")
+        tree.insert(8, "new")
         tree.delete(12)
         got = tree.range(0, 20)
         assert (8, "new") in got
@@ -630,9 +630,9 @@ class TestBufferedCOBTree:
         )
         k = 0
         while not tree.splitters:  # first overflow flush seeds them
-            tree.put(k, k)
+            tree.insert(k, k)
             k += 1
-        tree.put(10_000_000, -1)
+        tree.insert(10_000_000, -1)
         assert tree.get(10_000_000) == -1
         tree.check_invariants()
         assert sorted(tree.items()) == sorted(
@@ -645,7 +645,7 @@ class TestBufferedCOBTree:
         # items() even though get() found it.
         big = (1 << 62) + 5
         tree, _ = make_tree(BufferedCOBTree)
-        tree.put(big, 1)
+        tree.insert(big, 1)
         tree.check_invariants()  # bucket 0 owns the whole key domain
         assert sorted(tree.items()) == [(big, 1)]
         tree.flush_all()

@@ -23,6 +23,8 @@ class TestConfig:
             COLAConfig(block_bytes=0)
         with pytest.raises(ConfigurationError):
             COLAConfig(ram_bytes=-1)
+        with pytest.raises(TypeError):  # every level is fenced
+            COLAConfig(fence_every=64)
 
     def test_entries_per_block(self):
         cfg = COLAConfig(fmt=EntryFormat(value_bytes=20), block_bytes=4096)
@@ -184,36 +186,3 @@ def test_matches_dict_reference(ops):
             ref.pop(key, None)
     cola.check_invariants()
     assert dict(cola.items()) == ref
-
-
-class TestFencePointers:
-    def test_fences_reduce_probe_reads(self):
-        def query_cost(fence_every):
-            dev = NullDevice(capacity_bytes=1 << 30)
-            cfg = COLAConfig(fmt=EntryFormat(value_bytes=20), ram_bytes=0,
-                             fence_every=fence_every)
-            cola = COLA(dev, cfg)
-            for k in range(30_000):
-                cola.insert(k, k)
-            r0 = dev.stats.reads
-            for k in range(0, 30_000, 500):
-                cola.get(k)
-            return dev.stats.reads - r0
-
-        # One block per level with fences; ~log(blocks) per level without.
-        assert query_cost(64) < 0.5 * query_cost(None)
-
-    def test_fence_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            COLAConfig(fence_every=1)
-
-    def test_correctness_unaffected(self):
-        for fence in (None, 16):
-            cola, _ = make(fence_every=fence)
-            ref = {}
-            rng = np.random.default_rng(3)
-            for k in rng.integers(0, 800, size=3000):
-                k = int(k)
-                cola.insert(k, k)
-                ref[k] = k
-            assert dict(cola.items()) == ref

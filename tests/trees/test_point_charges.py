@@ -62,11 +62,10 @@ def _betree(cls, device, **flags):
     return cls(stack, config, **flags)
 
 
-#: Every registered kind, the COLA's multi-probe search, and the two other
-#: Bε-trees E9 ablates (the registry's ``betree`` is its Theorem 9 arm).
+#: Every registered kind, and the two other Bε-trees E9 ablates (the
+#: registry's ``betree`` is its Theorem 9 arm).
 CASES = {
     **{kind: (lambda device, kind=kind: build(kind, device, **BUILD[kind])) for kind in KINDS},
-    "cola-unfenced": lambda device: build("cola", device, fence_every=None, **BUILD["cola"]),
     "betree-naive": lambda device: _betree(BeTree, device),
     "betree-own-pivots": lambda device: _betree(
         OptimizedBeTree, device, pivots_in_parent=False
@@ -98,7 +97,6 @@ PINNED = {
     "cob": "ec9b67588e7627f01e81e6f42b6a56037c4c619de7b1710e1afed63d4a910035",
     "cob-buffered": "65f1705ca770deb82da22238b4b136b74d659df058e339ab780edeb7e2353752",
     "cola": "2906ec0d055c306c2359899da581040f21f688201c259cb45346616c88aec294",
-    "cola-unfenced": "ce6d39f9b56d02f1451d3e0aeebec31921d67ae53b2780c25ecd65e39031286f",
     "lsm": "2137c457cf9cb3bcf9bc71e56cf135e31cd66cce23e4b6b0e6c9f9a379e67b59",
 }
 
