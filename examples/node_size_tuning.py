@@ -15,8 +15,6 @@ Walks the full loop an engineer would follow with this library:
 Run:  python examples/node_size_tuning.py
 """
 
-import numpy as np
-
 from repro.analysis.fitting import fit_affine_model
 from repro import storage
 from repro.models.analysis import (
@@ -27,21 +25,8 @@ from repro.models.analysis import (
 from repro.storage.stack import StorageStack
 from repro.trees.btree import BTree, BTreeConfig
 from repro.trees.sizing import EntryFormat
+from repro.tuning import probe_affine
 from repro.workloads.generators import point_query_stream, random_load_pairs
-
-
-def measure_device(hdd, io_sizes, reads_per_size=48, seed=0):
-    """Step 1: the Table 2 microbenchmark."""
-    rng = np.random.default_rng(seed)
-    sizes, times = [], []
-    for io in io_sizes:
-        samples = []
-        for _ in range(reads_per_size):
-            off = int(rng.integers(0, (hdd.capacity_bytes - io) // 512)) * 512
-            samples.append(hdd.read(off, io))
-        sizes.append(io)
-        times.append(float(np.mean(samples)))
-    return sizes, times
 
 
 def main() -> None:
@@ -49,7 +34,8 @@ def main() -> None:
     hdd = storage.build("wd-black-1tb-2011-sim", seed=0)
 
     print("Step 1-2: fit the affine model to the device")
-    sizes, times = measure_device(hdd, [4096 * 4**k for k in range(7)])
+    probe = probe_affine(hdd, io_sizes=tuple(4096 * 4**k for k in range(7)))
+    sizes, times = probe.means()
     fit = fit_affine_model(sizes, times)
     print(f"  s = {fit.setup_seconds * 1e3:.1f} ms, "
           f"t = {fit.seconds_per_byte * 4096 * 1e6:.1f} us/4KiB, "

@@ -15,26 +15,21 @@ import numpy as np
 
 from repro.analysis.fitting import fit_pdam_model
 from repro import storage
-from repro.storage.device import ReadRequest
 from repro.trees.btree.veb import PDAMQuerySimulator, StaticSearchTree
+from repro.tuning import probe_parallel
 
 
 def fit_device(name="samsung-860-pro-sim"):
-    """Step 1: the Figure 1 / Table 1 thread-scaling benchmark."""
-    threads = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
-    bytes_per_thread = 4 << 20
-    times = []
-    for p in threads:
-        ssd = storage.build(name)
-        rng = np.random.default_rng(p)
-        stripes = ssd.capacity_bytes // 65536
-        streams = [
-            [ReadRequest(int(o) * 65536, 65536)
-             for o in rng.integers(0, stripes, size=bytes_per_thread // 65536)]
-            for _ in range(p)
-        ]
-        times.append(ssd.run_closed_loop(streams))
-    return fit_pdam_model(list(threads), times, bytes_per_thread=bytes_per_thread)
+    """Step 1: the Figure 1 / Table 1 thread-scaling benchmark (E1's ramp)."""
+    ramp = probe_parallel(
+        storage.build(name),
+        threads=(1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 24, 32, 48, 64),
+        bytes_per_thread=8 << 20,
+    )
+    return fit_pdam_model(
+        list(ramp.threads), list(ramp.completion_seconds),
+        bytes_per_thread=ramp.bytes_per_thread,
+    )
 
 
 def main() -> None:

@@ -17,14 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro import storage
 from repro.analysis.fitting import AffineFit, fit_affine_model
 from repro.experiments import report
 from repro.experiments.common import check_devices
 from repro.runner import ResultCache, SweepPoint, SweepSpec, register, run_sweep
 from repro.storage.registry import HDD_ZOO
+from repro.tuning.probe import probe_affine
 
 DEFAULT_IO_SIZES = tuple(4096 * 4**k for k in range(7))  # 4 KiB .. 16 MiB
 
@@ -80,16 +79,9 @@ def affine_validation_device(
 ) -> dict[str, Any]:
     """Random-read size ladder on one zoo disk; per-size mean IO times."""
     hdd = storage.build(device, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    mean_sizes: list[float] = []
-    mean_times: list[float] = []
-    for io in io_sizes:
-        blocks = (hdd.capacity_bytes - io) // 512
-        offsets = rng.integers(0, blocks, size=reads_per_size) * 512
-        samples = hdd.read_batch([int(o) for o in offsets], int(io))
-        mean_sizes.append(float(io))
-        mean_times.append(float(np.mean(samples)))
-    return {"mean_sizes": mean_sizes, "mean_times": mean_times}
+    probe = probe_affine(hdd, io_sizes=io_sizes, reads_per_size=reads_per_size, seed=seed + 1)
+    sizes, times = probe.means()
+    return {"mean_sizes": [float(s) for s in sizes], "mean_times": times}
 
 
 def sweep_spec(

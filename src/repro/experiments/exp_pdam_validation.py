@@ -20,12 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro import storage
 from repro.analysis.fitting import PDAMFit, fit_pdam_model
 from repro.experiments import report
-from repro.storage.device import ReadRequest, WriteRequest
+from repro.tuning.probe import closed_loop_point
 
 DEFAULT_THREADS = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 24, 32, 48, 64)
 
@@ -118,8 +116,6 @@ def run(
     the slower program rate, so the fitted ``PB`` falls as the fraction
     rises while the flat-then-linear shape is preserved.
     """
-    if not 0.0 <= write_fraction <= 1.0:
-        raise ValueError(f"write_fraction must be in [0, 1], got {write_fraction}")
     zoo_ssds = (name for name, (kind, _) in storage.ZOO.items() if kind == "ssd")
     names = devices if devices is not None else tuple(sorted(zoo_ssds))
     result = PDAMValidationResult(threads=tuple(threads), bytes_per_thread=bytes_per_thread)
@@ -128,21 +124,12 @@ def run(
         times = []
         for p in threads:
             ssd = storage.build(name)
-            rng = np.random.default_rng(seed + p)
-            n_stripes = ssd.capacity_bytes // request_bytes
-            streams = []
-            for _ in range(p):
-                offsets = rng.integers(0, n_stripes, size=n_requests) * request_bytes
-                kinds = rng.random(n_requests) < write_fraction
-                streams.append(
-                    [
-                        WriteRequest(int(o), request_bytes)
-                        if w
-                        else ReadRequest(int(o), request_bytes)
-                        for o, w in zip(offsets, kinds)
-                    ]
+            times.append(
+                closed_loop_point(
+                    ssd, p, n_requests, request_bytes,
+                    seed=seed + p, write_fraction=write_fraction,
                 )
-            times.append(ssd.run_closed_loop(streams))
+            )
         result.times[name] = times
         result.fits[name] = fit_pdam_model(
             list(threads), times, bytes_per_thread=bytes_per_thread

@@ -298,17 +298,25 @@ class BufferCache:
     def get_many(self, node_ids: "Sequence[Hashable]") -> list[Any]:
         """Batched read-through fetch; objects in input order.
 
-        Same objects, hit/miss counts and device traffic as a serial loop
-        of :meth:`get` (a node fetched earlier in the same batch hits on
-        its second appearance).  Runs of consecutive misses with equal
-        extent size are charged through one
+        The same objects as a serial loop of :meth:`get`, but not always
+        its hit/miss counts or device traffic.  Each id is classified when
+        the batch reaches it (a node fetched earlier in the same batch
+        hits on its second appearance), and runs of consecutive misses
+        with equal extent size are charged through one
         :meth:`~repro.storage.device.BlockDevice.read_batch` and admitted
-        afterwards, so a run's reads are issued before the write-backs of
-        any evictions its admissions trigger.  Where a device prices an IO
-        independently of the one before (affine, PDAM serial) the total is
-        bit-identical to the loop; on a stateful one (the HDD's head) the
-        schedule differs and may price seeks differently.  An unknown id
-        raises once the misses before it are charged, as the loop would.
+        only after that read.  So a resident node that an earlier miss's
+        admission would have evicted in the loop still counts a hit here,
+        and is not read again: with 1 and 2 resident in a two-node cache,
+        1 at the LRU end, ``get_many([0, 1])`` is one hit and one read
+        where ``get(0); get(1)`` is two misses and two reads.  When no
+        admission in the batch evicts a node the batch later touches, the
+        counts are the loop's, and where a device prices an IO
+        independently of the one before (affine, PDAM serial) so is the
+        total; on a stateful one (the HDD's head) the schedule differs and
+        may price seeks differently.  A run's reads are issued before the
+        write-backs of any evictions its admissions trigger.  An unknown
+        id raises once the misses before it are charged, as the loop
+        would.
         """
         out: list[Any] = [None] * len(node_ids)
         run: list[_Entry] = []

@@ -222,7 +222,3 @@ class ClosedLoopRunner:
                 OBS.histogram("engine.service_seconds").record(done - issue_time)
             heapq.heappush(heap, (done, idx))
         return finish
-
-    def run_makespan(self, client_streams: Sequence[Iterator[object]]) -> float:
-        """Convenience: the time at which the *last* client finishes."""
-        return max(self.run(client_streams))

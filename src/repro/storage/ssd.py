@@ -232,26 +232,25 @@ class SimulatedSSD(BlockDevice):
         """:meth:`service_request` for each of ``requests``, all issued at ``at``.
 
         The ``service_batch`` hook :class:`ClosedLoopRunner` hands runs of
-        tied events to.  The class's function is called rather than
-        ``self.service_request`` so that a benchmark tracer shadowing the
-        public methods on the instance sees one batch call, not a nested
-        scalar call per request.
+        tied events to; only the ``device_engine`` benchmark and the
+        batch-identity tests dispatch through it.  The class's function is
+        called rather than ``self.service_request`` so that a benchmark
+        tracer shadowing the public methods on the instance sees one batch
+        call, not a nested scalar call per request.
         """
         serve = type(self).service_request
         return [serve(self, request, at) for request in requests]
 
     def run_closed_loop(self, client_streams) -> float:
-        """Run concurrent closed-loop clients; returns the makespan.
+        """Run concurrent closed-loop clients; returns the last finish time.
 
         This is the simulated analogue of the paper's "spawn p threads, each
         reads 10 GiB" benchmark: each client keeps one request outstanding.
-        Runs of tied arrivals go to :meth:`service_request_batch` in one
-        dispatch.
+        Every client issues its first request at the device's clock, so on
+        a live device no request is served in idle time before it.
         """
-        runner = ClosedLoopRunner(
-            self.service_request, service_batch=self.service_request_batch
-        )
-        return runner.run_makespan(client_streams)
+        runner = ClosedLoopRunner(self.service_request)
+        return max(runner.run(client_streams, self.clock))
 
     def reset(self) -> None:
         """Reset clock, counters and all die/channel timelines."""

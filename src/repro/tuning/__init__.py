@@ -19,6 +19,7 @@ from repro.tuning.probe import (
     DEFAULT_THREAD_RAMP,
     AffineProbe,
     ParallelProbe,
+    closed_loop_point,
     probe_affine,
     probe_parallel,
     supports_parallel_probe,
@@ -33,6 +34,7 @@ __all__ = [
     "DEFAULT_THREAD_RAMP",
     "AffineProbe",
     "ParallelProbe",
+    "closed_loop_point",
     "probe_affine",
     "probe_parallel",
     "supports_parallel_probe",

@@ -64,15 +64,6 @@ class DeviceProfile:
         return self.affine.r2 >= MIN_R2
 
 
-def _mean_by_size(sizes: Sequence[int], secs: Sequence[float]) -> tuple[list[int], list[float]]:
-    """Collapse per-IO observations to one mean duration per IO size."""
-    totals: dict[int, list[float]] = {}
-    for size, sec in zip(sizes, secs):
-        totals.setdefault(size, []).append(sec)
-    rungs = sorted(totals)
-    return rungs, [sum(totals[r]) / len(totals[r]) for r in rungs]
-
-
 def _small_size_rel_err(sizes: Sequence[int], secs: Sequence[float], fit: AffineFit) -> float:
     """Worst relative error of the fit at the two smallest ladder rungs."""
     errs = []
@@ -85,10 +76,8 @@ def _small_size_rel_err(sizes: Sequence[int], secs: Sequence[float], fit: Affine
 def fit_affine_probe(probe: AffineProbe) -> AffineFit:
     """Table 2 regression over probe data, trimming out-of-regime sizes.
 
-    Per-IO timings are first collapsed to a mean per ladder rung — the
-    paper fits the average of its 64 random reads per size, and per-sample
-    noise (a disk's rotational position) would otherwise cap R² no matter
-    how many samples were taken.
+    Per-IO timings are first collapsed to a mean per ladder rung
+    (:meth:`~repro.tuning.probe.AffineProbe.means`).
 
     Two gates decide whether a fit is usable: the R² floor, and a relative
     error bound at the *smallest* rungs.  The second matters on internally
@@ -101,7 +90,7 @@ def fit_affine_probe(probe: AffineProbe) -> AffineFit:
     retried; if no attempt passes both gates the best-R² attempt among
     those passing the small-size gate wins, then the best overall.
     """
-    sizes, secs = _mean_by_size(probe.io_sizes, probe.seconds)
+    sizes, secs = probe.means()
     best: AffineFit | None = None
     best_small: AffineFit | None = None
     while True:

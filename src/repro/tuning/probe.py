@@ -1,15 +1,17 @@
 """Calibration workloads: measure a device the way the paper's Section 4 does.
 
-Two probes, matching the two fits of Tables 1-2:
+Two probes, matching the two fits of Tables 1-2, and the one copy of each
+recipe: E1 (Figure 1/Table 1), E3 (Table 2), the autotuner and the
+examples all measure through this module.
 
 * :func:`probe_affine` — random reads across a ladder of IO sizes; the
-  per-IO ``(size, seconds)`` pairs feed the Table 2 regression that
-  recovers ``(s, t, alpha)``.
+  per-IO ``(size, seconds)`` pairs, collapsed by :meth:`AffineProbe.means`,
+  feed the Table 2 regression that recovers ``(s, t, alpha)``.
 * :func:`probe_parallel` — a closed-loop thread ramp (p clients, each
-  reading a fixed volume in block-sized random reads); the per-p
-  completion times feed the Table 1 segmented regression that recovers
-  ``(P, PB)``.  Devices with no concurrent interface are reported as
-  serial (``None``).
+  reading a fixed volume in block-sized random reads), one
+  :func:`closed_loop_point` per p; the per-p completion times feed the
+  Table 1 segmented regression that recovers ``(P, PB)``.  Devices with
+  no concurrent interface are reported as serial (``None``).
 
 Probes issue real (simulated) IOs and therefore cost simulated device
 time; every probe result carries that cost.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.storage.device import BlockDevice, ReadRequest
+from repro.storage.device import BlockDevice, ReadRequest, WriteRequest
 from repro.storage.ideal import PDAMDevice
 
 DEFAULT_IO_SIZES = tuple(4096 * 2**k for k in range(11))  # 4 KiB .. 4 MiB
@@ -37,6 +39,19 @@ class AffineProbe:
     seconds: tuple[float, ...]
     probe_seconds: float               # total simulated time spent probing
     probe_ios: int
+
+    def means(self) -> tuple[list[int], list[float]]:
+        """One mean duration per IO size, the rungs in ascending order.
+
+        The paper fits the average of its 64 random reads per size: per-IO
+        noise (a disk's rotational position) would otherwise cap R² no
+        matter how many samples were taken.
+        """
+        by_size: dict[int, list[float]] = {}
+        for size, sec in zip(self.io_sizes, self.seconds):
+            by_size.setdefault(size, []).append(sec)
+        rungs = sorted(by_size)
+        return rungs, [float(np.mean(by_size[r])) for r in rungs]
 
 
 @dataclass(frozen=True)
@@ -60,28 +75,27 @@ def probe_affine(
 ) -> AffineProbe:
     """Issue ``reads_per_size`` random reads at each size; collect timings.
 
-    Offsets are drawn uniformly over the device so seek distances match the
-    random-IO regime the affine model prices (paper Section 4.2's "64
-    random reads" per size).
+    Offsets are 512-byte aligned and drawn uniformly over the device so
+    seek distances match the random-IO regime the affine model prices
+    (paper Section 4.2's "64 random reads" per size).
     """
     if not io_sizes:
         raise ConfigurationError("need at least one IO size")
     if reads_per_size <= 0:
         raise ConfigurationError(f"reads_per_size must be positive, got {reads_per_size}")
     max_size = max(io_sizes)
-    if max_size > device.capacity_bytes:
+    if max_size + 512 > device.capacity_bytes:
         raise ConfigurationError(
-            f"largest probe IO ({max_size}) exceeds device capacity"
+            f"largest probe IO ({max_size}) leaves no offset to draw on the device"
         )
     rng = np.random.default_rng(seed)
     sizes: list[int] = []
     secs: list[float] = []
     total = 0.0
     for nbytes in io_sizes:
-        hi = device.capacity_bytes - nbytes
-        offsets = rng.integers(0, hi // 512 + 1, size=reads_per_size) * 512
-        # Batched issue: devices vectorize the homogeneous-size timing math
-        # while staying bit-identical to one read() call per offset.
+        blocks = (device.capacity_bytes - nbytes) // 512
+        offsets = rng.integers(0, blocks, size=reads_per_size) * 512
+        # One read_batch a rung: bit-identical to one read() per offset.
         for elapsed in device.read_batch([int(o) for o in offsets], int(nbytes)):
             sizes.append(int(nbytes))
             secs.append(elapsed)
@@ -133,7 +147,7 @@ def probe_parallel(
         if isinstance(device, PDAMDevice):
             elapsed = _pdam_closed_loop(device, p, n_requests, seed=seed + p)
         else:
-            elapsed = _closed_loop_runner(
+            elapsed = closed_loop_point(
                 device, p, n_requests, request_bytes, seed=seed + p
             )
         times.append(elapsed)
@@ -149,20 +163,41 @@ def probe_parallel(
     )
 
 
-def _closed_loop_runner(
-    device: BlockDevice, p: int, n_requests: int, request_bytes: int, *, seed: int
+def closed_loop_point(
+    device: BlockDevice,
+    p: int,
+    n_requests: int,
+    request_bytes: int,
+    *,
+    seed: int,
+    write_fraction: float = 0.0,
 ) -> float:
-    """Ramp point on a device with a ``run_closed_loop`` makespan API."""
+    """One ramp point: ``p`` closed-loop clients on a ``run_closed_loop`` device.
+
+    Each client issues ``n_requests`` random ``request_bytes`` IOs at
+    request-aligned offsets, a write with probability ``write_fraction``
+    (Definition 1 allows any mix; Figure 1 itself is read-only).  The rng
+    draws, per client, its offsets and then its read/write coins.  The
+    clients start at the device's clock, so a live device is probed in
+    place; the result is the elapsed time from that clock to the last
+    client's finish.
+    """
+    if not 0.0 <= write_fraction <= 1.0:
+        raise ConfigurationError(f"write_fraction must be in [0, 1], got {write_fraction}")
     rng = np.random.default_rng(seed)
     n_slots = device.capacity_bytes // request_bytes
     streams = []
     for _ in range(p):
         offsets = rng.integers(0, n_slots, size=n_requests) * request_bytes
-        streams.append([ReadRequest(int(o), request_bytes) for o in offsets])
-    # run_closed_loop returns an absolute finish time; on a live device the
-    # ramp starts after all prior work, so report the delta from the clock.
+        writes = rng.random(n_requests) < write_fraction
+        streams.append(
+            [
+                WriteRequest(int(o), request_bytes) if w else ReadRequest(int(o), request_bytes)
+                for o, w in zip(offsets, writes)
+            ]
+        )
     start = device.clock
-    return float(device.run_closed_loop(streams)) - start
+    return device.run_closed_loop(streams) - start
 
 
 def _pdam_closed_loop(device: PDAMDevice, p: int, n_requests: int, *, seed: int) -> float:

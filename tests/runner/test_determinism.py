@@ -5,15 +5,17 @@ configurations.  Each test runs the experiment twice — serially and with
 four workers — and compares both outputs byte-for-byte against the
 checked-in golden, so a change that perturbs numbers, ordering, or
 formatting (including one smuggled in via the parallel path or the result
-cache) fails loudly.
+cache) fails loudly.  E1 has no sweep: its golden is the default Figure
+1/Table 1 report, run once.
 
 Regenerate after an *intentional* semantic change (and bump
 ``repro.runner.cache.CACHE_EPOCH`` at the same time) with::
 
     PYTHONPATH=src python tests/runner/test_determinism.py --regen
 
-Last regenerated at ``CACHE_EPOCH`` 4, when a dirty write-back became one
-write per run of adjacent dirty nodes: only E6's 64 KiB insert cell moved.
+Last regenerated at ``CACHE_EPOCH`` 7, when the SSD's closed loop began
+starting its clients at the device's clock and the autotuner's ramp took
+E1's draw order: only E17's ``samsung-970-pro-sim`` row moved.
 """
 
 from pathlib import Path
@@ -23,6 +25,7 @@ import pytest
 from repro.experiments import exp_affine_validation as e3
 from repro.experiments import exp_autotune as e17
 from repro.experiments import exp_betree_nodesize as e6
+from repro.experiments import exp_pdam_validation as e1
 from repro.runner import ResultCache
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -75,6 +78,17 @@ def test_serial_and_parallel_match_golden(golden_name):
     assert parallel == golden, f"jobs=4 output differs from {golden_name}"
 
 
+def test_fig1_default_run_matches_golden():
+    """Figure 1 and Table 1 at their defaults, as ``fig1`` prints them.
+
+    E1 has no sweep, so it runs once; the golden is the whole default
+    report because Table 1's fitted P moves by up to 0.4 under an
+    ulp-level change of the SSD's service times.
+    """
+    golden = (GOLDEN_DIR / "e1_pdam_validation.txt").read_text()
+    assert e1.run().render() + "\n" == golden
+
+
 def test_cached_rerun_matches_golden(tmp_path):
     """A warm-cache rerun reproduces the golden byte-for-byte too.
 
@@ -97,6 +111,8 @@ def _regen() -> None:
     for name, (run, kwargs) in CASES.items():
         (GOLDEN_DIR / name).write_text(run(**kwargs, jobs=1).render() + "\n")
         print(f"wrote {GOLDEN_DIR / name}")
+    (GOLDEN_DIR / "e1_pdam_validation.txt").write_text(e1.run().render() + "\n")
+    print(f"wrote {GOLDEN_DIR / 'e1_pdam_validation.txt'}")
 
 
 if __name__ == "__main__":

@@ -526,16 +526,25 @@ class TestBatchedRunner:
         assert batched == scalar  # exact float equality
         assert _state(batch_dev) == _state(scalar_dev)
 
-    def test_run_closed_loop_uses_batch_path(self):
-        scalar_dev, batch_dev = ssd(), ssd()
+    def test_run_closed_loop_equals_scalar_runner(self):
+        scalar_dev, loop_dev = ssd(), ssd()
         streams = self._streams(4, 30)
-        scalar = ClosedLoopRunner(scalar_dev.service_request).run_makespan(streams)
-        assert batch_dev.run_closed_loop(streams) == scalar
+        scalar = max(ClosedLoopRunner(scalar_dev.service_request).run(streams))
+        assert loop_dev.run_closed_loop(streams) == scalar
+        assert _state(loop_dev) == _state(scalar_dev)
 
     def test_batch_path_disabled_under_observability(self, monkeypatch):
         # The scalar path stays authoritative when OBS is recording; the
-        # makespan must not change either way.
+        # finish times must not change either way.
         streams = self._streams(4, 10)
-        plain = ssd().run_closed_loop(streams)
+
+        def batched_run():
+            dev = ssd()
+            runner = ClosedLoopRunner(
+                dev.service_request, service_batch=dev.service_request_batch
+            )
+            return runner.run(streams)
+
+        plain = batched_run()
         monkeypatch.setattr(OBS, "enabled", True)
-        assert ssd().run_closed_loop(streams) == plain
+        assert batched_run() == plain

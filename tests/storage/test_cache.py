@@ -309,6 +309,32 @@ class TestGetRuns:
         assert ("write", 600, 100) in [(r.kind, r.offset, r.nbytes) for r in dev.trace]
 
 
+class TestGetMany:
+    """The batched fetch classifies each id when it reaches it."""
+
+    @staticmethod
+    def warm():
+        # Three 4 KiB extents; the 8 KiB cache holds 1 and 2, 1 at the LRU end.
+        dev = ConstantLatencyDevice(1.0, capacity_bytes=1 << 20)
+        cache = BufferCache(dev, 8192)
+        for i in range(3):
+            cache.insert(i, f"v{i}", i * 4096, 4096, dirty=False)
+        assert not cache.contains(0) and cache.contains(1) and cache.contains(2)
+        return cache, dev
+
+    def test_a_node_the_loop_would_evict_still_hits(self):
+        loop, loop_dev = self.warm()
+        assert [loop.get(0), loop.get(1)] == ["v0", "v1"]
+        assert (loop.stats.hits, loop.stats.misses, loop_dev.stats.reads) == (0, 2, 2)
+
+        batch, batch_dev = self.warm()
+        assert batch.get_many([0, 1]) == ["v0", "v1"]
+        # 1 is counted a hit before 0's admission evicts the LRU end (now 2).
+        assert (batch.stats.hits, batch.stats.misses, batch_dev.stats.reads) == (1, 1, 1)
+        assert batch.contains(0) and batch.contains(1) and not batch.contains(2)
+        batch.check_invariants()
+
+
 def reads(dev):
     """``(offset, nbytes)`` of every read in ``dev``'s trace, in order."""
     return [(r.offset, r.nbytes) for r in dev.trace if r.kind == "read"]

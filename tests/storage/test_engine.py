@@ -89,7 +89,7 @@ class TestClosedLoopRunner:
     def test_two_clients_on_independent_resources(self):
         pool = ResourcePool(2)
         runner = ClosedLoopRunner(lambda req, at: pool[req[0]].acquire(at, req[1]))
-        makespan = runner.run_makespan([[(0, 1.0)] * 5, [(1, 1.0)] * 5])
+        makespan = max(runner.run([[(0, 1.0)] * 5, [(1, 1.0)] * 5]))
         assert makespan == pytest.approx(5.0)  # perfectly parallel
 
     def test_closed_loop_ordering(self):

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro import storage
 from repro.errors import ConfigurationError
 from repro.models.affine import AffineModel
 from repro.models.pdam import PDAMModel
+from repro.storage.device import ReadRequest
 from repro.storage.ideal import AffineDevice, PDAMDevice
 from repro.tuning import probe_affine, probe_parallel, supports_parallel_probe
 
@@ -36,6 +38,12 @@ class TestAffineProbe:
         small = AffineDevice(AffineModel.from_hardware(0.004, 4e-9), capacity_bytes=2048)
         with pytest.raises(ConfigurationError):
             probe_affine(small, io_sizes=(4096,))
+
+    def test_means_average_each_rung_in_size_order(self):
+        probe = probe_affine(affine_device(), io_sizes=(65536, 4096), reads_per_size=3)
+        sizes, secs = probe.means()
+        assert sizes == [4096, 65536]
+        assert secs == [pytest.approx(0.004 + 4e-9 * size) for size in sizes]
 
     def test_deterministic_under_seed(self):
         a = probe_affine(affine_device(), io_sizes=(4096, 8192), reads_per_size=4, seed=7)
@@ -79,3 +87,31 @@ class TestParallelProbe:
         dev = PDAMDevice(PDAMModel(parallelism=2, block_bytes=4096, step_seconds=1e-4))
         with pytest.raises(ConfigurationError):
             probe_parallel(dev, bytes_per_thread=1024)
+
+    def test_ssd_ramp_point_on_a_live_device_reads_as_on_a_fresh_one(self):
+        fresh = probe_parallel(storage.build("samsung-970-pro-sim"), threads=(4,))
+        live = storage.build("samsung-970-pro-sim")
+        first = probe_parallel(live, threads=(4,))
+        again = probe_parallel(live, threads=(4,))
+        assert first.completion_seconds == fresh.completion_seconds
+        assert again.completion_seconds[0] == pytest.approx(
+            fresh.completion_seconds[0], rel=1e-9
+        )
+
+    def test_ssd_closed_loop_starts_at_the_device_clock(self):
+        dev = storage.build("samsung-970-pro-sim")
+        dev.read(0, 1 << 20)  # prior traffic advances the clock
+        clock = dev.clock
+        assert clock > 0
+        issued = []
+        serve = dev.service_request
+
+        def recording(request, at):
+            issued.append(at)
+            return serve(request, at)
+
+        dev.service_request = recording
+        streams = [[ReadRequest((c * 5 + r) * 65536, 65536) for r in range(3)] for c in range(4)]
+        dev.run_closed_loop(streams)
+        assert len(issued) == 12
+        assert min(issued) == clock
