@@ -269,6 +269,13 @@ class FaultyDevice(BlockDevice):
                     OBS.counter("io.hedge_wins").inc()
         return at + spent + service
 
+    @property
+    def bridge_bytes(self) -> int:
+        """The inner device's: :meth:`read_set` plans as the wrapped device
+        would and charges each run through this wrapper's :meth:`read`, so
+        a fault lands on one run."""
+        return self.inner.bridge_bytes
+
     def _obs_io(self, kind: str, offset: int, nbytes: int, start: float, end: float) -> None:
         """Publish no ``device.*`` event: the inner device published one per
         attempt, with its seek/transfer split; the wrapper's own are the

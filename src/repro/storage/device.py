@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import InvalidIOError
 from repro.obs import OBS
@@ -100,8 +100,9 @@ class BlockDevice(ABC):
     Subclasses implement one hook, :meth:`_service` (pure timing of one
     IO); this base class owns the rest of the IO protocol — it validates
     requests, keeps the clock and the counters, records the trace, feeds
-    the observability layer — in :meth:`read` and :meth:`write`, and
-    :meth:`read_batch` is a loop of :meth:`read` (:meth:`_batch`).
+    the observability layer — in :meth:`read` and :meth:`write`;
+    :meth:`read_batch` is a loop of :meth:`read` (:meth:`_batch`), and
+    :meth:`read_set` a loop of :meth:`read` over the runs it plans.
     """
 
     def __init__(self, capacity_bytes: int, *, trace: bool = False) -> None:
@@ -219,6 +220,65 @@ class BlockDevice(ABC):
         """
         read = self.read
         return [read(off, nbytes) for off in offsets]
+
+    @property
+    def bridge_bytes(self) -> int:
+        """The widest gap :meth:`read_set` reads through rather than start
+        a new IO across: a device whose model prices a setup derives it
+        from that model; here there is none, so only extents that touch
+        or overlap share a run."""
+        return 0
+
+    def read_set(self, extents: "Iterable[tuple[int, int]]", *, limit: int) -> float:
+        """Read a set of independent ``(offset, nbytes)`` extents as planned
+        runs; returns elapsed seconds.
+
+        The caller needs every extent and none depends on another, so the
+        device may choose the order: each distinct byte range is read once,
+        in disk order, as runs of at most ``limit`` bytes.  A run absorbs
+        the next extent when the gap between them is at most
+        :attr:`bridge_bytes`; the gap's bytes are transferred and thrown
+        away.  An extent longer than ``limit`` is a run of its own.  Each
+        run is one :meth:`read`, so clock, counters, trace and OBS events
+        are a serial loop's over the runs, and an IO that raises at run
+        ``k`` leaves the ``k`` runs before it charged.  Every extent is
+        validated first: an invalid set raises before any IO is charged.
+        """
+        start = self.clock
+        read = self.read
+        for offset, nbytes in self._plan(self._distinct(extents, limit), limit):
+            read(offset, nbytes)
+        return self.clock - start
+
+    def _distinct(
+        self, extents: "Iterable[tuple[int, int]]", limit: int
+    ) -> list[tuple[int, int]]:
+        """The validated distinct extents as plain ``int`` pairs, in disk order."""
+        if limit <= 0:
+            raise InvalidIOError(f"run limit must be positive, got {limit}")
+        spans = sorted({(int(offset), int(nbytes)) for offset, nbytes in extents})
+        for offset, nbytes in spans:
+            self._check(offset, nbytes)
+        return spans
+
+    def _plan(self, spans: list[tuple[int, int]], limit: int) -> list[tuple[int, int]]:
+        """The ``(offset, nbytes)`` runs covering sorted ``spans``: bytes an
+        earlier run holds are not read again, and a run grows over a gap of
+        at most :attr:`bridge_bytes` while it stays within ``limit``."""
+        bridge = self.bridge_bytes
+        runs: list[list[int]] = []
+        for offset, nbytes in spans:
+            end = offset + nbytes
+            if runs:
+                run = runs[-1]
+                if end <= run[1]:
+                    continue
+                if offset - run[1] <= bridge and end - run[0] <= limit:
+                    run[1] = end
+                    continue
+                offset = max(offset, run[1])
+            runs.append([offset, end])
+        return [(lo, hi - lo) for lo, hi in runs]
 
     def reset(self) -> None:
         """Zero the clock, counters and trace (fresh experiment)."""

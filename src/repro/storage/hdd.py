@@ -182,6 +182,14 @@ class SimulatedHDD(BlockDevice):
         """
         return self._rotation_base + self._rotation_cursor
 
+    @property
+    def bridge_bytes(self) -> int:
+        """Bytes that stream in the cheapest setup the disk can charge, a
+        track-to-track seek plus the mean half rotation: a gap narrower
+        than this is read through, not sought over (:meth:`read_set`)."""
+        g = self.geometry
+        return int((g.track_to_track_seek_seconds + g.rotation_seconds / 2) / g.seconds_per_byte)
+
     # -- timing ------------------------------------------------------------
 
     def _service(self, kind: str, offset: int, nbytes: int, at: float) -> float:

@@ -12,13 +12,13 @@ run against a device whose timing *is* the model:
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import ConfigurationError, InvalidIOError
 from repro.models.affine import AffineModel
 from repro.obs import OBS
 from repro.models.pdam import PDAMModel
-from repro.storage.device import BlockDevice
+from repro.storage.device import BlockDevice, IORecord
 
 
 class AffineDevice(BlockDevice):
@@ -51,6 +51,12 @@ class AffineDevice(BlockDevice):
         super().__init__(capacity_bytes, trace=trace)
         self.model = model
         self.write_multiplier = float(write_multiplier)
+
+    @property
+    def bridge_bytes(self) -> int:
+        """``floor(s / t)``: reading a gap that wide costs at most the
+        setup a new IO would (:meth:`read_set`)."""
+        return int(self.model.setup_seconds / self.model.seconds_per_byte)
 
     def _service(self, kind: str, offset: int, nbytes: int, at: float) -> float:
         scale = 1.0 if kind == "read" else self.write_multiplier
@@ -98,6 +104,44 @@ class PDAMDevice(BlockDevice):
         self.slots_used += blocks
         self.slots_wasted += int(steps) * self.parallelism - blocks
         return at + steps * self.model.step_seconds
+
+    def read_set(self, extents: Iterable[tuple[int, int]], *, limit: int) -> float:
+        """:meth:`BlockDevice.read_set` in the PDAM's own terms: the ``n``
+        distinct ``B``-blocks the extents cover are read ``P`` to a step,
+        in disk order, so the set costs ``ceil(n / P)`` steps.  ``limit``
+        is validated but never binds: no step moves more than ``P`` blocks.
+
+        Each block is one read in the counters, the trace and the OBS
+        stream, timed by its step, as :meth:`serve_step` counts it.
+        """
+        B, P = self.block_bytes, self.parallelism
+        blocks = sorted({
+            block
+            for offset, nbytes in self._distinct(extents, limit)
+            for block in range(offset // B, (offset + nbytes - 1) // B + 1)
+        })
+        if not blocks:
+            return 0.0
+        steps = -(-len(blocks) // P)
+        step_seconds = self.model.step_seconds
+        start = self.clock
+        end = start + steps * step_seconds
+        self.clock = end
+        self.steps_elapsed += steps
+        self.slots_used += len(blocks)
+        self.slots_wasted += steps * P - len(blocks)
+        stats = self.stats
+        stats.reads += len(blocks)
+        stats.bytes_read += len(blocks) * B
+        stats.read_seconds += end - start
+        if self._trace_enabled or OBS.enabled:
+            for i, block in enumerate(blocks):
+                at = start + (i // P) * step_seconds
+                if self._trace_enabled:
+                    self.trace.append(IORecord("read", block * B, B, at, at + step_seconds))
+                if OBS.enabled:
+                    self._obs_io("read", block * B, B, at, at + step_seconds)
+        return end - start
 
     # -- native step interface ----------------------------------------------
 

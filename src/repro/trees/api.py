@@ -55,9 +55,16 @@ class KVTree:
         return self._lookup(key)
 
     def lookup_many(self, keys: Iterable[int]) -> list[Any | None]:
-        """Point queries in input order, by the kind's batched descent if
-        it has one (the B-tree's level-synchronized ``get_many``), else by
-        a loop of its scalar lookup."""
+        """Point queries in input order: the answers of a :meth:`get` loop.
+
+        A kind with a batched hook of its own charges a different IO
+        schedule than the loop: the B-tree's level-synchronized descent
+        (one ``BufferCache.get_many`` a level), and the planned reads of
+        cola, cob and cob-buffered (one
+        :meth:`~repro.storage.device.BlockDevice.read_set` per dependent
+        step, each distinct extent read once).  Every other kind runs a
+        loop of its scalar lookup.  A batch of one is :meth:`get`'s IO.
+        """
         keys = keys if isinstance(keys, list) else list(keys)
         if OBS.enabled:
             start = self.device.clock

@@ -249,7 +249,40 @@ class BufferedCOBTree(KVTree):
             return None if value is TOMBSTONE else value
         return self.base._lookup(key)
 
-    #: Batched point queries, accounting-identical to a ``get`` loop.
+    def _lookup_many(self, keys: list[int]) -> list[Any | None]:
+        """Batched point queries; values (or ``None``) in input order.
+
+        The answers of a :meth:`_lookup` loop: the distinct non-empty
+        buckets the batch touches are read once, as one
+        :meth:`~repro.storage.device.BlockDevice.read_set`, then the keys no
+        bucket answered go to the base tree as one
+        :meth:`COBTree._lookup_many`.  A batch of one is :meth:`_lookup`.
+        """
+        if len(keys) <= 1:
+            return [self._lookup(key) for key in keys]
+        block_bytes = self.config.block_bytes
+        splitters, buckets = self.splitters, self.buckets
+        found: dict[int, Any] = {}
+        extents = set()
+        rest = []
+        for key in dict.fromkeys(int(key) for key in keys):
+            bucket = buckets[bisect.bisect_left(splitters, key)]
+            if bucket.nbytes:
+                extents.add((bucket.offset, -(-bucket.nbytes // block_bytes) * block_bytes))
+            messages = bucket.messages
+            if key in messages:
+                value = messages[key]
+                found[key] = None if value is TOMBSTONE else value
+            else:
+                rest.append(key)
+        if extents:
+            limit = max(self.config.ram_bytes, *(nbytes for _, nbytes in extents))
+            self.device.read_set(extents, limit=limit)
+        if rest:
+            found.update(zip(rest, self.base._lookup_many(rest)))
+        return [found.get(int(key)) for key in keys]
+
+    #: :meth:`KVTree.lookup_many`, whose hook reads each touched bucket once.
     get_many = KVTree.lookup_many
 
     def _range(self, lo: int, hi: int) -> list[tuple[int, Any]]:

@@ -457,7 +457,67 @@ class COBTree(KVTree):
                 value = self.values.get(key)
         return value
 
-    #: Batched point queries, accounting-identical to a ``get`` loop.
+    def _lookup_many(self, keys: list[int]) -> list[Any | None]:
+        """Batched point queries; values (or ``None``) in input order.
+
+        The answers of a :meth:`_lookup` loop, with one device step per
+        dependent read instead of one per key: the unpinned index blocks of
+        every key's path one vEB block-level at a time (the ``d``-th block
+        each path crosses, for every path that long), then the segments,
+        each step one :meth:`~repro.storage.device.BlockDevice.read_set`
+        (sorted, deduplicated, bridged, runs capped at ``ram_bytes``).  A
+        batch of one has nothing to plan: it is :meth:`_lookup`.
+        """
+        if len(keys) <= 1:
+            return [self._lookup(key) for key in keys]
+        config = self.config
+        pma = self.pma
+        read_set = self.device.read_set
+        distinct = list(dict.fromkeys(int(key) for key in keys))
+        slots = [self._search_slot(key) for key in distinct]
+        width = pma.segment_slots
+        unpinned = self._height - self._pinned_levels
+        if unpinned:
+            block_of = self._block_table().item
+            block_bytes = config.block_bytes
+            offset = self._index_offset
+            first_seg = self._first_seg
+            # The walk of _charge_index_path, which a get keeps inline.
+            paths = []
+            for slot in slots:
+                node = first_seg + slot // width
+                blk = block_of(node)
+                if blk == block_of(((node + 1) >> (unpinned - 1)) - 1):
+                    paths.append([blk])
+                    continue
+                blocks = {blk}
+                for _ in range(unpinned - 1):
+                    node = (node - 1) >> 1
+                    blocks.add(block_of(node))
+                paths.append(sorted(blocks))  # root to leaf: blocks never decrease
+            limit = max(config.ram_bytes, block_bytes)
+            for depth in range(max(map(len, paths))):
+                read_set(
+                    [(offset + path[depth] * block_bytes, block_bytes)
+                     for path in paths if len(path) > depth],
+                    limit=limit,
+                )
+        span = max(width * pma.entry_bytes, min(pma.block_bytes, pma.nbytes))
+        last = pma.nbytes - span
+        found: dict[int, Any] = {}
+        segments = []
+        for key, slot in zip(distinct, slots):
+            successor = pma.keys.item(slot)
+            if successor >= key:
+                segments.append(
+                    (pma.offset + min((slot - slot % width) * pma.entry_bytes, last), span)
+                )
+                if successor == key:
+                    found[key] = self.values.get(key)
+        read_set(segments, limit=max(config.ram_bytes, span))
+        return [found.get(int(key)) for key in keys]
+
+    #: :meth:`KVTree.lookup_many`, whose hook reads one planned set a step.
     get_many = KVTree.lookup_many
 
     def _range(self, lo: int, hi: int) -> list[tuple[int, Any]]:

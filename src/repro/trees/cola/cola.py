@@ -306,7 +306,54 @@ class COLA(KVTree):
                 return None if value is TOMBSTONE else value
         return None
 
-    #: Batched point queries, accounting-identical to a ``get`` loop.
+    def _lookup_many(self, keys: list[int]) -> list[Any | None]:
+        """Batched point queries; values (or ``None``) in input order.
+
+        The answers of a :meth:`_lookup` loop, with one device step per
+        level instead of one per key and level: newest level first, the
+        blocks the fence keys bracket for every key still unanswered go to
+        the device as one :meth:`~repro.storage.device.BlockDevice.read_set`
+        (sorted, deduplicated, bridged, runs capped at ``ram_bytes``), and a
+        key found at a level reads nothing deeper.  A batch of one (or
+        none) has nothing to plan: it is :meth:`_lookup`.
+        """
+        if len(keys) <= 1:
+            return [self._lookup(key) for key in keys]
+        config = self.config
+        entry_bytes = config.fmt.entry_bytes
+        block_bytes = config.block_bytes
+        limit = max(config.ram_bytes, block_bytes)
+        read_set = self.device.read_set
+        found: dict[int, Any] = {}
+        pending = list(dict.fromkeys(keys))
+        for lvl in self.levels:
+            if not pending:
+                break
+            if lvl is None:
+                continue
+            level_keys = lvl.keys
+            at = [bisect_left(level_keys, key) for key in pending]
+            offset = lvl.offset
+            if offset >= 0:
+                nbytes = lvl.nbytes
+                block = min(block_bytes, nbytes)
+                last = nbytes - block
+                read_set(
+                    [(offset + min((i * entry_bytes // block) * block, last), block) for i in at],
+                    limit=limit,
+                )
+            n = len(level_keys)
+            missed = []
+            for key, i in zip(pending, at):
+                if i < n and level_keys[i] == key:
+                    value = lvl.values[i]
+                    found[key] = None if value is TOMBSTONE else value
+                else:
+                    missed.append(key)
+            pending = missed
+        return [found.get(key) for key in keys]
+
+    #: :meth:`KVTree.lookup_many`, whose hook reads one planned set a level.
     get_many = KVTree.lookup_many
 
     def _range(self, lo: int, hi: int) -> list[tuple[int, Any]]:

@@ -1,7 +1,7 @@
 """Goldens: runner-migrated experiments are byte-identical at any job count.
 
-The golden files pin the *rendered report text* of small E3, E6 and E17
-configurations.  Each test runs the experiment twice — serially and with
+The golden files pin the *rendered report text* of small E3, E6, E17 and
+E20 configurations.  Each test runs the experiment twice — serially and with
 four workers — and compares both outputs byte-for-byte against the
 checked-in golden, so a change that perturbs numbers, ordering, or
 formatting (including one smuggled in via the parallel path or the result
@@ -13,9 +13,10 @@ Regenerate after an *intentional* semantic change (and bump
 
     PYTHONPATH=src python tests/runner/test_determinism.py --regen
 
-Last regenerated at ``CACHE_EPOCH`` 7, when the SSD's closed loop began
-starting its clients at the device's clock and the autotuner's ramp took
-E1's draw order: only E17's ``samsung-970-pro-sim`` row moved.
+Last regenerated at ``CACHE_EPOCH`` 8, when the knobless trees' batched
+lookups came to issue one planned ``read_set`` per dependent step: only
+E20's ``cola q``, ``cob q`` and ``cob-buffered q`` cells moved (E20's
+golden was captured at epoch 7 just before).
 """
 
 from pathlib import Path
@@ -25,6 +26,7 @@ import pytest
 from repro.experiments import exp_affine_validation as e3
 from repro.experiments import exp_autotune as e17
 from repro.experiments import exp_betree_nodesize as e6
+from repro.experiments import exp_cob_compare as e20
 from repro.experiments import exp_pdam_validation as e1
 from repro.runner import ResultCache
 
@@ -61,10 +63,14 @@ E17_KWARGS = dict(
     seed=0,
 )
 
+# E20 as ``cob --quick`` prints it: every model, tree and panel, ~2 s.
+E20_KWARGS = dict(quick=True)
+
 CASES = {
     "e3_affine_validation.txt": (e3.run, E3_KWARGS),
     "e6_betree_nodesize.txt": (e6.run, E6_KWARGS),
     "e17_autotune.txt": (e17.run, E17_KWARGS),
+    "e20_cob_compare.txt": (e20.run, E20_KWARGS),
 }
 
 

@@ -46,9 +46,10 @@ def _hdd():
 @pytest.mark.parametrize("name", ["cola", "cob", "cob-buffered"])
 @pytest.mark.parametrize("obs_on", [False, True])
 def test_batched_ops_identical_with_obs_on_off(name, obs_on, monkeypatch):
-    # The PR 7 regression gate for the trees that missed the batched fast
-    # path: put_many AND get_many must leave byte-identical device stats
-    # to the per-op loops, with observability recording on or off.
+    # put_many must leave byte-identical device stats to the insert loop,
+    # with observability recording on or off.  get_many plans its reads
+    # (one read_set a dependent step): it answers what the get loop
+    # answers, and its device stats are the same with OBS on and off.
     monkeypatch.setattr(OBS, "enabled", obs_on)
     pairs = _pairs(n=1200, universe=20_000)
     query_keys = [k for k, _ in _pairs(n=400, universe=25_000, seed=29)]
@@ -56,15 +57,22 @@ def test_batched_ops_identical_with_obs_on_off(name, obs_on, monkeypatch):
     serial_tree = lockstep.make(name, _hdd())
     for k, v in pairs:
         serial_tree.insert(k, v)
-    serial_hits = [serial_tree.get(k) for k in query_keys]
 
-    batch_tree = lockstep.make(name, _hdd())
-    batch_tree.put_many(pairs)
+    batch_tree, flipped_tree = lockstep.make(name, _hdd()), lockstep.make(name, _hdd())
+    for tree in (batch_tree, flipped_tree):
+        tree.put_many(pairs)
+        assert tree.device.clock == serial_tree.device.clock  # exact float equality
+        assert vars(tree.device.stats) == vars(serial_tree.device.stats)
+
+    serial_hits = [serial_tree.get(k) for k in query_keys]
     batch_hits = batch_tree.get_many(query_keys)
+    monkeypatch.setattr(OBS, "enabled", not obs_on)
+    flipped_hits = flipped_tree.get_many(query_keys)
 
     assert batch_hits == serial_hits
-    assert batch_tree.device.clock == serial_tree.device.clock  # exact float equality
-    assert vars(batch_tree.device.stats) == vars(serial_tree.device.stats)
+    assert flipped_hits == serial_hits
+    assert batch_tree.device.clock == flipped_tree.device.clock
+    assert vars(batch_tree.device.stats) == vars(flipped_tree.device.stats)
 
 
 # -- COLA and LSM: a batch is a batch, and still the loop ----------------------
