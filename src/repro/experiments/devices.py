@@ -7,12 +7,15 @@ from __future__ import annotations
 from repro import storage
 from repro.storage.registry import HDD_ZOO
 
-__all__ = ["HDD_ZOO", "default_hdd", "default_ssd"]
+__all__ = ["DEFAULT_HDD", "HDD_ZOO", "default_hdd", "default_ssd"]
+
+#: The disk the node-size experiments run on (WD Black 2011 stand-in).
+DEFAULT_HDD = "wd-black-1tb-2011-sim"
 
 
 def default_hdd(*, seed: int = 0, trace: bool = False) -> storage.SimulatedHDD:
-    """The disk the node-size experiments run on (WD Black 2011 stand-in)."""
-    return storage.build("wd-black-1tb-2011-sim", seed=seed, trace=trace)
+    """A fresh :data:`DEFAULT_HDD`."""
+    return storage.build(DEFAULT_HDD, seed=seed, trace=trace)
 
 
 def default_ssd() -> storage.SimulatedSSD:

@@ -38,11 +38,13 @@ blocks read beside that bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any
 
 from repro import storage
 from repro.errors import ConfigurationError
 from repro.experiments import report
+from repro.experiments.common import NodeSizeResult, nodesize_sweep_point
 from repro.runner import ResultCache, SweepPoint, SweepSpec, register, run_sweep
 
 MODELS = ("dam", "affine", "pdam")
@@ -63,93 +65,24 @@ SECONDS_PER_BYTE = 1.0 / (100 << 20)
 MODEL_BLOCK_BYTES = 4096
 
 
-def make_model_device(model: str, *, parallelism: int):
-    """A device whose timing *is* the named cost model, the DAM being a
-    one-slot PDAM (``benchmarks/perf`` imports it by this name)."""
+def model_device(model: str, *, parallelism: int) -> tuple[str, dict[str, Any]]:
+    """The :func:`repro.storage.build` kind and fields of a device whose
+    timing *is* the named cost model, the DAM being a one-slot PDAM."""
     if model not in MODELS:
         raise ConfigurationError(f"unknown cost model {model!r}; expected one of {MODELS}")
     pdam = dict(block_bytes=MODEL_BLOCK_BYTES, step_seconds=SETUP_SECONDS)
     affine = dict(alpha=SECONDS_PER_BYTE / SETUP_SECONDS, setup_seconds=SETUP_SECONDS)
-    kind, fields = {
+    return {
         "dam": ("pdam", dict(pdam, parallelism=1)),
         "affine": ("affine", affine),
         "pdam": ("pdam", dict(pdam, parallelism=parallelism)),
     }[model]
+
+
+def make_model_device(model: str, *, parallelism: int):
+    """A fresh :func:`model_device` (``benchmarks/perf`` imports it by this name)."""
+    kind, fields = model_device(model, parallelism=parallelism)
     return storage.build(kind, **fields)
-
-
-@register("cob_compare_point")
-def measure_point(
-    *,
-    tree: str,
-    model: str,
-    node_bytes: int,
-    n_entries: int,
-    universe: int,
-    n_queries: int,
-    n_inserts: int,
-    warmup_queries: int,
-    parallelism: int,
-    cache_bytes: int,
-    seed: int,
-) -> dict[str, float]:
-    """Load one tree on one model device; measure query and insert ms/op.
-
-    A pure function of its arguments (the sweep-kernel contract): the
-    ideal devices are noise-free and every stream is derived from
-    ``seed`` with the same offsets as
-    :func:`repro.experiments.common.measure_tree_ops`.
-    """
-    from repro.experiments.common import build_load
-    from repro.workloads.generators import insert_stream, point_query_stream
-
-    device = make_model_device(model, parallelism=parallelism)
-    pairs, keys = build_load(n_entries, universe, seed=seed)
-    instance = _build_and_load(tree, device, node_bytes, cache_bytes, pairs, seed)
-
-    for key in point_query_stream(keys, warmup_queries, seed=seed + 1):
-        instance.get(key)
-
-    t0 = device.clock
-    instance.lookup_many(list(point_query_stream(keys, n_queries, seed=seed + 2)))
-    query_per_op = (device.clock - t0) / n_queries
-
-    t0 = device.clock
-    instance.put_many(insert_stream(universe, n_inserts, seed=seed + 3))
-    instance.settle()  # deferred write-backs belong to the insert phase
-    insert_per_op = (device.clock - t0) / n_inserts
-
-    return {
-        "query_ms": query_per_op * 1e3,
-        "insert_ms": insert_per_op * 1e3,
-    }
-
-
-def _build_and_load(tree, device, node_bytes, cache_bytes, pairs, seed):
-    """Build one tree of kind ``tree``, load it and start it cold."""
-    from repro.trees import build
-    from repro.trees.sizing import EntryFormat
-
-    instance = build(
-        tree,
-        device,
-        node_bytes=node_bytes,
-        cache_bytes=cache_bytes,
-        fmt=EntryFormat(value_bytes=20),
-    )
-    instance.load(pairs)
-    instance.drop_cache()
-    if tree == "cob-buffered":
-        # Reach buffer steady state before measuring, the exact
-        # analogue of the Bε-tree kernel's root-buffer prefill.
-        from repro.workloads.generators import insert_stream
-
-        config = instance.config
-        capacity = config.fanout * config.buffer_bytes // config.fmt.message_bytes
-        prefill = min(len(pairs), capacity // 2)
-        universe = max(k for k, _ in pairs) + 1 if pairs else 1 << 20
-        instance.put_many(insert_stream(universe, prefill, seed=seed + 7))
-    return instance
 
 
 @register("cob_pdam_threads_point")
@@ -259,10 +192,9 @@ class COBCompareResult:
     threads: tuple[int, ...]
     n_entries: int
     parallelism: int
-    #: ``(model, tree) -> one value per node size`` (knobless trees hold
-    #: their single measurement replicated across the axis).
-    query_ms: dict[tuple[str, str], list[float]] = field(default_factory=dict)
-    insert_ms: dict[tuple[str, str], list[float]] = field(default_factory=dict)
+    #: ``(model, tree) ->`` its costs across the node sizes (knobless trees
+    #: hold their single measurement replicated across the axis).
+    curves: dict[tuple[str, str], NodeSizeResult] = field(default_factory=dict)
     #: ``layout mode -> queries per PDAM step`` at each thread count.
     thread_throughput: dict[str, list[float]] = field(default_factory=dict)
     adversary_keys: int = 0
@@ -272,29 +204,10 @@ class COBCompareResult:
 
     # -- summary accessors (what the tests and the note assert) -----------
 
-    def best_node(self, model: str, tree: str, series: str = "query") -> int:
-        """Node size minimizing a knobbed tree's cost under ``model``."""
-        values = (self.query_ms if series == "query" else self.insert_ms)[
-            (model, tree)
-        ]
-        return self.node_sizes[min(range(len(values)), key=values.__getitem__)]
-
-    def sensitivity(self, model: str, tree: str, series: str = "query") -> float:
-        """max/min across the node-size axis (1.0 = perfectly flat)."""
-        values = (self.query_ms if series == "query" else self.insert_ms)[
-            (model, tree)
-        ]
-        return max(values) / min(values)
-
-    def query_vs_best_tuned(self, model: str, tree: str) -> float:
-        """A knobless tree's query cost over the best-tuned B-tree's."""
-        best_btree = min(self.query_ms[(model, "btree")])
-        return self.query_ms[(model, tree)][0] / best_btree
-
     def insert_vs_best_tuned_betree(self, model: str, tree: str) -> float:
         """A knobless tree's insert cost over the best-tuned Bε-tree's."""
-        best = min(self.insert_ms[(model, "betree")])
-        return self.insert_ms[(model, tree)][0] / best
+        best = min(self.curves[(model, "betree")].insert_ms)
+        return self.curves[(model, tree)].insert_ms[0] / best
 
     def veb_dominates_threads(self, slack: float = 0.85) -> bool:
         """vEB layout within ``slack`` of the best layout at every k."""
@@ -312,8 +225,8 @@ class COBCompareResult:
         for model in self.models:
             series: dict[str, list[float]] = {}
             for tree in KNOBBED_TREES + KNOBLESS_TREES:
-                series[f"{tree} q"] = self.query_ms[(model, tree)]
-                series[f"{tree} i"] = self.insert_ms[(model, tree)]
+                series[f"{tree} q"] = self.curves[(model, tree)].query_ms
+                series[f"{tree} i"] = self.curves[(model, tree)].insert_ms
             blocks.append(
                 report.render_series(
                     f"E20 ({model}): ms/op vs node-size knob "
@@ -344,14 +257,14 @@ class COBCompareResult:
                 )
             )
         best = {
-            model: report.format_bytes(self.best_node(model, "btree"))
+            model: report.format_bytes(self.curves[(model, "btree")].best_node())
             for model in self.models
         }
         blocks.append(
             "Best B-tree node size per model: "
             + ", ".join(f"{m}={b}" for m, b in best.items())
             + f"; cob query sensitivity across the axis: "
-            f"{self.sensitivity('affine', 'cob'):.3g}x (no knob)."
+            f"{self.curves[('affine', 'cob')].sensitivity():.3g}x (no knob)."
         )
         if self.adversary:
             series = {}
@@ -382,7 +295,7 @@ class COBCompareResult:
             "E20: query ms/op vs node-size knob (affine model)",
             list(self.node_sizes),
             {
-                tree: self.query_ms[("affine", tree)]
+                tree: self.curves[("affine", tree)].query_ms
                 for tree in KNOBBED_TREES + KNOBLESS_TREES
             },
             log_x=True,
@@ -414,39 +327,34 @@ def sweep_spec(
     scan adversary."""
     points = []
     for model in models:
+        kind, fields = model_device(model, parallelism=parallelism)
+        measure = dict(
+            device=kind,
+            device_fields=tuple(sorted(fields.items())),
+            cache_bytes=cache_bytes,
+            value_bytes=20,
+            n_entries=n_entries,
+            universe=universe,
+            n_queries=n_queries,
+            warmup_queries=warmup_queries,
+            lookup_many=True,
+            min_inserts=n_inserts,
+            max_inserts=n_inserts,
+            seed=seed,
+        )
         for tree in KNOBBED_TREES:
             for node_bytes in node_sizes:
-                points.append(
-                    SweepPoint.make(
-                        "cob_compare_point",
-                        tree=tree,
-                        model=model,
-                        node_bytes=node_bytes,
-                        n_entries=n_entries,
-                        universe=universe,
-                        n_queries=n_queries,
-                        n_inserts=n_inserts,
-                        warmup_queries=warmup_queries,
-                        parallelism=parallelism,
-                        cache_bytes=cache_bytes,
-                        seed=seed,
-                    )
-                )
+                points.append(nodesize_sweep_point(kind=tree, node_bytes=node_bytes, **measure))
+        # One deployment a knobless tree (the block only prices IO); a
+        # buffered kind starts from half-full buffers, its steady state.
         for tree in KNOBLESS_TREES:
             points.append(
-                SweepPoint.make(
-                    "cob_compare_point",
-                    tree=tree,
-                    model=model,
-                    node_bytes=MODEL_BLOCK_BYTES,  # pricing block; no knob
-                    n_entries=n_entries,
-                    universe=universe,
-                    n_queries=n_queries,
-                    n_inserts=n_inserts,
-                    warmup_queries=warmup_queries,
-                    parallelism=parallelism,
-                    cache_bytes=cache_bytes,
-                    seed=seed,
+                nodesize_sweep_point(
+                    kind=tree,
+                    node_bytes=MODEL_BLOCK_BYTES,
+                    prefill_units=0.5,
+                    max_prefill=n_entries,
+                    **measure,
                 )
             )
     for mode in THREAD_MODES:
@@ -529,32 +437,19 @@ def run(
         adversary_keys=adversary_keys,
         adversary_scan=adversary_scan,
     )
-    rows: list[dict[str, Any]] = list(run_sweep(spec, jobs=jobs, cache=cache))
-    i = 0
+    rows = iter(run_sweep(spec, jobs=jobs, cache=cache))
+    sizes = result.node_sizes
     for model in result.models:
         for tree in KNOBBED_TREES:
-            q, ins = [], []
-            for _ in result.node_sizes:
-                q.append(rows[i]["query_ms"])
-                ins.append(rows[i]["insert_ms"])
-                i += 1
-            result.query_ms[(model, tree)] = q
-            result.insert_ms[(model, tree)] = ins
+            curve = list(islice(rows, len(sizes)))
+            result.curves[(model, tree)] = NodeSizeResult.of_rows(tree, sizes, curve)
         for tree in KNOBLESS_TREES:
-            row = rows[i]
-            i += 1
-            n = len(result.node_sizes)
-            result.query_ms[(model, tree)] = [row["query_ms"]] * n
-            result.insert_ms[(model, tree)] = [row["insert_ms"]] * n
+            curve = [next(rows)] * len(sizes)
+            result.curves[(model, tree)] = NodeSizeResult.of_rows(tree, sizes, curve)
     for mode in THREAD_MODES:
-        series = []
-        for _ in result.threads:
-            series.append(rows[i]["throughput"])
-            i += 1
-        result.thread_throughput[mode] = series
+        result.thread_throughput[mode] = [next(rows)["throughput"] for _ in result.threads]
     for tree in ADVERSARY_TREES:
         result.adversary[tree] = [
-            (row["blocks"], row["bound"]) for row in rows[i : i + len(ADVERSARY_JS)]
+            (row["blocks"], row["bound"]) for row in islice(rows, len(ADVERSARY_JS))
         ]
-        i += len(ADVERSARY_JS)
     return result

@@ -16,45 +16,64 @@ is consistent with LevelDB shipping one default for all workloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.experiments import report
-from repro.experiments.devices import default_hdd
-from repro.trees import build
-from repro.workloads.generators import insert_stream, point_query_stream, random_load_pairs
+from repro.experiments.common import NodeSizeResult, nodesize_sweep_point, window
+from repro.experiments.devices import DEFAULT_HDD
+from repro.runner import ResultCache, SweepSpec, run_sweep
+from repro.trees import check_kind, configure
 
 DEFAULT_SSTABLE_SIZES = (256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20)
 
+#: Amortization units (the memtable flushes that trigger one L0
+#: compaction) in the measured insert window: at least a couple of flush +
+#: compaction cycles land inside it, or large-run configs report a
+#: misleadingly compaction-free cost.
+CYCLES_MEASURED = 2.5
 
-@dataclass
-class LSMNodeSizeResult:
-    """Per-SSTable-size op costs."""
 
-    sstable_sizes: tuple[int, ...]
-    n_loaded: int
-    n_inserts: list[int] = field(default_factory=list)
-    query_ms: list[float] = field(default_factory=list)
-    insert_ms: list[float] = field(default_factory=list)
-    write_amp: list[float] = field(default_factory=list)
+def lsm_fields(sstable_bytes: int) -> tuple[tuple[str, int], ...]:
+    """The LSM config at one SSTable size: a memtable of one SSTable, level 1
+    of four (at least 8 MiB), compaction at two L0 runs."""
+    return (
+        ("sstable_bytes", sstable_bytes),
+        ("memtable_bytes", sstable_bytes),
+        ("level1_bytes", max(4 * sstable_bytes, 8 << 20)),
+        ("l0_trigger", 2),
+    )
 
-    def render(self) -> str:
-        labels = [report.format_bytes(b) for b in self.sstable_sizes]
-        return report.render_series(
-            f"LSM-tree ms/op vs SSTable size (N={self.n_loaded}, "
-            f"{min(self.n_inserts)}-{max(self.n_inserts)} measured inserts)",
-            "sstable size",
-            labels,
-            {
-                "query (ms/op)": self.query_ms,
-                "insert (ms/op)": self.insert_ms,
-                "write amp": self.write_amp,
-            },
-            note=(
-                "Insert cost includes compaction IO (amortized).  Like the "
-                "Bε-tree, the LSM is insensitive to its run size over a wide "
-                "range — consistent with LevelDB's one-default-fits-all 2 MiB."
-            ),
-        )
+
+def sweep_spec(
+    *,
+    sstable_sizes: tuple[int, ...] = DEFAULT_SSTABLE_SIZES,
+    n_loaded: int = 120_000,
+    min_inserts: int = 30_000,
+    max_inserts: int = 150_000,
+    n_queries: int = 300,
+    universe: int = 1 << 31,
+    seed: int = 0,
+) -> SweepSpec:
+    """The E11 sweep: one LSM ``nodesize_point`` per SSTable size, loaded by
+    insertion (LSMs have no bulk load), with no warm-up, on one disk."""
+    return SweepSpec.make(
+        "lsm_nodesize",
+        [
+            nodesize_sweep_point(
+                kind="lsm",
+                device=DEFAULT_HDD,
+                device_fields=(("seed", seed),),
+                node_bytes=None,
+                tree_fields=lsm_fields(sstable_bytes),
+                n_entries=n_loaded,
+                universe=universe,
+                n_queries=n_queries,
+                warmup_queries=0,
+                insert_units=CYCLES_MEASURED,
+                min_inserts=min_inserts,
+                max_inserts=max_inserts,
+                seed=seed,
+            )
+            for sstable_bytes in sstable_sizes
+        ],
+    )
 
 
 def run(
@@ -66,46 +85,35 @@ def run(
     n_queries: int = 300,
     universe: int = 1 << 31,
     seed: int = 0,
-) -> LSMNodeSizeResult:
-    """Sweep SSTable sizes; load by insertion (LSMs have no bulk load).
-
-    The measured insert window scales with the run size so that at least a
-    couple of memtable-flush + L0-compaction cycles land inside it —
-    otherwise large-run configs report a misleadingly compaction-free cost.
-    """
-    pairs = random_load_pairs(n_loaded, universe, seed=seed)
-    keys = [k for k, _ in pairs]
-    result = LSMNodeSizeResult(sstable_sizes=tuple(sstable_sizes), n_loaded=n_loaded)
-    for sstable_bytes in sstable_sizes:
-        device = default_hdd(seed=seed)
-        tree = build(
-            "lsm",
-            device,
-            sstable_bytes=sstable_bytes,
-            memtable_bytes=sstable_bytes,
-            level1_bytes=max(4 * sstable_bytes, 8 << 20),
-            l0_trigger=2,
-        )
-        config = tree.config
-        n_inserts = min(
-            max_inserts,
-            max(min_inserts, int(2.5 * config.l0_trigger * config.entries_per_sstable)),
-        )
-        result.n_inserts.append(n_inserts)
-        tree.load(pairs)
-
-        t0 = device.stats.busy_seconds
-        for key in point_query_stream(keys, n_queries, seed=seed + 2):
-            tree.get(key)
-        result.query_ms.append((device.stats.busy_seconds - t0) * 1e3 / n_queries)
-
-        base = device.stats.snapshot()
-        for key, value in insert_stream(universe, n_inserts, seed=seed + 3):
-            tree.insert(key, value)
-        tree.settle()
-        delta = device.stats.delta(base)
-        result.insert_ms.append(delta.busy_seconds * 1e3 / n_inserts)
-        result.write_amp.append(
-            delta.write_amplification(n_inserts * config.fmt.entry_bytes)
-        )
+    jobs: int = 1,
+    cache: ResultCache | None = None,
+) -> NodeSizeResult:
+    """Sweep SSTable sizes on the default HDD; insert cost includes
+    compaction IO."""
+    spec = sweep_spec(
+        sstable_sizes=tuple(sstable_sizes),
+        n_loaded=n_loaded,
+        min_inserts=min_inserts,
+        max_inserts=max_inserts,
+        n_queries=n_queries,
+        universe=universe,
+        seed=seed,
+    )
+    # The caption's window sizes, as the kernel counts them.
+    unit_of = check_kind("lsm").amortization_unit
+    units = [unit_of(configure("lsm", **dict(lsm_fields(size)))) for size in sstable_sizes]
+    n_inserts = [window(unit, CYCLES_MEASURED, min_inserts, max_inserts) for unit in units]
+    result = NodeSizeResult.of_rows(
+        "LSM-tree ms/op vs SSTable size",
+        sstable_sizes,
+        run_sweep(spec, jobs=jobs, cache=cache),
+        caption=f"(N={n_loaded}, {min(n_inserts)}-{max(n_inserts)} measured inserts)",
+        axis="sstable size",
+        note=(
+            "Insert cost includes compaction IO (amortized).  Like the "
+            "Bε-tree, the LSM is insensitive to its run size over a wide "
+            "range — consistent with LevelDB's one-default-fits-all 2 MiB."
+        ),
+    )
+    result.extra["write amp"] = result.write_amp
     return result

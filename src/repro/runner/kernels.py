@@ -26,17 +26,16 @@ _REGISTRY: dict[str, Callable[..., Any]] = {}
 #: imported that experiment (a fresh interpreter calling
 #: :func:`get_kernel`, E8 borrowing E20's thread-panel kernel) resolves
 #: it by importing this one module — not the whole experiment registry.
+#: The node-size kernel E5, E6, E11 and E20 share lives in ``common``.
 #: ``tests/runner/test_kernels.py`` proves the table equals what
 #: importing every experiment registers.
 KERNEL_HOMES: dict[str, str] = {
     "affine_validation_device": "exp_affine_validation",
     "autotune_device": "exp_autotune",
-    "betree_nodesize_point": "exp_betree_nodesize",
-    "btree_nodesize_point": "exp_btree_nodesize",
     "cob_adversary_point": "exp_cob_compare",
-    "cob_compare_point": "exp_cob_compare",
     "cob_pdam_threads_point": "exp_cob_compare",
     "durability_point": "exp_durability",
+    "nodesize_point": "common",
     "serve_tail_point": "exp_serve_tail",
     "tail_resilience_pdam": "exp_tail_resilience",
     "tail_resilience_tree": "exp_tail_resilience",

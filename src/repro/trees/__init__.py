@@ -22,7 +22,7 @@ from repro.trees.betree import BeTree, BeTreeConfig, OptimizedBeTree
 from repro.trees.lsm import LSMTree, LSMConfig
 from repro.trees.cola import COLA, COLAConfig
 from repro.trees.cob import BufferedCOBTree, COBConfig, COBTree
-from repro.trees.registry import KINDS, build, check_kind
+from repro.trees.registry import KINDS, build, check_kind, configure
 
 __all__ = [
     "EntryFormat",
@@ -30,6 +30,7 @@ __all__ = [
     "KINDS",
     "build",
     "check_kind",
+    "configure",
     "BTree",
     "BTreeConfig",
     "BeTree",

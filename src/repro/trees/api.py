@@ -202,7 +202,10 @@ class TreeKind:
     field that comes out ``None`` keeps its ``config`` default.  A
     ``stacked`` kind runs on a :class:`~repro.storage.stack.StorageStack`
     (``cache_bytes`` is its buffer cache); the others take the bare device
-    plus an allocator.
+    plus an allocator.  ``amortization_unit(config)`` is the number of
+    insert messages one structural event absorbs (a root-buffer fill, a
+    memtable flush cycle): a measured insert window counts in it.  It is
+    ``None`` for a kind that defers no insert.
     """
 
     name: str
@@ -210,3 +213,4 @@ class TreeKind:
     config: type
     sizing: Callable[[int | None, int | None], dict[str, Any]]
     stacked: bool = False
+    amortization_unit: Callable[[Any], int] | None = None

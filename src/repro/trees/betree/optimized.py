@@ -353,8 +353,10 @@ class OptimizedBeTree(BeTree):
 
 #: Registry entry (:mod:`repro.trees.registry`): the Theorem 9 tree is *the*
 #: Bε-tree everywhere but the ablations; ``node_bytes`` is the node size.
+#: One root-buffer fill amortizes a flush.
 KIND = TreeKind(
     "betree", OptimizedBeTree, BeTreeConfig,
     lambda node_bytes, _cache: {"node_bytes": node_bytes},
     stacked=True,
+    amortization_unit=lambda config: config.buffer_budget_bytes // config.fmt.message_bytes,
 )

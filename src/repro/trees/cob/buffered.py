@@ -84,10 +84,11 @@ class BufferedCOBTree(KVTree):
         self.splitter_rebuilds = 0
         #: Upper-bound keys of buckets 0..fanout-2; bucket fanout-1 is open.
         self.splitters: list[int] = []
-        self.buckets = [
-            _Bucket(self.allocator.alloc(self.config.buffer_bytes))
-            for _ in range(self.config.fanout)
-        ]
+        # A bucket is read and written in whole blocks, so its extent is
+        # whole blocks too: no charge runs into a neighbouring bucket.
+        block_bytes = self.config.block_bytes
+        extent = -(-self.config.buffer_bytes // block_bytes) * block_bytes
+        self.buckets = [_Bucket(self.allocator.alloc(extent)) for _ in range(self.config.fanout)]
         #: Messages absorbed per bucket since the last splitter rebuild.
         self.absorbed = [0] * self.config.fanout
         self._rebuilding = False
@@ -332,5 +333,10 @@ class BufferedCOBTree(KVTree):
                     raise TreeError(f"bucket {b}: key {k} outside its range")
 
 
-#: Registry entry (:mod:`repro.trees.registry`): sized like the plain cob tree.
-KIND = TreeKind("cob-buffered", BufferedCOBTree, COBConfig, _COB.sizing)
+#: Registry entry (:mod:`repro.trees.registry`): sized like the plain cob
+#: tree; filling every bucket once amortizes one flush each.
+KIND = TreeKind(
+    "cob-buffered", BufferedCOBTree, COBConfig, _COB.sizing,
+    amortization_unit=lambda config: config.fanout * config.buffer_bytes
+    // config.fmt.message_bytes,
+)

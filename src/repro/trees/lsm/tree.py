@@ -337,5 +337,9 @@ def _sizing(node_bytes: int | None, _cache_bytes: int | None) -> dict[str, int]:
     }
 
 
-#: Registry entry (:mod:`repro.trees.registry`).
-KIND = TreeKind("lsm", LSMTree, LSMConfig, _sizing)
+#: Registry entry (:mod:`repro.trees.registry`): the memtable flushes that
+#: fill level 0 up to its compaction trigger amortize one compaction.
+KIND = TreeKind(
+    "lsm", LSMTree, LSMConfig, _sizing,
+    amortization_unit=lambda config: config.l0_trigger * config.entries_per_sstable,
+)

@@ -41,6 +41,27 @@ def check_kind(kind: str) -> TreeKind:
     return entry
 
 
+def configure(
+    kind: str,
+    *,
+    node_bytes: int | None = None,
+    cache_bytes: int | None = None,
+    **config_fields: Any,
+) -> Any:
+    """The config :func:`build` gives a ``kind`` tree: the kind's sizing
+    rule, overridden by ``config_fields``."""
+    entry = check_kind(kind)
+    known = {f.name for f in dataclasses.fields(entry.config)}
+    unknown = sorted(set(config_fields) - known)
+    if unknown:
+        raise ConfigurationError(
+            f"{entry.config.__name__} has no field(s) {unknown}; known: {sorted(known)}"
+        )
+    sized = entry.sizing(node_bytes, cache_bytes)
+    sized = {name: value for name, value in sized.items() if value is not None}
+    return entry.config(**{**sized, **config_fields})
+
+
 def build(
     kind: str,
     device: BlockDevice,
@@ -66,19 +87,11 @@ def build(
     further fields of the kind's ``*Config`` and override the sizing rule.
     """
     entry = check_kind(kind)
-    known = {f.name for f in dataclasses.fields(entry.config)}
-    unknown = sorted(set(config_fields) - known)
-    if unknown:
-        raise ConfigurationError(
-            f"{entry.config.__name__} has no field(s) {unknown}; known: {sorted(known)}"
-        )
     if reserve_bytes and placement != "first_fit":
         raise ConfigurationError("reserve_bytes needs first_fit placement")
     if entry.stacked and cache_bytes is None:
         raise ConfigurationError(f"a {kind} needs cache_bytes for its buffer cache")
-    sized = entry.sizing(node_bytes, cache_bytes)
-    sized = {name: value for name, value in sized.items() if value is not None}
-    config = entry.config(**{**sized, **config_fields})
+    config = configure(kind, node_bytes=node_bytes, cache_bytes=cache_bytes, **config_fields)
     if entry.stacked:
         stack = StorageStack(
             device, cache_bytes, allocator_policy=placement, allocator_seed=placement_seed

@@ -130,8 +130,8 @@ class TestFlagRouting:
         "argv, flag, a_taker",
         [
             (["lsm", "--quick"], "--quick", "durability"),
-            (["lsm", "--jobs", "4"], "--jobs", "fig2"),
-            (["lsm", "--jobs", "0"], "--jobs", "fig2"),
+            (["writeamp", "--jobs", "4"], "--jobs", "fig2"),
+            (["writeamp", "--jobs", "0"], "--jobs", "fig2"),
             (["fig2", "--faults", "plan.json"], "--faults", "tailres"),
             (["fig2", "--policy", "hedge"], "--policy", "serve"),
         ],

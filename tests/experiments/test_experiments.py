@@ -150,8 +150,8 @@ class TestBTreeNodeSize:
         from repro.experiments.devices import default_hdd
 
         half_bw = default_hdd().geometry.half_bandwidth_bytes
-        assert result.best_query_node < half_bw
-        assert result.best_insert_node < half_bw
+        assert result.best_node("query") < half_bw
+        assert result.best_node("insert") < half_bw
 
     def test_overlay_fit_exists(self, result):
         assert result.query_fit is not None and result.query_fit.alpha > 0
@@ -183,7 +183,7 @@ class TestBeTreeNodeSize:
 
     def test_inserts_favour_large_nodes(self, result):
         # The paper's TokuDB insert optimum is 4 MiB, the top of its range.
-        assert result.best_insert_node >= result.node_sizes[-2]
+        assert result.best_node("insert") >= result.node_sizes[-2]
 
     def test_insert_cost_way_below_query_cost(self, result):
         assert max(result.insert_ms) < min(result.query_ms)
@@ -426,19 +426,19 @@ class TestCOBCompare:
     def test_knobless_trees_flat_by_construction(self, result):
         for model in result.models:
             for tree in ("cola", "cob", "cob-buffered"):
-                assert result.sensitivity(model, tree) == 1.0
-                assert result.sensitivity(model, tree, "insert") == 1.0
+                assert result.curves[(model, tree)].sensitivity() == 1.0
+                assert result.curves[(model, tree)].sensitivity("insert") == 1.0
 
     def test_btree_sensitive_to_its_knob(self, result):
         # The knob matters: mis-sizing the B-tree costs real factors under
         # every model, which is the re-tuning burden cob avoids.
         for model in result.models:
-            assert result.sensitivity(model, "btree") > 1.5
+            assert result.curves[(model, "btree")].sensitivity() > 1.5
 
     def test_btree_optimum_moves_across_models(self, result):
         # The paper's core point: the *same* tree wants a different node
         # size under DAM vs affine vs PDAM pricing.
-        best = {m: result.best_node(m, "btree") for m in result.models}
+        best = {m: result.curves[(m, "btree")].best_node() for m in result.models}
         assert len(set(best.values())) >= 2
         assert best["affine"] > best["dam"]  # affine rewards larger IOs
 
@@ -461,10 +461,8 @@ class TestCOBCompare:
     def test_every_cell_pays_io(self, result):
         # Regression guard for the scale parameters: a zero cell means the
         # cache swallowed the workload and the comparison is vacuous.
-        for values in list(result.query_ms.values()) + list(
-            result.insert_ms.values()
-        ):
-            assert min(values) > 0
+        for curve in result.curves.values():
+            assert min(curve.query_ms) > 0 and min(curve.insert_ms) > 0
 
     def test_render(self, result):
         out = result.render()

@@ -276,26 +276,19 @@ class TestInstrumentedLayers:
         assert snap["histograms"]["device.read.seconds"]["total"] == ssd.stats.read_seconds
 
     def test_runner_metrics(self, tmp_path):
+        from repro.experiments import exp_btree_nodesize
         from repro.runner import ResultCache, run_sweep
-        from repro.runner.spec import SweepPoint, SweepSpec
 
         obs.enable()
-        spec = SweepSpec.make(
-            "obs-test",
-            [
-                SweepPoint.make(
-                    "btree_nodesize_point",
-                    node_bytes=nb,
-                    n_entries=2000,
-                    cache_bytes=64 << 10,
-                    universe=1 << 20,
-                    n_queries=50,
-                    n_inserts=50,
-                    warmup_queries=10,
-                    seed=1,
-                )
-                for nb in (1 << 14, 1 << 15)
-            ],
+        spec = exp_btree_nodesize.sweep_spec(
+            node_sizes=(1 << 14, 1 << 15),
+            n_entries=2000,
+            cache_bytes=64 << 10,
+            universe=1 << 20,
+            n_queries=50,
+            n_inserts=50,
+            warmup_queries=10,
+            seed=1,
         )
         cache = ResultCache(tmp_path)
         run_sweep(spec, cache=cache)

@@ -1,7 +1,7 @@
 """Goldens: runner-migrated experiments are byte-identical at any job count.
 
-The golden files pin the *rendered report text* of small E3, E6, E17 and
-E20 configurations.  Each test runs the experiment twice — serially and with
+The golden files pin the *rendered report text* of small E3, E5, E6, E11,
+E17 and E20 configurations.  Each test runs the experiment twice — serially and with
 four workers — and compares both outputs byte-for-byte against the
 checked-in golden, so a change that perturbs numbers, ordering, or
 formatting (including one smuggled in via the parallel path or the result
@@ -26,7 +26,9 @@ import pytest
 from repro.experiments import exp_affine_validation as e3
 from repro.experiments import exp_autotune as e17
 from repro.experiments import exp_betree_nodesize as e6
+from repro.experiments import exp_btree_nodesize as e5
 from repro.experiments import exp_cob_compare as e20
+from repro.experiments import exp_lsm_nodesize as e11
 from repro.experiments import exp_pdam_validation as e1
 from repro.runner import ResultCache
 
@@ -40,6 +42,18 @@ E3_KWARGS = dict(
     seed=0,
 )
 
+# Three node sizes (the overlay fit's minimum) on a small tree bigger than
+# its cache.
+E5_KWARGS = dict(
+    node_sizes=(4096, 65536, 1 << 20),
+    n_entries=20_000,
+    cache_bytes=1 << 20,
+    n_queries=15,
+    n_inserts=15,
+    warmup_queries=50,
+    seed=0,
+)
+
 # Three node sizes (the overlay fit's minimum) on a small tree.
 E6_KWARGS = dict(
     node_sizes=(65536, 262144, 1 << 20),
@@ -48,6 +62,17 @@ E6_KWARGS = dict(
     n_queries=15,
     max_inserts=500,
     warmup_queries=50,
+    seed=0,
+)
+
+# Three SSTable sizes: the smallest one's insert window counts memtable
+# flush cycles, the two larger ones' are clamped to ``max_inserts``.
+E11_KWARGS = dict(
+    sstable_sizes=(64 << 10, 256 << 10, 1 << 20),
+    n_loaded=8000,
+    min_inserts=2000,
+    max_inserts=10_000,
+    n_queries=15,
     seed=0,
 )
 
@@ -68,7 +93,9 @@ E20_KWARGS = dict(quick=True)
 
 CASES = {
     "e3_affine_validation.txt": (e3.run, E3_KWARGS),
+    "e5_btree_nodesize.txt": (e5.run, E5_KWARGS),
     "e6_betree_nodesize.txt": (e6.run, E6_KWARGS),
+    "e11_lsm_nodesize.txt": (e11.run, E11_KWARGS),
     "e17_autotune.txt": (e17.run, E17_KWARGS),
     "e20_cob_compare.txt": (e20.run, E20_KWARGS),
 }

@@ -24,6 +24,8 @@ import pytest
 
 import repro
 import repro.experiments
+from repro import trees
+from repro.experiments.common import nodesize_sweep_point
 from repro.runner import get_kernel, kernel_names
 from repro.runner.kernels import KERNEL_HOMES
 
@@ -77,19 +79,6 @@ def test_homes_table_is_what_importing_the_experiments_registers():
     assert registered == KERNEL_HOMES
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_HOMES))
-def test_fresh_interpreter_resolves_one_kernel_by_importing_one_module(name):
-    script = (
-        "import sys\n"
-        "from repro.runner import get_kernel, kernel_names\n"
-        f"assert {name!r} in kernel_names()\n"
-        f"fn = get_kernel({name!r})\n"
-        "loaded = sorted(m for m in sys.modules if '.exp_' in m)\n"
-        "print(fn.__module__, *loaded)\n"
-    )
-    home, *loaded = run_fresh(script).split()
-    assert home == f"repro.experiments.{KERNEL_HOMES[name]}"
-    assert loaded == [home]  # not the other 19 experiment modules
 
 
 def test_a_sweep_process_never_imports_scipy():
@@ -138,8 +127,13 @@ def test_the_first_fit_is_what_imports_scipy(call):
 
 
 def small_points() -> dict[str, tuple]:
-    """Two points ``(a, b)`` of every kernel, from its own module's spec at
-    sizes that run in milliseconds."""
+    """Two points ``(a, b)`` of every kernel, from the specs that drive it at
+    sizes that run in milliseconds.
+
+    A kernel with its own module gives one pair, keyed by its name.  The
+    shared node-size kernel (home ``common``) gives one pair per spec that
+    drives it, keyed ``<spec name>_point``: each spec binds it to its own
+    windows, query order and device, so each is a case of its own."""
     from repro.experiments import (
         exp_affine_validation,
         exp_autotune,
@@ -147,6 +141,7 @@ def small_points() -> dict[str, tuple]:
         exp_btree_nodesize,
         exp_cob_compare,
         exp_durability,
+        exp_lsm_nodesize,
         exp_serve_tail,
         exp_tail_resilience,
     )
@@ -173,6 +168,10 @@ def small_points() -> dict[str, tuple]:
         exp_durability.sweep_spec(
             devices=("affine",), group_commits=(1, 4), checkpoints=(0,), n_ops=60, n_load=32
         ),
+        exp_lsm_nodesize.sweep_spec(
+            sstable_sizes=(16 << 10, 64 << 10), n_loaded=2000, min_inserts=100,
+            max_inserts=500, n_queries=20,
+        ),
         exp_serve_tail.sweep_spec(
             rates=(300.0,), policies=("none", "hedge"), trees=("btree",),
             duration_seconds=0.2, n_entries=1000, warm_queries=16,
@@ -186,8 +185,10 @@ def small_points() -> dict[str, tuple]:
     points: dict[str, list] = {}
     for spec in specs:
         for point in spec.points:
-            points.setdefault(point.kernel, []).append(point)
-    return {kernel: (found[0], found[1]) for kernel, found in points.items()}
+            shared = not KERNEL_HOMES[point.kernel].startswith("exp_")
+            case = f"{spec.name}_point" if shared else point.kernel
+            points.setdefault(case, []).append(point)
+    return {case: (found[0], found[1]) for case, found in points.items()}
 
 
 SMALL_POINTS = small_points()
@@ -195,16 +196,52 @@ SMALL_POINTS = small_points()
 
 def test_every_kernel_has_small_points():
     # A kernel registered without a row here would escape the purity test.
-    assert set(SMALL_POINTS) == set(KERNEL_HOMES)
+    assert {a.kernel for a, _ in SMALL_POINTS.values()} == set(KERNEL_HOMES)
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_HOMES))
-def test_a_kernel_result_does_not_depend_on_what_ran_before_it(name):
+@pytest.mark.parametrize("case", sorted(SMALL_POINTS))
+def test_fresh_interpreter_resolves_one_kernel_by_importing_one_module(case):
+    # What a sweep worker does with a point: resolve its kernel by name and
+    # bind its parameters, importing only the kernel's home module.
+    point, _ = SMALL_POINTS[case]
+    name = point.kernel
+    script = (
+        "import inspect, sys\n"
+        "from repro.runner import get_kernel, kernel_names\n"
+        f"assert {name!r} in kernel_names()\n"
+        f"fn = get_kernel({name!r})\n"
+        f"inspect.signature(fn).bind(**{point.param_dict()!r})\n"
+        "loaded = sorted(m for m in sys.modules if '.exp_' in m)\n"
+        "print(fn.__module__, *loaded)\n"
+    )
+    home, *loaded = run_fresh(script).split()
+    assert home == f"repro.experiments.{KERNEL_HOMES[name]}"
+    assert set(loaded) <= {home}  # not the other experiment modules
+
+
+@pytest.mark.parametrize("kind", trees.KINDS)
+def test_the_nodesize_kernel_measures_every_kind(kind):
+    # One kernel, no per-kind code: every registry kind loads, prefills
+    # (by its amortization unit, where it has one) and measures through it.
+    point = nodesize_sweep_point(
+        kind=kind, device="affine", node_bytes=8 << 10, cache_bytes=64 << 10,
+        n_entries=2000, universe=1 << 20, n_queries=20, warmup_queries=10,
+        prefill_units=0.5, max_prefill=1000, insert_units=1.0, min_inserts=100,
+        max_inserts=1000, seed=0,
+    )
+    row = get_kernel(point.kernel)(**point.param_dict())
+    assert set(row) == {"query_ms", "insert_ms", "write_amp"}
+    assert row["query_ms"] >= 0
+    assert row["insert_ms"] > 0 and row["write_amp"] > 0
+
+
+@pytest.mark.parametrize("case", sorted(SMALL_POINTS))
+def test_a_kernel_result_does_not_depend_on_what_ran_before_it(case):
     # b, then a, then b again in one process: state a kernel keeps between
     # calls (a module-level device, cache or RNG) moves the second b.
-    a, b = SMALL_POINTS[name]
+    a, b = SMALL_POINTS[case]
     assert a != b
-    kernel = get_kernel(name)
+    kernel = get_kernel(a.kernel)
     first = kernel(**b.param_dict())
     kernel(**a.param_dict())
     assert kernel(**b.param_dict()) == first

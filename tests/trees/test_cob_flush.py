@@ -17,9 +17,11 @@ from unittest.mock import patch
 
 import pytest
 
+from repro import storage
 from repro.errors import KeyOrderError, TreeError
 from repro.experiments.devices import default_hdd
 from repro.faults import FaultPlan, FaultyDevice, ResiliencePolicy
+from repro.storage.allocator import ExtentAllocator
 from repro.trees import build
 from repro.trees.cob import BufferedCOBTree, COBConfig
 from repro.trees.sizing import EntryFormat
@@ -121,6 +123,47 @@ def test_a_flush_that_halves_is_one_resize():
     assert tree.base.pma.capacity == 64  # 32 keys < 3/8 * 0.8 * 128
     assert [k for k, _ in tree.items()] == list(range(28, 60))
     tree.check_invariants()
+
+
+class _Recording(ExtentAllocator):
+    """An allocator that remembers the size of every extent it hands out."""
+
+    def __init__(self, capacity_bytes):
+        super().__init__(capacity_bytes, alignment=512)
+        self.sizes = {}
+
+    def alloc(self, nbytes):
+        offset = super().alloc(nbytes)
+        self.sizes[offset] = nbytes
+        return offset
+
+
+@pytest.mark.parametrize("buffer_bytes", [512, 1000, 4096, 6000])
+def test_every_bucket_charge_stays_inside_its_own_extent(buffer_bytes):
+    # Buckets smaller than a block, or not a whole number of blocks, are
+    # read and written in whole blocks: the extent must hold them.
+    device = storage.build("null", capacity_bytes=1 << 30, trace=True)
+    allocator = _Recording(device.capacity_bytes)
+    config = COBConfig(
+        fmt=EntryFormat(value_bytes=8), initial_slots=64, fanout=4,
+        buffer_bytes=buffer_bytes, rebuild_factor=3.5, ram_bytes=1 << 10,
+    )
+    tree = BufferedCOBTree(device, config, allocator=allocator)
+    extents = {bucket.offset: allocator.sizes[bucket.offset] for bucket in tree.buckets}
+    rng = random.Random(buffer_bytes)
+    keys = rng.sample(range(1 << 20), 600)
+    for i, key in enumerate(keys):
+        tree.insert(key, i)
+        if i % 3 == 0:
+            tree.get(rng.choice(keys[: i + 1]))
+    tree.lookup_many(rng.sample(keys, 50))
+    charged = 0
+    for io in device.trace:
+        for start, size in extents.items():
+            if start <= io.offset < start + size:
+                assert io.offset + io.nbytes <= start + size, (io, start, size)
+                charged += 1
+    assert charged > 0
 
 
 def test_put_bulk_refuses_unsorted_deletes_and_a_key_put_and_deleted():
