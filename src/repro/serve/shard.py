@@ -11,13 +11,12 @@ batch of point lookups) at a time, and the shard's
 private state.
 
 Service cost is measured, not modeled: a round calls the replica's tree
-(:meth:`~repro.trees.api.KVTree.lookup_many`: on the B-tree a one-key
-round is the scalar descent and a multi-key round the level-synchronized
-one, one :meth:`~repro.storage.cache.BufferCache.get_many` per level; on
-cola, cob and cob-buffered a multi-key round is one planned
-:meth:`~repro.storage.device.BlockDevice.read_set` per dependent step; a
-per-key loop on the LSM and the Bε-tree) and reads the simulated device
-seconds it charged.
+(:meth:`~repro.trees.api.KVTree.lookup_many`: on every kind a one-key round
+is the scalar lookup and a multi-key round a planned one, one
+:meth:`~repro.storage.device.BlockDevice.read_set` per dependent step — on
+the B-tree and the Bε-tree one
+:meth:`~repro.storage.cache.BufferCache.get_many` per level, whose misses
+are that set) and reads the simulated device seconds it charged.
 """
 
 from __future__ import annotations

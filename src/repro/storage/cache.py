@@ -12,18 +12,22 @@ Lemma 3).
 
 Objects are arbitrary Python values; the cache tracks their device extent
 ``(offset, nbytes)`` and charges the device on miss (read) and on dirty
-eviction (write).  Both directions move runs of adjacent extents when they
-can, because under the affine model an IO of ``x`` bytes costs
-``1 + alpha*x``: a scan's misses are read one IO per run
-(:meth:`BufferCache.get_runs`), and a dirty write-back writes the victim
-together with the resident dirty extents adjacent to it on disk, in both
-directions, as one IO (the neighbours turn clean and stay resident);
-:meth:`BufferCache.flush` writes every dirty extent in disk order, one IO
-per run.  Runs never move more than ``M`` bytes, and they change only the
-write schedule — residency, LRU order, hits, misses and reads are those of
-a per-node write-back.  Evicted objects are retained as non-resident "disk
-images" — devices in this repository price IO time but do not store bytes
-(see :mod:`repro.storage.device`).
+eviction (write).  Both directions move runs of extents when they can,
+because under the affine model an IO of ``x`` bytes costs ``1 + alpha*x``.
+A batch of independent misses (a B-tree level, a Bε-tree level's
+components, a scan's level) is one planned read,
+:meth:`BufferCache.get_many`: the device reads the distinct extents in disk
+order, bridging gaps cheaper to transfer than to seek over
+(:meth:`~repro.storage.device.BlockDevice.read_set`; ``ceil(n/P)`` steps on
+the PDAM).  A dirty write-back writes the victim together with the
+resident dirty extents adjacent to it on disk, in both directions, as one
+IO (the neighbours turn clean and stay resident); :meth:`BufferCache.flush`
+writes every dirty extent in disk order, one IO per run.  No run moves
+more than ``M`` bytes, and write runs change only the write schedule —
+residency, LRU order, hits, misses and reads are those of a per-node
+write-back.  Evicted objects are retained as non-resident "disk images" —
+devices in this repository price IO time but do not store bytes (see
+:mod:`repro.storage.device`).
 
 Implementation: one dict maps node id to an intrusive :class:`_Entry`
 that is simultaneously the cache record, the disk image, and a link in a
@@ -106,10 +110,10 @@ class BufferCache:
     One read verb and one write verb: :meth:`get` (a hit turns the entry
     MRU, a miss reads it in) and :meth:`mark_dirty` (an entry on disk is
     read in as :meth:`get` does, then optionally resized and dirtied).
-    :meth:`get_many` and :meth:`get_runs` are :meth:`get`'s batch and scan
-    forms.  New nodes go in with :meth:`insert`; bytes a caller moved
-    itself (a whole-node rewrite, a scan's batched read) go in with
-    :meth:`readmit_clean`.
+    :meth:`get_many` is :meth:`get`'s batch form: the misses of a batch of
+    independent nodes are one planned device read.  New nodes go in with
+    :meth:`insert`; bytes a caller moved itself (a whole-node rewrite, a
+    scan's batched read) go in with :meth:`readmit_clean`.
 
     Parameters
     ----------
@@ -235,7 +239,7 @@ class BufferCache:
         adjacent to it on disk — a non-resident entry is never dirty —
         taken first leftwards while each ends where the run starts, then
         rightwards while each starts where the run ends, each only while
-        the run still fits in ``capacity_bytes`` (as in :meth:`get_runs`,
+        the run still fits in ``capacity_bytes`` (as in :meth:`get_many`,
         no IO moves more than ``M``).  Every node of the run turns clean
         and keeps its residency and LRU place.
         """
@@ -296,90 +300,21 @@ class BufferCache:
         return entry.obj
 
     def get_many(self, node_ids: "Sequence[Hashable]") -> list[Any]:
-        """Batched read-through fetch; objects in input order.
+        """Fetch a batch of independent nodes; objects in input order.
 
-        The same objects as a serial loop of :meth:`get`, but not always
-        its hit/miss counts or device traffic.  Each id is classified when
-        the batch reaches it (a node fetched earlier in the same batch
-        hits on its second appearance), and runs of consecutive misses
-        with equal extent size are charged through one
-        :meth:`~repro.storage.device.BlockDevice.read_batch` and admitted
-        only after that read.  So a resident node that an earlier miss's
-        admission would have evicted in the loop still counts a hit here,
-        and is not read again: with 1 and 2 resident in a two-node cache,
-        1 at the LRU end, ``get_many([0, 1])`` is one hit and one read
-        where ``get(0); get(1)`` is two misses and two reads.  When no
-        admission in the batch evicts a node the batch later touches, the
-        counts are the loop's, and where a device prices an IO
-        independently of the one before (affine, PDAM serial) so is the
-        total; on a stateful one (the HDD's head) the schedule differs and
-        may price seeks differently.  A run's reads are issued before the
-        write-backs of any evictions its admissions trigger.  An unknown
-        id raises once the misses before it are charged, as the loop
-        would.
-        """
-        out: list[Any] = [None] * len(node_ids)
-        run: list[_Entry] = []
-        run_nbytes = 0
-        in_run: set[Hashable] = set()
-
-        def flush_run() -> None:
-            nonlocal run_nbytes
-            if not run:
-                return
-            offsets = [e.offset for e in run]
-            self.device.read_batch(offsets, run_nbytes)
-            for e in run:
-                # Admission may itself evict earlier entries of this run;
-                # that only changes residency, the objects stay returned.
-                self._link_mru(e)
-                self.cached_bytes += e.nbytes
-                self._evict_until_fits()
-            run.clear()
-            in_run.clear()
-            run_nbytes = 0
-
-        for pos, node_id in enumerate(node_ids):
-            entry = self._index.get(node_id)
-            if entry is None:
-                flush_run()  # the misses before it are charged, as serially
-                raise CacheError(f"unknown node id {node_id!r}")
-            if node_id in in_run:
-                flush_run()  # make it resident so the re-read hits, as serially
-                entry = self._index[node_id]
-            if entry.resident:
-                self.stats.hits += 1
-                if OBS.enabled:
-                    OBS.counter("cache.hits").inc()
-                self._touch(entry)
-                out[pos] = entry.obj
-                continue
-            self.stats.misses += 1
-            if OBS.enabled:
-                OBS.counter("cache.misses").inc()
-            out[pos] = entry.obj
-            if run and entry.nbytes != run_nbytes:
-                flush_run()
-            run.append(entry)
-            in_run.add(node_id)
-            run_nbytes = entry.nbytes
-        flush_run()
-        return out
-
-    def get_runs(self, node_ids: "Sequence[Hashable]") -> list[Any]:
-        """Fetch distinct nodes for a scan; objects in input order.
-
-        Every id counts one hit or one miss, as a :meth:`get` loop would,
-        but the misses are read in *disk* order, one device read per run
-        of adjacent extents: sorted by offset, a run goes on while the next
-        extent starts where the last one ends and the run still fits in
-        the cache (``capacity_bytes`` is the scan's read buffer, so no IO
-        moves more than ``M``).  A run of ``k`` nodes pays one setup
-        instead of ``k``.  Resident nodes are LRU-touched first, in input
-        order; each run's nodes are admitted after its read, in disk
-        order, evictions interleaving as in :meth:`get_many`.  A repeated
-        id that is not resident is read and admitted once, and its repeats
-        count as hits.  An unknown id raises before anything is charged.
+        The batch's one planned read: every id counts one hit or one miss,
+        and a repeated id that is not resident counts one miss and then
+        hits.  Resident nodes are LRU-touched first, in input order.  The
+        distinct misses go to the device as one
+        :meth:`~repro.storage.device.BlockDevice.read_set` (sorted,
+        deduplicated, bridged over any gap cheaper to read than to seek
+        over, runs capped at ``capacity_bytes``: no IO moves more than
+        ``M``), then are admitted in disk order, evictions following each
+        admission.  So a resident node that a miss's admission would have
+        evicted in a :meth:`get` loop still counts a hit here, and on
+        :class:`~repro.storage.ideal.PDAMDevice` the ``n`` distinct misses
+        cost ``ceil(n / P)`` steps.  An unknown id raises before anything
+        is charged or counted.
         """
         index = self._index
         out: list[Any] = []
@@ -405,26 +340,14 @@ class BufferCache:
         if OBS.enabled:
             OBS.counter("cache.misses").inc(len(missing))
         missing.sort(key=attrgetter("offset"))
-        first = missing[0]
-        run, start, end = [first], first.offset, first.offset + first.nbytes
-        for entry in missing[1:]:
-            if entry.offset == end and end + entry.nbytes - start <= self.capacity_bytes:
-                run.append(entry)
-            else:
-                self._read_run(run, start, end)
-                run = [entry]
-                start = entry.offset
-            end = entry.offset + entry.nbytes
-        self._read_run(run, start, end)
-        return out
-
-    def _read_run(self, run: list[_Entry], start: int, end: int) -> None:
-        """Charge one read of ``[start, end)`` and admit ``run``'s nodes."""
-        self.device.read(start, end - start)
-        for entry in run:
+        self.device.read_set(
+            [(entry.offset, entry.nbytes) for entry in missing], limit=self.capacity_bytes
+        )
+        for entry in missing:
             self._link_mru(entry)
             self.cached_bytes += entry.nbytes
             self._evict_until_fits()
+        return out
 
     def insert(
         self, node_id: Hashable, obj: Any, offset: int, nbytes: int, *, dirty: bool = True

@@ -8,7 +8,7 @@ The stack is where the DAM triple ``(B, M, device)`` comes together:
 * the *cache* is the memory level ``M``.
 
 Trees read and dirty their nodes through the cache itself
-(``stack.cache.get`` / ``get_many`` / ``get_runs`` / ``mark_dirty``); the
+(``stack.cache.get`` / ``get_many`` / ``mark_dirty``); the
 stack owns only what ties the three together: a node's extent and its
 cache entry are made and dropped as one (:meth:`StorageStack.create`,
 :meth:`StorageStack.destroy`).

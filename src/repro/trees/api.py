@@ -57,13 +57,19 @@ class KVTree:
     def lookup_many(self, keys: Iterable[int]) -> list[Any | None]:
         """Point queries in input order: the answers of a :meth:`get` loop.
 
-        A kind with a batched hook of its own charges a different IO
-        schedule than the loop: the B-tree's level-synchronized descent
-        (one ``BufferCache.get_many`` a level), and the planned reads of
-        cola, cob and cob-buffered (one
-        :meth:`~repro.storage.device.BlockDevice.read_set` per dependent
-        step, each distinct extent read once).  Every other kind runs a
-        loop of its scalar lookup.  A batch of one is :meth:`get`'s IO.
+        Every registry kind plans its batch: one planned submission per
+        dependent step, each distinct extent read once, sorted and bridged
+        over gaps cheaper to read than to seek over
+        (:meth:`~repro.storage.device.BlockDevice.read_set`; ``ceil(n/P)``
+        steps on the PDAM).  So its IO schedule is not the loop's.  The
+        B-tree and the Bε-tree descend level-synchronized, one
+        :meth:`~repro.storage.cache.BufferCache.get_many` a level (the
+        Bε-tree's: the segments a level needs, then the basement chunks);
+        the LSM reads one set per L0 run and one per deeper level, cola
+        one per level, cob and cob-buffered one per step of their index.
+        A key answered at a step reads nothing older or deeper.  The
+        naive ``BeTree`` runs a loop of its scalar lookup.  A batch of one
+        is :meth:`get`'s IO.
         """
         keys = keys if isinstance(keys, list) else list(keys)
         if OBS.enabled:
@@ -72,6 +78,9 @@ class KVTree:
             OBS.op_event(f"{self.kind}.query_batch", start, self.device.clock, n=len(keys))
             return values
         return self._lookup_many(keys)
+
+    #: The batched lookup under the name the benchmark workloads call.
+    get_many = lookup_many
 
     def insert(self, key: int, value: Any) -> None:
         """Insert or overwrite ``key``."""

@@ -334,6 +334,63 @@ class OptimizedBeTree(BeTree):
         get(("b", node.node_id, min(i // per, max(1, -(-len(keys) // per)) - 1)))
         return self._answer(node, i, key, msgs)
 
+    def _lookup_many(self, keys: list[int]) -> list[Any | None]:
+        """Batched point queries; values (or ``None``) in input order.
+
+        The answers of a :meth:`_lookup` loop, read level-synchronized: the
+        root's pivot area, then per level one
+        :meth:`~repro.storage.cache.BufferCache.get_many` of the distinct
+        segments the batch's keys descend through, gathering each key's
+        buffered messages (without pivots in the parent, a second one of
+        the children's pivot areas follows), then one of the distinct
+        basement chunks.  Each ``get_many`` is one planned read of its
+        misses.  A batch of one (or none) has nothing to plan: it is
+        :meth:`_lookup`.
+        """
+        if len(keys) <= 1:
+            return [self._lookup(key) for key in keys]
+        nodes = self._nodes
+        get_many = self.storage.cache.get_many
+        bisect_right = bisect.bisect_right
+        own_pivots = not self.pivots_in_parent
+        distinct = list(dict.fromkeys(keys))
+        root = nodes[self.root_id]
+        at = [root] * len(distinct)
+        msgs: list[list[Message]] = [[] for _ in distinct]
+        live = [] if root.is_leaf else list(range(len(distinct)))  # keys above a leaf
+        if live:
+            self.storage.cache.get(("p", root.node_id))
+        while live:
+            segments: dict[Hashable, None] = {}
+            for j in live:
+                node = at[j]
+                key = distinct[j]
+                ci = bisect_right(node.pivots, key)
+                segments[("s", node.node_id, ci)] = None
+                pending = node.segments[ci].msgs.get(key)
+                if pending:
+                    msgs[j].extend(pending)
+                at[j] = nodes[node.children[ci]]
+            get_many(list(segments))
+            live = [j for j in live if not at[j].is_leaf]
+            if own_pivots and live:
+                get_many(list(dict.fromkeys(("p", at[j].node_id) for j in live)))
+        per = self._basement
+        chunks: dict[Hashable, None] = {}
+        positions = []
+        for j, key in enumerate(distinct):
+            leaf = at[j]
+            leaf_keys = leaf.keys
+            i = bisect.bisect_left(leaf_keys, key)
+            positions.append(i)
+            # The last chunk there is for a key past the leaf's largest, as
+            # in _lookup.
+            chunks[("b", leaf.node_id, min(i // per, max(1, -(-len(leaf_keys) // per)) - 1))] = None
+        get_many(list(chunks))
+        answer = self._answer
+        values = {key: answer(at[j], positions[j], key, msgs[j]) for j, key in enumerate(distinct)}
+        return [values[key] for key in keys]
+
     def _read_for_range(self, node_id: int) -> BeNode:
         node = self._nodes[node_id]
         cache = self.storage.cache

@@ -139,15 +139,16 @@ class BTree(KVTree):
         Descends level-synchronized: all lookups sit at the same depth (the
         tree is height-balanced), so each level needs one
         :meth:`~repro.storage.cache.BufferCache.get_many` of the distinct
-        nodes the batch touches, in first-need order.  Two lookups sharing
-        a node fetch it once — a batch of ``k`` point queries costs at most
-        ``k`` leaf IOs plus the shared internal nodes, with the per-IO
-        Python dispatch paid once per level instead of once per node.  A
-        batch of one has nothing to share: it is :meth:`get`'s descent.
+        nodes the batch touches: one planned read of the level's misses,
+        in disk order.  Two lookups sharing a node fetch it once — a batch
+        of ``k`` point queries costs at most ``k`` leaf reads plus the
+        shared internal nodes, with the per-IO Python dispatch paid once
+        per level instead of once per node.  A batch of one has nothing to
+        share: it is :meth:`get`'s descent.
         """
         if len(keys) == 1:
-            # One node a level, and get_many of one id is get (a read_batch
-            # of one offset is read): the scalar body *is* this batch, minus
+            # One node a level, and get_many of one id is get (a read_set
+            # of one extent is read): the scalar body *is* this batch, minus
             # the per-level lists, set and dict it has no use for.
             return [self._lookup(keys[0])]
         results: list[Any | None] = [None] * len(keys)
@@ -175,9 +176,6 @@ class BTree(KVTree):
             if j < len(leaf.keys) and leaf.keys[j] == key:
                 results[i] = leaf.values[j]
         return results
-
-    #: :meth:`KVTree.lookup_many`, whose hook is the batched descent.
-    get_many = KVTree.lookup_many
 
     # -- insert ---------------------------------------------------------------------
 
@@ -370,9 +368,9 @@ class BTree(KVTree):
         """All pairs with ``lo <= key <= hi`` in key order.
 
         Level by level: the nodes of one level that overlap the range are
-        fetched by one :meth:`~repro.storage.cache.BufferCache.get_runs`
-        — misses in disk order, one device read per run of adjacent
-        extents — so a scan over a sequentially laid-out tree pays a setup
+        fetched by one :meth:`~repro.storage.cache.BufferCache.get_many`
+        — misses as one planned read, in disk order and bridged over cheap
+        gaps — so a scan over a sequentially laid-out tree pays a setup
         per run, not per leaf.  Each level's ids are kept in key order, so
         the leaves are copied out in key order whatever order they were
         read in.
@@ -380,10 +378,10 @@ class BTree(KVTree):
         if lo > hi:
             return []
         bisect_right = bisect.bisect_right
-        get_runs = self.storage.cache.get_runs
+        get_many = self.storage.cache.get_many
         level = [self.root_id]
         while True:
-            nodes = get_runs(level)
+            nodes = get_many(level)
             if nodes[0].is_leaf:
                 break
             level = []

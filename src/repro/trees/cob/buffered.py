@@ -283,9 +283,6 @@ class BufferedCOBTree(KVTree):
             found.update(zip(rest, self.base._lookup_many(rest)))
         return [found.get(int(key)) for key in keys]
 
-    #: :meth:`KVTree.lookup_many`, whose hook reads each touched bucket once.
-    get_many = KVTree.lookup_many
-
     def _range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
         """All pairs with ``lo <= key <= hi``, merging unflushed buffers."""
         if lo > hi:

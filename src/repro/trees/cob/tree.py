@@ -517,9 +517,6 @@ class COBTree(KVTree):
         read_set(segments, limit=max(config.ram_bytes, span))
         return [found.get(int(key)) for key in keys]
 
-    #: :meth:`KVTree.lookup_many`, whose hook reads one planned set a step.
-    get_many = KVTree.lookup_many
-
     def _range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
         """All pairs with ``lo <= key <= hi`` in key order.
 

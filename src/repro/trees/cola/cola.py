@@ -353,9 +353,6 @@ class COLA(KVTree):
             pending = missed
         return [found.get(key) for key in keys]
 
-    #: :meth:`KVTree.lookup_many`, whose hook reads one planned set a level.
-    get_many = KVTree.lookup_many
-
     def _range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
         """All pairs with ``lo <= key <= hi`` in key order."""
         if lo > hi:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from repro.errors import ConfigurationError, TreeError
 from repro.storage.device import BlockDevice
@@ -271,6 +271,71 @@ class LSMTree(KVTree):
                     v = t.values[i]
                     return None if v is TOMBSTONE else v
         return None
+
+    def _lookup_many(self, keys: list[int]) -> list[Any | None]:
+        """Batched point queries; values (or ``None``) in input order.
+
+        The answers of a :meth:`_lookup` loop, with one device step per L0
+        run and per deeper level instead of one per key and run.  The
+        memtable answers first.  Then, newest first, the data blocks of
+        every key still unanswered go to the device as one
+        :meth:`~repro.storage.device.BlockDevice.read_set` a step: in each
+        L0 run whose key range holds the key, then in each deeper level's
+        one run the fences pick.  Runs are capped at ``max(memtable_bytes,
+        block_bytes)``, the LSM's RAM.  A key found at a step reads nothing
+        older.  A batch of one (or none) is :meth:`_lookup`.
+        """
+        if len(keys) <= 1:
+            return [self._lookup(key) for key in keys]
+        config = self.config
+        entry_bytes = config.fmt.entry_bytes
+        block_bytes = config.block_bytes
+        limit = max(config.memtable_bytes, block_bytes)
+        read_set = self.device.read_set
+        memtable = self.memtable
+        found: dict[int, Any] = {}
+        pending: dict[int, None] = {}
+        for key in keys:
+            if key in memtable:
+                value = memtable[key]
+                found[key] = None if value is TOMBSTONE else value
+            else:
+                pending[key] = None
+        for probes in self._probe_steps(pending):
+            if not pending:
+                break
+            extents = []
+            for key, t in probes:
+                run_keys = t.keys
+                i = bisect_left(run_keys, key)
+                nbytes = t.nbytes
+                block = min(block_bytes, nbytes)
+                extents.append((t.offset + min((i * entry_bytes // block) * block, nbytes - block), block))
+                if run_keys[i] == key:
+                    value = t.values[i]
+                    found[key] = None if value is TOMBSTONE else value
+                    del pending[key]
+            if extents:
+                read_set(extents, limit=limit)
+        return [found.get(key) for key in keys]
+
+    def _probe_steps(self, pending: dict[int, None]) -> Iterator[list[tuple[int, SSTable]]]:
+        """The ``(key, run)`` probes of each step of :meth:`_lookup_many`,
+        newest first, each drawn from ``pending`` as it stands then: one
+        step per L0 run, then one per deeper level through its fences.
+        Only a run whose key range holds the key is probed."""
+        for t in self.levels[0]:
+            lo, hi = t.min_key, t.max_key
+            yield [(key, t) for key in pending if lo <= key <= hi]
+        fences = self._fences
+        for lvl in range(1, len(self.levels)):
+            runs, level_fences = self.levels[lvl], fences[lvl]
+            probes = []
+            for key in pending:
+                idx = bisect_right(level_fences, key) - 1
+                if idx >= 0 and key <= runs[idx].max_key:
+                    probes.append((key, runs[idx]))
+            yield probes
 
     def _range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
         """All pairs with ``lo <= key <= hi`` in key order."""

@@ -13,10 +13,16 @@ Regenerate after an *intentional* semantic change (and bump
 
     PYTHONPATH=src python tests/runner/test_determinism.py --regen
 
-Last regenerated at ``CACHE_EPOCH`` 8, when the knobless trees' batched
-lookups came to issue one planned ``read_set`` per dependent step: only
-E20's ``cola q``, ``cob q`` and ``cob-buffered q`` cells moved (E20's
-golden was captured at epoch 7 just before).
+Last regenerated at ``CACHE_EPOCH`` 9, when the buffer cache's batched
+read (``BufferCache.get_many``) became one planned ``read_set`` and the
+Bε-tree and the LSM gained planned batched lookups: E20's ``betree q``
+column moved in every model, its ``btree q`` column under affine and PDAM
+(so the best PDAM B-tree node went 64 KiB -> 16 KiB), its ``betree i``
+column slightly (the query batch leaves another cache state behind), and
+E17's tuned wd-black row (the rebuild reads the old B-tree through one
+scan on the same disk, whose levels are now planned reads, so the tuned
+tree's queries start from another head position and rotation draw).
+At epoch 8 only E20's knobless ``q`` cells had moved.
 """
 
 from pathlib import Path

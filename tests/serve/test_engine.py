@@ -191,15 +191,19 @@ class TestPinnedRuns:
     running queue depth and one-key rounds took the scalar descent
     (``f211511``): latencies of every tenant, in service order, plus the
     counters E19's table prints.  An edit that moves one completion time,
-    one hedge or one queued-request count fails here.
+    one hedge or one queued-request count fails here.  Every pin was
+    re-captured once, when a multi-key round's B-tree level became one
+    planned read of its misses (``BufferCache.get_many`` through
+    ``read_set``: sorted, bridged over cheap gaps): rounds are served
+    faster, so the backlogs are shorter and the rounds smaller.
     """
 
     def test_hedge_below_the_knee(self):
         result = run_once(plan=SPIKY, policy=ResiliencePolicy.hedged(0.02), replicas=3)
         assert result.hedges_issued > 0 and result.dropped == 0
-        assert result.max_queue_depth == 6
+        assert result.max_queue_depth == 4
         assert _digest(result) == (
-            "ba30d6d9c534a21ad388cdfe6d4f5dd48ef14c2068a061fcab11700b8a76ff3b"
+            "2ecd88ac4ec8bc8170780840a67f3dc2676b5eda8266f83afaab9dfdba4c7bb2"
         )
 
     def test_admit_hedge_past_saturation(self):
@@ -212,11 +216,13 @@ class TestPinnedRuns:
             duration=0.5,
         )
         assert result.dropped > 0 and result.hedges_issued > 0
-        # Full rounds: far fewer rounds than requests, a backlog of several.
-        assert result.served > 3 * result.rounds
-        assert result.max_queue_depth == 43
+        # Multi-key rounds: fewer rounds than requests, a backlog of many.
+        # (897 requests went in 240 rounds before the planned batch read, in
+        # 513 since: the rounds drain the queue twice as fast.)
+        assert result.served > 1.5 * result.rounds
+        assert result.max_queue_depth == 23
         assert _digest(result) == (
-            "c07729be624d8f0122594cbf66a8590f46f8dbd30b1c697d9b9d65e76fa55572"
+            "a74aeb3821cb13906915bf15b1d1c1665f5a1f94d8438cae9d3eb2110a3cf43f"
         )
 
     @pytest.mark.parametrize(
@@ -226,13 +232,13 @@ class TestPinnedRuns:
                 crash_failover.TENANTS,
                 2,
                 5,
-                "57608c59e3bb37906736c47a50451bb0c8c7fee14d1ea75a0cdc7ff77b9a1ffd",
+                "fc1268a0ca6dce3303b1ce0ebdce69b7585d0f098715c34885b3312af8a7c1f4",
             ),
             (
                 HOT_UNLIMITED,
-                8,
-                57,
-                "cf145bb955f10abf396e963ec164b2d18cc67a4b17b22296509c82be659a79e6",
+                3,
+                21,
+                "87d7ff178b80b8d1f4384fc3260c64d6816d96fca2e830a5f0464d030622e472",
             ),
         ],
         ids=["one-key-rounds", "full-rounds"],
@@ -243,7 +249,9 @@ class TestPinnedRuns:
         # Both pins (digest and depth) were re-captured once, when a dirty
         # write-back became one write per run of adjacent dirty nodes: the
         # durable replicas' B-trees write fewer IOs, which moves the crash
-        # timeline (failovers and crash counts did not move).
+        # timeline (failovers and crash counts did not move).  Then again
+        # with the planned batch read: full rounds are served faster, so the
+        # crashed replica holds fewer queued requests (8 -> 3 failovers).
         result = _pinned_crash(tenants)
         assert result.crashes == 2
         assert sum(s.failovers for s in result.tenants.values()) == failovers

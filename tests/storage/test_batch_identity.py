@@ -460,7 +460,7 @@ class TestFlush:
 
 class TestUnknownIdOnTheReadPath:
     """``BufferCache.get`` / ``get_many`` handed an id the cache never saw:
-    the exception leaves exactly what a serial ``get`` loop leaves."""
+    the exception leaves nothing charged and nothing counted."""
 
     @staticmethod
     def _cold_stack():
@@ -489,14 +489,17 @@ class TestUnknownIdOnTheReadPath:
             "counters": [c.value - b for c, b in zip(counters, before)],
         }
 
-    def test_get_many_charges_the_misses_before_the_unknown_id(self, monkeypatch):
+    def test_get_many_raises_before_charging(self, monkeypatch):
+        # The batch is validated before its one planned read, so the misses
+        # ahead of the unknown id are neither read nor counted (a get loop
+        # would have charged them).
         monkeypatch.setattr(OBS, "enabled", True)
         ids = [0, 1, "never-created", 2]
-        serial = self._after_raising(self._cold_stack(), lambda c: [c.get(i) for i in ids])
+        untouched = self._after_raising(self._cold_stack(), lambda c: c.get("never-created"))
         batched = self._after_raising(self._cold_stack(), lambda c: c.get_many(ids))
-        assert batched == serial
-        assert serial["stats"]["misses"] == 2 and serial["device"]["stats"]["reads"] == 2
-        assert serial["resident"] == [True, True, False]
+        assert batched == untouched
+        assert batched["stats"]["misses"] == 0 and batched["device"]["stats"]["reads"] == 0
+        assert batched["resident"] == [False, False, False]
 
     def test_get_raises_before_it_counts(self, monkeypatch):
         monkeypatch.setattr(OBS, "enabled", True)

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import CacheError, ConfigurationError
 from repro.storage.cache import BufferCache
 from repro.storage.ram import ConstantLatencyDevice
+from tests.storage.test_read_set import affine, affine_seconds  # bridge_bytes 1 000 000
 
 
 def make(capacity=1000, latency=1.0):
@@ -249,7 +250,9 @@ class TestStatsReset:
 
 
 class TestGetRuns:
-    """The scan fetch: get-loop accounting, disk-order reads, one IO a run."""
+    """``get_many``'s misses as planned runs: get-loop accounting, disk-order
+    reads, one IO a run of extents (on a device that bridges no gap, only
+    adjacent ones)."""
 
     @staticmethod
     def on_disk(capacity=1000, extents=((0, 100), (100, 100), (200, 100), (400, 100))):
@@ -262,7 +265,7 @@ class TestGetRuns:
 
     def test_objects_in_input_order_reads_in_disk_order(self):
         cache, dev = self.on_disk()
-        assert cache.get_runs([3, 1, 0, 2]) == ["v3", "v1", "v0", "v2"]
+        assert cache.get_many([3, 1, 0, 2]) == ["v3", "v1", "v0", "v2"]
         # 0-2 are adjacent (one run); 400 starts past a gap.
         assert [(r.offset, r.nbytes) for r in dev.trace] == [(0, 300), (400, 100)]
         assert cache.stats.misses == 4 and cache.stats.hits == 0
@@ -273,16 +276,16 @@ class TestGetRuns:
         cache, dev = self.on_disk()
         cache.get(1)
         dev.trace.clear()
-        assert cache.get_runs([0, 1, 2]) == ["v0", "v1", "v2"]
+        assert cache.get_many([0, 1, 2]) == ["v0", "v1", "v2"]
         # The resident node 1 is not re-read, so 0 and 2 are two runs.
         assert [(r.offset, r.nbytes) for r in dev.trace] == [(0, 100), (200, 100)]
         assert (cache.stats.hits, cache.stats.misses) == (1, 3)
 
     def test_a_repeated_id_is_read_once_then_hits(self):
-        # As in a get loop (and get_many): one read and one admission, and
-        # every repeat counts a hit.
+        # As in a get loop: one read and one admission, and every repeat
+        # counts a hit.
         cache, dev = self.on_disk()
-        assert cache.get_runs([0, 0, 3, 0]) == ["v0", "v0", "v3", "v0"]
+        assert cache.get_many([0, 0, 3, 0]) == ["v0", "v0", "v3", "v0"]
         assert [(r.offset, r.nbytes) for r in dev.trace] == [(0, 100), (400, 100)]
         assert (cache.stats.hits, cache.stats.misses) == (2, 2)
         assert len(cache) == 2 and cache.cached_bytes == 200
@@ -290,7 +293,7 @@ class TestGetRuns:
 
     def test_a_run_never_exceeds_the_cache(self):
         cache, dev = self.on_disk(capacity=250)
-        cache.get_runs([0, 1, 2])
+        cache.get_many([0, 1, 2])
         assert [(r.offset, r.nbytes) for r in dev.trace] == [(0, 200), (200, 100)]
         assert cache.cached_bytes <= 250
         cache.check_invariants()
@@ -298,19 +301,20 @@ class TestGetRuns:
     def test_unknown_id_charges_nothing(self):
         cache, dev = self.on_disk()
         with pytest.raises(CacheError):
-            cache.get_runs([0, "ghost"])
+            cache.get_many([0, "ghost"])
         assert dev.stats.reads == 0 and cache.stats.accesses == 0
 
     def test_admission_evicts_dirty_nodes(self):
         cache, dev = self.on_disk(capacity=200)
         cache.insert("hot", "h", 600, 100)  # dirty
-        cache.get_runs([0, 1])
+        cache.get_many([0, 1])
         assert not cache.contains("hot")
         assert ("write", 600, 100) in [(r.kind, r.offset, r.nbytes) for r in dev.trace]
 
 
 class TestGetMany:
-    """The batched fetch classifies each id when it reaches it."""
+    """The batched fetch counts and touches its resident ids before it
+    admits any miss."""
 
     @staticmethod
     def warm():
@@ -333,6 +337,80 @@ class TestGetMany:
         assert (batch.stats.hits, batch.stats.misses, batch_dev.stats.reads) == (1, 1, 1)
         assert batch.contains(0) and batch.contains(1) and not batch.contains(2)
         batch.check_invariants()
+
+
+class TestPlannedMisses:
+    """On the affine device a batch costs exactly its planned set: the
+    distinct misses, sorted, in runs that bridge gaps of at most
+    ``floor(s/t)`` bytes and hold at most ``capacity_bytes``, each run
+    ``s + t * bytes``.  A resident id and a repeat are never read."""
+
+    @staticmethod
+    def cold(extents, capacity):
+        dev = affine()
+        cache = BufferCache(dev, capacity)
+        for i, (offset, nbytes) in enumerate(extents):
+            cache.insert(i, f"v{i}", offset, nbytes, dirty=False)
+        cache.drop_clean()
+        return cache, dev
+
+    @staticmethod
+    def plan(extents, bridge, limit):
+        """The runs covering sorted disjoint ``extents``, by the rule alone."""
+        runs = []
+        for offset, nbytes in sorted(extents):
+            if runs and offset - runs[-1][1] <= bridge and offset + nbytes - runs[-1][0] <= limit:
+                runs[-1][1] = offset + nbytes
+            else:
+                runs.append([offset, offset + nbytes])
+        return [(lo, hi - lo) for lo, hi in runs]
+
+    def test_elapsed_is_setup_plus_transfer_of_each_planned_run(self):
+        mb = 1_000_000
+        # Gaps of 0.5 MB are bridged, 2 MB are not; a 3 MB cache cuts runs.
+        extents = [(0, 1000), (mb // 2, 1000), (3 * mb, 1000), (3 * mb + 1000, 1000),
+                   (6 * mb, 2 * mb), (8 * mb + mb // 2, mb)]
+        cache, dev = self.cold(extents, capacity=3 * mb)
+        cache.get(2)  # resident: never read by the batch
+        dev.trace.clear()
+        start = dev.clock
+        ids = [5, 0, 2, 1, 3, 0, 4, 5]
+        assert cache.get_many(ids) == [f"v{i}" for i in ids]
+        want = [(0, mb // 2 + 1000), (3 * mb + 1000, 1000), (6 * mb, 2 * mb), (8 * mb + mb // 2, mb)]
+        assert [(r.offset, r.nbytes) for r in dev.trace] == want
+        assert dev.clock - start == pytest.approx(affine_seconds(want), rel=1e-12)
+        assert (cache.stats.hits, cache.stats.misses) == (3, 1 + 5)
+        cache.check_invariants()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_batches_cost_their_plan(self, seed):
+        rng = random.Random(seed)
+        extents, offset = [], 0
+        for _ in range(40):
+            offset += rng.choice([0, 0, 4096, 300_000, 2_000_000])
+            nbytes = rng.choice([512, 4096, 65536])
+            extents.append((offset, nbytes))
+            offset += nbytes
+        capacity = rng.choice([200_000, 1 << 20])
+        cache, dev = self.cold(extents, capacity)
+        for i in rng.sample(range(40), 5):
+            cache.get(i)
+        for _ in range(3):
+            ids = [rng.randrange(40) for _ in range(30)]
+            resident = {i for i in ids if cache.contains(i)}
+            misses = sorted({extents[i] for i in ids if i not in resident})
+            stats = (cache.stats.hits, cache.stats.misses)
+            dev.trace.clear()
+            start = dev.clock
+            assert cache.get_many(ids) == [f"v{i}" for i in ids]
+            runs = self.plan(misses, dev.bridge_bytes, capacity)
+            # Every node is clean, so the batch's only IOs are its reads.
+            assert [(r.kind, r.offset, r.nbytes) for r in dev.trace] == [("read", *r) for r in runs]
+            assert dev.clock - start == pytest.approx(affine_seconds(runs), rel=1e-12)
+            assert (cache.stats.hits - stats[0], cache.stats.misses - stats[1]) == (
+                len(ids) - len(misses), len(misses)
+            )
+            cache.check_invariants()
 
 
 def reads(dev):

@@ -18,8 +18,10 @@ from repro.trees.sizing import EntryFormat
 #: sha256 of ``TestBatchOfOne.test_mixed_batch_sizes_trace_is_pinned``'s trace.
 #: Re-captured once, when a dirty write-back became one write per run of
 #: adjacent dirty nodes: the tree's load writes fewer IOs, so the gets
-#: start from another clock and another point of the spike stream.
-PINNED_MIXED_BATCHES = "0c5dc64be3fe100e6b2dc75ce986bc4c673059bb71a8a8cb97d1da3297417441"
+#: start from another clock and another point of the spike stream.  Then
+#: again when a batch's misses became one planned read (``read_set``): a
+#: level's misses are read in disk order and admitted after the read.
+PINNED_MIXED_BATCHES = "479e2f522cf853bf5490adaf299b1f0e14da5fe23b14f53fdb3df557a73d0574"
 
 
 def make_tree(node_bytes=2048, cache_bytes=1 << 20, value_bytes=20):
@@ -377,8 +379,8 @@ class TestBatchOfOne:
         # Captured at the commit before one-key batches took the scalar
         # descent (f211511): per-call (clock, hits, misses, evictions) over
         # batches of 1-8 keys.  Real batches still ride get_many, whose
-        # deferred admissions evict differently from a get loop — so this
-        # pins the batched path as well as the batch of one.
+        # planned read and deferred admissions differ from a get loop — so
+        # this pins the batched path as well as the batch of one.
         tree = _spiky_tree()
         rng = np.random.default_rng(29)
         h = hashlib.sha256()

@@ -5,12 +5,15 @@ is copied out) is free to change; the device reads it issues are not — on
 the HDD their *order* is priced too.  ``PINNED`` was captured at the commit
 *before* the scans moved onto ``merge_runs`` (the ``test_cob_accounting.py``
 discipline), so an edit that moves one read of any scan below — offset,
-size or order — fails here.  The B-tree pin was re-captured twice, each on a
-declared change of simulated output: its scan now reads each level in
+size or order — fails here.  The B-tree pin was re-captured three times,
+each on a declared change of simulated output: its scan reads each level in
 disk order, one IO per run of adjacent nodes (``tests/trees/test_btree.py``
-``TestScanIO`` holds that schedule's oracles), and the dirty evictions its
-scans trigger now write one IO per run of adjacent dirty nodes
-(``tests/storage/test_cache.py::TestWriteRuns``).
+``TestScanIO`` holds that schedule's oracles); the dirty evictions its
+scans trigger write one IO per run of adjacent dirty nodes
+(``tests/storage/test_cache.py::TestWriteRuns``); and a level's misses are
+one planned ``read_set``, whose runs read through gaps cheaper to transfer
+than to seek over, with every admission (and the write-backs its evictions
+trigger) after the level's reads.
 """
 
 import hashlib
@@ -42,7 +45,7 @@ BUILD = {
 PINNED = {
     "lsm": "874cd761f4c986be5cfee1dbeb887c6749069228c9c0a403e754801438cd94fa",
     "cola": "42281ff499301818ffaf77cb7a22aae42f5ca16eea01574a564f0f02bc62db99",
-    "btree": "14d6f588fb51c5f8d1e9dae337f1a918bbca1760b4508074cc244b5a5f0c1b0f",
+    "btree": "7919a5d8dd0acb804f4127cd02af18bd88a42b1009d7ceac3963defe8bae3bf8",
 }
 
 

@@ -11,8 +11,11 @@ frames by the workload's table in :data:`STEPS`, and prints the median host
 us per op of each (step, kind): its share of the counted samples times the
 timed wall.  The workload's own lines outside its timed regions (oracle,
 ``_build``, digests) are untimed.  Tree workloads add each kind's ``load s``,
-device_engine the seconds an iteration its untimed model fits take
-(``fits s``), serve_e19 its round sizes and peak event heap.  Exits
+tree_read each kind's simulated ms and device IOs per get of its ``get``
+half and its ``get_many`` half and per scan of its ``range`` calls, summed
+over the iterations at the run's scale; device_engine the seconds an
+iteration its untimed model fits take (``fits s``), serve_e19 its round
+sizes and peak event heap.  Exits
 non-zero if the oracle failed.  Sizing, not claims: a claim is ``make
 perf-pairs``.
 """
@@ -28,6 +31,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from fnmatch import fnmatchcase
+from math import nan
 from pathlib import Path
 from time import perf_counter
 from types import SimpleNamespace
@@ -178,9 +182,53 @@ def serve_counts():
         yield counts
 
 
+#: tree_read's read paths: ``(row prefix, unit, where the workload finds it)``.
+READ_PATHS = (("get", "get", "tree"), ("get_many", "get", "built"), ("range", "scan", "tree"))
+
+
+@contextmanager
+def read_paths(built):
+    """While open on tree_read's ``built`` trees: each kind's simulated device
+    seconds and IOs under each of :data:`READ_PATHS`, counted by wrapping the
+    callable the workload looks up each iteration; the yielded ``{row: {kind:
+    value}}`` is filled in on exit."""
+    tally = {(bt.kind, path): [0, 0.0, 0] for bt in built for path, *_ in READ_PATHS}
+
+    def counted(fn, cell, device, stats, size):
+        def call(arg, *rest):
+            clock, ios = device.clock, stats.ios
+            out = fn(arg, *rest)
+            cell[0] += size(arg)
+            cell[1] += device.clock - clock
+            cell[2] += stats.ios - ios
+            return out
+        return call
+
+    for bt in built:
+        for path, unit, where in READ_PATHS:
+            owner = bt.tree if where == "tree" else bt
+            fn = getattr(owner, path)
+            if fn is not None:  # None: a kind the workload sends no get_many
+                size = len if path == "get_many" else (lambda _: 1)
+                setattr(owner, path, counted(fn, tally[bt.kind, path],
+                                             bt.device, bt.device.stats, size))
+    rows: dict[str, dict[str, float]] = {}
+    try:
+        yield rows
+    finally:
+        for bt in built:
+            del bt.tree.get, bt.tree.range  # the class's methods again
+            bt.get_many = getattr(bt.tree, "get_many", None)
+    for path, unit, _ in READ_PATHS:
+        cells = {bt.kind: tally[bt.kind, path] for bt in built}  # nan: never called
+        rows[f"{path}: sim ms/{unit}"] = {k: s * 1e3 / n if n else nan for k, (n, s, _) in cells.items()}
+        rows[f"{path}: IOs/{unit}"] = {k: ios / n if n else nan for k, (n, _, ios) in cells.items()}
+
+
 def split(name: str, seed: int, scale: float, iterations: int):
-    """``(run, {kind: [(ops, wall, counts), ...]}, {row: {kind: s}}, serve counts)``:
-    the third holds each kind's ``load s`` and median ``fits s`` an iteration."""
+    """``(run, {kind: [(ops, wall, counts), ...]}, {row: {kind: value}}, serve
+    counts)``: the third holds each kind's ``load s``, median ``fits s`` an
+    iteration and, on tree_read, the simulated rows of :func:`read_paths`."""
     from perfbench import trees
     from perfbench.harness import Run
     from perfbench.workloads import workload_class
@@ -210,6 +258,7 @@ def split(name: str, seed: int, scale: float, iterations: int):
     gc.freeze()
     try:
         with serve_counts() if name == "serve_e19" else nullcontext() as serve, \
+                read_paths(built) if name == "tree_read" else nullcontext({}) as sim, \
                 fit_seconds(module) as fits:
             for i in range(iterations):
                 workload.prepare(i)
@@ -231,7 +280,7 @@ def split(name: str, seed: int, scale: float, iterations: int):
         module.KINDS = every
     workload.finish()
     fit_s = {k: statistics.median(v) for k, v in fit_s.items() if any(v)}
-    return run, samples, {"load s": load_s, "fits s": fit_s}, serve
+    return run, samples, {"load s": load_s, "fits s": fit_s, **sim}, serve
 
 
 def report(name: str, samples, extra: dict[str, dict[str, float]]) -> None:
