@@ -109,25 +109,18 @@ def sweep_spec(
 
 
 def run(
-    *,
-    io_sizes: tuple[int, ...] = DEFAULT_IO_SIZES,
-    reads_per_size: int = 64,
-    devices: tuple[str, ...] | None = None,
-    seed: int = 0,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
+    *, jobs: int = 1, cache: ResultCache | None = None, **params
 ) -> AffineValidationResult:
-    """Issue the random-read sweep on each zoo disk and fit (s, t, alpha)."""
-    names = devices if devices is not None else tuple(sorted(HDD_ZOO))
-    spec = sweep_spec(
-        io_sizes=tuple(io_sizes),
-        reads_per_size=reads_per_size,
-        devices=names,
-        seed=seed,
+    """Issue the random-read sweep on each zoo disk and fit (s, t, alpha);
+    ``params`` are :func:`sweep_spec`'s."""
+    args = {**sweep_spec.__kwdefaults__, **params}
+    spec = sweep_spec(**params)
+    result = AffineValidationResult(
+        io_sizes=tuple(args["io_sizes"]), reads_per_size=args["reads_per_size"]
     )
-    result = AffineValidationResult(io_sizes=tuple(io_sizes), reads_per_size=reads_per_size)
-    for name, point in zip(names, run_sweep(spec, jobs=jobs, cache=cache)):
-        result.fits[name] = fit_affine_model(point["mean_sizes"], point["mean_times"])
+    for point, row in zip(spec.points, run_sweep(spec, jobs=jobs, cache=cache)):
+        name = point.param_dict()["device"]
+        result.fits[name] = fit_affine_model(row["mean_sizes"], row["mean_times"])
         _, s_true, t4k_true = HDD_ZOO[name]
         result.truth[name] = (s_true, t4k_true)
     return result

@@ -11,20 +11,21 @@ times its reads, the Bε-tree fanout that minimizes total cost *decreases*
 as ``w`` grows — expensive writes push the design toward more aggressive
 write-optimization (smaller ε).  Both the closed-form optimum and a
 measured sweep on an asymmetric :class:`~repro.storage.ideal.AffineDevice`
-are reported.
+are reported; the sweep is one node-size kernel point
+(:func:`~repro.experiments.common.nodesize_point`) per (multiplier, fanout),
+run on the sweep runner (``--jobs``, the result cache).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
-from repro import storage
 from repro.experiments import report
-from repro.experiments.common import build_load, measure_tree_ops
+from repro.experiments.common import nodesize_sweep_point
 from repro.models.analysis import optimal_fanout_asymmetric
-from repro.trees import build
+from repro.runner import ResultCache, SweepSpec, run_sweep
 from repro.trees.sizing import EntryFormat
-from repro.workloads.generators import insert_stream
 
 DEFAULT_MULTIPLIERS = (1.0, 2.0, 5.0, 10.0)
 DEFAULT_FANOUTS = (2, 4, 8, 16, 32, 64)
@@ -66,7 +67,7 @@ class AsymmetryResult:
         )
 
 
-def run(
+def sweep_spec(
     *,
     write_multipliers: tuple[float, ...] = DEFAULT_MULTIPLIERS,
     fanouts: tuple[int, ...] = DEFAULT_FANOUTS,
@@ -78,53 +79,73 @@ def run(
     universe: int = 1 << 31,
     n_queries: int = 150,
     seed: int = 0,
-) -> AsymmetryResult:
-    """Sweep write multipliers x fanouts; report model and measured optima."""
-    pairs, keys = build_load(n_entries, universe, seed=seed)
+) -> SweepSpec:
+    """The E14 sweep: one Bε-tree ``nodesize_point`` per write multiplier
+    and fanout, on an affine device whose writes cost that multiple.
+
+    A point pre-fills its root buffer once (one amortization unit, which
+    ``node_bytes`` never caps) and measures two more fills of inserts,
+    3000 to 30 000, with no warm-up.
+    """
+    return SweepSpec.make(
+        "asymmetry",
+        [
+            nodesize_sweep_point(
+                kind="betree",
+                device="affine",
+                device_fields=(
+                    ("alpha", alpha_per_byte),
+                    ("capacity_bytes", 1 << 31),
+                    ("setup_seconds", setup_seconds),
+                    ("write_multiplier", w),
+                ),
+                node_bytes=node_bytes,
+                cache_bytes=cache_bytes,
+                tree_fields=(("fanout", fanout),),
+                n_entries=n_entries,
+                universe=universe,
+                n_queries=n_queries,
+                warmup_queries=0,
+                prefill_units=1.0,
+                max_prefill=node_bytes,
+                insert_units=2.0,
+                min_inserts=3000,
+                max_inserts=30_000,
+                seed=seed,
+            )
+            for w in write_multipliers
+            for fanout in fanouts
+        ],
+    )
+
+
+def run(*, jobs: int = 1, cache: ResultCache | None = None, **params) -> AsymmetryResult:
+    """Sweep write multipliers x fanouts; report model and measured optima.
+    ``params`` are :func:`sweep_spec`'s; a fanout's cost is the 50/50 mean
+    of its query and insert ms/op."""
+    args = {**sweep_spec.__kwdefaults__, **params}
+    rows = iter(run_sweep(sweep_spec(**params), jobs=jobs, cache=cache))
     result = AsymmetryResult(
-        write_multipliers=tuple(write_multipliers),
-        fanouts=tuple(fanouts),
-        node_bytes=node_bytes,
+        write_multipliers=tuple(args["write_multipliers"]),
+        fanouts=tuple(args["fanouts"]),
+        node_bytes=args["node_bytes"],
     )
     fmt = EntryFormat()
-    alpha_entry = alpha_per_byte * fmt.entry_bytes
-    b_entries = fmt.leaf_capacity(node_bytes)
-    m_entries = cache_bytes // fmt.entry_bytes
+    alpha_entry = args["alpha_per_byte"] * fmt.entry_bytes
+    b_entries = fmt.leaf_capacity(args["node_bytes"])
+    m_entries = args["cache_bytes"] // fmt.entry_bytes
 
-    for w in write_multipliers:
+    for w in result.write_multipliers:
         result.model_optimal_fanout.append(
             optimal_fanout_asymmetric(
-                b_entries, alpha_entry, n_entries, m_entries,
+                b_entries, alpha_entry, args["n_entries"], m_entries,
                 write_cost_multiplier=w,
             )
         )
-        costs: dict[int, float] = {}
-        for fanout in fanouts:
-            device = storage.build(
-                "affine",
-                alpha=alpha_per_byte,
-                setup_seconds=setup_seconds,
-                capacity_bytes=1 << 31,
-                write_multiplier=w,
-            )
-            tree = build(
-                "betree", device, node_bytes=node_bytes, cache_bytes=cache_bytes,
-                fanout=fanout,
-            )
-            tree.load(pairs)
-            config = tree.config
-            buffer_msgs = max(1, config.buffer_budget_bytes // config.fmt.message_bytes)
-            tree.put_many(insert_stream(universe, buffer_msgs, seed=seed + 7))
-            times = measure_tree_ops(
-                tree, keys, universe,
-                n_queries=n_queries,
-                n_inserts=min(30_000, max(3000, 2 * buffer_msgs)),
-                warmup_queries=0,
-                seed=seed,
-            )
-            costs[fanout] = (
-                0.5 * times.query_seconds_per_op + 0.5 * times.insert_seconds_per_op
-            ) * 1e3
+        costs = {
+            fanout: 0.5 * row["query_ms"] + 0.5 * row["insert_ms"]
+            for fanout, row in zip(result.fanouts, islice(rows, len(result.fanouts)))
+        }
         result.measured_cost_ms.append(costs)
         result.measured_best_fanout.append(min(costs, key=costs.__getitem__))
     return result

@@ -292,36 +292,18 @@ def sweep_spec(
     )
 
 
-def run(
-    *,
-    node_sizes: tuple[int, ...] = DEFAULT_NODE_SIZES,
-    n_entries: int = 600_000,
-    cache_bytes: int = 16 << 20,
-    universe: int = 1 << 31,
-    n_queries: int = 150,
-    warmup_queries: int = 200,
-    devices: tuple[str, ...] | None = None,
-    seed: int = 0,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-) -> AutotuneResult:
-    """Sweep, mis-configure, tune, and compare on every zoo device."""
+def run(*, jobs: int = 1, cache: ResultCache | None = None, **params) -> AutotuneResult:
+    """Sweep, mis-configure, tune, and compare on every zoo device;
+    ``params`` are :func:`sweep_spec`'s."""
+    args = {**sweep_spec.__kwdefaults__, **params}
     fmt = EntryFormat()
-    spec = sweep_spec(
-        node_sizes=tuple(node_sizes),
-        n_entries=n_entries,
-        cache_bytes=cache_bytes,
-        universe=universe,
-        n_queries=n_queries,
-        warmup_queries=warmup_queries,
-        devices=devices,
-        seed=seed,
-    )
     result = AutotuneResult(
-        node_sizes=tuple(node_sizes), n_entries=n_entries, cache_bytes=cache_bytes
+        node_sizes=tuple(args["node_sizes"]),
+        n_entries=args["n_entries"],
+        cache_bytes=args["cache_bytes"],
     )
     profiles: dict[str, DeviceProfile] = {}
-    for row in run_sweep(spec, jobs=jobs, cache=cache):
+    for row in run_sweep(sweep_spec(**params), jobs=jobs, cache=cache):
         profiles[row["name"]] = row["profile"]
         result.rows.append(DeviceTuneRow(**row))
 

@@ -74,39 +74,18 @@ def sweep_spec(
     )
 
 
-def run(
-    *,
-    node_sizes: tuple[int, ...] = DEFAULT_NODE_SIZES,
-    n_entries: int = 300_000,
-    cache_bytes: int = 8 << 20,
-    fanout: int = 16,
-    universe: int = 1 << 31,
-    n_queries: int = 300,
-    inserts_per_buffer_fill: float = 4.0,
-    max_inserts: int = 100_000,
-    warmup_queries: int = 200,
-    seed: int = 0,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-) -> NodeSizeResult:
-    """Sweep node sizes over a freshly loaded Bε-tree on the default HDD."""
-    spec = sweep_spec(
-        node_sizes=tuple(node_sizes),
-        n_entries=n_entries,
-        cache_bytes=cache_bytes,
-        fanout=fanout,
-        universe=universe,
-        n_queries=n_queries,
-        inserts_per_buffer_fill=inserts_per_buffer_fill,
-        max_inserts=max_inserts,
-        warmup_queries=warmup_queries,
-        seed=seed,
-    )
+def run(*, jobs: int = 1, cache: ResultCache | None = None, **params) -> NodeSizeResult:
+    """Sweep node sizes over a freshly loaded Bε-tree on the default HDD;
+    ``params`` are :func:`sweep_spec`'s."""
+    args = {**sweep_spec.__kwdefaults__, **params}
     result = NodeSizeResult.of_rows(
         "Figure 3 (simulated): Bε-tree ms/op vs node size",
-        node_sizes,
-        run_sweep(spec, jobs=jobs, cache=cache),
-        caption=f"(N={n_entries}, F={fanout}, M={report.format_bytes(cache_bytes)})",
+        args["node_sizes"],
+        run_sweep(sweep_spec(**params), jobs=jobs, cache=cache),
+        caption=(
+            f"(N={args['n_entries']}, F={args['fanout']}, "
+            f"M={report.format_bytes(args['cache_bytes'])})"
+        ),
         log_y=True,
     )
     sizes = list(result.node_sizes)

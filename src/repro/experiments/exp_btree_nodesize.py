@@ -57,35 +57,15 @@ def sweep_spec(
     )
 
 
-def run(
-    *,
-    node_sizes: tuple[int, ...] = DEFAULT_NODE_SIZES,
-    n_entries: int = 300_000,
-    cache_bytes: int = 8 << 20,
-    universe: int = 1 << 31,
-    n_queries: int = 400,
-    n_inserts: int = 400,
-    warmup_queries: int = 200,
-    seed: int = 0,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-) -> NodeSizeResult:
-    """Sweep node sizes over a freshly loaded B-tree on the default HDD."""
-    spec = sweep_spec(
-        node_sizes=tuple(node_sizes),
-        n_entries=n_entries,
-        cache_bytes=cache_bytes,
-        universe=universe,
-        n_queries=n_queries,
-        n_inserts=n_inserts,
-        warmup_queries=warmup_queries,
-        seed=seed,
-    )
+def run(*, jobs: int = 1, cache: ResultCache | None = None, **params) -> NodeSizeResult:
+    """Sweep node sizes over a freshly loaded B-tree on the default HDD;
+    ``params`` are :func:`sweep_spec`'s."""
+    args = {**sweep_spec.__kwdefaults__, **params}
     result = NodeSizeResult.of_rows(
         "Figure 2 (simulated): B-tree ms/op vs node size",
-        node_sizes,
-        run_sweep(spec, jobs=jobs, cache=cache),
-        caption=f"(N={n_entries}, M={report.format_bytes(cache_bytes)})",
+        args["node_sizes"],
+        run_sweep(sweep_spec(**params), jobs=jobs, cache=cache),
+        caption=f"(N={args['n_entries']}, M={report.format_bytes(args['cache_bytes'])})",
     )
     sizes = list(result.node_sizes)
     query = result.query_fit = fit_affine_overlay(

@@ -382,60 +382,33 @@ def sweep_spec(
 
 
 def run(
-    *,
-    models: tuple[str, ...] = MODELS,
-    node_sizes: tuple[int, ...] = DEFAULT_NODE_SIZES,
-    threads: tuple[int, ...] = DEFAULT_THREADS,
-    n_entries: int = 120_000,
-    universe: int = 1 << 30,
-    n_queries: int = 300,
-    n_inserts: int = 3_000,
-    warmup_queries: int = 100,
-    parallelism: int = 8,
-    cache_bytes: int = 48 << 10,
-    thread_keys: int = 1 << 15,
-    queries_per_client: int = 40,
-    seed: int = 0,
-    quick: bool = False,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
+    *, quick: bool = False, jobs: int = 1, cache: ResultCache | None = None, **params
 ) -> COBCompareResult:
-    """Run E20; ``quick`` shrinks it to CI-smoke size."""
-    adversary_keys, adversary_scan = (1 << 12, 100) if quick else (1 << 15, 1000)
+    """Run E20; ``params`` are :func:`sweep_spec`'s, and ``quick`` shrinks
+    them to CI-smoke size."""
+    args = {**sweep_spec.__kwdefaults__, **params}
     if quick:
-        n_entries = min(n_entries, 12_000)
-        n_inserts = min(n_inserts, 500)
-        n_queries = min(n_queries, 100)
-        cache_bytes = min(cache_bytes, 48 << 10)
-        node_sizes = tuple(node_sizes)[:3]
-        threads = tuple(t for t in threads if t <= 4) or (1,)
-        thread_keys = min(thread_keys, 1 << 12)
-        queries_per_client = min(queries_per_client, 10)
-    spec = sweep_spec(
-        models=tuple(models),
-        node_sizes=tuple(node_sizes),
-        threads=tuple(threads),
-        n_entries=n_entries,
-        universe=universe,
-        n_queries=n_queries,
-        n_inserts=n_inserts,
-        warmup_queries=warmup_queries,
-        parallelism=parallelism,
-        cache_bytes=cache_bytes,
-        thread_keys=thread_keys,
-        queries_per_client=queries_per_client,
-        adversary_keys=adversary_keys,
-        adversary_scan=adversary_scan,
-        seed=seed,
-    )
+        args.update(
+            n_entries=min(args["n_entries"], 12_000),
+            n_inserts=min(args["n_inserts"], 500),
+            n_queries=min(args["n_queries"], 100),
+            cache_bytes=min(args["cache_bytes"], 48 << 10),
+            node_sizes=tuple(args["node_sizes"])[:3],
+            threads=tuple(t for t in args["threads"] if t <= 4) or (1,),
+            thread_keys=min(args["thread_keys"], 1 << 12),
+            queries_per_client=min(args["queries_per_client"], 10),
+            adversary_keys=1 << 12,
+            adversary_scan=100,
+        )
+    spec = sweep_spec(**args)
     result = COBCompareResult(
-        models=tuple(models),
-        node_sizes=tuple(node_sizes),
-        threads=tuple(threads),
-        n_entries=n_entries,
-        parallelism=parallelism,
-        adversary_keys=adversary_keys,
-        adversary_scan=adversary_scan,
+        models=tuple(args["models"]),
+        node_sizes=tuple(args["node_sizes"]),
+        threads=tuple(args["threads"]),
+        n_entries=args["n_entries"],
+        parallelism=args["parallelism"],
+        adversary_keys=args["adversary_keys"],
+        adversary_scan=args["adversary_scan"],
     )
     rows = iter(run_sweep(spec, jobs=jobs, cache=cache))
     sizes = result.node_sizes

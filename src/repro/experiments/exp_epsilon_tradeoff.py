@@ -13,7 +13,9 @@ HDD: one Bε-tree per fanout from 2 (≈ buffered repository tree) up to the
 node's pivot capacity (= B-tree), measuring amortized insert cost and
 point-query cost.  A B-tree, an LSM-tree, and a COLA are placed on the
 same axes for reference — the three write-optimized families the paper's
-introduction names.
+introduction names.  Every structure is one point of a sweep over the
+node-size kernel (:func:`~repro.experiments.common.nodesize_point`), so the
+experiment runs on the sweep runner (``--jobs``, the result cache).
 """
 
 from __future__ import annotations
@@ -21,10 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments import report
-from repro.experiments.common import build_load, measure_tree_ops
-from repro.experiments.devices import default_hdd
-from repro.trees import build
-from repro.workloads.generators import insert_stream
+from repro.experiments.common import nodesize_sweep_point
+from repro.experiments.devices import DEFAULT_HDD
+from repro.runner import ResultCache, SweepSpec, run_sweep
+
+#: The references: the ε = 1 endpoint (a B-tree at its own favourable node
+#: size), an LSM at its 2 MiB defaults, and the COLA, which has no
+#: node-size knob at all.  Each is ``(label, kind, node bytes, tree fields,
+#: measured inserts, warm-up queries)``; the two device-backed ones have no
+#: cache to re-warm (warm-up reads would only move the disk head).
+REFERENCES = (
+    ("btree 64KiB", "btree", 64 << 10, (), 1000, 100),
+    ("lsm 2MiB", "lsm", None, (("l0_trigger", 2),), 40_000, 0),
+    ("cola", "cola", None, (), 40_000, 0),
+)
 
 
 @dataclass
@@ -68,17 +80,7 @@ class EpsilonTradeoffResult:
         return [p for p in self.points if p.label.startswith("betree")]
 
 
-def _point(label, tree, keys, universe, n_queries, n_inserts, seed, *, warmup=100):
-    times = measure_tree_ops(
-        tree, keys, universe,
-        n_queries=n_queries, n_inserts=n_inserts, warmup_queries=warmup, seed=seed,
-    )
-    return TradeoffPoint(
-        label, times.insert_seconds_per_op * 1e3, times.query_seconds_per_op * 1e3
-    )
-
-
-def run(
+def sweep_spec(
     *,
     node_bytes: int = 256 << 10,
     fanouts: tuple[int, ...] = (2, 4, 16, 64, 256),
@@ -87,43 +89,68 @@ def run(
     universe: int = 1 << 31,
     n_queries: int = 200,
     seed: int = 0,
-) -> EpsilonTradeoffResult:
-    """Measure the tradeoff curve plus the three reference structures."""
-    pairs, keys = build_load(n_entries, universe, seed=seed)
-    result = EpsilonTradeoffResult(
-        node_bytes=node_bytes, n_entries=n_entries, cache_bytes=cache_bytes
+) -> SweepSpec:
+    """The E12 sweep: one Bε-tree ``nodesize_point`` per fanout, then the
+    :data:`REFERENCES`, all on one disk.
+
+    A Bε point pre-fills its root buffer once (one amortization unit,
+    which ``node_bytes`` never caps) and measures three more fills of
+    inserts, 4000 to 40 000.
+    """
+    measure = dict(
+        device=DEFAULT_HDD,
+        device_fields=(("seed", seed),),
+        cache_bytes=cache_bytes,
+        n_entries=n_entries,
+        universe=universe,
+        n_queries=n_queries,
+        seed=seed,
     )
-
-    for fanout in fanouts:
-        tree = build(
-            "betree",
-            default_hdd(seed=seed),
+    points = [
+        nodesize_sweep_point(
+            kind="betree",
             node_bytes=node_bytes,
-            cache_bytes=cache_bytes,
-            fanout=fanout,
+            tree_fields=(("fanout", fanout),),
+            warmup_queries=100,
+            prefill_units=1.0,
+            max_prefill=node_bytes,
+            insert_units=3.0,
+            min_inserts=4000,
+            max_inserts=40_000,
+            **measure,
         )
-        tree.load(pairs)
-        config = tree.config
-        buffer_msgs = max(1, config.buffer_budget_bytes // config.fmt.message_bytes)
-        tree.put_many(insert_stream(universe, buffer_msgs, seed=seed + 7))
-        n_inserts = min(40_000, max(4000, 3 * buffer_msgs))
-        result.points.append(
-            _point(f"betree F={fanout}", tree, keys, universe, n_queries, n_inserts, seed)
+        for fanout in fanouts
+    ]
+    points += [
+        nodesize_sweep_point(
+            kind=kind,
+            node_bytes=ref_node_bytes,
+            tree_fields=tree_fields,
+            warmup_queries=warmup,
+            min_inserts=n_inserts,
+            max_inserts=n_inserts,
+            **measure,
         )
+        for _, kind, ref_node_bytes, tree_fields, n_inserts, warmup in REFERENCES
+    ]
+    return SweepSpec.make("epsilon_tradeoff", points)
 
-    # The references: the ε = 1 endpoint (a B-tree at its own favourable
-    # node size), an LSM at its 2 MiB defaults, and the COLA, which has no
-    # node-size knob at all.  The two device-backed ones have no cache to
-    # re-warm (warm-up reads would only move the disk head).
-    for label, kind, fields, n_inserts, warmup in (
-        ("btree 64KiB", "btree", dict(node_bytes=64 << 10), 1000, 100),
-        ("lsm 2MiB", "lsm", dict(l0_trigger=2), 40_000, 0),
-        ("cola", "cola", {}, 40_000, 0),
-    ):
-        tree = build(kind, default_hdd(seed=seed), cache_bytes=cache_bytes, **fields)
-        tree.load(pairs)
-        result.points.append(
-            _point(label, tree, keys, universe, n_queries, n_inserts, seed, warmup=warmup)
-        )
 
-    return result
+def run(
+    *, jobs: int = 1, cache: ResultCache | None = None, **params
+) -> EpsilonTradeoffResult:
+    """Measure the tradeoff curve plus the three reference structures;
+    ``params`` are :func:`sweep_spec`'s."""
+    args = {**sweep_spec.__kwdefaults__, **params}
+    labels = [f"betree F={fanout}" for fanout in args["fanouts"]]
+    labels += [label for label, *_ in REFERENCES]
+    rows = run_sweep(sweep_spec(**params), jobs=jobs, cache=cache)
+    return EpsilonTradeoffResult(
+        node_bytes=args["node_bytes"],
+        n_entries=args["n_entries"],
+        cache_bytes=args["cache_bytes"],
+        points=[
+            TradeoffPoint(label, row["insert_ms"], row["query_ms"])
+            for label, row in zip(labels, rows)
+        ],
+    )

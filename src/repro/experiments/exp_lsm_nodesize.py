@@ -76,38 +76,21 @@ def sweep_spec(
     )
 
 
-def run(
-    *,
-    sstable_sizes: tuple[int, ...] = DEFAULT_SSTABLE_SIZES,
-    n_loaded: int = 120_000,
-    min_inserts: int = 30_000,
-    max_inserts: int = 150_000,
-    n_queries: int = 300,
-    universe: int = 1 << 31,
-    seed: int = 0,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-) -> NodeSizeResult:
+def run(*, jobs: int = 1, cache: ResultCache | None = None, **params) -> NodeSizeResult:
     """Sweep SSTable sizes on the default HDD; insert cost includes
-    compaction IO."""
-    spec = sweep_spec(
-        sstable_sizes=tuple(sstable_sizes),
-        n_loaded=n_loaded,
-        min_inserts=min_inserts,
-        max_inserts=max_inserts,
-        n_queries=n_queries,
-        universe=universe,
-        seed=seed,
-    )
+    compaction IO.  ``params`` are :func:`sweep_spec`'s."""
+    args = {**sweep_spec.__kwdefaults__, **params}
     # The caption's window sizes, as the kernel counts them.
     unit_of = check_kind("lsm").amortization_unit
-    units = [unit_of(configure("lsm", **dict(lsm_fields(size)))) for size in sstable_sizes]
-    n_inserts = [window(unit, CYCLES_MEASURED, min_inserts, max_inserts) for unit in units]
+    sizes = args["sstable_sizes"]
+    units = [unit_of(configure("lsm", **dict(lsm_fields(size)))) for size in sizes]
+    floor, cap = args["min_inserts"], args["max_inserts"]
+    n_inserts = [window(unit, CYCLES_MEASURED, floor, cap) for unit in units]
     result = NodeSizeResult.of_rows(
         "LSM-tree ms/op vs SSTable size",
-        sstable_sizes,
-        run_sweep(spec, jobs=jobs, cache=cache),
-        caption=f"(N={n_loaded}, {min(n_inserts)}-{max(n_inserts)} measured inserts)",
+        sizes,
+        run_sweep(sweep_spec(**params), jobs=jobs, cache=cache),
+        caption=f"(N={args['n_loaded']}, {min(n_inserts)}-{max(n_inserts)} measured inserts)",
         axis="sstable size",
         note=(
             "Insert cost includes compaction IO (amortized).  Like the "

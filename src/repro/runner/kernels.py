@@ -26,7 +26,8 @@ _REGISTRY: dict[str, Callable[..., Any]] = {}
 #: imported that experiment (a fresh interpreter calling
 #: :func:`get_kernel`, E8 borrowing E20's thread-panel kernel) resolves
 #: it by importing this one module — not the whole experiment registry.
-#: The node-size kernel E5, E6, E11 and E20 share lives in ``common``.
+#: The node-size kernel E5, E6, E11, E12, E14 and E20 share lives in
+#: ``common``.
 #: ``tests/runner/test_kernels.py`` proves the table equals what
 #: importing every experiment registers.
 KERNEL_HOMES: dict[str, str] = {

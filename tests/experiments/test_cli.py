@@ -1,8 +1,12 @@
 """CLI smoke tests."""
 
+import importlib
+import pkgutil
+
 import pytest
 
-from repro.experiments.cli import EXPERIMENTS, main
+import repro.experiments
+from repro.experiments.cli import EXPERIMENTS, _takes, main
 
 
 class TestCLI:
@@ -145,6 +149,27 @@ class TestFlagRouting:
         err = capsys.readouterr().err
         assert f"{argv[0]} does not take {flag}" in err
         assert a_taker in err  # names the experiments that do take it
+
+    def test_every_spec_module_takes_the_runner_flags(self):
+        # An experiment with a ``sweep_spec`` runs on the runner: ``--jobs``
+        # and the result cache must reach its ``run()``.
+        names: dict[str, list[str]] = {}
+        for name, run in EXPERIMENTS.items():
+            names.setdefault(run.__module__, []).append(name)
+        spec_modules = [
+            module
+            for module in (
+                f"repro.experiments.{m.name}"
+                for m in pkgutil.iter_modules(repro.experiments.__path__)
+                if m.name.startswith("exp_")
+            )
+            if hasattr(importlib.import_module(module), "sweep_spec")
+        ]
+        assert "repro.experiments.exp_epsilon_tradeoff" in spec_modules
+        for module in spec_modules:
+            assert names.get(module), f"{module} has no CLI name"
+            for name in names[module]:
+                assert _takes(name, "jobs") and _takes(name, "cache"), name
 
     def test_default_jobs_is_not_a_request(self, capsys):
         assert main(["optima", "--jobs", "1"]) == 0

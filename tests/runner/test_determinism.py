@@ -1,12 +1,12 @@
 """Goldens: runner-migrated experiments are byte-identical at any job count.
 
 The golden files pin the *rendered report text* of small E3, E5, E6, E11,
-E17 and E20 configurations.  Each test runs the experiment twice — serially and with
-four workers — and compares both outputs byte-for-byte against the
-checked-in golden, so a change that perturbs numbers, ordering, or
-formatting (including one smuggled in via the parallel path or the result
-cache) fails loudly.  E1 has no sweep: its golden is the default Figure
-1/Table 1 report, run once.
+E12, E14, E17 and E20 configurations.  Each test runs the experiment
+twice — serially and with four workers — and compares both outputs
+byte-for-byte against the checked-in golden, so a change that perturbs
+numbers, ordering, or formatting (including one smuggled in via the
+parallel path or the result cache) fails loudly.  E1 has no sweep: its
+golden is the default Figure 1/Table 1 report, run once.
 
 Regenerate after an *intentional* semantic change (and bump
 ``repro.runner.cache.CACHE_EPOCH`` at the same time) with::
@@ -30,10 +30,12 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import exp_affine_validation as e3
+from repro.experiments import exp_asymmetry as e14
 from repro.experiments import exp_autotune as e17
 from repro.experiments import exp_betree_nodesize as e6
 from repro.experiments import exp_btree_nodesize as e5
 from repro.experiments import exp_cob_compare as e20
+from repro.experiments import exp_epsilon_tradeoff as e12
 from repro.experiments import exp_lsm_nodesize as e11
 from repro.experiments import exp_pdam_validation as e1
 from repro.runner import ResultCache
@@ -82,6 +84,27 @@ E11_KWARGS = dict(
     seed=0,
 )
 
+# Three fanouts and the three references, at the sizes of the E12 claims'
+# fixture (tests/experiments/test_extensions.py).
+E12_KWARGS = dict(
+    node_bytes=128 << 10,
+    fanouts=(2, 8, 64),
+    n_entries=50_000,
+    cache_bytes=1 << 20,
+    n_queries=100,
+    seed=0,
+)
+
+# Two write multipliers by four fanouts, as the E14 claims' fixture runs it.
+E14_KWARGS = dict(
+    write_multipliers=(1.0, 10.0),
+    fanouts=(2, 16, 32, 64),
+    n_entries=40_000,
+    cache_bytes=1 << 20,
+    n_queries=80,
+    seed=0,
+)
+
 # One disk and one SSD, three node sizes: the whole autotune loop (probe,
 # fit with its R² retries, solve, rebuild) in about a second.
 E17_KWARGS = dict(
@@ -102,6 +125,8 @@ CASES = {
     "e5_btree_nodesize.txt": (e5.run, E5_KWARGS),
     "e6_betree_nodesize.txt": (e6.run, E6_KWARGS),
     "e11_lsm_nodesize.txt": (e11.run, E11_KWARGS),
+    "e12_epsilon_tradeoff.txt": (e12.run, E12_KWARGS),
+    "e14_asymmetry.txt": (e14.run, E14_KWARGS),
     "e17_autotune.txt": (e17.run, E17_KWARGS),
     "e20_cob_compare.txt": (e20.run, E20_KWARGS),
 }

@@ -136,11 +136,13 @@ def small_points() -> dict[str, tuple]:
     windows, query order and device, so each is a case of its own."""
     from repro.experiments import (
         exp_affine_validation,
+        exp_asymmetry,
         exp_autotune,
         exp_betree_nodesize,
         exp_btree_nodesize,
         exp_cob_compare,
         exp_durability,
+        exp_epsilon_tradeoff,
         exp_lsm_nodesize,
         exp_serve_tail,
         exp_tail_resilience,
@@ -148,6 +150,10 @@ def small_points() -> dict[str, tuple]:
 
     specs = (
         exp_affine_validation.sweep_spec(io_sizes=(4096, 65536), reads_per_size=8),
+        exp_asymmetry.sweep_spec(
+            write_multipliers=(5.0,), fanouts=(2, 8), node_bytes=16 << 10, n_entries=3000,
+            cache_bytes=64 << 10, n_queries=20,
+        ),
         exp_autotune.sweep_spec(
             node_sizes=(4096,), n_entries=3000, cache_bytes=64 << 10, n_queries=10,
             warmup_queries=5,
@@ -167,6 +173,10 @@ def small_points() -> dict[str, tuple]:
         ),
         exp_durability.sweep_spec(
             devices=("affine",), group_commits=(1, 4), checkpoints=(0,), n_ops=60, n_load=32
+        ),
+        exp_epsilon_tradeoff.sweep_spec(
+            node_bytes=16 << 10, fanouts=(2, 8), n_entries=3000, cache_bytes=64 << 10,
+            n_queries=20,
         ),
         exp_lsm_nodesize.sweep_spec(
             sstable_sizes=(16 << 10, 64 << 10), n_loaded=2000, min_inserts=100,

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigurationError, TreeError
 from repro.storage.ram import NullDevice
 from repro.storage.stack import StorageStack
+from repro.trees import check_kind
 from repro.trees.betree import BeTree, BeTreeConfig
 from repro.trees.betree.messages import Message, MessageOp, apply_messages
 from repro.trees.betree.node import SegmentBuffer
@@ -98,6 +99,27 @@ class TestConfig:
     def test_buffer_budget_positive(self):
         cfg = BeTreeConfig(node_bytes=1 << 20, fanout=16)
         assert cfg.buffer_budget_bytes > (1 << 20) // 2
+
+    def test_no_buffer_room_is_refused(self):
+        # 4 KiB holds the pivots of 2F = 32 children, but not one message each.
+        with pytest.raises(ConfigurationError, match="no buffer room"):
+            BeTreeConfig(node_bytes=4096, fanout=16).buffer_budget_bytes
+
+    def test_every_accepted_config_has_a_unit_of_at_least_the_fanout(self):
+        # The node-size kernel prefills one amortization unit (a root-buffer
+        # fill) with no floor under it: the budget check above is what keeps
+        # that unit at 2F messages or more.
+        unit_of = check_kind("betree").amortization_unit
+        accepted = 0
+        for node_bytes in (4096 << k for k in range(11)):  # 4 KiB .. 4 MiB
+            for fanout in range(2, 257):
+                try:
+                    unit = unit_of(BeTreeConfig(node_bytes=node_bytes, fanout=fanout))
+                except ConfigurationError:
+                    continue
+                accepted += 1
+                assert unit >= 2 * fanout
+        assert accepted
 
 
 class TestCRUD:
