@@ -14,9 +14,9 @@ Protocol per tree instance:
 
 :func:`nodesize_point` is that protocol as one sweep kernel over every
 tree kind and device, and :class:`NodeSizeResult` the table a sweep of it
-renders: Figures 2 and 3 (E5, E6), the LSM's SSTable sweep (E11), the ε
-tradeoff (E12), the write-asymmetry sweep (E14) and E20's tree panel are
-specs over the one kernel.
+renders: Figures 2 and 3 (E5, E6), write amplification (E8), the Theorem 9
+ablation (E9), the LSM's SSTable sweep (E11), the ε tradeoff (E12), the
+write-asymmetry sweep (E14) and E20's tree panel are specs over the one kernel.
 """
 
 from __future__ import annotations

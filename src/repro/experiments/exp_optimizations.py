@@ -1,8 +1,9 @@
 """E9 — Theorem 9 ablation: where does the optimized query cost come from?
 
-Three configurations of the same Bε-tree, measured on the same workload:
+Three layouts of the same Bε-tree (``BeTreeConfig.layout``), measured on
+the same workload:
 
-1. ``naive``      — Lemma 8 tree, whole-node IOs: per level ``1 + alpha*B``.
+1. ``whole-node`` — Lemma 8 tree, whole-node IOs: per level ``1 + alpha*B``.
 2. ``segments``   — per-child segments and basement chunks, but each node's
    pivots still live in the node: per level *two* IOs,
    ``2 + alpha*(B/F + F)``.
@@ -21,13 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments import report
-from repro.experiments.common import build_load, measure_tree_ops
-from repro.experiments.devices import default_hdd
-from repro.storage.stack import StorageStack
-from repro.trees.betree import BeTree, BeTreeConfig, OptimizedBeTree
-from repro.workloads.generators import insert_stream
+from repro.experiments.common import nodesize_sweep_point
+from repro.experiments.devices import DEFAULT_HDD
+from repro.runner import ResultCache, SweepSpec, run_sweep
 
-VARIANTS = ("naive", "segments", "theorem9")
+#: The rows, in ``BeTreeConfig.layout`` terms; ``naive`` is ``whole-node``.
+VARIANTS = {"naive": "whole-node", "segments": "segments", "theorem9": "theorem9"}
 
 
 @dataclass
@@ -65,17 +65,7 @@ class Theorem9AblationResult:
         return self.query_ms["naive"] / self.query_ms["theorem9"]
 
 
-def _build(variant: str, storage: StorageStack, config: BeTreeConfig):
-    if variant == "naive":
-        return BeTree(storage, config)
-    if variant == "segments":
-        return OptimizedBeTree(storage, config, pivots_in_parent=False)
-    if variant == "theorem9":
-        return OptimizedBeTree(storage, config, pivots_in_parent=True)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def run(
+def sweep_spec(
     *,
     node_bytes: int = 1 << 20,
     fanout: int = 16,
@@ -85,32 +75,40 @@ def run(
     n_queries: int = 300,
     n_inserts: int = 30_000,
     seed: int = 0,
-) -> Theorem9AblationResult:
-    """Measure all variants on identical workloads.
+) -> SweepSpec:
+    """The E9 sweep: one Bε-tree ``nodesize_point`` per layout, in
+    :data:`VARIANTS` order, on one disk.
 
     The cache is deliberately tiny (64 KiB default): Theorem 9's advantage
     is about per-level *IO counts and sizes* in the uncached regime, and a
     warm cache would hide the second (pivot-area) IO of the ``segments``
-    variant — real pivot arrays are small and hot.  The root buffer is
-    pre-filled before measuring so the lazy naive tree cannot defer its
-    flush work past the measurement window.
+    layout — real pivot arrays are small and hot.  The root buffer is
+    pre-filled (one amortization unit) before measuring so the lazy naive
+    tree cannot defer its flush work past the ``n_inserts`` window.
     """
-    pairs, keys = build_load(n_entries, universe, seed=seed)
-    result = Theorem9AblationResult(
-        node_bytes=node_bytes, fanout=fanout, n_entries=n_entries, cache_bytes=cache_bytes
+    return SweepSpec.make(
+        "theorem9",
+        [
+            nodesize_sweep_point(
+                kind="betree", device=DEFAULT_HDD, device_fields=(("seed", seed),),
+                node_bytes=node_bytes, cache_bytes=cache_bytes,
+                tree_fields=(("fanout", fanout), ("layout", layout)),
+                n_entries=n_entries, universe=universe, n_queries=n_queries,
+                warmup_queries=200, prefill_units=1.0, max_prefill=node_bytes,
+                min_inserts=n_inserts, max_inserts=n_inserts, seed=seed,
+            )
+            for layout in VARIANTS.values()
+        ],
     )
-    config = BeTreeConfig(node_bytes=node_bytes, fanout=fanout)
-    buffer_msgs = config.buffer_budget_bytes // config.fmt.message_bytes
-    for variant in VARIANTS:
-        device = default_hdd(seed=seed)
-        storage = StorageStack(device, cache_bytes)
-        tree = _build(variant, storage, config)
-        tree.bulk_load(pairs)
-        for key, value in insert_stream(universe, buffer_msgs, seed=seed + 7):
-            tree.insert(key, value)
-        times = measure_tree_ops(
-            tree, keys, universe, n_queries=n_queries, n_inserts=n_inserts, seed=seed
-        )
-        result.query_ms[variant] = times.query_seconds_per_op * 1e3
-        result.insert_ms[variant] = times.insert_seconds_per_op * 1e3
-    return result
+
+
+def run(*, jobs: int = 1, cache: ResultCache | None = None, **params) -> Theorem9AblationResult:
+    """Measure every layout on identical workloads; ``params`` are
+    :func:`sweep_spec`'s."""
+    args = {**sweep_spec.__kwdefaults__, **params}
+    rows = run_sweep(sweep_spec(**params), jobs=jobs, cache=cache)
+    return Theorem9AblationResult(
+        **{name: args[name] for name in ("node_bytes", "fanout", "n_entries", "cache_bytes")},
+        query_ms={v: row["query_ms"] for v, row in zip(VARIANTS, rows)},
+        insert_ms={v: row["insert_ms"] for v, row in zip(VARIANTS, rows)},
+    )

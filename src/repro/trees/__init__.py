@@ -8,8 +8,8 @@ as its only observable cost.  :func:`build` makes one by name
 
 * ``btree`` — the classic B-tree (paper Section 3/5); :mod:`~repro.trees.btree`
   also holds the Section 8 van Emde Boas / PDAM machinery;
-* ``betree`` — the Bε-tree (Section 3/6) in its Theorem 9 form; the naive
-  whole-node-IO :class:`BeTree` stays importable for the ablations;
+* ``betree`` — the Bε-tree (Section 3/6), in its Theorem 9 layout unless
+  the config field ``layout`` names another (Lemma 8's whole-node tree);
 * ``lsm`` — a leveled LSM-tree;  ``cola`` — the cache-oblivious lookahead array;
 * ``cob`` / ``cob-buffered`` — the cache-oblivious B-tree (PMA under a
   vEB-order index) and its Theorem 9 buffered variant.

@@ -68,8 +68,8 @@ class KVTree:
         the LSM reads one set per L0 run and one per deeper level, cola
         one per level, cob and cob-buffered one per step of their index.
         A key answered at a step reads nothing older or deeper.  The
-        naive ``BeTree`` runs a loop of its scalar lookup.  A batch of one
-        is :meth:`get`'s IO.
+        ``"whole-node"`` Bε layout runs a loop of its scalar lookup.  A
+        batch of one is :meth:`get`'s IO.
         """
         keys = keys if isinstance(keys, list) else list(keys)
         if OBS.enabled:
@@ -218,7 +218,7 @@ class TreeKind:
     """
 
     name: str
-    tree: type[KVTree]
+    tree: Callable[..., KVTree]
     config: type
     sizing: Callable[[int | None, int | None], dict[str, Any]]
     stacked: bool = False

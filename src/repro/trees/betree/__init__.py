@@ -1,12 +1,15 @@
 """Bε-tree (paper Sections 3 and 6).
 
-* :class:`~repro.trees.betree.tree.BeTree` — the classic Bε-tree analyzed
-  in Lemma 8: internal nodes carry message buffers, IOs move whole nodes.
-* :class:`~repro.trees.betree.optimized.OptimizedBeTree` — the Theorem 9
-  construction: buffers are organized into per-child contiguous segments
-  (each at most ``B/F``), each node's pivots live in its *parent*, and
-  leaves are divided into independently-paged basement chunks, so a point
-  query reads ``~B/F + F`` bytes per level instead of ``B``.
+One registry kind, ``betree``; ``BeTreeConfig.layout`` picks the class:
+
+* ``"whole-node"`` — :class:`~repro.trees.betree.tree.BeTree`, the classic
+  Bε-tree analyzed in Lemma 8: internal nodes carry message buffers, IOs
+  move whole nodes.
+* ``"theorem9"`` (default), ``"segments"`` — :class:`~repro.trees.betree.optimized.OptimizedBeTree`,
+  the Theorem 9 construction: per-child buffer segments (each at most
+  ``B/F``), each node's pivots in its *parent* (not under ``"segments"``)
+  and independently-paged basement chunks, so a point query reads
+  ``~B/F + F`` bytes per level instead of ``B``.
 """
 
 from repro.trees.betree.messages import Message, MessageOp

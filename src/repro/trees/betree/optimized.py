@@ -46,13 +46,13 @@ The LRU cache pages components in and out independently, which is the
 "sub-nodes paged in and out independently" behaviour the paper attributes
 to TokuDB.
 
-One construction flag makes the E9 ablation possible (its third arm, the
-naive whole-node tree, is :class:`~repro.trees.betree.tree.BeTree`):
+It implements two ``BeTreeConfig.layout``s, E9's arms beside the naive
+``"whole-node"`` :class:`~repro.trees.betree.tree.BeTree`:
 
-* ``pivots_in_parent=False`` — partial reads, but each level needs two IOs
-  (the node's own pivot area, then the segment).
-* ``pivots_in_parent=True`` (default) — the full Theorem 9 design: one IO
-  per level of ``1 + alpha*(B/F + F)``.
+* ``"segments"`` — partial reads, but each level needs two IOs (the
+  node's own pivot area, then the segment).
+* ``"theorem9"`` (default) — the full Theorem 9 design: one IO per level
+  of ``1 + alpha*(B/F + F)``.
 """
 
 from __future__ import annotations
@@ -76,27 +76,17 @@ def _round_grain(nbytes: int) -> int:
 class OptimizedBeTree(BeTree):
     """Bε-tree with per-child segments, pivots-in-parent and basements."""
 
-    def __init__(
-        self,
-        storage: StorageStack,
-        config: BeTreeConfig | None = None,
-        *,
-        pivots_in_parent: bool = True,
-    ) -> None:
-        self.pivots_in_parent = bool(pivots_in_parent)
+    layouts = ("theorem9", "segments")
+
+    def __init__(self, storage: StorageStack, config: BeTreeConfig | None = None) -> None:
         self._nodes: dict[int, BeNode] = {}
         self._base: dict[int, int] = {}      # node id -> extent base offset
         self._parts: dict[int, list[Hashable]] = {}  # node id -> component ids
-        self._cache_geometry(config or BeTreeConfig())
-        super().__init__(storage, config)
-
-    def _cache_geometry(self, config: BeTreeConfig) -> None:
-        """Flatten the slot-geometry property chains into plain ints.
-
-        The insert path recomputes segment sizes on every message; chasing
-        ``config.fmt`` properties each time dominated the profile, and every
-        value here is a pure function of the (frozen) config.
-        """
+        # The layout and the slot geometry, read once into plain attributes:
+        # the insert path recomputes segment sizes on every message, and
+        # chasing ``config`` properties each time dominated the profile.
+        config = config or BeTreeConfig()
+        self.pivots_in_parent = config.layout == "theorem9"
         fmt = config.fmt
         self._msg_bytes = fmt.message_bytes
         self._key_bytes = fmt.key_bytes
@@ -111,6 +101,7 @@ class OptimizedBeTree(BeTree):
         self._basement = max(1, config.leaf_capacity // config.target_fanout)
         self._chunk_slot = fmt.node_header_bytes + self._basement * fmt.entry_bytes
         self._max_children = config.max_children
+        super().__init__(storage, config)
 
     # -- slot geometry ---------------------------------------------------------
 
@@ -408,11 +399,15 @@ class OptimizedBeTree(BeTree):
         return node
 
 
-#: Registry entry (:mod:`repro.trees.registry`): the Theorem 9 tree is *the*
-#: Bε-tree everywhere but the ablations; ``node_bytes`` is the node size.
+#: Registry entry (:mod:`repro.trees.registry`): one kind, whose
+#: ``config.layout`` picks the class; ``node_bytes`` is the node size.
 #: One root-buffer fill amortizes a flush.
 KIND = TreeKind(
-    "betree", OptimizedBeTree, BeTreeConfig,
+    "betree",
+    lambda storage, config: (
+        BeTree if config.layout == "whole-node" else OptimizedBeTree
+    )(storage, config),
+    BeTreeConfig,
     lambda node_bytes, _cache: {"node_bytes": node_bytes},
     stacked=True,
     amortization_unit=lambda config: config.buffer_budget_bytes // config.fmt.message_bytes,

@@ -11,8 +11,8 @@ degenerates to a B-tree, small constant ``F`` to a buffered repository
 tree; practical trees use 10-20 (TokuDB targets 16).
 
 All IOs move whole ``node_bytes`` extents — the naive cost model of
-Lemma 8.  The Theorem 9 refinements live in
-:class:`repro.trees.betree.optimized.OptimizedBeTree`.
+Lemma 8, ``BeTreeConfig.layout`` ``"whole-node"``.  The Theorem 9
+refinements live in :class:`repro.trees.betree.optimized.OptimizedBeTree`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from repro.trees.betree.messages import Message, MessageOp, apply_messages
 from repro.trees.betree.node import BeNode, SegmentBuffer
 from repro.trees.sizing import BULK_FILL, EntryFormat
 
+#: Every ``BeTreeConfig.layout``: how a node is placed and read.
+LAYOUTS = ("whole-node", "segments", "theorem9")
+
 
 @dataclass(frozen=True)
 class BeTreeConfig:
@@ -46,25 +49,30 @@ class BeTreeConfig:
         ``F = ceil(leaf_entries ** epsilon)`` (clamped to at least 2).
     epsilon:
         The ε of Bε; only used when ``fanout`` is ``None``.
+    layout:
+        One of :data:`LAYOUTS`, E9's arms: :class:`BeTree` is ``"whole-node"``,
+        ``OptimizedBeTree`` the other two (its module docstring says how).
     """
 
     node_bytes: int = 1 << 20
     fmt: EntryFormat = EntryFormat()
     fanout: int | None = 16
     epsilon: float = 0.5
+    layout: str = "theorem9"
 
     def __post_init__(self) -> None:
+        if self.layout not in LAYOUTS:
+            raise ConfigurationError(f"layout must be one of {LAYOUTS}, got {self.layout!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigurationError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.fanout is not None and self.fanout < 2:
             raise ConfigurationError(f"fanout must be >= 2, got {self.fanout}")
-        cap = self.fmt.leaf_capacity(self.node_bytes)  # validates node size
+        self.fmt.leaf_capacity(self.node_bytes)  # validates node size
         f = self.target_fanout
         if self.fmt.internal_bytes(2 * f) > self.node_bytes:
             raise ConfigurationError(
                 f"fanout {f} cannot fit in {self.node_bytes}-byte nodes"
             )
-        del cap
 
     @property
     def leaf_capacity(self) -> int:
@@ -103,12 +111,15 @@ class BeTree(KVTree):
     """A Bε-tree dictionary storing ``int -> value`` pairs."""
 
     kind = "betree"
+    layouts: tuple[str, ...] = ("whole-node",)  # the first is the default
 
     def __init__(self, storage: StorageStack, config: BeTreeConfig | None = None) -> None:
+        self.config = config or BeTreeConfig(layout=self.layouts[0])
+        if self.config.layout not in self.layouts:
+            raise ConfigurationError(f"{type(self).__name__} has no layout {self.config.layout!r}")
         self.storage = storage
         self.device = storage.device
         self.allocator = storage.allocator
-        self.config = config or BeTreeConfig()
         # Byte thresholds inverted to message-count thresholds:
         # buffer_bytes(n) = n * message_bytes is linear and monotonic, so
         # ``bytes > cap`` is exactly ``count > cap // message_bytes``.  The

@@ -4,8 +4,8 @@ One :class:`~repro.trees.api.TreeKind` per kind, defined beside its tree
 class, owns what differs between kinds: the substrate the tree runs on
 and the sizing rule from ``node_bytes`` / ``cache_bytes`` to its config.
 Serving, recovery, tuning, the sweep kernels and the experiments build
-trees only here; the constructors stay public for the ablation variants
-that need flags the registry does not carry.
+trees only here; a variant (such as a Bε-tree layout) is a config field
+of its kind, not a constructor flag.
 """
 
 from __future__ import annotations

@@ -134,8 +134,8 @@ class TestFlagRouting:
         "argv, flag, a_taker",
         [
             (["lsm", "--quick"], "--quick", "durability"),
-            (["writeamp", "--jobs", "4"], "--jobs", "fig2"),
-            (["writeamp", "--jobs", "0"], "--jobs", "fig2"),
+            (["optima", "--jobs", "4"], "--jobs", "fig2"),
+            (["optima", "--jobs", "0"], "--jobs", "fig2"),
             (["fig2", "--faults", "plan.json"], "--faults", "tailres"),
             (["fig2", "--policy", "hedge"], "--policy", "serve"),
         ],

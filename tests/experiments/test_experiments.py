@@ -22,6 +22,8 @@ from repro.experiments import (
     exp_sensitivity,
     exp_write_amp,
 )
+from repro.storage.ram import NullDevice
+from repro.trees import build
 
 
 class TestPDAMValidation:
@@ -225,20 +227,35 @@ class TestPDAMConcurrency:
 class TestWriteAmp:
     @pytest.fixture(scope="class")
     def result(self):
-        return exp_write_amp.run(n_loaded=40_000, n_inserts=2_500)
+        # Every node size loads at most three levels tall, so a Bε window is
+        # at most F root-buffer fills.
+        return exp_write_amp.run(n_loaded=20_000, n_inserts=2_500)
 
     def test_btree_linear_in_node_size(self, result):
         # 16 KiB -> 1 MiB is 64x; expect at least ~20x more write amp.
         assert result.btree[-1] > 20 * result.btree[0]
 
     def test_betree_flat_in_node_size(self, result):
-        assert max(result.betree) < 10 * min(result.betree)
+        # The whole-node tree across a 64x node-size range: 3.1x at seed 0,
+        # 3.4x at seed 1.
+        assert max(result.betree) < 5 * min(result.betree)
 
     def test_betree_much_lower_at_large_nodes(self, result):
         assert result.betree[-1] < result.btree[-1] / 100
 
     def test_render(self, result):
         assert "Write amplification" in result.render()
+
+    @pytest.mark.parametrize("node_bytes, n", [(16 << 10, 2000), (16 << 10, 20_000), (1 << 20, 3000)])
+    def test_the_window_rule_reads_the_height_bulk_load_builds(self, node_bytes, n):
+        # 2000 entries are 15 leaves of 135, one more than a node's 14
+        # children: the 15th joins its neighbour, so the tree is two levels.
+        tree = build("betree", NullDevice(), node_bytes=node_bytes, cache_bytes=1 << 20)
+        tree.load([(k, k) for k in range(n)])
+        node, height = tree._get(tree.root_id), 1
+        while not node.is_leaf:
+            node, height = tree._get(node.children[0]), height + 1
+        assert exp_write_amp.loaded_height(tree.config, n) == height
 
 
 class TestTheorem9Ablation:

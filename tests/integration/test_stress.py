@@ -14,6 +14,7 @@ import pytest
 
 from repro.storage.ram import NullDevice
 from repro.storage.stack import StorageStack
+from repro.trees import build
 from repro.trees.betree import BeTree, BeTreeConfig, OptimizedBeTree
 from repro.trees.btree import BTree, BTreeConfig
 from repro.trees.cola import COLA, COLAConfig
@@ -26,12 +27,9 @@ FMT = EntryFormat(value_bytes=12)
 class TestOptimizedBeTreeUnderPressure:
     def test_tiny_cache_random_allocator(self):
         """Every access misses; extents are scattered; nothing may break."""
-        stack = StorageStack(
-            NullDevice(), cache_bytes=2048, allocator_policy="random", allocator_seed=3
-        )
-        tree = OptimizedBeTree(
-            stack, BeTreeConfig(node_bytes=4096, fanout=4, fmt=FMT)
-        )
+        tree = build("betree", NullDevice(), node_bytes=4096, cache_bytes=2048, fanout=4,
+                     fmt=FMT, placement="random", placement_seed=3)
+        stack = tree.storage
         rng = np.random.default_rng(0)
         ref = {}
         for step in range(12_000):
@@ -53,10 +51,8 @@ class TestOptimizedBeTreeUnderPressure:
 
     def test_hot_key_hammering(self):
         """Thousands of operations on a handful of keys (message pileup)."""
-        stack = StorageStack(NullDevice(), cache_bytes=1 << 16)
-        tree = OptimizedBeTree(
-            stack, BeTreeConfig(node_bytes=4096, fanout=4, fmt=FMT)
-        )
+        tree = build("betree", NullDevice(), node_bytes=4096, cache_bytes=1 << 16, fanout=4,
+                     fmt=FMT)
         rng = np.random.default_rng(2)
         ref = {}
         # Background fill so the hot keys travel through a real tree.
@@ -87,7 +83,7 @@ def test_fanout_is_capped_at_2F_and_has_no_floor(cls):
     but nodes never merge, so deleting a one-sided range leaves thin ones.
     A merge policy that changes this must also change the docs that say it
     (docs/architecture.md, "The two Bε-trees")."""
-    config = BeTreeConfig(node_bytes=4096, fanout=8, fmt=FMT)
+    config = BeTreeConfig(node_bytes=4096, fanout=8, fmt=FMT, layout=cls.layouts[0])
     tree = cls(StorageStack(NullDevice(), cache_bytes=1 << 20), config)
     ref = {}
     for k in range(30_000):
@@ -115,7 +111,9 @@ def test_flush_all_splits_the_nodes_its_leaf_splits_widen(cls):
     non-root node past 2F; it splits that node as a normal flush does.  It
     once left "fanout 7 over max" on 5 (BeTree) and 6 (OptimizedBeTree) of
     these 20 seeds."""
-    config = BeTreeConfig(node_bytes=2048, fanout=3, fmt=EntryFormat(value_bytes=8))
+    config = BeTreeConfig(
+        node_bytes=2048, fanout=3, fmt=EntryFormat(value_bytes=8), layout=cls.layouts[0]
+    )
     for seed in range(20):
         rng = random.Random(seed)
         tree = cls(StorageStack(NullDevice(), cache_bytes=1 << 20), config)

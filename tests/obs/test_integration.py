@@ -225,8 +225,8 @@ class TestInstrumentedLayers:
         (the buffered cob's base is not ``cob``) and no per-key event inside
         a batch."""
         tree_ops = {f"{name}.{op}" for name in trees.KINDS for op in TREE_OPS.values()}
-        assert trees.check_kind(kind).tree.kind == kind
         tree = trees.build(kind, storage.build("hdd", seed=1), **SMALL[kind])
+        assert tree.kind == kind
         tree.load([(k, k) for k in range(0, 600, 2)])
         obs.enable(trace=True)
         calls = {

@@ -1,8 +1,8 @@
 """Goldens: runner-migrated experiments are byte-identical at any job count.
 
-The golden files pin the *rendered report text* of small E3, E5, E6, E11,
-E12, E14, E17 and E20 configurations.  Each test runs the experiment
-twice — serially and with four workers — and compares both outputs
+The golden files pin the *rendered report text* of small E3, E5, E6, E8,
+E9, E11, E12, E14, E17 and E20 configurations.  Each test runs the
+experiment twice — serially and with four workers — and compares both outputs
 byte-for-byte against the checked-in golden, so a change that perturbs
 numbers, ordering, or formatting (including one smuggled in via the
 parallel path or the result cache) fails loudly.  E1 has no sweep: its
@@ -13,16 +13,19 @@ Regenerate after an *intentional* semantic change (and bump
 
     PYTHONPATH=src python tests/runner/test_determinism.py --regen
 
-Last regenerated at ``CACHE_EPOCH`` 9, when the buffer cache's batched
-read (``BufferCache.get_many``) became one planned ``read_set`` and the
-Bε-tree and the LSM gained planned batched lookups: E20's ``betree q``
-column moved in every model, its ``btree q`` column under affine and PDAM
-(so the best PDAM B-tree node went 64 KiB -> 16 KiB), its ``betree i``
-column slightly (the query batch leaves another cache state behind), and
-E17's tuned wd-black row (the rebuild reads the old B-tree through one
-scan on the same disk, whose levels are now planned reads, so the tuned
-tree's queries start from another head position and rotation draw).
-At epoch 8 only E20's knobless ``q`` cells had moved.
+Last regenerated at ``CACHE_EPOCH`` 10, when E8 became a spec over the
+node-size kernel (Bε windows of ``F^(h-2)`` root fills, a Theorem 9
+column, B-tree points that query before they insert); only E8 moved.  At
+epoch 9 the buffer cache's batched read (``BufferCache.get_many``)
+became one planned ``read_set`` and the Bε-tree and the LSM gained
+planned batched lookups: E20's ``betree q`` column moved in every model,
+its ``btree q`` column under affine and PDAM (so the best PDAM B-tree
+node went 64 KiB -> 16 KiB), its ``betree i`` column slightly (the query
+batch leaves another cache state behind), and E17's tuned wd-black row
+(the rebuild reads the old B-tree through one scan on the same disk,
+whose levels are now planned reads, so the tuned tree's queries start
+from another head position and rotation draw).  At epoch 8 only E20's
+knobless ``q`` cells had moved.
 """
 
 from pathlib import Path
@@ -37,7 +40,9 @@ from repro.experiments import exp_btree_nodesize as e5
 from repro.experiments import exp_cob_compare as e20
 from repro.experiments import exp_epsilon_tradeoff as e12
 from repro.experiments import exp_lsm_nodesize as e11
+from repro.experiments import exp_optimizations as e9
 from repro.experiments import exp_pdam_validation as e1
+from repro.experiments import exp_write_amp as e8
 from repro.runner import ResultCache
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -72,6 +77,13 @@ E6_KWARGS = dict(
     warmup_queries=50,
     seed=0,
 )
+
+# Two node sizes, every Bε-tree three levels tall: its windows stay short.
+E8_KWARGS = dict(node_sizes=(16 << 10, 64 << 10), n_loaded=20_000, n_inserts=1000, seed=0)
+
+# All three layouts at a quarter of E9's node size and under a sixth of its
+# entries.
+E9_KWARGS = dict(node_bytes=256 << 10, n_entries=30_000, n_queries=50, n_inserts=2000, seed=0)
 
 # Three SSTable sizes: the smallest one's insert window counts memtable
 # flush cycles, the two larger ones' are clamped to ``max_inserts``.
@@ -124,6 +136,8 @@ CASES = {
     "e3_affine_validation.txt": (e3.run, E3_KWARGS),
     "e5_btree_nodesize.txt": (e5.run, E5_KWARGS),
     "e6_betree_nodesize.txt": (e6.run, E6_KWARGS),
+    "e8_write_amp.txt": (e8.run, E8_KWARGS),
+    "e9_theorem9.txt": (e9.run, E9_KWARGS),
     "e11_lsm_nodesize.txt": (e11.run, E11_KWARGS),
     "e12_epsilon_tradeoff.txt": (e12.run, E12_KWARGS),
     "e14_asymmetry.txt": (e14.run, E14_KWARGS),

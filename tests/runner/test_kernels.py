@@ -144,8 +144,10 @@ def small_points() -> dict[str, tuple]:
         exp_durability,
         exp_epsilon_tradeoff,
         exp_lsm_nodesize,
+        exp_optimizations,
         exp_serve_tail,
         exp_tail_resilience,
+        exp_write_amp,
     )
 
     specs = (
@@ -182,6 +184,10 @@ def small_points() -> dict[str, tuple]:
             sstable_sizes=(16 << 10, 64 << 10), n_loaded=2000, min_inserts=100,
             max_inserts=500, n_queries=20,
         ),
+        exp_optimizations.sweep_spec(
+            node_bytes=16 << 10, n_entries=3000, cache_bytes=64 << 10, n_queries=20,
+            n_inserts=200,
+        ),
         exp_serve_tail.sweep_spec(
             rates=(300.0,), policies=("none", "hedge"), trees=("btree",),
             duration_seconds=0.2, n_entries=1000, warm_queries=16,
@@ -191,6 +197,7 @@ def small_points() -> dict[str, tuple]:
             n_entries=2000, cache_bytes=64 << 10, n_queries=20, warmup_queries=10,
             n_rounds=100,
         ),
+        exp_write_amp.sweep_spec(node_sizes=(16 << 10,), n_loaded=3000, n_inserts=100),
     )
     points: dict[str, list] = {}
     for spec in specs:

@@ -6,19 +6,20 @@ import pytest
 from repro.errors import ConfigurationError, TreeError
 from repro.storage.ram import NullDevice
 from repro.storage.stack import StorageStack
-from repro.trees import check_kind
-from repro.trees.betree import BeTree, BeTreeConfig
+from repro.trees import build, check_kind
+from repro.trees.betree import BeTreeConfig
 from repro.trees.betree.messages import Message, MessageOp, apply_messages
 from repro.trees.betree.node import SegmentBuffer
 from repro.trees.sizing import EntryFormat
 
 
-def make_tree(node_bytes=4096, fanout=4, cache_bytes=1 << 20, value_bytes=20):
-    stack = StorageStack(NullDevice(), cache_bytes)
-    cfg = BeTreeConfig(
-        node_bytes=node_bytes, fanout=fanout, fmt=EntryFormat(value_bytes=value_bytes)
+def make_tree(node_bytes=4096, fanout=4, cache_bytes=1 << 20, value_bytes=20, device=None):
+    """The naive whole-node Bε-tree of Lemma 8, through the registry."""
+    tree = build(
+        "betree", device or NullDevice(), node_bytes=node_bytes, cache_bytes=cache_bytes,
+        fanout=fanout, fmt=EntryFormat(value_bytes=value_bytes), layout="whole-node",
     )
-    return BeTree(stack, cfg), stack
+    return tree, tree.storage
 
 
 class TestMessages:
@@ -274,11 +275,7 @@ class TestWriteOptimization:
             btree.insert(int(k), 1)
         stack_b.flush()
 
-        stack_be = StorageStack(NullDevice(), cache_bytes=1 << 14)
-        betree = BeTree(
-            stack_be,
-            BeTreeConfig(node_bytes=4096, fanout=4, fmt=EntryFormat(value_bytes=20)),
-        )
+        betree, stack_be = make_tree(cache_bytes=1 << 14)
         for k in rng_keys:
             betree.insert(int(k), 1)
         stack_be.flush()
@@ -286,9 +283,8 @@ class TestWriteOptimization:
         assert stack_be.device.stats.writes < stack_b.device.stats.writes / 2
 
     def test_query_cost_bounded_by_height_ios(self):
-        stack = StorageStack(NullDevice(capacity_bytes=1 << 30, trace=True), cache_bytes=4096)
-        tree = BeTree(
-            stack, BeTreeConfig(node_bytes=4096, fanout=4, fmt=EntryFormat(value_bytes=20))
+        tree, stack = make_tree(
+            cache_bytes=4096, device=NullDevice(capacity_bytes=1 << 30, trace=True)
         )
         for k in range(5000):
             tree.insert(k, k)

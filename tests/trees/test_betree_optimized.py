@@ -1,20 +1,24 @@
 """Theorem 9 Bε-tree tests: correctness parity plus IO-size assertions."""
 
 import numpy as np
+import pytest
 
+from repro.errors import ConfigurationError
 from repro.models.affine import AffineModel
 from repro.storage.ideal import AffineDevice
 from repro.storage.ram import NullDevice
-from repro.storage.stack import StorageStack
 from repro.trees import build
 from repro.trees.betree import BeTree, BeTreeConfig, OptimizedBeTree
+from repro.trees.betree.tree import LAYOUTS
 from repro.trees.sizing import EntryFormat
 
 
-def make(node_bytes=8192, fanout=4, cache_bytes=1 << 20, device=None, **flags):
-    stack = StorageStack(device or NullDevice(), cache_bytes)
-    cfg = BeTreeConfig(node_bytes=node_bytes, fanout=fanout, fmt=EntryFormat(value_bytes=20))
-    return OptimizedBeTree(stack, cfg, **flags), stack
+def make(node_bytes=8192, fanout=4, cache_bytes=1 << 20, device=None, layout="theorem9"):
+    tree = build(
+        "betree", device or NullDevice(), node_bytes=node_bytes, cache_bytes=cache_bytes,
+        fanout=fanout, fmt=EntryFormat(value_bytes=20), layout=layout,
+    )
+    return tree, tree.storage
 
 
 class TestConstruction:
@@ -25,6 +29,15 @@ class TestConstruction:
         # All segment slots plus the pivot slot fit in the node.
         total = tree._pivot_slot + tree.config.max_children * tree._seg_slot
         assert total <= tree.config.node_bytes
+
+    def test_a_layout_is_built_by_one_class_and_refused_by_the_other(self):
+        with pytest.raises(ConfigurationError, match="layout"):
+            BeTreeConfig(layout="bogus")
+        for layout in LAYOUTS:
+            tree, stack = make(layout=layout)
+            other = OptimizedBeTree if type(tree) is BeTree else BeTree
+            with pytest.raises(ConfigurationError, match=layout):
+                other(stack, tree.config)
 
 
 class TestCorrectnessParity:
@@ -55,8 +68,7 @@ class TestCorrectnessParity:
 
     def test_matches_naive_tree_exactly(self):
         opt, _ = make()
-        naive_stack = StorageStack(NullDevice(), 1 << 20)
-        naive = BeTree(naive_stack, opt.config)
+        naive, _ = make(layout="whole-node")
         ref1 = self._drive(opt, seed=7)
         ref2 = self._drive(naive, seed=7)
         assert ref1 == ref2
@@ -84,9 +96,9 @@ class TestCorrectnessParity:
         assert tree.range(lo, hi) == expected
 
     def test_ablation_flags_preserve_correctness(self):
-        # E9's two OptimizedBeTree arms (its third is the naive BeTree).
-        for pivots_in_parent in (True, False):
-            tree, _ = make(pivots_in_parent=pivots_in_parent)
+        # E9's two OptimizedBeTree layouts (its third is the naive BeTree).
+        for layout in ("theorem9", "segments"):
+            tree, _ = make(layout=layout)
             ref = self._drive(tree, seed=4)
             tree.check_invariants()
             assert dict(tree.items()) == ref
@@ -95,11 +107,11 @@ class TestCorrectnessParity:
 class TestPartialIO:
     """The point of Theorem 9: queries read ~B/F + F, not B."""
 
-    def _loaded(self, node_bytes=1 << 16, fanout=8, **flags):
+    def _loaded(self, node_bytes=1 << 16, fanout=8, layout="theorem9"):
         device = AffineDevice(AffineModel(alpha=1e-6, setup_seconds=0.01),
                               capacity_bytes=1 << 30, trace=True)
         tree, stack = make(node_bytes=node_bytes, fanout=fanout,
-                           cache_bytes=node_bytes, device=device, **flags)
+                           cache_bytes=node_bytes, device=device, layout=layout)
         tree.bulk_load([(i, i) for i in range(0, 40_000, 2)])
         stack.drop_cache()
         return tree, stack
@@ -117,8 +129,8 @@ class TestPartialIO:
         opt, opt_stack = self._loaded()
         naive_dev = AffineDevice(AffineModel(alpha=1e-6, setup_seconds=0.01),
                                  capacity_bytes=1 << 30)
-        naive_stack = StorageStack(naive_dev, 1 << 16)
-        naive = BeTree(naive_stack, opt.config)
+        naive, naive_stack = make(node_bytes=1 << 16, fanout=8, cache_bytes=1 << 16,
+                                  device=naive_dev, layout="whole-node")
         naive.bulk_load([(i, i) for i in range(0, 40_000, 2)])
         naive_stack.drop_cache()
 
@@ -134,8 +146,8 @@ class TestPartialIO:
         assert opt_cost < naive_cost
 
     def test_pivots_in_parent_saves_an_io_per_level(self):
-        with_piv, s1 = self._loaded(pivots_in_parent=True)
-        without_piv, s2 = self._loaded(pivots_in_parent=False)
+        with_piv, s1 = self._loaded(layout="theorem9")
+        without_piv, s2 = self._loaded(layout="segments")
         r1 = s1.device.stats.reads
         r2 = s2.device.stats.reads
         rng = np.random.default_rng(6)

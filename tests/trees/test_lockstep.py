@@ -1,13 +1,13 @@
 """One lockstep state machine over every tree kind, device and crash.
 
-Every kind in :data:`repro.trees.KINDS`, plus the naive whole-node
-``BeTree``, runs as a *twin pair* against one dict model: the batch twin
-takes each batch as ``put_many`` / ``lookup_many``, the loop twin as the
-scalar loop, on identical devices (one kind of :data:`repro.storage.KINDS`
-drawn per run, inside a seeded ``FaultyDevice`` that errs and spikes under
-a retry policy).  Beside
-them, one ``DurableTree`` per kind is held to the acked prefix of its ops
-across crashes.  After every step every subject passes
+Every kind in :data:`repro.trees.KINDS`, plus a ``betree`` in one of its
+other layouts (drawn per run), runs as a *twin pair* against one dict
+model: the batch twin takes each batch as ``put_many`` / ``lookup_many``,
+the loop twin as the scalar loop, on identical devices (one kind of
+:data:`repro.storage.KINDS` drawn per run, inside a seeded ``FaultyDevice``
+that errs and spikes under a retry policy).  Beside them, one
+``DurableTree`` per kind is held to the acked prefix of its ops across
+crashes.  After every step every subject passes
 ``check_invariants()`` and every twin pair has equal accounting.  Rules,
 replay and the mutants it catches: docs/architecture.md, "Correctness
 tooling".
@@ -32,17 +32,19 @@ from repro import storage, trees
 from repro.errors import DeviceCrashed, TreeError
 from repro.faults import CrashPlan, FaultPlan, FaultyDevice, ResiliencePolicy
 from repro.recovery import DurableConfig, DurableTree
-from repro.storage.stack import StorageStack
 from repro.trees import registry
 from repro.trees.api import KVTree
-from repro.trees.betree import BeTree, BeTreeConfig
+from repro.trees.betree.tree import LAYOUTS as BETREE_LAYOUTS
 from repro.trees.btree import BTree
 from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
 
 FMT = EntryFormat(value_bytes=8)
 
-#: The naive Lemma 8 Bε-tree: not a registry kind, built from ``SMALL["betree"]``.
-NAIVE = "betree-naive"
+#: The ``betree`` layouts besides the registry's default (the naive Lemma 8
+#: tree, segments without pivots in the parent): a run draws one of them.
+LAYOUTS = tuple(
+    layout for layout in BETREE_LAYOUTS if layout != trees.configure("betree").layout
+)
 
 #: Small nodes, runs, caches and buckets, so a few hundred operations split,
 #: compact, merge, flush and rebalance every kind.  At F = 2 in 384-byte
@@ -68,13 +70,9 @@ DURABLE = dict(node_bytes=4096, cache_bytes=16 << 10, wal_bytes=1 << 20, ckpt_by
 CAPACITY = 1 << 34
 
 
-def make(name: str, device) -> KVTree:
-    """An empty subject: a registry kind from ``SMALL``, or the naive Bε-tree."""
-    if name == NAIVE:
-        fields = dict(SMALL["betree"])
-        cache_bytes = fields.pop("cache_bytes")
-        return BeTree(StorageStack(device, cache_bytes), BeTreeConfig(**fields))
-    return trees.build(name, device, **SMALL[name])
+def make(kind: str, device, **fields) -> KVTree:
+    """An empty subject: a registry kind at its ``SMALL`` sizes, plus ``fields``."""
+    return trees.build(kind, device, **SMALL[kind], **fields)
 
 
 def faulty(kind: str, seed: int) -> FaultyDevice:
@@ -125,9 +123,13 @@ class LockstepMachine(RuleBasedStateMachine):
         # Drawn from the registry as it stands when the run starts, so a
         # newly registered device kind is drawn with no edit here.
         kind = data.draw(st.sampled_from(storage.KINDS), label="device")
+        layout = data.draw(st.sampled_from(LAYOUTS), label="betree layout")
         self.device = lambda: faulty(kind, seed)
         self.model = {}
-        self.twins = {name: self._twin(name) for name in (*trees.KINDS, NAIVE)}
+        #: name -> (kind, config fields) of every twin pair.
+        self.subjects = {name: (name, {}) for name in trees.KINDS}
+        self.subjects[f"betree-{layout}"] = ("betree", {"layout": layout})
+        self.twins = {name: self._twin(name) for name in self.subjects}
         config = dict(DURABLE, group_commit=group_commit, checkpoint_every=checkpoint_every)
         self.durable = {
             kind: DurableTree(self.device(), DurableConfig(tree=kind, **config))
@@ -138,7 +140,8 @@ class LockstepMachine(RuleBasedStateMachine):
 
     def _twin(self, name: str) -> tuple[KVTree, KVTree]:
         """``(batched, looped)`` on two identical devices."""
-        return make(name, self.device()), make(name, self.device())
+        kind, fields = self.subjects[name]
+        return make(kind, self.device(), **fields), make(kind, self.device(), **fields)
 
     def _trees(self):
         return itertools.chain.from_iterable(self.twins.values())
@@ -171,7 +174,7 @@ class LockstepMachine(RuleBasedStateMachine):
     @rule(key=keys, delta=st.integers(-5, 5))
     def upsert(self, key, delta):
         for tree in self._trees():
-            if isinstance(tree, BeTree):
+            if tree.kind == "betree":
                 tree.upsert(key, delta)
             else:
                 tree.insert(key, (tree.get(key) or 0) + delta)

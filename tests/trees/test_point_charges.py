@@ -11,7 +11,9 @@ pins were re-captured once more, on the declared change that made a dirty
 write-back one write per run of adjacent dirty nodes (their gets evict
 dirty nodes; the other kinds' pins did not move), and the ``betree`` and
 ``betree-own-pivots`` pins on the one that made their component reads
-cache hits.
+cache hits.  Those two were captured on hand-built trees (``BeTree``, and
+``OptimizedBeTree`` without pivots in the parent); they now build through
+the registry's ``layout`` field and read the same pins.
 
 ``CALLS_PER_GET`` is the other half: a deterministic host budget, no wall
 time.  A re-grown hook layer fails it in tier-1 instead of waiting for a
@@ -25,9 +27,7 @@ import sys
 import pytest
 
 from repro.experiments.devices import default_hdd
-from repro.storage.stack import StorageStack
 from repro.trees import KINDS, build
-from repro.trees.betree import BeTree, BeTreeConfig, OptimizedBeTree
 from repro.trees.merge import TOMBSTONE
 from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
 
@@ -55,20 +55,13 @@ BUILD = {
 assert set(BUILD) == set(KINDS)
 
 
-def _betree(cls, device, **flags):
-    sizes = BUILD["betree"]
-    stack = StorageStack(device, sizes["cache_bytes"])
-    config = BeTreeConfig(node_bytes=sizes["node_bytes"], fanout=sizes["fanout"])
-    return cls(stack, config, **flags)
-
-
-#: Every registered kind, and the two other Bε-trees E9 ablates (the
-#: registry's ``betree`` is its Theorem 9 arm).
+#: Every registered kind, and the two other Bε-tree layouts E9 ablates (the
+#: registry's default ``betree`` is its Theorem 9 arm).
 CASES = {
     **{kind: (lambda device, kind=kind: build(kind, device, **BUILD[kind])) for kind in KINDS},
-    "betree-naive": lambda device: _betree(BeTree, device),
-    "betree-own-pivots": lambda device: _betree(
-        OptimizedBeTree, device, pivots_in_parent=False
+    "betree-naive": lambda device: build("betree", device, layout="whole-node", **BUILD["betree"]),
+    "betree-own-pivots": lambda device: build(
+        "betree", device, layout="segments", **BUILD["betree"]
     ),
 }
 

@@ -23,13 +23,6 @@ TREE_NAMES = {
     "BTreeConfig", "BeTreeConfig", "LSMConfig", "COLAConfig", "COBConfig",
 }
 
-#: The variant ablations: they need constructor flags (or the naive Bε
-#: class) that the registry deliberately does not carry.
-ALLOWED = {
-    "experiments/exp_optimizations.py": {"BeTree", "BeTreeConfig", "OptimizedBeTree"},
-    "experiments/exp_write_amp.py": {"BeTree", "BeTreeConfig"},
-}
-
 
 def _imported_tree_names(path: Path) -> set[str]:
     found: set[str] = set()
@@ -41,21 +34,16 @@ def _imported_tree_names(path: Path) -> set[str]:
     return found
 
 
-def test_only_the_allow_listed_ablations_import_tree_classes():
+def test_no_module_outside_trees_imports_a_tree_class():
     offenders = {}
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
         if rel.startswith("trees/"):
             continue
-        extra = _imported_tree_names(path) - ALLOWED.get(rel, set())
-        if extra:
-            offenders[rel] = sorted(extra)
+        found = _imported_tree_names(path)
+        if found:
+            offenders[rel] = sorted(found)
     assert not offenders, f"construct through repro.trees.build instead: {offenders}"
-
-
-def test_the_allow_list_is_not_stale():
-    for rel, names in ALLOWED.items():
-        assert _imported_tree_names(SRC / rel) == names, rel
 
 
 @pytest.mark.parametrize("kind", KINDS)
