@@ -13,8 +13,8 @@ the same workload:
 The paper's claim: the DAM cannot see any of this (all variants do the
 same number of node visits), but in the affine model the optimization is
 asymptotic — it is what lets Corollary 12's tree match B-tree queries.
-Insert costs should be roughly unchanged across variants (flushes move
-whole nodes regardless).
+Inserts keep Lemma 8's cost up to constants: the segmented variants flush
+B/F messages at a time and write only the segments a flush changes.
 """
 
 from __future__ import annotations
@@ -54,8 +54,9 @@ class Theorem9AblationResult:
             rows,
             note=(
                 "naive reads 1+aB per level; segments reads 2+a(B/F+F); "
-                "theorem9 reads 1+a(B/F+F).  Inserts move whole nodes in "
-                "every variant, so they should be comparable."
+                "theorem9 reads 1+a(B/F+F).  Inserts flush B/F messages at "
+                "a time in the segmented variants, writing only the segments "
+                "a flush changes."
             ),
         )
 
@@ -82,8 +83,10 @@ def sweep_spec(
     The cache is deliberately tiny (64 KiB default): Theorem 9's advantage
     is about per-level *IO counts and sizes* in the uncached regime, and a
     warm cache would hide the second (pivot-area) IO of the ``segments``
-    layout — real pivot arrays are small and hot.  The root buffer is
-    pre-filled (one amortization unit) before measuring so the lazy naive
+    layout — real pivot arrays are small and hot.  It is smaller than one
+    root segment, but an insert appends to its segment without reading the
+    segment back, so the root's buffer is read once per flush out of it, not
+    paged per insert.  The root buffer is pre-filled (one amortization unit) before measuring so the lazy naive
     tree cannot defer its flush work past the ``n_inserts`` window.
     """
     return SweepSpec.make(

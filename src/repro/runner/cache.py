@@ -44,7 +44,7 @@ LOG = logging.getLogger("repro.runner.cache")
 
 #: Bump this (and only this) to invalidate every cached sweep result after
 #: a semantic change to simulators, workloads, or measurement protocol.
-CACHE_EPOCH = 10
+CACHE_EPOCH = 11
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -91,13 +91,16 @@ class _Entry:
     iteration order the previous ``OrderedDict`` implementation exposed.
     """
 
-    __slots__ = ("node_id", "obj", "offset", "nbytes", "dirty", "resident", "prev", "next")
+    __slots__ = (
+        "node_id", "obj", "offset", "nbytes", "missing", "dirty", "resident", "prev", "next",
+    )
 
     def __init__(self, node_id: Hashable, obj: Any, offset: int, nbytes: int, dirty: bool) -> None:
         self.node_id = node_id
         self.obj = obj
         self.offset = offset
         self.nbytes = nbytes
+        self.missing = 0  # leading bytes of a resident node still on disk (see append)
         self.dirty = dirty
         self.resident = False
         self.prev: "_Entry | None" = None
@@ -107,9 +110,11 @@ class _Entry:
 class BufferCache:
     """LRU cache of node objects over a :class:`BlockDevice`.
 
-    One read verb and one write verb: :meth:`get` (a hit turns the entry
-    MRU, a miss reads it in) and :meth:`mark_dirty` (an entry on disk is
-    read in as :meth:`get` does, then optionally resized and dirtied).
+    One read verb and two write verbs: :meth:`get` (a hit turns the entry
+    MRU, a miss reads it in), :meth:`mark_dirty` (an entry on disk is read
+    in as :meth:`get` does, then optionally resized and dirtied) and
+    :meth:`append` (bytes added to an entry's end, which needs none of its
+    old bytes: an entry on disk is not read back).
     :meth:`get_many` is :meth:`get`'s batch form: the misses of a batch of
     independent nodes are one planned device read.  New nodes go in with
     :meth:`insert`; bytes a caller moved itself (a whole-node rewrite, a
@@ -202,7 +207,8 @@ class BufferCache:
         self.stats.evictions += 1
         if OBS.enabled:
             OBS.counter("cache.evictions").inc()
-        self.cached_bytes -= entry.nbytes
+        self.cached_bytes -= entry.nbytes - entry.missing
+        entry.missing = 0
 
     # -- write-back internals -------------------------------------------------
 
@@ -240,22 +246,27 @@ class BufferCache:
         taken first leftwards while each ends where the run starts, then
         rightwards while each starts where the run ends, each only while
         the run still fits in ``capacity_bytes`` (as in :meth:`get_many`,
-        no IO moves more than ``M``).  Every node of the run turns clean
-        and keeps its residency and LRU place.
+        no IO moves more than ``M``).  An entry holding only appended bytes
+        (:meth:`append`) writes those alone and takes no neighbour, nor is
+        taken as one.  Every node of the run turns clean and keeps its
+        residency and LRU place.
         """
         limit = self.capacity_bytes
         run = [entry]
-        start = entry.offset
-        end = start + entry.nbytes
+        start = entry.offset + entry.missing
+        end = entry.offset + entry.nbytes
         by_end = self._by_end
-        left = by_end.get(start)
-        while left is not None and left.dirty and end - left.offset <= limit:
+        left = None if entry.missing else by_end.get(start)
+        while left is not None and left.dirty and not left.missing and end - left.offset <= limit:
             run.append(left)
             start = left.offset
             left = by_end.get(start)
         by_start = self._by_start
         right = by_start.get(end)
-        while right is not None and right.dirty and end + right.nbytes - start <= limit:
+        while (
+            right is not None and right.dirty and not right.missing
+            and end + right.nbytes - start <= limit
+        ):
             run.append(right)
             end += right.nbytes
             right = by_start.get(end)
@@ -267,14 +278,19 @@ class BufferCache:
     # -- public API ------------------------------------------------------------
 
     def contains(self, node_id: Hashable) -> bool:
-        """True if ``node_id`` is currently resident (no LRU effect)."""
+        """True if ``node_id`` is resident whole (no LRU effect): not on
+        disk, nor holding only bytes appended to it (:meth:`append`)."""
         entry = self._index.get(node_id)
-        return entry is not None and entry.resident
+        return entry is not None and entry.resident and not entry.missing
 
     def get(self, node_id: Hashable) -> Any:
-        """Fetch a node, charging a device read on miss; it becomes MRU."""
+        """Fetch a node, charging a device read on miss; it becomes MRU.
+
+        A node holding only bytes appended to it (:meth:`append`) is a miss
+        too: its bytes still on disk are read, and it is whole again.
+        """
         entry = self._index.get(node_id)
-        if entry is not None and entry.resident:
+        if entry is not None and entry.resident and not entry.missing:
             self.stats.hits += 1
             if OBS.enabled:
                 OBS.counter("cache.hits").inc()
@@ -293,9 +309,15 @@ class BufferCache:
         self.stats.misses += 1
         if OBS.enabled:
             OBS.counter("cache.misses").inc()
-        self.device.read(entry.offset, entry.nbytes)
-        self._link_mru(entry)
-        self.cached_bytes += entry.nbytes
+        if entry.resident:
+            self.device.read(entry.offset, entry.missing)
+            self.cached_bytes += entry.missing
+            entry.missing = 0
+            self._touch(entry)
+        else:
+            self.device.read(entry.offset, entry.nbytes)
+            self._link_mru(entry)
+            self.cached_bytes += entry.nbytes
         self._evict_until_fits()
         return entry.obj
 
@@ -304,8 +326,10 @@ class BufferCache:
 
         The batch's one planned read: every id counts one hit or one miss,
         and a repeated id that is not resident counts one miss and then
-        hits.  Resident nodes are LRU-touched first, in input order.  The
-        distinct misses go to the device as one
+        hits.  Resident nodes are LRU-touched first, in input order.  A
+        node holding only appended bytes (:meth:`append`) is a miss whose
+        bytes still on disk are read; it is made whole and MRU before the
+        other misses are admitted.  The distinct misses go to the device as one
         :meth:`~repro.storage.device.BlockDevice.read_set` (sorted,
         deduplicated, bridged over any gap cheaper to read than to seek
         over, runs capped at ``capacity_bytes``: no IO moves more than
@@ -325,7 +349,7 @@ class BufferCache:
             if entry is None:
                 raise CacheError(f"unknown node id {node_id!r}")
             out.append(entry.obj)
-            if entry.resident:
+            if entry.resident and not entry.missing:
                 self._touch(entry)
             elif node_id not in pending:
                 pending.add(node_id)
@@ -341,11 +365,22 @@ class BufferCache:
             OBS.counter("cache.misses").inc(len(missing))
         missing.sort(key=attrgetter("offset"))
         self.device.read_set(
-            [(entry.offset, entry.nbytes) for entry in missing], limit=self.capacity_bytes
+            [(entry.offset, entry.missing or entry.nbytes) for entry in missing],
+            limit=self.capacity_bytes,
         )
+        fresh = []
         for entry in missing:
+            if entry.resident:
+                self.cached_bytes += entry.missing
+                entry.missing = 0
+                self._touch(entry)
+            else:
+                fresh.append(entry)
+        for entry in fresh:
             self._link_mru(entry)
             self.cached_bytes += entry.nbytes
+            self._evict_until_fits()
+        if len(fresh) < len(missing):
             self._evict_until_fits()
         return out
 
@@ -372,8 +407,10 @@ class BufferCache:
         for every component, so a resident entry's dirty bit is *cleared*)
         or a scan's read of a node's missing components.  Unknown ids are
         created, evicted ones brought back, resident ones resized in place
-        and made MRU.  One index lookup per item; evictions follow each
-        admission.
+        and made MRU.  A resident node holding only appended bytes
+        (:meth:`append`) is made whole and keeps its dirty bit: a read of
+        the rest of it does not write them.  One index lookup per item;
+        evictions follow each admission.
         """
         index = self._index
         for node_id, offset, nbytes in items:
@@ -381,11 +418,14 @@ class BufferCache:
                 raise CacheError(f"node size must be positive, got {nbytes}")
             entry = index.get(node_id)
             if entry is not None and entry.resident:
-                self.cached_bytes += nbytes - entry.nbytes
+                self.cached_bytes += nbytes - entry.nbytes + entry.missing
                 entry.obj = None
                 if entry.offset != offset or entry.nbytes != nbytes:
                     self._move(entry, offset, nbytes)
-                entry.dirty = False
+                if entry.missing:
+                    entry.missing = 0
+                else:
+                    entry.dirty = False
                 if entry.next is not self._root:
                     self._touch(entry)
             else:
@@ -416,7 +456,7 @@ class BufferCache:
         entry = self._index.get(node_id)
         if entry is None:
             raise CacheError(f"unknown node id {node_id!r}")
-        if not entry.resident:
+        if not entry.resident or entry.missing:
             self.get(node_id)  # the miss path
         entry.dirty = True
         if entry.next is not self._root:
@@ -430,6 +470,34 @@ class BufferCache:
                 self._evict_until_fits()
         return entry.obj
 
+    def append(self, node_id: Hashable, nbytes: int) -> Any:
+        """Record ``nbytes`` appended to a node's end; it becomes MRU and dirty.
+
+        :meth:`mark_dirty` for a change that needs none of the node's old
+        bytes, so a node on disk is not read back: it becomes resident
+        holding only the appended bytes, which count against the budget,
+        its old ones left on disk.  The next :meth:`get`, :meth:`get_many`
+        or :meth:`mark_dirty` of it reads those (a miss); written back
+        before that, it writes the appended bytes alone, after them.  A
+        resident node grows by ``nbytes`` in memory.
+        """
+        entry = self._index.get(node_id)
+        if entry is None:
+            raise CacheError(f"unknown node id {node_id!r}")
+        if nbytes <= 0:
+            raise CacheError(f"appended size must be positive, got {nbytes}")
+        if not entry.resident:
+            entry.missing = entry.nbytes
+            self._link_mru(entry)
+        elif entry.next is not self._root:
+            self._touch(entry)
+        entry.dirty = True
+        self._move(entry, entry.offset, entry.nbytes + nbytes)
+        self.cached_bytes += nbytes
+        if self.cached_bytes > self.capacity_bytes:
+            self._evict_until_fits()
+        return entry.obj
+
     def delete(self, node_id: Hashable) -> None:
         """Drop a node entirely (after a merge frees it); no write-back."""
         entry = self._index.pop(node_id, None)
@@ -438,7 +506,7 @@ class BufferCache:
         self._unindex_extent(entry)
         if entry.resident:
             self._unlink(entry)
-            self.cached_bytes -= entry.nbytes
+            self.cached_bytes -= entry.nbytes - entry.missing
 
     def extent_of(self, node_id: Hashable) -> tuple[int, int]:
         """The ``(offset, nbytes)`` extent of a node, resident or not."""
@@ -477,7 +545,9 @@ class BufferCache:
     def check_invariants(self) -> None:
         """Assert byte accounting, list integrity and residency consistency."""
         resident = [e for e in self._index.values() if e.resident]
-        assert self.cached_bytes == sum(e.nbytes for e in resident)
+        assert self.cached_bytes == sum(e.nbytes - e.missing for e in resident)
+        for e in resident:
+            assert 0 <= e.missing < e.nbytes
         walked = list(self._resident_lru_order())
         assert len(walked) == self._n_resident == len(resident)
         assert {id(e) for e in walked} == {id(e) for e in resident}
@@ -485,7 +555,7 @@ class BufferCache:
             assert e.next.prev is e and e.prev.next is e
         for e in self._index.values():
             if not e.resident:
-                assert e.prev is None and e.next is None and not e.dirty
+                assert e.prev is None and e.next is None and not e.dirty and not e.missing
         # The offset index holds live entries under their own first and
         # one-past-last byte.  It is complete unless two extents ever
         # shared a key (the later one holds it): a missed neighbour, never

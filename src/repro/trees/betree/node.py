@@ -84,13 +84,14 @@ class BeNode:
     """One Bε-tree node (leaf or internal)."""
 
     __slots__ = (
-        "node_id", "is_leaf", "keys", "values", "pivots", "children",
+        "node_id", "height", "is_leaf", "keys", "values", "pivots", "children",
         "segments", "buffered_count",
     )
 
-    def __init__(self, node_id: int, is_leaf: bool) -> None:
+    def __init__(self, node_id: int, height: int) -> None:
         self.node_id = node_id
-        self.is_leaf = is_leaf
+        self.height = height  # levels above the leaves; a node keeps its height
+        self.is_leaf = height == 0
         self.keys: list[int] = []
         self.values: list[Any] = []
         self.pivots: list[int] = []       # len == len(children) - 1

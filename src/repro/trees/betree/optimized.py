@@ -2,7 +2,7 @@
 
 Three refinements over the naive tree of Lemma 8 (paper Section 6):
 
-1. **Per-child buffer segments with a ~B/F cap.**  "We maintain the
+1. **Per-child buffer segments with a B/F cap.**  "We maintain the
    invariant that no more than B/F elements in a node can be destined for
    a particular child, so the cost to read all these elements is only
    1 + alpha*B/F."  A segment exceeding the cap triggers a flush of that
@@ -36,11 +36,21 @@ so components of one node are contiguous.  Charging granularity follows
 what a real implementation would issue:
 
 * query paths read exactly one component (one setup + its bytes);
-* whole-node rewrites (flush targets, splits, leaf application) are
-  charged as a *single* batched IO — one setup plus the bytes of whatever
-  components were missing (read) and one setup plus the node's occupied
-  bytes (write), exactly like the naive tree's node IOs — rather than one
-  seek per chunk, which no real system would pay.
+* an insert appends its message to the root's segment for its key: a
+  segment on disk is not read back for it
+  (:meth:`~repro.storage.cache.BufferCache.append`), only when a query,
+  a scan or a flush needs the segment whole.
+* a flush into a node is one batched IO each way — one setup plus the
+  bytes of whatever it needs that is not resident (read), then one setup
+  plus the bytes it changed (write) — rather than one seek per chunk,
+  which no real system would pay.  Into an internal node that is the
+  segments the flush fills or empties (without pivots in the parent, the
+  pivot area is read too, to route the messages); into a leaf, the whole
+  leaf.  A segment a flush moves messages out of, or a split moves to a
+  new sibling, is read first unless resident or already read.  A node is
+  written once per flush into it, after its own overflow flushes and its
+  split if they made it too wide, whole if a split reshaped it.
+* a split rewrites each node it makes or reshapes the same way, whole.
 
 The LRU cache pages components in and out independently, which is the
 "sub-nodes paged in and out independently" behaviour the paper attributes
@@ -60,6 +70,7 @@ from __future__ import annotations
 import bisect
 from typing import Any, Hashable
 
+from repro.errors import TreeError
 from repro.storage.stack import StorageStack
 from repro.trees.api import TreeKind
 from repro.trees.betree.messages import Message
@@ -94,30 +105,50 @@ class OptimizedBeTree(BeTree):
         self._entry_bytes = fmt.entry_bytes
         self._header_bytes = fmt.node_header_bytes
         max_children = config.max_children
-        self._pivot_slot = fmt.node_header_bytes + max_children * fmt.pivot_bytes
-        self._seg_slot = max(
-            fmt.message_bytes, (config.node_bytes - self._pivot_slot) // max_children
+        pivot_area = fmt.node_header_bytes + max_children * fmt.pivot_bytes
+        # Theorem 9's cap: "no more than B/F elements in a node can be
+        # destined for a particular child", B/F counted as the buffer budget
+        # over F (not through ``buffer_budget_bytes``, which refuses nodes
+        # too small to buffer: a query-only tree at such a size still works).
+        self._seg_cap = fmt.message_bytes * max(
+            1, (config.node_bytes - pivot_area) // config.target_fanout // fmt.message_bytes
         )
+        # Fixed slots in an internal node, each a multiple of the charging
+        # grain, so no component reaches past its own: the pivot area, then
+        # one per child holding a full segment plus that child's pivots (or
+        # basement index).
+        self._pivot_slot = _round_grain(pivot_area)
+        self._seg_slot = _round_grain(self._seg_cap + pivot_area)
+        self._internal_extent = self._pivot_slot + max_children * self._seg_slot
         self._basement = max(1, config.leaf_capacity // config.target_fanout)
-        self._chunk_slot = fmt.node_header_bytes + self._basement * fmt.entry_bytes
+        self._chunk_slot = chunk = fmt.node_header_bytes + self._basement * fmt.entry_bytes
+        self._leaf_extent = max(
+            config.node_bytes * self._EXTENT_SLACK,
+            (-(-config.leaf_capacity // self._basement) - 1) * chunk + _round_grain(chunk),
+        )
         self._max_children = config.max_children
+        self._flushing: dict[int, _Flush] = {}  # node id -> its open flush
         super().__init__(storage, config)
 
     # -- slot geometry ---------------------------------------------------------
 
     @property
     def segment_cap_bytes(self) -> int:
-        """Theorem 9's per-child buffer cap (one fixed slot, ``~B/F``)."""
-        return self._seg_slot
+        """Theorem 9's per-child buffer cap: ``B/F`` in whole messages."""
+        return self._seg_cap
 
     @property
     def basement_entries(self) -> int:
         """Entries per basement chunk (``~leaf_capacity / F``)."""
         return self._basement
 
-    #: Extent over-allocation factor: leaves can transiently exceed capacity
-    #: between a flush application and the split it triggers.
+    #: A leaf's extent is this many node sizes (or, in a node too small for
+    #: that, what its last basement chunk's grain-rounded charge reaches).
     _EXTENT_SLACK = 2
+
+    def extent_bytes(self, node: BeNode) -> int:
+        """Bytes of the device extent that holds ``node``'s components."""
+        return self._leaf_extent if node.is_leaf else self._internal_extent
 
     def _segment_overflow_bytes(self) -> int:
         return self.segment_cap_bytes
@@ -125,15 +156,16 @@ class OptimizedBeTree(BeTree):
     # -- fused insert fast path ------------------------------------------------
 
     def _put(self, msg) -> None:
-        """One-frame insert hot path; behaviorally identical to the base.
+        """One-frame insert hot path.
 
-        The base ``_put`` spends most of its time in call overhead:
-        ``_get`` → ``_child_index`` → ``add_message`` → ``_dirty_segment``
-        → ``_segment_read_bytes`` → ``_round_grain`` → ``mark_dirty``,
-        each a Python frame.  This override performs the same
-        dict/bisect/arithmetic steps inline, then defers to the shared
-        flush/split machinery the moment anything overflows — so cache
-        traffic, device IO and tree state match the base path exactly.
+        The base ``_put``'s steps inline (``_get`` → ``_child_index`` →
+        ``add_message`` → ``_dirty_segment``, each a Python frame, dominated
+        the profile), then the shared flush/split machinery the moment
+        anything overflows.  One step differs: the message is appended to
+        its root segment, so a segment that is not resident whole is not
+        read back for it (:meth:`~repro.storage.cache.BufferCache.append`);
+        a resident one is resized to its charged size, as
+        ``_dirty_segment`` does.
         """
         self.user_bytes_modified += self._entry_bytes
         root = self._nodes[self.root_id]
@@ -151,18 +183,21 @@ class OptimizedBeTree(BeTree):
         count = seg.count + 1
         seg.count = count
         root.buffered_count += 1
-        # _dirty_segment, inlined: charged bytes = messages (+ child pivots).
-        nbytes = count * self._msg_bytes
-        if self.pivots_in_parent:
-            child = self._nodes[root.children[idx]]
-            if child.is_leaf:
-                per = self._basement
-                nbytes += (-(-len(child.keys) // per) or 1) * self._key_bytes
-            else:
-                nbytes += self._header_bytes + len(child.children) * self._pivot_bytes
-        self.storage.cache.mark_dirty(
-            ("s", root.node_id, idx), ((nbytes + _GRAIN - 1) // _GRAIN) * _GRAIN
-        )
+        cache = self.storage.cache
+        sid = ("s", root.node_id, idx)
+        if cache.contains(sid):
+            # _dirty_segment, inlined: charged bytes = messages (+ child pivots).
+            nbytes = count * self._msg_bytes
+            if self.pivots_in_parent:
+                child = self._nodes[root.children[idx]]
+                if child.is_leaf:
+                    per = self._basement
+                    nbytes += (-(-len(child.keys) // per) or 1) * self._key_bytes
+                else:
+                    nbytes += self._header_bytes + len(child.children) * self._pivot_bytes
+            cache.mark_dirty(sid, ((nbytes + _GRAIN - 1) // _GRAIN) * _GRAIN)
+        else:
+            cache.append(sid, self._msg_bytes)
         budget = self._budget_msgs
         if budget is None:
             budget = self._ensure_thresholds()
@@ -219,18 +254,49 @@ class OptimizedBeTree(BeTree):
 
     # -- charging primitives -------------------------------------------------------
 
-    def _rewrite_node(self, node: BeNode) -> None:
+    def _read_missing(self, node: BeNode, items: list[tuple[Hashable, int, int]]) -> None:
+        """Read the ``(component id, offset, bytes)`` items not resident, in
+        one IO from the node's extent, and admit them clean."""
+        cache = self.storage.cache
+        contains = cache.contains
+        missing = [item for item in items if not contains(item[0])]
+        if missing:
+            self.storage.device.read(self._base[node.node_id], sum(nb for _, _, nb in missing))
+            cache.readmit_clean(missing)
+
+    def _write(self, node: BeNode, items: list[tuple[Hashable, int, int]]) -> None:
+        """Write ``items`` of ``node`` in one IO; they are resident and clean."""
+        self.storage.device.write(self._base[node.node_id], sum(nb for _, _, nb in items))
+        self.storage.cache.readmit_clean(items)
+
+    def _plan_items(self, node: BeNode) -> list[tuple[Hashable, int, int]]:
+        return [(cid, offset, _round_grain(nb)) for cid, offset, nb in self._component_plan(node)]
+
+    def _segment_items(self, node: BeNode, idxs) -> list[tuple[Hashable, int, int]]:
+        nid = node.node_id
+        seg_base = self._base[nid] + self._pivot_slot
+        slot = self._seg_slot
+        return [
+            (("s", nid, i), seg_base + i * slot, _round_grain(self._segment_read_bytes(node, i)))
+            for i in idxs
+        ]
+
+    def _rewrite_node(self, node: BeNode, held: set | frozenset = frozenset()) -> None:
         """Whole-node rewrite: batched read of missing parts + one write.
 
-        This is the charging model of a real flush/split: the node is read
-        (what is not already cached), modified, and written back with one
-        large IO each way — not one seek per chunk.
+        This is the charging model of a split: the node is read (what is
+        not already cached, nor ``held``, the components its flush holds),
+        modified, and written back with one large IO each way — not one
+        seek per chunk.  A component the node did not have (a leaf's new
+        chunk, a new child's segment) has nothing on the device to read:
+        what a split moves into it was held first (:meth:`_hold_segments`).
         """
         cache = self.storage.cache
-        plan = self._component_plan(node)
+        items = self._plan_items(node)
         nid = node.node_id
-        new_ids = [cid for cid, _, _ in plan]
+        new_ids = [cid for cid, _, _ in items]
         old_ids = self._parts.get(nid, [])
+        on_disk = set(old_ids)
         if old_ids != new_ids:
             keep = set(new_ids)
             for cid in old_ids:
@@ -238,32 +304,18 @@ class OptimizedBeTree(BeTree):
                     # Components live in slots of the node's own extent;
                     # dropping one releases no allocator space.
                     cache.delete(cid)
-        contains = cache.contains
-        missing = 0
-        total = 0
-        items = []
-        for cid, offset, nb in plan:
-            r = _round_grain(nb)
-            total += r
-            if not contains(cid):
-                missing += r
-            items.append((cid, offset, r))
-        base = self._base[nid]
-        if missing:
-            self.storage.device.read(base, missing)
-        self.storage.device.write(base, total)
-        # Components are now resident and *clean* — the write-back just
-        # happened as the batched write above.
-        cache.readmit_clean(items)
-        self._parts[nid] = new_ids
+            self._parts[nid] = new_ids
+        self._read_missing(
+            node, [item for item in items if item[0] in on_disk and item[0] not in held]
+        )
+        self._write(node, items)
 
     # -- storage hooks overridden from BeTree ---------------------------------------
 
     def _create_storage(self, node: BeNode) -> None:
         nid = node.node_id
         self._nodes[nid] = node
-        extent = self.config.node_bytes * self._EXTENT_SLACK
-        self._base[nid] = self.storage.allocator.alloc(extent)
+        self._base[nid] = self.storage.allocator.alloc(self.extent_bytes(node))
         self._parts[nid] = []
         cache = self.storage.cache
         for cid, offset, nb in self._component_plan(node):
@@ -274,24 +326,128 @@ class OptimizedBeTree(BeTree):
         return self._nodes[node_id]
 
     def _dirty(self, node: BeNode) -> None:
-        self._rewrite_node(node)
+        # A split changes arities and shifts component positions: it
+        # rewrites the node in a real system too.
+        flush = self._flushing.get(node.node_id)
+        if flush is not None:
+            flush.changed = None  # rewritten whole when its flush ends
+        else:
+            self._rewrite_node(node)
 
     def _dirty_segment(self, node: BeNode, idx: int) -> None:
+        flush = self._flushing.get(node.node_id)
+        if flush is not None:
+            if flush.changed is not None:
+                flush.changed[idx] = None  # written when its flush ends
+            return
         self.storage.cache.mark_dirty(
             ("s", node.node_id, idx), _round_grain(self._segment_read_bytes(node, idx))
         )
 
-    def _dirty_pivots(self, node: BeNode) -> None:
-        # Pivot/segment arities changed: component positions shifted; a
-        # split rewrites the node in a real system too.
-        self._rewrite_node(node)
+    def _hold_segments(self, node: BeNode, idxs) -> None:
+        """Read segments ``idxs`` of ``node`` that are neither resident nor
+        held by a flush open on it, in one IO, before messages leave them.
+
+        Under an open flush they are held until it ends, as what it read
+        is.  Otherwise (a flush out of the root, or of a node ``flush_all``
+        visits, which the cache pages) they are one
+        :meth:`~repro.storage.cache.BufferCache.get_many`, which reads only
+        what an appended-to segment still has on disk.
+        """
+        flush = self._flushing.get(node.node_id)
+        if flush is None:
+            cache = self.storage.cache
+            nid = node.node_id
+            missing = [("s", nid, i) for i in idxs if not cache.contains(("s", nid, i))]
+            if missing:
+                cache.get_many(missing)
+            return
+        items = [item for item in self._segment_items(node, idxs) if item[0] not in flush.held]
+        self._read_missing(node, items)
+        flush.held.update(cid for cid, _, _ in items)
 
     def _free(self, node: BeNode) -> None:
         nid = node.node_id
         for cid in self._parts.pop(nid, []):
             self.storage.cache.delete(cid)
-        self.storage.allocator.free(self._base.pop(nid), self.config.node_bytes * self._EXTENT_SLACK)
+        self.storage.allocator.free(self._base.pop(nid), self.extent_bytes(node))
         del self._nodes[nid]
+
+    # -- flushes ------------------------------------------------------------------------
+
+    def _open(
+        self, node: BeNode, items: list[tuple[Hashable, int, int]], changed: dict[int, None]
+    ) -> None:
+        """Start a flush into ``node`` that changes segments ``changed``:
+        read what of ``items`` is not resident; the flush holds them until
+        it ends.  Until :meth:`_close`, dirtying the node only records what
+        changed, so the flush writes it once, however often its own flushes
+        and its split change it."""
+        self._read_missing(node, items)
+        self._flushing[node.node_id] = _Flush({cid for cid, _, _ in items}, changed)
+
+    def _close(self, node: BeNode) -> None:
+        """End the flush into ``node``: one write of the segments it changed,
+        or of the whole node (reading what it lacks) if it was reshaped."""
+        flush = self._flushing.pop(node.node_id)
+        if node.node_id not in self._nodes:
+            return  # an emptied leaf, dropped
+        if flush.changed is None:
+            self._rewrite_node(node, flush.held)
+        elif flush.changed:
+            self._write(node, self._segment_items(node, flush.changed))
+
+    def _split_internal(self, parent: BeNode | None, idx: int) -> None:
+        """A split outside a flush (the root's, or one ``flush_all`` makes)
+        opens its node as a flush does, so what it moves to the new sibling
+        is held and the node is rewritten once, when the split ends."""
+        nid = parent.children[idx] if parent is not None else self.root_id
+        if nid in self._flushing:
+            super()._split_internal(parent, idx)
+            return
+        node = self._nodes[nid]
+        self._open(node, [], {})
+        try:
+            super()._split_internal(parent, idx)
+        finally:
+            self._close(node)
+
+    def _flush_into(self, parent: BeNode, idx: int, child: BeNode, msgs: list[Message]) -> None:
+        """A flush reads and writes only the segments it changes.
+
+        One read of those not resident (without pivots in the parent, the
+        child's pivot area too, to route the messages), then the child's
+        own overflow flushes, then one write of every segment that took
+        messages or was flushed on — where the naive tree rewrites the
+        whole child.  A child those flushes made too wide is split before
+        that write, which then rewrites it whole, once.
+        """
+        nid = child.node_id
+        pivots = child.pivots
+        routed = [(bisect.bisect_right(pivots, m.key), m) for m in msgs]
+        changed = dict.fromkeys(ci for ci, _ in routed)
+        reads = self._segment_items(child, changed)
+        if not self.pivots_in_parent:
+            reads.append((("p", nid), self._base[nid], _round_grain(self._pivot_area_bytes(child))))
+        self._open(child, reads, changed)
+        try:
+            for ci, m in routed:
+                child.add_message(ci, m)
+            self._flush_overflows(child)
+            if len(child.children) > self._max_children:
+                self._split_internal(parent, idx)
+        finally:
+            self._close(child)
+
+    def _apply_to_leaf(self, parent: BeNode | None, idx: int, msgs: list[Message]) -> None:
+        """A flush reads the whole leaf as it is, then writes it (or the
+        pieces a split makes of it) once."""
+        leaf = self._nodes[parent.children[idx] if parent is not None else self.root_id]
+        self._open(leaf, self._plan_items(leaf), {})
+        try:
+            super()._apply_to_leaf(parent, idx, msgs)
+        finally:
+            self._close(leaf)
 
     # -- query paths ------------------------------------------------------------------
 
@@ -397,6 +553,37 @@ class OptimizedBeTree(BeTree):
             self.storage.device.read(self._base[node_id], sum(nb for _, _, nb in missing))
             cache.readmit_clean(missing)
         return node
+
+    # -- invariants --------------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """The base tree's invariants, then Theorem 9's: every segment holds
+        at most ``B/F`` messages, and every component lies in its node's
+        extent."""
+        super().check_invariants()
+        cap = self._seg_cap // self._msg_bytes
+        for nid, node in self._nodes.items():
+            if any(seg.count > cap for seg in node.segments):
+                raise TreeError(f"node {nid} has a segment over the cap of {cap} messages")
+            base = self._base[nid]
+            end = base + self.extent_bytes(node)
+            for cid, offset, nb in self._component_plan(node):
+                if offset < base or offset + _round_grain(nb) > end:
+                    raise TreeError(f"component {cid} outside its node's extent")
+
+
+class _Flush:
+    """A flush into one node (or a split of it), from
+    :meth:`OptimizedBeTree._open` to :meth:`~OptimizedBeTree._close`: the
+    component ids it holds in memory (read, or resident when it took them)
+    and the segments it changed (``None``: a split reshaped the node, which
+    is rewritten whole)."""
+
+    __slots__ = ("held", "changed")
+
+    def __init__(self, held: set, changed: dict[int, None] | None) -> None:
+        self.held = held
+        self.changed = changed
 
 
 #: Registry entry (:mod:`repro.trees.registry`): one kind, whose

@@ -129,16 +129,17 @@ class BeTree(KVTree):
         # to buffer — and query-only trees at such sizes must still work.
         self._budget_msgs: int | None = None
         self._seg_cap_msgs = 0
+        self._nested_flush_bytes = 0  # OBS only: see _flush_child
         self._next_id = 0
         self._next_seq = 0
         self.user_bytes_modified = 0
-        root = self._new_node(is_leaf=True)
+        root = self._new_node(0)
         self.root_id = root.node_id
 
     # -- node lifecycle (overridden by the optimized tree) ---------------------
 
-    def _new_node(self, *, is_leaf: bool) -> BeNode:
-        node = BeNode(self._next_id, is_leaf)
+    def _new_node(self, height: int) -> BeNode:
+        node = BeNode(self._next_id, height)
         self._next_id += 1
         self._create_storage(node)
         return node
@@ -162,8 +163,11 @@ class BeTree(KVTree):
         """Segment-granularity dirtying; whole node in the naive tree."""
         self.storage.cache.mark_dirty(node.node_id)
 
-    def _dirty_pivots(self, node: BeNode) -> None:
-        self.storage.cache.mark_dirty(node.node_id)
+    def _hold_segments(self, node: BeNode, idxs) -> None:
+        """Bring segments ``idxs`` of ``node`` into memory before their
+        messages leave them.  Nothing to do here: a node is read whole, and
+        one evicted since is read back by the ``_dirty_segment`` or
+        ``_dirty`` that follows."""
 
     def _free(self, node: BeNode) -> None:
         self.storage.destroy(node.node_id)
@@ -264,9 +268,20 @@ class BeTree(KVTree):
             changed_idx = None  # a flush may leave any segment the fullest
 
     def _flush_child(self, parent: BeNode, idx: int) -> None:
-        """Move child ``idx``'s pending messages down one level."""
+        """Move child ``idx``'s pending messages down one level.
+
+        Its ``betree.flush`` event carries what the flush cost: the
+        ``messages`` it moved, the child's ``level`` (its height, 0 for a
+        leaf) and the device bytes it wrote, ``bytes_written``, less those
+        of the flushes it set off (their own events carry them), so the
+        events of a run sum to the bytes written inside its flushes.
+        """
         if OBS.enabled:
-            start = self.storage.device.clock
+            device = self.storage.device
+            start = device.clock
+            written = device.stats.bytes_written
+            enclosing, self._nested_flush_bytes = self._nested_flush_bytes, 0
+        self._hold_segments(parent, (idx,))
         msgs = parent.take_segment(idx)
         self._dirty_segment(parent, idx)
         if not msgs:
@@ -275,15 +290,26 @@ class BeTree(KVTree):
         if child.is_leaf:
             self._apply_to_leaf(parent, idx, msgs)
         else:
-            for m in msgs:
-                child.add_message(self._child_index(child, m.key), m)
-            # The flush rewrites the child (its buffer changed wholesale).
-            self._dirty(child)
-            self._flush_overflows(child)
-            if len(child.children) > self.config.max_children:
-                self._split_internal(parent, idx)
+            self._flush_into(parent, idx, child, msgs)
         if OBS.enabled:
-            OBS.op_event("betree.flush", start, self.storage.device.clock)
+            total = device.stats.bytes_written - written
+            OBS.op_event(
+                "betree.flush", start, device.clock, messages=len(msgs),
+                level=child.height, bytes_written=total - self._nested_flush_bytes,
+            )
+            self._nested_flush_bytes = enclosing + total
+
+    def _flush_into(self, parent: BeNode, idx: int, child: BeNode, msgs: list[Message]) -> None:
+        """Buffer a flush's messages in internal ``child`` (``parent``'s
+        child ``idx``), flush what overflows there, then split the child if
+        those flushes made it too wide; the naive tree rewrites the whole
+        child."""
+        for m in msgs:
+            child.add_message(self._child_index(child, m.key), m)
+        self._dirty(child)
+        self._flush_overflows(child)
+        if len(child.children) > self.config.max_children:
+            self._split_internal(parent, idx)
 
     def _apply_to_leaf(self, parent: BeNode | None, idx: int, msgs: list[Message]) -> None:
         """Apply seq-sorted messages to a leaf; split/shrink as needed.
@@ -370,7 +396,7 @@ class BeTree(KVTree):
         per = math.ceil(len(leaf.keys) / pieces)
         new_nodes: list[BeNode] = []
         for lo in range(per, len(leaf.keys), per):
-            piece = self._new_node(is_leaf=True)
+            piece = self._new_node(0)
             piece.keys = leaf.keys[lo : lo + per]
             piece.values = leaf.values[lo : lo + per]
             self._dirty(piece)
@@ -379,7 +405,7 @@ class BeTree(KVTree):
         del leaf.values[per:]
         self._dirty(leaf)
         if parent is None:
-            parent = self._new_node(is_leaf=False)
+            parent = self._new_node(1)
             parent.children = [leaf.node_id]
             parent.segments = [SegmentBuffer()]
             self.root_id = parent.node_id
@@ -388,7 +414,7 @@ class BeTree(KVTree):
             parent.pivots.insert(idx + j, piece.keys[0])
             parent.children.insert(idx + j + 1, piece.node_id)
             parent.segments.insert(idx + j + 1, SegmentBuffer())
-        self._dirty_pivots(parent)
+        self._dirty(parent)
         if OBS.enabled:
             OBS.op_event("betree.split", start, self.storage.device.clock, kind="leaf")
 
@@ -406,7 +432,7 @@ class BeTree(KVTree):
         # emptied key range.
         del parent.pivots[idx - 1 if idx > 0 else 0]
         self._free(leaf)
-        self._dirty_pivots(parent)
+        self._dirty(parent)
 
     def _split_internal(self, parent: BeNode | None, idx: int) -> None:
         """Split internal node ``parent.children[idx]`` in half."""
@@ -416,7 +442,8 @@ class BeTree(KVTree):
             self._get(parent.children[idx]) if parent is not None else self._get(self.root_id)
         )
         mid = len(node.children) // 2
-        right = self._new_node(is_leaf=False)
+        self._hold_segments(node, range(mid, len(node.children)))
+        right = self._new_node(node.height)
         separator = node.pivots[mid - 1]
         right.pivots = node.pivots[mid:]
         right.children = node.children[mid:]
@@ -429,7 +456,7 @@ class BeTree(KVTree):
         self._dirty(node)
         self._dirty(right)
         if parent is None:
-            parent = self._new_node(is_leaf=False)
+            parent = self._new_node(node.height + 1)
             parent.children = [node.node_id]
             parent.segments = [SegmentBuffer()]
             self.root_id = parent.node_id
@@ -439,7 +466,7 @@ class BeTree(KVTree):
         # Partition the parent's pending messages for the split child: keys
         # at or above the separator now route to the right half.
         parent.segments.insert(idx + 1, parent.segments[idx].extract_ge(separator))
-        self._dirty_pivots(parent)
+        self._dirty(parent)
         if OBS.enabled:
             OBS.op_event("betree.split", start, self.storage.device.clock, kind="internal")
 
@@ -552,7 +579,7 @@ class BeTree(KVTree):
         all_values = [v for _, v in pairs]
         level: list[tuple[int, int]] = []
         for start in range(0, len(pairs), per_leaf):
-            leaf = self._new_node(is_leaf=True)
+            leaf = self._new_node(0)
             leaf.keys = all_keys[start : start + per_leaf]
             leaf.values = all_values[start : start + per_leaf]
             self._dirty(leaf)
@@ -560,7 +587,9 @@ class BeTree(KVTree):
         self.user_bytes_modified += len(pairs) * self.config.fmt.entry_bytes
 
         per_internal = max(2, int(self.config.target_fanout * BULK_FILL))
+        height = 0
         while len(level) > 1:
+            height += 1
             next_level: list[tuple[int, int]] = []
             for start in range(0, len(level), per_internal):
                 group = level[start : start + per_internal]
@@ -571,7 +600,7 @@ class BeTree(KVTree):
                     prev.segments.append(SegmentBuffer())
                     self._dirty(prev)
                     continue
-                node = self._new_node(is_leaf=False)
+                node = self._new_node(height)
                 node.children = [nid for _, nid in group]
                 node.pivots = [first for first, _ in group[1:]]
                 node.segments = [SegmentBuffer() for _ in group]
@@ -585,14 +614,17 @@ class BeTree(KVTree):
     def check_invariants(self) -> None:
         """Assert ordering, structure and byte budgets."""
         leaf_depths: set[int] = set()
-        self._check_node(self.root_id, None, None, 0, leaf_depths)
+        self._check_node(self.root_id, None, None, 0, leaf_depths, None)
         if len(leaf_depths) > 1:
             raise TreeError(f"leaves at multiple depths: {sorted(leaf_depths)}")
 
     def _check_node(
-        self, node_id: int, lo: int | None, hi: int | None, depth: int, leaf_depths: set[int]
+        self, node_id: int, lo: int | None, hi: int | None, depth: int, leaf_depths: set[int],
+        height: int | None,
     ) -> None:
         node = self._get(node_id)
+        if height is not None and node.height != height:
+            raise TreeError(f"node {node_id} has height {node.height}, expected {height}")
         fmt = self.config.fmt
         if node.is_leaf:
             if len(node.keys) != len(node.values):
@@ -631,4 +663,4 @@ class BeTree(KVTree):
                 for m in node.segments[ci].msgs[key]:
                     if m.key != key:
                         raise TreeError(f"node {node_id} message filed under wrong key")
-            self._check_node(node.children[ci], c_lo, c_hi, depth + 1, leaf_depths)
+            self._check_node(node.children[ci], c_lo, c_hi, depth + 1, leaf_depths, node.height - 1)

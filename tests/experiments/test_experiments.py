@@ -22,8 +22,11 @@ from repro.experiments import (
     exp_sensitivity,
     exp_write_amp,
 )
+from repro import storage, trees
+from repro.experiments.common import build_load
 from repro.storage.ram import NullDevice
 from repro.trees import build
+from repro.workloads.generators import insert_stream, point_query_stream
 
 
 class TestPDAMValidation:
@@ -246,6 +249,29 @@ class TestWriteAmp:
     def test_render(self, result):
         assert "Write amplification" in result.render()
 
+    @pytest.fixture(scope="class")
+    def results(self, result):
+        return {0: result, 1: exp_write_amp.run(n_loaded=20_000, n_inserts=2_500, seed=1)}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_theorem9_writes_within_the_whole_node_tree_or_the_cap_bound(self, results, seed):
+        """Theorem 9 keeps Lemma 8's insert cost: its column is at most 1.25x
+        the whole-node tree's, or at most F per level below the root in
+        message bytes — what a flush of B/F + 1 messages rewriting at most a
+        node's bytes costs.  The second bound carries the 16 and 64 KiB
+        points: the window ends before the lazy whole-node tree's flushes
+        reach its leaves (7.4 and 12.2 here, where E8's 150 000-entry trees
+        read 22.5 and 21.6 at steady state), while the eager per-segment
+        flushes reach them.  The B/(2F) cap read 49.8 / 41.8 / 31.3 / 25.0
+        and fails both bounds."""
+        result = results[seed]
+        fmt = trees.configure("betree").fmt
+        for i, node_bytes in enumerate(result.node_sizes):
+            config = trees.configure("betree", node_bytes=node_bytes, fanout=result.fanout)
+            levels = exp_write_amp.loaded_height(config, result.n_loaded) - 1
+            cap_bound = result.fanout * levels * fmt.message_bytes / fmt.entry_bytes
+            assert result.theorem9[i] <= max(1.25 * result.betree[i], cap_bound), node_bytes
+
     @pytest.mark.parametrize("node_bytes, n", [(16 << 10, 2000), (16 << 10, 20_000), (1 << 20, 3000)])
     def test_the_window_rule_reads_the_height_bulk_load_builds(self, node_bytes, n):
         # 2000 entries are 15 leaves of 135, one more than a node's 14
@@ -261,8 +287,9 @@ class TestWriteAmp:
 class TestTheorem9Ablation:
     @pytest.fixture(scope="class")
     def result(self):
-        # Stock size: at 60-120 k entries the segmented variants read ~8 ms
-        # an insert (0.25 ms here) and the insert comparison below fails.
+        # Stock size: at 60 000 and 120 000 entries the two segmented
+        # layouts' queries tie within the disk's rotational draws (16.34 vs
+        # 16.35 ms, 16.17 vs 16.14), so the ordering below is asserted here.
         return exp_optimizations.run()
 
     def test_each_step_improves_queries(self, result):
@@ -273,9 +300,40 @@ class TestTheorem9Ablation:
         assert result.query_speedup > 1.5
 
     def test_inserts_within_an_order_of_magnitude(self, result):
-        # Every variant moves whole nodes on the insert path.
+        # 0.113 ms (segmented) against 0.042 (naive).  E9's 64 KiB cache is
+        # smaller than one root segment: this holds because an insert
+        # appends to its segment without reading it back.
         ins = result.insert_ms.values()
         assert max(ins) < 20 * max(min(ins), 1e-6)
+
+    def test_theorem9_reads_one_component_a_level_at_the_golden_config(self):
+        """At the E9 golden's config (256 KiB nodes, 30 000 entries) the tree
+        is two levels and the root's pivot area stays cached, so the two
+        segmented layouts read the same components, at most one a level:
+        theorem9's slower golden row (9.89 vs 9.67 ms) is the disk's
+        rotational draws, not its reads.  On ``affine`` they agree."""
+        reads, ms = {}, {}
+        for layout in ("segments", "theorem9"):
+            tree = build(
+                "betree", storage.build("affine"), node_bytes=256 << 10,
+                cache_bytes=64 << 10, fanout=16, layout=layout,
+            )
+            pairs, keys = build_load(30_000, 1 << 31, seed=0)
+            tree.load(pairs)
+            unit = trees.check_kind("betree").amortization_unit(tree.config)
+            tree.put_many(insert_stream(1 << 31, unit, seed=7))
+            tree.drop_cache()
+            for key in point_query_stream(keys, 200, seed=1):
+                tree.get(key)
+            before, t0 = tree.device.stats.snapshot(), tree.io_seconds
+            for key in point_query_stream(keys, 50, seed=2):
+                tree.get(key)
+            reads[layout] = tree.device.stats.delta(before).reads / 50
+            ms[layout] = (tree.io_seconds - t0) / 50 * 1e3
+            root = tree._nodes[tree.root_id]
+            assert root.height == 1
+        assert reads["theorem9"] == reads["segments"] <= 2
+        assert ms["theorem9"] == pytest.approx(ms["segments"], rel=1e-3)
 
     def test_render(self, result):
         assert "ablation" in result.render()

@@ -5,6 +5,9 @@ not move a single simulated clock tick, because instrumentation only
 reads what the simulator already computed.
 """
 
+import bisect
+
+import numpy as np
 import pytest
 
 from repro import obs, storage, trees
@@ -200,23 +203,59 @@ class TestInstrumentedLayers:
         )
         assert spans == {
             ("btree.split", None): 70,
-            ("betree.flush", None): 1271,
-            ("betree.split", "leaf"): 71,
+            ("betree.flush", None): 640,
+            ("betree.split", "leaf"): 70,
             ("betree.split", "internal"): 12,
         }
         snap = obs.OBS.snapshot()
         assert {
             name: snap["counters"][f"{name}.count"]
             for name in ("btree.split", "betree.flush", "betree.split")
-        } == {"btree.split": 70, "betree.flush": 1271, "betree.split": 83}
+        } == {"btree.split": 70, "betree.flush": 640, "betree.split": 82}
         assert {
             name: snap["histograms"][f"{name}.io_seconds"]["total"]
             for name in ("btree.split", "betree.flush", "betree.split")
         } == {
             "btree.split": 0.5857343999999594,
-            "betree.flush": 62.072827519999414,
-            "betree.split": 4.565221759999925,
+            "betree.flush": 27.055459839999905,
+            "betree.split": 1.4758763200000087,
         }
+
+    @pytest.mark.parametrize("layout", ["whole-node", "theorem9"])
+    def test_flush_events_sum_to_the_bytes_written_inside_flushes(self, layout):
+        """Each ``betree.flush`` event carries the messages it moved, its
+        child's level and the bytes it wrote less those of the flushes it set
+        off, so the events sum to the device writes inside the outermost
+        flushes (on ``affine`` every IO takes time, so the write spans of a
+        flush lie within its span)."""
+        obs.enable(trace=True)
+        tree = trees.build(
+            "betree", storage.build("affine"), node_bytes=8192, cache_bytes=32 << 10,
+            fanout=4, layout=layout,
+        )
+        tree.load([(k, k) for k in range(0, 40_000, 4)])
+        keys = np.random.default_rng(3).integers(0, 40_000, size=6000).tolist()
+        for i, k in enumerate(keys):
+            tree.insert(k, i)
+        tree.settle()
+        spans = obs.OBS.tracer.spans
+        flushes = [s for s in spans if s.name == "betree.flush"]
+        outer: list[list[float]] = []  # flushes nest or are disjoint
+        for s in sorted(flushes, key=lambda s: (s.start, -s.end)):
+            if outer and s.end <= outer[-1][1]:
+                continue
+            outer.append([s.start, s.end])
+        starts = [start for start, _ in outer]
+        inside = 0
+        for s in spans:
+            if s.name == "device.write":
+                i = bisect.bisect_right(starts, s.start) - 1
+                if i >= 0 and s.end <= outer[i][1]:
+                    inside += s.attrs["nbytes"]
+        assert inside > 0
+        assert sum(s.attrs["bytes_written"] for s in flushes) == inside
+        assert all(s.attrs["messages"] > 0 for s in flushes)
+        assert {0, 1, 2} <= {s.attrs["level"] for s in flushes}
 
     @pytest.mark.parametrize("kind", trees.KINDS)
     def test_every_public_op_emits_one_event(self, kind):

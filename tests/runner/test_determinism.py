@@ -13,7 +13,12 @@ Regenerate after an *intentional* semantic change (and bump
 
     PYTHONPATH=src python tests/runner/test_determinism.py --regen
 
-Last regenerated at ``CACHE_EPOCH`` 10, when E8 became a spec over the
+Last regenerated at ``CACHE_EPOCH`` 11, when the Theorem 9 Bε-tree's
+segment cap became B/F, a flush came to read and write only the
+segments it changes and an insert to append to its root segment without
+reading it back (E6, E8, E9, E12, E14 and E20's Bε cells moved).  At
+epoch 10 E8
+became a spec over the
 node-size kernel (Bε windows of ``F^(h-2)`` root fills, a Theorem 9
 column, B-tree points that query before they insert); only E8 moved.  At
 epoch 9 the buffer cache's batched read (``BufferCache.get_many``)

@@ -178,6 +178,95 @@ class TestDirtyAndExtents:
         assert cache.get("a") == "a"  # still reachable from disk
 
 
+class TestAppend:
+    """``append``: bytes added to a node's end, its old ones not read back."""
+
+    def test_a_node_on_disk_takes_an_append_without_a_read(self):
+        cache, dev = make(capacity=250)
+        cache.insert("a", "va", 0, 100, dirty=False)
+        cache.insert("b", "vb", 100, 100, dirty=False)
+        cache.insert("c", "vc", 200, 100, dirty=False)  # evicts a
+        assert cache.append("a", 30) == "va"
+        assert dev.stats.reads == 0 and cache.stats.accesses == 0
+        assert cache.extent_of("a") == (0, 130)
+        assert not cache.contains("a")  # not whole: 100 bytes still on disk
+        assert cache.cached_bytes == 230  # b, c and a's 30 appended bytes
+        cache.check_invariants()
+
+    def test_a_get_reads_what_is_still_on_disk(self):
+        cache, dev = make(capacity=1000)
+        cache.insert("a", "va", 0, 100, dirty=False)
+        cache.drop_clean()
+        cache.append("a", 30)
+        cache.append("a", 20)  # resident: grows in memory
+        assert dev.stats.reads == 0 and cache.cached_bytes == 50
+        cache.flush()  # the 50 appended bytes; a stays resident, not whole
+        assert dev.stats.bytes_written == 50 and not cache.contains("a")
+        cache.check_invariants()
+        cache.append("a", 50)
+        assert cache.get("a") == "va"
+        assert dev.stats.reads == 1 and dev.stats.bytes_read == 100
+        assert cache.contains("a") and cache.cached_bytes == 200
+        assert cache.stats.misses == 1
+        cache.check_invariants()
+        cache.flush()  # whole and dirty: written whole
+        assert dev.stats.bytes_written == 50 + 200
+
+    def test_a_write_back_writes_the_appended_bytes_alone(self):
+        cache, dev = make(capacity=1000)
+        cache.insert("a", "va", 0, 100, dirty=False)
+        cache.insert("b", "vb", 150, 100, dirty=False)
+        cache.insert("z", "vz", 50, 50, dirty=False)  # ends where a's old bytes end
+        cache.drop_clean()
+        cache.append("a", 50)  # a's appended bytes lie at 100..150
+        cache.mark_dirty("b")  # starts where they end
+        cache.mark_dirty("z")
+        reads, before = dev.stats.reads, dev.stats.snapshot()
+        cache.flush()
+        # z alone, then a's appended bytes with b after them: neither run
+        # writes a's 100 bytes still on disk.
+        written = dev.stats.delta(before)
+        assert written.writes == 2 and written.bytes_written == 50 + 50 + 100
+        cache.drop_clean()
+        assert cache.get("a") == "va" and cache.extent_of("a") == (0, 150)
+        assert dev.stats.reads == reads + 1 and dev.stats.delta(before).bytes_read == 150
+
+    def test_mark_dirty_and_get_many_read_the_rest_first(self):
+        cache, dev = make(capacity=1000)
+        for i, name in enumerate("abc"):
+            cache.insert(name, name, i * 100, 100, dirty=False)
+        cache.drop_clean()
+        cache.append("a", 10)
+        cache.append("b", 10)
+        cache.mark_dirty("a", 110)
+        assert dev.stats.reads == 1 and dev.stats.bytes_read == 100
+        cache.get_many(["b", "c"])  # b's 100 bytes on disk and c, one plan
+        assert dev.stats.bytes_read == 100 + 100 + 100
+        assert cache.contains("b") and cache.cached_bytes == 110 + 110 + 100
+        cache.check_invariants()
+
+    def test_readmit_clean_makes_it_whole_and_keeps_it_dirty(self):
+        # A caller that read the rest itself: the appended bytes are still
+        # to be written.
+        cache, dev = make(capacity=1000)
+        cache.insert("a", "va", 0, 100, dirty=False)
+        cache.drop_clean()
+        cache.append("a", 10)
+        cache.readmit_clean([("a", 0, 110)])
+        assert cache.contains("a") and cache.cached_bytes == 110
+        cache.check_invariants()
+        cache.flush()
+        assert dev.stats.bytes_written == 110
+
+    def test_bad_appends_rejected(self):
+        cache, _ = make()
+        cache.insert("a", "a", 0, 100)
+        with pytest.raises(CacheError):
+            cache.append("ghost", 10)
+        with pytest.raises(CacheError):
+            cache.append("a", 0)
+
+
 class TestDelete:
     def test_delete_resident_no_write(self):
         cache, dev = make()

@@ -9,6 +9,7 @@ from repro.storage.ideal import AffineDevice
 from repro.storage.ram import NullDevice
 from repro.trees import build
 from repro.trees.betree import BeTree, BeTreeConfig, OptimizedBeTree
+from repro.trees.betree.node import BeNode
 from repro.trees.betree.tree import LAYOUTS
 from repro.trees.sizing import EntryFormat
 
@@ -21,14 +22,54 @@ def make(node_bytes=8192, fanout=4, cache_bytes=1 << 20, device=None, layout="th
     return tree, tree.storage
 
 
+#: Node sizes 16 KiB-4 MiB by F in {4, 16, 64}; a 16 KiB node has no buffer
+#: room for 2F = 128 children.
+CAP_CASES = [
+    (node_bytes, fanout)
+    for node_bytes in (16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20)
+    for fanout in (4, 16, 64)
+    if (node_bytes, fanout) != (16 << 10, 64)
+]
+
+
 class TestConstruction:
     def test_slot_geometry(self):
         tree, _ = make(node_bytes=8192, fanout=4)
         assert tree.segment_cap_bytes > 0
         assert tree.basement_entries >= 1
-        # All segment slots plus the pivot slot fit in the node.
-        total = tree._pivot_slot + tree.config.max_children * tree._seg_slot
-        assert total <= tree.config.node_bytes
+        # A segment slot holds a full segment plus its child's pivot area,
+        # and the pivot slot and every segment slot fill an internal extent.
+        fmt, max_children = tree.config.fmt, tree.config.max_children
+        assert tree._seg_slot >= tree.segment_cap_bytes + fmt.internal_bytes(max_children)
+        internal = tree._nodes[tree.root_id]
+        internal.is_leaf = False  # sizes only: the root of an empty tree is a leaf
+        assert tree._pivot_slot + max_children * tree._seg_slot == tree.extent_bytes(internal)
+
+    @pytest.mark.parametrize("node_bytes, fanout", CAP_CASES)
+    def test_the_segment_cap_is_b_over_f(self, node_bytes, fanout):
+        # Theorem 9's cap in its closed form: B/F messages a child, B the
+        # node's buffer budget (one fixed slot of B/(2F), the old cap, fails).
+        tree = build(
+            "betree", NullDevice(), node_bytes=node_bytes, fanout=fanout, cache_bytes=1 << 20
+        )
+        mb = tree.config.fmt.message_bytes
+        assert tree.segment_cap_bytes // mb >= tree.config.buffer_budget_bytes // fanout // mb
+
+    @pytest.mark.parametrize("layout", ["theorem9", "segments"])
+    @pytest.mark.parametrize("node_bytes, fanout", [(16 << 10, 4), (16 << 10, 16)])
+    def test_a_loaded_tree_keeps_its_invariants_under_random_inserts(
+        self, node_bytes, fanout, layout
+    ):
+        # check_invariants holds every segment to the cap and every component
+        # inside its node's extent, after splits at every level.
+        tree, _ = make(node_bytes=node_bytes, fanout=fanout, cache_bytes=256 << 10, layout=layout)
+        rng = np.random.default_rng(11)
+        keys = np.unique(rng.integers(0, 1 << 40, size=10_000)).tolist()
+        tree.load([(k, k) for k in keys])
+        for i, key in enumerate(rng.integers(0, 1 << 40, size=10_000).tolist()):
+            tree.insert(key, i)
+        tree.check_invariants()
+        assert tree._nodes[tree.root_id].height >= 2
 
     def test_a_layout_is_built_by_one_class_and_refused_by_the_other(self):
         with pytest.raises(ConfigurationError, match="layout"):
@@ -223,6 +264,78 @@ class TestWriteAccounting:
         # Batched whole-node writes exist (bigger than any single slot).
         assert max(w.nbytes for w in writes) > tree._seg_slot
         assert len(reads) + len(writes) < 20_000  # amortization happened
+
+    @pytest.mark.parametrize("layout", ["theorem9", "segments"])
+    def test_messages_leave_only_segments_in_memory(self, layout, monkeypatch):
+        """Oracle for the flush path's reads: when a flush takes a segment's
+        messages, or a split moves a segment to the new sibling, the segment
+        is in memory — resident whole in the cache, or held by the flush open
+        on its node (read when it opened, or since).  On a cache of one entry
+        next to nothing stays resident, so a move the tree did not read for
+        fails here."""
+        tree, storage = make(fanout=4, cache_bytes=1, layout=layout)
+        cache = storage.cache
+        checks = []
+
+        def in_memory(node, i):
+            sid = ("s", node.node_id, i)
+            flush = tree._flushing.get(node.node_id)
+            return cache.contains(sid) or (flush is not None and sid in flush.held)
+
+        take = BeNode.take_segment
+
+        def checked_take(node, idx):
+            if node.segments[idx].count:
+                checks.append(in_memory(node, idx))
+            return take(node, idx)
+
+        monkeypatch.setattr(BeNode, "take_segment", checked_take)
+        split, new_node = tree._split_internal, tree._new_node
+        splitting = []
+
+        def checked_split(parent, idx):
+            splitting.append(tree._nodes[parent.children[idx] if parent else tree.root_id])
+            split(parent, idx)
+
+        def checked_new_node(height):
+            if splitting:  # the split's new sibling, made before the move
+                node = splitting.pop()
+                upper = range(len(node.children) // 2, len(node.children))
+                checks.extend(in_memory(node, i) for i in upper if node.segments[i].count)
+            return new_node(height)
+
+        tree._split_internal, tree._new_node = checked_split, checked_new_node
+        rng = np.random.default_rng(11)
+        keys = np.unique(rng.integers(0, 1 << 40, size=5_000)).tolist()
+        tree.load([(k, k) for k in keys])
+        for i, key in enumerate(rng.integers(0, 1 << 40, size=20_000).tolist()):
+            tree.insert(key, i)
+        tree.flush_all()
+        tree.check_invariants()
+        assert len(checks) > 1000 and all(checks)
+
+    def test_a_flush_that_splits_its_child_writes_the_child_once(self):
+        # The split of a child its own flushes made too wide happens inside
+        # the flush into it, which then rewrites it whole: one write.
+        device = NullDevice(capacity_bytes=1 << 30, trace=True)
+        tree, _ = make(fanout=4, cache_bytes=256 << 10, device=device)
+        flush_into = tree._flush_into
+        writes = []
+
+        def traced(parent, idx, child, msgs):
+            start, width, base = len(device.trace), len(parent.children), tree._base[child.node_id]
+            flush_into(parent, idx, child, msgs)
+            if len(parent.children) > width:  # the child split
+                trace = device.trace[start:]
+                writes.append(sum(r.kind == "write" and r.offset == base for r in trace))
+
+        tree._flush_into = traced
+        rng = np.random.default_rng(11)
+        keys = np.unique(rng.integers(0, 1 << 40, size=5_000)).tolist()
+        tree.load([(k, k) for k in keys])
+        for i, key in enumerate(rng.integers(0, 1 << 40, size=20_000).tolist()):
+            tree.insert(key, i)
+        assert len(writes) >= 10 and set(writes) == {1}
 
     def test_extent_freed_on_node_free(self):
         tree, stack = make()

@@ -11,9 +11,11 @@ pins were re-captured once more, on the declared change that made a dirty
 write-back one write per run of adjacent dirty nodes (their gets evict
 dirty nodes; the other kinds' pins did not move), and the ``betree`` and
 ``betree-own-pivots`` pins on the one that made their component reads
-cache hits.  Those two were captured on hand-built trees (``BeTree``, and
-``OptimizedBeTree`` without pivots in the parent); they now build through
-the registry's ``layout`` field and read the same pins.
+cache hits, and again on the one that capped a segment at B/F, made a
+flush write only what it changed and an insert append to its root
+segment without reading it back.  Those two were captured on hand-built
+trees (``BeTree``, and ``OptimizedBeTree`` without pivots in the parent);
+they now build through the registry's ``layout`` field.
 
 ``CALLS_PER_GET`` is the other half: a deterministic host budget, no wall
 time.  A re-grown hook layer fails it in tier-1 instead of waiting for a
@@ -71,14 +73,19 @@ PINNED = {
     # Both re-captured when the Theorem 9 tree's reads came to go through
     # ``BufferCache.get``: a resident component now counts a hit and turns
     # MRU, so the LRU keeps what the stream reads (the drive before the
-    # gets charges the same IOs as before).
-    "betree": "2c7296337d13d5bacc97bbd688fe9ef472351de10e776cb976f8f016ce752bea",
+    # gets charges the same IOs as before).  Re-captured again, with
+    # ``betree-own-pivots``, when the segment cap became B/F (one slot per
+    # child, grain-rounded, holding a full segment and the child's pivots)
+    # and a flush came to write only what it changed, and an insert to
+    # append to its root segment without reading it back: the drive leaves
+    # other segments behind, at other offsets.
+    "betree": "780eabc0113e78d7c6a2c5a436c8d8f179f0f27ee27ebc20962c44678825a542",
     # Captured at ``0c42945``; every other pin at ``705c201``.  Re-captured,
     # with ``btree``'s, when a dirty write-back became one write per run of
     # adjacent dirty nodes: the stream's evictions write fewer, larger IOs,
     # which moves the HDD's head and clock under the same reads.
     "betree-naive": "77251c442d2954d3fb09bfea4a89693f3519148936c09e5ed1173c70cba7eef2",
-    "betree-own-pivots": "67754936ec705619a8f762d651615b16aa8dcdbf2c507bd058e676fd5e7a2ad6",
+    "betree-own-pivots": "8877449aaee5b2cc1a6d0b14e37200dd1788713b0f892defb3fa3751b2d4a156",
     "btree": "70f51bfbc8e63ffb9fe081a2b395bdc8d9faf65a8eca4302b15e6e4ff3e29337",
     # Both re-captured when the PMA got density floors and a buffered flush
     # became one window (the child of 36cbd9c): one delete of the ``cob``

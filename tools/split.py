@@ -12,8 +12,11 @@ us per op of each (step, kind): its share of the counted samples times the
 timed wall.  The workload's own lines outside its timed regions (oracle,
 ``_build``, digests) are untimed.  Tree workloads add each kind's ``load s``,
 tree_read each kind's simulated ms and device IOs per get of its ``get``
-half and its ``get_many`` half and per scan of its ``range`` calls, summed
-over the iterations at the run's scale; device_engine the seconds an
+half and its ``get_many`` half and per scan of its ``range`` calls,
+tree_write each kind's simulated ms, device reads and writes per mutation
+and share of the workload's simulated seconds, of its ``insert``/``delete``
+half and of its ``put_many`` half, each summed over the iterations at the
+run's scale; device_engine the seconds an
 iteration its untimed model fits take (``fits s``), serve_e19 its round
 sizes and peak event heap.  Exits
 non-zero if the oracle failed.  Sizing, not claims: a claim is ``make
@@ -225,10 +228,67 @@ def read_paths(built):
         rows[f"{path}: IOs/{unit}"] = {k: ios / n if n else nan for k, (n, _, ios) in cells.items()}
 
 
+#: tree_write's halves: an iteration's first half of mutations, one
+#: ``insert``/``delete`` each, then its ``put_many`` batches with the deletes
+#: that close them and the kind's settle.
+WRITE_HALVES = ("insert/delete", "put_many")
+
+
+@contextmanager
+def write_paths(built, workload):
+    """While open on tree_write's ``built`` trees: each kind's mutations,
+    simulated device seconds, reads and writes in each of
+    :data:`WRITE_HALVES`, counted by wrapping the tree's ``insert``,
+    ``delete`` and ``put_many`` (looked up each iteration) and the kind's
+    ``settle``; the yielded ``{row: {kind: value}}`` is filled in on exit."""
+    tally = {(bt.kind, half): [0, 0.0, 0, 0] for bt in built for half in WRITE_HALVES}
+    done = dict.fromkeys((bt.kind for bt in built), 0)  # this iteration's mutations
+
+    def counted(fn, bt, size, half=None):
+        device, stats = bt.device, bt.device.stats
+
+        def call(*args):
+            n = size(*args)
+            cell = tally[bt.kind, half or WRITE_HALVES[done[bt.kind] >= len(workload.ops) // 2]]
+            clock, reads, writes = device.clock, stats.reads, stats.writes
+            out = fn(*args)
+            cell[0] += n
+            cell[1] += device.clock - clock
+            cell[2] += stats.reads - reads
+            cell[3] += stats.writes - writes
+            done[bt.kind] += n
+            return out
+        return call
+
+    settles = {}
+    for bt in built:
+        tree, one = bt.tree, (lambda *_: 1)
+        tree.insert, tree.delete = counted(tree.insert, bt, one), counted(tree.delete, bt, one)
+        tree.put_many = counted(tree.put_many, bt, len, WRITE_HALVES[1])
+        settles[bt.kind] = bt.settle
+        settle = counted(bt.settle, bt, lambda: 0, WRITE_HALVES[1])
+        bt.settle = lambda settle=settle, kind=bt.kind: (settle(), done.__setitem__(kind, 0))
+    rows: dict[str, dict[str, float]] = {}
+    try:
+        yield rows
+    finally:
+        for bt in built:
+            del bt.tree.insert, bt.tree.delete, bt.tree.put_many  # the class's again
+            bt.settle = settles[bt.kind]
+    total = sum(cell[1] for cell in tally.values())
+    for half in WRITE_HALVES:
+        cells = {bt.kind: tally[bt.kind, half] for bt in built}
+        rows[f"{half}: sim ms/mut"] = {k: s * 1e3 / n if n else nan for k, (n, s, *_) in cells.items()}
+        rows[f"{half}: sim share"] = {k: s / total if total else nan for k, (_, s, *_) in cells.items()}
+        rows[f"{half}: reads/mut"] = {k: r / n if n else nan for k, (n, _, r, _) in cells.items()}
+        rows[f"{half}: writes/mut"] = {k: w / n if n else nan for k, (n, *_, w) in cells.items()}
+
+
 def split(name: str, seed: int, scale: float, iterations: int):
     """``(run, {kind: [(ops, wall, counts), ...]}, {row: {kind: value}}, serve
     counts)``: the third holds each kind's ``load s``, median ``fits s`` an
-    iteration and, on tree_read, the simulated rows of :func:`read_paths`."""
+    iteration and the simulated rows of :func:`read_paths` (tree_read) or
+    :func:`write_paths` (tree_write)."""
     from perfbench import trees
     from perfbench.harness import Run
     from perfbench.workloads import workload_class
@@ -257,9 +317,13 @@ def split(name: str, seed: int, scale: float, iterations: int):
     gc.collect()
     gc.freeze()
     try:
+        sim_rows = (
+            read_paths(built) if name == "tree_read"
+            else write_paths(built, workload) if name == "tree_write"
+            else nullcontext({})
+        )
         with serve_counts() if name == "serve_e19" else nullcontext() as serve, \
-                read_paths(built) if name == "tree_read" else nullcontext({}) as sim, \
-                fit_seconds(module) as fits:
+                sim_rows as sim, fit_seconds(module) as fits:
             for i in range(iterations):
                 workload.prepare(i)
                 for kind in kinds:
