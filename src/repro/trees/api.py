@@ -37,6 +37,9 @@ class KVTree:
 
     #: The kind's registry name: the prefix of its op events (``btree.query``).
     kind: ClassVar[str]
+    #: Whether ``_put_many`` plans the batch's IO instead of being an
+    #: insert loop's (:meth:`put_many`).
+    plans_puts: ClassVar[bool] = False
 
     # -- the dictionary surface, observed here and only here ----------------
     #
@@ -91,24 +94,34 @@ class KVTree:
         else:
             self._insert(key, value)
 
-    def put_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
-        """Insert every pair in order, accounting-identical to an insert loop.
+    def put_many(self, pairs: Iterable[tuple[int, Any]], *, planned: bool = True) -> None:
+        """Insert every pair in order, leaving an insert loop's tree.
 
-        The contract every ``_put_many`` keeps (``tests/trees/test_put_many.py``):
-        device clock, stats and structural state equal calling
-        :meth:`insert` once per pair — a batch removes Python overhead,
-        never semantics — and a device fault surfaces at the IO, and with
-        the pairs applied, that the loop's would.  The one difference: a
-        kind may materialise an iterable before it applies the first pair
-        (COLA, LSM), so pairs drawn from a generator that raises midway
-        are not applied.
+        Two contracts (``tests/trees/test_put_many.py``).  The B-tree and
+        the cob plan their batch, the write-side twin of
+        :meth:`lookup_many`: the structure is the loop's, but each node or
+        extent the batch needs is read once, as planned reads, and the
+        cob writes each dirtied extent once, in disk order, never through
+        a gap — so their IO schedule is not the loop's.  A planning kind
+        applies pairs before their IO, so a fault surfaces at a planned IO
+        with those pairs applied (each kind's ``_put_many`` says which).
+        Every other kind is serial-identical: device clock, stats and
+        structural state equal calling :meth:`insert` once per pair — a
+        batch removes Python overhead, never semantics — and a device
+        fault surfaces at the IO, and with the pairs applied, that the
+        loop's would.  A kind may materialise an iterable before it
+        applies the first pair (B-tree, COLA, LSM), so pairs drawn from a
+        generator that raises midway are not applied.  ``planned=False``
+        runs a planning kind's batch as the insert loop, IO and all, under
+        the one event: what a stream of single inserts costs.
         """
+        put = self._put_many if planned or not self.plans_puts else self._insert_loop
         if OBS.enabled:
             start = self.device.clock
-            self._put_many(pairs)
+            put(pairs)
             OBS.op_event(f"{self.kind}.insert_batch", start, self.device.clock)
         else:
-            self._put_many(pairs)
+            put(pairs)
 
     def delete(self, key: int) -> Any:
         """Remove ``key``; deleting an absent key changes nothing."""
@@ -140,10 +153,12 @@ class KVTree:
     def _insert(self, key: int, value: Any) -> None:
         raise NotImplementedError
 
-    def _put_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
+    def _insert_loop(self, pairs: Iterable[tuple[int, Any]]) -> None:
         insert = self._insert
         for key, value in pairs:
             insert(key, value)
+
+    _put_many = _insert_loop
 
     def _delete(self, key: int) -> Any:
         raise NotImplementedError

@@ -19,7 +19,7 @@ import bisect
 from dataclasses import dataclass
 from itertools import islice
 from operator import lt
-from typing import Any
+from typing import Any, Iterable
 
 from repro.errors import TreeError
 from repro.obs import OBS
@@ -68,6 +68,7 @@ class BTree(KVTree):
     """
 
     kind = "btree"
+    plans_puts = True
 
     def __init__(self, storage: StorageStack, config: BTreeConfig | None = None) -> None:
         self.storage = storage
@@ -81,6 +82,7 @@ class BTree(KVTree):
         self._entry_bytes = self.config.fmt.entry_bytes
         self._next_id = 0
         self._count = 0
+        self._height = 1
         self.user_bytes_modified = 0  # for write-amplification (Definition 3)
         root = self._new_node(is_leaf=True)
         self.root_id = root.node_id
@@ -114,12 +116,7 @@ class BTree(KVTree):
     @property
     def height(self) -> int:
         """Levels from root to leaf inclusive (1 for a lone leaf root)."""
-        h = 1
-        node = self._get(self.root_id)
-        while not node.is_leaf:
-            node = self._get(node.children[0])
-            h += 1
-        return h
+        return self._height
 
     # -- lookup -------------------------------------------------------------------
 
@@ -136,46 +133,65 @@ class BTree(KVTree):
     def _lookup_many(self, keys: list[int]) -> list[Any | None]:
         """Batched point queries; values (or ``None``) in input order.
 
-        Descends level-synchronized: all lookups sit at the same depth (the
-        tree is height-balanced), so each level needs one
-        :meth:`~repro.storage.cache.BufferCache.get_many` of the distinct
-        nodes the batch touches: one planned read of the level's misses,
-        in disk order.  Two lookups sharing a node fetch it once — a batch
-        of ``k`` point queries costs at most ``k`` leaf reads plus the
-        shared internal nodes, with the per-IO Python dispatch paid once
-        per level instead of once per node.  A batch of one has nothing to
-        share: it is :meth:`get`'s descent.
+        One :meth:`_descend` of every key: two lookups sharing a node fetch
+        it once — a batch of ``k`` point queries costs at most ``k`` leaf
+        reads plus the shared internal nodes, with the per-IO Python
+        dispatch paid once per level instead of once per node.  A batch of
+        one has nothing to share: it is :meth:`get`'s descent.
         """
         if len(keys) == 1:
             # One node a level, and get_many of one id is get (a read_set
             # of one extent is read): the scalar body *is* this batch, minus
             # the per-level lists, set and dict it has no use for.
             return [self._lookup(keys[0])]
-        results: list[Any | None] = [None] * len(keys)
         if not keys:
-            return results
-        at: list[int] = [self.root_id] * len(keys)  # current node id per key
-        while True:
-            distinct: list[int] = []
-            seen: set[int] = set()
-            for node_id in at:
-                if node_id not in seen:
-                    seen.add(node_id)
-                    distinct.append(node_id)
-            nodes = dict(zip(distinct, self.storage.cache.get_many(distinct)))
-            sample = nodes[at[0]]
-            assert isinstance(sample, BTreeNode)
-            if sample.is_leaf:
-                break
-            for i, key in enumerate(keys):
-                node = nodes[at[i]]
-                at[i] = node.children[bisect.bisect_right(node.keys, key)]
-        for i, key in enumerate(keys):
-            leaf = nodes[at[i]]
+            return []
+        at, leaves, _ = self._descend(keys)
+        results: list[Any | None] = []
+        for key, leaf_id in zip(keys, at):
+            leaf = leaves[leaf_id]
             j = bisect.bisect_left(leaf.keys, key)
-            if j < len(leaf.keys) and leaf.keys[j] == key:
-                results[i] = leaf.values[j]
+            results.append(leaf.values[j] if j < len(leaf.keys) and leaf.keys[j] == key else None)
         return results
+
+    def _descend(
+        self, keys: list[int], room: float = float("inf")
+    ) -> tuple[list[int], dict[int, BTreeNode], int]:
+        """Walk ``keys`` down to their leaves level-synchronized.
+
+        All keys sit at the same depth (the tree is height-balanced), so
+        each level is one :meth:`~repro.storage.cache.BufferCache.get_many`
+        of the distinct nodes the keys reach, ids in order of first need:
+        one planned read of the level's misses, in disk order.  Returns
+        ``(at, leaves, held)``: ``at[i]`` is the leaf id of ``keys[i]``,
+        ``leaves`` those leaves by id and ``held`` the distinct nodes on
+        the walked paths.  ``room`` caps ``held``: a level takes keys in
+        input order while their distinct nodes fit, and ``at`` is cut to
+        the keys that fit — never fewer than one.
+        """
+        bisect_right = bisect.bisect_right
+        get_many = self.storage.cache.get_many
+        n = len(keys)
+        at = [self.root_id] * n
+        level = [self.root_id]
+        held = 1
+        while True:
+            nodes = dict(zip(level, get_many(level)))
+            if nodes[level[0]].is_leaf:
+                return at, nodes, held
+            seen: dict[int, None] = {}
+            for i in range(n):
+                node = nodes[at[i]]
+                child = node.children[bisect_right(node.keys, keys[i])]
+                if child not in seen:
+                    if i and held + len(seen) >= room:
+                        n = i
+                        del at[n:]
+                        break
+                    seen[child] = None
+                at[i] = child
+            level = list(seen)
+            held += len(level)
 
     # -- insert ---------------------------------------------------------------------
 
@@ -204,6 +220,43 @@ class BTree(KVTree):
         self.user_bytes_modified += self._entry_bytes
         self._dirty(node)
 
+    def _put_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
+        """Insert every pair, in input order, reading each chunk's paths
+        as one planned read a level.
+
+        The tree it leaves is an :meth:`insert` loop's (nodes, ids,
+        extents, allocator), its IO schedule is not.  The pairs go in
+        chunks: a chunk's keys take one :meth:`_descend` while their
+        distinct path nodes, plus room for one insert's splits, fit in
+        the cache; then its pairs are applied in input order by the
+        scalar insert, to resident nodes.  A chunk ends early where the
+        nodes its splits made would leave no such room, so none of its
+        path nodes is evicted before its pairs are applied and each is
+        read once.  The cache counts one miss per node a chunk reads and
+        a hit for every other node access, the descent's and the
+        inserts'.  Dirty evictions stay the cache's own, unplanned.  A
+        fault surfaces at a chunk's planned read, before any of its pairs
+        is applied, or at an eviction's write inside an insert, with the
+        chunks before it applied.  A batch of one is :meth:`insert`.
+        """
+        pairs = pairs if isinstance(pairs, list) else list(pairs)
+        if len(pairs) <= 1:
+            self._insert_loop(pairs)
+            return
+        insert = self._insert
+        fits = self.storage.cache.capacity_bytes // self.config.node_bytes
+        keys = [key for key, _ in pairs]
+        done = 0
+        while done < len(pairs):
+            at, _, held = self._descend(keys[done:], fits - self._height - 1)
+            end = done + len(at)
+            first_new = self._next_id
+            insert(*pairs[done])
+            done += 1
+            while done < end and held + self._next_id - first_new + self._height < fits:
+                insert(*pairs[done])
+                done += 1
+
     def _is_full(self, node: BTreeNode) -> bool:
         if node.is_leaf:
             return len(node.keys) >= self._leaf_capacity
@@ -215,6 +268,7 @@ class BTree(KVTree):
         new_root = self._new_node(is_leaf=False)
         new_root.children = [old_root.node_id]
         self.root_id = new_root.node_id
+        self._height += 1
         self._dirty(new_root)
         self._split_child(new_root, 0)
 
@@ -265,6 +319,7 @@ class BTree(KVTree):
             # Collapse a root left with a single child.
             if node.node_id == self.root_id and len(node.children) == 1:
                 self.root_id = node.children[0]
+                self._height -= 1
                 self._free(node)
             node = child
         i = bisect.bisect_left(node.keys, key)
@@ -417,6 +472,7 @@ class BTree(KVTree):
             return
         old_root = self._get(self.root_id)
         self._free(old_root)
+        self._height = 1
 
         per_leaf = max(2, int(self._leaf_capacity * BULK_FILL))
         all_values = [v for _, v in pairs]
@@ -449,6 +505,7 @@ class BTree(KVTree):
                 self._dirty(node)
                 next_level.append((group[0][0], node.node_id))
             level = next_level
+            self._height += 1
         self.root_id = level[0][1]
 
     # -- invariants ---------------------------------------------------------------
@@ -469,6 +526,8 @@ class BTree(KVTree):
             raise TreeError(f"count mismatch: walked {n}, recorded {self._count}")
         if len(leaf_depths) > 1:
             raise TreeError(f"leaves at multiple depths: {sorted(leaf_depths)}")
+        if leaf_depths != {self._height - 1}:
+            raise TreeError(f"leaves at depth {leaf_depths}, height {self._height}")
 
     def _check_node(
         self,

@@ -214,6 +214,13 @@ class PackedMemoryArray:
             raise TreeError(f"key {key} is outside [KEY_MIN, KEY_MAX]")
         return self._update(key, _NONE, 1, slot, slot)
 
+    def insert_resizes(self, slot: int) -> bool:
+        """Whether :meth:`insert` of a key whose successor lives at
+        ``slot`` resizes the array: no window covering its segment would
+        stay inside its band."""
+        seg = slot // self.segment_slots
+        return self._rebalance_window(seg, seg, delta=1) is None
+
     def bulk_update(
         self, new_keys: np.ndarray, gone_keys: np.ndarray, slot_lo: int, slot_hi: int
     ) -> tuple[int, int, bool]:

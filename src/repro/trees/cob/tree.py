@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 from weakref import WeakValueDictionary
 
 import numpy as np
@@ -128,6 +128,7 @@ class COBTree(KVTree):
     """A cache-oblivious B-tree storing ``int -> value`` pairs."""
 
     kind = "cob"
+    plans_puts = True
 
     def __init__(
         self,
@@ -326,9 +327,12 @@ class COBTree(KVTree):
     # -- write path ----------------------------------------------------------
 
     def _insert(self, key: int, value: Any) -> None:
-        self.user_bytes_modified += self.config.fmt.entry_bytes
         key = int(key)
-        slot = self._search_slot(key)
+        self._put(key, value, self._search_slot(key))
+
+    def _put(self, key: int, value: Any, slot: int) -> None:
+        """Insert or overwrite ``key``, whose successor is at ``slot``."""
+        self.user_bytes_modified += self.config.fmt.entry_bytes
         self._charge_index_path(slot)
         if key in self.values:
             # Overwrite in place: a read-modify-write of the key's segment;
@@ -339,6 +343,40 @@ class COBTree(KVTree):
         self.values[key] = value
         lo, hi, resized = self.pma.insert(key, slot)
         self._update_index(lo, hi, resized)
+
+    def _put_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
+        """Insert every pair in input order, then issue the loop's charges
+        as one plan.
+
+        The pairs are applied one by one by the scalar body while a
+        :class:`_WritePlan` stands in for the device, so the PMA, the
+        index and the values come out as an :meth:`insert` loop leaves
+        them.  The plan then reads every extent the loop reads as one
+        :meth:`~repro.storage.device.BlockDevice.read_set` (each byte
+        once, bridged, runs capped at ``max(ram_bytes, a segment)`` as in
+        :meth:`_lookup_many`), and writes every extent the loop writes
+        once, in disk order, one write per run of extents that touch or
+        overlap: no gap is written through, so the bytes written are the
+        loop's.  A pair that resizes the PMA first issues the plan open so
+        far, then charges as the loop does.  So a fault surfaces at a
+        planned IO with every pair applied, up to the next resize.
+        """
+        pma, values = self.pma, self.values
+        search, put = self._search_slot, self._put
+        plan = _WritePlan(self)
+        plan.attach()
+        try:
+            for key, value in pairs:
+                key = int(key)
+                slot = search(key)
+                if key not in values and pma.insert_resizes(slot):
+                    plan.issue()
+                    put(key, value, slot)
+                    plan.attach()
+                else:
+                    put(key, value, slot)
+        finally:
+            plan.issue()
 
     def _delete(self, key: int) -> None:
         """Remove ``key``: the index path, then a read-modify-write of its
@@ -566,6 +604,49 @@ class COBTree(KVTree):
                 f"index extent of {self._index_nbytes} bytes is not the "
                 f"{n_blocks} blocks of a heap over {self.pma.n_segments} segments"
             )
+
+
+class _WritePlan:
+    """Stands in for a :class:`COBTree`'s device while its batch applies:
+    records each charge, then issues them as one planned read and one
+    write per run of written extents that touch or overlap."""
+
+    def __init__(self, tree: COBTree) -> None:
+        self.tree = tree
+        self.device = tree.device
+        self.reads: list[tuple[int, int]] = []
+        self.writes: list[tuple[int, int]] = []
+
+    def read(self, offset: int, nbytes: int) -> float:
+        self.reads.append((offset, nbytes))
+        return 0.0
+
+    def write(self, offset: int, nbytes: int) -> float:
+        self.writes.append((offset, nbytes))
+        return 0.0
+
+    def attach(self) -> None:
+        """Record the tree's charges from here on."""
+        self.tree.device = self.tree.pma.device = self
+
+    def issue(self) -> None:
+        """Give the tree its device back and issue what was recorded."""
+        tree, device = self.tree, self.device
+        tree.device = tree.pma.device = device
+        reads, writes = self.reads, sorted(self.writes)
+        self.reads, self.writes = [], []
+        if reads:
+            pma = tree.pma
+            span = max(pma.segment_slots * pma.entry_bytes, min(pma.block_bytes, pma.nbytes))
+            device.read_set(reads, limit=max(tree.config.ram_bytes, span))
+        runs: list[list[int]] = []
+        for offset, nbytes in writes:
+            if runs and offset <= runs[-1][1]:
+                runs[-1][1] = max(runs[-1][1], offset + nbytes)
+            else:
+                runs.append([offset, offset + nbytes])
+        for start, end in runs:
+            device.write(start, end - start)
 
 
 #: Registry entry (:mod:`repro.trees.registry`): ``node_bytes`` only prices

@@ -363,7 +363,7 @@ class TestBatchOfOne:
 
     def test_one_key_batch_is_the_scalar_get_after_every_call(self):
         scalar, batched = _spiky_tree(), _spiky_tree()
-        assert scalar.height == batched.height == 3  # (a charged walk: on both)
+        assert scalar.height == batched.height == 3
         rng = np.random.default_rng(23)
         # Two in three keys are absent (not multiples of 3); Zipf-ish reuse
         # so hits, misses and evictions all occur.

@@ -3,7 +3,9 @@
 Every kind in :data:`repro.trees.KINDS` must honour the same
 :class:`~repro.trees.api.KVTree` contract beyond what the lockstep machine
 (``test_lockstep.py``: dictionary semantics against a dict model, the full
-int64 key domain, ``put_many`` as an insert loop) already checks: ``load``
+int64 key domain, ``put_many`` as an insert loop on every kind but the two
+that plan their batch, btree and cob, whose twins both take it) already
+checks: ``load``
 as the kind's own load path and its refusals, ``lookup_many`` on a loaded
 tree, and the load / settle / drop_cache / io_seconds lifecycle the callers
 drive.  Structure-specific behaviour (splits, compactions, PMA windows,

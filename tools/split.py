@@ -13,9 +13,9 @@ timed wall.  The workload's own lines outside its timed regions (oracle,
 ``_build``, digests) are untimed.  Tree workloads add each kind's ``load s``,
 tree_read each kind's simulated ms and device IOs per get of its ``get``
 half and its ``get_many`` half and per scan of its ``range`` calls,
-tree_write each kind's simulated ms, device reads and writes per mutation
-and share of the workload's simulated seconds, of its ``insert``/``delete``
-half and of its ``put_many`` half, each summed over the iterations at the
+tree_write each kind's simulated ms, device reads, writes and bytes written
+per mutation and share of the workload's simulated seconds, of its
+``insert``/``delete`` half and of its ``put_many`` half, each summed over the iterations at the
 run's scale; device_engine the seconds an
 iteration its untimed model fits take (``fits s``), serve_e19 its round
 sizes and peak event heap.  Exits
@@ -237,11 +237,11 @@ WRITE_HALVES = ("insert/delete", "put_many")
 @contextmanager
 def write_paths(built, workload):
     """While open on tree_write's ``built`` trees: each kind's mutations,
-    simulated device seconds, reads and writes in each of
+    simulated device seconds, reads, writes and bytes written in each of
     :data:`WRITE_HALVES`, counted by wrapping the tree's ``insert``,
     ``delete`` and ``put_many`` (looked up each iteration) and the kind's
     ``settle``; the yielded ``{row: {kind: value}}`` is filled in on exit."""
-    tally = {(bt.kind, half): [0, 0.0, 0, 0] for bt in built for half in WRITE_HALVES}
+    tally = {(bt.kind, half): [0, 0.0, 0, 0, 0] for bt in built for half in WRITE_HALVES}
     done = dict.fromkeys((bt.kind for bt in built), 0)  # this iteration's mutations
 
     def counted(fn, bt, size, half=None):
@@ -250,12 +250,15 @@ def write_paths(built, workload):
         def call(*args):
             n = size(*args)
             cell = tally[bt.kind, half or WRITE_HALVES[done[bt.kind] >= len(workload.ops) // 2]]
-            clock, reads, writes = device.clock, stats.reads, stats.writes
+            clock, reads, writes, written = (
+                device.clock, stats.reads, stats.writes, stats.bytes_written
+            )
             out = fn(*args)
             cell[0] += n
             cell[1] += device.clock - clock
             cell[2] += stats.reads - reads
             cell[3] += stats.writes - writes
+            cell[4] += stats.bytes_written - written
             done[bt.kind] += n
             return out
         return call
@@ -280,8 +283,11 @@ def write_paths(built, workload):
         cells = {bt.kind: tally[bt.kind, half] for bt in built}
         rows[f"{half}: sim ms/mut"] = {k: s * 1e3 / n if n else nan for k, (n, s, *_) in cells.items()}
         rows[f"{half}: sim share"] = {k: s / total if total else nan for k, (_, s, *_) in cells.items()}
-        rows[f"{half}: reads/mut"] = {k: r / n if n else nan for k, (n, _, r, _) in cells.items()}
-        rows[f"{half}: writes/mut"] = {k: w / n if n else nan for k, (n, *_, w) in cells.items()}
+        rows[f"{half}: reads/mut"] = {k: r / n if n else nan for k, (n, _, r, *_) in cells.items()}
+        rows[f"{half}: writes/mut"] = {k: w / n if n else nan for k, (n, _, _, w, _) in cells.items()}
+        rows[f"{half}: bytes written/mut"] = {
+            k: b / n if n else nan for k, (n, *_, b) in cells.items()
+        }
 
 
 def split(name: str, seed: int, scale: float, iterations: int):
@@ -360,9 +366,9 @@ def report(name: str, samples, extra: dict[str, dict[str, float]]) -> None:
     total = {kind: sum(row[kind] for row in rows.values()) for kind in samples}
     per_run = median(sum(c.values()) for runs in samples.values() for *_, c in runs)
     print(f"  median host us per op and share, from {per_run:g} samples a kind-iteration")
-    print(f"    {'step':<26}" + "".join(f"{kind or 'all':>16}" for kind in samples))
+    print(f"    {'step':<32}" + "".join(f"{kind or 'all':>16}" for kind in samples))
     for step, row in rows.items():
-        print(f"    {step:<26}" + "".join(
+        print(f"    {step:<32}" + "".join(
             f"{row[k]:>9.2f}{row[k] / (total[k] or 1):>7.1%}" for k in samples))
     for row, values in {
         "sum": total,
@@ -371,7 +377,7 @@ def report(name: str, samples, extra: dict[str, dict[str, float]]) -> None:
         **extra,
     }.items():
         if values:
-            print(f"    {row:<26}" + "".join(f"{values[k]:>9.6g}{'':>7}" for k in samples))
+            print(f"    {row:<32}" + "".join(f"{values[k]:>9.6g}{'':>7}" for k in samples))
 
 
 def main(argv: list[str] | None = None) -> int:
