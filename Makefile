@@ -46,10 +46,10 @@ split:
 experiments:
 	PYTHONPATH=src python -m repro.experiments all
 
-# The cache-oblivious tier: its tests (the lockstep machine among them) and
-# the E20 quick sweep.
+# The cache-oblivious tier: its tests (the block cache's and the lockstep
+# machine among them) and the E20 quick sweep.
 cob:
-	PYTHONPATH=src python -m pytest tests/trees/test_cob.py tests/trees/test_cob_accounting.py tests/trees/test_pma_floors.py tests/trees/test_cob_flush.py tests/trees/test_range_charges.py tests/trees/test_veb.py tests/trees/test_conformance.py tests/trees/test_put_many.py tests/trees/test_point_charges.py tests/trees/test_lockstep.py -q
+	PYTHONPATH=src python -m pytest tests/storage/test_blocks.py tests/trees/test_cob.py tests/trees/test_cob_accounting.py tests/trees/test_pma_floors.py tests/trees/test_cob_flush.py tests/trees/test_range_charges.py tests/trees/test_veb.py tests/trees/test_conformance.py tests/trees/test_put_many.py tests/trees/test_point_charges.py tests/trees/test_lockstep.py -q
 	PYTHONPATH=src python -m repro.experiments cob --quick --no-cache
 
 # The durability layer: its tests (the pinned reads of the scans its

@@ -151,8 +151,10 @@ def pma_of(tree):
 
 def pma_blocks_read(tree, scan):
     """``(scan(), blocks its device reads touched inside the tree's PMA)``,
-    from the device trace of a :func:`adversary` tree."""
+    from the device trace of a :func:`adversary` tree, cold: the bound is
+    the layout's, so no block is left cached from before the scan."""
     pma, trace = pma_of(tree), tree.device.trace
+    tree.drop_cache()
     start = len(trace)
     result = scan()
     block = pma.block_bytes

@@ -62,8 +62,10 @@ class DurableConfig:
     node_bytes:
         Tree node size (B-tree/Bε-tree), or block size (LSM, COLA, COB).
     cache_bytes:
-        RAM budget: the buffer cache (B-tree/Bε-tree) or the pinned top
-        of the index (COB); the LSM has none beyond its memtable.
+        RAM budget, every byte of it spent: the buffer cache (B-tree/
+        Bε-tree), or the pinned small levels (COLA) or index top (COB)
+        plus a block cache in the rest; the LSM has none beyond its
+        memtable.
     wal_bytes:
         The log extent.  Must hold every record between two checkpoints.
     group_commit:

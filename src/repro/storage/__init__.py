@@ -14,6 +14,8 @@ behaviour (see DESIGN.md section 2 for the substitution argument):
 * :mod:`repro.storage.ram` — free/constant-cost devices for unit tests.
 * :mod:`repro.storage.cache` — byte-budgeted LRU buffer cache with dirty
   write-back (the DAM's memory level ``M``).
+* :mod:`repro.storage.blocks` — the LRU set of resident blocks the
+  run-based trees spend their unpinned RAM on (write-through).
 * :mod:`repro.storage.allocator` — extent allocator for variable-size nodes.
 * :mod:`repro.storage.scheduler` — PDAM step scheduler with read-ahead
   expansion (the Section 8 strategy).
@@ -27,6 +29,7 @@ from repro.storage.ssd import SimulatedSSD, SSDGeometry
 from repro.storage.ideal import AffineDevice, PDAMDevice
 from repro.storage.ram import NullDevice, ConstantLatencyDevice
 from repro.storage.cache import BufferCache, CacheStats
+from repro.storage.blocks import BlockCache
 from repro.storage.allocator import ExtentAllocator
 from repro.storage.registry import KINDS, ZOO, DeviceKind, build
 
@@ -43,6 +46,7 @@ __all__ = [
     "NullDevice",
     "ConstantLatencyDevice",
     "BufferCache",
+    "BlockCache",
     "CacheStats",
     "ExtentAllocator",
     "DeviceKind",

@@ -16,6 +16,7 @@ from typing import Any, Callable, ClassVar, Iterable, Iterator
 
 from repro.obs import OBS
 from repro.storage.allocator import ExtentAllocator
+from repro.storage.blocks import BlockCache
 from repro.storage.device import BlockDevice
 from repro.storage.stack import StorageStack
 from repro.trees.sizing import KEY_MAX, KEY_MIN
@@ -31,6 +32,9 @@ class KVTree:
     #: The buffer-cached stack of a stack-backed kind (B-tree, Bε-trees);
     #: ``None`` on the kinds that place their own extents on a bare device.
     storage: StorageStack | None = None
+    #: The blocks a run-based kind with a RAM budget (COLA, cob,
+    #: cob-buffered) caches in the RAM it does not pin; ``None`` elsewhere.
+    block_cache: BlockCache | None = None
     device: BlockDevice
     allocator: ExtentAllocator
     config: Any
@@ -202,14 +206,26 @@ class KVTree:
             self.storage.flush()
 
     def drop_cache(self) -> None:
-        """Write back and forget cached nodes: start the next phase cold."""
+        """Start the next phase cold: every kind with a RAM budget spends
+        what it does not pin as a cache, and this empties it.  The B-tree
+        and the Bε-trees write their dirty nodes back and forget them; the
+        COLA, cob and cob-buffered forget their cached blocks (written
+        through, never dirty).  What a kind pins (the COLA's small levels,
+        the cob's index top) stays, and the LSM, with no budget beyond its
+        memtable, has nothing to drop."""
         if self.storage is not None:
             self.storage.drop_cache()
+        elif self.block_cache is not None:
+            self.block_cache.clear()
 
     def reset_cache_stats(self) -> None:
-        """Zero the buffer cache's hit/miss counters (after a warm-up)."""
+        """Zero the hit/miss/eviction counters of the kind's cache — the
+        buffer cache or the block cache :meth:`drop_cache` empties — after
+        a warm-up; a no-op on the LSM."""
         if self.storage is not None:
             self.storage.cache.stats.reset()
+        elif self.block_cache is not None:
+            self.block_cache.stats.reset()
 
     @property
     def io_seconds(self) -> float:

@@ -27,7 +27,9 @@ write buffer); flushes charge the unwritten tail block plus a
 sequential read of the occupied buffer span; queries that touch a
 non-empty bucket pay a read of its occupied span before the base
 lookup — buffered inserts get cheaper, queries strictly dearer, exactly
-the trade Theorem 9 prices.
+the trade Theorem 9 prices.  Every read goes through the base tree's block
+cache (:class:`~repro.storage.blocks.BlockCache`): a bucket span whose
+blocks are resident is free, as in the base.
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ class BufferedCOBTree(KVTree):
             device.capacity_bytes, alignment=512
         )
         self.base = COBTree(device, self.config, allocator=self.allocator)
+        #: One RAM budget: the buckets' reads share the base's block cache.
+        self.block_cache = self.base.block_cache
         self.user_bytes_modified = 0
         self.flushes = 0
         self.splitter_rebuilds = 0
@@ -184,7 +188,7 @@ class BufferedCOBTree(KVTree):
                 bucket.offset + (blocks - 1) * self.config.block_bytes,
                 self.config.block_bytes,
             )
-        self.device.read(bucket.offset, blocks * self.config.block_bytes)
+        self.block_cache.read(self.device, bucket.offset, blocks * self.config.block_bytes)
         # One window for puts and tombstones alike; a tombstone for a key
         # the base does not hold is dropped there for free.
         puts = sorted((k, v) for k, v in bucket.messages.items() if v is not TOMBSTONE)
@@ -217,7 +221,7 @@ class BufferedCOBTree(KVTree):
             self._rebuilding = False
         keys = self.base.pma.present_keys()
         # Choosing the quantiles reads the stored keys once, sequentially.
-        self.device.read(self.base.pma.offset, self.base.pma.nbytes)
+        self.block_cache.read(self.device, self.base.pma.offset, self.base.pma.nbytes)
         if keys.size >= self.config.fanout:
             idx = [
                 (keys.size * (j + 1)) // self.config.fanout - 1
@@ -228,22 +232,50 @@ class BufferedCOBTree(KVTree):
 
     # -- read path -----------------------------------------------------------
 
+    @property
+    def pinned_bytes(self) -> int:
+        """RAM the base's pinned index top takes (the buckets' in-RAM tail
+        blocks are write buffer, not budget)."""
+        return self.base.pinned_bytes
+
     def _charge_bucket_read(self, bucket: _Bucket) -> None:
         if bucket.nbytes:
-            self.device.read(
-                bucket.offset, self._occupied_blocks(bucket) * self.config.block_bytes
+            self.block_cache.read(
+                self.device, bucket.offset, self._occupied_blocks(bucket) * self.config.block_bytes
             )
 
     def _lookup(self, key: int) -> Any | None:
         """Point query: the key's bucket first (newest message wins), then
         the base tree.  A non-empty bucket costs one read of its occupied
-        blocks, as :meth:`_charge_bucket_read` charges a scan."""
+        blocks, as :meth:`_charge_bucket_read` charges a scan, unless the
+        block cache holds them (tested inline)."""
         key = int(key)
         bucket = self.buckets[bisect.bisect_left(self.splitters, key)]
         nbytes = bucket.nbytes
         if nbytes:
             block_bytes = self.config.block_bytes
-            self.device.read(bucket.offset, -(-nbytes // block_bytes) * block_bytes)
+            offset, span = bucket.offset, -(-nbytes // block_bytes) * block_bytes
+            # BlockCache.read, inline (a get's hot path): the ends first.
+            cache = self.block_cache
+            blocks = cache.blocks
+            first, last = offset // block_bytes, (offset + span - 1) // block_bytes
+            if first in blocks and last in blocks and (
+                last - first < 2 or all(map(blocks.__contains__, range(first + 1, last)))
+            ):
+                cache.stats.hits += 1
+                for b in range(first, last + 1):
+                    blocks.move_to_end(b)
+            else:
+                stats, capacity = cache.stats, cache.capacity
+                stats.misses += 1
+                self.device.read(offset, span)
+                if last - first < capacity:
+                    for b in range(first, last + 1):
+                        blocks[b] = None
+                        blocks.move_to_end(b)
+                    while len(blocks) > capacity:
+                        blocks.popitem(False)
+                        stats.evictions += 1
         messages = bucket.messages
         if key in messages:
             value = messages[key]
@@ -278,7 +310,7 @@ class BufferedCOBTree(KVTree):
                 rest.append(key)
         if extents:
             limit = max(self.config.ram_bytes, *(nbytes for _, nbytes in extents))
-            self.device.read_set(extents, limit=limit)
+            self.block_cache.read_set(self.device, extents, limit=limit)
         if rest:
             found.update(zip(rest, self.base._lookup_many(rest)))
         return [found.get(int(key)) for key in keys]

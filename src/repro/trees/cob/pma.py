@@ -37,9 +37,11 @@ prototype that did measured +7 % peak RSS on that benchmark.
 IO accounting mirrors :mod:`repro.trees.lsm` / :mod:`repro.trees.cola`:
 the PMA owns a device extent of ``capacity * entry_bytes``; redistributing
 a window reads and rewrites its byte range sequentially (min one block);
-a resize reads the whole old extent and writes the whole new one.  The
-search layer on top (:class:`~repro.trees.cob.tree.COBTree`) does its own
-accounting for the vEB-ordered index.
+a resize reads the whole old extent and writes the whole new one.  A read
+whose blocks the search layer's :class:`~repro.storage.blocks.BlockCache`
+holds is free; writes go through it.  The search layer on top
+(:class:`~repro.trees.cob.tree.COBTree`) does its own accounting for the
+vEB-ordered index.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, TreeError
 from repro.storage.allocator import ExtentAllocator
+from repro.storage.blocks import BlockCache
 from repro.storage.device import BlockDevice
 from repro.trees.sizing import KEY_MAX, KEY_MIN
 
@@ -85,6 +88,7 @@ class PackedMemoryArray:
         initial_slots: int = 1024,
         max_density: float = 0.8,
         allocator: ExtentAllocator | None = None,
+        cache: BlockCache | None = None,
     ) -> None:
         if entry_bytes <= 0:
             raise ConfigurationError(f"entry_bytes must be positive, got {entry_bytes}")
@@ -106,6 +110,8 @@ class PackedMemoryArray:
         self.allocator = allocator or ExtentAllocator(
             device.capacity_bytes, alignment=512
         )
+        #: The owner's block cache (none held without one).
+        self.cache = cache or BlockCache(self.block_bytes)
         self.n = 0
         self.rebalances = 0
         self.resizes = 0
@@ -376,8 +382,8 @@ class PackedMemoryArray:
         ):
             capacity //= 2
         # The old extent is read out once, sequentially, then freed.
-        self.device.read(self.offset, self.nbytes)
-        self.allocator.free(self.offset, self.nbytes)
+        self.cache.read(self.device, self.offset, self.nbytes, admit=False)
+        self._free()
         self._init_storage(capacity)
         self.n = int(merged.size)
         self._spread(merged, 0, self.n_segments)
@@ -397,21 +403,26 @@ class PackedMemoryArray:
         while keys.size > self.max_density * capacity:
             capacity *= 2
         if capacity != self.capacity:
-            self.allocator.free(self.offset, self.nbytes)
+            self._free()
             self._init_storage(capacity)
         self.n = int(keys.size)
         self._spread(keys, 0, self.n_segments)
         self.device.write(self.offset, self.nbytes)
 
+    def _free(self) -> None:
+        self.cache.drop(self.offset, self.nbytes)
+        self.allocator.free(self.offset, self.nbytes)
+
     # -- IO accounting -------------------------------------------------------
 
     def _charge_span(self, slot_lo: int, slot_hi: int, *, read: bool, write: bool) -> None:
-        """Charge sequential IO over a slot range, min one block."""
+        """Charge sequential IO over a slot range, min one block (a read is
+        free when the block cache holds it)."""
         span = (slot_hi - slot_lo) * self.entry_bytes
         span = max(span, min(self.block_bytes, self.nbytes))
         off = min(self.offset + slot_lo * self.entry_bytes, self.offset + self.nbytes - span)
         if read:
-            self.device.read(off, span)
+            self.cache.read(self.device, off, span)
         if write:
             self.device.write(off, span)
 

@@ -36,7 +36,10 @@ and lands it as one window.
 IO accounting follows :mod:`repro.trees.lsm` / :mod:`repro.trees.cola`:
 devices price simulated seconds only; values live beside the structure
 in Python.  The top levels of the index (sized by ``ram_bytes``) are
-pinned and free to search, the analogue of COLA's pinned small levels.
+pinned and free to search, the analogue of COLA's pinned small levels,
+and the budget they leave caches device blocks
+(:class:`~repro.storage.blocks.BlockCache`, shared with the PMA): an index
+block, a segment or a span whose blocks are resident is free to read.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, KeyOrderError, TreeError
 from repro.storage.allocator import ExtentAllocator
+from repro.storage.blocks import BlockCache
 from repro.storage.device import BlockDevice
 from repro.trees.api import KVTree, TreeKind
 from repro.trees.btree.veb import VEBLayout
@@ -63,7 +67,8 @@ class COBConfig:
 
     Like the COLA, the structure has **no node-size knob** — that is its
     point.  ``block_bytes`` only prices IO (any value gives the same
-    structure), ``ram_bytes`` bounds the pinned index top, and the
+    structure), ``ram_bytes`` bounds the pinned index top and caches
+    device blocks in what the top leaves, and the
     buffer fields configure :class:`BufferedCOBTree` (Theorem 9).
     """
 
@@ -142,6 +147,8 @@ class COBTree(KVTree):
         self.allocator = allocator or ExtentAllocator(
             device.capacity_bytes, alignment=512
         )
+        #: Sized by :meth:`_build_index`, where the pinned part changes.
+        self.block_cache = BlockCache(self.config.block_bytes)
         self.pma = PackedMemoryArray(
             device,
             entry_bytes=self.config.fmt.entry_bytes,
@@ -149,6 +156,7 @@ class COBTree(KVTree):
             initial_slots=self.config.initial_slots,
             max_density=self.config.max_density,
             allocator=self.allocator,
+            cache=self.block_cache,
         )
         self.values: dict[int, Any] = {}
         self.user_bytes_modified = 0
@@ -176,8 +184,9 @@ class COBTree(KVTree):
         Runs at construction, on a bulk load and on every capacity
         doubling or halving — the only places the tree height changes — so the state
         that depends on the height alone is (re)derived here once instead
-        of per operation: the leaf offset, the pinned depth, and (dropped
-        here, looked up on first use) the vEB block table.
+        of per operation: the leaf offset, the pinned depth and with it the
+        block cache's capacity, and (dropped here, looked up on first use)
+        the vEB block table.
         """
         n_segments = self.pma.n_segments
         n_nodes = 2 * n_segments - 1
@@ -188,16 +197,24 @@ class COBTree(KVTree):
         # keeps residency independent of the vEB permutation.
         budget = self.config.ram_bytes // self.config.fmt.pivot_bytes
         self._pinned_levels = min(self._height, max(0, (budget + 1).bit_length() - 1))
+        block_bytes = self.config.block_bytes
+        self.block_cache.resize((self.config.ram_bytes - self.pinned_bytes) // block_bytes)
         self._block_of: np.ndarray | None = None
         self._seg_heap = _max_heap(np.array(self.pma.seg_max, dtype=np.int64))
         if self._index_offset >= 0:
+            self.block_cache.drop(self._index_offset, self._index_nbytes)
             self.allocator.free(self._index_offset, self._index_nbytes)
         n_blocks = math.ceil(n_nodes / self._nodes_per_block)
-        self._index_nbytes = n_blocks * self.config.block_bytes
+        self._index_nbytes = n_blocks * block_bytes
         self._index_offset = self.allocator.alloc(self._index_nbytes)
         if charge:
             self.index_rebuilds += 1
             self.device.write(self._index_offset, self._index_nbytes)
+
+    @property
+    def pinned_bytes(self) -> int:
+        """RAM the pinned top of the index takes: whole levels of pivots."""
+        return ((1 << self._pinned_levels) - 1) * self.config.fmt.pivot_bytes
 
     def _block_table(self) -> np.ndarray:
         """``block_of[heap_index]``: the vEB index block storing each node.
@@ -223,7 +240,7 @@ class COBTree(KVTree):
     def _charge_index_path(self, slot: int) -> None:
         """Charge reads of the distinct unpinned vEB blocks on the path from
         the root to the leaf of ``slot``'s segment, in ascending block order
-        (deterministic).
+        (deterministic), each free when the block cache holds it.
 
         In vEB order an ancestor is stored before its descendants and a block
         is a contiguous position range, so blocks never decrease down a path:
@@ -240,14 +257,35 @@ class COBTree(KVTree):
         node = self._first_seg + slot // self.pma.segment_slots
         blk = block_of(node)
         if blk == block_of(((node + 1) >> (unpinned - 1)) - 1):
-            read(offset + blk * block_bytes, block_bytes)
-            return
-        blocks = {blk}
-        for _ in range(unpinned - 1):
-            node = (node - 1) >> 1
-            blocks.add(block_of(node))
-        for blk in sorted(blocks):
-            read(offset + blk * block_bytes, block_bytes)
+            path = [blk]
+        else:
+            blocks = {blk}
+            for _ in range(unpinned - 1):
+                node = (node - 1) >> 1
+                blocks.add(block_of(node))
+            path = sorted(blocks)
+        cache = self.block_cache
+        resident, stats, capacity = cache.blocks, cache.stats, cache.capacity
+        touch = resident.move_to_end
+        for blk in path:
+            at = offset + blk * block_bytes
+            # BlockCache.read, inline (a get's hot path): an index block
+            # spans at most two cache blocks.
+            first, last = at // block_bytes, (at + block_bytes - 1) // block_bytes
+            if first in resident and last in resident:
+                stats.hits += 1
+                touch(first)
+                touch(last)
+                continue
+            stats.misses += 1
+            read(at, block_bytes)
+            if last - first < capacity:
+                resident[first] = resident[last] = None
+                touch(first)
+                touch(last)
+                while len(resident) > capacity:
+                    resident.popitem(False)
+                    stats.evictions += 1
 
     def _update_index(self, slot_lo: int, slot_hi: int, resized: bool) -> None:
         """Repair the heap over slots ``[slot_lo, slot_hi)`` (whole segments)
@@ -475,8 +513,9 @@ class COBTree(KVTree):
     def _lookup(self, key: int) -> Any | None:
         """Point query; returns the value or ``None``: the index path to the
         segment of the key's successor, then one read of that segment,
-        priced as ``pma._charge_span`` prices it.  A key above every stored
-        key has no successor and costs the path only."""
+        priced as ``pma._charge_span`` prices it, unless the block cache
+        holds it (tested inline).  A key above every stored key has no
+        successor and costs the path only."""
         key = int(key)
         slot = self._search_slot(key)
         self._charge_index_path(slot)
@@ -484,13 +523,36 @@ class COBTree(KVTree):
         value = None
         found = pma.keys.item(slot)
         if found >= key:
-            width = pma.segment_slots
-            span = max(width * pma.entry_bytes, min(pma.block_bytes, pma.nbytes))
-            self.device.read(
-                pma.offset
-                + min((slot - slot % width) * pma.entry_bytes, pma.nbytes - span),
-                span,
-            )
+            width, block_bytes = pma.segment_slots, pma.block_bytes
+            span = max(width * pma.entry_bytes, min(block_bytes, pma.nbytes))
+            at = pma.offset + min((slot - slot % width) * pma.entry_bytes, pma.nbytes - span)
+            # BlockCache.read, inline (a get's hot path): the ends first,
+            # and a span of one or two blocks (the usual) without a loop.
+            cache = self.block_cache
+            blocks = cache.blocks
+            first, last = at // block_bytes, (at + span - 1) // block_bytes
+            if first in blocks and last in blocks and (
+                last - first < 2 or all(map(blocks.__contains__, range(first + 1, last)))
+            ):
+                cache.stats.hits += 1
+                for b in range(first, last + 1):
+                    blocks.move_to_end(b)
+            else:
+                stats, capacity = cache.stats, cache.capacity
+                stats.misses += 1
+                self.device.read(at, span)
+                if last - first < capacity:
+                    if last - first < 2:
+                        blocks[first] = blocks[last] = None
+                        blocks.move_to_end(first)
+                        blocks.move_to_end(last)
+                    else:
+                        for b in range(first, last + 1):
+                            blocks[b] = None
+                            blocks.move_to_end(b)
+                    while len(blocks) > capacity:
+                        blocks.popitem(False)
+                        stats.evictions += 1
             if found == key:
                 value = self.values.get(key)
         return value
@@ -503,14 +565,15 @@ class COBTree(KVTree):
         every key's path one vEB block-level at a time (the ``d``-th block
         each path crosses, for every path that long), then the segments,
         each step one :meth:`~repro.storage.device.BlockDevice.read_set`
-        (sorted, deduplicated, bridged, runs capped at ``ram_bytes``).  A
-        batch of one has nothing to plan: it is :meth:`_lookup`.
+        (sorted, deduplicated, bridged, runs capped at ``ram_bytes``) of
+        what the block cache does not hold.  A batch of one has nothing to
+        plan: it is :meth:`_lookup`.
         """
         if len(keys) <= 1:
             return [self._lookup(key) for key in keys]
         config = self.config
         pma = self.pma
-        read_set = self.device.read_set
+        device, read_set = self.device, self.block_cache.read_set
         distinct = list(dict.fromkeys(int(key) for key in keys))
         slots = [self._search_slot(key) for key in distinct]
         width = pma.segment_slots
@@ -536,6 +599,7 @@ class COBTree(KVTree):
             limit = max(config.ram_bytes, block_bytes)
             for depth in range(max(map(len, paths))):
                 read_set(
+                    device,
                     [(offset + path[depth] * block_bytes, block_bytes)
                      for path in paths if len(path) > depth],
                     limit=limit,
@@ -552,7 +616,7 @@ class COBTree(KVTree):
                 )
                 if successor == key:
                     found[key] = self.values.get(key)
-        read_set(segments, limit=max(config.ram_bytes, span))
+        read_set(device, segments, limit=max(config.ram_bytes, span))
         return [found.get(int(key)) for key in keys]
 
     def _range(self, lo: int, hi: int) -> list[tuple[int, Any]]:
@@ -609,7 +673,9 @@ class COBTree(KVTree):
 class _WritePlan:
     """Stands in for a :class:`COBTree`'s device while its batch applies:
     records each charge, then issues them as one planned read and one
-    write per run of written extents that touch or overlap."""
+    write per run of written extents that touch or overlap.  The block
+    cache sits in front of it: a cached read is never recorded, and a
+    recorded one is admitted as the loop would admit it."""
 
     def __init__(self, tree: COBTree) -> None:
         self.tree = tree
@@ -650,7 +716,8 @@ class _WritePlan:
 
 
 #: Registry entry (:mod:`repro.trees.registry`): ``node_bytes`` only prices
-#: IO; ``cache_bytes`` is the RAM the top of the index may pin.
+#: IO (and is the block cache's block); ``cache_bytes`` is the RAM budget,
+#: pinned index top plus block cache.
 KIND = TreeKind(
     "cob", COBTree, COBConfig,
     lambda node_bytes, cache_bytes: {"block_bytes": node_bytes, "ram_bytes": cache_bytes},

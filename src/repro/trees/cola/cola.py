@@ -26,7 +26,9 @@ IO accounting mirrors :mod:`repro.trees.lsm`: levels are stored in device
 extents; merges read their inputs and write their output sequentially;
 a search charges the one block its fence keys bracket.  Levels small enough to
 fit a configured RAM budget (taken greedily from level 0 upward, matching
-what a real implementation pins) are free to search.
+what a real implementation pins) are free to search, and the budget they
+leave caches device blocks (:class:`~repro.storage.blocks.BlockCache`): a
+probe, a scan or a merge input whose blocks are resident is free.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.errors import ConfigurationError, TreeError
 from repro.storage.allocator import ExtentAllocator
+from repro.storage.blocks import BlockCache
 from repro.storage.device import BlockDevice
 from repro.trees.api import KVTree, TreeKind
 from repro.trees.merge import TOMBSTONE, Run, merge_runs
@@ -51,7 +54,8 @@ class COLAConfig:
 
     The COLA has no node-size parameter — that is its point.  The only
     knobs are the entry format, the block size used to price search
-    probes, and how much RAM the top levels may pin.  Every on-disk level
+    probes, and the RAM budget: the top levels pin part of it, and the
+    rest caches device blocks.  Every on-disk level
     is fenced: RAM-resident fence keys bracket a search to one block
     probe per level, the engineering analogue of the COLA paper's
     fractional cascading (which exists to achieve the same bound
@@ -105,6 +109,16 @@ class COLA(KVTree):
         self.user_bytes_modified = 0
         self.merges = 0
         self._entry_bytes = self.config.fmt.entry_bytes  # the config is frozen
+        #: RAM the pinned levels take when full; the rest of the budget is
+        #: the block cache.
+        pinned = self._pinned_levels
+        self.pinned_bytes = (
+            pinned * self.config.fmt.node_header_bytes + ((1 << pinned) - 1) * self._entry_bytes
+        )
+        block_bytes = self.config.block_bytes
+        self.block_cache = BlockCache(
+            block_bytes, (self.config.ram_bytes - self.pinned_bytes) // block_bytes
+        )
 
     # -- write path --------------------------------------------------------------
 
@@ -217,9 +231,10 @@ class COLA(KVTree):
         k = 0
         while k < len(levels) and levels[k] is not None:
             resident = levels[k]
-            # Charge the read of the input (RAM-pinned levels were never written).
+            # Charge the read of the input (RAM-pinned levels were never
+            # written), unless it is cached; it is freed, so not kept.
             if resident.offset >= 0:
-                self.device.read(resident.offset, resident.nbytes)
+                self.block_cache.read(self.device, resident.offset, resident.nbytes, admit=False)
                 self._free_level(resident)
             runs.append((resident.keys, resident.values))
             levels[k] = None
@@ -274,6 +289,7 @@ class COLA(KVTree):
 
     def _free_level(self, level: _Level) -> None:
         if level.offset >= 0:
+            self.block_cache.drop(level.offset, level.nbytes)
             self.allocator.free(level.offset, level.nbytes)
             level.offset = -1
             level.nbytes = 0
@@ -285,12 +301,17 @@ class COLA(KVTree):
 
         One search per level, newest (smallest) first.  A level on the
         device (``offset >= 0``; the pinned ones were never written) charges
-        the block its RAM-resident fence keys bracket the search to.
+        the block its RAM-resident fence keys bracket the search to, unless
+        the block cache holds it (tested inline: a probe spans at most two
+        cache blocks).
         """
         config = self.config
         entry_bytes = config.fmt.entry_bytes
         block_bytes = config.block_bytes
         read = self.device.read
+        cache = self.block_cache
+        blocks, stats, capacity = cache.blocks, cache.stats, cache.capacity
+        touch = blocks.move_to_end
         for lvl in self.levels:
             if lvl is None:
                 continue
@@ -300,7 +321,22 @@ class COLA(KVTree):
             if offset >= 0:
                 nbytes = lvl.nbytes
                 block = min(block_bytes, nbytes)
-                read(offset + min((i * entry_bytes // block) * block, nbytes - block), block)
+                at = offset + min((i * entry_bytes // block) * block, nbytes - block)
+                first, last = at // block_bytes, (at + block - 1) // block_bytes
+                if first in blocks and last in blocks:  # BlockCache.read, inline
+                    stats.hits += 1
+                    touch(first)
+                    touch(last)
+                else:
+                    stats.misses += 1
+                    read(at, block)
+                    if last - first < capacity:
+                        blocks[first] = blocks[last] = None
+                        touch(first)
+                        touch(last)
+                        while len(blocks) > capacity:
+                            blocks.popitem(False)
+                            stats.evictions += 1
             if i < len(keys) and keys[i] == key:
                 value = lvl.values[i]
                 return None if value is TOMBSTONE else value
@@ -313,8 +349,8 @@ class COLA(KVTree):
         level instead of one per key and level: newest level first, the
         blocks the fence keys bracket for every key still unanswered go to
         the device as one :meth:`~repro.storage.device.BlockDevice.read_set`
-        (sorted, deduplicated, bridged, runs capped at ``ram_bytes``), and a
-        key found at a level reads nothing deeper.  A batch of one (or
+        (sorted, deduplicated, bridged, runs capped at ``ram_bytes``; the
+        cached ones free), and a key found at a level reads nothing deeper.  A batch of one (or
         none) has nothing to plan: it is :meth:`_lookup`.
         """
         if len(keys) <= 1:
@@ -323,7 +359,7 @@ class COLA(KVTree):
         entry_bytes = config.fmt.entry_bytes
         block_bytes = config.block_bytes
         limit = max(config.ram_bytes, block_bytes)
-        read_set = self.device.read_set
+        device, read_set = self.device, self.block_cache.read_set
         found: dict[int, Any] = {}
         pending = list(dict.fromkeys(keys))
         for lvl in self.levels:
@@ -339,6 +375,7 @@ class COLA(KVTree):
                 block = min(block_bytes, nbytes)
                 last = nbytes - block
                 read_set(
+                    device,
                     [(offset + min((i * entry_bytes // block) * block, last), block) for i in at],
                     limit=limit,
                 )
@@ -376,7 +413,7 @@ class COLA(KVTree):
                     lvl.offset + i * self.config.fmt.entry_bytes,
                     lvl.offset + lvl.nbytes - nbytes,
                 )
-                self.device.read(offset, nbytes)
+                self.block_cache.read(self.device, offset, nbytes)
             runs.append((lvl.keys[i:j], lvl.values[i:j]))
         runs.reverse()  # newest first, as the merge ranks them
         keys, values = merge_runs(runs, drop_tombstones=True)
@@ -425,7 +462,8 @@ def _newest_wins(keys: Sequence[int], values: Sequence[Any]) -> Run:
 
 
 #: Registry entry (:mod:`repro.trees.registry`): ``node_bytes`` only prices
-#: search probes; ``cache_bytes`` is the RAM the top levels may pin.
+#: search probes (and is the block cache's block); ``cache_bytes`` is the RAM
+#: budget, pinned top levels plus block cache.
 KIND = TreeKind(
     "cola", COLA, COLAConfig,
     lambda node_bytes, cache_bytes: {"block_bytes": node_bytes, "ram_bytes": cache_bytes},

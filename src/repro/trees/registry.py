@@ -79,7 +79,8 @@ def build(
     data-block size (LSM; runs and levels scale with it) or the block size
     that prices IO (COLA, cob); ``None`` keeps the config defaults.
     ``cache_bytes`` is the RAM budget: the buffer cache of the stack-backed
-    kinds (required there), the pinned levels of the COLA and cob kinds;
+    kinds (required there), the pinned levels or index top of the COLA and
+    cob kinds plus the block cache they keep in the rest;
     the LSM has none beyond its memtable.  The tree never allocates inside
     ``[0, reserve_bytes)``: that extent is the caller's (WAL, checkpoints).
     ``placement`` / ``placement_seed`` set the extent allocator's policy

@@ -279,7 +279,10 @@ def _path_blocks(tree, seg):
     return len(set(_expected_table(tree)[path].tolist()))
 
 
-def _ios(device, op):
+def _ios(tree, device, op):
+    """``(reads, writes)`` of ``op`` on a cold ``tree``: the bounds are the
+    layout's, which a block left cached by an earlier op would undercut."""
+    tree.drop_cache()
     reads, writes = device.stats.reads, device.stats.writes
     op()
     return device.stats.reads - reads, device.stats.writes - writes
@@ -294,7 +297,7 @@ def test_a_get_is_one_read_when_the_segment_index_is_pinned(cls):
     tree, base, device, keys = _loaded(cls, ram_bytes=fits)
     assert base._pinned_levels == base._height
     for key, above_max in _probes(keys):
-        assert _ios(device, lambda: tree.get(key)) == (0 if above_max else 1, 0), key
+        assert _ios(tree, device, lambda: tree.get(key)) == (0 if above_max else 1, 0), key
 
 
 @pytest.mark.parametrize("cls", [COBTree, BufferedCOBTree])
@@ -302,7 +305,7 @@ def test_an_unpinned_get_reads_its_path_and_one_segment(cls):
     tree, base, device, keys = _loaded(cls)
     for key, above_max in _probes(keys):
         path = _path_blocks(base, _segment_of_successor(base.pma, key))
-        reads, writes = _ios(device, lambda: tree.get(key))
+        reads, writes = _ios(tree, device, lambda: tree.get(key))
         assert writes == 0 and reads <= path + (0 if above_max else 1), key
 
 
@@ -341,7 +344,7 @@ def test_an_insert_reads_its_path_and_window_and_writes_window_and_repair():
         present.add(key)
         path = _path_blocks(tree, _segment_of_successor(tree.pma, key))
         with patch.object(tree.pma, "insert", insert):
-            reads, writes = _ios(device, lambda: tree.insert(key, key))
+            reads, writes = _ios(tree, device, lambda: tree.insert(key, key))
         lo, hi, resized = windows[-1]
         if resized:
             continue
@@ -352,7 +355,7 @@ def test_an_insert_reads_its_path_and_window_and_writes_window_and_repair():
     # An overwrite: the path, then a read-modify-write of the segment.
     for key in rng.sample(keys, 100):
         path = _path_blocks(tree, _segment_of_successor(tree.pma, key))
-        reads, writes = _ios(device, lambda: tree.insert(key, -key))
+        reads, writes = _ios(tree, device, lambda: tree.insert(key, -key))
         assert reads <= path + 1 and writes == 1, key
     tree.check_invariants()
 
@@ -366,9 +369,11 @@ def test_a_get_reads_its_segment_as_charge_span_prices_it(cls):
     for key, above_max in _probes(keys):
         if above_max:
             continue
+        tree.drop_cache()  # else the get, or the span after it, is a hit
         tree.get(key)
         got = device.trace[-1]
         lo = _segment_of_successor(pma, key) * width
+        tree.drop_cache()
         pma._charge_span(lo, lo + width, read=True, write=False)
         want = device.trace[-1]
         assert (got.kind, got.offset, got.nbytes) == (want.kind, want.offset, want.nbytes)

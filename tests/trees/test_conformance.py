@@ -18,7 +18,7 @@ import pytest
 
 from repro.errors import TreeError
 from repro.storage.hdd import HDDGeometry, SimulatedHDD
-from repro.trees import KINDS, KVTree
+from repro.trees import KINDS, KVTree, build
 from repro.trees.sizing import KEY_MAX
 from tests.trees import test_lockstep as lockstep
 
@@ -135,6 +135,32 @@ def test_lifecycle(kind):
     assert tree.get(pairs[7][0]) == pairs[7][1]
     assert dict(tree.items())[pairs[0][0] + 1] == pairs[0][1]
     tree.check_invariants()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_drop_cache_leaves_every_budget_cold(kind):
+    # Every kind with a RAM budget spends what it does not pin as a cache:
+    # a get answered from it reads nothing, and after drop_cache() the same
+    # get reads the device again.  16 KiB leaves each small tree's pins room
+    # for the blocks of one get.
+    tree = build(
+        kind,
+        SimulatedHDD(HDDGeometry(capacity_bytes=1 << 30), seed=1),
+        **{**lockstep.SMALL[kind], "cache_bytes": 16 << 10},
+    )
+    if tree.storage is None and tree.block_cache is None:
+        assert kind == "lsm"  # no budget beyond its memtable
+        return
+    pairs = sorted_pairs(2000)
+    tree.load(pairs)
+    key, value = pairs[1000]
+    stats = tree.device.stats
+    for drop, charged in ((True, True), (False, False), (True, True)):
+        if drop:
+            tree.drop_cache()
+        before = stats.reads
+        assert tree.get(key) == value
+        assert (stats.reads > before) == charged
 
 
 #: The containers ``lookup_many(keys: Iterable[int])`` takes, by test id

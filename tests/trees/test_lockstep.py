@@ -52,15 +52,16 @@ LAYOUTS = tuple(
 #: nodes a hundred keys give ``flush_all`` nodes to leave over ``2F``
 #: children (it once did).  ``rebuild_factor`` 3.5 lets a cob-buffered
 #: bucket overflow before the first weight rebuild, so that flush seeds the
-#: splitters.
+#: splitters.  The COLA's and the cob's budgets leave their pins room for a
+#: few blocks (5 of 512 bytes; 2 of 256 under a six-level index top).
 SMALL = {
     "btree": dict(node_bytes=1024, cache_bytes=16 << 10, fmt=FMT),
     "betree": dict(node_bytes=384, cache_bytes=16 << 10, fanout=2, fmt=FMT),
     "lsm": dict(memtable_bytes=2048, sstable_bytes=2048, level1_bytes=8192, fmt=FMT),
-    "cola": dict(cache_bytes=1 << 12, fmt=FMT),
-    "cob": dict(cache_bytes=1 << 10, initial_slots=64, fmt=FMT),
+    "cola": dict(node_bytes=512, cache_bytes=1 << 12, fmt=FMT),
+    "cob": dict(node_bytes=256, cache_bytes=3 << 9, initial_slots=64, fmt=FMT),
     "cob-buffered": dict(
-        cache_bytes=1 << 10, initial_slots=64, fanout=4, buffer_bytes=512,
+        node_bytes=256, cache_bytes=3 << 9, initial_slots=64, fanout=4, buffer_bytes=512,
         rebuild_factor=3.5, fmt=FMT,
     ),
 }
@@ -92,7 +93,10 @@ def accounting(tree: KVTree) -> tuple:
     """Everything an op sequence determines besides contents."""
     device = tree.device
     faults = getattr(device, "fault_stats", None)
-    cache = tree.storage.cache.stats if tree.storage is not None else None
+    if tree.storage is not None:
+        cache = tree.storage.cache.stats
+    else:
+        cache = tree.block_cache.stats if tree.block_cache is not None else None
     return (
         device.clock,
         vars(device.stats).copy(),
@@ -341,6 +345,10 @@ class LockstepMachine(RuleBasedStateMachine):
             batched.check_invariants()
             looped.check_invariants()
             assert accounting(batched) == accounting(looped)
+            for tree in (batched, looped):
+                if tree.block_cache is not None:  # the whole RAM budget, no more
+                    cached = tree.block_cache.resident_bytes
+                    assert tree.pinned_bytes + cached <= tree.config.ram_bytes
         for durable in self.durable.values():
             durable.check_invariants()
 

@@ -127,6 +127,7 @@ def test_a_delete_walks_only_below_its_segment_floor():
         keys = pma.keys[lo : lo + width]
         key = int(keys[keys != EMPTY][0])
         count, rebalances, start = pma.seg_count[seg], pma.rebalances, len(device.trace)
+        tree.drop_cache()  # a cold segment: the bound is the layout's
         tree.delete(key)
         # Every delete: the index path (pinned, free here), then its segment's
         # read-modify-write, exactly as before the floors.

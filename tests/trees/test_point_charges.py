@@ -15,7 +15,11 @@ cache hits, and again on the one that capped a segment at B/F, made a
 flush write only what it changed and an insert append to its root
 segment without reading it back.  Those two were captured on hand-built
 trees (``BeTree``, and ``OptimizedBeTree`` without pivots in the parent);
-they now build through the registry's ``layout`` field.
+they now build through the registry's ``layout`` field.  The ``cola`` pin
+was re-captured, and the ``-cached`` cases added, on the declared change
+that made the COLA and the cob kinds cache blocks in the RAM they do not
+pin; ``ZERO_SPARE`` keeps their pins from before it, reproduced with no
+block to cache.
 
 ``CALLS_PER_GET`` is the other half: a deterministic host budget, no wall
 time.  A re-grown hook layer fails it in tier-1 instead of waiting for a
@@ -29,6 +33,7 @@ import sys
 import pytest
 
 from repro.experiments.devices import default_hdd
+from repro.storage.ram import NullDevice
 from repro.trees import KINDS, build
 from repro.trees.merge import TOMBSTONE
 from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
@@ -57,14 +62,26 @@ BUILD = {
 assert set(BUILD) == set(KINDS)
 
 
-#: Every registered kind, and the two other Bε-tree layouts E9 ablates (the
-#: registry's default ``betree`` is its Theorem 9 arm).
+#: A budget that pins the cob's whole segment index (eight levels after the
+#: drive) and leaves about 60 KiB to its block cache: ``BUILD``'s cob budgets
+#: leave their index tops less than a block.
+CACHED = 64 << 10
+
+#: Every registered kind, the two other Bε-tree layouts E9 ablates (the
+#: registry's default ``betree`` is its Theorem 9 arm), and the cob kinds
+#: with room to cache blocks.
 CASES = {
     **{kind: (lambda device, kind=kind: build(kind, device, **BUILD[kind])) for kind in KINDS},
     "betree-naive": lambda device: build("betree", device, layout="whole-node", **BUILD["betree"]),
     "betree-own-pivots": lambda device: build(
         "betree", device, layout="segments", **BUILD["betree"]
     ),
+    **{
+        f"{kind}-cached": (
+            lambda device, kind=kind: build(kind, device, **{**BUILD[kind], "cache_bytes": CACHED})
+        )
+        for kind in ("cob", "cob-buffered")
+    },
 }
 
 #: sha256 over the get stream's ``(kind, offset, nbytes)`` reads, then the
@@ -94,17 +111,24 @@ PINNED = {
     # Re-captured again when the cob's index came to end at the segment (a
     # get is the path plus one segment read), with ``cob``'s pinned top cut
     # from 2048 to 256 bytes to keep its paths several levels deep.
+    # ``BUILD`` leaves both cob kinds less than a block beside their pinned
+    # index tops, so their pins did not move when the RAM they do not pin
+    # came to cache blocks; the ``-cached`` cases pin that cache, and the
+    # COLA's pin moved with it (``ZERO_SPARE`` below holds the old one).
     "cob": "ec9b67588e7627f01e81e6f42b6a56037c4c619de7b1710e1afed63d4a910035",
     "cob-buffered": "65f1705ca770deb82da22238b4b136b74d659df058e339ab780edeb7e2353752",
-    "cola": "2906ec0d055c306c2359899da581040f21f688201c259cb45346616c88aec294",
+    "cob-buffered-cached": "7c0edbe82ed2a40fd7e94732278a67a413f8c2d3e26c293f11f2ee5b809ce37d",
+    "cob-cached": "151757cea8f3f4557cebd8947b04844ac99dbd01abd341539d73f92bcc531cd9",
+    "cola": "1f88572abfd898619cd71beb91aac36b462bd46bababd0a40296ab86688b0de4",
     "lsm": "2137c457cf9cb3bcf9bc71e56cf135e31cd66cce23e4b6b0e6c9f9a379e67b59",
 }
 
 
-def _drive(case):
-    """A seeded insert/overwrite/delete mix; ``(tree, device, model, deleted)``."""
+def _drive(case, make=None):
+    """A seeded insert/overwrite/delete mix on ``CASES[case]`` (or on the
+    tree ``make(device)`` builds); ``(tree, device, model, deleted)``."""
     device = default_hdd(seed=7, trace=True)
-    tree = CASES[case](device)
+    tree = (make or CASES[case])(device)
     rng = random.Random(19)
     model: dict[int, int] = {}
     live: list[int] = []
@@ -169,9 +193,9 @@ def _cache_stats(tree):
     return sorted(vars(tree.storage.cache.stats).items()) if tree.storage is not None else None
 
 
-def get_digest(case) -> str:
+def get_digest(case, make=None) -> str:
     """Run the get stream against the dict model; sha256 of what it charged."""
-    tree, device, model, deleted = _drive(case)
+    tree, device, model, deleted = _drive(case, make)
     start = len(device.trace)
     for key in _stream(model, deleted):
         assert tree.get(key) == model.get(key), (case, key)
@@ -189,6 +213,40 @@ def get_digest(case) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_get_reads_are_pinned(case):
     assert get_digest(case) == PINNED[case]
+
+
+#: ``PINNED`` of the three kinds that cache blocks in the RAM they do not
+#: pin, as it stood before they did: with no block to cache, a get charges
+#: exactly what it charged then, so the cache is all that moved.
+ZERO_SPARE = {
+    "cob": "ec9b67588e7627f01e81e6f42b6a56037c4c619de7b1710e1afed63d4a910035",
+    "cob-buffered": "65f1705ca770deb82da22238b4b136b74d659df058e339ab780edeb7e2353752",
+    "cola": "2906ec0d055c306c2359899da581040f21f688201c259cb45346616c88aec294",
+}
+
+
+def _zero_spare(kind):
+    """``kind`` at ``BUILD`` with no block to cache: a cob kind's budget is its
+    pinned index top.  The COLA pins levels of up to a quarter of its budget
+    each, so no budget leaves it nothing; its cache is emptied for life
+    instead (what it pins never changes)."""
+
+    def make(device):
+        if kind == "cola":
+            tree = build(kind, device, **BUILD[kind])
+            tree.block_cache.resize(0)
+        else:
+            pinned = build(kind, NullDevice(), **BUILD[kind]).pinned_bytes
+            tree = build(kind, device, **{**BUILD[kind], "cache_bytes": pinned})
+            assert tree.pinned_bytes == tree.config.ram_bytes
+        return tree
+
+    return make
+
+
+@pytest.mark.parametrize("kind", sorted(ZERO_SPARE))
+def test_with_no_block_to_cache_a_get_charges_what_it_did_before_the_cache(kind):
+    assert get_digest(kind, _zero_spare(kind)) == ZERO_SPARE[kind]
 
 
 def test_the_stream_reaches_what_a_lookup_can_get_wrong():

@@ -12,7 +12,8 @@ us per op of each (step, kind): its share of the counted samples times the
 timed wall.  The workload's own lines outside its timed regions (oracle,
 ``_build``, digests) are untimed.  Tree workloads add each kind's ``load s``,
 tree_read each kind's simulated ms and device IOs per get of its ``get``
-half and its ``get_many`` half and per scan of its ``range`` calls,
+half and its ``get_many`` half and per scan of its ``range`` calls, and
+the hit rate of its cache under ``get`` (``-`` for the lsm, which has none),
 tree_write each kind's simulated ms, device reads, writes and bytes written
 per mutation and share of the workload's simulated seconds, of its
 ``insert``/``delete`` half and of its ``put_many`` half, each summed over the iterations at the
@@ -48,7 +49,7 @@ ROOT = Path(__file__).resolve().parents[1]
 #: first, only inside the statement that begins with it.  Rows follow the table.
 TREE = (
     ("trees/*", "*", "tree"),
-    ("storage/cache.py storage/stack.py storage/allocator.py", "*", "cache"),
+    ("storage/cache.py storage/blocks.py storage/stack.py storage/allocator.py", "*", "cache"),
     ("storage/*", "*", "device"),
 )
 STEPS = {
@@ -76,7 +77,7 @@ STEPS = {
         ("serve/engine.py", "RequestEngine.*", "arrival + admission"),
         ("serve/shard.py", "*", "lookup_many: replica"),
         ("trees/*", "*", "lookup_many: tree descent"),
-        ("storage/stack.py storage/cache.py", "*", "lookup_many: cache"),
+        ("storage/stack.py storage/cache.py storage/blocks.py", "*", "lookup_many: cache"),
         ("storage/* faults/*", "*", "lookup_many: device"),
         ("serve/engine.py", "RequestEngine.run.<locals>.dispatch*", "completion accounting",
          "for tenant, (arrived, _) in requests:"),
@@ -189,21 +190,34 @@ def serve_counts():
 READ_PATHS = (("get", "get", "tree"), ("get_many", "get", "built"), ("range", "scan", "tree"))
 
 
+def cache_stats(tree):
+    """The hit/miss counters of the RAM a kind caches in: the buffer cache
+    (btree, betree), the block cache (cola, cob, cob-buffered), or ``None``
+    (lsm)."""
+    if tree.storage is not None:
+        return tree.storage.cache.stats
+    return tree.block_cache.stats if tree.block_cache is not None else None
+
+
 @contextmanager
 def read_paths(built):
     """While open on tree_read's ``built`` trees: each kind's simulated device
-    seconds and IOs under each of :data:`READ_PATHS`, counted by wrapping the
-    callable the workload looks up each iteration; the yielded ``{row: {kind:
-    value}}`` is filled in on exit."""
-    tally = {(bt.kind, path): [0, 0.0, 0] for bt in built for path, *_ in READ_PATHS}
+    seconds and IOs under each of :data:`READ_PATHS`, and its cache's hit
+    rate under ``get``, counted by wrapping the callable the workload looks
+    up each iteration; the yielded ``{row: {kind: value}}`` is filled in on
+    exit."""
+    tally = {(bt.kind, path): [0, 0.0, 0, 0, 0] for bt in built for path, *_ in READ_PATHS}
+    no_cache = SimpleNamespace(hits=0, misses=0)
 
-    def counted(fn, cell, device, stats, size):
+    def counted(fn, cell, device, stats, size, cache):
         def call(arg, *rest):
-            clock, ios = device.clock, stats.ios
+            clock, ios, hits, misses = device.clock, stats.ios, cache.hits, cache.misses
             out = fn(arg, *rest)
             cell[0] += size(arg)
             cell[1] += device.clock - clock
             cell[2] += stats.ios - ios
+            cell[3] += cache.hits - hits
+            cell[4] += cache.hits + cache.misses - hits - misses
             return out
         return call
 
@@ -213,8 +227,9 @@ def read_paths(built):
             fn = getattr(owner, path)
             if fn is not None:  # None: a kind the workload sends no get_many
                 size = len if path == "get_many" else (lambda _: 1)
+                cache = cache_stats(bt.tree) or no_cache
                 setattr(owner, path, counted(fn, tally[bt.kind, path],
-                                             bt.device, bt.device.stats, size))
+                                             bt.device, bt.device.stats, size, cache))
     rows: dict[str, dict[str, float]] = {}
     try:
         yield rows
@@ -224,8 +239,13 @@ def read_paths(built):
             bt.get_many = getattr(bt.tree, "get_many", None)
     for path, unit, _ in READ_PATHS:
         cells = {bt.kind: tally[bt.kind, path] for bt in built}  # nan: never called
-        rows[f"{path}: sim ms/{unit}"] = {k: s * 1e3 / n if n else nan for k, (n, s, _) in cells.items()}
-        rows[f"{path}: IOs/{unit}"] = {k: ios / n if n else nan for k, (n, _, ios) in cells.items()}
+        rows[f"{path}: sim ms/{unit}"] = {k: s * 1e3 / n if n else nan for k, (n, s, *_) in cells.items()}
+        rows[f"{path}: IOs/{unit}"] = {k: ios / n if n else nan for k, (n, _, ios, *_) in cells.items()}
+    rate: dict[str, float | str] = {}
+    for bt in built:
+        *_, hits, accesses = tally[bt.kind, "get"]
+        rate[bt.kind] = "-" if cache_stats(bt.tree) is None else hits / accesses if accesses else nan
+    rows["get: hit rate"] = rate
 
 
 #: tree_write's halves: an iteration's first half of mutations, one
@@ -377,7 +397,9 @@ def report(name: str, samples, extra: dict[str, dict[str, float]]) -> None:
         **extra,
     }.items():
         if values:
-            print(f"    {row:<32}" + "".join(f"{values[k]:>9.6g}{'':>7}" for k in samples))
+            print(f"    {row:<32}" + "".join(
+                f"{values[k]:>9.6g}{'':>7}" if not isinstance(values[k], str)
+                else f"{values[k]:>9}{'':>7}" for k in samples))
 
 
 def main(argv: list[str] | None = None) -> int:
